@@ -1,6 +1,9 @@
 """Command-line interface: artifacts, exit codes, file formats."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -182,3 +185,19 @@ def test_grid_dump(mini_cfg, tmp_path):
     assert sum(r[0] == "y" and r[1] == "dual" for r in rows) == n_primary - 1
     ims = np.array([float(r[4]) for r in rows])
     assert np.any(ims != 0.0)  # stretched layer present
+
+
+def test_cli_import_is_lean():
+    # scipy.signal (and scipy.stats behind it) cost about a second of
+    # start-up; importing the CLI must not start threads either
+    code = (
+        "import sys, threading, wavecast.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') "
+        "if m in sys.modules), threading.active_count())"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.split() == ["[]", "1"]

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.signal
 import scipy.sparse
 
 from wavecast.errors import (
@@ -155,6 +156,23 @@ def test_checkpoint_save_load_extend(tmp_path):
         extend_bilanczos(op, resumed, 75)
 
 
+def test_extend_leaves_input_unchanged(tmp_path):
+    op = _small_op()
+    b, _ = op.sample_source(0.1, -0.3)
+    first = bilanczos(op, b, 40, [op.probe_index(0.5, 0.5)])
+    path = tmp_path / "chk.npz"
+    first.save(path)
+    loaded = LanczosDecomposition.load(path)
+    w_last, w_next = loaded.w_last.copy(), loaded.w_next.copy()
+    resumed = extend_bilanczos(op, loaded, 75)
+    assert np.array_equal(loaded.w_last, w_last)
+    assert np.array_equal(loaded.w_next, w_next)
+    assert not np.shares_memory(resumed.w_last, resumed.w_next)
+    for vec in (resumed.w_last, resumed.w_next):
+        assert not np.shares_memory(vec, loaded.w_last)
+        assert not np.shares_memory(vec, loaded.w_next)
+
+
 def test_breakdown_raises():
     n = 4
     op = SimpleNamespace(
@@ -257,6 +275,18 @@ def test_convolution_against_direct_quadrature():
         integrand = q[: j + 1] * kern[j::-1]
         direct[j] = np.trapezoid(integrand, dx=dt) if j > 0 else 0.0
     assert np.max(np.abs(got[0] - direct)) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(1, 588), (3, 2810), (2, 1001)])
+def test_convolution_is_bitwise_fftconvolve(shape):
+    rng = np.random.default_rng(shape[1])
+    impulse = rng.standard_normal(shape)
+    q = rng.standard_normal(shape[1])
+    dt = 0.01
+    full = scipy.signal.fftconvolve(impulse, q[None, :], mode="full")
+    u = full[:, : shape[1]] * dt
+    want = u - 0.5 * dt * (q[0] * impulse + impulse[:, :1] * q[None, :])
+    assert np.array_equal(convolve_source(impulse, q, dt), want)
 
 
 def test_convolution_endpoint_weights():

@@ -1,0 +1,242 @@
+"""Row-block recursion against the whole-vector allocating loop.
+
+`reference_recursion` is the recursion as first written: one
+allocating whole-vector pass per operation, on a single thread.  The
+row-block, in-place recursion must reproduce it bit for bit for every
+block count, including more blocks than the machine has cores.
+"""
+
+import sys
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+import scipy.sparse
+
+import wavecast.krylov as krylov
+from wavecast.errors import BreakdownError
+from wavecast.grid import build_grid2d
+from wavecast.harness import _prepare
+from wavecast.krylov import LanczosDecomposition, bilanczos, extend_bilanczos
+from wavecast.operator import assemble_operator
+from wavecast.scenarios import get_scenario
+
+FIELDS = ("m", "alpha", "zeta", "delta", "zeta_next", "w_probe", "w_last",
+          "w_next", "drift", "happy")
+
+
+def reference_recursion(op, state, m_target, breakdown_tol=1e-14,
+                        check_every=500):
+    """Whole-vector allocating recursion (the correctness oracle)."""
+    a_mat = op.a_mat
+    m_diag = op.m_diag
+    m_scale = float(np.abs(m_diag).max())
+    probes = state.probe_indices
+
+    alpha = list(state.alpha)
+    zeta = list(state.zeta)
+    delta = list(state.delta)
+    wp_cols = [state.w_probe[:, j] for j in range(state.m)]
+
+    if state.m == 0:
+        w_prev = np.zeros(state.n, dtype=complex)
+        w_cur = state.w_next
+        zeta_cur = state.zeta_next
+        delta_prev = 1.0
+    else:
+        w_prev = state.w_last
+        w_cur = state.w_next
+        zeta_cur = state.zeta_next
+        delta_prev = delta[-1]
+
+    drift = state.drift
+    happy = False
+    i = state.m
+    w_first = None
+    while i < m_target:
+        i += 1
+        d_i = w_cur @ (m_diag * w_cur)
+        if abs(d_i) < breakdown_tol * m_scale:
+            raise BreakdownError(f"collapse at {i}", index=i)
+        aw = a_mat @ w_cur
+        a_i = (w_cur @ (m_diag * aw)) / d_i
+        r = aw - a_i * w_cur
+        if i > 1:
+            r = r - (d_i / delta_prev) * zeta_cur * w_prev
+        alpha.append(a_i)
+        zeta.append(zeta_cur)
+        delta.append(d_i)
+        wp_cols.append(w_cur[probes].copy())
+        if w_first is None:
+            w_first = w_cur
+        z_next = float(np.linalg.norm(r))
+        if z_next < 1e-14 * float(np.abs(aw).max() + abs(a_i)):
+            happy = True
+            w_prev, w_cur = w_cur, np.zeros(state.n, dtype=complex)
+            zeta_cur = 0.0
+            break
+        w_prev, w_cur = w_cur, r / z_next
+        zeta_cur = z_next
+        delta_prev = d_i
+        if check_every and i % check_every == 0:
+            drift = max(drift, float(abs(w_cur @ (m_diag * w_first))
+                                     / m_scale))
+
+    return LanczosDecomposition(
+        n=state.n,
+        m=i,
+        alpha=np.array(alpha, dtype=complex),
+        zeta=np.array(zeta, dtype=float),
+        delta=np.array(delta, dtype=complex),
+        zeta_next=float(zeta_cur),
+        probe_indices=probes,
+        w_probe=np.array(wp_cols, dtype=complex).T,
+        w_last=w_prev,
+        w_next=w_cur,
+        happy=happy,
+        drift=drift,
+    )
+
+
+def reference_bilanczos(op, b, m, probes, **kw):
+    b = np.asarray(b, dtype=complex)
+    norm_b = float(np.linalg.norm(b))
+    probes = np.asarray(probes, dtype=int)
+    state = LanczosDecomposition(
+        n=op.n, m=0,
+        alpha=np.empty(0, dtype=complex),
+        zeta=np.empty(0, dtype=float),
+        delta=np.empty(0, dtype=complex),
+        zeta_next=norm_b,
+        probe_indices=probes,
+        w_probe=np.zeros((probes.size, 0), dtype=complex),
+        w_last=np.empty(0, dtype=complex),
+        w_next=b / norm_b,
+        happy=False,
+        drift=0.0,
+    )
+    return reference_recursion(op, state, m, **kw)
+
+
+def assert_bitwise(got, want):
+    for name in FIELDS:
+        g, w = getattr(got, name), getattr(want, name)
+        assert np.array_equal(g, w), name
+        assert np.asarray(g).dtype == np.asarray(w).dtype, name
+    assert got.w_probe.shape == want.w_probe.shape
+
+
+@pytest.fixture
+def force_blocks(monkeypatch):
+    """Force the recursion's block count and record what it used."""
+    used = []
+    real_row_blocks = krylov._row_blocks
+
+    def spy(a_mat, n_blocks):
+        used.append(n_blocks)
+        return real_row_blocks(a_mat, n_blocks)
+
+    def force(n_blocks):
+        monkeypatch.setattr(krylov, "_ROWS_PER_WORKER", 1)
+        monkeypatch.setattr(krylov, "_usable_cpus", lambda: n_blocks)
+        monkeypatch.setattr(krylov, "_row_blocks", spy)
+        return used
+
+    return force
+
+
+@pytest.fixture(scope="module", params=["homogeneous-desk", "ring-desk"])
+def desk(request):
+    asm = _prepare(get_scenario(request.param))
+    ref = reference_bilanczos(asm.op, asm.b, 300, asm.probe_flats,
+                              check_every=50)
+    return asm, ref
+
+
+@pytest.mark.parametrize("n_blocks", [1, 3, 4])
+def test_desk_run_is_bitwise_reference(desk, n_blocks, force_blocks):
+    asm, ref = desk
+    used = force_blocks(n_blocks)
+    got = bilanczos(asm.op, asm.b, 300, asm.probe_flats, check_every=50)
+    assert used == [n_blocks]
+    assert ref.m == 300 and not ref.happy and ref.drift > 0.0
+    assert_bitwise(got, ref)
+
+
+def test_blocks_under_fast_thread_switching(desk, force_blocks):
+    # more workers than cores, switching as often as the interpreter
+    # allows: a block read before its phase ended would change the bits
+    asm, ref = desk
+    force_blocks(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = bilanczos(asm.op, asm.b, 300, asm.probe_flats,
+                        check_every=50)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_bitwise(got, ref)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 3, 4])
+def test_extension_is_bitwise_reference(n_blocks, force_blocks):
+    asm = _prepare(get_scenario("homogeneous-desk"))
+    first = bilanczos(asm.op, asm.b, 120, asm.probe_flats, check_every=50)
+    want = reference_recursion(asm.op, first, 260, check_every=50)
+    force_blocks(n_blocks)
+    got = extend_bilanczos(asm.op, first, 260, check_every=50)
+    assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("n_blocks", [2, 4])
+def test_breakdown_index_with_blocks(n_blocks, force_blocks):
+    n = 4
+    op = SimpleNamespace(
+        a_mat=scipy.sparse.identity(n, dtype=complex, format="csr"),
+        m_diag=np.array([1.0, -1.0, 1.0, -1.0], dtype=complex),
+        n=n,
+    )
+    used = force_blocks(n_blocks)
+    with pytest.raises(BreakdownError) as exc:
+        bilanczos(op, np.array([1.0, 1.0, 0.0, 0.0]), 3, [0])
+    assert exc.value.index == 1
+    assert used == [n_blocks]
+
+
+@pytest.mark.parametrize("n_blocks", [2, 3])
+def test_happy_breakdown_with_blocks(n_blocks, force_blocks):
+    op = assemble_operator(build_grid2d(6))
+    lam, vec = np.linalg.eigh(op.a_mat.toarray().real)
+    want = reference_bilanczos(op, vec[:, 3], 10, [0])
+    force_blocks(n_blocks)
+    got = bilanczos(op, vec[:, 3], 10, [0])
+    assert got.happy and got.m == 1
+    assert abs(got.alpha[0] - lam[3]) < 1e-10 * abs(lam[3])
+    assert_bitwise(got, want)
+
+
+def test_row_blocks_share_operator_memory():
+    a_mat = assemble_operator(build_grid2d(6)).a_mat
+    blocks = krylov._row_blocks(a_mat, 3)
+    assert a_mat.shape[0] == 25
+    assert [blk[0] for blk in blocks] == [
+        slice(0, 8), slice(8, 16), slice(16, 25)
+    ]
+    w = np.arange(a_mat.shape[1], dtype=complex)
+    for rows, indptr, indices, data in blocks:
+        assert np.shares_memory(data, a_mat.data)
+        assert np.shares_memory(indices, a_mat.indices)
+        block = scipy.sparse.csr_matrix((data, indices, indptr),
+                                        shape=(rows.stop - rows.start, 25))
+        assert np.array_equal(block @ w, (a_mat @ w)[rows])
+
+
+def test_block_count_rule(monkeypatch):
+    monkeypatch.setattr(krylov, "_usable_cpus", lambda: 2)
+    rows = krylov._ROWS_PER_WORKER
+    assert krylov._block_count(18_225) == 1  # ring-desk
+    assert krylov._block_count(2 * rows - 1) == 1
+    assert krylov._block_count(2 * rows) == 2
+    assert krylov._block_count(229_441) == 2  # paper-scale ring
+    monkeypatch.setattr(krylov, "_usable_cpus", lambda: 1)
+    assert krylov._block_count(229_441) == 1
