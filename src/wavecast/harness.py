@@ -205,7 +205,8 @@ def _reference_waveform(sc, asm, times):
     return None, None
 
 
-def _metadata(sc, asm, m):
+def _metadata(sc, asm, m, modes):
+    """Run metadata; modes is the eigensolve of the written trace."""
     return {
         "git": _git_hash(),
         "config": _clean(sc),
@@ -214,6 +215,8 @@ def _metadata(sc, asm, m):
         "cf_roundtrip_error": asm.steps.roundtrip_error,
         "n_unknown": asm.grid.n_unknown,
         "m": m,
+        "recon_error": modes.recon_error,
+        "modes_merged": modes.merged,
         "source_coords": asm.src_coords,
         "probe_coords": asm.probe_coords,
     }
@@ -235,6 +238,7 @@ def run_scenario(sc, m=None, out_dir=None):
 
     t0 = time.perf_counter()
     modes = eigen_tridiag(decomp)
+    timings["eigensolve_s"] = time.perf_counter() - t0
     times = _padded_times(sc)
     wf = _trace_waveform(sc, modes, times)
     timings["evaluate_s"] = time.perf_counter() - t0
@@ -262,7 +266,7 @@ def run_scenario(sc, m=None, out_dir=None):
         convergence=(),
         fdtd_steps=fdtd_steps,
         timings=timings,
-        metadata=_metadata(sc, asm, m),
+        metadata=_metadata(sc, asm, m, modes),
     )
     if out is not None:
         report.to_json(out / "report.json")
@@ -305,10 +309,13 @@ def convergence_study(sc, m_list=None, out_dir=None):
 
     entries = []
     wf = None
+    timings["eigensolve_s"] = 0.0
     t0 = time.perf_counter()
     for m in m_list:
         part = decomp.truncate(m) if m < decomp.m else decomp
+        t_eig = time.perf_counter()
         modes = eigen_tridiag(part)
+        timings["eigensolve_s"] += time.perf_counter() - t_eig
         wf = _trace_waveform(sc, modes, times)
         rel, _, _ = compare_traces(wf, ref_wf, t_lo=0.0, t_hi=sc.t_final)
         entries.append({"m": int(m), "errors": [float(r) for r in rel]})
@@ -324,7 +331,7 @@ def convergence_study(sc, m_list=None, out_dir=None):
         convergence=tuple(entries),
         fdtd_steps=fdtd_steps,
         timings=timings,
-        metadata=_metadata(sc, asm, m_list[-1]),
+        metadata=_metadata(sc, asm, m_list[-1], modes),
     )
     if out is not None:
         report.to_json(out / "report.json")

@@ -24,24 +24,33 @@ negative real axis): u(t) = zeta_1 * Re[W f(t, T_m) e_1] stays bounded
 for spectra anywhere off the branch cut, unlike the naive
 sin(sqrt(-a) t)/sqrt(-a) kernel, which diverges off the real axis.
 
+The decomposition is structured (eigen_tridiag): LAPACK's zgeev
+computes only the eigenvalues of the symmetrized tridiagonal H, the one
+O(m^3) step, and each eigenvector comes from at most three steps of
+inverse iteration with a pivoted tridiagonal solve (zgtsv), O(m) each.
+Close Ritz values are handled explicitly: clusters get bilinearly
+orthogonalized vectors, and ghost copies of one mode are merged.
+
 Each recursion step runs in place on preallocated vectors, in three
 row-parallel phases separated by the scalar reductions:
 
-    A: aw = A w, M w, M aw and max |aw| per row block
+    A: aw = A w, M w, M aw
        (serial: delta_i = w^T M w, alpha_i = w^T M aw / delta_i)
     B: r = aw - alpha_i w - (delta_i/delta_{i-1}) zeta_i w_{i-1}
        (serial: zeta_{i+1} = ||r||)
-    C: w_{i+1} = r / zeta_{i+1}
+    C: w_{i+1} = r * (1 / zeta_{i+1})
 
 The rows are split into min(usable CPUs, n // _ROWS_PER_WORKER)
 contiguous CSR blocks (one below 2 * _ROWS_PER_WORKER rows).  The
 calling thread takes block 0 and a thread pool, alive only during the
 call, the rest; the sparse product and the ufuncs release the GIL.
 Every element is computed by the same operation on the same operands
-as in a whole-vector pass, max is exact under any grouping, and the
-dots and norms stay whole-vector and serial, so the run is bitwise
-identical for every block count.  The block count does not read the
-BLAS thread settings.
+as in a whole-vector pass, and the dots and norms stay whole-vector
+and serial, so the run is bitwise identical for every block count.
+The block count does not read the BLAS thread settings.  The
+happy-breakdown test takes max |aw| only on the rare steps where
+zeta_{i+1} is below 1e-14 of its bound zeta_{i+1} + |alpha_i| + |c|
+on ||aw||.
 """
 
 import dataclasses
@@ -98,11 +107,13 @@ def sc_resolvent_dense(lam, a_dense):
 
     with sqrt(lam) = i sqrt(|lam|) for lam < 0 (limit from above).  Its
     real part equals Re (A - lam I)^{-1} for lam on the negative axis.
-    Dense reference implementation for small systems.
+    lam is a scalar, or a 1-D array of shifts that share one sqrt(A);
+    the result is then the stack f[k] = f(lam[k], A).  Dense reference
+    implementation for small systems.
     """
     a_dense = np.asarray(a_dense, dtype=complex)
     n = a_dense.shape[0]
-    sqlam = complex(_sqrt_from_above(complex(lam)))
+    sqlam = _sqrt_from_above(lam)[..., None, None]
     sqa = scipy.linalg.sqrtm(a_dense).astype(complex)
     inv_sqa = np.linalg.inv(sqa)
     eye = np.eye(n)
@@ -260,20 +271,18 @@ def _run_recursion(op, state, m_target, breakdown_tol, check_every):
     aw = np.empty(n, dtype=complex)
     mw = np.empty(n, dtype=complex)  # M w, then scratch for phase B
     maw = np.empty(n, dtype=complex)  # M A w
-    abs_aw = np.empty(n, dtype=float)
     zeta_cur = state.zeta_next  # zeta_i, the norm that produced w_i
     # M w_first for the drift check (w_first: first vector of this run)
     m_w_first = m_diag * w_cur if check_every else None
 
     def phase_a(k):
-        """aw = A w, M w, M aw on block k; returns its max |aw|."""
+        """aw = A w, M w, M aw on block k."""
         rows, indptr, indices, data = blocks[k]
         aw_k = aw[rows]
         aw_k.fill(0.0)
         csr_matvec(aw_k.size, n, indptr, indices, data, w_cur, aw_k)
         np.multiply(m_diag[rows], w_cur[rows], out=mw[rows])
         np.multiply(m_diag[rows], aw_k, out=maw[rows])
-        return np.abs(aw_k, out=abs_aw[rows]).max()
 
     def phase_b(k, a_i, c_prev):
         """r = aw - a_i w - c_prev w_prev on block k (into w_spare)."""
@@ -285,10 +294,12 @@ def _run_recursion(op, state, m_target, breakdown_tol, check_every):
             np.multiply(c_prev, w_prev[rows], out=tmp)
             np.subtract(r, tmp, out=r)
 
-    def phase_c(k, z_next):
-        """w_next = r / z_next on block k, in place."""
-        r = w_spare[blocks[k][0]]
-        np.divide(r, z_next, out=r)
+    def phase_c(k, inv_z):
+        """w_next = r / z_next on block k, in place, as a real multiply
+        by inv_z = 1 / z_next on the float view: numpy's complex division
+        by z_next + 0j multiplies by the same reciprocal."""
+        r = w_spare[blocks[k][0]].view(float)
+        np.multiply(r, inv_z, out=r)
 
     drift = state.drift
     happy = False
@@ -307,7 +318,7 @@ def _run_recursion(op, state, m_target, breakdown_tol, check_every):
 
         while i < m_target:
             i += 1
-            aw_max = max(on_blocks(phase_a))
+            on_blocks(phase_a)
             d_i = w_cur @ mw
             if abs(d_i) < breakdown_tol * m_scale:
                 raise BreakdownError(
@@ -324,13 +335,18 @@ def _run_recursion(op, state, m_target, breakdown_tol, check_every):
             np.take(w_cur, probes, out=w_probe[i - 1])
             z_next = float(np.linalg.norm(w_spare))
             delta_prev = d_i
-            if z_next < 1e-14 * float(aw_max + abs(a_i)):
+            # happy when z_next < 1e-14 (max |aw| + |a_i|); since
+            # max |aw| <= ||aw|| <= z_next + |a_i| + |c_prev| for unit
+            # w's, the max pass runs only when z_next is below 1e-14 of that
+            c_abs = abs(c_prev) if c_prev is not None else 0.0
+            if (z_next < 1e-14 * (z_next + abs(a_i) + c_abs)
+                    and z_next < 1e-14 * (np.abs(aw).max() + abs(a_i))):
                 happy = True
                 w_spare.fill(0.0)
                 w_prev, w_cur = w_cur, w_spare
                 zeta_cur = 0.0
                 break
-            on_blocks(phase_c, z_next)
+            on_blocks(phase_c, 1.0 / z_next)
             w_prev, w_cur, w_spare = w_cur, w_spare, w_prev
             zeta_cur = z_next
             if check_every and i % check_every == 0:
@@ -416,12 +432,39 @@ def extend_bilanczos(op, decomp, m_target, breakdown_tol=1e-14,
                           check_every)
 
 
+# Ritz values closer than _CLUSTER_TOL * max |H| form one cluster for the
+# inverse iteration: each member is bilinearly orthogonalized against the
+# members computed before it, so the cluster gets independent vectors.
+_CLUSTER_TOL = 1e-8
+# Ritz values closer than _GHOST_TOL * max |H| are one mode (ghost copies
+# from lost orthogonality); their residues are summed onto one member.
+# Worst probe impulse at t_final/2 and t_final on ring-desk against a
+# dense sqrtm/expm oracle of H, relative to the oracle's peak:
+#   m = 600:  1e-14 and 1e-13 merge 2 pairs, 9e-9 (dense eigenvector
+#             route 1e-6); 1e-12 also merges a distinct pair 3e-13 apart
+#             across the branch cut, 1e-6; no merge, 2e-2
+#   m = 1650: 1e-14 to 1e-12 merge 3-4, 3e-6 (as the dense eigenvector
+#             route); 1e-10 merges 65 distinct modes, 5e-3; no merge, 9e-3
+# Unmerged ghost pairs straddling the branch cut carry huge cancelling
+# residues whose kernels differ across the cut.
+_GHOST_TOL = 1e-13
+# inverse-iteration solves per Ritz value: each shrinks the admixture of
+# a neighbour theta_j by ~eps * max |H| / |theta_i - theta_j|, so a pair
+# just outside _GHOST_TOL is separated to ~(eps / _GHOST_TOL)^3 = 1e-8
+_INVIT_STEPS = 3
+# fixed seed of the inverse-iteration start vectors (as LAPACK's xSTEIN
+# fixes ISEED), so the eigenvectors are deterministic
+_INVIT_SEED = 4
+
+
 @dataclass(frozen=True)
 class ModeSet:
     """Spectral form of a projected run: field at probe p is
 
         u_p(t) = zeta_1 * Re sum_i probe_modes[p, i] * weights[i]
                                   * f(t, theta[i]).
+
+    merged counts the ghost Ritz values folded into another mode.
     """
 
     theta: np.ndarray
@@ -429,52 +472,170 @@ class ModeSet:
     weights: np.ndarray
     zeta1: float
     recon_error: float
+    merged: int = 0
+
+
+def _close_groups(theta, tol):
+    """Labels of the groups that chain Ritz values closer than tol.
+
+    theta is sorted by real part, so the close partners of a value
+    follow it within a window found by bisection; no m x m distance
+    matrix is formed.  Values in one group share a label.
+    """
+    label = np.arange(theta.size)
+    ends = np.searchsorted(theta.real, theta.real + tol, side="right")
+    for i in np.flatnonzero(ends > label + 1):
+        for j in range(i + 1, ends[i]):
+            if abs(theta[j] - theta[i]) <= tol:
+                label[label == label[j]] = label[i]
+    return label
+
+
+def _ritz_values(alpha, off):
+    """Eigenvalues of the symmetric tridiagonal H (diagonal alpha,
+    off-diagonal off), sorted by real, then imaginary part."""
+    m = alpha.size
+    h = np.zeros((m, m), dtype=complex, order="F")
+    h[np.arange(m), np.arange(m)] = alpha
+    h[np.arange(m - 1), np.arange(1, m)] = off
+    h[np.arange(1, m), np.arange(m - 1)] = off
+    # default workspace: it selects LAPACK's unblocked Hessenberg
+    # reduction, which skips the zero columns of a tridiagonal (6 s
+    # against 10 s with the blocked one at m = 1650, one thread)
+    theta, _, _, info = scipy.linalg.lapack.zgeev(
+        h, compute_vl=0, compute_vr=0, overwrite_a=1)
+    if info != 0:
+        raise PrecisionError(
+            f"eigenvalues of the projected matrix did not converge "
+            f"(zgeev info = {info})"
+        )
+    return theta[np.lexsort((theta.imag, theta.real))]
+
+
+def _shifted_solve(alpha, off, sigma, y, nudge):
+    """(H - sigma I)^{-1} y by pivoted tridiagonal elimination, moving
+    sigma by nudge off an exactly singular pivot; returns (x, sigma)."""
+    for _ in range(3):
+        *_, x, info = scipy.linalg.lapack.zgtsv(off, alpha - sigma, off, y)
+        if info == 0:
+            return x, sigma
+        sigma += nudge
+    raise PrecisionError(
+        f"shifted tridiagonal stays singular near {sigma:.6e}"
+    )
+
+
+def _ritz_vectors(alpha, off, theta, h_scale, defect_tol):
+    """Eigenvectors of H for the sorted Ritz values, as columns scaled to
+    s^T s = 1, by inverse iteration (see eigen_tridiag)."""
+    m = theta.size
+    if m == 1:  # zgtsv takes no empty off-diagonal
+        return np.ones((1, 1), dtype=complex)
+    s = np.empty((m, m), dtype=complex, order="F")
+    rng = np.random.default_rng(_INVIT_SEED)
+    nudge = 4.0 * np.finfo(float).eps * h_scale
+    label = _close_groups(theta, _CLUSTER_TOL * h_scale)
+    earlier = {}  # cluster label -> columns already computed
+    for i in range(m):
+        group = earlier.setdefault(label[i], [])
+        sigma = theta[i] + len(group) * nudge
+        x = rng.uniform(-1.0, 1.0, m).astype(complex)
+        for _ in range(_INVIT_STEPS):
+            y = x / np.linalg.norm(x)
+            x, sigma = _shifted_solve(alpha, off, sigma, y, nudge)
+            if group:
+                prev = s[:, group]
+                x -= prev @ (prev.T @ x)
+        x /= np.linalg.norm(x)
+        quasi = x @ x
+        if abs(quasi) < defect_tol:
+            raise NearDefectiveError(
+                "projected matrix is numerically defective: an "
+                f"eigenvector is quasi-isotropic (|s^T s| = {abs(quasi):.2e})"
+            )
+        s[:, i] = x / np.sqrt(quasi)
+        group.append(i)
+    return s
+
+
+def _merge_ghosts(theta, probe_modes, weights, tol):
+    """Fold Ritz values closer than tol into one mode each: the group's
+    residues (probe_modes * weights) are summed onto its member with the
+    largest residue.  Returns (theta, probe_modes, weights, merged)."""
+    label = _close_groups(theta, tol)
+    residues = probe_modes * weights
+    keep = np.ones(theta.size, dtype=bool)
+    for g in np.flatnonzero(np.bincount(label) > 1):
+        members = np.flatnonzero(label == g)
+        lead = members[np.argmax(np.abs(residues[:, members]).max(axis=0))]
+        probe_modes[:, lead] = residues[:, members].sum(axis=1) / weights[lead]
+        keep[members] = False
+        keep[lead] = True
+    return (theta[keep], probe_modes[:, keep], weights[keep],
+            int(theta.size - keep.sum()))
 
 
 def eigen_tridiag(decomp, recon_tol=1e-8, defect_tol=1e-12):
     """Diagonalize the projected tridiagonal for field evaluation.
 
     Works on the symmetrized H = D^{1/2} T D^{-1/2} (complex symmetric;
-    the branch choices in D^{1/2} cancel).  Mode weights come from
-    solving S x = e_1 rather than trusting S^T ~= S^{-1}: ghost modes
-    from orthogonality loss at large m leave the solve-based weights
-    accurate when the transpose shortcut fails badly.
+    the branch choices in D^{1/2} cancel), in four steps:
+
+    - Eigenvalues only, from LAPACK's zgeev, sorted by real, then
+      imaginary part.
+    - One eigenvector per Ritz value theta_i by up to _INVIT_STEPS steps
+      of inverse iteration, x <- (H - sigma I)^{-1} x / ||x||, with
+      LAPACK's pivoted tridiagonal solver zgtsv.  Start vectors come
+      from a generator with a fixed seed (_INVIT_SEED, as LAPACK's
+      xSTEIN fixes its ISEED), so the result is deterministic.  Ritz
+      values within _CLUSTER_TOL * max |H| form a cluster: each member
+      is orthogonalized in the bilinear form s_j^T x (the one complex
+      symmetric eigenvectors satisfy) against the members before it,
+      and its shift sigma is moved a few ulps of max |H| from theirs.
+      A zero pivot moves sigma by the same step and solves again.  Each
+      vector is scaled to s^T s = 1; NearDefectiveError if |s^T s| of
+      the unit-norm vector is below defect_tol.
+    - Mode weights from solving S x = e_1 rather than trusting
+      S^T ~= S^{-1}: ghost modes from orthogonality loss at large m
+      leave the solve-based weights accurate when the transpose
+      shortcut fails badly.  PrecisionError unless S diag(theta) x
+      reproduces H e_1 to recon_tol * max |H|.
+    - Ghost merge: Ritz values within _GHOST_TOL * max |H| are one mode,
+      whose residues (probe_modes * weights) are summed onto the member
+      with the largest residue (window measured at the constant).  The
+      returned ModeSet has m - merged modes.
+
+    Memory beyond O(m) is H (freed after zgeev) and S, m x m each.
     """
     m = decomp.m
     alpha, zeta, delta = decomp.alpha, decomp.zeta, decomp.delta
     sqd = np.sqrt(delta)
-    h = np.zeros((m, m), dtype=complex)
-    h[np.arange(m), np.arange(m)] = alpha
-    if m > 1:
-        off = zeta[1:] * sqd[1:] / sqd[:-1]
-        h[np.arange(m - 1), np.arange(1, m)] = off
-        h[np.arange(1, m), np.arange(m - 1)] = off
-    theta, s = np.linalg.eig(h)
-    quasi = np.sum(s * s, axis=0)
-    if np.min(np.abs(quasi)) < defect_tol:
-        raise NearDefectiveError(
-            "projected matrix is numerically defective: an eigenvector "
-            f"is quasi-isotropic (|s^T s| = {np.min(np.abs(quasi)):.2e})"
-        )
-    s = s / np.sqrt(quasi)[None, :]
+    off = zeta[1:] * sqd[1:] / sqd[:-1]
+    h_scale = float(max(np.abs(alpha).max(), np.abs(off).max(initial=0.0)))
+    theta = _ritz_values(alpha, off)
+    s = _ritz_vectors(alpha, off, theta, h_scale, defect_tol)
     e1 = np.zeros(m, dtype=complex)
     e1[0] = 1.0
     coeff = np.linalg.solve(s, e1)
-    h_scale = float(np.abs(h).max())
-    recon = float(np.linalg.norm(s @ (theta * coeff) - h[:, 0]))
+    h_col = np.zeros(m, dtype=complex)  # H e_1
+    h_col[0] = alpha[0]
+    h_col[1:2] = off[:1]
+    recon = float(np.linalg.norm(s @ (theta * coeff) - h_col))
     if recon > recon_tol * h_scale:
         raise PrecisionError(
             f"eigendecomposition failed reconstruction: residual {recon:.2e}"
             f" exceeds {recon_tol:.0e} * {h_scale:.2e}"
         )
     probe_modes = (decomp.w_probe / sqd[None, :]) @ s
-    weights = coeff * sqd[0]
+    theta, probe_modes, weights, merged = _merge_ghosts(
+        theta, probe_modes, coeff * sqd[0], _GHOST_TOL * h_scale)
     return ModeSet(
         theta=theta,
         probe_modes=probe_modes,
         weights=weights,
         zeta1=float(decomp.zeta[0]),
         recon_error=recon / h_scale,
+        merged=merged,
     )
 
 

@@ -74,6 +74,10 @@ def test_run_artifacts(mini_run):
     assert payload["metadata"]["config"]["omega_max"] == pytest.approx(4 * np.pi)
     assert payload["metadata"]["n_unknown"] == (40 + 2 * 3 - 1) ** 2
     assert payload["timings"]["lanczos_s"] > 0.0
+    timings = payload["timings"]
+    assert 0.0 < timings["eigensolve_s"] <= timings["evaluate_s"]
+    assert 0.0 <= payload["metadata"]["recon_error"] < 1e-8
+    assert payload["metadata"]["modes_merged"] >= 0
 
 
 def test_run_trace_covers_window(mini_run):
@@ -109,6 +113,10 @@ def test_study_artifacts(mini_study):
     assert len(payload["convergence"]) == 3
     assert (out / "lanczos.csv").exists()
     assert (out / "reference.csv").exists()
+    timings = payload["timings"]
+    assert 0.0 < timings["eigensolve_s"] <= timings["evaluate_s"]
+    assert 0.0 <= payload["metadata"]["recon_error"] < 1e-8
+    assert payload["metadata"]["modes_merged"] >= 0
 
 
 def test_study_single_mode_is_useless():

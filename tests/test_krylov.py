@@ -26,6 +26,7 @@ from wavecast.krylov import (
     sctde_scalar,
 )
 from wavecast.operator import MediumMap, assemble_operator
+from wavecast.scenarios import get_scenario
 from wavecast.zolotarev import (
     SpectralInterval,
     to_continued_fraction,
@@ -88,6 +89,15 @@ def test_sc_resolvent_real_part_identity():
         assert np.max(np.abs(f.real - res.real)) < 1e-9 * np.max(
             np.abs(res.real)
         )
+
+
+def test_sc_resolvent_shift_stack():
+    a = np.array([[4.0, 1.0], [1.0, 3.0 + 0.5j]])
+    lams = np.array([-2.0, -0.5, 1.0])
+    stack = sc_resolvent_dense(lams, a)
+    assert stack.shape == (3, 2, 2)
+    for lam, f in zip(lams, stack):
+        assert np.allclose(f, sc_resolvent_dense(lam, a), rtol=1e-14)
 
 
 def test_full_length_run_matches_dense_oracle():
@@ -218,6 +228,73 @@ def test_near_defective_raises():
     )
     with pytest.raises(NearDefectiveError):
         eigen_tridiag(dec)
+
+
+@pytest.fixture(scope="module")
+def ring600():
+    """ring-desk decomposed to m = 600, via public calls."""
+    sc = get_scenario("ring-desk")
+    steps = to_continued_fraction(zolotarev_approx(sc.interval(), sc.k))
+    grid = build_grid2d(sc.n_int, steps)
+    op = assemble_operator(grid, MediumMap.from_function(grid, sc.medium_fn()))
+    b, _ = op.sample_source(*sc.source_xy, amplitude=sc.amplitude)
+    probes = [op.probe_index(x, y) for x, y in sc.probes]
+    return sc, bilanczos(op, b, 600, probes)
+
+
+def _symmetrized(dec):
+    """Diagonal, off-diagonal and diagonal D^{1/2} of H = D^{1/2} T D^{-1/2}."""
+    sqd = np.sqrt(dec.delta)
+    return dec.alpha, dec.zeta[1:] * sqd[1:] / sqd[:-1], sqd
+
+
+def _dense_route_modes(dec):
+    """The dense eigenvector route (np.linalg.eig of H), the structured
+    eigensolve's oracle."""
+    alpha, off, sqd = _symmetrized(dec)
+    theta, s = np.linalg.eig(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
+    s = s / np.sqrt(np.sum(s * s, axis=0))
+    coeff = np.linalg.solve(s, np.eye(dec.m)[:, 0])
+    return ModeSet(theta=theta, probe_modes=(dec.w_probe / sqd) @ s,
+                   weights=coeff * sqd[0], zeta1=float(dec.zeta[0]),
+                   recon_error=0.0)
+
+
+def test_structured_eigensolve_matches_dense_route(ring600):
+    # m = 150 has no ghost pairs, so the dense route is accurate there
+    sc, dec = ring600
+    dec = dec.truncate(150)
+    modes = eigen_tridiag(dec)
+    dense = _dense_route_modes(dec)
+    assert modes.merged == 0
+    scale = np.abs(dense.theta).max()
+    assert np.allclose(np.sort_complex(modes.theta),
+                       np.sort_complex(dense.theta), rtol=0, atol=1e-12 * scale)
+    times = np.linspace(0.0, sc.t_final, 50)
+    want = evaluate_impulse(dense, times)
+    got = evaluate_impulse(modes, times)
+    assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
+
+
+def test_ghost_merge_matches_dense_oracle(ring600):
+    # ring-desk at m = 600 has ghost Ritz pairs straddling the branch
+    # cut; unmerged, their cancelling residues leave the impulse ~2e-2 off
+    sc, dec = ring600
+    modes = eigen_tridiag(dec)
+    assert modes.merged >= 1
+    assert modes.theta.size == dec.m - modes.merged
+    # oracle: zeta_1 Re[W D^{-1/2} expm(-sqrt(H) t) sqrt(H)^{-1} e_1 d_1^{1/2}]
+    alpha, off, sqd = _symmetrized(dec)
+    h = np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1)
+    sq = scipy.linalg.sqrtm(h).astype(complex)
+    v = np.linalg.solve(sq, np.eye(dec.m)[:, 0]) * sqd[0]
+    times = np.array([0.5, 1.0]) * sc.t_final
+    oracle = np.stack([
+        dec.zeta[0] * ((dec.w_probe / sqd) @ (scipy.linalg.expm(-sq * t) @ v)).real
+        for t in times
+    ], axis=1)
+    err = np.abs(evaluate_impulse(modes, times) - oracle).max()
+    assert err < 1e-7 * np.abs(oracle).max()
 
 
 def test_kernels_agree_on_real_negative_spectrum():
