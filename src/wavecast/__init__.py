@@ -17,7 +17,7 @@ from .errors import (
 )
 from .fdtd import FdtdResult, run_fdtd
 from .grid import Axis1D, Grid2D, build_axis, build_grid2d
-from .harness import ComparisonReport, convergence_study, run_scenario
+from .harness import ComparisonReport, run_study
 from .krylov import (
     LanczosDecomposition,
     ModeSet,

@@ -24,8 +24,7 @@ from .errors import (
     ValidationError,
     WavecastError,
 )
-from .grid import build_grid2d
-from .harness import convergence_study, run_scenario
+from .harness import build_scenario_grid, run_study
 from .scenarios import PRESETS, get_scenario, load_config
 from .signals import Waveform, compare_traces
 from .zolotarev import SpectralInterval, to_continued_fraction, zolotarev_approx
@@ -53,18 +52,31 @@ def _print_report(report):
             print(f"  {name}: rel_error={err:.6e}")
 
 
-def _cmd_run(args):
-    sc = _load_scenario(args.scenario)
+def _study(args, sc, ms, show_entries):
     out = args.out if args.out is not None else Path("runs") / sc.name
-    report, _ = run_scenario(sc, m=args.m, out_dir=out)
+    report, _ = run_study(sc, ms, out_dir=out)
     _print_report(report)
+    if show_entries:
+        for entry in report.convergence:
+            errs = " ".join(f"{e:.6e}" for e in entry["errors"])
+            print(f"  m={entry['m']:6d}  {errs}")
     print(f"wrote {Path(out) / 'report.json'}")
     return 0
 
 
+def _cmd_run(args):
+    sc = _load_scenario(args.scenario)
+    m = sc.m_default if args.m is None else args.m
+    return _study(args, sc, (m,), show_entries=False)
+
+
 def _cmd_converge(args):
     sc = _load_scenario(args.scenario)
-    m_list = None
+    if sc.reference == "none":
+        raise ConfigurationError(
+            f"scenario {sc.name} designates no reference to converge against"
+        )
+    m_list = sc.m_list
     if args.m is not None:
         try:
             m_list = tuple(int(p) for p in args.m.replace(",", " ").split())
@@ -72,14 +84,7 @@ def _cmd_converge(args):
             raise ConfigurationError(
                 f"--m wants comma-separated integers, got {args.m!r}"
             ) from None
-    out = args.out if args.out is not None else Path("runs") / sc.name
-    report, _ = convergence_study(sc, m_list=m_list, out_dir=out)
-    _print_report(report)
-    for entry in report.convergence:
-        errs = " ".join(f"{e:.6e}" for e in entry["errors"])
-        print(f"  m={entry['m']:6d}  {errs}")
-    print(f"wrote {Path(out) / 'report.json'}")
-    return 0
+    return _study(args, sc, m_list, show_entries=True)
 
 
 def _cmd_pml_report(args):
@@ -129,9 +134,7 @@ def _cmd_compare(args):
 
 
 def _cmd_grid_dump(args):
-    sc = _load_scenario(args.scenario)
-    steps = to_continued_fraction(zolotarev_approx(sc.interval(), sc.k))
-    grid = build_grid2d(sc.n_int, steps)
+    _, _, grid = build_scenario_grid(_load_scenario(args.scenario))
     rows = []
     for label, axis in (("x", grid.axis_x), ("y", grid.axis_y)):
         for kind, nodes in (("primary", axis.primary), ("dual", axis.dual)):

@@ -23,6 +23,9 @@ import numpy as np
 from .errors import InvalidParameterError
 from .signals import Waveform
 
+# time step as a fraction of the 2D Yee stability limit delta / sqrt(2)
+COURANT = 0.95
+
 
 @dataclass(frozen=True)
 class FdtdResult:
@@ -50,7 +53,7 @@ def run_fdtd(
     t_final,
     medium_fn=None,
     amplitude=1.0,
-    courant=0.95,
+    courant=COURANT,
     n_pml=10,
     r0=1e-5,
     profile_order=3,

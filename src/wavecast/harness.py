@@ -1,11 +1,18 @@
-"""Experiment drivers: assemble a scenario, run the Krylov route,
+"""Experiment pipeline: assemble a scenario, run the Krylov route,
 compare against the designated reference, and write artifacts.
 
-Outputs per run directory: lanczos.csv (the Krylov trace),
-reference.csv (when a reference route is configured), report.json.
-Artifacts are flushed as soon as they exist so a later failure leaves
-the earlier results on disk.  Runs are deterministic: nothing here
-draws random numbers, so identical configs give identical bytes.
+One pipeline serves `wavecast run` (a single m) and `wavecast
+converge` (an m list), in stages: prepare -> decompose (with the
+breakdown retreat) -> reference -> eigensolve, trace and compare per
+m -> artifacts.  Every m is a truncation of one recursion run at the
+largest.
+
+Outputs per run directory: lanczos.csv (the Krylov trace at the
+largest m), reference.csv (when a reference route is configured),
+report.json.  Artifacts are flushed as soon as they exist so a later
+failure leaves the earlier results on disk.  Runs are deterministic:
+nothing here draws random numbers, so identical configs give identical
+bytes.
 """
 
 import dataclasses
@@ -19,15 +26,16 @@ import numpy as np
 
 from .analytic import analytic_homogeneous
 from .errors import BreakdownError, ConfigurationError
-from .fdtd import run_fdtd
+from .fdtd import COURANT, run_fdtd
 from .grid import build_grid2d
 from .krylov import bilanczos, convolve_source, eigen_tridiag, evaluate_impulse
 from .operator import MediumMap, assemble_operator
-from .signals import Waveform, compare_traces
+from .signals import _TAPS, Waveform, compare_traces
 from .zolotarev import to_continued_fraction, zolotarev_approx
 
-# interpolation half-window of the trace resampler, in reference samples
-_GUARD_TAPS = 33
+# one sample past the trace resampler's interpolation half-window, in
+# reference samples
+_GUARD_TAPS = _TAPS // 2 + 1
 
 
 def _git_hash():
@@ -93,7 +101,6 @@ class _Assembled:
     grid: object
     op: object
     b: np.ndarray
-    src_flat: int
     src_coords: tuple
     probe_flats: tuple
     probe_coords: tuple
@@ -102,17 +109,21 @@ class _Assembled:
     seconds: float
 
 
+def build_scenario_grid(sc):
+    """Absorbing layer and stretched grid: (impedance, steps, grid)."""
+    impedance = zolotarev_approx(sc.interval(), sc.k)
+    steps = to_continued_fraction(impedance)
+    return impedance, steps, build_grid2d(sc.n_int, steps)
+
+
 def _prepare(sc):
     sc.validate()
     t0 = time.perf_counter()
-    impedance = zolotarev_approx(sc.interval(), sc.k)
-    steps = to_continued_fraction(impedance)
-    grid = build_grid2d(sc.n_int, steps)
+    impedance, steps, grid = build_scenario_grid(sc)
     medium = MediumMap.from_function(grid, sc.medium_fn())
-    medium.validate(grid)
     op = assemble_operator(grid, medium)
-    b, src_flat = op.sample_source(*sc.source_xy, amplitude=sc.amplitude)
-    sx_ix, sx_iy, scx, scy = grid.nearest_interior_node(*sc.source_xy)
+    b, _ = op.sample_source(*sc.source_xy, amplitude=sc.amplitude)
+    _, _, scx, scy = grid.nearest_interior_node(*sc.source_xy)
     probe_flats = []
     probe_coords = []
     for x, y in sc.probes:
@@ -123,7 +134,6 @@ def _prepare(sc):
         grid=grid,
         op=op,
         b=b,
-        src_flat=src_flat,
         src_coords=(scx, scy),
         probe_flats=tuple(probe_flats),
         probe_coords=tuple(probe_coords),
@@ -163,9 +173,11 @@ def _decompose(op, b, m, probe_indices):
 def _padded_times(sc):
     """Trace grid extended past the window so the comparison's
     interpolation guard does not eat into [0, t_final]."""
-    dt = 2.0 * np.pi / sc.omega_max / sc.samples_per_period
+    dt = sc.trace_dt
     if sc.reference == "fdtd":
-        pad = _GUARD_TAPS * 0.95 * (2.0 / sc.n_int) / np.sqrt(2.0) + 2.0 * dt
+        # guard taps of the FDTD step COURANT * h / sqrt(2), h = 2 / n_int
+        pad = (_GUARD_TAPS * COURANT * (2.0 / sc.n_int) / np.sqrt(2.0)
+               + 2.0 * dt)
     else:
         pad = _GUARD_TAPS * dt
     return sc.trace_times(pad=pad)
@@ -181,7 +193,8 @@ def _trace_waveform(sc, modes, times):
 
 
 def _reference_waveform(sc, asm, times):
-    """The designated independent route, at the snapped coordinates."""
+    """The designated independent route (analytic or fdtd), at the
+    snapped coordinates."""
     if sc.reference == "analytic":
         wf = analytic_homogeneous(
             asm.src_coords,
@@ -191,22 +204,20 @@ def _reference_waveform(sc, asm, times):
             amplitude=sc.amplitude,
         )
         return wf, None
-    if sc.reference == "fdtd":
-        res = run_fdtd(
-            n_int=sc.n_int,
-            probes=asm.probe_coords,
-            source_xy=asm.src_coords,
-            signature=sc.signature(),
-            t_final=times[-1],
-            medium_fn=sc.medium_fn(),
-            amplitude=sc.amplitude,
-        )
-        return res.waveform, res.n_steps
-    return None, None
+    res = run_fdtd(
+        n_int=sc.n_int,
+        probes=asm.probe_coords,
+        source_xy=asm.src_coords,
+        signature=sc.signature(),
+        t_final=times[-1],
+        medium_fn=sc.medium_fn(),
+        amplitude=sc.amplitude,
+    )
+    return res.waveform, res.n_steps
 
 
-def _metadata(sc, asm, m, modes):
-    """Run metadata; modes is the eigensolve of the written trace."""
+def _metadata(sc, asm, decomp, m_requested, m, modes):
+    """Run metadata; modes is the eigensolve of the written trace (at m)."""
     return {
         "git": _git_hash(),
         "config": _clean(sc),
@@ -215,6 +226,8 @@ def _metadata(sc, asm, m, modes):
         "cf_roundtrip_error": asm.steps.roundtrip_error,
         "n_unknown": asm.grid.n_unknown,
         "m": m,
+        "m_requested": m_requested,
+        "lanczos_drift": decomp.drift,
         "recon_error": modes.recon_error,
         "modes_merged": modes.merged,
         "source_coords": asm.src_coords,
@@ -222,32 +235,38 @@ def _metadata(sc, asm, m, modes):
     }
 
 
-def run_scenario(sc, m=None, out_dir=None):
-    """One full experiment; returns (report, waveforms dict)."""
-    m = sc.m_default if m is None else int(m)
+def run_study(sc, ms, out_dir=None):
+    """The trace at each subspace size in ms, and its error against the
+    reference when the scenario designates one.
+
+    One decomposition is built at the largest m and truncated for the
+    smaller entries, so the operator work is not repeated; `wavecast
+    run` is the study of a single m.  Returns (report, waveforms dict).
+    """
+    ms = tuple(ms)
+    if not ms:
+        raise ConfigurationError("a study needs a nonempty m list")
+    if list(ms) != sorted(set(ms)):
+        raise ConfigurationError("m list must be strictly increasing")
+    if ms[0] < 1:
+        raise ConfigurationError(f"need every m >= 1, got {ms}")
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
+
     asm = _prepare(sc)
     timings = {"assemble_s": asm.seconds}
 
     t0 = time.perf_counter()
-    decomp = _decompose(asm.op, asm.b, m, asm.probe_flats)
-    m = decomp.m  # shorter than requested after a breakdown retreat
+    decomp = _decompose(asm.op, asm.b, ms[-1], asm.probe_flats)
     timings["lanczos_s"] = time.perf_counter() - t0
+    # a breakdown retreat or a closed invariant subspace shortens the run
+    m_requested = ms[-1]
+    ms = tuple(m for m in ms if m <= decomp.m) or (decomp.m,)
 
-    t0 = time.perf_counter()
-    modes = eigen_tridiag(decomp)
-    timings["eigensolve_s"] = time.perf_counter() - t0
     times = _padded_times(sc)
-    wf = _trace_waveform(sc, modes, times)
-    timings["evaluate_s"] = time.perf_counter() - t0
-    waveforms = {"lanczos": wf}
-    if out is not None:
-        _csv_units(sc, wf).to_csv(out / "lanczos.csv")
-
-    probe_errors = None
-    fdtd_steps = None
+    waveforms = {}
+    ref_wf = fdtd_steps = None
     if sc.reference != "none":
         t0 = time.perf_counter()
         ref_wf, fdtd_steps = _reference_waveform(sc, asm, times)
@@ -255,84 +274,33 @@ def run_scenario(sc, m=None, out_dir=None):
         waveforms["reference"] = ref_wf
         if out is not None:
             _csv_units(sc, ref_wf).to_csv(out / "reference.csv")
-        rel, _, _ = compare_traces(wf, ref_wf, t_lo=0.0, t_hi=sc.t_final)
-        probe_errors = tuple(float(r) for r in rel)
-
-    report = ComparisonReport(
-        scenario=sc.name,
-        m=m,
-        probe_names=wf.probe_names,
-        probe_errors=probe_errors,
-        convergence=(),
-        fdtd_steps=fdtd_steps,
-        timings=timings,
-        metadata=_metadata(sc, asm, m, modes),
-    )
-    if out is not None:
-        report.to_json(out / "report.json")
-    return report, waveforms
-
-
-def convergence_study(sc, m_list=None, out_dir=None):
-    """Error against the reference at each requested subspace size.
-
-    One decomposition is built at the largest m and truncated for the
-    smaller entries, so the operator work is not repeated.
-    """
-    m_list = tuple(sc.m_list if m_list is None else m_list)
-    if not m_list:
-        raise ConfigurationError("convergence study needs a nonempty m list")
-    if list(m_list) != sorted(set(int(m) for m in m_list)):
-        raise ConfigurationError("m list must be strictly increasing")
-    if sc.reference == "none":
-        raise ConfigurationError(
-            f"scenario {sc.name} designates no reference to converge against"
-        )
-    out = Path(out_dir) if out_dir is not None else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-
-    asm = _prepare(sc)
-    timings = {"assemble_s": asm.seconds}
-
-    t0 = time.perf_counter()
-    decomp = _decompose(asm.op, asm.b, m_list[-1], asm.probe_flats)
-    m_list = tuple(m for m in m_list if m <= decomp.m) or (decomp.m,)
-    timings["lanczos_s"] = time.perf_counter() - t0
-
-    times = _padded_times(sc)
-    t0 = time.perf_counter()
-    ref_wf, fdtd_steps = _reference_waveform(sc, asm, times)
-    timings["reference_s"] = time.perf_counter() - t0
-    if out is not None:
-        _csv_units(sc, ref_wf).to_csv(out / "reference.csv")
 
     entries = []
-    wf = None
     timings["eigensolve_s"] = 0.0
     t0 = time.perf_counter()
-    for m in m_list:
-        part = decomp.truncate(m) if m < decomp.m else decomp
+    for m in ms:
         t_eig = time.perf_counter()
-        modes = eigen_tridiag(part)
+        modes = eigen_tridiag(decomp.truncate(m))
         timings["eigensolve_s"] += time.perf_counter() - t_eig
         wf = _trace_waveform(sc, modes, times)
-        rel, _, _ = compare_traces(wf, ref_wf, t_lo=0.0, t_hi=sc.t_final)
-        entries.append({"m": int(m), "errors": [float(r) for r in rel]})
+        if ref_wf is not None:
+            rel, _, _ = compare_traces(wf, ref_wf, t_lo=0.0, t_hi=sc.t_final)
+            entries.append({"m": int(m), "errors": [float(r) for r in rel]})
     timings["evaluate_s"] = time.perf_counter() - t0
+    waveforms["lanczos"] = wf
     if out is not None:
         _csv_units(sc, wf).to_csv(out / "lanczos.csv")  # largest m
 
     report = ComparisonReport(
         scenario=sc.name,
-        m=int(m_list[-1]),
+        m=ms[-1],
         probe_names=wf.probe_names,
-        probe_errors=tuple(entries[-1]["errors"]),
+        probe_errors=tuple(entries[-1]["errors"]) if entries else None,
         convergence=tuple(entries),
         fdtd_steps=fdtd_steps,
         timings=timings,
-        metadata=_metadata(sc, asm, m_list[-1], modes),
+        metadata=_metadata(sc, asm, decomp, m_requested, ms[-1], modes),
     )
     if out is not None:
         report.to_json(out / "report.json")
-    return report, {"lanczos": wf, "reference": ref_wf}
+    return report, waveforms

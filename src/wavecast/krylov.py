@@ -170,41 +170,6 @@ class LanczosDecomposition:
     def can_extend(self):
         return self.w_last.size == self.n and not self.happy
 
-    def save(self, path):
-        np.savez(
-            path,
-            n=self.n,
-            m=self.m,
-            alpha=self.alpha,
-            zeta=self.zeta,
-            delta=self.delta,
-            zeta_next=self.zeta_next,
-            probe_indices=self.probe_indices,
-            w_probe=self.w_probe,
-            w_last=self.w_last,
-            w_next=self.w_next,
-            happy=self.happy,
-            drift=self.drift,
-        )
-
-    @staticmethod
-    def load(path):
-        d = np.load(path)
-        return LanczosDecomposition(
-            n=int(d["n"]),
-            m=int(d["m"]),
-            alpha=d["alpha"],
-            zeta=d["zeta"],
-            delta=d["delta"],
-            zeta_next=float(d["zeta_next"]),
-            probe_indices=d["probe_indices"],
-            w_probe=d["w_probe"],
-            w_last=d["w_last"],
-            w_next=d["w_next"],
-            happy=bool(d["happy"]),
-            drift=float(d["drift"]),
-        )
-
 
 # Fewest rows per worker thread for which splitting an iteration's
 # vector passes into row blocks pays for the hand-offs between threads.
@@ -415,7 +380,7 @@ def bilanczos(op, b, m, probe_indices, breakdown_tol=1e-14,
 
 def extend_bilanczos(op, decomp, m_target, breakdown_tol=1e-14,
                      check_every=500):
-    """Continue a saved recursion to m_target iterations."""
+    """Continue an untruncated recursion run to m_target iterations."""
     if not decomp.can_extend:
         raise InvalidParameterError(
             "decomposition does not carry the trailing vectors needed "
@@ -663,14 +628,18 @@ def evaluate_impulse(modes, times, kernel="stable"):
     return modes.zeta1 * u.real
 
 
+# fewest samples per shortest period 2 pi / omega_max that the trapezoid
+# convolution accepts
+MIN_SAMPLES_PER_PERIOD = 8
+
+
 def convolve_source(impulse, q_samples, dt, omega_max=None):
     """Convolve probe impulse responses with a source history.
 
     u(t_j) = integral_0^{t_j} q(tau) K(t_j - tau) dtau by trapezoid on
     the shared uniform step dt (FFT convolution plus endpoint
-    correction).  If omega_max is given, dt must resolve the band:
-    dt <= pi / (4 omega_max), i.e. at least 8 samples per shortest
-    period.
+    correction).  If omega_max is given, dt must resolve the band with
+    at least MIN_SAMPLES_PER_PERIOD samples per shortest period.
     """
     impulse = np.atleast_2d(np.asarray(impulse, dtype=float))
     q = np.asarray(q_samples, dtype=float)
@@ -680,11 +649,14 @@ def convolve_source(impulse, q_samples, dt, omega_max=None):
         )
     if dt <= 0.0:
         raise InvalidParameterError("dt must be positive")
-    if omega_max is not None and dt > np.pi / (4.0 * omega_max):
-        raise SamplingError(
-            f"dt = {dt:.3e} undersamples the band: need dt <= "
-            f"{np.pi / (4.0 * omega_max):.3e} (8 points per shortest period)"
-        )
+    if omega_max is not None:
+        dt_max = 2.0 * np.pi / (MIN_SAMPLES_PER_PERIOD * omega_max)
+        if dt > dt_max:
+            raise SamplingError(
+                f"dt = {dt:.3e} undersamples the band: need dt <= "
+                f"{dt_max:.3e} ({MIN_SAMPLES_PER_PERIOD} points per shortest "
+                "period)"
+            )
     nt = q.size
     # zero-padded real FFTs at the length scipy.signal.fftconvolve picks
     # for the full 2 nt - 1 product; only the causal first nt are kept

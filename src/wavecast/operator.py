@@ -81,9 +81,6 @@ class WaveOperator:
     def n(self):
         return self.a_mat.shape[0]
 
-    def matvec(self, v):
-        return self.a_mat @ v
-
     def weighted(self):
         """M A as a sparse matrix (complex symmetric)."""
         return scipy.sparse.diags(self.m_diag) @ self.a_mat
@@ -93,10 +90,6 @@ class WaveOperator:
         s = self.weighted()
         d = s - s.T
         return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
-
-    def scale(self):
-        s = self.weighted()
-        return float(np.abs(s.data).max())
 
     def sample_source(self, x, y, amplitude=1.0):
         """Point source: discrete delta at the nearest interior node.
@@ -115,18 +108,6 @@ class WaveOperator:
     def probe_index(self, x, y):
         ix, iy, _, _ = self.grid.nearest_interior_node(x, y)
         return self.grid.node_index(ix, iy)
-
-    def dump(self, path):
-        """Write the operator in coordinate format plus the weight."""
-        coo = self.a_mat.tocoo()
-        np.savez(
-            path,
-            row=coo.row,
-            col=coo.col,
-            data=coo.data,
-            m_diag=self.m_diag,
-            shape=np.array(self.grid.shape),
-        )
 
 
 def assemble_operator(grid, medium=None):

@@ -11,12 +11,14 @@ samples agree node for node.
 """
 
 import configparser
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError
+from .krylov import MIN_SAMPLES_PER_PERIOD
 from .signals import make_wavelet
 from .zolotarev import compute_interval
 
@@ -117,6 +119,18 @@ class RodLattice:
 _SHAPE_TYPES = (Disk, Annulus, RodLattice)
 
 
+def _floats(value):
+    """The floats in a field value, inside points and shapes too."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, (tuple, frozenset)):
+        for v in value:
+            yield from _floats(v)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _floats(getattr(value, f.name))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A complete experiment: band, geometry, discretization, window.
@@ -144,6 +158,9 @@ class Scenario:
     samples_per_period: int = 20
 
     def validate(self):
+        for f in dataclasses.fields(self):
+            if not all(np.isfinite(v) for v in _floats(getattr(self, f.name))):
+                raise ConfigurationError(f"{f.name} must be finite")
         if not 0.0 < self.omega_min < self.omega_max:
             raise ConfigurationError("need 0 < omega_min < omega_max")
         if not 0.0 < self.mu <= 1.0:
@@ -159,6 +176,11 @@ class Scenario:
         if self.reference == "analytic" and self.shapes:
             raise ConfigurationError(
                 "free-space closed form only applies without scatterers"
+            )
+        if self.samples_per_period < MIN_SAMPLES_PER_PERIOD:
+            raise ConfigurationError(
+                f"samples_per_period must be >= {MIN_SAMPLES_PER_PERIOD} "
+                "(the source convolution resolves the band at that rate)"
             )
         if self.m_default < 1:
             raise ConfigurationError("m_default must be >= 1")
@@ -204,9 +226,14 @@ class Scenario:
 
         return fn
 
+    @property
+    def trace_dt(self):
+        """Output sample step: samples_per_period per shortest period."""
+        return 2.0 * np.pi / self.omega_max / self.samples_per_period
+
     def trace_times(self, pad=0.0):
         """Uniform output grid resolving the shortest period."""
-        dt = 2.0 * np.pi / self.omega_max / self.samples_per_period
+        dt = self.trace_dt
         n = int(np.ceil((self.t_final + pad) / dt)) + 1
         return np.arange(n) * dt
 
@@ -215,16 +242,6 @@ class Scenario:
         if self.l_ref is None:
             raise ConfigurationError(f"scenario {self.name} has no l_ref")
         return np.asarray(t_norm) * self.l_ref / C0
-
-    def from_seconds(self, t_phys):
-        if self.l_ref is None:
-            raise ConfigurationError(f"scenario {self.name} has no l_ref")
-        return np.asarray(t_phys) * C0 / self.l_ref
-
-    def omega_physical(self, omega_norm):
-        if self.l_ref is None:
-            raise ConfigurationError(f"scenario {self.name} has no l_ref")
-        return np.asarray(omega_norm) * C0 / self.l_ref
 
 
 def _channel_lattice():

@@ -1,11 +1,11 @@
 """Source wavelets, sampled traces, and trace comparison utilities."""
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    ConfigurationError,
     DegenerateInputError,
     InvalidParameterError,
     SamplingError,
@@ -119,17 +119,26 @@ class Waveform:
 
     @staticmethod
     def from_csv(path):
-        if hasattr(path, "read"):
-            text = path.read()
-        else:
+        """Read a to_csv file; a file that is missing, unreadable, empty
+        or not a numeric trace raises ConfigurationError."""
+        try:
             with open(path) as fh:
-                text = fh.read()
-        lines = text.strip().splitlines()
-        names = lines[0].split(",")
-        if names[0] != "t":
-            raise InvalidParameterError("trace file must start with a t column")
-        data = np.loadtxt(io.StringIO("\n".join(lines[1:])), delimiter=",",
-                          ndmin=2)
+                lines = fh.read().strip().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(
+                f"cannot read trace {path}: {exc}"
+            ) from None
+        names = lines[0].split(",") if lines else []
+        if len(names) < 2 or names[0] != "t" or len(lines) < 3:
+            raise ConfigurationError(
+                f"trace {path} needs a t,<probe>... header and two samples"
+            )
+        try:
+            data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"trace {path} is not numeric: {exc}"
+            ) from None
         return Waveform(
             times=data[:, 0],
             values=data[:, 1:].T,

@@ -261,61 +261,7 @@ def _equioscillation_references(poles, residues, eps, samples=20000):
     return _refine_extrema(lambda x: _pf_error(poles, residues, x), xs)
 
 
-def _remez_polish(poles, residues, eps, max_rounds=5):
-    """Sharpen an equioscillating solution by Remez exchange.
-
-    At each round the current extremal abscissae become references and
-    the nonlinear system error(x_j) = sigma_j * E is solved by Newton in
-    (poles, residues, E).  Intended to absorb floating-point drift of an
-    already near-optimal input, so few rounds and no safeguarding.
-    """
-    k = len(poles)
-    th, y = poles.copy(), residues.copy()
-    best = (th, y, float(np.max(np.abs(
-        _equioscillation_references(th, y, eps)[1]))))
-    for _ in range(max_rounds):
-        xr, er = _equioscillation_references(th, y, eps)
-        if len(xr) < 2 * k + 1:
-            break
-        # keep the 2k+1 largest-magnitude alternating extrema
-        if len(xr) > 2 * k + 1:
-            order = np.argsort(np.abs(er))[::-1][: 2 * k + 1]
-            sel = np.sort(order)
-            xr, er = xr[sel], er[sel]
-        sig = np.sign(er)
-        if np.any(sig[1:] * sig[:-1] >= 0.0):
-            break
-        z = np.concatenate([th, y, [np.max(np.abs(er))]])
-        for _ in range(12):
-            thc, yc, ec = z[:k], z[k : 2 * k], z[2 * k]
-            r = _pf_error(thc, yc, xr) - sig * ec
-            jac = np.zeros((2 * k + 1, 2 * k + 1))
-            sq = np.sqrt(xr)
-            for i in range(k):
-                jac[:, i] = -sq * yc[i] / (xr - thc[i]) ** 2
-                jac[:, k + i] = -sq / (xr - thc[i])
-            jac[:, 2 * k] = -sig
-            try:
-                step = np.linalg.solve(jac, r)
-            except np.linalg.LinAlgError:
-                return best
-            z = z - step
-            if np.max(np.abs(step[: 2 * k])) < 1e-15 * np.max(np.abs(z[: 2 * k])):
-                break
-        thn, yn = z[:k], z[k : 2 * k]
-        if not (np.all(thn < 0.0) and np.all(yn > 0.0)):
-            break
-        level = float(np.max(np.abs(
-            _equioscillation_references(thn, yn, eps)[1])))
-        th, y = thn, yn
-        if level < best[2]:
-            best = (th.copy(), y.copy(), level)
-        if abs(level - best[2]) < 1e-13 * best[2]:
-            break
-    return best
-
-
-def zolotarev_approx(interval, k, polish=False, samples=8192):
+def zolotarev_approx(interval, k, samples=8192):
     """Best [k-1/k] relative approximation of 1/sqrt(s) on the interval.
 
     Parameters
@@ -323,9 +269,6 @@ def zolotarev_approx(interval, k, polish=False, samples=8192):
     interval : SpectralInterval
     k : int
         Number of poles (absorbing layers).
-    polish : bool
-        Run up to five Remez exchange rounds on the closed-form result.
-        Off by default; the closed form is already at roundoff level.
     samples : int
         Density of the scan used to locate the equioscillation extrema.
 
@@ -351,8 +294,6 @@ def zolotarev_approx(interval, k, polish=False, samples=8192):
             interval=interval,
         )
     poles_n, res_n, level = _normalized_zolotarev(chi, k, samples)
-    if polish:
-        poles_n, res_n, level = _remez_polish(poles_n, res_n, 1.0 / chi)
     return RationalImpedance(
         k=k,
         poles=poles_n * x_hi,

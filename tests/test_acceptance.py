@@ -22,7 +22,7 @@ from wavecast.krylov import (
     evaluate_impulse,
     sc_resolvent_dense,
 )
-from wavecast.harness import convergence_study
+from wavecast.harness import run_study
 from wavecast.operator import MediumMap, assemble_operator
 from wavecast.scenarios import get_scenario
 from wavecast.signals import make_wavelet
@@ -32,6 +32,11 @@ from wavecast.zolotarev import (
     to_continued_fraction,
     zolotarev_approx,
 )
+
+
+def _study(name):
+    sc = get_scenario(name)
+    return run_study(sc, sc.m_list)[0]
 
 
 def _verdict(num, ok, detail):
@@ -44,17 +49,17 @@ def _verdict(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def hom_study():
-    return convergence_study(get_scenario("homogeneous-desk"))[0]
+    return _study("homogeneous-desk")
 
 
 @pytest.fixture(scope="module")
 def ring_study():
-    return convergence_study(get_scenario("ring-desk"))[0]
+    return _study("ring-desk")
 
 
 @pytest.fixture(scope="module")
 def waveguide_study():
-    return convergence_study(get_scenario("waveguide-desk"))[0]
+    return _study("waveguide-desk")
 
 
 @pytest.fixture(scope="module")

@@ -104,6 +104,32 @@ def test_converge_bad_m_list(mini_cfg, tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+def test_converge_needs_reference(tmp_path, capsys):
+    cfg = tmp_path / "free.cfg"
+    text = MINI_CFG.replace("reference = analytic", "reference = none")
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["converge", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "reference" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("n_int = 40", "n_int = 40\nsamples_per_period = 0"),
+        ("n_int = 40", "n_int = 40\nsamples_per_period = 1"),
+        ("t_final = 6.0", "t_final = inf"),
+        ("t_final = 6.0", "t_final = nan"),
+        ("probe1 = 0.3, 0.0", "probe1 = nan, 0.0"),
+    ],
+)
+def test_bad_config_value_exits_2(tmp_path, capsys, old, new):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(MINI_CFG.replace(old, new), encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unknown_scenario_is_config_error(capsys):
     assert main(["run", "no-such-thing"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -171,6 +197,26 @@ def test_compare_probe_mismatch(tmp_path):
     one.to_csv(pa)
     two.to_csv(pb)
     assert main(["compare", str(pa), str(pb)]) == 2
+
+
+@pytest.mark.parametrize(
+    "kind", ["missing", "directory", "binary", "empty", "header-only", "text"]
+)
+def test_compare_bad_trace_file(tmp_path, capsys, kind):
+    good = tmp_path / "good.csv"
+    t = np.linspace(0.0, 1.0, 11)
+    Waveform(times=t, values=np.sin(t)[None, :]).to_csv(good)
+    bad = tmp_path / "bad.csv"
+    if kind == "directory":
+        bad.mkdir()
+    elif kind == "binary":
+        bad.write_bytes(b"\xff\xfe\x00\x81" * 16)
+    elif kind != "missing":
+        bad.write_text({"empty": "", "header-only": "t,probe1\n",
+                        "text": "t,probe1\n0,one\n1,two\n"}[kind])
+    assert main(["compare", str(bad), str(good)]) == 2
+    assert main(["compare", str(good), str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_grid_dump(mini_cfg, tmp_path):

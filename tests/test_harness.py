@@ -7,12 +7,7 @@ import pytest
 
 import wavecast.harness
 from wavecast.errors import BreakdownError, ConfigurationError
-from wavecast.harness import (
-    ComparisonReport,
-    _csv_units,
-    convergence_study,
-    run_scenario,
-)
+from wavecast.harness import ComparisonReport, _csv_units, run_study
 from wavecast.krylov import bilanczos
 from wavecast.scenarios import Scenario
 from wavecast.signals import Waveform
@@ -39,14 +34,16 @@ def _mini(**overrides):
 @pytest.fixture(scope="module")
 def mini_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("mini-run")
-    report, waveforms = run_scenario(_mini(), out_dir=out)
+    sc = _mini()
+    report, waveforms = run_study(sc, (sc.m_default,), out_dir=out)
     return report, waveforms, out
 
 
 @pytest.fixture(scope="module")
 def mini_study(tmp_path_factory):
     out = tmp_path_factory.mktemp("mini-study")
-    report, waveforms = convergence_study(_mini(), out_dir=out)
+    sc = _mini()
+    report, waveforms = run_study(sc, sc.m_list, out_dir=out)
     return report, waveforms, out
 
 
@@ -78,6 +75,11 @@ def test_run_artifacts(mini_run):
     assert 0.0 < timings["eigensolve_s"] <= timings["evaluate_s"]
     assert 0.0 <= payload["metadata"]["recon_error"] < 1e-8
     assert payload["metadata"]["modes_merged"] >= 0
+    assert payload["metadata"]["m_requested"] == 160
+    assert 0.0 <= payload["metadata"]["lanczos_drift"] < 1e-6
+    # run is a study of one m
+    assert [e["m"] for e in payload["convergence"]] == [160]
+    assert payload["convergence"][0]["errors"] == payload["probe_errors"]
 
 
 def test_run_trace_covers_window(mini_run):
@@ -90,8 +92,9 @@ def test_run_trace_covers_window(mini_run):
 
 def test_run_without_reference(tmp_path):
     sc = _mini(reference="none")
-    report, waveforms = run_scenario(sc, out_dir=tmp_path)
+    report, waveforms = run_study(sc, (sc.m_default,), out_dir=tmp_path)
     assert report.probe_errors is None
+    assert report.convergence == ()
     assert report.worst_error is None
     assert "reference" not in waveforms
     assert not (tmp_path / "reference.csv").exists()
@@ -117,10 +120,12 @@ def test_study_artifacts(mini_study):
     assert 0.0 < timings["eigensolve_s"] <= timings["evaluate_s"]
     assert 0.0 <= payload["metadata"]["recon_error"] < 1e-8
     assert payload["metadata"]["modes_merged"] >= 0
+    assert payload["metadata"]["m_requested"] == 160
+    assert 0.0 <= payload["metadata"]["lanczos_drift"] < 1e-6
 
 
 def test_study_single_mode_is_useless():
-    report, _ = convergence_study(_mini(), m_list=(1, 60))
+    report, _ = run_study(_mini(), (1, 60))
     first = report.convergence[0]
     assert first["m"] == 1
     assert first["errors"][0] > 0.5
@@ -129,20 +134,15 @@ def test_study_single_mode_is_useless():
 @pytest.mark.parametrize(
     "kwargs, needle",
     [
-        (dict(m_list=()), "nonempty"),
-        (dict(m_list=(100, 100)), "increasing"),
-        (dict(m_list=(100, 50)), "increasing"),
+        (dict(ms=()), "nonempty"),
+        (dict(ms=(100, 100)), "increasing"),
+        (dict(ms=(100, 50)), "increasing"),
+        (dict(ms=(0, 20)), ">= 1"),
     ],
 )
 def test_study_rejects_bad_m_list(kwargs, needle):
     with pytest.raises(ConfigurationError, match=needle):
-        convergence_study(_mini(), **kwargs)
-
-
-def test_study_needs_reference():
-    sc = _mini(reference="none")
-    with pytest.raises(ConfigurationError, match="reference"):
-        convergence_study(sc)
+        run_study(_mini(), **kwargs)
 
 
 def test_csv_units_seconds():
@@ -169,9 +169,10 @@ def test_breakdown_retreat(monkeypatch):
         return real(op, b, m, probe_indices=probe_indices, **kw)
 
     monkeypatch.setattr(wavecast.harness, "bilanczos", flaky)
-    report, _ = run_scenario(_mini())
+    report, _ = run_study(_mini(), (160,))
     assert calls == [160, 118]
     assert report.m == 118
+    assert report.metadata["m_requested"] == 160
     assert report.worst_error < 0.3
 
 
@@ -181,7 +182,7 @@ def test_breakdown_without_index_propagates(monkeypatch):
 
     monkeypatch.setattr(wavecast.harness, "bilanczos", dead)
     with pytest.raises(BreakdownError):
-        run_scenario(_mini())
+        run_study(_mini(), (160,))
 
 
 def test_breakdown_at_start_propagates(monkeypatch):
@@ -190,7 +191,7 @@ def test_breakdown_at_start_propagates(monkeypatch):
 
     monkeypatch.setattr(wavecast.harness, "bilanczos", dead)
     with pytest.raises(BreakdownError):
-        run_scenario(_mini())
+        run_study(_mini(), (160,))
 
 
 def test_study_clamps_m_list_after_retreat(monkeypatch):
@@ -204,7 +205,8 @@ def test_study_clamps_m_list_after_retreat(monkeypatch):
         return real(op, b, m, probe_indices=probe_indices, **kw)
 
     monkeypatch.setattr(wavecast.harness, "bilanczos", flaky)
-    report, _ = convergence_study(_mini())
+    sc = _mini()
+    report, _ = run_study(sc, sc.m_list)
     # 160 fell past the retreat point, so only the surviving entries run
     assert [e["m"] for e in report.convergence] == [40, 100]
     assert report.m == 100

@@ -78,7 +78,7 @@ def test_weighted_symmetry_with_pml_and_medium():
         g, lambda x, y: 1.0 + 2.0 * ((x ** 2 + y ** 2) < 0.25)
     )
     op = assemble_operator(g, med)
-    assert op.symmetry_defect() <= 1e-12 * op.scale()
+    assert op.symmetry_defect() <= 1e-12 * np.abs(op.weighted().data).max()
 
 
 def test_spectrum_clears_branch_cut():
@@ -88,14 +88,6 @@ def test_spectrum_clears_branch_cut():
     lam = np.linalg.eigvals(op.a_mat.toarray())
     dist = np.where(lam.real < 0.0, np.abs(lam.imag), np.abs(lam))
     assert np.min(dist) > 1e-4 * np.abs(lam).max()
-
-
-def test_matvec_matches_dense():
-    g = build_grid2d(5, _pml_steps())
-    op = assemble_operator(g)
-    rng = np.random.default_rng(11)
-    v = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
-    assert np.allclose(op.matvec(v), op.a_mat.toarray() @ v)
 
 
 def test_source_normalization():
@@ -123,15 +115,3 @@ def test_medium_validation():
     # uniform c != 1 is also rejected: it leaks into the stretched region
     with pytest.raises(ValidationError):
         assemble_operator(g, MediumMap.uniform(g, c=4.0))
-
-
-def test_operator_dump(tmp_path):
-    g = build_grid2d(4, _pml_steps())
-    op = assemble_operator(g)
-    path = tmp_path / "op.npz"
-    op.dump(path)
-    data = np.load(path)
-    rebuilt = np.zeros((op.n, op.n), dtype=complex)
-    rebuilt[data["row"], data["col"]] = data["data"]
-    assert np.allclose(rebuilt, op.a_mat.toarray())
-    assert np.allclose(data["m_diag"], op.m_diag)

@@ -5,6 +5,7 @@ import pytest
 
 from wavecast.errors import ConfigurationError
 from wavecast.scenarios import (
+    C0,
     PRESETS,
     Annulus,
     Disk,
@@ -133,6 +134,17 @@ def test_analytic_reference_forbids_shapes():
         ("floor_db", 3.0),
         ("reference", "exact"),
         ("m_list", (100, 100)),
+        ("t_final", float("inf")),
+        ("t_final", float("nan")),
+        ("samples_per_period", 0),
+        ("samples_per_period", 1),
+        ("samples_per_period", 7),
+        ("floor_db", float("nan")),
+        ("amplitude", float("nan")),
+        ("l_ref", float("nan")),
+        ("source_xy", (float("nan"), 0.0)),
+        ("probes", ((0.3, float("inf")),)),
+        ("shapes", (Disk(0.0, 0.3, float("nan"), 2.0),)),
     ],
 )
 def test_validate_rejects(field, value):
@@ -159,11 +171,11 @@ def test_annulus_radius_order():
 def test_unit_round_trip():
     sc = waveguide_desk()
     t = np.linspace(0.0, sc.t_final, 7)
-    back = sc.from_seconds(sc.seconds(t))
+    back = sc.seconds(t) * C0 / sc.l_ref
     assert np.max(np.abs(back - t)) <= 1e-12 * sc.t_final
     # the normalized band maps back to the laboratory band
-    assert sc.omega_physical(sc.omega_min) == pytest.approx(9.81e14)
-    assert sc.omega_physical(sc.omega_max) == pytest.approx(1.44e15)
+    assert sc.omega_min * C0 / sc.l_ref == pytest.approx(9.81e14)
+    assert sc.omega_max * C0 / sc.l_ref == pytest.approx(1.44e15)
 
 
 def test_units_require_reference_length():
