@@ -11,7 +11,6 @@ from .errors import (
     PoleProximityError,
     PrecisionError,
     SamplingError,
-    StabilityError,
     ValidationError,
     WavecastError,
 )
@@ -25,7 +24,6 @@ from .krylov import (
     convolve_source,
     eigen_tridiag,
     evaluate_impulse,
-    extend_bilanczos,
     sc_resolvent_dense,
     sctde_scalar,
 )

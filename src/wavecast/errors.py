@@ -50,9 +50,5 @@ class SamplingError(WavecastError):
     """A time grid is too coarse for the requested bandwidth."""
 
 
-class StabilityError(WavecastError):
-    """A stability bound (e.g. the Courant limit) is violated."""
-
-
 class ValidationError(WavecastError):
     """A validation tolerance was exceeded in assert mode."""

@@ -2,10 +2,11 @@
 compare against the designated reference, and write artifacts.
 
 One pipeline serves `wavecast run` (a single m) and `wavecast
-converge` (an m list), in stages: prepare -> decompose (with the
-breakdown retreat) -> reference -> eigensolve, trace and compare per
-m -> artifacts.  Every m is a truncation of one recursion run at the
-largest.
+converge` (an m list), in stages: prepare -> decompose -> reference ->
+eigensolve, trace and compare per m -> artifacts.  Every m is a
+truncation of one recursion run at the largest; a run that ends early
+(an invariant subspace, or the breakdown retreat inside bilanczos)
+drops the m past its length, and metadata.lanczos_stop says why.
 
 Outputs per run directory: lanczos.csv (the Krylov trace at the
 largest m), reference.csv (when a reference route is configured),
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import analytic_homogeneous
-from .errors import BreakdownError, ConfigurationError
+from .errors import ConfigurationError
 from .fdtd import COURANT, run_fdtd
 from .grid import build_grid2d
 from .krylov import bilanczos, convolve_source, eigen_tridiag, evaluate_impulse
@@ -155,21 +156,6 @@ def _csv_units(sc, wf):
     )
 
 
-def _decompose(op, b, m, probe_indices):
-    """Krylov decomposition, backing off once on serious breakdown.
-
-    A collapse of the bilinear form at iteration i leaves iterations
-    1..i-1 usable, so retry just short of the collapse rather than
-    discarding the run.  A second collapse propagates.
-    """
-    try:
-        return bilanczos(op, b, m, probe_indices=probe_indices)
-    except BreakdownError as exc:
-        if exc.index is None or exc.index <= 2:
-            raise
-        return bilanczos(op, b, exc.index - 2, probe_indices=probe_indices)
-
-
 def _padded_times(sc):
     """Trace grid extended past the window so the comparison's
     interpolation guard does not eat into [0, t_final]."""
@@ -227,6 +213,7 @@ def _metadata(sc, asm, decomp, m_requested, m, modes):
         "n_unknown": asm.grid.n_unknown,
         "m": m,
         "m_requested": m_requested,
+        "lanczos_stop": decomp.stop,
         "lanczos_drift": decomp.drift,
         "recon_error": modes.recon_error,
         "modes_merged": modes.merged,
@@ -258,7 +245,7 @@ def run_study(sc, ms, out_dir=None):
     timings = {"assemble_s": asm.seconds}
 
     t0 = time.perf_counter()
-    decomp = _decompose(asm.op, asm.b, ms[-1], asm.probe_flats)
+    decomp = bilanczos(asm.op, asm.b, ms[-1], asm.probe_flats)
     timings["lanczos_s"] = time.perf_counter() - t0
     # a breakdown retreat or a closed invariant subspace shortens the run
     m_requested = ms[-1]

@@ -51,6 +51,12 @@ The block count does not read the BLAS thread settings.  The
 happy-breakdown test takes max |aw| only on the rare steps where
 zeta_{i+1} is below 1e-14 of its bound zeta_{i+1} + |alpha_i| + |c|
 on ||aw||.
+
+bilanczos runs the recursion once, from b.  A collapse of the bilinear
+form at iteration i > 2 ends the run there and hands back its first
+i - 2 iterations, with bitwise the coefficients and probe rows of a
+run asked for m = i - 2; every smaller m is likewise a truncation of
+the one run.
 """
 
 import dataclasses
@@ -124,14 +130,9 @@ def sc_resolvent_dense(lam, a_dense):
 
 @dataclass
 class LanczosDecomposition:
-    """State of a (possibly truncated) recursion run.
+    """Coefficients and probe rows of a recursion run, or of its leading
+    iterations (truncate); arrays are sized by the iteration count m."""
 
-    Arrays are sized by the completed iteration count m; w_probe holds
-    the probe rows of every basis vector, and the two trailing basis
-    vectors allow the recursion to be extended later.
-    """
-
-    n: int
     m: int
     alpha: np.ndarray
     zeta: np.ndarray          # zeta_1 .. zeta_m (zeta_1 = ||b||)
@@ -139,14 +140,11 @@ class LanczosDecomposition:
     zeta_next: float
     probe_indices: np.ndarray
     w_probe: np.ndarray       # (n_probes, m)
-    w_last: np.ndarray        # w_m
-    w_next: np.ndarray        # w_{m+1} (unit norm), meaningless if happy
-    happy: bool               # recursion closed an invariant subspace
-    drift: float              # max |w_j^T M w_1| observed at checks
+    stop: str                 # why it ended: "m", "invariant", "breakdown"
+    drift: float              # max |w_j^T M w_1| / max |M| observed
 
     def truncate(self, m_new):
-        """Decomposition of the leading m_new iterations (no restart
-        capability: trailing vectors are not retained)."""
+        """Decomposition of the leading m_new iterations."""
         if not 1 <= m_new <= self.m:
             raise InvalidParameterError(
                 f"cannot truncate length-{self.m} run to {m_new}"
@@ -159,16 +157,9 @@ class LanczosDecomposition:
             alpha=self.alpha[:m_new],
             zeta=self.zeta[:m_new],
             delta=self.delta[:m_new],
-            zeta_next=float(abs(self.zeta[m_new])) if m_new < self.m else self.zeta_next,
+            zeta_next=float(self.zeta[m_new]),
             w_probe=self.w_probe[:, :m_new],
-            w_last=np.empty(0, dtype=complex),
-            w_next=np.empty(0, dtype=complex),
-            happy=False,
         )
-
-    @property
-    def can_extend(self):
-        return self.w_last.size == self.n and not self.happy
 
 
 # Fewest rows per worker thread for which splitting an iteration's
@@ -176,6 +167,11 @@ class LanczosDecomposition:
 # Measured on a 2-core x86-64 VM: two blocks break even with one at
 # n = 27 000 - 38 000 and win by 14 % at n = 42 025, 30 % at 65 025.
 _ROWS_PER_WORKER = 20_000
+# the bilinear form has collapsed when |delta_i| < _BREAKDOWN_TOL * max |M|
+_BREAKDOWN_TOL = 1e-14
+# steps between samples of the orthogonality drift (also sampled at the
+# end of every run)
+_DRIFT_EVERY = 500
 
 
 def _usable_cpus():
@@ -207,38 +203,57 @@ def _row_blocks(a_mat, n_blocks):
     return blocks
 
 
-def _run_recursion(op, state, m_target, breakdown_tol, check_every):
-    """Advance the recursion in `state` up to m_target iterations."""
-    n = state.n
-    m0 = state.m
+def bilanczos(op, b, m, probe_indices):
+    """Run up to m iterations of the renormalized two-sided recursion.
+
+    b is the start vector (the sampled source); probe_indices are the
+    unknown indices whose basis components are retained for field
+    evaluation.  The run ends early in two cases, recorded in `stop`:
+    an invariant subspace closes ("invariant"), or the bilinear form
+    collapses at iteration i ("breakdown"), which leaves iterations
+    1..i-1 and keeps 1..i-2, with the coefficients and probe rows of a
+    run asked for m = i - 2.  A collapse at i <= 2 leaves nothing and
+    raises BreakdownError.
+
+    Each step runs the phases of the module docstring over
+    min(usable CPUs, n // _ROWS_PER_WORKER) row blocks (at least one),
+    with bitwise the same result for any block count.
+    """
+    if m < 1:
+        raise InvalidParameterError(f"need m >= 1, got {m}")
+    b = np.asarray(b, dtype=complex)
+    n = op.n
+    if b.shape != (n,):
+        raise InvalidParameterError("start vector length mismatch")
+    norm_b = float(np.linalg.norm(b))
+    if norm_b == 0.0:
+        raise InvalidParameterError("start vector is zero")
+    probes = np.asarray(probe_indices, dtype=int)
+    if probes.size == 0:
+        raise InvalidParameterError("need at least one probe index")
+    if probes.min() < 0 or probes.max() >= n:
+        raise InvalidParameterError("probe index out of range")
+
     m_diag = op.m_diag
     m_scale = float(np.abs(m_diag).max())
-    probes = state.probe_indices
     n_blocks = _block_count(n)
     blocks = _row_blocks(op.a_mat.tocsr(), n_blocks)
 
-    alpha = np.empty(m_target, dtype=complex)
-    zeta = np.empty(m_target, dtype=float)
-    delta = np.empty(m_target, dtype=complex)
-    w_probe = np.empty((m_target, probes.size), dtype=complex)
-    alpha[:m0], zeta[:m0], delta[:m0] = state.alpha, state.zeta, state.delta
-    w_probe[:m0] = state.w_probe.T
+    alpha = np.empty(m, dtype=complex)
+    zeta = np.empty(m, dtype=float)
+    delta = np.empty(m, dtype=complex)
+    w_probe = np.empty((m, probes.size), dtype=complex)
 
-    # rotating basis buffers; the copies leave the caller's vectors alone
-    if m0 == 0:
-        w_prev = np.zeros(n, dtype=complex)
-        delta_prev = 1.0
-    else:
-        w_prev = np.array(state.w_last, dtype=complex)
-        delta_prev = delta[m0 - 1]
-    w_cur = np.array(state.w_next, dtype=complex)  # b/||b|| when fresh
+    # rotating basis buffers
+    w_prev = np.zeros(n, dtype=complex)
+    w_cur = b / norm_b
     w_spare = np.empty(n, dtype=complex)  # r, then w_next in place
     aw = np.empty(n, dtype=complex)
     mw = np.empty(n, dtype=complex)  # M w, then scratch for phase B
     maw = np.empty(n, dtype=complex)  # M A w
-    zeta_cur = state.zeta_next  # zeta_i, the norm that produced w_i
-    # M w_first for the drift check (w_first: first vector of this run)
-    m_w_first = m_diag * w_cur if check_every else None
+    zeta_cur = norm_b  # zeta_i, the norm that produced w_i
+    delta_prev = 1.0
+    m_w_first = m_diag * w_cur  # for the drift samples
 
     def phase_a(k):
         """aw = A w, M w, M aw on block k."""
@@ -266,9 +281,14 @@ def _run_recursion(op, state, m_target, breakdown_tol, check_every):
         r = w_spare[blocks[k][0]].view(float)
         np.multiply(r, inv_z, out=r)
 
-    drift = state.drift
-    happy = False
-    i = m0
+    def drift_sample():
+        # global two-sided orthogonality drift against the first vector;
+        # purely diagnostic
+        return float(abs(w_cur @ m_w_first) / m_scale)
+
+    drift = 0.0
+    stop = "m"
+    i = 0
     with ThreadPoolExecutor(max_workers=max(1, n_blocks - 1)) as pool:
 
         def on_blocks(phase, *args):
@@ -281,16 +301,19 @@ def _run_recursion(op, state, m_target, breakdown_tol, check_every):
                 rest = [f.result() for f in futures]
             return [first, *rest]
 
-        while i < m_target:
+        while i < m:
             i += 1
             on_blocks(phase_a)
             d_i = w_cur @ mw
-            if abs(d_i) < breakdown_tol * m_scale:
-                raise BreakdownError(
-                    f"bilinear form collapsed at iteration {i}: "
-                    f"|delta| = {abs(d_i):.3e}",
-                    index=i,
-                )
+            if abs(d_i) < _BREAKDOWN_TOL * m_scale:
+                if i <= 2:
+                    raise BreakdownError(
+                        f"bilinear form collapsed at iteration {i}: "
+                        f"|delta| = {abs(d_i):.3e}",
+                        index=i,
+                    )
+                stop = "breakdown"
+                break
             a_i = (w_cur @ maw) / d_i
             c_prev = (d_i / delta_prev) * zeta_cur if i > 1 else None
             on_blocks(phase_b, a_i, c_prev)
@@ -306,95 +329,32 @@ def _run_recursion(op, state, m_target, breakdown_tol, check_every):
             c_abs = abs(c_prev) if c_prev is not None else 0.0
             if (z_next < 1e-14 * (z_next + abs(a_i) + c_abs)
                     and z_next < 1e-14 * (np.abs(aw).max() + abs(a_i))):
-                happy = True
+                stop = "invariant"
                 w_spare.fill(0.0)
-                w_prev, w_cur = w_cur, w_spare
+                w_cur = w_spare
                 zeta_cur = 0.0
                 break
             on_blocks(phase_c, 1.0 / z_next)
             w_prev, w_cur, w_spare = w_cur, w_spare, w_prev
             zeta_cur = z_next
-            if check_every and i % check_every == 0:
-                # global two-sided orthogonality drift against the first
-                # vector; purely diagnostic
-                drift = max(drift, float(abs(w_cur @ m_w_first) / m_scale))
+            if i % _DRIFT_EVERY == 0:
+                drift = max(drift, drift_sample())
+    drift = max(drift, drift_sample())
 
-    return LanczosDecomposition(
-        n=n,
-        m=i,
-        alpha=alpha[:i],
-        zeta=zeta[:i],
-        delta=delta[:i],
+    m_run = i - 1 if stop == "breakdown" else i
+    decomp = LanczosDecomposition(
+        m=m_run,
+        alpha=alpha[:m_run],
+        zeta=zeta[:m_run],
+        delta=delta[:m_run],
         zeta_next=float(zeta_cur),
         probe_indices=probes,
-        w_probe=w_probe[:i].T,
-        w_last=w_prev,
-        w_next=w_cur,
-        happy=happy,
+        w_probe=w_probe[:m_run].T,
+        stop=stop,
         drift=drift,
     )
-
-
-def bilanczos(op, b, m, probe_indices, breakdown_tol=1e-14,
-              check_every=500):
-    """Run m iterations of the renormalized two-sided recursion.
-
-    b is the start vector (the sampled source); probe_indices are the
-    unknown indices whose basis components are retained for field
-    evaluation.  Raises BreakdownError if the bilinear form collapses;
-    stops early (happy = True) if an invariant subspace closes.
-
-    Each step runs the phases of the module docstring over
-    min(usable CPUs, n // _ROWS_PER_WORKER) row blocks (at least one),
-    with bitwise the same result for any block count.
-    """
-    if m < 1:
-        raise InvalidParameterError(f"need m >= 1, got {m}")
-    b = np.asarray(b, dtype=complex)
-    if b.shape != (op.n,):
-        raise InvalidParameterError("start vector length mismatch")
-    norm_b = float(np.linalg.norm(b))
-    if norm_b == 0.0:
-        raise InvalidParameterError("start vector is zero")
-    probes = np.asarray(probe_indices, dtype=int)
-    if probes.size == 0:
-        raise InvalidParameterError("need at least one probe index")
-    if probes.min() < 0 or probes.max() >= op.n:
-        raise InvalidParameterError("probe index out of range")
-    state = LanczosDecomposition(
-        n=op.n,
-        m=0,
-        alpha=np.empty(0, dtype=complex),
-        zeta=np.empty(0, dtype=float),
-        delta=np.empty(0, dtype=complex),
-        zeta_next=norm_b,
-        probe_indices=probes,
-        w_probe=np.zeros((probes.size, 0), dtype=complex),
-        w_last=np.empty(0, dtype=complex),
-        w_next=b / norm_b,
-        happy=False,
-        drift=0.0,
-    )
-    return _run_recursion(op, state, m, breakdown_tol, check_every)
-
-
-def extend_bilanczos(op, decomp, m_target, breakdown_tol=1e-14,
-                     check_every=500):
-    """Continue an untruncated recursion run to m_target iterations."""
-    if not decomp.can_extend:
-        raise InvalidParameterError(
-            "decomposition does not carry the trailing vectors needed "
-            "to extend (it was truncated or closed an invariant "
-            "subspace)"
-        )
-    if decomp.n != op.n:
-        raise InvalidParameterError("operator size mismatch")
-    if m_target <= decomp.m:
-        raise InvalidParameterError(
-            f"target m {m_target} does not exceed current {decomp.m}"
-        )
-    return _run_recursion(op, decomp, m_target, breakdown_tol,
-                          check_every)
+    # keep one iteration of margin before the collapse
+    return decomp.truncate(i - 2) if stop == "breakdown" else decomp
 
 
 # Ritz values closer than _CLUSTER_TOL * max |H| form one cluster for the

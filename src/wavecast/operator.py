@@ -105,10 +105,6 @@ class WaveOperator:
         b[self.grid.node_index(ix, iy)] = amplitude / area.real
         return b, self.grid.node_index(ix, iy)
 
-    def probe_index(self, x, y):
-        ix, iy, _, _ = self.grid.nearest_interior_node(x, y)
-        return self.grid.node_index(ix, iy)
-
 
 def assemble_operator(grid, medium=None):
     """Build A and M for a grid and medium (uniform c = 1 by default)."""

@@ -28,6 +28,9 @@ C0 = 299792458.0  # m/s
 _OMEGA_LO = 2.42e14
 _OMEGA_HI = 2.18e15
 _BAND_RATIO = _OMEGA_HI / _OMEGA_LO
+# most output samples a trace may have; the longest preset (ring) has
+# 2 777, and the kernel evaluation holds modes x samples values at once
+MAX_TRACE_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -181,6 +184,12 @@ class Scenario:
             raise ConfigurationError(
                 f"samples_per_period must be >= {MIN_SAMPLES_PER_PERIOD} "
                 "(the source convolution resolves the band at that rate)"
+            )
+        if self.t_final / self.trace_dt > MAX_TRACE_SAMPLES:
+            raise ConfigurationError(
+                f"t_final = {self.t_final:g} needs more than "
+                f"{MAX_TRACE_SAMPLES} trace samples at "
+                f"samples_per_period = {self.samples_per_period}"
             )
         if self.m_default < 1:
             raise ConfigurationError("m_default must be >= 1")

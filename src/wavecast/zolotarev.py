@@ -156,11 +156,6 @@ class PmlSteps:
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "gamma_hat", gh)
 
-    @property
-    def complex_steps(self):
-        """(primary, dual) steps of the absorbing grid."""
-        return 1j * self.gamma, 1j * self.gamma_hat
-
 
 def _refine_extrema(fun, xs, values=None):
     """Locate and polish local extrema of fun on the sampled grid xs.

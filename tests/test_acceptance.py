@@ -33,6 +33,8 @@ from wavecast.zolotarev import (
     zolotarev_approx,
 )
 
+from support import probe_index
+
 
 def _study(name):
     sc = get_scenario(name)
@@ -71,7 +73,7 @@ def ring_modes():
     medium = MediumMap.from_function(grid, sc.medium_fn())
     op = assemble_operator(grid, medium)
     b, _ = op.sample_source(*sc.source_xy, amplitude=sc.amplitude)
-    probes = [op.probe_index(x, y) for x, y in sc.probes]
+    probes = [probe_index(op, x, y) for x, y in sc.probes]
     dec = bilanczos(op, b, sc.m_default, probes)
     return sc, eigen_tridiag(dec)
 
@@ -228,7 +230,7 @@ def test_criterion_06_full_order_matches_dense():
         medium = MediumMap.from_function(grid, fn) if fn else None
         op = assemble_operator(grid, medium)
         b, _ = op.sample_source(-0.25, 0.1)
-        probes = [op.probe_index(0.4, 0.3), op.probe_index(-0.1, -0.5)]
+        probes = [probe_index(op, 0.4, 0.3), probe_index(op, -0.1, -0.5)]
         modes = eigen_tridiag(bilanczos(op, b, op.n, probes))
         mine = evaluate_impulse(modes, times)
         a = op.a_mat.toarray()

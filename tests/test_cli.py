@@ -8,9 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-import wavecast.harness
+import wavecast.krylov
 from wavecast.cli import main
-from wavecast.errors import BreakdownError
 from wavecast.signals import Waveform
 
 MINI_CFG = """
@@ -121,13 +120,16 @@ def test_converge_needs_reference(tmp_path, capsys):
         ("t_final = 6.0", "t_final = inf"),
         ("t_final = 6.0", "t_final = nan"),
         ("probe1 = 0.3, 0.0", "probe1 = nan, 0.0"),
+        ("t_final = 6.0", "t_final = 1e300"),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, old, new):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(MINI_CFG.replace(old, new), encoding="utf-8")
     assert main(["run", str(cfg), "--out", str(tmp_path / "x")]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_scenario_is_config_error(capsys):
@@ -143,12 +145,12 @@ def test_broken_config_is_config_error(tmp_path, capsys):
 
 
 def test_breakdown_maps_to_exit_3(mini_cfg, tmp_path, monkeypatch, capsys):
-    def explode(*args, **kwargs):
-        raise BreakdownError("synthetic collapse", index=1)
-
-    monkeypatch.setattr(wavecast.harness, "bilanczos", explode)
+    # |w^T M w| <= max |M| for a unit w, so the form collapses at once
+    monkeypatch.setattr(wavecast.krylov, "_BREAKDOWN_TOL", 2.0)
     assert main(["run", str(mini_cfg), "--out", str(tmp_path / "x")]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "iteration 1" in err
+    assert "Traceback" not in err
 
 
 def test_pml_report(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import wavecast.harness
+import wavecast.krylov as krylov
 from wavecast.errors import BreakdownError, ConfigurationError
 from wavecast.harness import ComparisonReport, _csv_units, run_study
 from wavecast.krylov import bilanczos
@@ -76,7 +77,8 @@ def test_run_artifacts(mini_run):
     assert 0.0 <= payload["metadata"]["recon_error"] < 1e-8
     assert payload["metadata"]["modes_merged"] >= 0
     assert payload["metadata"]["m_requested"] == 160
-    assert 0.0 <= payload["metadata"]["lanczos_drift"] < 1e-6
+    assert payload["metadata"]["lanczos_stop"] == "m"
+    assert 0.0 < payload["metadata"]["lanczos_drift"] < 1e-6
     # run is a study of one m
     assert [e["m"] for e in payload["convergence"]] == [160]
     assert payload["convergence"][0]["errors"] == payload["probe_errors"]
@@ -121,7 +123,8 @@ def test_study_artifacts(mini_study):
     assert 0.0 <= payload["metadata"]["recon_error"] < 1e-8
     assert payload["metadata"]["modes_merged"] >= 0
     assert payload["metadata"]["m_requested"] == 160
-    assert 0.0 <= payload["metadata"]["lanczos_drift"] < 1e-6
+    assert payload["metadata"]["lanczos_stop"] == "m"
+    assert 0.0 < payload["metadata"]["lanczos_drift"] < 1e-6
 
 
 def test_study_single_mode_is_useless():
@@ -158,58 +161,72 @@ def test_csv_units_seconds():
     assert _csv_units(sc_plain, wf) is wf
 
 
-def test_breakdown_retreat(monkeypatch):
-    real = bilanczos
+# On _mini(), |delta_i| / max |M| first drops below 3e-6 at i = 70, and
+# is 7.3e-4 at i = 1.
+_COLLAPSE_AT_70 = 3e-6
+
+
+def _count_bilanczos(monkeypatch):
+    """Record the m of every recursion run the harness starts."""
     calls = []
 
-    def flaky(op, b, m, probe_indices=None, **kw):
+    def counted(op, b, m, probe_indices):
         calls.append(m)
-        if len(calls) == 1:
-            raise BreakdownError("synthetic collapse", index=120)
-        return real(op, b, m, probe_indices=probe_indices, **kw)
+        return bilanczos(op, b, m, probe_indices)
 
-    monkeypatch.setattr(wavecast.harness, "bilanczos", flaky)
-    report, _ = run_study(_mini(), (160,))
-    assert calls == [160, 118]
-    assert report.m == 118
+    monkeypatch.setattr(wavecast.harness, "bilanczos", counted)
+    return calls
+
+
+def test_breakdown_retreat(monkeypatch):
+    clean, clean_wf = run_study(_mini(), (68,))
+    calls = _count_bilanczos(monkeypatch)
+    monkeypatch.setattr(krylov, "_BREAKDOWN_TOL", _COLLAPSE_AT_70)
+    report, waveforms = run_study(_mini(), (160,))
+    assert calls == [160]  # the recursion runs once
+    assert report.m == 68
     assert report.metadata["m_requested"] == 160
+    assert report.metadata["lanczos_stop"] == "breakdown"
+    assert clean.metadata["lanczos_stop"] == "m"
+    # the trace is the one a request for m = 68 gives
+    assert np.array_equal(waveforms["lanczos"].values,
+                          clean_wf["lanczos"].values)
+    assert report.probe_errors == clean.probe_errors
     assert report.worst_error < 0.3
 
 
 def test_breakdown_without_index_propagates(monkeypatch):
-    def dead(op, b, m, probe_indices=None, **kw):
+    # bilanczos always sets the index; an error without one must still
+    # reach the caller unchanged
+    def dead(op, b, m, probe_indices):
         raise BreakdownError("no usable prefix")
 
     monkeypatch.setattr(wavecast.harness, "bilanczos", dead)
-    with pytest.raises(BreakdownError):
+    with pytest.raises(BreakdownError) as exc:
         run_study(_mini(), (160,))
+    assert exc.value.index is None
 
 
 def test_breakdown_at_start_propagates(monkeypatch):
-    def dead(op, b, m, probe_indices=None, **kw):
-        raise BreakdownError("collapse at the first step", index=2)
-
-    monkeypatch.setattr(wavecast.harness, "bilanczos", dead)
-    with pytest.raises(BreakdownError):
+    calls = _count_bilanczos(monkeypatch)
+    monkeypatch.setattr(krylov, "_BREAKDOWN_TOL", 1e-2)
+    with pytest.raises(BreakdownError) as exc:
         run_study(_mini(), (160,))
+    assert exc.value.index == 1
+    assert calls == [160]
 
 
 def test_study_clamps_m_list_after_retreat(monkeypatch):
-    real = bilanczos
-    calls = []
-
-    def flaky(op, b, m, probe_indices=None, **kw):
-        calls.append(m)
-        if len(calls) == 1:
-            raise BreakdownError("synthetic collapse", index=120)
-        return real(op, b, m, probe_indices=probe_indices, **kw)
-
-    monkeypatch.setattr(wavecast.harness, "bilanczos", flaky)
+    calls = _count_bilanczos(monkeypatch)
+    monkeypatch.setattr(krylov, "_BREAKDOWN_TOL", _COLLAPSE_AT_70)
     sc = _mini()
     report, _ = run_study(sc, sc.m_list)
-    # 160 fell past the retreat point, so only the surviving entries run
-    assert [e["m"] for e in report.convergence] == [40, 100]
-    assert report.m == 100
+    assert calls == [160]
+    # 100 and 160 fell past the retreat point (m = 68), so only the
+    # surviving entry runs
+    assert [e["m"] for e in report.convergence] == [40]
+    assert report.m == 40
+    assert report.metadata["lanczos_stop"] == "breakdown"
 
 
 def test_report_json_round_trip(tmp_path):

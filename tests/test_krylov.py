@@ -6,6 +6,7 @@ import scipy.linalg
 import scipy.signal
 import scipy.sparse
 
+import wavecast.krylov as krylov
 from wavecast.errors import (
     BranchCutError,
     BreakdownError,
@@ -21,7 +22,6 @@ from wavecast.krylov import (
     convolve_source,
     eigen_tridiag,
     evaluate_impulse,
-    extend_bilanczos,
     sc_resolvent_dense,
     sctde_scalar,
 )
@@ -32,6 +32,8 @@ from wavecast.zolotarev import (
     to_continued_fraction,
     zolotarev_approx,
 )
+
+from support import probe_index
 
 
 def _small_op(n_int=6, chi=25.0, k=2, medium=None):
@@ -103,7 +105,7 @@ def test_sc_resolvent_shift_stack():
 def test_full_length_run_matches_dense_oracle():
     op = _small_op()
     b, src = op.sample_source(-0.25, 0.1)
-    probes = [op.probe_index(0.4, 0.3), op.probe_index(-0.1, -0.5)]
+    probes = [probe_index(op, 0.4, 0.3), probe_index(op, -0.1, -0.5)]
     n = op.n
     dec = bilanczos(op, b, n, probes)
     assert dec.m == n
@@ -118,7 +120,7 @@ def test_full_length_run_matches_dense_oracle():
 def test_midrange_m_is_converging():
     op = _small_op()
     b, _ = op.sample_source(-0.25, 0.1)
-    probes = [op.probe_index(0.4, 0.3)]
+    probes = [probe_index(op, 0.4, 0.3)]
     times = np.linspace(0.0, 2.0, 30)
     oracle = _dense_impulse(op, b, probes, times)
     errs = []
@@ -134,47 +136,14 @@ def test_midrange_m_is_converging():
 def test_truncate_equals_fresh_run():
     op = _small_op()
     b, _ = op.sample_source(0.0, 0.0)
-    probes = [op.probe_index(0.5, -0.5)]
+    probes = [probe_index(op, 0.5, -0.5)]
     long = bilanczos(op, b, 50, probes)
     short = bilanczos(op, b, 30, probes)
     cut = long.truncate(30)
-    assert np.allclose(cut.alpha, short.alpha)
-    assert np.allclose(cut.zeta, short.zeta)
-    assert np.allclose(cut.delta, short.delta)
-    assert np.allclose(cut.w_probe, short.w_probe)
-    assert abs(cut.zeta_next - short.zeta_next) < 1e-13
-    assert not cut.can_extend
+    for name in ("alpha", "zeta", "delta", "w_probe", "zeta_next"):
+        assert np.array_equal(getattr(cut, name), getattr(short, name)), name
     with pytest.raises(InvalidParameterError):
         long.truncate(0)
-
-
-def test_checkpoint_save_load_extend():
-    op = _small_op()
-    b, _ = op.sample_source(0.1, -0.3)
-    probes = [op.probe_index(0.5, 0.5), op.probe_index(-0.4, 0.2)]
-    first = bilanczos(op, b, 40, probes)
-    assert first.can_extend
-    resumed = extend_bilanczos(op, first, 75)
-    fresh = bilanczos(op, b, 75, probes)
-    assert np.allclose(resumed.alpha, fresh.alpha, rtol=1e-12, atol=1e-14)
-    assert np.allclose(resumed.zeta, fresh.zeta, rtol=1e-12, atol=1e-14)
-    assert np.allclose(resumed.w_probe, fresh.w_probe, rtol=1e-11, atol=1e-13)
-    with pytest.raises(InvalidParameterError):
-        extend_bilanczos(op, resumed, 75)
-
-
-def test_extend_leaves_input_unchanged():
-    op = _small_op()
-    b, _ = op.sample_source(0.1, -0.3)
-    first = bilanczos(op, b, 40, [op.probe_index(0.5, 0.5)])
-    w_last, w_next = first.w_last.copy(), first.w_next.copy()
-    resumed = extend_bilanczos(op, first, 75)
-    assert np.array_equal(first.w_last, w_last)
-    assert np.array_equal(first.w_next, w_next)
-    assert not np.shares_memory(resumed.w_last, resumed.w_next)
-    for vec in (resumed.w_last, resumed.w_next):
-        assert not np.shares_memory(vec, first.w_last)
-        assert not np.shares_memory(vec, first.w_next)
 
 
 def test_breakdown_raises():
@@ -190,6 +159,34 @@ def test_breakdown_raises():
     assert exc.value.index == 1
 
 
+def test_breakdown_at_second_iteration_raises():
+    # A = diag(0, 1, 2), M = diag(1, -1, 1), b = (1/sqrt(3), 1, 1):
+    # delta_1 = 1/3 and the second vector has w^T M w = 0, so the one
+    # completed iteration leaves nothing to keep
+    op = SimpleNamespace(
+        a_mat=scipy.sparse.diags([0.0, 1.0, 2.0]).astype(complex).tocsr(),
+        m_diag=np.array([1.0, -1.0, 1.0], dtype=complex),
+        n=3,
+    )
+    b = np.array([np.sqrt(1.0 / 3.0), 1.0, 1.0])
+    with pytest.raises(BreakdownError) as exc:
+        bilanczos(op, b, 3, [0])
+    assert exc.value.index == 2
+
+
+def test_breakdown_at_third_iteration_keeps_one(monkeypatch):
+    op = _small_op()
+    b, _ = op.sample_source(-0.25, 0.1)
+    fresh = bilanczos(op, b, 1, [0])
+    ratio = np.abs(bilanczos(op, b, 3, [0]).delta) / np.abs(op.m_diag).max()
+    assert ratio[2] < ratio[1] == ratio[0]
+    monkeypatch.setattr(krylov, "_BREAKDOWN_TOL", 0.5 * (ratio[1] + ratio[2]))
+    dec = bilanczos(op, b, 10, [0])
+    assert dec.m == 1 and dec.stop == "breakdown"
+    for name in ("alpha", "zeta", "delta", "zeta_next", "w_probe"):
+        assert np.array_equal(getattr(dec, name), getattr(fresh, name)), name
+
+
 def test_happy_breakdown_on_invariant_start():
     # start vector equal to an eigenvector closes the subspace at m = 1
     g = build_grid2d(6)
@@ -198,7 +195,7 @@ def test_happy_breakdown_on_invariant_start():
     lam, vec = np.linalg.eigh(a)
     b = vec[:, 3]
     dec = bilanczos(op, b, 10, [0])
-    assert dec.happy
+    assert dec.stop == "invariant"
     assert dec.m == 1
     assert abs(dec.alpha[0] - lam[3]) < 1e-10 * abs(lam[3])
 
@@ -207,7 +204,6 @@ def test_near_defective_raises():
     # H = [[i, 1], [1, -i]] has a double eigenvalue with quasi-null
     # eigenvector (s^T s = 0)
     dec = LanczosDecomposition(
-        n=2,
         m=2,
         alpha=np.array([1j, -1j]),
         zeta=np.array([1.0, 1.0]),
@@ -215,9 +211,7 @@ def test_near_defective_raises():
         zeta_next=0.1,
         probe_indices=np.array([0]),
         w_probe=np.ones((1, 2), dtype=complex),
-        w_last=np.empty(0, dtype=complex),
-        w_next=np.empty(0, dtype=complex),
-        happy=False,
+        stop="m",
         drift=0.0,
     )
     with pytest.raises(NearDefectiveError):
@@ -232,7 +226,7 @@ def ring600():
     grid = build_grid2d(sc.n_int, steps)
     op = assemble_operator(grid, MediumMap.from_function(grid, sc.medium_fn()))
     b, _ = op.sample_source(*sc.source_xy, amplitude=sc.amplitude)
-    probes = [op.probe_index(x, y) for x, y in sc.probes]
+    probes = [probe_index(op, x, y) for x, y in sc.probes]
     return sc, bilanczos(op, b, 600, probes)
 
 

@@ -17,47 +17,39 @@ import wavecast.krylov as krylov
 from wavecast.errors import BreakdownError
 from wavecast.grid import build_grid2d
 from wavecast.harness import _prepare
-from wavecast.krylov import LanczosDecomposition, bilanczos, extend_bilanczos
+from wavecast.krylov import LanczosDecomposition, bilanczos
 from wavecast.operator import assemble_operator
 from wavecast.scenarios import get_scenario
 
-FIELDS = ("m", "alpha", "zeta", "delta", "zeta_next", "w_probe", "w_last",
-          "w_next", "drift", "happy")
+FIELDS = ("m", "alpha", "zeta", "delta", "zeta_next", "w_probe", "drift",
+          "stop")
 
 
-def reference_recursion(op, state, m_target, breakdown_tol=1e-14,
-                        check_every=500):
-    """Whole-vector allocating recursion (the correctness oracle)."""
+def reference_recursion(op, b, m, probes, breakdown_tol=1e-14,
+                        drift_every=500):
+    """Whole-vector allocating recursion from b (the correctness oracle)."""
     a_mat = op.a_mat
     m_diag = op.m_diag
     m_scale = float(np.abs(m_diag).max())
-    probes = state.probe_indices
+    probes = np.asarray(probes, dtype=int)
+    b = np.asarray(b, dtype=complex)
 
-    alpha = list(state.alpha)
-    zeta = list(state.zeta)
-    delta = list(state.delta)
-    wp_cols = [state.w_probe[:, j] for j in range(state.m)]
-
-    if state.m == 0:
-        w_prev = np.zeros(state.n, dtype=complex)
-        w_cur = state.w_next
-        zeta_cur = state.zeta_next
-        delta_prev = 1.0
-    else:
-        w_prev = state.w_last
-        w_cur = state.w_next
-        zeta_cur = state.zeta_next
-        delta_prev = delta[-1]
-
-    drift = state.drift
-    happy = False
-    i = state.m
-    w_first = None
-    while i < m_target:
+    alpha, zeta, delta, wp_cols = [], [], [], []
+    zeta_cur = float(np.linalg.norm(b))
+    w_prev = np.zeros(op.n, dtype=complex)
+    w_cur = w_first = b / zeta_cur
+    delta_prev = 1.0
+    drift = 0.0
+    stop = "m"
+    i = 0
+    while i < m:
         i += 1
         d_i = w_cur @ (m_diag * w_cur)
         if abs(d_i) < breakdown_tol * m_scale:
-            raise BreakdownError(f"collapse at {i}", index=i)
+            if i <= 2:
+                raise BreakdownError(f"collapse at {i}", index=i)
+            stop = "breakdown"
+            break
         aw = a_mat @ w_cur
         a_i = (w_cur @ (m_diag * aw)) / d_i
         r = aw - a_i * w_cur
@@ -67,55 +59,33 @@ def reference_recursion(op, state, m_target, breakdown_tol=1e-14,
         zeta.append(zeta_cur)
         delta.append(d_i)
         wp_cols.append(w_cur[probes].copy())
-        if w_first is None:
-            w_first = w_cur
         z_next = float(np.linalg.norm(r))
         if z_next < 1e-14 * float(np.abs(aw).max() + abs(a_i)):
-            happy = True
-            w_prev, w_cur = w_cur, np.zeros(state.n, dtype=complex)
+            stop = "invariant"
+            w_cur = np.zeros(op.n, dtype=complex)
             zeta_cur = 0.0
             break
         w_prev, w_cur = w_cur, r / z_next
         zeta_cur = z_next
         delta_prev = d_i
-        if check_every and i % check_every == 0:
+        if i % drift_every == 0:
             drift = max(drift, float(abs(w_cur @ (m_diag * w_first))
                                      / m_scale))
+    drift = max(drift, float(abs(w_cur @ (m_diag * w_first)) / m_scale))
 
+    # a collapse at iteration i keeps iterations 1..i-2
+    keep = i - 2 if stop == "breakdown" else i
     return LanczosDecomposition(
-        n=state.n,
-        m=i,
-        alpha=np.array(alpha, dtype=complex),
-        zeta=np.array(zeta, dtype=float),
-        delta=np.array(delta, dtype=complex),
-        zeta_next=float(zeta_cur),
+        m=keep,
+        alpha=np.array(alpha[:keep], dtype=complex),
+        zeta=np.array(zeta[:keep], dtype=float),
+        delta=np.array(delta[:keep], dtype=complex),
+        zeta_next=zeta[keep] if stop == "breakdown" else float(zeta_cur),
         probe_indices=probes,
-        w_probe=np.array(wp_cols, dtype=complex).T,
-        w_last=w_prev,
-        w_next=w_cur,
-        happy=happy,
+        w_probe=np.array(wp_cols[:keep], dtype=complex).T,
+        stop=stop,
         drift=drift,
     )
-
-
-def reference_bilanczos(op, b, m, probes, **kw):
-    b = np.asarray(b, dtype=complex)
-    norm_b = float(np.linalg.norm(b))
-    probes = np.asarray(probes, dtype=int)
-    state = LanczosDecomposition(
-        n=op.n, m=0,
-        alpha=np.empty(0, dtype=complex),
-        zeta=np.empty(0, dtype=float),
-        delta=np.empty(0, dtype=complex),
-        zeta_next=norm_b,
-        probe_indices=probes,
-        w_probe=np.zeros((probes.size, 0), dtype=complex),
-        w_last=np.empty(0, dtype=complex),
-        w_next=b / norm_b,
-        happy=False,
-        drift=0.0,
-    )
-    return reference_recursion(op, state, m, **kw)
 
 
 def assert_bitwise(got, want):
@@ -148,44 +118,60 @@ def force_blocks(monkeypatch):
 @pytest.fixture(scope="module", params=["homogeneous-desk", "ring-desk"])
 def desk(request):
     asm = _prepare(get_scenario(request.param))
-    ref = reference_bilanczos(asm.op, asm.b, 300, asm.probe_flats,
-                              check_every=50)
+    ref = reference_recursion(asm.op, asm.b, 300, asm.probe_flats,
+                              drift_every=50)
     return asm, ref
 
 
 @pytest.mark.parametrize("n_blocks", [1, 3, 4])
-def test_desk_run_is_bitwise_reference(desk, n_blocks, force_blocks):
+def test_desk_run_is_bitwise_reference(desk, n_blocks, force_blocks,
+                                       monkeypatch):
     asm, ref = desk
     used = force_blocks(n_blocks)
-    got = bilanczos(asm.op, asm.b, 300, asm.probe_flats, check_every=50)
+    monkeypatch.setattr(krylov, "_DRIFT_EVERY", 50)
+    got = bilanczos(asm.op, asm.b, 300, asm.probe_flats)
     assert used == [n_blocks]
-    assert ref.m == 300 and not ref.happy and ref.drift > 0.0
+    assert ref.m == 300 and ref.stop == "m" and ref.drift > 0.0
     assert_bitwise(got, ref)
 
 
-def test_blocks_under_fast_thread_switching(desk, force_blocks):
+def test_blocks_under_fast_thread_switching(desk, force_blocks,
+                                            monkeypatch):
     # more workers than cores, switching as often as the interpreter
     # allows: a block read before its phase ended would change the bits
     asm, ref = desk
     force_blocks(4)
+    monkeypatch.setattr(krylov, "_DRIFT_EVERY", 50)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = bilanczos(asm.op, asm.b, 300, asm.probe_flats,
-                        check_every=50)
+        got = bilanczos(asm.op, asm.b, 300, asm.probe_flats)
     finally:
         sys.setswitchinterval(interval)
     assert_bitwise(got, ref)
 
 
-@pytest.mark.parametrize("n_blocks", [1, 3, 4])
-def test_extension_is_bitwise_reference(n_blocks, force_blocks):
-    asm = _prepare(get_scenario("homogeneous-desk"))
-    first = bilanczos(asm.op, asm.b, 120, asm.probe_flats, check_every=50)
-    want = reference_recursion(asm.op, first, 260, check_every=50)
-    force_blocks(n_blocks)
-    got = extend_bilanczos(asm.op, first, 260, check_every=50)
+@pytest.mark.parametrize("n_blocks", [1, 3])
+def test_breakdown_retreat_is_bitwise_reference(desk, n_blocks,
+                                                force_blocks, monkeypatch):
+    # a tolerance just below the smallest |delta| of iterations 1..150
+    # makes a later iteration i the first collapse
+    asm, ref = desk
+    ratio = np.abs(ref.delta) / np.abs(asm.op.m_diag).max()
+    tol = ratio[:150].min()
+    i = 1 + int(np.argmax(ratio < tol))
+    assert 150 < i <= 300 and ratio[i - 1] < tol
+    want = reference_recursion(asm.op, asm.b, 300, asm.probe_flats,
+                               breakdown_tol=tol)
+    fresh = bilanczos(asm.op, asm.b, i - 2, asm.probe_flats)
+    used = force_blocks(n_blocks)
+    monkeypatch.setattr(krylov, "_BREAKDOWN_TOL", tol)
+    got = bilanczos(asm.op, asm.b, 300, asm.probe_flats)
+    assert used == [n_blocks]  # one recursion run
+    assert got.m == i - 2 and got.stop == "breakdown"
     assert_bitwise(got, want)
+    for name in ("alpha", "zeta", "delta", "zeta_next", "w_probe"):
+        assert np.array_equal(getattr(got, name), getattr(fresh, name)), name
 
 
 @pytest.mark.parametrize("n_blocks", [2, 4])
@@ -207,10 +193,10 @@ def test_breakdown_index_with_blocks(n_blocks, force_blocks):
 def test_happy_breakdown_with_blocks(n_blocks, force_blocks):
     op = assemble_operator(build_grid2d(6))
     lam, vec = np.linalg.eigh(op.a_mat.toarray().real)
-    want = reference_bilanczos(op, vec[:, 3], 10, [0])
+    want = reference_recursion(op, vec[:, 3], 10, [0])
     force_blocks(n_blocks)
     got = bilanczos(op, vec[:, 3], 10, [0])
-    assert got.happy and got.m == 1
+    assert got.stop == "invariant" and got.m == 1
     assert abs(got.alpha[0] - lam[3]) < 1e-10 * abs(lam[3])
     assert_bitwise(got, want)
 

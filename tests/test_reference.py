@@ -7,7 +7,9 @@ import scipy.special
 from wavecast.analytic import AnalyticProbe, analytic_homogeneous
 from wavecast.errors import InvalidParameterError
 from wavecast.fdtd import run_fdtd
-from wavecast.signals import arrival_time, compare_traces, make_wavelet
+from wavecast.signals import compare_traces, make_wavelet
+
+from support import arrival_time
 
 
 BAND = (6.0, 30.0)

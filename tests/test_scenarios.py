@@ -145,6 +145,8 @@ def test_analytic_reference_forbids_shapes():
         ("source_xy", (float("nan"), 0.0)),
         ("probes", ((0.3, float("inf")),)),
         ("shapes", (Disk(0.0, 0.3, float("nan"), 2.0),)),
+        ("t_final", 1e300),  # finite, but no trace grid that long
+        ("t_final", 1e9),
     ],
 )
 def test_validate_rejects(field, value):

@@ -11,11 +11,12 @@ from wavecast.errors import (
 from wavecast.signals import (
     SourceSignature,
     Waveform,
-    arrival_time,
     compare_traces,
     make_wavelet,
     resample_waveform,
 )
+
+from support import arrival_time
 
 
 def test_wavelet_band_floor():
