@@ -21,6 +21,9 @@ from .errors import InvalidParameterError, PrecisionError
 from .signals import Waveform
 
 _LEGENDRE_CACHE = {}
+# successive Gauss-Legendre doublings agree to this, relative to
+# 1 + |integral|
+_REL_TOL = 1e-10
 
 
 def _leggauss(n):
@@ -29,7 +32,7 @@ def _leggauss(n):
     return _LEGENDRE_CACHE[n]
 
 
-def _tail_integral(signature, r, t, rel_tol):
+def _tail_integral(signature, r, t):
     """int_0^{arccosh(t/r)} q(t - r cosh(xi)) dxi by GL doubling."""
     xi_max = np.arccosh(t / r)
     prev = None
@@ -38,7 +41,7 @@ def _tail_integral(signature, r, t, rel_tol):
         xs, ws = _leggauss(n)
         xi = 0.5 * xi_max * (xs + 1.0)
         val = 0.5 * xi_max * np.sum(ws * signature(t - r * np.cosh(xi)))
-        if prev is not None and abs(val - prev) <= rel_tol * (
+        if prev is not None and abs(val - prev) <= _REL_TOL * (
             1.0 + abs(val)
         ):
             return val
@@ -66,27 +69,24 @@ class AnalyticProbe:
             raise InvalidParameterError("probe coincides with the source")
         return r
 
-    def evaluate(self, signature, times, rel_tol=1e-10):
+    def evaluate(self, signature, times):
         times = np.asarray(times, dtype=float)
         r = self.r
         out = np.zeros(times.size)
         for j, t in enumerate(times):
             if t > r:
                 out[j] = -(self.amplitude / (2.0 * np.pi)) * _tail_integral(
-                    signature, r, t, rel_tol
-                )
+                    signature, r, t)
         return out
 
 
-def analytic_homogeneous(source_xy, probes, signature, times,
-                         amplitude=1.0, rel_tol=1e-10):
+def analytic_homogeneous(source_xy, probes, signature, times, amplitude=1.0):
     """Waveform of free-space reference traces at several receivers."""
     times = np.asarray(times, dtype=float)
     vals = np.vstack(
         [
             AnalyticProbe(tuple(source_xy), tuple(p), amplitude).evaluate(
-                signature, times, rel_tol
-            )
+                signature, times)
             for p in probes
         ]
     )

@@ -1,9 +1,9 @@
 """Complete elliptic integrals and Jacobi elliptic functions.
 
 Only the small slice needed by the rational-impedance construction:
-K(kappa) via the arithmetic-geometric mean and sn/cn via the descending
-Landen transformation.  Modulus convention throughout (kappa, not the
-parameter m = kappa**2).
+K via the arithmetic-geometric mean, from the complementary parameter
+1 - kappa**2, and sn/cn via the descending Landen transformation.
+Modulus convention throughout (kappa, not the parameter m = kappa**2).
 """
 
 import math
@@ -22,18 +22,6 @@ def agm(a, b):
     return 0.5 * (a + b)
 
 
-def ellip_k(kappa):
-    """Complete elliptic integral of the first kind, modulus kappa in [0, 1).
-
-    K(kappa) = pi / (2 * agm(1, sqrt(1 - kappa^2))).  For moduli very
-    close to 1 the complement 1 - kappa^2 loses precision; use
-    ellip_km1 with the exactly known complement instead.
-    """
-    if not 0.0 <= kappa < 1.0:
-        raise InvalidParameterError(f"modulus must lie in [0, 1), got {kappa}")
-    return ellip_km1((1.0 - kappa) * (1.0 + kappa))
-
-
 def ellip_km1(m1):
     """K(sqrt(1 - m1)) from the complementary parameter m1 = 1 - kappa^2.
 
@@ -47,7 +35,7 @@ def ellip_km1(m1):
     return math.pi / (2.0 * agm(1.0, math.sqrt(m1)))
 
 
-def jacobi_sn_cn(u, kappa, m1=None):
+def jacobi_sn_cn(u, kappa, m1):
     """Jacobi sn(u, kappa) and cn(u, kappa) for real u, modulus in [0, 1).
 
     Descending Landen (AGM) ladder: build c_i = (a_i - b_i)/2 down to
@@ -55,17 +43,13 @@ def jacobi_sn_cn(u, kappa, m1=None):
     phi_{i-1} = (phi_i + asin(clip(c_i/a_i * sin phi_i)))/2,
     then sn = sin phi_0, cn = cos phi_0.
 
-    m1, when given, supplies the complementary parameter 1 - kappa^2
-    exactly, bypassing its cancellation-prone recomputation for moduli
-    near 1.
+    m1 is the complementary parameter 1 - kappa^2, given exactly: its
+    recomputation from kappa cancels for moduli near 1.
     """
     if not 0.0 <= kappa < 1.0:
         raise InvalidParameterError(f"modulus must lie in [0, 1), got {kappa}")
-    if kappa < 1e-10:
-        # sn -> sin with O(kappa^2) correction already below roundoff interest
-        return math.sin(u), math.cos(u)
     a = [1.0]
-    b = math.sqrt((1.0 - kappa) * (1.0 + kappa) if m1 is None else m1)
+    b = math.sqrt(m1)
     c = [kappa]
     n = 0
     while abs(c[n]) > _EPS * abs(a[n]):

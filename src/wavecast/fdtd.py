@@ -23,26 +23,28 @@ import numpy as np
 from .errors import InvalidParameterError
 from .signals import Waveform
 
-# time step as a fraction of the 2D Yee stability limit delta / sqrt(2)
+# time step as a fraction of the 2D Yee stability limit of the fastest
+# wave speed, delta * sqrt(min eps) / sqrt(2)
 COURANT = 0.95
+# reflection coefficient and polynomial order of the graded frame
+_R0 = 1e-5
+_PROFILE_ORDER = 3
 
 
 @dataclass(frozen=True)
 class FdtdResult:
     waveform: Waveform
-    dt: float
     n_steps: int
-    source_coords: tuple | None
     probe_coords: tuple
     energy: np.ndarray | None = None
 
 
-def _sigma_profile(positions, delta, n_pml, r0, order):
+def _sigma_profile(positions, delta, n_pml):
     """Graded conductivity at the given coordinates (c0 = eta = 1)."""
     depth_max = n_pml * delta
-    sigma_max = -(order + 1.0) * np.log(r0) / (2.0 * depth_max)
+    sigma_max = -(_PROFILE_ORDER + 1.0) * np.log(_R0) / (2.0 * depth_max)
     depth = np.maximum(np.abs(positions) - 1.0, 0.0) / depth_max
-    return sigma_max * np.clip(depth, 0.0, 1.0) ** order
+    return sigma_max * np.clip(depth, 0.0, 1.0) ** _PROFILE_ORDER
 
 
 def run_fdtd(
@@ -53,10 +55,7 @@ def run_fdtd(
     t_final,
     medium_fn=None,
     amplitude=1.0,
-    courant=COURANT,
     n_pml=10,
-    r0=1e-5,
-    profile_order=3,
     track_energy=False,
     initial_ez=None,
 ):
@@ -65,19 +64,19 @@ def run_fdtd(
     probes: list of (x, y) inside (-1, 1); snapped to the nearest
     interior Ez node.  medium_fn(x, y) is sampled on Ez nodes strictly
     inside the interior square (1 elsewhere), matching the stretched
-    solver's rasterization.  n_pml = 0 gives a closed reflecting box
-    (used by the energy-conservation diagnostic).
+    solver's rasterization.  The step is COURANT * delta * sqrt(min eps)
+    / sqrt(2).  The absorbing frame is n_pml cells deep, graded to the
+    reflection _R0 with order _PROFILE_ORDER; n_pml = 0 gives a closed
+    reflecting box (used by the energy-conservation diagnostic).
 
     source_xy=None disables injection (signature is then unused);
     initial_ez(x, y) seeds Ez at t = 0 with H = 0 so conservation can
-    be checked on a source-free closed box.  The snapped node
+    be checked on a source-free closed box.  The snapped probe
     coordinates come back on the result so references can be evaluated
     at the positions actually sampled.
     """
     if n_int < 4:
         raise InvalidParameterError(f"need n_int >= 4, got {n_int}")
-    if not 0.0 < courant < 1.0 + 1e-12:
-        raise InvalidParameterError("courant fraction must be in (0, 1]")
     delta = 2.0 / n_int
     n_cells = n_int + 2 * n_pml
     nodes = np.linspace(
@@ -95,7 +94,7 @@ def run_fdtd(
         if np.any(eps <= 0.0):
             raise InvalidParameterError("medium must be positive")
 
-    dt = courant * delta / np.sqrt(2.0)
+    dt = COURANT * delta * np.sqrt(eps.min()) / np.sqrt(2.0)
     n_steps = int(np.ceil(t_final / dt))
 
     def snap(x, y):
@@ -112,17 +111,15 @@ def run_fdtd(
         if signature is None:
             raise InvalidParameterError("source needs a signature")
         src_i, src_j = snap(*source_xy)
-        src_coords = (nodes[src_i], nodes[src_j])
     else:
         src_i = src_j = None
-        src_coords = None
     probe_idx = [snap(x, y) for (x, y) in probes]
     probe_coords = tuple((nodes[ix], nodes[iy]) for ix, iy in probe_idx)
 
     if n_pml > 0:
-        sig_ex = _sigma_profile(nodes, delta, n_pml, r0, profile_order)
+        sig_ex = _sigma_profile(nodes, delta, n_pml)
         sig_ey = sig_ex.copy()
-        sig_hx = _sigma_profile(mids, delta, n_pml, r0, profile_order)
+        sig_hx = _sigma_profile(mids, delta, n_pml)
         sig_hy = sig_hx.copy()
     else:
         sig_ex = sig_ey = np.zeros(nn)
@@ -200,9 +197,7 @@ def run_fdtd(
     wf = Waveform(times=times, values=traces, probe_names=names)
     return FdtdResult(
         waveform=wf,
-        dt=dt,
         n_steps=n_steps,
-        source_coords=src_coords,
         probe_coords=probe_coords,
         energy=energy,
     )

@@ -40,10 +40,6 @@ class Axis1D:
     dual: np.ndarray
 
     @property
-    def h(self):
-        return 2.0 / self.n_int
-
-    @property
     def n_unknown(self):
         return self.n_int + 2 * self.k - 1
 
@@ -81,6 +77,13 @@ def build_axis(n_int, steps=None):
     return Axis1D(n_int=n_int, k=steps.k, primary=primary, dual=dual)
 
 
+def _strictly_inside(axis):
+    """Mask of the unknown nodes of axis strictly inside (-1, 1): real,
+    neither the interface nodes at +-1 nor stretched ones."""
+    c = axis.unknown_coords
+    return (np.abs(c.imag) == 0.0) & (np.abs(c.real) < 1.0 - 1e-12)
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Tensor grid of two stretched axes; unknowns in row-major order
@@ -115,28 +118,23 @@ class Grid2D:
     def interior_mask(self):
         """Boolean (wx, wy) mask of nodes strictly inside (-1, 1)^2.
 
-        Interface nodes at coordinate +-1 and stretched nodes are
-        excluded; the medium may vary only where this mask is True.
+        The medium may vary only where this mask is True.
         """
-        def inside(axis):
-            c = axis.unknown_coords
-            return (np.abs(c.imag) == 0.0) & (np.abs(c.real) < 1.0 - 1e-12)
-
-        return inside(self.axis_x)[:, None] & inside(self.axis_y)[None, :]
+        return (_strictly_inside(self.axis_x)[:, None]
+                & _strictly_inside(self.axis_y)[None, :])
 
     def nearest_interior_node(self, x, y):
         """Unknown indices of the interior primary node closest to
         (x, y), plus its actual coordinates."""
         out = []
         for axis, coord in ((self.axis_x, x), (self.axis_y, y)):
-            c = axis.unknown_coords
-            valid = (np.abs(c.imag) == 0.0) & (np.abs(c.real) < 1.0 - 1e-12)
             if not (-1.0 < coord < 1.0):
                 raise InvalidParameterError(
                     f"point coordinate {coord} not strictly inside (-1, 1)"
                 )
-            idx = np.where(valid)[0]
-            out.append(idx[np.argmin(np.abs(c.real[idx] - coord))])
+            idx = np.where(_strictly_inside(axis))[0]
+            c = axis.unknown_coords.real[idx]
+            out.append(idx[np.argmin(np.abs(c - coord))])
         ix, iy = out
         cx, cy = self.node_coords(ix, iy)
         return ix, iy, float(cx.real), float(cy.real)

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import analytic_homogeneous
-from .errors import ConfigurationError
+from .errors import ConfigurationError, PrecisionError
 from .fdtd import COURANT, run_fdtd
 from .grid import build_grid2d
 from .krylov import bilanczos, convolve_source, eigen_tridiag, evaluate_impulse
@@ -89,12 +89,6 @@ class ComparisonReport:
     def to_json(self, path):
         payload = _clean(dataclasses.asdict(self))
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
-
-    @property
-    def worst_error(self):
-        if self.probe_errors is None:
-            return None
-        return max(self.probe_errors)
 
 
 @dataclass
@@ -161,12 +155,19 @@ def _padded_times(sc):
     interpolation guard does not eat into [0, t_final]."""
     dt = sc.trace_dt
     if sc.reference == "fdtd":
-        # guard taps of the FDTD step COURANT * h / sqrt(2), h = 2 / n_int
+        # guard taps of the FDTD step COURANT * h / sqrt(2), h = 2 / n_int,
+        # at min eps = 1; a medium with eps < 1 only shortens the step
         pad = (_GUARD_TAPS * COURANT * (2.0 / sc.n_int) / np.sqrt(2.0)
                + 2.0 * dt)
     else:
         pad = _GUARD_TAPS * dt
     return sc.trace_times(pad=pad)
+
+
+def _finite(wf, route):
+    if not np.isfinite(wf.values).all():
+        raise PrecisionError(f"the {route} trace is not finite")
+    return wf
 
 
 def _trace_waveform(sc, modes, times):
@@ -228,7 +229,9 @@ def run_study(sc, ms, out_dir=None):
 
     One decomposition is built at the largest m and truncated for the
     smaller entries, so the operator work is not repeated; `wavecast
-    run` is the study of a single m.  Returns (report, waveforms dict).
+    run` is the study of a single m.  A trace with a value that is not
+    finite raises PrecisionError before it is written.  Returns (report,
+    waveforms dict).
     """
     ms = tuple(ms)
     if not ms:
@@ -257,6 +260,7 @@ def run_study(sc, ms, out_dir=None):
     if sc.reference != "none":
         t0 = time.perf_counter()
         ref_wf, fdtd_steps = _reference_waveform(sc, asm, times)
+        _finite(ref_wf, sc.reference)
         timings["reference_s"] = time.perf_counter() - t0
         waveforms["reference"] = ref_wf
         if out is not None:
@@ -269,7 +273,7 @@ def run_study(sc, ms, out_dir=None):
         t_eig = time.perf_counter()
         modes = eigen_tridiag(decomp.truncate(m))
         timings["eigensolve_s"] += time.perf_counter() - t_eig
-        wf = _trace_waveform(sc, modes, times)
+        wf = _finite(_trace_waveform(sc, modes, times), f"m = {m}")
         if ref_wf is not None:
             rel, _, _ = compare_traces(wf, ref_wf, t_lo=0.0, t_hi=sc.t_final)
             entries.append({"m": int(m), "errors": [float(r) for r in rel]})

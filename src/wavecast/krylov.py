@@ -137,8 +137,6 @@ class LanczosDecomposition:
     alpha: np.ndarray
     zeta: np.ndarray          # zeta_1 .. zeta_m (zeta_1 = ||b||)
     delta: np.ndarray
-    zeta_next: float
-    probe_indices: np.ndarray
     w_probe: np.ndarray       # (n_probes, m)
     stop: str                 # why it ended: "m", "invariant", "breakdown"
     drift: float              # max |w_j^T M w_1| / max |M| observed
@@ -157,7 +155,6 @@ class LanczosDecomposition:
             alpha=self.alpha[:m_new],
             zeta=self.zeta[:m_new],
             delta=self.delta[:m_new],
-            zeta_next=float(self.zeta[m_new]),
             w_probe=self.w_probe[:, :m_new],
         )
 
@@ -332,7 +329,6 @@ def bilanczos(op, b, m, probe_indices):
                 stop = "invariant"
                 w_spare.fill(0.0)
                 w_cur = w_spare
-                zeta_cur = 0.0
                 break
             on_blocks(phase_c, 1.0 / z_next)
             w_prev, w_cur, w_spare = w_cur, w_spare, w_prev
@@ -347,8 +343,6 @@ def bilanczos(op, b, m, probe_indices):
         alpha=alpha[:m_run],
         zeta=zeta[:m_run],
         delta=delta[:m_run],
-        zeta_next=float(zeta_cur),
-        probe_indices=probes,
         w_probe=w_probe[:m_run].T,
         stop=stop,
         drift=drift,
@@ -380,6 +374,11 @@ _INVIT_STEPS = 3
 # fixed seed of the inverse-iteration start vectors (as LAPACK's xSTEIN
 # fixes ISEED), so the eigenvectors are deterministic
 _INVIT_SEED = 4
+# largest ||S diag(theta) S^-1 e_1 - H e_1|| / max |H| the eigensolve
+# accepts
+_RECON_TOL = 1e-8
+# smallest |s^T s| of a unit-norm eigenvector (quasi-isotropic below)
+_DEFECT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -450,7 +449,7 @@ def _shifted_solve(alpha, off, sigma, y, nudge):
     )
 
 
-def _ritz_vectors(alpha, off, theta, h_scale, defect_tol):
+def _ritz_vectors(alpha, off, theta, h_scale):
     """Eigenvectors of H for the sorted Ritz values, as columns scaled to
     s^T s = 1, by inverse iteration (see eigen_tridiag)."""
     m = theta.size
@@ -473,7 +472,7 @@ def _ritz_vectors(alpha, off, theta, h_scale, defect_tol):
                 x -= prev @ (prev.T @ x)
         x /= np.linalg.norm(x)
         quasi = x @ x
-        if abs(quasi) < defect_tol:
+        if abs(quasi) < _DEFECT_TOL:
             raise NearDefectiveError(
                 "projected matrix is numerically defective: an "
                 f"eigenvector is quasi-isotropic (|s^T s| = {abs(quasi):.2e})"
@@ -500,7 +499,7 @@ def _merge_ghosts(theta, probe_modes, weights, tol):
             int(theta.size - keep.sum()))
 
 
-def eigen_tridiag(decomp, recon_tol=1e-8, defect_tol=1e-12):
+def eigen_tridiag(decomp):
     """Diagonalize the projected tridiagonal for field evaluation.
 
     Works on the symmetrized H = D^{1/2} T D^{-1/2} (complex symmetric;
@@ -519,12 +518,12 @@ def eigen_tridiag(decomp, recon_tol=1e-8, defect_tol=1e-12):
       and its shift sigma is moved a few ulps of max |H| from theirs.
       A zero pivot moves sigma by the same step and solves again.  Each
       vector is scaled to s^T s = 1; NearDefectiveError if |s^T s| of
-      the unit-norm vector is below defect_tol.
+      the unit-norm vector is below _DEFECT_TOL.
     - Mode weights from solving S x = e_1 rather than trusting
       S^T ~= S^{-1}: ghost modes from orthogonality loss at large m
       leave the solve-based weights accurate when the transpose
       shortcut fails badly.  PrecisionError unless S diag(theta) x
-      reproduces H e_1 to recon_tol * max |H|.
+      reproduces H e_1 to _RECON_TOL * max |H|.
     - Ghost merge: Ritz values within _GHOST_TOL * max |H| are one mode,
       whose residues (probe_modes * weights) are summed onto the member
       with the largest residue (window measured at the constant).  The
@@ -538,7 +537,7 @@ def eigen_tridiag(decomp, recon_tol=1e-8, defect_tol=1e-12):
     off = zeta[1:] * sqd[1:] / sqd[:-1]
     h_scale = float(max(np.abs(alpha).max(), np.abs(off).max(initial=0.0)))
     theta = _ritz_values(alpha, off)
-    s = _ritz_vectors(alpha, off, theta, h_scale, defect_tol)
+    s = _ritz_vectors(alpha, off, theta, h_scale)
     e1 = np.zeros(m, dtype=complex)
     e1[0] = 1.0
     coeff = np.linalg.solve(s, e1)
@@ -546,10 +545,10 @@ def eigen_tridiag(decomp, recon_tol=1e-8, defect_tol=1e-12):
     h_col[0] = alpha[0]
     h_col[1:2] = off[:1]
     recon = float(np.linalg.norm(s @ (theta * coeff) - h_col))
-    if recon > recon_tol * h_scale:
+    if recon > _RECON_TOL * h_scale:
         raise PrecisionError(
             f"eigendecomposition failed reconstruction: residual {recon:.2e}"
-            f" exceeds {recon_tol:.0e} * {h_scale:.2e}"
+            f" exceeds {_RECON_TOL:.0e} * {h_scale:.2e}"
         )
     probe_modes = (decomp.w_probe / sqd[None, :]) @ s
     theta, probe_modes, weights, merged = _merge_ghosts(
@@ -564,12 +563,19 @@ def eigen_tridiag(decomp, recon_tol=1e-8, defect_tol=1e-12):
     )
 
 
+# most kernel values (modes x samples) evaluate_impulse holds at once,
+# 64 MiB of complex128; ring-desk at its default m needs 970 200
+_KERNEL_BLOCK = 2 ** 22
+
+
 def evaluate_impulse(modes, times, kernel="stable"):
     """Impulse response at the probes for t >= 0.
 
     kernel "stable" uses exp(-sqrt(a) t)/sqrt(a); kernel "uncorrected"
     uses -sin(sqrt(-a) t)/sqrt(-a), which is exact on the real negative
-    spectrum but blows up off it (kept as a negative control).
+    spectrum but blows up off it (kept as a negative control).  The
+    kernel is evaluated in blocks of samples of at most _KERNEL_BLOCK
+    values, so memory stays bounded for long traces at large m.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -578,14 +584,17 @@ def evaluate_impulse(modes, times, kernel="stable"):
         raise InvalidParameterError("impulse response is causal: t >= 0")
     if kernel == "stable":
         sq = _sqrt_from_above(modes.theta)
-        fvals = np.exp(-sq[:, None] * times[None, :]) / sq[:, None]
+        fvals = lambda t: np.exp(-sq[:, None] * t) / sq[:, None]
     elif kernel == "uncorrected":
         sq = _sqrt_from_above(-modes.theta)
-        fvals = -np.sin(sq[:, None] * times[None, :]) / sq[:, None]
+        fvals = lambda t: -np.sin(sq[:, None] * t) / sq[:, None]
     else:
         raise InvalidParameterError(f"unknown kernel {kernel!r}")
-    u = (modes.probe_modes * modes.weights[None, :]) @ fvals
-    return modes.zeta1 * u.real
+    residues = modes.probe_modes * modes.weights[None, :]
+    width = max(1, _KERNEL_BLOCK // sq.size)
+    u = np.hstack([(residues @ fvals(times[None, lo:lo + width])).real
+                   for lo in range(0, times.size, width)])
+    return modes.zeta1 * u
 
 
 # fewest samples per shortest period 2 pi / omega_max that the trapezoid

@@ -34,12 +34,6 @@ class MediumMap:
     values: np.ndarray
 
     @staticmethod
-    def uniform(grid, c=1.0):
-        if c <= 0.0:
-            raise InvalidParameterError(f"coefficient must be positive, got {c}")
-        return MediumMap(values=np.full(grid.shape, float(c)))
-
-    @staticmethod
     def from_function(grid, fn):
         """Sample fn(x, y) on strictly interior nodes; 1 elsewhere."""
         mask = grid.interior_mask
@@ -73,23 +67,12 @@ class WaveOperator:
     """Assembled sparse operator with its symmetrizing weight."""
 
     grid: object
-    medium: MediumMap
     a_mat: scipy.sparse.csr_matrix
     m_diag: np.ndarray
 
     @property
     def n(self):
         return self.a_mat.shape[0]
-
-    def weighted(self):
-        """M A as a sparse matrix (complex symmetric)."""
-        return scipy.sparse.diags(self.m_diag) @ self.a_mat
-
-    def symmetry_defect(self):
-        """max |(M A) - (M A)^T| over all entries."""
-        s = self.weighted()
-        d = s - s.T
-        return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
 
     def sample_source(self, x, y, amplitude=1.0):
         """Point source: discrete delta at the nearest interior node.
@@ -109,7 +92,7 @@ class WaveOperator:
 def assemble_operator(grid, medium=None):
     """Build A and M for a grid and medium (uniform c = 1 by default)."""
     if medium is None:
-        medium = MediumMap.uniform(grid)
+        medium = MediumMap(values=np.ones(grid.shape))
     medium.validate(grid)
     ax, ay = grid.axis_x, grid.axis_y
     wx, wy = grid.shape
@@ -157,4 +140,4 @@ def assemble_operator(grid, medium=None):
         dtype=complex,
     )
     m_diag = (dwx[:, None] * dwy[None, :] * c).ravel().astype(complex)
-    return WaveOperator(grid=grid, medium=medium, a_mat=a_mat, m_diag=m_diag)
+    return WaveOperator(grid=grid, a_mat=a_mat, m_diag=m_diag)

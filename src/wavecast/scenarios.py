@@ -29,7 +29,7 @@ _OMEGA_LO = 2.42e14
 _OMEGA_HI = 2.18e15
 _BAND_RATIO = _OMEGA_HI / _OMEGA_LO
 # most output samples a trace may have; the longest preset (ring) has
-# 2 777, and the kernel evaluation holds modes x samples values at once
+# 2 777
 MAX_TRACE_SAMPLES = 100_000
 
 

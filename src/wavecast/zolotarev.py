@@ -25,7 +25,7 @@ y -> sqrt(c)*y, which is how results on the normalized interval are
 transported to physical units.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +38,12 @@ from .errors import (
 )
 
 _MACHINE_EPS = np.finfo(float).eps
+# log-spaced samples of [1/chi, 1] scanned for the equioscillation
+# extrema before their golden-section refinement
+_SCAN_SAMPLES = 8192
+# largest relative pole or residue mismatch the continued-fraction round
+# trip may leave
+_ROUNDTRIP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,6 @@ class RationalImpedance:
     poles: np.ndarray
     residues: np.ndarray
     max_error: float
-    interval: SpectralInterval = field(repr=False)
 
     def __post_init__(self):
         p = np.asarray(self.poles, dtype=float)
@@ -118,17 +123,6 @@ class RationalImpedance:
         return np.sum(
             self.residues / (s[..., None] - self.poles), axis=-1
         )
-
-    @property
-    def zeros(self):
-        """Roots of the numerator polynomial (k-1 of them, negative)."""
-        if self.k == 1:
-            return np.array([])
-        coeffs = np.zeros(self.k)
-        for i in range(self.k):
-            others = np.delete(self.poles, i)
-            coeffs = coeffs + self.residues[i] * np.poly(others)
-        return np.sort(np.roots(coeffs))
 
 
 @dataclass(frozen=True)
@@ -157,13 +151,13 @@ class PmlSteps:
         object.__setattr__(self, "gamma_hat", gh)
 
 
-def _refine_extrema(fun, xs, values=None):
+def _refine_extrema(fun, xs):
     """Locate and polish local extrema of fun on the sampled grid xs.
 
     Returns (x_ext, f_ext) including both endpoints.  Interior extrema
     are refined by golden-section search between their grid neighbours.
     """
-    f = fun(xs) if values is None else values
+    f = fun(xs)
     # one-sided non-strict comparison so an extremum landing exactly
     # between two grid points (a two-sample plateau) is still caught
     ix = np.where((f[1:-1] >= f[:-2]) & (f[1:-1] > f[2:]))[0] + 1
@@ -207,7 +201,7 @@ def _magnitude_ratio(poles, zeros, x):
     return out if out.size > 1 else out[0]
 
 
-def _normalized_zolotarev(chi, k, samples):
+def _normalized_zolotarev(chi, k):
     """Poles, residues and error level on the normalized interval [1/chi, 1]."""
     eps = 1.0 / chi
     kappa_c = np.sqrt(1.0 - eps)  # complementary modulus
@@ -228,7 +222,7 @@ def _normalized_zolotarev(chi, k, samples):
         mags[i - 1] = eps * (sn / cn) ** 2
     poles = -mags[0::2]
     zeros = -mags[1::2]
-    xs = np.geomspace(eps, 1.0, samples)
+    xs = np.geomspace(eps, 1.0, _SCAN_SAMPLES)
     _, g_ext = _refine_extrema(
         lambda x: _magnitude_ratio(poles, zeros, x), xs
     )
@@ -243,29 +237,17 @@ def _normalized_zolotarev(chi, k, samples):
     return poles, res, level
 
 
-def _pf_error(poles, residues, x):
-    """Signed error 1 - sqrt(x) * phi(x) of a partial-fraction impedance."""
-    x = np.asarray(x, dtype=float)
-    phi = np.sum(residues / (x[..., None] - poles), axis=-1)
-    return 1.0 - np.sqrt(x) * phi
-
-
-def _equioscillation_references(poles, residues, eps, samples=20000):
-    """Refined extrema of the signed error on [eps, 1]."""
-    xs = np.geomspace(eps, 1.0, samples)
-    return _refine_extrema(lambda x: _pf_error(poles, residues, x), xs)
-
-
-def zolotarev_approx(interval, k, samples=8192):
+def zolotarev_approx(interval, k):
     """Best [k-1/k] relative approximation of 1/sqrt(s) on the interval.
+
+    Poles and zeros in closed form; the error level and residue scale
+    from the extrema on a scan of _SCAN_SAMPLES log-spaced points.
 
     Parameters
     ----------
     interval : SpectralInterval
     k : int
         Number of poles (absorbing layers).
-    samples : int
-        Density of the scan used to locate the equioscillation extrema.
 
     Returns
     -------
@@ -286,15 +268,13 @@ def zolotarev_approx(interval, k, samples=8192):
             poles=np.array([-x_hi]),
             residues=np.array([2.0 * np.sqrt(x_hi)]),
             max_error=0.0,
-            interval=interval,
         )
-    poles_n, res_n, level = _normalized_zolotarev(chi, k, samples)
+    poles_n, res_n, level = _normalized_zolotarev(chi, k)
     return RationalImpedance(
         k=k,
         poles=poles_n * x_hi,
         residues=res_n * np.sqrt(x_hi),
         max_error=float(level),
-        interval=interval,
     )
 
 
@@ -311,7 +291,7 @@ def impedance_error(imp, interval, samples=20000):
     return float(np.max(np.abs(err)))
 
 
-def to_continued_fraction(imp, roundtrip_tol=1e-10):
+def to_continued_fraction(imp):
     """Stieltjes step sizes realizing a partial-fraction impedance.
 
     Runs a fully reorthogonalized symmetric Lanczos process on
@@ -324,7 +304,8 @@ def to_continued_fraction(imp, roundtrip_tol=1e-10):
 
     The result is verified by rebuilding the impedance from the step
     grid (eigen-decomposition of the equivalent symmetric tridiagonal)
-    and comparing poles and residues.
+    and comparing poles and residues: PrecisionError when they differ
+    by more than _ROUNDTRIP_TOL (relative).
     """
     k = imp.k
     theta = imp.poles
@@ -367,10 +348,10 @@ def to_continued_fraction(imp, roundtrip_tol=1e-10):
             gamma_hat[i + 1] = 1.0 / (b[i] ** 2 * gamma[i] ** 2 * gamma_hat[i])
         inv_prev = inv_g
     rt = _roundtrip_error(gamma, gamma_hat, theta, y)
-    if rt > roundtrip_tol:
+    if rt > _ROUNDTRIP_TOL:
         raise PrecisionError(
             f"continued-fraction round trip error {rt:.3e} exceeds "
-            f"tolerance {roundtrip_tol:.3e}"
+            f"tolerance {_ROUNDTRIP_TOL:.3e}"
         )
     return PmlSteps(k=k, gamma=gamma, gamma_hat=gamma_hat, roundtrip_error=rt)
 

@@ -286,7 +286,7 @@ def test_criterion_08_homogeneous_accuracy(hom_study):
     sc = get_scenario("homogeneous-desk")
     ppw = np.pi * sc.n_int / sc.omega_max
     errs = _entry_errors(hom_study)
-    final = hom_study.worst_error
+    final = max(hom_study.probe_errors)
     # monotone after the transient: allow 10% oscillation between entries
     tail = [e for _, e in errs]
     start = next(i for i, e in enumerate(tail) if e < 0.5)
@@ -312,14 +312,15 @@ def test_criterion_09_structured_media_vs_reference(
     for report in (ring_study, waveguide_study):
         errs = _entry_errors(report)
         m_conv = next((m for m, e in errs if e <= 0.05), None)
+        final = max(report.probe_errors)
         good = (
-            report.worst_error <= 0.05
+            final <= 0.05
             and m_conv is not None
             and m_conv < report.fdtd_steps
         )
         ok = ok and good
         details.append(
-            f"{report.scenario}: final {report.worst_error:.3e} <= 5e-2, "
+            f"{report.scenario}: final {final:.3e} <= 5e-2, "
             f"m_conv {m_conv} < {report.fdtd_steps} marching steps, "
             f"wall clock {report.timings}"
         )

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import wavecast.harness
 import wavecast.krylov
 from wavecast.cli import main
 from wavecast.signals import Waveform
@@ -151,6 +152,31 @@ def test_breakdown_maps_to_exit_3(mini_cfg, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "numerical failure" in err and "iteration 1" in err
     assert "Traceback" not in err
+
+
+def test_fast_medium_gives_finite_artifacts(tmp_path):
+    # eps_r = 0.2 in the disk: waves there outrun the exterior, and the
+    # reference's time step must follow them
+    cfg = tmp_path / "fast.cfg"
+    text = MINI_CFG.replace("reference = analytic", "reference = fdtd")
+    cfg.write_text(text + "\n[geometry]\nd = disk 0 0 0.5 0.2\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    for name in ("lanczos.csv", "reference.csv"):
+        assert np.isfinite(Waveform.from_csv(out / name).values).all()
+    report = json.loads((out / "report.json").read_text())
+    assert report["probe_errors"][0] < 0.1  # 3.6e-2 at m = 160
+
+
+def test_nonfinite_trace_exits_3(mini_cfg, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(wavecast.harness, "evaluate_impulse",
+                        lambda modes, times: np.full((1, times.size), np.nan))
+    out = tmp_path / "x"
+    assert main(["run", str(mini_cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "not finite" in err and "Traceback" not in err
+    assert not (out / "lanczos.csv").exists()
 
 
 def test_pml_report(tmp_path, capsys):

@@ -20,7 +20,7 @@ def test_axis_counts_plain():
     assert len(ax.primary) == 9
     assert len(ax.dual) == 8
     assert ax.n_unknown == 7
-    assert ax.h == 0.25
+    assert np.allclose(ax.steps_primary, 0.25)
     assert np.all(ax.primary.imag == 0.0)
 
 
@@ -39,7 +39,7 @@ def test_axis_mirror_antisymmetry():
 
 def test_axis_step_structure():
     ax = build_axis(8, _steps())
-    h = ax.h
+    h = 2.0 / 8
     w = ax.steps_primary
     dw = ax.steps_dual
     # rightmost primary steps are i*gamma

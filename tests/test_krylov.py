@@ -140,7 +140,7 @@ def test_truncate_equals_fresh_run():
     long = bilanczos(op, b, 50, probes)
     short = bilanczos(op, b, 30, probes)
     cut = long.truncate(30)
-    for name in ("alpha", "zeta", "delta", "w_probe", "zeta_next"):
+    for name in ("alpha", "zeta", "delta", "w_probe"):
         assert np.array_equal(getattr(cut, name), getattr(short, name)), name
     with pytest.raises(InvalidParameterError):
         long.truncate(0)
@@ -183,7 +183,7 @@ def test_breakdown_at_third_iteration_keeps_one(monkeypatch):
     monkeypatch.setattr(krylov, "_BREAKDOWN_TOL", 0.5 * (ratio[1] + ratio[2]))
     dec = bilanczos(op, b, 10, [0])
     assert dec.m == 1 and dec.stop == "breakdown"
-    for name in ("alpha", "zeta", "delta", "zeta_next", "w_probe"):
+    for name in ("alpha", "zeta", "delta", "w_probe"):
         assert np.array_equal(getattr(dec, name), getattr(fresh, name)), name
 
 
@@ -208,8 +208,6 @@ def test_near_defective_raises():
         alpha=np.array([1j, -1j]),
         zeta=np.array([1.0, 1.0]),
         delta=np.array([1.0 + 0j, 1.0 + 0j]),
-        zeta_next=0.1,
-        probe_indices=np.array([0]),
         w_probe=np.ones((1, 2), dtype=complex),
         stop="m",
         drift=0.0,
@@ -313,6 +311,23 @@ def test_uncorrected_kernel_grows_off_axis():
     uncorr = evaluate_impulse(modes, t, kernel="uncorrected")
     assert np.abs(stable).max() < 0.6
     assert np.abs(uncorr).max() > 20.0 * np.abs(stable).max()
+
+
+@pytest.mark.parametrize("kernel", ["stable", "uncorrected"])
+def test_impulse_blocks_match_one_block(monkeypatch, kernel):
+    op = _small_op()
+    b = np.zeros(op.n)
+    b[op.n // 2] = 1.0
+    modes = eigen_tridiag(bilanczos(op, b, 30, [3, op.n // 2 + 2]))
+    t = np.linspace(0.0, 4.0, 101)
+    whole = evaluate_impulse(modes, t, kernel=kernel)
+    n_modes = modes.theta.size
+    # one sample per block, then 3 per block with a shorter last one;
+    # BLAS may sum a narrower product in another order
+    for block in (1, 3 * n_modes + 1):
+        monkeypatch.setattr(krylov, "_KERNEL_BLOCK", block)
+        parts = evaluate_impulse(modes, t, kernel=kernel)
+        assert np.abs(parts - whole).max() <= 1e-13 * np.abs(whole).max()
 
 
 def test_evaluate_rejects_negative_times():

@@ -21,8 +21,7 @@ from wavecast.krylov import LanczosDecomposition, bilanczos
 from wavecast.operator import assemble_operator
 from wavecast.scenarios import get_scenario
 
-FIELDS = ("m", "alpha", "zeta", "delta", "zeta_next", "w_probe", "drift",
-          "stop")
+FIELDS = ("m", "alpha", "zeta", "delta", "w_probe", "drift", "stop")
 
 
 def reference_recursion(op, b, m, probes, breakdown_tol=1e-14,
@@ -63,7 +62,6 @@ def reference_recursion(op, b, m, probes, breakdown_tol=1e-14,
         if z_next < 1e-14 * float(np.abs(aw).max() + abs(a_i)):
             stop = "invariant"
             w_cur = np.zeros(op.n, dtype=complex)
-            zeta_cur = 0.0
             break
         w_prev, w_cur = w_cur, r / z_next
         zeta_cur = z_next
@@ -80,8 +78,6 @@ def reference_recursion(op, b, m, probes, breakdown_tol=1e-14,
         alpha=np.array(alpha[:keep], dtype=complex),
         zeta=np.array(zeta[:keep], dtype=float),
         delta=np.array(delta[:keep], dtype=complex),
-        zeta_next=zeta[keep] if stop == "breakdown" else float(zeta_cur),
-        probe_indices=probes,
         w_probe=np.array(wp_cols[:keep], dtype=complex).T,
         stop=stop,
         drift=drift,
@@ -170,7 +166,7 @@ def test_breakdown_retreat_is_bitwise_reference(desk, n_blocks,
     assert used == [n_blocks]  # one recursion run
     assert got.m == i - 2 and got.stop == "breakdown"
     assert_bitwise(got, want)
-    for name in ("alpha", "zeta", "delta", "zeta_next", "w_probe"):
+    for name in ("alpha", "zeta", "delta", "w_probe"):
         assert np.array_equal(getattr(got, name), getattr(fresh, name)), name
 
 

@@ -18,7 +18,7 @@ import scipy.special
 
 from wavecast.zolotarev import SpectralInterval, zolotarev_approx
 
-CASES = [(100.0, 4), (1e4, 6), (30.0, 2)]
+CASES = [(100.0, 4), (1e4, 6), (30.0, 2), (1e4, 9)]
 
 
 def _error(theta, y, x):
