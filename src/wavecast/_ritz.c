@@ -1,0 +1,159 @@
+/* Eigenvalues of a complex symmetric tridiagonal matrix in O(n^2),
+   with no n x n array.
+
+   ritz_values(n, alpha, off, theta, work): alpha (n >= 1) is the
+   diagonal, off (n - 1) the off-diagonal, theta (n) receives the
+   eigenvalues and work (n) is workspace.  Returns 0, or 1 when the QL
+   iteration exceeds MAX_ITER sweeps for one eigenvalue or leaves a value
+   that is not finite, or the polish has not settled after MAX_SWEEPS.
+
+   The values come from an implicit QL with Wilkinson shifts and
+   complex-orthogonal rotations (c^2 + s^2 = 1, not unitary), the
+   complex form of tqli (Cullum & Willoughby, SIAM J. Matrix Anal. Appl.
+   17, 1996).  Such rotations are not backward stable, and the values
+   are good to only 1e-11 to 1e-10 of max |H|, so Jacobi-style
+   Ehrlich-Aberth sweeps (Bini, Gemignani & Tisseur, SIAM J. Matrix
+   Anal. Appl. 27, 2005) polish them to rounding level: the first moves
+   every value, later ones (typically one, on 10-30 % of the values)
+   those whose last step exceeded STEP_TOL of max |H|. */
+
+#include <complex.h>
+#include <math.h>
+#include <string.h>
+
+#define MAX_ITER 30
+#define MAX_SWEEPS 8
+#define STEP_TOL 1e-12
+
+typedef double complex cplx;
+
+/* 1 / a by one real division */
+static cplx inv(cplx a)
+{
+    return conj(a) / (creal(a) * creal(a) + cimag(a) * cimag(a));
+}
+
+/* d: diagonal in, eigenvalues out; e: n entries, the off-diagonal in
+   e[0 .. n-2], destroyed */
+static int ql(int n, cplx *d, cplx *e)
+{
+    e[n - 1] = 0.0;
+    for (int l = 0; l < n; l++) {
+        for (int iter = 0;; iter++) {
+            int m, i;
+            for (m = l; m < n - 1; m++) {
+                double dd = cabs(d[m]) + cabs(d[m + 1]);
+                if (cabs(e[m]) + dd == dd)
+                    break;
+            }
+            if (m == l)
+                break;
+            if (iter == MAX_ITER)
+                return 1;
+            cplx g = (d[l + 1] - d[l]) / (2.0 * e[l]);
+            cplx r = csqrt(g * g + 1.0);
+            /* the root of the 2 x 2 block nearer d[l] */
+            g = d[m] - d[l] + e[l] / (cabs(g + r) >= cabs(g - r) ? g + r : g - r);
+            cplx s = 1.0, c = 1.0, p = 0.0;
+            for (i = m - 1; i >= l; i--) {
+                cplx f = s * e[i], b = c * e[i];
+                e[i + 1] = r = csqrt(f * f + g * g);
+                if (r == 0.0) { /* split (or an isotropic f, g): reshift */
+                    d[i + 1] -= p;
+                    e[m] = 0.0;
+                    break;
+                }
+                cplx ir = inv(r);
+                s = f * ir;
+                c = g * ir;
+                g = d[i + 1] - p;
+                r = (d[i] - g) * s + 2.0 * c * b;
+                p = s * r;
+                d[i + 1] = g + p;
+                g = c * r - b;
+            }
+            if (r == 0.0 && i >= l)
+                continue;
+            d[l] -= p;
+            e[l] = g;
+            e[m] = 0.0;
+        }
+    }
+    for (int i = 0; i < n; i++)
+        if (!isfinite(creal(d[i])) || !isfinite(cimag(d[i])))
+            return 1;
+    return 0;
+}
+
+/* Newton quotient det / det' of H - z I, from the ratios
+   r_k = (alpha_k - z) - off_{k-1}^2 / r_{k-1} = det_k / det_{k-1} and
+   their derivatives q_k: det' / det = sum_k q_k / r_k */
+static cplx newton(int n, const cplx *alpha, const cplx *off, cplx z,
+                   double tiny)
+{
+    cplx ir = 0.0, q = 0.0, log_deriv = 0.0;
+    for (int k = 0; k < n; k++) {
+        cplx o2 = k ? off[k - 1] * off[k - 1] : 0.0;
+        cplx r = alpha[k] - z - o2 * ir;
+        q = -1.0 + o2 * q * ir * ir;
+        ir = inv(r == 0.0 ? tiny : r);
+        log_deriv += q * ir;
+    }
+    return inv(log_deriv);
+}
+
+/* Jacobi-style Ehrlich-Aberth sweeps on the eigenvalues z:
+   z_i -= N_i / (1 - N_i sum_{j != i} 1 / (z_i - z_j)), N_i the Newton
+   quotient, every step of a sweep from the values before it.  The
+   first sweep moves every value, later ones those whose last step
+   exceeded tol; a step that is not finite leaves its value alone.
+   Returns 0 once no step exceeds tol, 1 after MAX_SWEEPS sweeps. */
+static int aberth(int n, const cplx *alpha, const cplx *off, cplx *z,
+                  cplx *step, double tol, double tiny)
+{
+    for (int i = 0; i < n; i++)
+        step[i] = INFINITY;
+    for (int sweep = 0;; sweep++) {
+        int busy = 0;
+        for (int i = 0; i < n; i++)
+            busy |= cabs(step[i]) > tol;
+        if (!busy)
+            return 0;
+        if (sweep == MAX_SWEEPS)
+            return 1;
+        for (int i = 0; i < n; i++) {
+            if (!(cabs(step[i]) > tol)) {
+                step[i] = 0.0;
+                continue;
+            }
+            cplx nq = newton(n, alpha, off, z[i], tiny), repel = 0.0;
+            for (int j = 0; j < n; j++)
+                if (j != i)
+                    repel += inv(z[i] - z[j]);
+            step[i] = nq / (1.0 - nq * repel);
+        }
+        for (int i = 0; i < n; i++) {
+            if (isfinite(creal(step[i])) && isfinite(cimag(step[i])))
+                z[i] -= step[i];
+            else
+                step[i] = 0.0;
+        }
+    }
+}
+
+int ritz_values(int n, const cplx *alpha, const cplx *off, cplx *theta,
+                cplx *work)
+{
+    double scale = 0.0;
+    for (int k = 0; k < n; k++)
+        scale = fmax(scale, cabs(alpha[k]));
+    for (int k = 0; k + 1 < n; k++)
+        scale = fmax(scale, cabs(off[k]));
+    memcpy(theta, alpha, n * sizeof(cplx));
+    if (n > 1)
+        memcpy(work, off, (n - 1) * sizeof(cplx));
+    if (ql(n, theta, work))
+        return 1;
+    return aberth(n, alpha, off, theta, work, STEP_TOL * scale,
+                  1e-300 + 0x1p-52 * scale);
+}

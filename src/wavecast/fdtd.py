@@ -31,6 +31,13 @@ _R0 = 1e-5
 _PROFILE_ORDER = 3
 
 
+def time_step(n_int, eps_min):
+    """Leapfrog step on the grid of spacing 2 / n_int whose smallest
+    eps is eps_min: COURANT of the 2D Yee stability limit of the
+    fastest wave speed."""
+    return COURANT * (2.0 / n_int) * np.sqrt(eps_min) / np.sqrt(2.0)
+
+
 @dataclass(frozen=True)
 class FdtdResult:
     waveform: Waveform
@@ -64,10 +71,10 @@ def run_fdtd(
     probes: list of (x, y) inside (-1, 1); snapped to the nearest
     interior Ez node.  medium_fn(x, y) is sampled on Ez nodes strictly
     inside the interior square (1 elsewhere), matching the stretched
-    solver's rasterization.  The step is COURANT * delta * sqrt(min eps)
-    / sqrt(2).  The absorbing frame is n_pml cells deep, graded to the
-    reflection _R0 with order _PROFILE_ORDER; n_pml = 0 gives a closed
-    reflecting box (used by the energy-conservation diagnostic).
+    solver's rasterization.  The step is time_step(n_int, min eps).
+    The absorbing frame is n_pml cells deep, graded to the reflection
+    _R0 with order _PROFILE_ORDER; n_pml = 0 gives a closed reflecting
+    box (used by the energy-conservation diagnostic).
 
     source_xy=None disables injection (signature is then unused);
     initial_ez(x, y) seeds Ez at t = 0 with H = 0 so conservation can
@@ -94,7 +101,7 @@ def run_fdtd(
         if np.any(eps <= 0.0):
             raise InvalidParameterError("medium must be positive")
 
-    dt = COURANT * delta * np.sqrt(eps.min()) / np.sqrt(2.0)
+    dt = time_step(n_int, eps.min())
     n_steps = int(np.ceil(t_final / dt))
 
     def snap(x, y):

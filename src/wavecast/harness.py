@@ -27,7 +27,7 @@ import numpy as np
 
 from .analytic import analytic_homogeneous
 from .errors import ConfigurationError, PrecisionError
-from .fdtd import COURANT, run_fdtd
+from .fdtd import run_fdtd, time_step
 from .grid import build_grid2d
 from .krylov import bilanczos, convolve_source, eigen_tridiag, evaluate_impulse
 from .operator import MediumMap, assemble_operator
@@ -101,6 +101,7 @@ class _Assembled:
     probe_coords: tuple
     impedance: object
     steps: object
+    eps_min: float  # smallest eps of the medium, 1 outside the interior
     seconds: float
 
 
@@ -134,6 +135,7 @@ def _prepare(sc):
         probe_coords=tuple(probe_coords),
         impedance=impedance,
         steps=steps,
+        eps_min=float(medium.values.min()),
         seconds=time.perf_counter() - t0,
     )
 
@@ -150,15 +152,13 @@ def _csv_units(sc, wf):
     )
 
 
-def _padded_times(sc):
+def _padded_times(sc, asm):
     """Trace grid extended past the window so the comparison's
     interpolation guard does not eat into [0, t_final]."""
     dt = sc.trace_dt
     if sc.reference == "fdtd":
-        # guard taps of the FDTD step COURANT * h / sqrt(2), h = 2 / n_int,
-        # at min eps = 1; a medium with eps < 1 only shortens the step
-        pad = (_GUARD_TAPS * COURANT * (2.0 / sc.n_int) / np.sqrt(2.0)
-               + 2.0 * dt)
+        # guard taps of the reference's own step
+        pad = _GUARD_TAPS * time_step(sc.n_int, asm.eps_min) + 2.0 * dt
     else:
         pad = _GUARD_TAPS * dt
     return sc.trace_times(pad=pad)
@@ -218,6 +218,7 @@ def _metadata(sc, asm, decomp, m_requested, m, modes):
         "lanczos_drift": decomp.drift,
         "recon_error": modes.recon_error,
         "modes_merged": modes.merged,
+        "eig_route": modes.route,
         "source_coords": asm.src_coords,
         "probe_coords": asm.probe_coords,
     }
@@ -254,7 +255,7 @@ def run_study(sc, ms, out_dir=None):
     m_requested = ms[-1]
     ms = tuple(m for m in ms if m <= decomp.m) or (decomp.m,)
 
-    times = _padded_times(sc)
+    times = _padded_times(sc, asm)
     waveforms = {}
     ref_wf = fdtd_steps = None
     if sc.reference != "none":

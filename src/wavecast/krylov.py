@@ -24,12 +24,17 @@ negative real axis): u(t) = zeta_1 * Re[W f(t, T_m) e_1] stays bounded
 for spectra anywhere off the branch cut, unlike the naive
 sin(sqrt(-a) t)/sqrt(-a) kernel, which diverges off the real axis.
 
-The decomposition is structured (eigen_tridiag): LAPACK's zgeev
-computes only the eigenvalues of the symmetrized tridiagonal H, the one
-O(m^3) step, and each eigenvector comes from at most three steps of
-inverse iteration with a pivoted tridiagonal solve (zgtsv), O(m) each.
-Close Ritz values are handled explicitly: clusters get bilinearly
-orthogonalized vectors, and ghost copies of one mode are merged.
+The decomposition is structured (eigen_tridiag).  The eigenvalues of
+the symmetrized tridiagonal H come from a small C kernel (_ritz.c) in
+O(m^2) without an m x m array: an implicit QL with complex-orthogonal
+rotations, then Ehrlich-Aberth sweeps that polish every value to
+rounding level.  The kernel is compiled with gcc on first use (never at
+import) and cached in this package's __pycache__; LAPACK's dense zgeev,
+O(m^3), is the fallback when it cannot be built or does not converge.
+Each eigenvector comes from three steps of inverse iteration with a
+pivoted tridiagonal solve (zgtsv), O(m) each.  Close Ritz values are
+handled explicitly: clusters get bilinearly orthogonalized vectors, and
+ghost copies of one mode are merged.
 
 Each recursion step runs in place on preallocated vectors, in three
 row-parallel phases separated by the scalar reductions:
@@ -59,10 +64,16 @@ run asked for m = i - 2; every smaller m is likewise a truncation of
 the one run.
 """
 
+import ctypes
 import dataclasses
+import functools
+import hashlib
 import os
+import subprocess
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.fft
@@ -388,7 +399,9 @@ class ModeSet:
         u_p(t) = zeta_1 * Re sum_i probe_modes[p, i] * weights[i]
                                   * f(t, theta[i]).
 
-    merged counts the ghost Ritz values folded into another mode.
+    merged counts the ghost Ritz values folded into another mode; route
+    names the eigenvalue route of eigen_tridiag ("ql" or "zgeev"), None
+    for modes built otherwise.
     """
 
     theta: np.ndarray
@@ -397,6 +410,7 @@ class ModeSet:
     zeta1: float
     recon_error: float
     merged: int = 0
+    route: str | None = None
 
 
 def _close_groups(theta, tol):
@@ -415,9 +429,50 @@ def _close_groups(theta, tol):
     return label
 
 
-def _ritz_values(alpha, off):
-    """Eigenvalues of the symmetric tridiagonal H (diagonal alpha,
-    off-diagonal off), sorted by real, then imaginary part."""
+# the QL kernel's C source, and the compiler command that builds it into
+# a shared library (the output path is appended)
+_QL_SOURCE = Path(__file__).with_name("_ritz.c")
+_CC = ("gcc", "-O2", "-shared", "-fPIC")
+
+
+@functools.cache
+def _ql_kernel():
+    """The compiled QL eigenvalue kernel, or None if it cannot be built
+    or loaded.
+
+    Built on first use, never at import, into this package's
+    __pycache__ under a name keyed by the SHA-256 of the source and the
+    compiler command; the library is written to a temporary name and
+    renamed into place, so no process loads a half-written file.
+    """
+    source = _QL_SOURCE.read_bytes()
+    key = hashlib.sha256(source + repr(_CC).encode()).hexdigest()[:16]
+    cache = _QL_SOURCE.with_name("__pycache__")
+    lib_path = cache / f"_ritz-{key}.so"
+    try:
+        if not lib_path.exists():
+            cache.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run([*_CC, "-o", tmp, str(_QL_SOURCE)],
+                               check=True, capture_output=True, timeout=60)
+                os.replace(tmp, lib_path)
+            finally:
+                Path(tmp).unlink(missing_ok=True)
+        kernel = ctypes.CDLL(str(lib_path)).ritz_values
+    except (OSError, subprocess.SubprocessError):
+        return None
+    vec = np.ctypeslib.ndpointer(np.complex128, ndim=1, flags="C_CONTIGUOUS")
+    kernel.argtypes = [ctypes.c_int, vec, vec, vec, vec]
+    kernel.restype = ctypes.c_int
+    return kernel
+
+
+def _zgeev_values(alpha, off):
+    """Eigenvalues of the tridiagonal H from LAPACK's zgeev on the dense
+    matrix, O(m^3): the route when the QL kernel is unavailable or
+    fails."""
     m = alpha.size
     h = np.zeros((m, m), dtype=complex, order="F")
     h[np.arange(m), np.arange(m)] = alpha
@@ -433,7 +488,26 @@ def _ritz_values(alpha, off):
             f"eigenvalues of the projected matrix did not converge "
             f"(zgeev info = {info})"
         )
-    return theta[np.lexsort((theta.imag, theta.real))]
+    return theta
+
+
+def _ritz_values(alpha, off):
+    """Eigenvalues of the symmetric tridiagonal H (diagonal alpha,
+    off-diagonal off), sorted by real, then imaginary part, and the
+    route that computed them: "ql" (the compiled kernel) or "zgeev"."""
+    alpha = np.ascontiguousarray(alpha, dtype=complex)
+    off = np.ascontiguousarray(off, dtype=complex)
+    if alpha.ndim != 1 or alpha.size == 0 or off.shape != (alpha.size - 1,):
+        raise InvalidParameterError("tridiagonal needs m >= 1 and m - 1 "
+                                    "off-diagonal entries")
+    kernel = _ql_kernel()
+    theta = np.empty_like(alpha)
+    if kernel is not None and kernel(alpha.size, alpha, off, theta,
+                                     np.empty_like(alpha)) == 0:
+        route = "ql"
+    else:
+        theta, route = _zgeev_values(alpha, off), "zgeev"
+    return theta[np.lexsort((theta.imag, theta.real))], route
 
 
 def _shifted_solve(alpha, off, sigma, y, nudge):
@@ -505,8 +579,20 @@ def eigen_tridiag(decomp):
     Works on the symmetrized H = D^{1/2} T D^{-1/2} (complex symmetric;
     the branch choices in D^{1/2} cancel), in four steps:
 
-    - Eigenvalues only, from LAPACK's zgeev, sorted by real, then
-      imaginary part.
+    - Eigenvalues only, sorted by real, then imaginary part, from the
+      compiled kernel (route "ql"): a complex QL with Wilkinson shifts
+      (Cullum & Willoughby 1996), whose values are good to 1e-11 to
+      1e-10 of max |H|, then Jacobi-style Ehrlich-Aberth sweeps (Bini,
+      Gemignani & Tisseur 2005) with the Newton quotient from the ratio
+      form of the three-term recurrence.  The first sweep moves every value,
+      later ones those whose last step exceeded 1e-12 of max |H|; the
+      polish is what keeps ghost grouping at _GHOST_TOL right.  Both
+      stages are O(m^2).  The kernel is built with gcc (_CC) on first
+      use into __pycache__, keyed by the SHA-256 of its source and the
+      command, written to a temporary name and renamed into place.
+      When it cannot be built or loaded, or its iteration cap is hit
+      (as on a Jordan-like H), LAPACK's zgeev on the dense H gives the
+      values (route "zgeev"); ModeSet.route records which.
     - One eigenvector per Ritz value theta_i by up to _INVIT_STEPS steps
       of inverse iteration, x <- (H - sigma I)^{-1} x / ||x||, with
       LAPACK's pivoted tridiagonal solver zgtsv.  Start vectors come
@@ -529,14 +615,14 @@ def eigen_tridiag(decomp):
       with the largest residue (window measured at the constant).  The
       returned ModeSet has m - merged modes.
 
-    Memory beyond O(m) is H (freed after zgeev) and S, m x m each.
+    Memory beyond O(m) is S, m x m (and the dense H on the zgeev route).
     """
     m = decomp.m
     alpha, zeta, delta = decomp.alpha, decomp.zeta, decomp.delta
     sqd = np.sqrt(delta)
     off = zeta[1:] * sqd[1:] / sqd[:-1]
     h_scale = float(max(np.abs(alpha).max(), np.abs(off).max(initial=0.0)))
-    theta = _ritz_values(alpha, off)
+    theta, route = _ritz_values(alpha, off)
     s = _ritz_vectors(alpha, off, theta, h_scale)
     e1 = np.zeros(m, dtype=complex)
     e1[0] = 1.0
@@ -560,6 +646,7 @@ def eigen_tridiag(decomp):
         zeta1=float(decomp.zeta[0]),
         recon_error=recon / h_scale,
         merged=merged,
+        route=route,
     )
 
 

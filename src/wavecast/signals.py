@@ -120,7 +120,7 @@ class Waveform:
     @staticmethod
     def from_csv(path):
         """Read a to_csv file; a file that is missing, unreadable, empty
-        or not a numeric trace raises ConfigurationError."""
+        or not a finite numeric trace raises ConfigurationError."""
         try:
             with open(path) as fh:
                 lines = fh.read().strip().splitlines()
@@ -139,6 +139,10 @@ class Waveform:
             raise ConfigurationError(
                 f"trace {path} is not numeric: {exc}"
             ) from None
+        if not np.isfinite(data).all():
+            raise ConfigurationError(
+                f"trace {path} has a value that is not finite"
+            )
         return Waveform(
             times=data[:, 0],
             values=data[:, 1:].T,
@@ -199,9 +203,9 @@ def compare_traces(test_wf, ref_wf, t_lo=None, t_hi=None):
         lo = max(lo, t_lo)
     if t_hi is not None:
         hi = min(hi, t_hi)
-    if hi <= lo:
-        raise InvalidParameterError("no usable time overlap")
     sel = (test_wf.times >= lo) & (test_wf.times <= hi)
+    if hi <= lo or not sel.any():
+        raise InvalidParameterError("no usable time overlap")
     times = test_wf.times[sel]
     ref_on_test = resample_waveform(ref_wf, times)
     diff = test_wf.values[:, sel] - ref_on_test.values

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import wavecast.harness
 import wavecast.krylov
@@ -228,17 +230,23 @@ def test_compare_probe_mismatch(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "kind", ["missing", "directory", "binary", "empty", "header-only", "text"]
+    "kind", ["missing", "directory", "binary", "empty", "header-only", "text",
+             "nonfinite"]
 )
 def test_compare_bad_trace_file(tmp_path, capsys, kind):
     good = tmp_path / "good.csv"
-    t = np.linspace(0.0, 1.0, 11)
+    # long enough that good compares against itself
+    t = np.linspace(0.0, 10.0, 101)
     Waveform(times=t, values=np.sin(t)[None, :]).to_csv(good)
     bad = tmp_path / "bad.csv"
     if kind == "directory":
         bad.mkdir()
     elif kind == "binary":
         bad.write_bytes(b"\xff\xfe\x00\x81" * 16)
+    elif kind == "nonfinite":
+        values = np.sin(t)
+        values[50] = np.nan
+        Waveform(times=t, values=values[None, :]).to_csv(bad)
     elif kind != "missing":
         bad.write_text({"empty": "", "header-only": "t,probe1\n",
                         "text": "t,probe1\n0,one\n1,two\n"}[kind])
@@ -275,3 +283,57 @@ def test_cli_import_is_lean():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.stdout.split() == ["[]", "1"]
+
+
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+
+@st.composite
+def _trace_text(draw):
+    """A "t,<probe>..." header and rows, mostly of the header's width and
+    on a uniform time grid, so that generated files also reach the
+    comparison, not just the reader."""
+    names = draw(st.lists(st.sampled_from(["p1", "p2", ""]),
+                          min_size=1, max_size=2))
+    # the comparison trims 32 samples from each end of the overlap
+    n_rows = draw(st.sampled_from([0, 1, 2, 3, 70, 100]))
+    t0, dt = draw(st.sampled_from([(0.0, 0.5), (0.0, 1e-300), (-1.0, 2.0),
+                                   (1e300, 1e300), (0.0, 0.0)]))
+    times = draw(st.one_of(
+        st.just([repr(t0 + k * dt) for k in range(n_rows)]),
+        st.lists(_NUMBER, min_size=n_rows, max_size=n_rows)))
+    width = len(names) + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    rows = [[t, *draw(st.lists(_NUMBER, min_size=width, max_size=width))]
+            for t in times]
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(
+            st.sampled_from(["nan", "inf", "-inf", "1e999", "", "x"]))
+    return "\n".join([",".join(["t", *names])] + [",".join(r) for r in rows])
+
+
+_TRACE_FILE = st.one_of(
+    st.binary(max_size=200),
+    st.text(max_size=200).map(str.encode),
+    _trace_text().map(str.encode),
+    _trace_text().map(str.encode),
+)
+
+
+# pinned inputs that each ended in a traceback: a nan in the time
+# column, and an overlap window that holds no sample of the test trace
+_UNIFORM_TRACE = b"t,p1\n0,0\n0.5,0\n"
+_NAN_TIMES = b"t,p1\n0,0\n0,0\nnan,0\n"
+_TINY_STEP = b"t,p1\n" + b"".join(b"%r,0\n" % (k * 1e-300) for k in range(70))
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(a=_TRACE_FILE, b=_TRACE_FILE)
+@example(a=_NAN_TIMES, b=_UNIFORM_TRACE)
+@example(a=_UNIFORM_TRACE, b=_TINY_STEP)
+def test_compare_exit_code_on_any_input(tmp_path, a, b):
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    pa.write_bytes(a)
+    pb.write_bytes(b)
+    assert main(["compare", str(pa), str(pb)]) in (0, 2, 3, 4)

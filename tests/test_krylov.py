@@ -1,5 +1,6 @@
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -212,20 +213,24 @@ def test_near_defective_raises():
         stop="m",
         drift=0.0,
     )
+    # the QL iteration does not converge on it, so zgeev feeds the
+    # inverse iteration
+    assert krylov._ritz_values(dec.alpha, np.array([1.0 + 0j]))[1] == "zgeev"
     with pytest.raises(NearDefectiveError):
         eigen_tridiag(dec)
 
 
 @pytest.fixture(scope="module")
-def ring600():
-    """ring-desk decomposed to m = 600, via public calls."""
+def ring1650():
+    """ring-desk decomposed to its default m = 1650, via public calls;
+    tests at smaller m truncate it."""
     sc = get_scenario("ring-desk")
     steps = to_continued_fraction(zolotarev_approx(sc.interval(), sc.k))
     grid = build_grid2d(sc.n_int, steps)
     op = assemble_operator(grid, MediumMap.from_function(grid, sc.medium_fn()))
     b, _ = op.sample_source(*sc.source_xy, amplitude=sc.amplitude)
     probes = [probe_index(op, x, y) for x, y in sc.probes]
-    return sc, bilanczos(op, b, 600, probes)
+    return sc, bilanczos(op, b, 1650, probes)
 
 
 def _symmetrized(dec):
@@ -234,38 +239,83 @@ def _symmetrized(dec):
     return dec.alpha, dec.zeta[1:] * sqd[1:] / sqd[:-1], sqd
 
 
-def _dense_route_modes(dec):
-    """The dense eigenvector route (np.linalg.eig of H), the structured
-    eigensolve's oracle."""
+def _mp_modes(dec):
+    """Oracle modes of H in 40-digit arithmetic.
+
+    Each eigenvalue is Newton-polished on det(H - lam) from its LAPACK
+    value until the step is below 1e-24 * max |lam|; convergence is
+    quadratic, so the value then holds well over 30 digits.  Its
+    eigenvector s follows from the tridiagonal recurrence with s_1 = 1
+    at the polished value (the recurrence amplifies the error of the
+    value, so not from the Newton pass), and the mode's residues are
+    (W D^{-1/2} s) s_1 / s^T s.
+    """
     alpha, off, sqd = _symmetrized(dec)
-    theta, s = np.linalg.eig(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
-    s = s / np.sqrt(np.sum(s * s, axis=0))
-    coeff = np.linalg.solve(s, np.eye(dec.m)[:, 0])
-    return ModeSet(theta=theta, probe_modes=(dec.w_probe / sqd) @ s,
-                   weights=coeff * sqd[0], zeta1=float(dec.zeta[0]),
-                   recon_error=0.0)
+    start = np.linalg.eigvals(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
+    tol = 1e-24 * np.abs(start).max()
+    thetas, residues = [], []
+    with mpmath.workdps(40):
+        a = [mpmath.mpc(x) for x in alpha]
+        o = [mpmath.mpc(x) for x in off]
+        o2 = [x * x for x in o]
+        inv_o = [1 / x for x in o]
+        w = [[mpmath.mpc(x) / mpmath.mpc(d) for x, d in zip(row, sqd)]
+             for row in dec.w_probe]
+        for lam in map(mpmath.mpc, start):
+            for _ in range(4):
+                # det of the leading k x k block of H - lam, and its derivative
+                p_prev, p, dp_prev, dp = 1, a[0] - lam, 0, -1
+                for k in range(1, dec.m):
+                    ak = a[k] - lam
+                    p_prev, p, dp_prev, dp = (
+                        p, ak * p - o2[k - 1] * p_prev,
+                        dp, ak * dp - p - o2[k - 1] * dp_prev)
+                step = p / dp
+                lam -= step
+                if abs(step) < tol:
+                    break
+            else:
+                raise AssertionError(f"Newton did not converge at {lam}")
+            s = [mpmath.mpc(1), (lam - a[0]) * inv_o[0]]
+            for k in range(1, dec.m - 1):
+                s.append(((lam - a[k]) * s[k] - o[k - 1] * s[k - 1]) * inv_o[k])
+            sts = mpmath.fsum(x * x for x in s)
+            residues.append([complex(mpmath.fsum(x * y for x, y in zip(row, s)) / sts)
+                             for row in w])
+            thetas.append(complex(lam))
+    return ModeSet(theta=np.array(thetas), probe_modes=np.array(residues).T,
+                   weights=np.full(dec.m, sqd[0], dtype=complex),
+                   zeta1=float(dec.zeta[0]), recon_error=0.0)
 
 
-def test_structured_eigensolve_matches_dense_route(ring600):
-    # m = 150 has no ghost pairs, so the dense route is accurate there
-    sc, dec = ring600
+def test_structured_eigensolve_matches_dense_route(ring1650):
+    # m = 150 has no ghost pairs; the oracle is exact to far below the
+    # bounds, which the dense eig route itself misses (its values lie
+    # ~1e-14 * max |theta| off, some across the branch cut)
+    sc, dec = ring1650
     dec = dec.truncate(150)
     modes = eigen_tridiag(dec)
-    dense = _dense_route_modes(dec)
+    exact = _mp_modes(dec)
     assert modes.merged == 0
-    scale = np.abs(dense.theta).max()
-    assert np.allclose(np.sort_complex(modes.theta),
-                       np.sort_complex(dense.theta), rtol=0, atol=1e-12 * scale)
+    scale = np.abs(exact.theta).max()
+    alpha, off, _ = _symmetrized(dec)
+    dense = np.linalg.eigvals(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
+    assert np.allclose(np.sort_complex(modes.theta), np.sort_complex(dense),
+                       rtol=0, atol=1e-12 * scale)
+    gap = np.abs(modes.theta[:, None] - exact.theta[None, :])
+    assert sorted(gap.argmin(axis=1)) == list(range(dec.m))
+    assert gap.min(axis=1).max() < 1e-14 * scale
     times = np.linspace(0.0, sc.t_final, 50)
-    want = evaluate_impulse(dense, times)
+    want = evaluate_impulse(exact, times)
     got = evaluate_impulse(modes, times)
     assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
 
 
-def test_ghost_merge_matches_dense_oracle(ring600):
+def test_ghost_merge_matches_dense_oracle(ring1650):
     # ring-desk at m = 600 has ghost Ritz pairs straddling the branch
     # cut; unmerged, their cancelling residues leave the impulse ~2e-2 off
-    sc, dec = ring600
+    sc, dec = ring1650
+    dec = dec.truncate(600)
     modes = eigen_tridiag(dec)
     assert modes.merged >= 1
     assert modes.theta.size == dec.m - modes.merged
@@ -281,6 +331,21 @@ def test_ghost_merge_matches_dense_oracle(ring600):
     ], axis=1)
     err = np.abs(evaluate_impulse(modes, times) - oracle).max()
     assert err < 1e-7 * np.abs(oracle).max()
+
+
+def test_ghost_grouping_at_large_m_matches_zgeev(ring1650, monkeypatch):
+    # at m = 1650 the unpolished QL values are up to ~1e-10 * max |H|
+    # off and merge 2 of the 3 ghost pairs, which moves the impulse ~1e-3
+    sc, dec = ring1650
+    modes = eigen_tridiag(dec)
+    monkeypatch.setattr(krylov, "_ql_kernel", lambda: None)
+    dense = eigen_tridiag(dec)
+    assert (modes.route, dense.route) == ("ql", "zgeev")
+    assert modes.merged == dense.merged >= 1
+    times = np.array([0.5, 1.0]) * sc.t_final
+    want = evaluate_impulse(dense, times)
+    got = evaluate_impulse(modes, times)
+    assert np.abs(got - want).max() < 1e-6 * np.abs(want).max()
 
 
 def test_kernels_agree_on_real_negative_spectrum():
