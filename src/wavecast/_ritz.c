@@ -1,5 +1,5 @@
-/* Eigenvalues of a complex symmetric tridiagonal matrix in O(n^2),
-   with no n x n array.
+/* Eigenvalues and eigenvectors of a complex symmetric tridiagonal
+   matrix H in O(n^2), with no n x n array beyond the eigenvectors.
 
    ritz_values(n, alpha, off, theta, work): alpha (n >= 1) is the
    diagonal, off (n - 1) the off-diagonal, theta (n) receives the
@@ -15,7 +15,10 @@
    Ehrlich-Aberth sweeps (Bini, Gemignani & Tisseur, SIAM J. Matrix
    Anal. Appl. 27, 2005) polish them to rounding level: the first moves
    every value, later ones (typically one, on 10-30 % of the values)
-   those whose last step exceeded STEP_TOL of max |H|. */
+   those whose last step exceeded STEP_TOL of max |H|.
+
+   ritz_vectors(...) gives the eigenvectors by inverse iteration, O(n)
+   per value; its comment states the arguments. */
 
 #include <complex.h>
 #include <math.h>
@@ -156,4 +159,153 @@ int ritz_values(int n, const cplx *alpha, const cplx *off, cplx *theta,
         return 1;
     return aberth(n, alpha, off, theta, work, STEP_TOL * scale,
                   1e-300 + 0x1p-52 * scale);
+}
+
+/* |Re a| + |Im a|, LAPACK's CABS1 */
+static double cabs1(cplx a)
+{
+    return fabs(creal(a)) + fabs(cimag(a));
+}
+
+/* Pivoted LU of the tridiagonal with diagonal alpha - sigma and
+   off-diagonal off, as LAPACK's xGTTRF: unit lower L with multipliers
+   dl, upper U with diagonal d (stored inverted) and superdiagonals du
+   and du2; piv[i] = 1 where rows i and i + 1 were swapped.  Returns 1
+   on an exactly zero pivot. */
+static int gttrf(int n, const cplx *alpha, const cplx *off, cplx sigma,
+                 cplx *dl, cplx *d, cplx *du, cplx *du2, int *piv)
+{
+    for (int i = 0; i < n; i++)
+        d[i] = alpha[i] - sigma;
+    for (int i = 0; i + 1 < n; i++) {
+        dl[i] = du[i] = off[i];
+        du2[i] = 0.0;
+    }
+    for (int i = 0; i + 1 < n; i++) {
+        piv[i] = cabs1(d[i]) < cabs1(dl[i]);
+        if (!piv[i]) {
+            if (d[i] != 0.0) {  /* else dl[i] is zero too */
+                dl[i] *= inv(d[i]);
+                d[i + 1] -= dl[i] * du[i];
+            }
+            continue;
+        }
+        cplx f = d[i] * inv(dl[i]), u = du[i];
+        d[i] = dl[i];
+        dl[i] = f;
+        du[i] = d[i + 1];
+        d[i + 1] = u - f * d[i + 1];
+        if (i + 2 < n) {
+            du2[i] = du[i + 1];
+            du[i + 1] *= -f;
+        }
+    }
+    for (int i = 0; i < n; i++) {
+        if (d[i] == 0.0)
+            return 1;
+        d[i] = inv(d[i]);
+    }
+    return 0;
+}
+
+/* b <- (LU)^{-1} b with the factors of gttrf */
+static void gttrs(int n, const cplx *dl, const cplx *d, const cplx *du,
+                  const cplx *du2, const int *piv, cplx *b)
+{
+    for (int i = 0; i + 1 < n; i++) {
+        if (piv[i]) {
+            cplx t = b[i];
+            b[i] = b[i + 1];
+            b[i + 1] = t - dl[i] * b[i];
+        } else {
+            b[i + 1] -= dl[i] * b[i];
+        }
+    }
+    b[n - 1] *= d[n - 1];
+    if (n > 1)
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) * d[n - 2];
+    for (int i = n - 3; i >= 0; i--)
+        b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) * d[i];
+}
+
+/* x <- x / ||x|| */
+static void normalize(int n, cplx *x)
+{
+    double ss = 0.0;
+    for (int k = 0; k < n; k++)
+        ss += creal(x[k]) * creal(x[k]) + cimag(x[k]) * cimag(x[k]);
+    double r = 1.0 / sqrt(ss);
+    for (int k = 0; k < n; k++)
+        x[k] *= r;
+}
+
+/* Columns i0 .. i0 + count - 1 of the eigenvectors s (n x n, column
+   major, scaled to s^T s = 1) of the tridiagonal (alpha, off) for the
+   eigenvalues theta, by inverse iteration: for each value, one pivoted
+   LU of H - sigma I, then steps solves x <- (H - sigma I)^{-1} x / ||x||
+   from the start vector start[(i - i0) * n ...] (real).
+
+   prev[i] is the member of value i's cluster computed just before it,
+   or -1: the solves are orthogonalized in the bilinear form (x -=
+   sum_j (s_j^T x) s_j, all coefficients from the same x) against the
+   earlier members, and sigma sits members * nudge from theta[i].  An
+   exactly zero pivot moves sigma by nudge and factors again, at most
+   three times.
+
+   work holds 6 n values and piv n.  Returns 0; 1 when H - sigma I stays
+   singular (*bad = the last sigma); 2 when |s^T s| of a unit-norm
+   vector is below defect_tol (*bad = s^T s). */
+int ritz_vectors(int n, const cplx *alpha, const cplx *off,
+                 const cplx *theta, const int *prev, int i0, int count,
+                 const double *start, double nudge, int steps,
+                 double defect_tol, cplx *s, cplx *work, int *piv, cplx *bad)
+{
+    cplx *dl = work, *d = work + n, *du = work + 2 * n, *du2 = work + 3 * n,
+         *x = work + 4 * n, *coef = work + 5 * n;
+    for (int i = i0; i < i0 + count; i++) {
+        int members = 0;
+        for (int j = prev[i]; j >= 0; j = prev[j])
+            members++;
+        cplx sigma = theta[i] + members * nudge;
+        for (int tries = 0; gttrf(n, alpha, off, sigma, dl, d, du, du2, piv);) {
+            sigma += nudge;
+            if (++tries == 3) {
+                *bad = sigma;
+                return 1;
+            }
+        }
+        const double *x0 = start + (size_t)(i - i0) * n;
+        for (int k = 0; k < n; k++)
+            x[k] = x0[k];
+        for (int step = 0; step < steps; step++) {
+            normalize(n, x);
+            gttrs(n, dl, d, du, du2, piv, x);
+            int c = 0;
+            for (int j = prev[i]; j >= 0; j = prev[j], c++) {
+                const cplx *sj = s + (size_t)j * n;
+                coef[c] = 0.0;
+                for (int k = 0; k < n; k++)
+                    coef[c] += sj[k] * x[k];
+            }
+            c = 0;
+            for (int j = prev[i]; j >= 0; j = prev[j], c++) {
+                const cplx *sj = s + (size_t)j * n;
+                for (int k = 0; k < n; k++)
+                    x[k] -= coef[c] * sj[k];
+            }
+        }
+        normalize(n, x);
+        cplx quasi = 0.0;
+        for (int k = 0; k < n; k++)
+            quasi += x[k] * x[k];
+        if (cabs(quasi) < defect_tol) {
+            *bad = quasi;
+            return 2;
+        }
+        cplx f = inv(csqrt(quasi));
+        cplx *si = s + (size_t)i * n;
+        for (int k = 0; k < n; k++)
+            si[k] = x[k] * f;
+    }
+    return 0;
 }

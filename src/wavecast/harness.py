@@ -2,11 +2,13 @@
 compare against the designated reference, and write artifacts.
 
 One pipeline serves `wavecast run` (a single m) and `wavecast
-converge` (an m list), in stages: prepare -> decompose -> reference ->
-eigensolve, trace and compare per m -> artifacts.  Every m is a
-truncation of one recursion run at the largest; a run that ends early
-(an invariant subspace, or the breakdown retreat inside bilanczos)
-drops the m past its length, and metadata.lanczos_stop says why.
+converge` (an m list), in stages: prepare, then two routes side by
+side -- the reference on a worker thread, and decompose -> eigensolve
+and trace per m on the calling thread -- then compare per m ->
+artifacts.  Every m is a truncation of one recursion run at the
+largest; a run that ends early (an invariant subspace, or the breakdown
+retreat inside bilanczos) drops the m past its length, and
+metadata.lanczos_stop says why.
 
 Outputs per run directory: lanczos.csv (the Krylov trace at the
 largest m), reference.csv (when a reference route is configured),
@@ -20,6 +22,7 @@ import dataclasses
 import json
 import subprocess
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -203,6 +206,17 @@ def _reference_waveform(sc, asm, times):
     return res.waveform, res.n_steps
 
 
+def _reference_job(sc, asm, times, out):
+    """The reference trace, written to out/reference.csv as soon as it
+    exists, its FDTD step count and its wall time."""
+    t0 = time.perf_counter()
+    wf, n_steps = _reference_waveform(sc, asm, times)
+    _finite(wf, sc.reference)
+    if out is not None:
+        _csv_units(sc, wf).to_csv(out / "reference.csv")
+    return wf, n_steps, time.perf_counter() - t0
+
+
 def _metadata(sc, asm, decomp, m_requested, m, modes):
     """Run metadata; modes is the eigensolve of the written trace (at m)."""
     return {
@@ -247,39 +261,52 @@ def run_study(sc, ms, out_dir=None):
 
     asm = _prepare(sc)
     timings = {"assemble_s": asm.seconds}
-
-    t0 = time.perf_counter()
-    decomp = bilanczos(asm.op, asm.b, ms[-1], asm.probe_flats)
-    timings["lanczos_s"] = time.perf_counter() - t0
-    # a breakdown retreat or a closed invariant subspace shortens the run
-    m_requested = ms[-1]
-    ms = tuple(m for m in ms if m <= decomp.m) or (decomp.m,)
-
     times = _padded_times(sc, asm)
+    # the reference runs on a worker thread beside the Krylov route (the
+    # kernels of both release the GIL); leaving the block joins it, also
+    # when the Krylov route raises.  A Lanczos failure wins and drops
+    # the reference's outcome, which a run in stage order never reaches.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ref_job = (pool.submit(_reference_job, sc, asm, times, out)
+                   if sc.reference != "none" else None)
+        t0 = time.perf_counter()
+        decomp = bilanczos(asm.op, asm.b, ms[-1], asm.probe_flats)
+        timings["lanczos_s"] = time.perf_counter() - t0
+        # a breakdown retreat or a closed invariant subspace shortens the run
+        m_requested = ms[-1]
+        ms = tuple(m for m in ms if m <= decomp.m) or (decomp.m,)
+
+        traces = {}
+        timings["eigensolve_s"] = 0.0
+        t0 = time.perf_counter()
+        try:
+            for m in ms:
+                t_eig = time.perf_counter()
+                modes = eigen_tridiag(decomp.truncate(m))
+                timings["eigensolve_s"] += time.perf_counter() - t_eig
+                traces[m] = _finite(_trace_waveform(sc, modes, times),
+                                    f"m = {m}")
+        except Exception:
+            if ref_job is not None:
+                # a run one stage after another meets a failed reference
+                # before any eigensolve, so its error goes first
+                ref_job.result()
+            raise
+        timings["evaluate_s"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
     waveforms = {}
     ref_wf = fdtd_steps = None
-    if sc.reference != "none":
-        t0 = time.perf_counter()
-        ref_wf, fdtd_steps = _reference_waveform(sc, asm, times)
-        _finite(ref_wf, sc.reference)
-        timings["reference_s"] = time.perf_counter() - t0
+    if ref_job is not None:
+        timings["reference_wait_s"] = time.perf_counter() - t0
+        ref_wf, fdtd_steps, timings["reference_s"] = ref_job.result()
         waveforms["reference"] = ref_wf
-        if out is not None:
-            _csv_units(sc, ref_wf).to_csv(out / "reference.csv")
 
     entries = []
-    timings["eigensolve_s"] = 0.0
-    t0 = time.perf_counter()
-    for m in ms:
-        t_eig = time.perf_counter()
-        modes = eigen_tridiag(decomp.truncate(m))
-        timings["eigensolve_s"] += time.perf_counter() - t_eig
-        wf = _finite(_trace_waveform(sc, modes, times), f"m = {m}")
-        if ref_wf is not None:
+    if ref_wf is not None:
+        for m, wf in traces.items():
             rel, _, _ = compare_traces(wf, ref_wf, t_lo=0.0, t_hi=sc.t_final)
             entries.append({"m": int(m), "errors": [float(r) for r in rel]})
-    timings["evaluate_s"] = time.perf_counter() - t0
-    waveforms["lanczos"] = wf
+    wf = waveforms["lanczos"] = traces[ms[-1]]
     if out is not None:
         _csv_units(sc, wf).to_csv(out / "lanczos.csv")  # largest m
 

@@ -24,15 +24,19 @@ negative real axis): u(t) = zeta_1 * Re[W f(t, T_m) e_1] stays bounded
 for spectra anywhere off the branch cut, unlike the naive
 sin(sqrt(-a) t)/sqrt(-a) kernel, which diverges off the real axis.
 
-The decomposition is structured (eigen_tridiag).  The eigenvalues of
-the symmetrized tridiagonal H come from a small C kernel (_ritz.c) in
-O(m^2) without an m x m array: an implicit QL with complex-orthogonal
-rotations, then Ehrlich-Aberth sweeps that polish every value to
-rounding level.  The kernel is compiled with gcc on first use (never at
-import) and cached in this package's __pycache__; LAPACK's dense zgeev,
-O(m^3), is the fallback when it cannot be built or does not converge.
-Each eigenvector comes from three steps of inverse iteration with a
-pivoted tridiagonal solve (zgtsv), O(m) each.  Close Ritz values are
+The decomposition is structured (eigen_tridiag) and O(m^2) throughout,
+with no m x m array but the eigenvectors.  A small C kernel (_ritz.c)
+gives the eigenvalues of the symmetrized tridiagonal H -- an implicit QL
+with complex-orthogonal rotations, then Ehrlich-Aberth sweeps that
+polish every value to rounding level -- and one eigenvector per value,
+by three steps of inverse iteration on one pivoted tridiagonal LU of
+H - theta I.  The kernel is compiled with gcc on first use (never at
+import), cached in this package's __pycache__, and called through
+ctypes, which releases the GIL.  Where it cannot be built, LAPACK's
+dense zgeev, O(m^3), gives the values (also when the QL does not
+converge) and a Python loop of zgtsv solves the vectors.  The mode
+weights are S^T e_1, the first row of the eigenvector matrix S, which
+is S^-1 e_1 for bilinearly orthonormal vectors.  Close Ritz values are
 handled explicitly: clusters get bilinearly orthogonalized vectors, and
 ghost copies of one mode are merged.
 
@@ -385,8 +389,8 @@ _INVIT_STEPS = 3
 # fixed seed of the inverse-iteration start vectors (as LAPACK's xSTEIN
 # fixes ISEED), so the eigenvectors are deterministic
 _INVIT_SEED = 4
-# largest ||S diag(theta) S^-1 e_1 - H e_1|| / max |H| the eigensolve
-# accepts
+# largest ||S diag(theta) S^T e_1 - H e_1|| / max |H|, and largest
+# ||S S^T e_1 - e_1||, the eigensolve accepts
 _RECON_TOL = 1e-8
 # smallest |s^T s| of a unit-norm eigenvector (quasi-isotropic below)
 _DEFECT_TOL = 1e-12
@@ -429,25 +433,25 @@ def _close_groups(theta, tol):
     return label
 
 
-# the QL kernel's C source, and the compiler command that builds it into
-# a shared library (the output path is appended)
-_QL_SOURCE = Path(__file__).with_name("_ritz.c")
+# the C source of the Ritz kernels (values and vectors), and the compiler
+# command that builds it into a shared library (the output path is appended)
+_RITZ_SOURCE = Path(__file__).with_name("_ritz.c")
 _CC = ("gcc", "-O2", "-shared", "-fPIC")
 
 
 @functools.cache
-def _ql_kernel():
-    """The compiled QL eigenvalue kernel, or None if it cannot be built
-    or loaded.
+def _ritz_kernel():
+    """The compiled Ritz kernels (the library, with ritz_values and
+    ritz_vectors set up), or None if they cannot be built or loaded.
 
     Built on first use, never at import, into this package's
     __pycache__ under a name keyed by the SHA-256 of the source and the
     compiler command; the library is written to a temporary name and
     renamed into place, so no process loads a half-written file.
     """
-    source = _QL_SOURCE.read_bytes()
+    source = _RITZ_SOURCE.read_bytes()
     key = hashlib.sha256(source + repr(_CC).encode()).hexdigest()[:16]
-    cache = _QL_SOURCE.with_name("__pycache__")
+    cache = _RITZ_SOURCE.with_name("__pycache__")
     lib_path = cache / f"_ritz-{key}.so"
     try:
         if not lib_path.exists():
@@ -455,18 +459,25 @@ def _ql_kernel():
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
             os.close(fd)
             try:
-                subprocess.run([*_CC, "-o", tmp, str(_QL_SOURCE)],
+                subprocess.run([*_CC, "-o", tmp, str(_RITZ_SOURCE)],
                                check=True, capture_output=True, timeout=60)
                 os.replace(tmp, lib_path)
             finally:
                 Path(tmp).unlink(missing_ok=True)
-        kernel = ctypes.CDLL(str(lib_path)).ritz_values
-    except (OSError, subprocess.SubprocessError):
+        lib = ctypes.CDLL(str(lib_path))
+        values, vectors = lib.ritz_values, lib.ritz_vectors
+    except (OSError, AttributeError, subprocess.SubprocessError):
         return None
     vec = np.ctypeslib.ndpointer(np.complex128, ndim=1, flags="C_CONTIGUOUS")
-    kernel.argtypes = [ctypes.c_int, vec, vec, vec, vec]
-    kernel.restype = ctypes.c_int
-    return kernel
+    ints = np.ctypeslib.ndpointer(np.intc, ndim=1, flags="C_CONTIGUOUS")
+    starts = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
+    cols = np.ctypeslib.ndpointer(np.complex128, ndim=2, flags="F_CONTIGUOUS")
+    c_int, c_double = ctypes.c_int, ctypes.c_double
+    values.argtypes = [c_int, vec, vec, vec, vec]
+    vectors.argtypes = [c_int, vec, vec, vec, ints, c_int, c_int, starts,
+                        c_double, c_int, c_double, cols, vec, ints, vec]
+    values.restype = vectors.restype = c_int
+    return lib
 
 
 def _zgeev_values(alpha, off):
@@ -500,39 +511,78 @@ def _ritz_values(alpha, off):
     if alpha.ndim != 1 or alpha.size == 0 or off.shape != (alpha.size - 1,):
         raise InvalidParameterError("tridiagonal needs m >= 1 and m - 1 "
                                     "off-diagonal entries")
-    kernel = _ql_kernel()
+    kernel = _ritz_kernel()
     theta = np.empty_like(alpha)
-    if kernel is not None and kernel(alpha.size, alpha, off, theta,
-                                     np.empty_like(alpha)) == 0:
+    if kernel is not None and kernel.ritz_values(
+            alpha.size, alpha, off, theta, np.empty_like(alpha)) == 0:
         route = "ql"
     else:
         theta, route = _zgeev_values(alpha, off), "zgeev"
     return theta[np.lexsort((theta.imag, theta.real))], route
 
 
-def _shifted_solve(alpha, off, sigma, y, nudge):
-    """(H - sigma I)^{-1} y by pivoted tridiagonal elimination, moving
-    sigma by nudge off an exactly singular pivot; returns (x, sigma)."""
-    for _ in range(3):
-        *_, x, info = scipy.linalg.lapack.zgtsv(off, alpha - sigma, off, y)
-        if info == 0:
-            return x, sigma
-        sigma += nudge
-    raise PrecisionError(
+def _singular(sigma):
+    return PrecisionError(
         f"shifted tridiagonal stays singular near {sigma:.6e}"
     )
 
 
+def _defective(quasi):
+    return NearDefectiveError(
+        "projected matrix is numerically defective: an "
+        f"eigenvector is quasi-isotropic (|s^T s| = {abs(quasi):.2e})"
+    )
+
+
+# start vectors drawn, and columns computed, per call of the compiled
+# inverse iteration (1.7 MB of starts at m = 1650)
+_START_BLOCK = 128
+
+
 def _ritz_vectors(alpha, off, theta, h_scale):
     """Eigenvectors of H for the sorted Ritz values, as columns scaled to
-    s^T s = 1, by inverse iteration (see eigen_tridiag)."""
+    s^T s = 1, by inverse iteration (see eigen_tridiag): the compiled
+    ritz_vectors kernel, or _invit_loop when it is unavailable."""
     m = theta.size
     if m == 1:  # zgtsv takes no empty off-diagonal
         return np.ones((1, 1), dtype=complex)
-    s = np.empty((m, m), dtype=complex, order="F")
     rng = np.random.default_rng(_INVIT_SEED)
     nudge = 4.0 * np.finfo(float).eps * h_scale
     label = _close_groups(theta, _CLUSTER_TOL * h_scale)
+    kernel = _ritz_kernel()
+    if kernel is None:
+        return _invit_loop(alpha, off, theta, label, rng, nudge)
+    alpha, off, theta = (np.ascontiguousarray(a, dtype=complex)
+                         for a in (alpha, off, theta))
+    if alpha.shape != (m,) or off.shape != (m - 1,):
+        raise InvalidParameterError("tridiagonal and Ritz values differ "
+                                    "in size")
+    # prev[i]: the member of i's cluster just before it, or -1
+    order = np.argsort(label, kind="stable")
+    prev = np.full(m, -1, dtype=np.intc)
+    same = label[order[1:]] == label[order[:-1]]
+    prev[order[1:][same]] = order[:-1][same]
+    s = np.empty((m, m), dtype=complex, order="F")
+    work = np.empty(6 * m, dtype=complex)
+    piv = np.empty(m, dtype=np.intc)
+    bad = np.empty(1, dtype=complex)
+    for i0 in range(0, m, _START_BLOCK):
+        count = min(_START_BLOCK, m - i0)
+        # the same draws, in the same order, as one m-vector per value
+        start = rng.uniform(-1.0, 1.0, (count, m))
+        code = kernel.ritz_vectors(m, alpha, off, theta, prev, i0, count,
+                                   start, nudge, _INVIT_STEPS, _DEFECT_TOL,
+                                   s, work, piv, bad)
+        if code:
+            raise (_singular if code == 1 else _defective)(bad[0])
+    return s
+
+
+def _invit_loop(alpha, off, theta, label, rng, nudge):
+    """The inverse iteration of the ritz_vectors kernel as a Python loop
+    of LAPACK zgtsv solves, for when the kernel cannot be built."""
+    m = theta.size
+    s = np.empty((m, m), dtype=complex, order="F")
     earlier = {}  # cluster label -> columns already computed
     for i in range(m):
         group = earlier.setdefault(label[i], [])
@@ -540,17 +590,21 @@ def _ritz_vectors(alpha, off, theta, h_scale):
         x = rng.uniform(-1.0, 1.0, m).astype(complex)
         for _ in range(_INVIT_STEPS):
             y = x / np.linalg.norm(x)
-            x, sigma = _shifted_solve(alpha, off, sigma, y, nudge)
+            for _ in range(3):  # a zero pivot moves sigma and solves again
+                *_, x, info = scipy.linalg.lapack.zgtsv(off, alpha - sigma,
+                                                        off, y)
+                if info == 0:
+                    break
+                sigma += nudge
+            else:
+                raise _singular(sigma)
             if group:
                 prev = s[:, group]
                 x -= prev @ (prev.T @ x)
         x /= np.linalg.norm(x)
         quasi = x @ x
         if abs(quasi) < _DEFECT_TOL:
-            raise NearDefectiveError(
-                "projected matrix is numerically defective: an "
-                f"eigenvector is quasi-isotropic (|s^T s| = {abs(quasi):.2e})"
-            )
+            raise _defective(quasi)
         s[:, i] = x / np.sqrt(quasi)
         group.append(i)
     return s
@@ -593,48 +647,52 @@ def eigen_tridiag(decomp):
       When it cannot be built or loaded, or its iteration cap is hit
       (as on a Jordan-like H), LAPACK's zgeev on the dense H gives the
       values (route "zgeev"); ModeSet.route records which.
-    - One eigenvector per Ritz value theta_i by up to _INVIT_STEPS steps
-      of inverse iteration, x <- (H - sigma I)^{-1} x / ||x||, with
-      LAPACK's pivoted tridiagonal solver zgtsv.  Start vectors come
-      from a generator with a fixed seed (_INVIT_SEED, as LAPACK's
-      xSTEIN fixes its ISEED), so the result is deterministic.  Ritz
-      values within _CLUSTER_TOL * max |H| form a cluster: each member
-      is orthogonalized in the bilinear form s_j^T x (the one complex
-      symmetric eigenvectors satisfy) against the members before it,
-      and its shift sigma is moved a few ulps of max |H| from theirs.
-      A zero pivot moves sigma by the same step and solves again.  Each
-      vector is scaled to s^T s = 1; NearDefectiveError if |s^T s| of
-      the unit-norm vector is below _DEFECT_TOL.
-    - Mode weights from solving S x = e_1 rather than trusting
-      S^T ~= S^{-1}: ghost modes from orthogonality loss at large m
-      leave the solve-based weights accurate when the transpose
-      shortcut fails badly.  PrecisionError unless S diag(theta) x
-      reproduces H e_1 to _RECON_TOL * max |H|.
+    - One eigenvector per Ritz value theta_i by _INVIT_STEPS steps of
+      inverse iteration, x <- (H - sigma I)^{-1} x / ||x||, in the same
+      kernel (ritz_vectors): one pivoted tridiagonal LU of H - sigma I
+      per value, O(m) each.  Start vectors come from a generator with a
+      fixed seed (_INVIT_SEED, as LAPACK's xSTEIN fixes its ISEED), so
+      the result is deterministic.  Ritz values within _CLUSTER_TOL *
+      max |H| form a cluster: each member is orthogonalized in the
+      bilinear form s_j^T x (the one complex symmetric eigenvectors
+      satisfy) against the members before it, and its shift sigma is
+      moved a few ulps of max |H| from theirs.  A zero pivot moves sigma
+      by the same step and factors again.  Each vector is scaled to
+      s^T s = 1; NearDefectiveError if |s^T s| of the unit-norm vector
+      is below _DEFECT_TOL.  Without the kernel, a Python loop of LAPACK
+      zgtsv solves does the same.
+    - Mode weights S^T e_1, the first row of S: with bilinearly
+      orthonormal vectors S^T = S^-1, and the cluster orthogonalization
+      keeps that true of close and ghost pairs too.  PrecisionError
+      unless both S diag(theta) S^T e_1 reproduces H e_1 to _RECON_TOL *
+      max |H| and S S^T e_1 reproduces e_1 to _RECON_TOL; recon_error is
+      the larger of the two (relative) residuals.
     - Ghost merge: Ritz values within _GHOST_TOL * max |H| are one mode,
       whose residues (probe_modes * weights) are summed onto the member
       with the largest residue (window measured at the constant).  The
       returned ModeSet has m - merged modes.
 
-    Memory beyond O(m) is S, m x m (and the dense H on the zgeev route).
+    Everything is O(m^2); memory beyond O(m) is S, m x m (and the dense
+    H on the zgeev route).
     """
-    m = decomp.m
     alpha, zeta, delta = decomp.alpha, decomp.zeta, decomp.delta
     sqd = np.sqrt(delta)
     off = zeta[1:] * sqd[1:] / sqd[:-1]
     h_scale = float(max(np.abs(alpha).max(), np.abs(off).max(initial=0.0)))
     theta, route = _ritz_values(alpha, off)
     s = _ritz_vectors(alpha, off, theta, h_scale)
-    e1 = np.zeros(m, dtype=complex)
-    e1[0] = 1.0
-    coeff = np.linalg.solve(s, e1)
-    h_col = np.zeros(m, dtype=complex)  # H e_1
+    coeff = s[0].copy()  # S^T e_1
+    h_col = np.zeros(decomp.m, dtype=complex)  # H e_1
     h_col[0] = alpha[0]
     h_col[1:2] = off[:1]
-    recon = float(np.linalg.norm(s @ (theta * coeff) - h_col))
-    if recon > _RECON_TOL * h_scale:
+    recon = float(np.linalg.norm(s @ (theta * coeff) - h_col)) / h_scale
+    ident = s @ coeff
+    ident[0] -= 1.0
+    recon = max(recon, float(np.linalg.norm(ident)))
+    if not recon <= _RECON_TOL:
         raise PrecisionError(
-            f"eigendecomposition failed reconstruction: residual {recon:.2e}"
-            f" exceeds {_RECON_TOL:.0e} * {h_scale:.2e}"
+            f"eigendecomposition failed reconstruction: relative residual "
+            f"{recon:.2e} exceeds {_RECON_TOL:.0e}"
         )
     probe_modes = (decomp.w_probe / sqd[None, :]) @ s
     theta, probe_modes, weights, merged = _merge_ghosts(
@@ -644,7 +702,7 @@ def eigen_tridiag(decomp):
         probe_modes=probe_modes,
         weights=weights,
         zeta1=float(decomp.zeta[0]),
-        recon_error=recon / h_scale,
+        recon_error=recon,
         merged=merged,
         route=route,
     )

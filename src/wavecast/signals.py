@@ -207,9 +207,18 @@ def compare_traces(test_wf, ref_wf, t_lo=None, t_hi=None):
     if hi <= lo or not sel.any():
         raise InvalidParameterError("no usable time overlap")
     times = test_wf.times[sel]
-    ref_on_test = resample_waveform(ref_wf, times)
-    diff = test_wf.values[:, sel] - ref_on_test.values
-    denom = np.linalg.norm(ref_on_test.values, axis=1)
+    test_values = test_wf.values[:, sel]
+    # both traces in units of their largest magnitude, a power of two so
+    # the scaling is exact: finite values above ~1e154 would overflow
+    # the norms (and near the top of the range, the resampler's sums)
+    _, exp = np.frexp(max(np.abs(test_values).max(),
+                          np.abs(ref_wf.values).max()))
+    ref_scaled = Waveform(times=ref_wf.times,
+                          values=np.ldexp(ref_wf.values, -exp),
+                          probe_names=ref_wf.probe_names)
+    ref_on_test = resample_waveform(ref_scaled, times).values
+    diff = np.ldexp(test_values, -exp) - ref_on_test
+    denom = np.linalg.norm(ref_on_test, axis=1)
     if np.any(denom == 0.0):
         raise DegenerateInputError("reference trace vanishes on overlap")
     rel = np.linalg.norm(diff, axis=1) / denom

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -181,6 +182,27 @@ def test_nonfinite_trace_exits_3(mini_cfg, tmp_path, monkeypatch, capsys):
     assert not (out / "lanczos.csv").exists()
 
 
+def test_nonfinite_reference_exits_3(mini_cfg, tmp_path, monkeypatch,
+                                     capsys):
+    # the reference runs on a worker thread; its failure still ends the
+    # run with the documented exit code
+    def nan_fdtd(**kwargs):
+        n = 50
+        wf = Waveform(times=np.linspace(0.0, kwargs["t_final"], n),
+                      values=np.full((1, n), np.nan))
+        return SimpleNamespace(waveform=wf, n_steps=n - 1)
+
+    cfg = tmp_path / "fdtd.cfg"
+    cfg.write_text(MINI_CFG.replace("reference = analytic",
+                                    "reference = fdtd"), encoding="utf-8")
+    monkeypatch.setattr(wavecast.harness, "run_fdtd", nan_fdtd)
+    out = tmp_path / "x"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "fdtd trace is not finite" in err and "Traceback" not in err
+    assert not (out / "reference.csv").exists()
+
+
 def test_pml_report(tmp_path, capsys):
     out = tmp_path / "pml"
     assert main(["pml-report", "--chi", "1e4", "--k", "9",
@@ -327,13 +349,51 @@ _NAN_TIMES = b"t,p1\n0,0\n0,0\nnan,0\n"
 _TINY_STEP = b"t,p1\n" + b"".join(b"%r,0\n" % (k * 1e-300) for k in range(70))
 
 
+def _trace_pair(scale):
+    """Two 101-sample traces 1 % apart, their values scaled by scale."""
+    t = np.linspace(0.0, 5.0, 101)
+    a = np.sin(3.0 * t)
+    return tuple(
+        b"t,p1\n" + b"".join(b"%r,%r\n" % (float(ti), float(vi) * scale)
+                             for ti, vi in zip(t, v))
+        for v in (a + 0.01 * np.cos(5.0 * t), a)
+    )
+
+
+# a finite pair above ~1e154: the norms overflowed and compare printed
+# rel_error=nan with exit 0
+_HUGE_A, _HUGE_B = _trace_pair(1e200)
+
+
 @settings(max_examples=100, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(a=_TRACE_FILE, b=_TRACE_FILE)
 @example(a=_NAN_TIMES, b=_UNIFORM_TRACE)
 @example(a=_UNIFORM_TRACE, b=_TINY_STEP)
-def test_compare_exit_code_on_any_input(tmp_path, a, b):
+@example(a=_HUGE_A, b=_HUGE_B)
+def test_compare_exit_code_on_any_input(tmp_path, capsys, a, b):
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     pa.write_bytes(a)
     pb.write_bytes(b)
-    assert main(["compare", str(pa), str(pb)]) in (0, 2, 3, 4)
+    capsys.readouterr()
+    code = main(["compare", str(pa), str(pb)])
+    assert code in (0, 2, 3, 4)
+    if code == 0:  # a comparison took place, and its errors are numbers
+        assert np.isfinite(_printed_errors(capsys.readouterr().out)).all()
+
+
+def _printed_errors(text):
+    return [float(line.split("rel_error=")[1])
+            for line in text.splitlines() if "rel_error=" in line]
+
+
+def test_compare_is_scale_invariant(tmp_path, capsys):
+    errors = []
+    for scale in (1.0, 1e200):
+        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+        for path, data in zip((pa, pb), _trace_pair(scale)):
+            path.write_bytes(data)
+        assert main(["compare", str(pa), str(pb)]) == 0
+        errors.append(_printed_errors(capsys.readouterr().out))
+    assert errors[0] == errors[1]
+    assert 0.001 < errors[0][0] < 0.1

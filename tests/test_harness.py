@@ -1,13 +1,14 @@
 """Experiment driver tests on a small free-space scenario."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
 import wavecast.harness
 import wavecast.krylov as krylov
-from wavecast.errors import BreakdownError, ConfigurationError
+from wavecast.errors import BreakdownError, ConfigurationError, PrecisionError
 from wavecast.harness import ComparisonReport, _csv_units, run_study
 from wavecast.krylov import bilanczos
 from wavecast.scenarios import Scenario
@@ -90,12 +91,12 @@ def test_run_artifacts(mini_run):
 def test_failed_kernel_build_falls_back_to_zgeev(mini_run, tmp_path,
                                                  monkeypatch):
     monkeypatch.setattr(krylov, "_CC", ("/nonexistent/cc", "-shared"))
-    krylov._ql_kernel.cache_clear()
+    krylov._ritz_kernel.cache_clear()
     try:
         sc = _mini()
         report, waveforms = run_study(sc, (sc.m_default,), out_dir=tmp_path)
     finally:
-        krylov._ql_kernel.cache_clear()
+        krylov._ritz_kernel.cache_clear()
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["metadata"]["eig_route"] == "zgeev"
     assert report.metadata["modes_merged"] == mini_run[0].metadata["modes_merged"]
@@ -246,6 +247,55 @@ def test_study_clamps_m_list_after_retreat(monkeypatch):
     assert [e["m"] for e in report.convergence] == [40]
     assert report.m == 40
     assert report.metadata["lanczos_stop"] == "breakdown"
+
+
+def test_reference_wait_is_reported(mini_run):
+    timings = mini_run[0].timings
+    assert 0.0 <= timings["reference_wait_s"] <= timings["reference_s"]
+
+
+def _fail(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+    return raiser
+
+
+# (stage that fails on the Krylov route, error the run must raise when
+# the reference fails too): the error of a run that takes one stage
+# after another, where the reference comes after Lanczos and before any
+# eigensolve
+_FAILURES = [
+    (None, ConfigurationError),
+    ("bilanczos", BreakdownError),
+    ("eigen_tridiag", ConfigurationError),
+]
+
+
+@pytest.mark.parametrize("stage, expected", _FAILURES)
+def test_failed_routes_raise_in_stage_order(monkeypatch, stage, expected):
+    monkeypatch.setattr(wavecast.harness, "_reference_waveform",
+                        _fail(ConfigurationError("reference failed")))
+    if stage == "bilanczos":
+        monkeypatch.setattr(wavecast.harness, stage,
+                            _fail(BreakdownError("krylov failed", index=1)))
+    elif stage == "eigen_tridiag":
+        monkeypatch.setattr(wavecast.harness, stage,
+                            _fail(PrecisionError("krylov failed")))
+    with pytest.raises(expected):
+        run_study(_mini(), (40,))
+
+
+@pytest.mark.parametrize("stage", ["bilanczos", "eigen_tridiag", None])
+def test_run_study_leaves_no_thread_behind(monkeypatch, stage):
+    before = threading.active_count()
+    if stage is None:
+        run_study(_mini(), (40,))
+    else:
+        monkeypatch.setattr(wavecast.harness, stage,
+                            _fail(PrecisionError("krylov failed")))
+        with pytest.raises(PrecisionError):
+            run_study(_mini(), (40,))
+    assert threading.active_count() == before
 
 
 def test_report_json_round_trip(tmp_path):

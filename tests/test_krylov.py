@@ -1,3 +1,5 @@
+import shutil
+import subprocess
 from types import SimpleNamespace
 
 import mpmath
@@ -13,6 +15,7 @@ from wavecast.errors import (
     BreakdownError,
     InvalidParameterError,
     NearDefectiveError,
+    PrecisionError,
     SamplingError,
 )
 from wavecast.grid import build_grid2d
@@ -338,7 +341,7 @@ def test_ghost_grouping_at_large_m_matches_zgeev(ring1650, monkeypatch):
     # off and merge 2 of the 3 ghost pairs, which moves the impulse ~1e-3
     sc, dec = ring1650
     modes = eigen_tridiag(dec)
-    monkeypatch.setattr(krylov, "_ql_kernel", lambda: None)
+    monkeypatch.setattr(krylov, "_ritz_kernel", lambda: None)
     dense = eigen_tridiag(dec)
     assert (modes.route, dense.route) == ("ql", "zgeev")
     assert modes.merged == dense.merged >= 1
@@ -346,6 +349,78 @@ def test_ghost_grouping_at_large_m_matches_zgeev(ring1650, monkeypatch):
     want = evaluate_impulse(dense, times)
     got = evaluate_impulse(modes, times)
     assert np.abs(got - want).max() < 1e-6 * np.abs(want).max()
+
+
+def test_weights_match_solve_oracle(ring1650):
+    # the weights are S^T e_1; solving S x = e_1 with the same S is the
+    # oracle (their transpose shortcut holds for the cluster-orthogonalized
+    # vectors, ghost pairs included)
+    _, dec = ring1650
+    modes = eigen_tridiag(dec)
+    alpha, off, sqd = _symmetrized(dec)
+    h_scale = float(max(np.abs(alpha).max(), np.abs(off).max()))
+    theta, _ = krylov._ritz_values(alpha, off)
+    s = krylov._ritz_vectors(alpha, off, theta, h_scale)
+    oracle = np.linalg.solve(s, np.eye(dec.m)[:, 0]) * sqd[0]
+    keep = np.isin(theta, modes.theta)
+    assert keep.sum() == modes.theta.size == dec.m - modes.merged
+    assert (np.linalg.norm(modes.weights - oracle[keep])
+            <= 1e-9 * np.linalg.norm(oracle[keep]))
+
+
+def test_kernel_vectors_match_python_loop(ring1650, monkeypatch):
+    # the compiled inverse iteration against its Python loop of zgtsv
+    # solves, from the same starts; each vector is fixed up to its sign
+    # (the sign of the near-zero pivot), and at m = 150 they agree to
+    # 5e-13 apart from it
+    _, dec = ring1650
+    alpha, off, _ = _symmetrized(dec.truncate(150))
+    h_scale = float(max(np.abs(alpha).max(), np.abs(off).max()))
+    theta, _ = krylov._ritz_values(alpha, off)
+    got = krylov._ritz_vectors(alpha, off, theta, h_scale)
+    monkeypatch.setattr(krylov, "_ritz_kernel", lambda: None)
+    want = krylov._ritz_vectors(alpha, off, theta, h_scale)
+    got *= np.sign((got * want).sum(axis=0).real)
+    assert (np.linalg.norm(got - want, axis=0)
+            <= 1e-10 * np.linalg.norm(want, axis=0)).all()
+
+
+def test_reconstruction_gate_checks_weights_identity(monkeypatch):
+    # H = [[1, 1], [1, 1]] has eigenvalues 0 and 2; stretching the
+    # eigenvector of 0 leaves S diag(theta) S^T e_1 = H e_1 intact, so
+    # only S S^T e_1 = e_1 sees it
+    dec = LanczosDecomposition(
+        m=2,
+        alpha=np.array([1.0 + 0j, 1.0 + 0j]),
+        zeta=np.array([1.0, 1.0]),
+        delta=np.array([1.0 + 0j, 1.0 + 0j]),
+        w_probe=np.ones((1, 2), dtype=complex),
+        stop="m",
+        drift=0.0,
+    )
+    assert eigen_tridiag(dec).recon_error < 1e-14
+    vectors = krylov._ritz_vectors
+
+    def stretched(alpha, off, theta, h_scale):
+        s = vectors(alpha, off, theta, h_scale)
+        s[:, np.argmin(np.abs(theta))] *= 1.1
+        return s
+
+    monkeypatch.setattr(krylov, "_ritz_vectors", stretched)
+    with pytest.raises(PrecisionError, match="reconstruction"):
+        eigen_tridiag(dec)
+
+
+def test_kernel_source_compiles_without_warnings():
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        pytest.skip("gcc is not installed")
+    out = subprocess.run(
+        [gcc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+         str(krylov._RITZ_SOURCE)],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
 
 
 def test_kernels_agree_on_real_negative_spectrum():
