@@ -90,5 +90,4 @@ def analytic_homogeneous(source_xy, probes, signature, times, amplitude=1.0):
             for p in probes
         ]
     )
-    names = tuple(f"probe{i + 1}" for i in range(len(probes)))
-    return Waveform(times=times, values=vals, probe_names=names)
+    return Waveform(times=times, values=vals)

@@ -7,8 +7,9 @@
     wavecast grid-dump <scenario> [--out FILE]
 
 <scenario> is a preset name or the path of a sectioned key-value
-config file.  Exit codes: 0 success, 2 configuration error, 3
-numerical breakdown, 4 tolerance exceeded under --assert.
+config file.  Exit codes: 0 success, 2 configuration error (an
+eigensolve kernel that cannot be built too), 3 numerical breakdown, 4
+tolerance exceeded under --assert.
 """
 
 import argparse
@@ -27,7 +28,12 @@ from .errors import (
 from .harness import build_scenario_grid, run_study
 from .scenarios import PRESETS, get_scenario, load_config
 from .signals import Waveform, compare_traces
-from .zolotarev import SpectralInterval, to_continued_fraction, zolotarev_approx
+from .zolotarev import (
+    SpectralInterval,
+    impedance_error,
+    to_continued_fraction,
+    zolotarev_approx,
+)
 
 
 def _load_scenario(arg):
@@ -95,8 +101,7 @@ def _cmd_pml_report(args):
     interval = SpectralInterval(-float(args.chi), -1.0)
     imp = zolotarev_approx(interval, args.k)
     steps = to_continued_fraction(imp)
-    xs = np.geomspace(interval.x_lo, interval.x_hi, args.samples)
-    err = np.abs(1.0 - np.sqrt(xs) * imp(xs))
+    xs, err = impedance_error(imp, interval, args.samples)
 
     out = Path(args.out if args.out is not None else "pml-report")
     out.mkdir(parents=True, exist_ok=True)

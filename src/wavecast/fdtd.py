@@ -200,10 +200,8 @@ def run_fdtd(
             )
 
     times = np.arange(n_steps + 1) * dt
-    names = tuple(f"probe{i + 1}" for i in range(len(probe_idx)))
-    wf = Waveform(times=times, values=traces, probe_names=names)
     return FdtdResult(
-        waveform=wf,
+        waveform=Waveform(times=times, values=traces),
         n_steps=n_steps,
         probe_coords=probe_coords,
         energy=energy,

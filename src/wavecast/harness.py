@@ -32,7 +32,13 @@ from .analytic import analytic_homogeneous
 from .errors import ConfigurationError, PrecisionError
 from .fdtd import run_fdtd, time_step
 from .grid import build_grid2d
-from .krylov import bilanczos, convolve_source, eigen_tridiag, evaluate_impulse
+from .krylov import (
+    _ritz_kernel,
+    bilanczos,
+    convolve_source,
+    eigen_tridiag,
+    evaluate_impulse,
+)
 from .operator import MediumMap, assemble_operator
 from .signals import _TAPS, Waveform, compare_traces
 from .zolotarev import to_continued_fraction, zolotarev_approx
@@ -178,8 +184,7 @@ def _trace_waveform(sc, modes, times):
     q = sc.signature()(times)
     dt = times[1] - times[0]
     u = convolve_source(impulse, q, dt, omega_max=sc.omega_max)
-    names = tuple(f"probe{i + 1}" for i in range(u.shape[0]))
-    return Waveform(times=times, values=u, probe_names=names)
+    return Waveform(times=times, values=u)
 
 
 def _reference_waveform(sc, asm, times):
@@ -245,8 +250,9 @@ def run_study(sc, ms, out_dir=None):
     One decomposition is built at the largest m and truncated for the
     smaller entries, so the operator work is not repeated; `wavecast
     run` is the study of a single m.  A trace with a value that is not
-    finite raises PrecisionError before it is written.  Returns (report,
-    waveforms dict).
+    finite raises PrecisionError before it is written, and an
+    eigensolve kernel that cannot be built raises ConfigurationError
+    before either route starts.  Returns (report, waveforms dict).
     """
     ms = tuple(ms)
     if not ms:
@@ -255,6 +261,7 @@ def run_study(sc, ms, out_dir=None):
         raise ConfigurationError("m list must be strictly increasing")
     if ms[0] < 1:
         raise ConfigurationError(f"need every m >= 1, got {ms}")
+    _ritz_kernel()  # built (or found missing) before any route starts
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)

@@ -32,9 +32,9 @@ polish every value to rounding level -- and one eigenvector per value,
 by three steps of inverse iteration on one pivoted tridiagonal LU of
 H - theta I.  The kernel is compiled with gcc on first use (never at
 import), cached in this package's __pycache__, and called through
-ctypes, which releases the GIL.  Where it cannot be built, LAPACK's
-dense zgeev, O(m^3), gives the values (also when the QL does not
-converge) and a Python loop of zgtsv solves the vectors.  The mode
+ctypes, which releases the GIL; gcc is required, and a kernel that
+cannot be built or loaded is a ConfigurationError.  When the QL does
+not converge, LAPACK's dense zgeev, O(m^3), gives the values.  The mode
 weights are S^T e_1, the first row of the eigenvector matrix S, which
 is S^-1 e_1 for bilinearly orthonormal vectors.  Close Ritz values are
 handled explicitly: clusters get bilinearly orthogonalized vectors, and
@@ -89,6 +89,7 @@ from scipy.sparse._sparsetools import csr_matvec
 from .errors import (
     BranchCutError,
     BreakdownError,
+    ConfigurationError,
     InvalidParameterError,
     NearDefectiveError,
     PrecisionError,
@@ -441,13 +442,15 @@ _CC = ("gcc", "-O2", "-shared", "-fPIC")
 
 @functools.cache
 def _ritz_kernel():
-    """The compiled Ritz kernels (the library, with ritz_values and
-    ritz_vectors set up), or None if they cannot be built or loaded.
+    """The compiled Ritz kernels: the library, with ritz_values and
+    ritz_vectors set up.
 
     Built on first use, never at import, into this package's
     __pycache__ under a name keyed by the SHA-256 of the source and the
     compiler command; the library is written to a temporary name and
     renamed into place, so no process loads a half-written file.
+    ConfigurationError when it cannot be built or loaded (no compiler,
+    or a package directory that cannot be written).
     """
     source = _RITZ_SOURCE.read_bytes()
     key = hashlib.sha256(source + repr(_CC).encode()).hexdigest()[:16]
@@ -466,8 +469,15 @@ def _ritz_kernel():
                 Path(tmp).unlink(missing_ok=True)
         lib = ctypes.CDLL(str(lib_path))
         values, vectors = lib.ritz_values, lib.ritz_vectors
-    except (OSError, AttributeError, subprocess.SubprocessError):
-        return None
+    except (OSError, AttributeError, subprocess.SubprocessError) as exc:
+        # one line: the compiler's first message, or the error's own
+        stderr = getattr(exc, "stderr", None) or b""
+        detail = stderr.decode(errors="replace").strip() or str(exc)
+        detail = detail.partition("\n")[0]
+        raise ConfigurationError(
+            f"cannot build or load the eigensolve kernel with "
+            f"'{' '.join(_CC)}' in {cache}: {detail}"
+        ) from None
     vec = np.ctypeslib.ndpointer(np.complex128, ndim=1, flags="C_CONTIGUOUS")
     ints = np.ctypeslib.ndpointer(np.intc, ndim=1, flags="C_CONTIGUOUS")
     starts = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
@@ -482,8 +492,7 @@ def _ritz_kernel():
 
 def _zgeev_values(alpha, off):
     """Eigenvalues of the tridiagonal H from LAPACK's zgeev on the dense
-    matrix, O(m^3): the route when the QL kernel is unavailable or
-    fails."""
+    matrix, O(m^3): the route when the QL kernel does not converge."""
     m = alpha.size
     h = np.zeros((m, m), dtype=complex, order="F")
     h[np.arange(m), np.arange(m)] = alpha
@@ -511,10 +520,9 @@ def _ritz_values(alpha, off):
     if alpha.ndim != 1 or alpha.size == 0 or off.shape != (alpha.size - 1,):
         raise InvalidParameterError("tridiagonal needs m >= 1 and m - 1 "
                                     "off-diagonal entries")
-    kernel = _ritz_kernel()
     theta = np.empty_like(alpha)
-    if kernel is not None and kernel.ritz_values(
-            alpha.size, alpha, off, theta, np.empty_like(alpha)) == 0:
+    if _ritz_kernel().ritz_values(alpha.size, alpha, off, theta,
+                                  np.empty_like(alpha)) == 0:
         route = "ql"
     else:
         theta, route = _zgeev_values(alpha, off), "zgeev"
@@ -541,17 +549,13 @@ _START_BLOCK = 128
 
 def _ritz_vectors(alpha, off, theta, h_scale):
     """Eigenvectors of H for the sorted Ritz values, as columns scaled to
-    s^T s = 1, by inverse iteration (see eigen_tridiag): the compiled
-    ritz_vectors kernel, or _invit_loop when it is unavailable."""
+    s^T s = 1, by inverse iteration in the compiled ritz_vectors kernel
+    (see eigen_tridiag)."""
     m = theta.size
-    if m == 1:  # zgtsv takes no empty off-diagonal
-        return np.ones((1, 1), dtype=complex)
     rng = np.random.default_rng(_INVIT_SEED)
     nudge = 4.0 * np.finfo(float).eps * h_scale
     label = _close_groups(theta, _CLUSTER_TOL * h_scale)
     kernel = _ritz_kernel()
-    if kernel is None:
-        return _invit_loop(alpha, off, theta, label, rng, nudge)
     alpha, off, theta = (np.ascontiguousarray(a, dtype=complex)
                          for a in (alpha, off, theta))
     if alpha.shape != (m,) or off.shape != (m - 1,):
@@ -575,38 +579,6 @@ def _ritz_vectors(alpha, off, theta, h_scale):
                                    s, work, piv, bad)
         if code:
             raise (_singular if code == 1 else _defective)(bad[0])
-    return s
-
-
-def _invit_loop(alpha, off, theta, label, rng, nudge):
-    """The inverse iteration of the ritz_vectors kernel as a Python loop
-    of LAPACK zgtsv solves, for when the kernel cannot be built."""
-    m = theta.size
-    s = np.empty((m, m), dtype=complex, order="F")
-    earlier = {}  # cluster label -> columns already computed
-    for i in range(m):
-        group = earlier.setdefault(label[i], [])
-        sigma = theta[i] + len(group) * nudge
-        x = rng.uniform(-1.0, 1.0, m).astype(complex)
-        for _ in range(_INVIT_STEPS):
-            y = x / np.linalg.norm(x)
-            for _ in range(3):  # a zero pivot moves sigma and solves again
-                *_, x, info = scipy.linalg.lapack.zgtsv(off, alpha - sigma,
-                                                        off, y)
-                if info == 0:
-                    break
-                sigma += nudge
-            else:
-                raise _singular(sigma)
-            if group:
-                prev = s[:, group]
-                x -= prev @ (prev.T @ x)
-        x /= np.linalg.norm(x)
-        quasi = x @ x
-        if abs(quasi) < _DEFECT_TOL:
-            raise _defective(quasi)
-        s[:, i] = x / np.sqrt(quasi)
-        group.append(i)
     return s
 
 
@@ -643,10 +615,11 @@ def eigen_tridiag(decomp):
       polish is what keeps ghost grouping at _GHOST_TOL right.  Both
       stages are O(m^2).  The kernel is built with gcc (_CC) on first
       use into __pycache__, keyed by the SHA-256 of its source and the
-      command, written to a temporary name and renamed into place.
-      When it cannot be built or loaded, or its iteration cap is hit
-      (as on a Jordan-like H), LAPACK's zgeev on the dense H gives the
-      values (route "zgeev"); ModeSet.route records which.
+      command, written to a temporary name and renamed into place;
+      ConfigurationError when it cannot be built or loaded.  When its
+      iteration cap is hit (as on a Jordan-like H), LAPACK's zgeev on
+      the dense H gives the values (route "zgeev"); ModeSet.route
+      records which.
     - One eigenvector per Ritz value theta_i by _INVIT_STEPS steps of
       inverse iteration, x <- (H - sigma I)^{-1} x / ||x||, in the same
       kernel (ritz_vectors): one pivoted tridiagonal LU of H - sigma I
@@ -659,8 +632,7 @@ def eigen_tridiag(decomp):
       moved a few ulps of max |H| from theirs.  A zero pivot moves sigma
       by the same step and factors again.  Each vector is scaled to
       s^T s = 1; NearDefectiveError if |s^T s| of the unit-norm vector
-      is below _DEFECT_TOL.  Without the kernel, a Python loop of LAPACK
-      zgtsv solves does the same.
+      is below _DEFECT_TOL.
     - Mode weights S^T e_1, the first row of S: with bilinearly
       orthonormal vectors S^T = S^-1, and the cluster orthogonalization
       keeps that true of close and ghost pairs too.  PrecisionError

@@ -12,6 +12,7 @@ samples agree node for node.
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -122,16 +123,23 @@ class RodLattice:
 _SHAPE_TYPES = (Disk, Annulus, RodLattice)
 
 
-def _floats(value):
-    """The floats in a field value, inside points and shapes too."""
-    if isinstance(value, float):
+def _numbers(value):
+    """The numbers in a field value, inside points and shapes too."""
+    if isinstance(value, (int, float)):
         yield value
     elif isinstance(value, (tuple, frozenset)):
         for v in value:
-            yield from _floats(v)
+            yield from _numbers(v)
     elif dataclasses.is_dataclass(value):
         for f in dataclasses.fields(value):
-            yield from _floats(getattr(value, f.name))
+            yield from _numbers(getattr(value, f.name))
+
+
+def _finite(v):
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -162,7 +170,7 @@ class Scenario:
 
     def validate(self):
         for f in dataclasses.fields(self):
-            if not all(np.isfinite(v) for v in _floats(getattr(self, f.name))):
+            if not all(_finite(v) for v in _numbers(getattr(self, f.name))):
                 raise ConfigurationError(f"{f.name} must be finite")
         if not 0.0 < self.omega_min < self.omega_max:
             raise ConfigurationError("need 0 < omega_min < omega_max")
@@ -419,14 +427,9 @@ def get_scenario(name):
     return factory()
 
 
-_REQUIRED = object()
-
-
-def _cfg_value(cp, section, key, convert, default=_REQUIRED):
+def _cfg_value(cp, section, key, convert):
     if not cp.has_option(section, key):
-        if default is _REQUIRED:
-            raise ConfigurationError(f"config is missing [{section}] {key}")
-        return default
+        raise ConfigurationError(f"config is missing [{section}] {key}")
     raw = cp.get(section, key)
     try:
         return convert(raw)
@@ -475,6 +478,7 @@ def _cfg_shape(key, raw):
                 f"[geometry] {key} (lattice) needs pitch radius eps_r "
                 f"rows cols, got {raw!r}"
             )
+        # a non-numeric field raises ValueError, which _cfg_value reports
         pitch, radius, eps_r = (float(a) for a in args[:3])
         rows, cols = int(args[3]), int(args[4])
         return RodLattice(pitch, radius, eps_r, rows, cols, removed)
@@ -484,6 +488,30 @@ def _cfg_shape(key, raw):
     )
 
 
+def _ints(raw):
+    return tuple(int(p) for p in raw.replace(",", " ").split())
+
+
+# (section, key, Scenario field, conversion) of the scalar config keys;
+# a key the file leaves out takes the field's default, and a field
+# without one is required
+_CFG_KEYS = (
+    ("band", "omega_min", "omega_min", float),
+    ("band", "omega_max", "omega_max", float),
+    ("band", "mu", "mu", float),
+    ("band", "floor_db", "floor_db", float),
+    ("discretization", "n_int", "n_int", int),
+    ("discretization", "samples_per_period", "samples_per_period", int),
+    ("solvers", "k", "k", int),
+    ("solvers", "m", "m_default", int),
+    ("solvers", "m_list", "m_list", _ints),
+    ("scenario", "t_final", "t_final", float),
+    ("scenario", "amplitude", "amplitude", float),
+    ("scenario", "l_ref", "l_ref", float),
+    ("scenario", "reference", "reference", str),
+)
+
+
 def load_config(path):
     """Scenario from a sectioned key-value file.
 
@@ -491,16 +519,21 @@ def load_config(path):
     [solvers] k, [scenario] t_final, [source] x/y, and at least one
     probe in [probes].  Geometry entries are painted in key order.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from None
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"malformed config {path}: {exc}") from None
 
-    name = _cfg_value(cp, "scenario", "name", str, default=Path(path).stem)
+    defaults = {f.name: f.default for f in dataclasses.fields(Scenario)}
+    fields = {}
+    for section, key, field, convert in _CFG_KEYS:
+        if cp.has_option(section, key) or defaults[field] is dataclasses.MISSING:
+            fields[field] = _cfg_value(cp, section, key, convert)
     probes = []
     if cp.has_section("probes"):
         for key, raw in cp.items("probes"):
@@ -509,37 +542,14 @@ def load_config(path):
         raise ConfigurationError("config defines no probes")
     shapes = []
     if cp.has_section("geometry"):
-        for key, raw in cp.items("geometry"):
-            shapes.append(_cfg_shape(key, raw))
-    m_list = _cfg_value(
-        cp,
-        "solvers",
-        "m_list",
-        lambda raw: tuple(int(p) for p in raw.replace(",", " ").split()),
-        default=(),
-    )
-    source = (
-        _cfg_value(cp, "source", "x", float),
-        _cfg_value(cp, "source", "y", float),
-    )
+        for key in cp.options("geometry"):
+            shapes.append(_cfg_value(cp, "geometry", key,
+                                     lambda raw: _cfg_shape(key, raw)))
     return Scenario(
-        name=name,
-        omega_min=_cfg_value(cp, "band", "omega_min", float),
-        omega_max=_cfg_value(cp, "band", "omega_max", float),
-        mu=_cfg_value(cp, "band", "mu", float, default=0.1),
-        floor_db=_cfg_value(cp, "band", "floor_db", float, default=-30.0),
-        n_int=_cfg_value(cp, "discretization", "n_int", int),
-        samples_per_period=_cfg_value(
-            cp, "discretization", "samples_per_period", int, default=20
-        ),
-        k=_cfg_value(cp, "solvers", "k", int),
-        m_default=_cfg_value(cp, "solvers", "m", int, default=500),
-        m_list=m_list,
-        t_final=_cfg_value(cp, "scenario", "t_final", float),
-        amplitude=_cfg_value(cp, "scenario", "amplitude", float, default=1.0),
-        l_ref=_cfg_value(cp, "scenario", "l_ref", float, default=None),
-        reference=_cfg_value(cp, "scenario", "reference", str, default="none"),
-        source_xy=source,
+        name=cp.get("scenario", "name", fallback=Path(path).stem),
+        source_xy=(_cfg_value(cp, "source", "x", float),
+                   _cfg_value(cp, "source", "y", float)),
         probes=tuple(probes),
         shapes=tuple(shapes),
+        **fields,
     ).validate()

@@ -279,7 +279,8 @@ def zolotarev_approx(interval, k):
 
 
 def impedance_error(imp, interval, samples=20000):
-    """max |1 - sqrt(x) phi(x)| over log-spaced magnitudes of the interval.
+    """|1 - sqrt(x) phi(x)| at log-spaced magnitudes of the interval:
+    (xs, errors), whose max is the sampled error level.
 
     Independent of the stored equioscillation level: the partial
     fraction is re-evaluated on a dense grid.
@@ -287,8 +288,7 @@ def impedance_error(imp, interval, samples=20000):
     if samples < 2:
         raise InvalidParameterError("need at least two sample points")
     xs = np.geomspace(interval.x_lo, interval.x_hi, samples)
-    err = 1.0 - np.sqrt(xs) * imp(xs)
-    return float(np.max(np.abs(err)))
+    return xs, np.abs(1.0 - np.sqrt(xs) * imp(xs))
 
 
 def to_continued_fraction(imp):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import wavecast.cli
 import wavecast.harness
 import wavecast.krylov
 from wavecast.cli import main
@@ -397,3 +398,100 @@ def test_compare_is_scale_invariant(tmp_path, capsys):
         errors.append(_printed_errors(capsys.readouterr().out))
     assert errors[0] == errors[1]
     assert 0.001 < errors[0][0] < 0.1
+
+
+def test_kernel_build_failure_exits_2(tmp_path, monkeypatch, capsys):
+    # without a compiler the run stops before either route starts: one
+    # line on stderr and no trace written
+    monkeypatch.setattr(wavecast.krylov, "_CC", ("/nonexistent/cc", "-shared"))
+    wavecast.krylov._ritz_kernel.cache_clear()
+    try:
+        code = main(["run", "ring-desk", "--out", str(tmp_path / "x")])
+    finally:
+        wavecast.krylov._ritz_kernel.cache_clear()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "/nonexistent/cc" in err and "__pycache__" in err
+    for name in ("reference.csv", "lanczos.csv"):
+        assert not (tmp_path / "x" / name).exists()
+
+
+# every (section, key) load_config reads, with a valid value where
+# MINI_CFG sets the key and None where it leaves it out
+_CFG_VALID = {
+    ("scenario", "name"): "mini", ("scenario", "reference"): "analytic",
+    ("scenario", "t_final"): "6.0", ("scenario", "l_ref"): "2.0e-6",
+    ("scenario", "amplitude"): None, ("band", "omega_min"): "3.14159",
+    ("band", "omega_max"): "12.5664", ("band", "mu"): None,
+    ("band", "floor_db"): None, ("discretization", "n_int"): "40",
+    ("discretization", "samples_per_period"): None, ("solvers", "k"): "3",
+    ("solvers", "m"): "160", ("solvers", "m_list"): "60, 120, 160",
+    ("source", "x"): "0.0", ("source", "y"): "0.0",
+    ("probes", "probe1"): "0.3, 0.0", ("probes", "probe2"): None,
+    ("geometry", "g1"): None, ("geometry", "g2"): None,
+}
+_TOKEN = st.one_of(
+    _NUMBER,
+    st.integers().map(str),
+    st.sampled_from(["nan", "inf", "-1", "0", "1e999", "1" + "0" * 400,
+                     "%", "50%", "%(x)s", "x", "fdtd", "none", "disk",
+                     "annulus", "lattice", "removed=1:1", "removed=x:1"]),
+    st.text(max_size=6),
+)
+_VALUE = st.lists(_TOKEN, max_size=6).map(" ".join)
+
+
+@st.composite
+def _config_text(draw):
+    """MINI_CFG with a few keys dropped or set to drawn tokens, so that
+    most files are parsed and many reach validation."""
+    entries = {k: v for k, v in _CFG_VALID.items() if v is not None}
+    for _ in range(draw(st.integers(0, 4))):
+        key = draw(st.sampled_from(sorted(_CFG_VALID)))
+        if draw(st.integers(0, 4)):
+            entries[key] = draw(_VALUE)
+        else:
+            entries.pop(key, None)
+    sections = {}
+    for (section, key), value in entries.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    return "".join(f"[{section}]\n" + "\n".join(lines) + "\n"
+                   for section, lines in sections.items())
+
+
+# pinned inputs that each ended in a traceback: a % in a value, a
+# lattice field that is not a number, an int beyond the float range, and
+# a file that is not UTF-8
+_PERCENT = MINI_CFG.replace("name = mini", "name = mini%")
+_BAD_LATTICE = MINI_CFG + "\n[geometry]\nrods = lattice 0.2 abc 4.0 2 2\n"
+_BAD_ROWS = MINI_CFG + "\n[geometry]\nrods = lattice 0.2 0.04 4.0 x 2\n"
+_HUGE_N = MINI_CFG.replace("n_int = 40", "n_int = 1" + "0" * 400)
+
+
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(_config_text().map(str.encode),
+                     _config_text().map(str.encode),
+                     st.text(max_size=200).map(str.encode),
+                     st.binary(max_size=200)))
+@example(data=_PERCENT.encode())
+@example(data=_BAD_LATTICE.encode())
+@example(data=_BAD_ROWS.encode())
+@example(data=_HUGE_N.encode())
+@example(data=b"\x80")
+def test_run_exit_code_on_any_config(tmp_path, monkeypatch, capsys, data):
+    # load_config validates, and the pipeline after it is stubbed out
+    def validated(sc, ms, out_dir=None):
+        report = SimpleNamespace(scenario=sc.name, m=ms[-1],
+                                 probe_errors=None,
+                                 metadata={"n_unknown": 0, "chi": 0.0})
+        return report, {}
+
+    monkeypatch.setattr(wavecast.cli, "run_study", validated)
+    path = tmp_path / "fuzz.cfg"
+    path.write_bytes(data)
+    capsys.readouterr()
+    code = main(["run", str(path), "--out", str(tmp_path / "x")])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err

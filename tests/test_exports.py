@@ -25,8 +25,6 @@ ORACLES = {
                           "oracle of criterion 04",
     "sctde_scalar": "scalar form of the corrected kernel and of its "
                     "branch-cut rule, which the matrix route follows",
-    "impedance_error": "independently sampled absorbing-layer error, "
-                       "checked against the stored one in criterion 01",
     "eval_impedance_cf": "direct evaluation of the continued-fraction "
                          "ladder, checked against the partial fractions",
     "SourceSignature.spectrum": "exact transform of the wavelet, behind "
@@ -44,7 +42,6 @@ DIAGNOSTICS = {
     "run_fdtd.initial_ez": "test_fdtd_energy_conservation_*",
     "evaluate_impulse.kernel": "the growing negative control of "
                                "criterion 07 and test_krylov.py",
-    "impedance_error.samples": "test_impedance_error_matches_stored",
     "main.argv": "every test of test_cli.py",
 }
 

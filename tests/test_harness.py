@@ -83,26 +83,9 @@ def test_run_artifacts(mini_run):
     # run is a study of one m
     assert [e["m"] for e in payload["convergence"]] == [160]
     assert payload["convergence"][0]["errors"] == payload["probe_errors"]
-    # the compiled eigenvalue kernel builds and runs on this host, so a
-    # broken build cannot silently drop back to the O(m^3) route
+    # the compiled QL gives the values; zgeev takes over only when it
+    # hits its iteration cap
     assert payload["metadata"]["eig_route"] == "ql"
-
-
-def test_failed_kernel_build_falls_back_to_zgeev(mini_run, tmp_path,
-                                                 monkeypatch):
-    monkeypatch.setattr(krylov, "_CC", ("/nonexistent/cc", "-shared"))
-    krylov._ritz_kernel.cache_clear()
-    try:
-        sc = _mini()
-        report, waveforms = run_study(sc, (sc.m_default,), out_dir=tmp_path)
-    finally:
-        krylov._ritz_kernel.cache_clear()
-    payload = json.loads((tmp_path / "report.json").read_text())
-    assert payload["metadata"]["eig_route"] == "zgeev"
-    assert report.metadata["modes_merged"] == mini_run[0].metadata["modes_merged"]
-    want = mini_run[1]["lanczos"].values
-    got = waveforms["lanczos"].values
-    assert np.abs(got - want).max() < 1e-8 * np.abs(want).max()
 
 
 def test_run_trace_covers_window(mini_run):

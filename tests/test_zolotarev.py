@@ -130,7 +130,7 @@ def test_error_rate_in_k():
 def test_impedance_error_matches_stored():
     iv = SpectralInterval(-1e4, -1.0)
     imp = zolotarev_approx(iv, 9)
-    indep = impedance_error(imp, iv, samples=200000)
+    indep = impedance_error(imp, iv, samples=200000)[1].max()
     assert abs(indep - imp.max_error) < 1e-3 * imp.max_error
 
 
@@ -138,7 +138,7 @@ def test_error_blows_up_outside_interval():
     iv = SpectralInterval(-1e4, -1.0)
     imp = zolotarev_approx(iv, 9)
     wide = SpectralInterval(-1e6, -0.01)
-    assert impedance_error(imp, wide) > 100.0 * imp.max_error
+    assert impedance_error(imp, wide)[1].max() > 100.0 * imp.max_error
 
 
 def test_scaling_covariance():
