@@ -33,6 +33,8 @@ from .errors import ConfigurationError, PrecisionError
 from .fdtd import run_fdtd, time_step
 from .grid import build_grid2d
 from .krylov import (
+    _block_count,
+    _lanczos_kernel,
     _ritz_kernel,
     bilanczos,
     convolve_source,
@@ -234,6 +236,7 @@ def _metadata(sc, asm, decomp, m_requested, m, modes):
         "m": m,
         "m_requested": m_requested,
         "lanczos_stop": decomp.stop,
+        "lanczos_threads": _block_count(asm.op.n),
         "lanczos_drift": decomp.drift,
         "recon_error": modes.recon_error,
         "modes_merged": modes.merged,
@@ -250,9 +253,10 @@ def run_study(sc, ms, out_dir=None):
     One decomposition is built at the largest m and truncated for the
     smaller entries, so the operator work is not repeated; `wavecast
     run` is the study of a single m.  A trace with a value that is not
-    finite raises PrecisionError before it is written, and an
-    eigensolve kernel that cannot be built raises ConfigurationError
-    before either route starts.  Returns (report, waveforms dict).
+    finite raises PrecisionError before it is written.  A kernel that
+    cannot be built, or a largest m above the operator size n, raises
+    ConfigurationError before either route starts and before anything
+    is written.  Returns (report, waveforms dict).
     """
     ms = tuple(ms)
     if not ms:
@@ -261,12 +265,16 @@ def run_study(sc, ms, out_dir=None):
         raise ConfigurationError("m list must be strictly increasing")
     if ms[0] < 1:
         raise ConfigurationError(f"need every m >= 1, got {ms}")
-    _ritz_kernel()  # built (or found missing) before any route starts
+    # built (or found missing) before any route starts
+    _ritz_kernel()
+    _lanczos_kernel()
+    asm = _prepare(sc)
+    if ms[-1] > asm.op.n:
+        raise ConfigurationError(
+            f"m = {ms[-1]} exceeds the operator size n = {asm.op.n}")
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-
-    asm = _prepare(sc)
     timings = {"assemble_s": asm.seconds}
     times = _padded_times(sc, asm)
     # the reference runs on a worker thread beside the Krylov route (the
@@ -279,6 +287,7 @@ def run_study(sc, ms, out_dir=None):
         t0 = time.perf_counter()
         decomp = bilanczos(asm.op, asm.b, ms[-1], asm.probe_flats)
         timings["lanczos_s"] = time.perf_counter() - t0
+        timings["lanczos_ms_per_iter"] = 1e3 * timings["lanczos_s"] / decomp.m
         # a breakdown retreat or a closed invariant subspace shortens the run
         m_requested = ms[-1]
         ms = tuple(m for m in ms if m <= decomp.m) or (decomp.m,)

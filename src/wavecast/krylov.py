@@ -30,36 +30,45 @@ gives the eigenvalues of the symmetrized tridiagonal H -- an implicit QL
 with complex-orthogonal rotations, then Ehrlich-Aberth sweeps that
 polish every value to rounding level -- and one eigenvector per value,
 by three steps of inverse iteration on one pivoted tridiagonal LU of
-H - theta I.  The kernel is compiled with gcc on first use (never at
-import), cached in this package's __pycache__, and called through
-ctypes, which releases the GIL; gcc is required, and a kernel that
-cannot be built or loaded is a ConfigurationError.  When the QL does
-not converge, LAPACK's dense zgeev, O(m^3), gives the values.  The mode
-weights are S^T e_1, the first row of the eigenvector matrix S, which
-is S^-1 e_1 for bilinearly orthonormal vectors.  Close Ritz values are
-handled explicitly: clusters get bilinearly orthogonalized vectors, and
-ghost copies of one mode are merged.
+H - theta I.  When the QL does not converge, LAPACK's dense zgeev,
+O(m^3), gives the values.  The mode weights are S^T e_1, the first row
+of the eigenvector matrix S, which is S^-1 e_1 for bilinearly
+orthonormal vectors.  Close Ritz values are handled explicitly:
+clusters get bilinearly orthogonalized vectors, and ghost copies of one
+mode are merged.
 
-Each recursion step runs in place on preallocated vectors, in three
-row-parallel phases separated by the scalar reductions:
+Each recursion step runs on preallocated vectors in two passes of a
+second C kernel (_lanczos.c), separated by the scalar reductions:
 
-    A: aw = A w, M w, M aw
-       (serial: delta_i = w^T M w, alpha_i = w^T M aw / delta_i)
-    B: r = aw - alpha_i w - (delta_i/delta_{i-1}) zeta_i w_{i-1}
-       (serial: zeta_{i+1} = ||r||)
-    C: w_{i+1} = r * (1 / zeta_{i+1})
+    A: w_i = r_i * (1 / zeta_i), aw = A w_i, M w_i, M aw
+       (numpy: delta_i = w^T M w, alpha_i = w^T M aw / delta_i)
+    B: r_{i+1} = aw - alpha_i w_i - (delta_i/delta_{i-1}) zeta_i w_{i-1}
+       (numpy: zeta_{i+1} = ||r_{i+1}||)
 
-The rows are split into min(usable CPUs, n // _ROWS_PER_WORKER)
-contiguous CSR blocks (one below 2 * _ROWS_PER_WORKER rows).  The
-calling thread takes block 0 and a thread pool, alive only during the
-call, the rest; the sparse product and the ufuncs release the GIL.
-Every element is computed by the same operation on the same operands
-as in a whole-vector pass, and the dots and norms stay whole-vector
-and serial, so the run is bitwise identical for every block count.
-The block count does not read the BLAS thread settings.  The
-happy-breakdown test takes max |aw| only on the rare steps where
-zeta_{i+1} is below 1e-14 of its bound zeta_{i+1} + |alpha_i| + |c|
-on ||aw||.
+Phase A is matrix-free: A w comes from the operator's five-point
+stencil factors, not from an assembled matrix, and the previous step's
+scale is applied to r as each value is read, so w is never a pass of
+its own.  Each pass fuses the products that read the same rows, since
+at paper scale the step is bound by memory traffic: about 57 MB per
+step at n = 229 441, against 125 MB for the separate numpy and CSR
+passes it replaces.  The dots and the norm stay single whole-vector
+numpy (BLAS) calls, whose summation order the bits depend on.  Both
+passes split the rows into min(usable CPUs, n // _ROWS_PER_WORKER)
+contiguous blocks (one below 2 * _ROWS_PER_WORKER rows), one OpenMP
+thread each, inside one ctypes call that releases the GIL.  Every
+element is the same operations on the same operands as in
+whole-vector numpy passes and scipy's product with the assembled CSR
+matrix (the rules are in _lanczos.c; the form of numpy's complex
+product is probed when the kernel is loaded, see _numpy_cmul_form),
+so the run is bitwise identical for every block count and on the
+kernel's SIMD and scalar paths.  The block count does not read the
+BLAS or OpenMP thread settings.  The happy-breakdown test takes
+max |aw| only on the rare steps where zeta_{i+1} is below 1e-14 of its
+bound zeta_{i+1} + |alpha_i| + |c| on ||aw||.
+
+Both kernels are compiled with gcc on first use (never at import) and
+cached in this package's __pycache__ (see _native); gcc is required,
+and a kernel that cannot be built or loaded is a ConfigurationError.
 
 bilanczos runs the recursion once, from b.  A collapse of the bilinear
 form at iteration i > 2 ends the run there and hands back its first
@@ -71,25 +80,17 @@ the one run.
 import ctypes
 import dataclasses
 import functools
-import hashlib
 import os
-import subprocess
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.fft
 import scipy.linalg
-# the kernel behind csr_matrix @ vector, called directly so the product
-# lands in a preallocated buffer
-from scipy.sparse._sparsetools import csr_matvec
 
+from . import _native
 from .errors import (
     BranchCutError,
     BreakdownError,
-    ConfigurationError,
     InvalidParameterError,
     NearDefectiveError,
     PrecisionError,
@@ -175,10 +176,13 @@ class LanczosDecomposition:
         )
 
 
-# Fewest rows per worker thread for which splitting an iteration's
-# vector passes into row blocks pays for the hand-offs between threads.
-# Measured on a 2-core x86-64 VM: two blocks break even with one at
-# n = 27 000 - 38 000 and win by 14 % at n = 42 025, 30 % at 65 025.
+# Fewest rows per worker thread.  Measured on a 2-core x86-64 VM, with
+# a Python thread pool around the numpy passes two blocks broke even
+# with one at n = 27 000 - 38 000; the OpenMP passes win from n = 5 000
+# (8 %; 17 % at 19 881, 20 % at 63 001) when they run alone.  Beside
+# the FDTD reference, which takes the other core, two threads lose:
+# ring-desk took 1.0 - 1.2 ms per iteration on two against 0.34 - 0.48
+# on one, so the desk presets stay on one.
 _ROWS_PER_WORKER = 20_000
 # the bilinear form has collapsed when |delta_i| < _BREAKDOWN_TOL * max |M|
 _BREAKDOWN_TOL = 1e-14
@@ -199,21 +203,46 @@ def _block_count(n):
     return max(1, min(_usable_cpus(), n // _ROWS_PER_WORKER))
 
 
-def _row_blocks(a_mat, n_blocks):
-    """Contiguous row blocks of a CSR matrix.
+def _numpy_cmul_form(kernel):
+    """The form of numpy's complex product on this host: "fused" when
+    np.multiply(a, b) gives fma(ar, br, -(ai bi)) + i fma(ar, bi, ai br)
+    for arrays and for a broadcast first operand, else "plain"."""
+    a, b = np.random.default_rng(0).uniform(-1.0, 1.0, (2, 134)).view(complex)
+    for a_step, want in ((1, a * b), (0, a[0] * b)):
+        got = np.empty_like(b)
+        kernel.lanczos_cmul(b.size, 1, a, a_step, b, got)
+        if not np.array_equal(got, want):
+            return "plain"
+    return "fused"
 
-    Each block is (rows, indptr, indices, data) in CSR form over all
-    columns; indices and data are views into a_mat's arrays (a
-    csr_matrix built from them would copy views this small), so the
-    blocks cost no memory beyond their row pointers.
-    """
-    bounds = [a_mat.shape[0] * k // n_blocks for k in range(n_blocks + 1)]
-    blocks = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        start, stop = a_mat.indptr[lo], a_mat.indptr[hi]
-        blocks.append((slice(lo, hi), a_mat.indptr[lo:hi + 1] - start,
-                       a_mat.indices[start:stop], a_mat.data[start:stop]))
-    return blocks
+
+@functools.cache
+def _lanczos_kernel():
+    """The compiled recursion step (_lanczos.c), with `simd` (the CPU
+    runs its AVX2/FMA path) and `fused` (numpy's complex product form,
+    see _numpy_cmul_form) set on the library."""
+    c_int, c_long, c_double = ctypes.c_int, ctypes.c_long, ctypes.c_double
+    ptr = ctypes.c_void_p
+    vec = np.ctypeslib.ndpointer(np.complex128, ndim=1, flags="C_CONTIGUOUS")
+    kernel = _native.load("_lanczos.c", {
+        "lanczos_simd": (c_int, []),
+        "lanczos_phase_a": (c_int, [c_int, c_int, c_int, c_int, c_int, ptr,
+                                    c_double, *[ptr] * 10]),
+        "lanczos_phase_b": (c_int, [c_int, c_int, c_int, c_long, ptr, ptr,
+                                    ptr, ptr, c_int, ptr]),
+        "lanczos_cmul": (c_int, [c_long, c_int, vec, c_int, vec, vec]),
+    })
+    kernel.simd = kernel.lanczos_simd()
+    kernel.fused = int(_numpy_cmul_form(kernel) == "fused")
+    return kernel
+
+
+def _complex_array(a, shape):
+    a = np.ascontiguousarray(a, dtype=complex)
+    if a.shape != shape:
+        raise InvalidParameterError(
+            f"operator array of shape {a.shape}, need {shape}")
+    return a
 
 
 def bilanczos(op, b, m, probe_indices):
@@ -228,9 +257,9 @@ def bilanczos(op, b, m, probe_indices):
     run asked for m = i - 2.  A collapse at i <= 2 leaves nothing and
     raises BreakdownError.
 
-    Each step runs the phases of the module docstring over
-    min(usable CPUs, n // _ROWS_PER_WORKER) row blocks (at least one),
-    with bitwise the same result for any block count.
+    Each step runs the phases of the module docstring on
+    min(usable CPUs, n // _ROWS_PER_WORKER) threads (at least one),
+    with bitwise the same result for any thread count.
     """
     if m < 1:
         raise InvalidParameterError(f"need m >= 1, got {m}")
@@ -247,111 +276,93 @@ def bilanczos(op, b, m, probe_indices):
     if probes.min() < 0 or probes.max() >= n:
         raise InvalidParameterError("probe index out of range")
 
-    m_diag = op.m_diag
+    wx, wy = op.inv_c.shape
+    m_diag = _complex_array(op.m_diag, (n,))
+    stencil = [_complex_array(f, (size,)) for f, size in (
+        (op.cxm, wx), (op.cxp, wx), (op.cym, wy), (op.cyp, wy))]
+    stencil.append(np.ascontiguousarray(op.inv_c, dtype=float))
     m_scale = float(np.abs(m_diag).max())
+    kernel = _lanczos_kernel()
     n_blocks = _block_count(n)
-    blocks = _row_blocks(op.a_mat.tocsr(), n_blocks)
+    phase_a = functools.partial(
+        kernel.lanczos_phase_a, n_blocks, kernel.simd, kernel.fused, wx, wy)
+    phase_b = functools.partial(
+        kernel.lanczos_phase_b, n_blocks, kernel.simd, kernel.fused, n)
+    consts = [a.ctypes.data for a in (*stencil, m_diag)]
 
     alpha = np.empty(m, dtype=complex)
     zeta = np.empty(m, dtype=float)
     delta = np.empty(m, dtype=complex)
     w_probe = np.empty((m, probes.size), dtype=complex)
 
-    # rotating basis buffers
+    # rotating basis buffers: r (w_i before its scale), w_cur (w_i, once
+    # phase A has written it) and w_prev (w_{i-1}, then r_{i+1} in place)
+    r = b / norm_b
+    scale = 1.0  # w_i = r * scale
+    w_cur = np.empty(n, dtype=complex)
     w_prev = np.zeros(n, dtype=complex)
-    w_cur = b / norm_b
-    w_spare = np.empty(n, dtype=complex)  # r, then w_next in place
     aw = np.empty(n, dtype=complex)
-    mw = np.empty(n, dtype=complex)  # M w, then scratch for phase B
+    mw = np.empty(n, dtype=complex)  # M w
     maw = np.empty(n, dtype=complex)  # M A w
+    scalars = np.empty(2, dtype=complex)  # alpha_i, c_prev for phase B
     zeta_cur = norm_b  # zeta_i, the norm that produced w_i
     delta_prev = 1.0
-    m_w_first = m_diag * w_cur  # for the drift samples
+    m_w_first = m_diag * r  # for the drift samples
 
-    def phase_a(k):
-        """aw = A w, M w, M aw on block k."""
-        rows, indptr, indices, data = blocks[k]
-        aw_k = aw[rows]
-        aw_k.fill(0.0)
-        csr_matvec(aw_k.size, n, indptr, indices, data, w_cur, aw_k)
-        np.multiply(m_diag[rows], w_cur[rows], out=mw[rows])
-        np.multiply(m_diag[rows], aw_k, out=maw[rows])
-
-    def phase_b(k, a_i, c_prev):
-        """r = aw - a_i w - c_prev w_prev on block k (into w_spare)."""
-        rows = blocks[k][0]
-        r, tmp = w_spare[rows], mw[rows]
-        np.multiply(a_i, w_cur[rows], out=tmp)
-        np.subtract(aw[rows], tmp, out=r)
-        if c_prev is not None:
-            np.multiply(c_prev, w_prev[rows], out=tmp)
-            np.subtract(r, tmp, out=r)
-
-    def phase_c(k, inv_z):
-        """w_next = r / z_next on block k, in place, as a real multiply
-        by inv_z = 1 / z_next on the float view: numpy's complex division
-        by z_next + 0j multiplies by the same reciprocal."""
-        r = w_spare[blocks[k][0]].view(float)
-        np.multiply(r, inv_z, out=r)
-
-    def drift_sample():
+    def drift_sample(w):
         # global two-sided orthogonality drift against the first vector;
         # purely diagnostic
-        return float(abs(w_cur @ m_w_first) / m_scale)
+        return float(abs(w @ m_w_first) / m_scale)
+
+    def scaled_r():
+        # w_{i+1} = r * scale into the free buffer, as phase A writes it
+        np.multiply(r.view(float), scale, out=w_cur.view(float))
+        return w_cur
 
     drift = 0.0
     stop = "m"
     i = 0
-    with ThreadPoolExecutor(max_workers=max(1, n_blocks - 1)) as pool:
-
-        def on_blocks(phase, *args):
-            # block 0 runs on this thread, the others on the pool
-            futures = [pool.submit(phase, k, *args)
-                       for k in range(1, n_blocks)]
-            try:
-                first = phase(0, *args)
-            finally:
-                rest = [f.result() for f in futures]
-            return [first, *rest]
-
-        while i < m:
-            i += 1
-            on_blocks(phase_a)
-            d_i = w_cur @ mw
-            if abs(d_i) < _BREAKDOWN_TOL * m_scale:
-                if i <= 2:
-                    raise BreakdownError(
-                        f"bilinear form collapsed at iteration {i}: "
-                        f"|delta| = {abs(d_i):.3e}",
-                        index=i,
-                    )
-                stop = "breakdown"
-                break
-            a_i = (w_cur @ maw) / d_i
-            c_prev = (d_i / delta_prev) * zeta_cur if i > 1 else None
-            on_blocks(phase_b, a_i, c_prev)
-            alpha[i - 1] = a_i
-            zeta[i - 1] = zeta_cur
-            delta[i - 1] = d_i
-            np.take(w_cur, probes, out=w_probe[i - 1])
-            z_next = float(np.linalg.norm(w_spare))
-            delta_prev = d_i
-            # happy when z_next < 1e-14 (max |aw| + |a_i|); since
-            # max |aw| <= ||aw|| <= z_next + |a_i| + |c_prev| for unit
-            # w's, the max pass runs only when z_next is below 1e-14 of that
-            c_abs = abs(c_prev) if c_prev is not None else 0.0
-            if (z_next < 1e-14 * (z_next + abs(a_i) + c_abs)
-                    and z_next < 1e-14 * (np.abs(aw).max() + abs(a_i))):
-                stop = "invariant"
-                w_spare.fill(0.0)
-                w_cur = w_spare
-                break
-            on_blocks(phase_c, 1.0 / z_next)
-            w_prev, w_cur, w_spare = w_cur, w_spare, w_prev
-            zeta_cur = z_next
-            if i % _DRIFT_EVERY == 0:
-                drift = max(drift, drift_sample())
-    drift = max(drift, drift_sample())
+    while i < m:
+        i += 1
+        phase_a(r.ctypes.data, scale, *consts, w_cur.ctypes.data,
+                aw.ctypes.data, mw.ctypes.data, maw.ctypes.data)
+        d_i = w_cur @ mw
+        if abs(d_i) < _BREAKDOWN_TOL * m_scale:
+            if i <= 2:
+                raise BreakdownError(
+                    f"bilinear form collapsed at iteration {i}: "
+                    f"|delta| = {abs(d_i):.3e}",
+                    index=i,
+                )
+            stop = "breakdown"
+            drift = max(drift, drift_sample(w_cur))
+            break
+        a_i = (w_cur @ maw) / d_i
+        c_prev = (d_i / delta_prev) * zeta_cur if i > 1 else 0.0
+        scalars[:] = a_i, c_prev
+        # r_{i+1} into w_prev's buffer, element by element
+        phase_b(aw.ctypes.data, w_cur.ctypes.data, scalars.ctypes.data,
+                w_prev.ctypes.data, i > 1, w_prev.ctypes.data)
+        r, w_prev, w_cur = w_prev, w_cur, r
+        alpha[i - 1] = a_i
+        zeta[i - 1] = zeta_cur
+        delta[i - 1] = d_i
+        np.take(w_prev, probes, out=w_probe[i - 1])
+        z_next = float(np.linalg.norm(r))
+        delta_prev = d_i
+        # happy when z_next < 1e-14 (max |aw| + |a_i|); since
+        # max |aw| <= ||aw|| <= z_next + |a_i| + |c_prev| for unit
+        # w's, the max pass runs only when z_next is below 1e-14 of that
+        if (z_next < 1e-14 * (z_next + abs(a_i) + abs(c_prev))
+                and z_next < 1e-14 * (np.abs(aw).max() + abs(a_i))):
+            stop = "invariant"  # w_{i+1} = 0 adds no drift
+            break
+        # numpy's complex division by z_next + 0j multiplies by the same
+        # reciprocal
+        scale = 1.0 / z_next
+        zeta_cur = z_next
+        if i % _DRIFT_EVERY == 0 or i == m:
+            drift = max(drift, drift_sample(scaled_r()))
 
     m_run = i - 1 if stop == "breakdown" else i
     decomp = LanczosDecomposition(
@@ -434,60 +445,21 @@ def _close_groups(theta, tol):
     return label
 
 
-# the C source of the Ritz kernels (values and vectors), and the compiler
-# command that builds it into a shared library (the output path is appended)
-_RITZ_SOURCE = Path(__file__).with_name("_ritz.c")
-_CC = ("gcc", "-O2", "-shared", "-fPIC")
-
-
 @functools.cache
 def _ritz_kernel():
-    """The compiled Ritz kernels: the library, with ritz_values and
-    ritz_vectors set up.
-
-    Built on first use, never at import, into this package's
-    __pycache__ under a name keyed by the SHA-256 of the source and the
-    compiler command; the library is written to a temporary name and
-    renamed into place, so no process loads a half-written file.
-    ConfigurationError when it cannot be built or loaded (no compiler,
-    or a package directory that cannot be written).
-    """
-    source = _RITZ_SOURCE.read_bytes()
-    key = hashlib.sha256(source + repr(_CC).encode()).hexdigest()[:16]
-    cache = _RITZ_SOURCE.with_name("__pycache__")
-    lib_path = cache / f"_ritz-{key}.so"
-    try:
-        if not lib_path.exists():
-            cache.mkdir(exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-            os.close(fd)
-            try:
-                subprocess.run([*_CC, "-o", tmp, str(_RITZ_SOURCE)],
-                               check=True, capture_output=True, timeout=60)
-                os.replace(tmp, lib_path)
-            finally:
-                Path(tmp).unlink(missing_ok=True)
-        lib = ctypes.CDLL(str(lib_path))
-        values, vectors = lib.ritz_values, lib.ritz_vectors
-    except (OSError, AttributeError, subprocess.SubprocessError) as exc:
-        # one line: the compiler's first message, or the error's own
-        stderr = getattr(exc, "stderr", None) or b""
-        detail = stderr.decode(errors="replace").strip() or str(exc)
-        detail = detail.partition("\n")[0]
-        raise ConfigurationError(
-            f"cannot build or load the eigensolve kernel with "
-            f"'{' '.join(_CC)}' in {cache}: {detail}"
-        ) from None
+    """The compiled Ritz kernels (_ritz.c): the library, with
+    ritz_values and ritz_vectors set up."""
     vec = np.ctypeslib.ndpointer(np.complex128, ndim=1, flags="C_CONTIGUOUS")
     ints = np.ctypeslib.ndpointer(np.intc, ndim=1, flags="C_CONTIGUOUS")
     starts = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
     cols = np.ctypeslib.ndpointer(np.complex128, ndim=2, flags="F_CONTIGUOUS")
     c_int, c_double = ctypes.c_int, ctypes.c_double
-    values.argtypes = [c_int, vec, vec, vec, vec]
-    vectors.argtypes = [c_int, vec, vec, vec, ints, c_int, c_int, starts,
-                        c_double, c_int, c_double, cols, vec, ints, vec]
-    values.restype = vectors.restype = c_int
-    return lib
+    return _native.load("_ritz.c", {
+        "ritz_values": (c_int, [c_int, vec, vec, vec, vec]),
+        "ritz_vectors": (c_int, [c_int, vec, vec, vec, ints, c_int, c_int,
+                                 starts, c_double, c_int, c_double, cols,
+                                 vec, ints, vec]),
+    })
 
 
 def _zgeev_values(alpha, off):
@@ -613,13 +585,9 @@ def eigen_tridiag(decomp):
       form of the three-term recurrence.  The first sweep moves every value,
       later ones those whose last step exceeded 1e-12 of max |H|; the
       polish is what keeps ghost grouping at _GHOST_TOL right.  Both
-      stages are O(m^2).  The kernel is built with gcc (_CC) on first
-      use into __pycache__, keyed by the SHA-256 of its source and the
-      command, written to a temporary name and renamed into place;
-      ConfigurationError when it cannot be built or loaded.  When its
-      iteration cap is hit (as on a Jordan-like H), LAPACK's zgeev on
-      the dense H gives the values (route "zgeev"); ModeSet.route
-      records which.
+      stages are O(m^2).  When its iteration cap is hit (as on a
+      Jordan-like H), LAPACK's zgeev on the dense H gives the values
+      (route "zgeev"); ModeSet.route records which.
     - One eigenvector per Ritz value theta_i by _INVIT_STEPS steps of
       inverse iteration, x <- (H - sigma I)^{-1} x / ||x||, in the same
       kernel (ritz_vectors): one pivoted tridiagonal LU of H - sigma I

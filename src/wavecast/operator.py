@@ -14,6 +14,7 @@ i.e. M A = (M A)^T exactly up to roundoff; the short recurrence of the
 field evaluator relies on this.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,15 +65,59 @@ class MediumMap:
 
 @dataclass(frozen=True)
 class WaveOperator:
-    """Assembled sparse operator with its symmetrizing weight."""
+    """The five-point operator A, as its stencil factors, with its
+    symmetrizing weight.
+
+    Row (ix, iy) of A couples the unknowns (ix -+ 1, iy) by cxm[ix],
+    cxp[ix] and (ix, iy -+ 1) by cym[iy], cyp[iy], each times
+    inv_c[ix, iy], with the centre (-(cxm + cxp)[ix] - (cym + cyp)[iy])
+    * inv_c[ix, iy]; a neighbour on the Dirichlet boundary drops out.
+    The recursion applies A from these factors (krylov module).
+    """
 
     grid: object
-    a_mat: scipy.sparse.csr_matrix
+    cxm: np.ndarray
+    cxp: np.ndarray
+    cym: np.ndarray
+    cyp: np.ndarray
+    inv_c: np.ndarray  # (wx, wy)
     m_diag: np.ndarray
 
     @property
     def n(self):
-        return self.a_mat.shape[0]
+        return self.inv_c.size
+
+    @functools.cached_property
+    def a_mat(self):
+        """A as a CSR matrix, built on first use."""
+        wx, wy = self.inv_c.shape
+        inv_c = self.inv_c
+        center = -(self.cxm + self.cxp)[:, None] - (self.cym + self.cyp)[None, :]
+        center = center * inv_c
+        east = np.broadcast_to(self.cxp[:, None], (wx, wy)) * inv_c
+        west = np.broadcast_to(self.cxm[:, None], (wx, wy)) * inv_c
+        north = np.broadcast_to(self.cyp[None, :], (wx, wy)) * inv_c
+        south = np.broadcast_to(self.cym[None, :], (wx, wy)) * inv_c
+
+        north = north.copy()
+        south = south.copy()
+        north[:, -1] = 0.0  # Dirichlet neighbours drop out
+        south[:, 0] = 0.0
+
+        n = wx * wy
+        return scipy.sparse.diags(
+            [
+                center.ravel(),
+                east[:-1, :].ravel(),
+                west[1:, :].ravel(),
+                north.ravel()[:-1],
+                south.ravel()[1:],
+            ],
+            [0, wy, -wy, 1, -1],
+            shape=(n, n),
+            format="csr",
+            dtype=complex,
+        )
 
     def sample_source(self, x, y, amplitude=1.0):
         """Point source: discrete delta at the nearest interior node.
@@ -90,7 +135,8 @@ class WaveOperator:
 
 
 def assemble_operator(grid, medium=None):
-    """Build A and M for a grid and medium (uniform c = 1 by default)."""
+    """Stencil factors of A, and M, for a grid and medium (uniform
+    c = 1 by default)."""
     if medium is None:
         medium = MediumMap(values=np.ones(grid.shape))
     medium.validate(grid)
@@ -107,37 +153,13 @@ def assemble_operator(grid, medium=None):
     wyp = ay.steps_primary[1 : wy + 1]
     dwy = ay.steps_dual
 
-    cxm = 1.0 / (dwx * wxm)
-    cxp = 1.0 / (dwx * wxp)
-    cym = 1.0 / (dwy * wym)
-    cyp = 1.0 / (dwy * wyp)
-
-    inv_c = 1.0 / c
-    center = -(cxm + cxp)[:, None] - (cym + cyp)[None, :]
-    center = center * inv_c
-    east = np.broadcast_to(cxp[:, None], (wx, wy)) * inv_c
-    west = np.broadcast_to(cxm[:, None], (wx, wy)) * inv_c
-    north = np.broadcast_to(cyp[None, :], (wx, wy)) * inv_c
-    south = np.broadcast_to(cym[None, :], (wx, wy)) * inv_c
-
-    north = north.copy()
-    south = south.copy()
-    north[:, -1] = 0.0  # Dirichlet neighbours drop out
-    south[:, 0] = 0.0
-
-    n = wx * wy
-    a_mat = scipy.sparse.diags(
-        [
-            center.ravel(),
-            east[:-1, :].ravel(),
-            west[1:, :].ravel(),
-            north.ravel()[:-1],
-            south.ravel()[1:],
-        ],
-        [0, wy, -wy, 1, -1],
-        shape=(n, n),
-        format="csr",
-        dtype=complex,
-    )
     m_diag = (dwx[:, None] * dwy[None, :] * c).ravel().astype(complex)
-    return WaveOperator(grid=grid, a_mat=a_mat, m_diag=m_diag)
+    return WaveOperator(
+        grid=grid,
+        cxm=1.0 / (dwx * wxm),
+        cxp=1.0 / (dwx * wxp),
+        cym=1.0 / (dwy * wym),
+        cyp=1.0 / (dwy * wyp),
+        inv_c=1.0 / c,
+        m_diag=m_diag,
+    )

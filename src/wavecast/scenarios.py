@@ -528,6 +528,11 @@ def load_config(path):
         raise ConfigurationError(f"cannot read config {path}: {exc}") from None
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"malformed config {path}: {exc}") from None
+    if cp.defaults():
+        # configparser would copy its keys into every section
+        raise ConfigurationError(
+            f"config {path} has a [DEFAULT] section "
+            f"({', '.join(cp.defaults())}); no wavecast key belongs there")
 
     defaults = {f.name: f.default for f in dataclasses.fields(Scenario)}
     fields = {}

@@ -6,12 +6,28 @@ import scipy.sparse
 
 import wavecast.krylov as krylov
 from wavecast.errors import DegenerateInputError
+from wavecast.operator import WaveOperator
 
 
 def probe_index(op, x, y):
     """Unknown index of the interior node of op's grid nearest (x, y)."""
     ix, iy, _, _ = op.grid.nearest_interior_node(x, y)
     return op.grid.node_index(ix, iy)
+
+
+def diagonal_operator(diag, m_diag):
+    """A stand-in operator with A = diag(diag) and weight M = diag(m_diag):
+    one column of unknowns (wy = 1, so no north or south neighbour), zero
+    east and west factors, and the centre -(0 + 0) - (-1 + 0) = 1 times
+    inv_c = diag."""
+    n = len(diag)
+    zeros = np.zeros(n, dtype=complex)
+    return WaveOperator(
+        grid=None, cxm=zeros, cxp=zeros,
+        cym=np.array([-1.0 + 0j]), cyp=np.zeros(1, dtype=complex),
+        inv_c=np.asarray(diag, dtype=float).reshape(n, 1),
+        m_diag=np.asarray(m_diag, dtype=complex),
+    )
 
 
 def weighted(op):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import wavecast._native
 import wavecast.cli
 import wavecast.harness
 import wavecast.krylov
@@ -401,20 +402,51 @@ def test_compare_is_scale_invariant(tmp_path, capsys):
 
 
 def test_kernel_build_failure_exits_2(tmp_path, monkeypatch, capsys):
-    # without a compiler the run stops before either route starts: one
-    # line on stderr and no trace written
-    monkeypatch.setattr(wavecast.krylov, "_CC", ("/nonexistent/cc", "-shared"))
-    wavecast.krylov._ritz_kernel.cache_clear()
-    try:
-        code = main(["run", "ring-desk", "--out", str(tmp_path / "x")])
-    finally:
-        wavecast.krylov._ritz_kernel.cache_clear()
+    # a kernel that cannot be built stops the run before either route
+    # starts: one line on stderr and no trace written.  Without a
+    # compiler the eigensolve kernel fails first; a bad flag of the
+    # Lanczos kernel fails that one alone.
+    kernels = (wavecast.krylov._ritz_kernel, wavecast.krylov._lanczos_kernel)
+    for broken, want in (("_CC", "/nonexistent/cc"), ("FLAGS", "_lanczos.c")):
+        with monkeypatch.context() as patch:
+            if broken == "_CC":
+                patch.setattr(wavecast._native, "_CC",
+                              ("/nonexistent/cc", "-shared"))
+            else:
+                patch.setitem(wavecast._native.FLAGS, "_lanczos.c",
+                              ("-fno-such-flag",))
+            for kernel in kernels:
+                kernel.cache_clear()
+            try:
+                code = main(["run", "ring-desk", "--out", str(tmp_path / "x")])
+            finally:
+                for kernel in kernels:
+                    kernel.cache_clear()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert want in err and "__pycache__" in err
+        assert not (tmp_path / "x").exists()
+
+
+def test_m_above_operator_size_exits_2(tmp_path, capsys):
+    # rejected before either route starts and before anything is
+    # written, not left to fail allocating the recursion's arrays
+    out = tmp_path / "x"
+    code = main(["run", "ring-desk", "--m", "1" + "0" * 20, "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert "/nonexistent/cc" in err and "__pycache__" in err
-    for name in ("reference.csv", "lanczos.csv"):
-        assert not (tmp_path / "x" / name).exists()
+    assert len(err.splitlines()) == 1 and "n = 18225" in err
+    assert not out.exists()
+
+
+def test_default_section_is_rejected(tmp_path, capsys):
+    # its keys would otherwise join every section: a probe "extra" here
+    path = tmp_path / "defaults.cfg"
+    path.write_text("[DEFAULT]\nextra = 0.5, 0.5\n" + MINI_CFG)
+    assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "[DEFAULT]" in err
 
 
 # every (section, key) load_config reads, with a valid value where
@@ -467,6 +499,7 @@ _PERCENT = MINI_CFG.replace("name = mini", "name = mini%")
 _BAD_LATTICE = MINI_CFG + "\n[geometry]\nrods = lattice 0.2 abc 4.0 2 2\n"
 _BAD_ROWS = MINI_CFG + "\n[geometry]\nrods = lattice 0.2 0.04 4.0 x 2\n"
 _HUGE_N = MINI_CFG.replace("n_int = 40", "n_int = 1" + "0" * 400)
+_DEFAULT_KEYS = "[DEFAULT]\nnote = 1\n" + MINI_CFG
 
 
 @settings(max_examples=200, deadline=None, database=None,
@@ -480,6 +513,7 @@ _HUGE_N = MINI_CFG.replace("n_int = 40", "n_int = 1" + "0" * 400)
 @example(data=_BAD_ROWS.encode())
 @example(data=_HUGE_N.encode())
 @example(data=b"\x80")
+@example(data=_DEFAULT_KEYS.encode())
 def test_run_exit_code_on_any_config(tmp_path, monkeypatch, capsys, data):
     # load_config validates, and the pipeline after it is stubbed out
     def validated(sc, ms, out_dir=None):

@@ -30,6 +30,9 @@ ORACLES = {
     "SourceSignature.spectrum": "exact transform of the wavelet, behind "
                                 "the Hankel route of "
                                 "test_analytic_matches_hankel_route",
+    "WaveOperator.a_mat": "A as a CSR matrix: the oracle of the compiled "
+                          "stencil product and of the dense tests "
+                          "(perfbench/child.py also reads its nnz)",
 }
 
 # parameters with a default that no call in the package sets, and the

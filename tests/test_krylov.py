@@ -1,15 +1,16 @@
+import fnmatch
 import shutil
 import subprocess
-from types import SimpleNamespace
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.signal
-import scipy.sparse
 
 import wavecast.krylov as krylov
+from wavecast import _native
 from wavecast.errors import (
     BranchCutError,
     BreakdownError,
@@ -37,7 +38,9 @@ from wavecast.zolotarev import (
     zolotarev_approx,
 )
 
-from support import invit_loop, probe_index
+from support import diagonal_operator, invit_loop, probe_index
+
+PACKAGE = Path(krylov.__file__).parent
 
 
 def _small_op(n_int=6, chi=25.0, k=2, medium=None):
@@ -151,12 +154,7 @@ def test_truncate_equals_fresh_run():
 
 
 def test_breakdown_raises():
-    n = 4
-    op = SimpleNamespace(
-        a_mat=scipy.sparse.identity(n, dtype=complex, format="csr"),
-        m_diag=np.array([1.0, -1.0, 1.0, -1.0], dtype=complex),
-        n=n,
-    )
+    op = diagonal_operator([1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0])
     b = np.array([1.0, 1.0, 0.0, 0.0])
     with pytest.raises(BreakdownError) as exc:
         bilanczos(op, b, 3, [0])
@@ -167,11 +165,7 @@ def test_breakdown_at_second_iteration_raises():
     # A = diag(0, 1, 2), M = diag(1, -1, 1), b = (1/sqrt(3), 1, 1):
     # delta_1 = 1/3 and the second vector has w^T M w = 0, so the one
     # completed iteration leaves nothing to keep
-    op = SimpleNamespace(
-        a_mat=scipy.sparse.diags([0.0, 1.0, 2.0]).astype(complex).tocsr(),
-        m_diag=np.array([1.0, -1.0, 1.0], dtype=complex),
-        n=3,
-    )
+    op = diagonal_operator([0.0, 1.0, 2.0], [1.0, -1.0, 1.0])
     b = np.array([np.sqrt(1.0 / 3.0), 1.0, 1.0])
     with pytest.raises(BreakdownError) as exc:
         bilanczos(op, b, 3, [0])
@@ -413,14 +407,27 @@ def test_reconstruction_gate_checks_weights_identity(monkeypatch):
 
 
 def test_kernel_source_compiles_without_warnings():
+    # every C source of the package, with the flags it is built with
     gcc = shutil.which("gcc")
-    assert gcc is not None, "gcc is required to build the eigensolve kernel"
-    out = subprocess.run(
-        [gcc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-         str(krylov._RITZ_SOURCE)],
-        capture_output=True, text=True,
-    )
-    assert out.returncode == 0, out.stderr
+    assert gcc is not None, "gcc is required to build the kernels"
+    for name, flags in _native.FLAGS.items():
+        out = subprocess.run(
+            [gcc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+             *flags, str(PACKAGE / name)],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 0, (name, out.stderr)
+
+
+def test_every_kernel_source_is_built_and_shipped():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    sources = {path.name for path in PACKAGE.glob("*.c")}
+    assert set(_native.FLAGS) == sources
+    pyproject = tomllib.loads(
+        (PACKAGE.parents[1] / "pyproject.toml").read_text())
+    shipped = pyproject["tool"]["setuptools"]["package-data"]["wavecast"]
+    for name in sources:
+        assert any(fnmatch.fnmatch(name, glob) for glob in shipped), name
 
 
 def test_kernels_agree_on_real_negative_spectrum():

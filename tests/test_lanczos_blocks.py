@@ -1,17 +1,18 @@
-"""Row-block recursion against the whole-vector allocating loop.
+"""The compiled recursion step against the whole-vector allocating loop.
 
 `reference_recursion` is the recursion as first written: one
-allocating whole-vector pass per operation, on a single thread.  The
-row-block, in-place recursion must reproduce it bit for bit for every
-block count, including more blocks than the machine has cores.
+allocating whole-vector numpy or scipy pass per operation, on a single
+thread, with A as a CSR matrix.  The compiled, matrix-free step must
+reproduce it bit for bit for every row-block (thread) count, including
+more blocks than the machine has cores, and on its SIMD and its scalar
+path alike.
 """
 
 import sys
-from types import SimpleNamespace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 import wavecast.krylov as krylov
 from wavecast.errors import BreakdownError
@@ -20,6 +21,8 @@ from wavecast.harness import _prepare
 from wavecast.krylov import LanczosDecomposition, bilanczos
 from wavecast.operator import assemble_operator
 from wavecast.scenarios import get_scenario
+
+from support import diagonal_operator
 
 FIELDS = ("m", "alpha", "zeta", "delta", "w_probe", "drift", "stop")
 
@@ -96,16 +99,16 @@ def assert_bitwise(got, want):
 def force_blocks(monkeypatch):
     """Force the recursion's block count and record what it used."""
     used = []
-    real_row_blocks = krylov._row_blocks
+    real_block_count = krylov._block_count
 
-    def spy(a_mat, n_blocks):
-        used.append(n_blocks)
-        return real_row_blocks(a_mat, n_blocks)
+    def spy(n):
+        used.append(real_block_count(n))
+        return used[-1]
 
     def force(n_blocks):
         monkeypatch.setattr(krylov, "_ROWS_PER_WORKER", 1)
         monkeypatch.setattr(krylov, "_usable_cpus", lambda: n_blocks)
-        monkeypatch.setattr(krylov, "_row_blocks", spy)
+        monkeypatch.setattr(krylov, "_block_count", spy)
         return used
 
     return force
@@ -172,12 +175,7 @@ def test_breakdown_retreat_is_bitwise_reference(desk, n_blocks,
 
 @pytest.mark.parametrize("n_blocks", [2, 4])
 def test_breakdown_index_with_blocks(n_blocks, force_blocks):
-    n = 4
-    op = SimpleNamespace(
-        a_mat=scipy.sparse.identity(n, dtype=complex, format="csr"),
-        m_diag=np.array([1.0, -1.0, 1.0, -1.0], dtype=complex),
-        n=n,
-    )
+    op = diagonal_operator([1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0])
     used = force_blocks(n_blocks)
     with pytest.raises(BreakdownError) as exc:
         bilanczos(op, np.array([1.0, 1.0, 0.0, 0.0]), 3, [0])
@@ -197,20 +195,65 @@ def test_happy_breakdown_with_blocks(n_blocks, force_blocks):
     assert_bitwise(got, want)
 
 
-def test_row_blocks_share_operator_memory():
-    a_mat = assemble_operator(build_grid2d(6)).a_mat
-    blocks = krylov._row_blocks(a_mat, 3)
-    assert a_mat.shape[0] == 25
-    assert [blk[0] for blk in blocks] == [
-        slice(0, 8), slice(8, 16), slice(16, 25)
-    ]
-    w = np.arange(a_mat.shape[1], dtype=complex)
-    for rows, indptr, indices, data in blocks:
-        assert np.shares_memory(data, a_mat.data)
-        assert np.shares_memory(indices, a_mat.indices)
-        block = scipy.sparse.csr_matrix((data, indices, indptr),
-                                        shape=(rows.stop - rows.start, 25))
-        assert np.array_equal(block @ w, (a_mat @ w)[rows])
+def _phase_a(op, r, scale, n_blocks, simd):
+    """w, A w, M w, M A w from the compiled phase A on r * scale."""
+    kernel = krylov._lanczos_kernel()
+    out = [np.empty(op.n, dtype=complex) for _ in range(4)]
+    args = [a.ctypes.data for a in (op.cxm, op.cxp, op.cym, op.cyp,
+                                     op.inv_c, op.m_diag, *out)]
+    kernel.lanczos_phase_a(n_blocks, simd, kernel.fused, *op.inv_c.shape,
+                           r.ctypes.data, scale, *args)
+    return out
+
+
+@pytest.mark.parametrize("name", ["homogeneous-desk", "ring-desk",
+                                  "waveguide-desk"])
+def test_stencil_product_is_bitwise_csr(name):
+    # the matrix-free product against scipy's on the assembled matrix
+    op = _prepare(get_scenario(name)).op
+    rng = np.random.default_rng(7)
+    r = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
+    w = r * 0.37
+    for simd in sorted({0, krylov._lanczos_kernel().simd}):
+        for n_blocks in (1, 3):
+            got_w, aw, mw, maw = _phase_a(op, r, 0.37, n_blocks, simd)
+            assert np.array_equal(got_w, w)
+            assert np.array_equal(aw, op.a_mat @ w)
+            assert np.array_equal(mw, op.m_diag * w)
+            assert np.array_equal(maw, op.m_diag * aw)
+
+
+def test_simd_and_scalar_paths_are_bitwise(desk, monkeypatch):
+    asm, ref = desk
+    kernel = krylov._lanczos_kernel()
+    monkeypatch.setattr(krylov, "_DRIFT_EVERY", 50)
+    runs = []
+    for simd in (kernel.simd, 0):
+        monkeypatch.setattr(kernel, "simd", simd)
+        runs.append(bilanczos(asm.op, asm.b, 300, asm.probe_flats))
+    assert_bitwise(runs[1], runs[0])
+    assert_bitwise(runs[1], ref)
+
+
+def _exact_fused(x, y):
+    """x * y as fma(xr, yr, -xi yi) + i fma(xr, yi, xi yr), exactly
+    rounded."""
+    def fma(p, q, c):
+        return float(Fraction(p) * Fraction(q) + Fraction(c))
+    return complex(fma(x.real, y.real, -(x.imag * y.imag)),
+                   fma(x.real, y.imag, x.imag * y.real))
+
+
+def test_product_form_probe_matches_numpy():
+    # numpy's complex product against the exactly rounded fused form;
+    # the probe must agree (both read "fused" on this AVX-512 host with
+    # numpy 2)
+    rng = np.random.default_rng(3)
+    a, b = rng.uniform(-1.0, 1.0, (2, 41)) + 1j * rng.uniform(-1.0, 1.0, (2, 41))
+    fused = (np.array_equal(a * b, [_exact_fused(x, y) for x, y in zip(a, b)])
+             and np.array_equal(a[0] * b, [_exact_fused(a[0], y) for y in b]))
+    want = "fused" if fused else "plain"
+    assert krylov._numpy_cmul_form(krylov._lanczos_kernel()) == want
 
 
 def test_block_count_rule(monkeypatch):
