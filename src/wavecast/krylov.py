@@ -204,7 +204,7 @@ def _block_count(n):
 
 
 def _numpy_cmul_form(kernel):
-    """The form of numpy's complex product on this host: "fused" when
+    """The form of numpy's complex product on the running host: "fused" when
     np.multiply(a, b) gives fma(ar, br, -(ai bi)) + i fma(ar, bi, ai br)
     for arrays and for a broadcast first operand, else "plain"."""
     a, b = np.random.default_rng(0).uniform(-1.0, 1.0, (2, 134)).view(complex)

@@ -90,14 +90,15 @@ class WaveOperator:
     @functools.cached_property
     def a_mat(self):
         """A as a CSR matrix, built on first use."""
-        wx, wy = self.inv_c.shape
-        inv_c = self.inv_c
-        center = -(self.cxm + self.cxp)[:, None] - (self.cym + self.cyp)[None, :]
+        cxm, cxp, cym, cyp, inv_c = (self.cxm, self.cxp, self.cym, self.cyp,
+                                     self.inv_c)
+        wx, wy = inv_c.shape
+        center = -(cxm + cxp)[:, None] - (cym + cyp)[None, :]
         center = center * inv_c
-        east = np.broadcast_to(self.cxp[:, None], (wx, wy)) * inv_c
-        west = np.broadcast_to(self.cxm[:, None], (wx, wy)) * inv_c
-        north = np.broadcast_to(self.cyp[None, :], (wx, wy)) * inv_c
-        south = np.broadcast_to(self.cym[None, :], (wx, wy)) * inv_c
+        east = np.broadcast_to(cxp[:, None], (wx, wy)) * inv_c
+        west = np.broadcast_to(cxm[:, None], (wx, wy)) * inv_c
+        north = np.broadcast_to(cyp[None, :], (wx, wy)) * inv_c
+        south = np.broadcast_to(cym[None, :], (wx, wy)) * inv_c
 
         north = north.copy()
         south = south.copy()
