@@ -72,6 +72,16 @@ static inline void term(int fused, const double *f, double ic,
     *si += pi;
 }
 
+/* GCC inlines fma() only where the target has FMA; elsewhere it is a
+   call into libm, which made the step five times slower.  The clones
+   give the same bits, since fma() is exactly rounded either way. */
+#if defined(__x86_64__) && defined(__GNUC__)
+#define FMA_CLONES __attribute__((target_clones("fma", "default")))
+#else
+#define FMA_CLONES
+#endif
+
+FMA_CLONES
 static void phase_a_scalar(long lo, long hi, int fused, int wx, int wy,
                            const double *r, double scale, const double *cxm,
                            const double *cxp, const double *cym,
@@ -79,33 +89,41 @@ static void phase_a_scalar(long lo, long hi, int fused, int wx, int wy,
                            const double *m_diag, double *w, double *aw,
                            double *mw, double *maw)
 {
-    for (long j = lo; j < hi; j++) {
-        int ix = (int)(j / wy), iy = (int)(j % wy);
-        const double *x = r + 2 * j, *fx = cxm + 2 * ix, *gx = cxp + 2 * ix;
-        const double *fy = cym + 2 * iy, *gy = cyp + 2 * iy;
-        double ic = inv_c[j], sr = 0.0, si = 0.0;
-        double cen[2] = {-(fx[0] + gx[0]) - (fy[0] + gy[0]),
-                         -(fx[1] + gx[1]) - (fy[1] + gy[1])};
-        if (ix > 0)
-            term(fused, fx, ic, x - 2 * wy, scale, &sr, &si);
-        if (iy > 0)
-            term(fused, fy, ic, x - 2, scale, &sr, &si);
-        term(fused, cen, ic, x, scale, &sr, &si);
-        if (iy < wy - 1)
-            term(fused, gy, ic, x + 2, scale, &sr, &si);
-        if (ix < wx - 1)
-            term(fused, gx, ic, x + 2 * wy, scale, &sr, &si);
-        double wr = x[0] * scale, wi = x[1] * scale;
-        const double *m = m_diag + 2 * j;
-        w[2 * j] = wr;
-        w[2 * j + 1] = wi;
-        aw[2 * j] = sr;
-        aw[2 * j + 1] = si;
-        cmul(fused, m[0], m[1], wr, wi, mw + 2 * j, mw + 2 * j + 1);
-        cmul(fused, m[0], m[1], sr, si, maw + 2 * j, maw + 2 * j + 1);
+    long j = lo;
+    while (j < hi) {
+        int ix = (int)(j / wy);
+        long row = (long)ix * wy, end = row + wy < hi ? row + wy : hi;
+        const double *fx = cxm + 2 * ix, *gx = cxp + 2 * ix;
+        double sx[2] = {-(fx[0] + gx[0]), -(fx[1] + gx[1])};
+        for (; j < end; j++) {
+            int iy = (int)(j - row);
+            const double *x = r + 2 * j, *fy = cym + 2 * iy;
+            const double *gy = cyp + 2 * iy;
+            double ic = inv_c[j], sr = 0.0, si = 0.0;
+            double cen[2] = {sx[0] - (fy[0] + gy[0]),
+                             sx[1] - (fy[1] + gy[1])};
+            if (ix > 0)
+                term(fused, fx, ic, x - 2 * wy, scale, &sr, &si);
+            if (iy > 0)
+                term(fused, fy, ic, x - 2, scale, &sr, &si);
+            term(fused, cen, ic, x, scale, &sr, &si);
+            if (iy < wy - 1)
+                term(fused, gy, ic, x + 2, scale, &sr, &si);
+            if (ix < wx - 1)
+                term(fused, gx, ic, x + 2 * wy, scale, &sr, &si);
+            double wr = x[0] * scale, wi = x[1] * scale;
+            const double *m = m_diag + 2 * j;
+            w[2 * j] = wr;
+            w[2 * j + 1] = wi;
+            aw[2 * j] = sr;
+            aw[2 * j + 1] = si;
+            cmul(fused, m[0], m[1], wr, wi, mw + 2 * j, mw + 2 * j + 1);
+            cmul(fused, m[0], m[1], sr, si, maw + 2 * j, maw + 2 * j + 1);
+        }
     }
 }
 
+FMA_CLONES
 static void phase_b_scalar(long lo, long hi, int fused, const double *aw,
                            const double *w, const double *alpha,
                            const double *w_prev, const double *c,

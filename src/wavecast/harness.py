@@ -224,7 +224,7 @@ def _reference_job(sc, asm, times, out):
     return wf, n_steps, time.perf_counter() - t0
 
 
-def _metadata(sc, asm, decomp, m_requested, m, modes):
+def _metadata(sc, asm, decomp, m_requested, m, modes, cpus_busy):
     """Run metadata; modes is the eigensolve of the written trace (at m)."""
     return {
         "git": _git_hash(),
@@ -236,7 +236,8 @@ def _metadata(sc, asm, decomp, m_requested, m, modes):
         "m": m,
         "m_requested": m_requested,
         "lanczos_stop": decomp.stop,
-        "lanczos_threads": _block_count(asm.op.n),
+        "lanczos_threads": _block_count(asm.op.n, cpus_busy),
+        "lanczos_product_form": _lanczos_kernel().form,
         "lanczos_drift": decomp.drift,
         "recon_error": modes.recon_error,
         "modes_merged": modes.merged,
@@ -284,8 +285,12 @@ def run_study(sc, ms, out_dir=None):
     with ThreadPoolExecutor(max_workers=1) as pool:
         ref_job = (pool.submit(_reference_job, sc, asm, times, out)
                    if sc.reference != "none" else None)
+        # the FDTD march holds a CPU until it ends; the closed form is
+        # done in moments
+        cpus_busy = int(sc.reference == "fdtd")
         t0 = time.perf_counter()
-        decomp = bilanczos(asm.op, asm.b, ms[-1], asm.probe_flats)
+        decomp = bilanczos(asm.op, asm.b, ms[-1], asm.probe_flats,
+                           cpus_busy=cpus_busy)
         timings["lanczos_s"] = time.perf_counter() - t0
         timings["lanczos_ms_per_iter"] = 1e3 * timings["lanczos_s"] / decomp.m
         # a breakdown retreat or a closed invariant subspace shortens the run
@@ -334,7 +339,8 @@ def run_study(sc, ms, out_dir=None):
         convergence=tuple(entries),
         fdtd_steps=fdtd_steps,
         timings=timings,
-        metadata=_metadata(sc, asm, decomp, m_requested, ms[-1], modes),
+        metadata=_metadata(sc, asm, decomp, m_requested, ms[-1], modes,
+                           cpus_busy),
     )
     if out is not None:
         report.to_json(out / "report.json")

@@ -179,10 +179,9 @@ class LanczosDecomposition:
 # Fewest rows per worker thread.  Measured on a 2-core x86-64 VM, with
 # a Python thread pool around the numpy passes two blocks broke even
 # with one at n = 27 000 - 38 000; the OpenMP passes win from n = 5 000
-# (8 %; 17 % at 19 881, 20 % at 63 001) when they run alone.  Beside
-# the FDTD reference, which takes the other core, two threads lose:
-# ring-desk took 1.0 - 1.2 ms per iteration on two against 0.34 - 0.48
-# on one, so the desk presets stay on one.
+# (8 %; 17 % at 19 881, 20 % at 63 001) when they run alone.  A thread
+# that shares a core with the FDTD march holds up every pass at its
+# barrier (see bilanczos' cpus_busy).
 _ROWS_PER_WORKER = 20_000
 # the bilinear form has collapsed when |delta_i| < _BREAKDOWN_TOL * max |M|
 _BREAKDOWN_TOL = 1e-14
@@ -198,29 +197,50 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _block_count(n):
-    """Row blocks (threads) for one recursion step on n unknowns."""
-    return max(1, min(_usable_cpus(), n // _ROWS_PER_WORKER))
+def _block_count(n, cpus_busy=0):
+    """Row blocks (threads) for one recursion step on n unknowns, with
+    cpus_busy usable CPUs held by other work."""
+    return max(1, min(_usable_cpus() - cpus_busy, n // _ROWS_PER_WORKER))
 
 
 def _numpy_cmul_form(kernel):
-    """The form of numpy's complex product on the running host: "fused" when
-    np.multiply(a, b) gives fma(ar, br, -(ai bi)) + i fma(ar, bi, ai br)
-    for arrays and for a broadcast first operand, else "plain"."""
-    a, b = np.random.default_rng(0).uniform(-1.0, 1.0, (2, 134)).view(complex)
-    for a_step, want in ((1, a * b), (0, a[0] * b)):
-        got = np.empty_like(b)
-        kernel.lanczos_cmul(b.size, 1, a, a_step, b, got)
-        if not np.array_equal(got, want):
-            return "plain"
-    return "fused"
+    """The form of numpy's complex product on the running host: "fused"
+    when np.multiply(a, b) gives fma(ar, br, -(ai bi)) + i fma(ar, bi,
+    ai br), "plain" when it gives (ar br - ai bi) + i (ar bi + ai br),
+    each for every operand layout the recursion's products take (two
+    arrays, a scalar first operand, and a broadcast factor, of zero
+    inner or outer stride, times a real array as in the stencil
+    coefficients); "other" when it gives neither, and the kernel, which
+    then takes the plain form, does not match numpy bit for bit."""
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(-1.0, 1.0, (2, 286)).view(complex)
+    f = rng.uniform(-1.0, 1.0, 26).view(complex)
+    real = rng.uniform(0.5, 2.0, (13, 11))
+    column = np.broadcast_to(f[:, None], real.shape)
+    row = np.broadcast_to(f[None, :11], real.shape)
+    cases = [  # (a, a_step, b, numpy's a * b)
+        (x, 1, y, x * y),
+        (x, 0, y, x[0] * y),
+        (column.ravel(), 1, real.ravel() + 0j, (column * real).ravel()),
+        (row.ravel(), 1, real.ravel() + 0j, (row * real).ravel()),
+    ]
+    for form, fused in (("fused", 1), ("plain", 0)):
+        for a, a_step, b, want in cases:
+            got = np.empty_like(b)
+            kernel.lanczos_cmul(b.size, fused, a, a_step, b, got)
+            if not np.array_equal(got, want):
+                break
+        else:
+            return form
+    return "other"
 
 
 @functools.cache
 def _lanczos_kernel():
     """The compiled recursion step (_lanczos.c), with `simd` (the CPU
-    runs its AVX2/FMA path) and `fused` (numpy's complex product form,
-    see _numpy_cmul_form) set on the library."""
+    runs its AVX2/FMA path), `form` (numpy's complex product form, see
+    _numpy_cmul_form) and `fused` (form is "fused") set on the
+    library."""
     c_int, c_long, c_double = ctypes.c_int, ctypes.c_long, ctypes.c_double
     ptr = ctypes.c_void_p
     vec = np.ctypeslib.ndpointer(np.complex128, ndim=1, flags="C_CONTIGUOUS")
@@ -233,7 +253,8 @@ def _lanczos_kernel():
         "lanczos_cmul": (c_int, [c_long, c_int, vec, c_int, vec, vec]),
     })
     kernel.simd = kernel.lanczos_simd()
-    kernel.fused = int(_numpy_cmul_form(kernel) == "fused")
+    kernel.form = _numpy_cmul_form(kernel)
+    kernel.fused = int(kernel.form == "fused")
     return kernel
 
 
@@ -245,7 +266,7 @@ def _complex_array(a, shape):
     return a
 
 
-def bilanczos(op, b, m, probe_indices):
+def bilanczos(op, b, m, probe_indices, cpus_busy=0):
     """Run up to m iterations of the renormalized two-sided recursion.
 
     b is the start vector (the sampled source); probe_indices are the
@@ -258,8 +279,13 @@ def bilanczos(op, b, m, probe_indices):
     raises BreakdownError.
 
     Each step runs the phases of the module docstring on
-    min(usable CPUs, n // _ROWS_PER_WORKER) threads (at least one),
-    with bitwise the same result for any thread count.
+    min(usable CPUs - cpus_busy, n // _ROWS_PER_WORKER) threads (at
+    least one), with bitwise the same result for any thread count.
+    cpus_busy counts the CPUs that other work holds for the whole run:
+    run_study passes 1 while the FDTD march runs beside the recursion.
+    A thread that shares a core with the march holds up every pass at
+    its barrier: the paper-scale ring ran 10.6 - 10.8 ms per iteration
+    on two threads beside its reference, and 6.3 on one.
     """
     if m < 1:
         raise InvalidParameterError(f"need m >= 1, got {m}")
@@ -283,7 +309,7 @@ def bilanczos(op, b, m, probe_indices):
     stencil.append(np.ascontiguousarray(op.inv_c, dtype=float))
     m_scale = float(np.abs(m_diag).max())
     kernel = _lanczos_kernel()
-    n_blocks = _block_count(n)
+    n_blocks = _block_count(n, cpus_busy)
     phase_a = functools.partial(
         kernel.lanczos_phase_a, n_blocks, kernel.simd, kernel.fused, wx, wy)
     phase_b = functools.partial(

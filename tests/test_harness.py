@@ -173,9 +173,9 @@ def _count_bilanczos(monkeypatch):
     """Record the m of every recursion run the harness starts."""
     calls = []
 
-    def counted(op, b, m, probe_indices):
+    def counted(op, b, m, probe_indices, cpus_busy=0):
         calls.append(m)
-        return bilanczos(op, b, m, probe_indices)
+        return bilanczos(op, b, m, probe_indices, cpus_busy)
 
     monkeypatch.setattr(wavecast.harness, "bilanczos", counted)
     return calls
@@ -198,10 +198,21 @@ def test_breakdown_retreat(monkeypatch):
     assert max(report.probe_errors) < 0.3
 
 
+@pytest.mark.parametrize("reference, threads", [("fdtd", 3), ("analytic", 4),
+                                                ("none", 4)])
+def test_fdtd_reference_holds_a_cpu(monkeypatch, reference, threads):
+    # the FDTD march takes one CPU from the recursion's row blocks; the
+    # closed form, done in moments, takes none
+    monkeypatch.setattr(krylov, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(krylov, "_ROWS_PER_WORKER", 1)
+    report, _ = run_study(_mini(reference=reference), (40,))
+    assert report.metadata["lanczos_threads"] == threads
+
+
 def test_breakdown_without_index_propagates(monkeypatch):
     # bilanczos always sets the index; an error without one must still
     # reach the caller unchanged
-    def dead(op, b, m, probe_indices):
+    def dead(op, b, m, probe_indices, cpus_busy=0):
         raise BreakdownError("no usable prefix")
 
     monkeypatch.setattr(wavecast.harness, "bilanczos", dead)

@@ -10,6 +10,7 @@ path alike.
 
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,8 +102,8 @@ def force_blocks(monkeypatch):
     used = []
     real_block_count = krylov._block_count
 
-    def spy(n):
-        used.append(real_block_count(n))
+    def spy(n, cpus_busy=0):
+        used.append(real_block_count(n, cpus_busy))
         return used[-1]
 
     def force(n_blocks):
@@ -244,16 +245,35 @@ def _exact_fused(x, y):
                    fma(x.real, y.imag, x.imag * y.real))
 
 
+def _plain(x, y):
+    """x * y as (xr yr - xi yi) + i (xr yi + xi yr), each step rounded."""
+    return complex(x.real * y.real - x.imag * y.imag,
+                   x.real * y.imag + x.imag * y.real)
+
+
 def test_product_form_probe_matches_numpy():
-    # numpy's complex product against the exactly rounded fused form;
-    # the probe must agree (both read "fused" on AVX-512 hardware with
-    # numpy 2)
+    # numpy's complex product against the exactly rounded fused form and
+    # the plain form; the probe must agree (it reads "fused" on AVX-512
+    # hardware with numpy 2)
     rng = np.random.default_rng(3)
     a, b = rng.uniform(-1.0, 1.0, (2, 82)).view(complex)
-    fused = (np.array_equal(a * b, [_exact_fused(x, y) for x, y in zip(a, b)])
-             and np.array_equal(a[0] * b, [_exact_fused(a[0], y) for y in b]))
-    want = "fused" if fused else "plain"
+
+    def matches(form):
+        return (np.array_equal(a * b, [form(x, y) for x, y in zip(a, b)])
+                and np.array_equal(a[0] * b, [form(a[0], y) for y in b]))
+
+    want = ("fused" if matches(_exact_fused) else
+            "plain" if matches(_plain) else "other")
     assert krylov._numpy_cmul_form(krylov._lanczos_kernel()) == want
+
+
+def test_product_form_probe_reports_neither():
+    # a product that matches numpy in neither form is "other"
+    def zeros(n, fused, a, a_step, b, out):
+        out[:] = 0.0
+
+    kernel = SimpleNamespace(lanczos_cmul=zeros)
+    assert krylov._numpy_cmul_form(kernel) == "other"
 
 
 def test_block_count_rule(monkeypatch):
@@ -263,5 +283,6 @@ def test_block_count_rule(monkeypatch):
     assert krylov._block_count(2 * rows - 1) == 1
     assert krylov._block_count(2 * rows) == 2
     assert krylov._block_count(229_441) == 2  # paper-scale ring
+    assert krylov._block_count(229_441, cpus_busy=1) == 1  # beside FDTD
     monkeypatch.setattr(krylov, "_usable_cpus", lambda: 1)
     assert krylov._block_count(229_441) == 1
