@@ -74,8 +74,9 @@ static inline void term(int fused, const double *f, double ic,
 
 /* GCC inlines fma() only where the target has FMA; elsewhere it is a
    call into libm, which made the step five times slower.  The clones
-   give the same bits, since fma() is exactly rounded either way. */
-#if defined(__x86_64__) && defined(__GNUC__)
+   give the same bits, since fma() is exactly rounded either way; their
+   run-time dispatch needs glibc's ifunc. */
+#if defined(__x86_64__) && defined(__GLIBC__)
 #define FMA_CLONES __attribute__((target_clones("fma", "default")))
 #else
 #define FMA_CLONES
