@@ -1,11 +1,11 @@
 """Finite-difference time-domain reference solver (TMz).
 
 Independent route to the same fields: standard Yee leapfrog on
-[-1, 1]^2 padded by a graded split-field absorbing frame, with the Ez
-nodes of the interior placed exactly on the primary nodes of the
-stretched-grid solver (spacing 2/n_int), so traces from the two
-solvers sample identical physical locations and the same medium
-rasterization.
+[-1, 1]^2 padded by a graded split-field absorbing frame.  The interior
+Ez nodes, the medium on them and the snapping of source and probes are
+taken from a stretched grid without layers (grid.build_grid2d,
+operator.MediumMap), so both solvers sample the same physical
+locations and the same medium, node for node and bit for bit.
 
 The solved system is eps Ez_tt = Lap Ez - dJ/dt with the line current
 J = amplitude * eps_src * Q(t) / cell_area at the source node,
@@ -16,11 +16,14 @@ the update).
 Units: c0 = 1, mu = 1; eps is the squared slowness map.
 """
 
+from concurrent.futures import CancelledError
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError
+from .grid import build_grid2d
+from .operator import MediumMap
 from .signals import Waveform
 
 # time step as a fraction of the 2D Yee stability limit of the fastest
@@ -65,22 +68,24 @@ def run_fdtd(
     n_pml=10,
     track_energy=False,
     initial_ez=None,
+    cancel=None,
 ):
     """March the reference solver and record Ez at the probe nodes.
 
-    probes: list of (x, y) inside (-1, 1); snapped to the nearest
-    interior Ez node.  medium_fn(x, y) is sampled on Ez nodes strictly
-    inside the interior square (1 elsewhere), matching the stretched
-    solver's rasterization.  The step is time_step(n_int, min eps).
-    The absorbing frame is n_pml cells deep, graded to the reflection
-    _R0 with order _PROFILE_ORDER; n_pml = 0 gives a closed reflecting
-    box (used by the energy-conservation diagnostic).
+    probes: list of (x, y) inside (-1, 1); snapped, like the source, to
+    the nearest interior Ez node by Grid2D.nearest_interior_node.
+    medium_fn(x, y) is rasterized by MediumMap.from_function on the
+    interior nodes (1 on the frame).  The step is time_step(n_int, min
+    eps).  The absorbing frame is n_pml cells deep, graded to the
+    reflection _R0 with order _PROFILE_ORDER; n_pml = 0 gives a closed
+    reflecting box (used by the energy-conservation diagnostic).
 
     source_xy=None disables injection (signature is then unused);
     initial_ez(x, y) seeds Ez at t = 0 with H = 0 so conservation can
     be checked on a source-free closed box.  The snapped probe
     coordinates come back on the result so references can be evaluated
-    at the positions actually sampled.
+    at the positions actually sampled.  Once the threading.Event cancel
+    is set, the next step raises CancelledError.
     """
     if n_int < 4:
         raise InvalidParameterError(f"need n_int >= 4, got {n_int}")
@@ -89,30 +94,25 @@ def run_fdtd(
     nodes = np.linspace(
         -1.0 - n_pml * delta, 1.0 + n_pml * delta, n_cells + 1
     )
+    # the nodes strictly inside are the grid's unknowns, bit for bit
+    grid = build_grid2d(n_int)
+    inner = slice(n_pml + 1, n_pml + n_int)
+    nodes[inner] = grid.axis_x.unknown_coords.real
     mids = 0.5 * (nodes[:-1] + nodes[1:])
     nn = nodes.size
 
     eps = np.ones((nn, nn))
     if medium_fn is not None:
-        gx, gy = np.meshgrid(nodes, nodes, indexing="ij")
-        inside = (np.abs(gx) < 1.0 - 1e-12) & (np.abs(gy) < 1.0 - 1e-12)
-        sampled = np.asarray(medium_fn(gx, gy), dtype=float)
-        eps[inside] = sampled[inside]
-        if np.any(eps <= 0.0):
-            raise InvalidParameterError("medium must be positive")
+        medium = MediumMap.from_function(grid, medium_fn)
+        medium.validate(grid)
+        eps[inner, inner] = medium.values
 
     dt = time_step(n_int, eps.min())
     n_steps = int(np.ceil(t_final / dt))
 
     def snap(x, y):
-        ix = int(np.argmin(np.abs(nodes - x)))
-        iy = int(np.argmin(np.abs(nodes - y)))
-        if not (np.abs(nodes[ix]) < 1.0 - 1e-12
-                and np.abs(nodes[iy]) < 1.0 - 1e-12):
-            raise InvalidParameterError(
-                f"point ({x}, {y}) does not snap to an interior node"
-            )
-        return ix, iy
+        ix, iy, _, _ = grid.nearest_interior_node(x, y)
+        return inner.start + ix, inner.start + iy
 
     if source_xy is not None:
         if signature is None:
@@ -160,6 +160,8 @@ def run_fdtd(
     src_scale = amplitude / delta ** 2
 
     for step in range(n_steps):
+        if cancel is not None and cancel.is_set():
+            raise CancelledError(f"FDTD march cancelled at step {step}")
         t_n = step * dt
         ez = ezx + ezy
         ez_prev = ez if track_energy else None

@@ -21,6 +21,7 @@ bytes.
 import dataclasses
 import json
 import subprocess
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -189,9 +190,9 @@ def _trace_waveform(sc, modes, times):
     return Waveform(times=times, values=u)
 
 
-def _reference_waveform(sc, asm, times):
+def _reference_waveform(sc, asm, times, cancel):
     """The designated independent route (analytic or fdtd), at the
-    snapped coordinates."""
+    snapped coordinates; setting cancel stops the FDTD march."""
     if sc.reference == "analytic":
         wf = analytic_homogeneous(
             asm.src_coords,
@@ -209,15 +210,16 @@ def _reference_waveform(sc, asm, times):
         t_final=times[-1],
         medium_fn=sc.medium_fn(),
         amplitude=sc.amplitude,
+        cancel=cancel,
     )
     return res.waveform, res.n_steps
 
 
-def _reference_job(sc, asm, times, out):
+def _reference_job(sc, asm, times, out, cancel):
     """The reference trace, written to out/reference.csv as soon as it
     exists, its FDTD step count and its wall time."""
     t0 = time.perf_counter()
-    wf, n_steps = _reference_waveform(sc, asm, times)
+    wf, n_steps = _reference_waveform(sc, asm, times, cancel)
     _finite(wf, sc.reference)
     if out is not None:
         _csv_units(sc, wf).to_csv(out / "reference.csv")
@@ -279,11 +281,13 @@ def run_study(sc, ms, out_dir=None):
     timings = {"assemble_s": asm.seconds}
     times = _padded_times(sc, asm)
     # the reference runs on a worker thread beside the Krylov route (the
-    # kernels of both release the GIL); leaving the block joins it, also
-    # when the Krylov route raises.  A Lanczos failure wins and drops
-    # the reference's outcome, which a run in stage order never reaches.
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        ref_job = (pool.submit(_reference_job, sc, asm, times, out)
+    # kernels of both release the GIL).  A Lanczos failure wins and drops
+    # the reference's outcome, which a run in stage order never reaches;
+    # it, or an interrupt, sets cancel, and the march stops within a step.
+    cancel = threading.Event()
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        ref_job = (pool.submit(_reference_job, sc, asm, times, out, cancel)
                    if sc.reference != "none" else None)
         # the FDTD march holds a CPU until it ends; the closed form is
         # done in moments
@@ -314,13 +318,16 @@ def run_study(sc, ms, out_dir=None):
                 ref_job.result()
             raise
         timings["evaluate_s"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-    waveforms = {}
-    ref_wf = fdtd_steps = None
-    if ref_job is not None:
-        timings["reference_wait_s"] = time.perf_counter() - t0
-        ref_wf, fdtd_steps, timings["reference_s"] = ref_job.result()
-        waveforms["reference"] = ref_wf
+        waveforms = {}
+        ref_wf = fdtd_steps = None
+        if ref_job is not None:
+            t0 = time.perf_counter()
+            ref_wf, fdtd_steps, timings["reference_s"] = ref_job.result()
+            timings["reference_wait_s"] = time.perf_counter() - t0
+            waveforms["reference"] = ref_wf
+    finally:
+        cancel.set()  # a no-op unless Lanczos failed or an interrupt came
+        pool.shutdown()
 
     entries = []
     if ref_wf is not None:

@@ -6,8 +6,9 @@ meters) converts back to laboratory units when reporting.  Frequencies
 here are normalized angular frequencies omega' = omega * L / c0.
 
 Geometry is painted onto the background (c = 1) in declaration order,
-and the same callable rasterizes the medium for both solvers, so their
-samples agree node for node.
+and one callable, sampled by operator.MediumMap on one node set (the
+FDTD takes its interior nodes from the stretched grid), rasterizes the
+medium for both solvers, so their samples agree node for node.
 """
 
 import configparser
@@ -18,10 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvalidParameterError
 from .krylov import MIN_SAMPLES_PER_PERIOD
-from .signals import make_wavelet
-from .zolotarev import compute_interval
+from .signals import FLOOR_DB, make_wavelet
+from .zolotarev import MU, compute_interval
 
 C0 = 299792458.0  # m/s
 
@@ -159,8 +160,8 @@ class Scenario:
     source_xy: tuple
     probes: tuple
     shapes: tuple = ()
-    mu: float = 0.1
-    floor_db: float = -30.0
+    mu: float = MU
+    floor_db: float = FLOOR_DB
     amplitude: float = 1.0
     l_ref: float | None = None
     reference: str = "none"  # analytic | fdtd | none
@@ -172,16 +173,17 @@ class Scenario:
         for f in dataclasses.fields(self):
             if not all(_finite(v) for v in _numbers(getattr(self, f.name))):
                 raise ConfigurationError(f"{f.name} must be finite")
-        if not 0.0 < self.omega_min < self.omega_max:
-            raise ConfigurationError("need 0 < omega_min < omega_max")
-        if not 0.0 < self.mu <= 1.0:
-            raise ConfigurationError("mu must be in (0, 1]")
+        try:  # the band, floor_db and mu, checked where they are used
+            self.signature()
+            self.interval()
+        except InvalidParameterError as exc:
+            raise ConfigurationError(str(exc)) from None
+        except OverflowError:  # omega_max ** 2 as a Python float
+            raise ConfigurationError("omega_max is too large") from None
         if self.n_int < 4 or self.k < 1:
             raise ConfigurationError("need n_int >= 4 and k >= 1")
         if self.t_final <= 0.0:
             raise ConfigurationError("observation window must be positive")
-        if self.floor_db >= 0.0:
-            raise ConfigurationError("floor_db must be negative")
         if self.reference not in ("analytic", "fdtd", "none"):
             raise ConfigurationError(f"unknown reference {self.reference!r}")
         if self.reference == "analytic" and self.shapes:
@@ -271,11 +273,6 @@ def _channel_lattice():
     )
 
 
-def _snap(x, n_int):
-    h = 2.0 / n_int
-    return round(x / h) * h
-
-
 def homogeneous_desk():
     """Free-space validation at desk scale: 25 grid points per minimum
     wavelength, receiver far enough out that the pulse fully detaches
@@ -358,7 +355,7 @@ def homogeneous():
         k=5,
         t_final=2e-13 * C0 / l_ref,
         source_xy=(0.0, 0.0),
-        probes=((_snap(d, n_int), 0.0),),
+        probes=((d, 0.0),),  # snapped to a node like every point
         l_ref=l_ref,
         reference="analytic",
         m_default=2000,

@@ -44,6 +44,7 @@ _SCAN_SAMPLES = 8192
 # largest relative pole or residue mismatch the continued-fraction round
 # trip may leave
 _ROUNDTRIP_TOL = 1e-10
+MU = 0.1  # share of omega_min the interval reaches down to (oblique waves)
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ class SpectralInterval:
         return -self.s_min
 
 
-def compute_interval(omega_min, omega_max, mu=0.1):
+def compute_interval(omega_min, omega_max, mu=MU):
     """Spectral interval covered by a band [omega_min, omega_max].
 
     mu in (0, 1] extends the interval toward zero so that waves hitting

@@ -500,6 +500,10 @@ _BAD_LATTICE = MINI_CFG + "\n[geometry]\nrods = lattice 0.2 abc 4.0 2 2\n"
 _BAD_ROWS = MINI_CFG + "\n[geometry]\nrods = lattice 0.2 0.04 4.0 x 2\n"
 _HUGE_N = MINI_CFG.replace("n_int = 40", "n_int = 1" + "0" * 400)
 _DEFAULT_KEYS = "[DEFAULT]\nnote = 1\n" + MINI_CFG
+# pinned inputs whose powers overflowed: the band floor, the band top
+_HOT_FLOOR = MINI_CFG.replace("[band]\n", "[band]\nfloor_db = 1e4\n")
+_HUGE_BAND = MINI_CFG.replace("omega_max = 12.5663706143592",
+                              "omega_max = 1e200")
 
 
 @settings(max_examples=200, deadline=None, database=None,
@@ -514,6 +518,8 @@ _DEFAULT_KEYS = "[DEFAULT]\nnote = 1\n" + MINI_CFG
 @example(data=_HUGE_N.encode())
 @example(data=b"\x80")
 @example(data=_DEFAULT_KEYS.encode())
+@example(data=_HOT_FLOOR.encode())
+@example(data=_HUGE_BAND.encode())
 def test_run_exit_code_on_any_config(tmp_path, monkeypatch, capsys, data):
     # load_config validates, and the pipeline after it is stubbed out
     def validated(sc, ms, out_dir=None):

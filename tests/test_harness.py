@@ -2,6 +2,7 @@
 
 import json
 import threading
+from concurrent.futures import CancelledError
 
 import numpy as np
 import pytest
@@ -290,6 +291,53 @@ def test_run_study_leaves_no_thread_behind(monkeypatch, stage):
         with pytest.raises(PrecisionError):
             run_study(_mini(), (40,))
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("stage, error, cancelled", [
+    ("bilanczos", KeyboardInterrupt("ctrl-c"), True),
+    ("bilanczos", BreakdownError("krylov failed", index=1), True),
+    ("eigen_tridiag", PrecisionError("krylov failed"), False),
+])
+def test_krylov_failure_stops_the_march(monkeypatch, tmp_path, stage, error,
+                                        cancelled):
+    # an interrupt or a Lanczos failure stops the FDTD march within a
+    # step, and no reference is written; an eigensolve failure still
+    # waits for the whole march, whose error would go first
+    late, outcome = [], []
+    marching = threading.Event()
+    fdtd = wavecast.harness.run_fdtd
+
+    def counting_fdtd(**kw):
+        signature, cancel = kw["signature"], kw["cancel"]
+
+        def counted(t):  # called once per step
+            if cancel.is_set():
+                late.append(t)
+            marching.set()
+            return signature(t)
+
+        try:
+            res = fdtd(**{**kw, "signature": counted})
+        except CancelledError:
+            outcome.append("cancelled")
+            raise
+        outcome.append("finished")
+        return res
+
+    def fail(*args, **kwargs):
+        assert marching.wait(timeout=60.0)
+        raise error
+
+    monkeypatch.setattr(wavecast.harness, "run_fdtd", counting_fdtd)
+    monkeypatch.setattr(wavecast.harness, stage, fail)
+    with pytest.raises(type(error)):
+        run_study(_mini(reference="fdtd", t_final=60.0), (40,),
+                  out_dir=tmp_path)
+    if cancelled:
+        assert outcome == ["cancelled"] and len(late) <= 1
+    else:
+        assert outcome == ["finished"] and not late
+    assert (tmp_path / "reference.csv").exists() == (not cancelled)
 
 
 def test_report_json_round_trip(tmp_path):

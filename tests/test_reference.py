@@ -1,13 +1,19 @@
 """Reference-route tests: FDTD solver and free-space closed form."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.special
 
 import wavecast.analytic
+import wavecast.fdtd
 from wavecast.analytic import AnalyticProbe, analytic_homogeneous
 from wavecast.errors import InvalidParameterError
 from wavecast.fdtd import run_fdtd
+from wavecast.harness import _prepare
+from wavecast.operator import MediumMap
+from wavecast.scenarios import PRESETS, get_scenario
 from wavecast.signals import compare_traces, make_wavelet
 
 from support import arrival_time
@@ -244,3 +250,33 @@ def test_fdtd_validation():
         run_fdtd(40, [(1.5, 0.0)], (0.0, 0.0), sig, 1.0)
     with pytest.raises(InvalidParameterError):
         run_fdtd(40, [(0.1, 0.0)], (0.0, 0.0), None, 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_fdtd_and_operator_solve_one_medium(monkeypatch, name):
+    # the reference marches on the operator's medium and samples its
+    # nodes, bit for bit: the interior eps (as the 1/eps both updates
+    # use) and the snapped source and probe coordinates
+    sc = get_scenario(name)
+    asm = _prepare(sc)
+    marched = []
+
+    def recording(grid, fn):
+        medium = MediumMap.from_function(grid, fn)
+        marched.append(medium.values)
+        return medium
+
+    monkeypatch.setattr(wavecast.fdtd, "MediumMap",
+                        SimpleNamespace(from_function=recording))
+    res = run_fdtd(
+        n_int=sc.n_int,
+        probes=[sc.source_xy, *sc.probes],  # snapped as the source is
+        source_xy=None,
+        signature=None,
+        t_final=1e-9,
+        medium_fn=sc.medium_fn(),
+    )
+    k = sc.k
+    (eps,) = marched
+    assert np.array_equal(1.0 / eps, asm.op.inv_c[k:-k, k:-k])
+    assert res.probe_coords == (asm.src_coords, *asm.probe_coords)

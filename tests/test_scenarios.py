@@ -147,6 +147,10 @@ def test_analytic_reference_forbids_shapes():
         ("shapes", (Disk(0.0, 0.3, float("nan"), 2.0),)),
         ("t_final", 1e300),  # finite, but no trace grid that long
         ("t_final", 1e9),
+        ("floor_db", -1e5),  # the wavelet width overflows
+        ("floor_db", -1e-300),  # the wavelet width rounds to 0
+        ("floor_db", 1e4),  # 10 ** (floor_db / 20) overflows
+        ("omega_max", 1e200),  # omega_max ** 2 overflows
     ],
 )
 def test_validate_rejects(field, value):
@@ -359,6 +363,40 @@ probe1 = 0.3, 0.0
         encoding="utf-8",
     )
     with pytest.raises(ConfigurationError, match="t_final"):
+        load_config(cfg)
+
+
+@pytest.mark.parametrize("floor_db", ["-1e5", "-1e-300"])
+def test_load_config_rejects_a_wavelet_without_width(tmp_path, floor_db):
+    # sigma is inf at -1e5 and 0 at -1e-300: the first kept the closed
+    # form's quadrature busy for minutes, the second ended in exit 3
+    cfg = tmp_path / "floor.cfg"
+    cfg.write_text(
+        f"""
+[scenario]
+t_final = 4.5
+
+[band]
+omega_min = 1.5
+omega_max = 9.0
+floor_db = {floor_db}
+
+[discretization]
+n_int = 48
+
+[solvers]
+k = 3
+
+[source]
+x = 0.0
+y = 0.0
+
+[probes]
+probe1 = 0.3, 0.0
+""",
+        encoding="utf-8",
+    )
+    with pytest.raises(ConfigurationError, match="floor_db"):
         load_config(cfg)
 
 

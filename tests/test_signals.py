@@ -23,8 +23,10 @@ def test_wavelet_band_floor():
     sig = make_wavelet(2.0, 18.0, floor_db=-30.0)
     assert abs(sig.omega_c - 10.0) < 1e-12
     target = 10.0 ** (-30.0 / 20.0)
-    assert abs(sig.lobe_level(2.0) - target) < 1e-10
-    assert abs(sig.lobe_level(18.0) - target) < 1e-10
+    # single-lobe envelope level relative to the peak at omega_c
+    for edge in (2.0, 18.0):
+        level = np.exp(-0.5 * sig.sigma ** 2 * (edge - sig.omega_c) ** 2)
+        assert abs(level - target) < 1e-10
     assert sig.t0 == 6.0 * sig.sigma
     # switch-on truncation is at the e^{-18} level
     assert abs(sig(0.0)) <= np.exp(-18.0)
@@ -48,6 +50,10 @@ def test_wavelet_validation():
         make_wavelet(5.0, 2.0)
     with pytest.raises(InvalidParameterError):
         make_wavelet(1.0, 2.0, floor_db=3.0)
+    # a width that overflows, and one that rounds to 0
+    for floor_db in (-1e5, -1e-300):
+        with pytest.raises(InvalidParameterError, match="width"):
+            make_wavelet(1.0, 2.0, floor_db=floor_db)
 
 
 def test_waveform_csv_roundtrip(tmp_path):
