@@ -23,11 +23,15 @@ from .errors import ConfigurationError
 _CC = ("gcc", "-O2", "-shared", "-fPIC")
 # per-source flags (every C source of the package has an entry)
 FLAGS = {
-    "_ritz.c": (),
+    # OpenMP over the values of the polish and of the inverse iteration
+    "_ritz.c": ("-fopenmp",),
     # OpenMP row blocks, and FMA only where the source asks for it (see
     # the source's comment)
     "_lanczos.c": ("-fopenmp", "-ffp-contract=off",
                    "-fno-tree-slp-vectorize"),
+    # the numpy march's operations, with no product and sum fused; -O3
+    # vectorizes the row loops (twice the speed of -O2)
+    "_fdtd.c": ("-O3", "-ffp-contract=off"),
 }
 
 

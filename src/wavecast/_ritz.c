@@ -1,7 +1,7 @@
 /* Eigenvalues and eigenvectors of a complex symmetric tridiagonal
    matrix H in O(n^2), with no n x n array beyond the eigenvectors.
 
-   ritz_values(n, alpha, off, theta, work): alpha (n >= 1) is the
+   ritz_values(nt, n, alpha, off, theta, work): alpha (n >= 1) is the
    diagonal, off (n - 1) the off-diagonal, theta (n) receives the
    eigenvalues and work (n) is workspace.  Returns 0, or 1 when the QL
    iteration exceeds MAX_ITER sweeps for one eigenvalue or leaves a value
@@ -18,10 +18,18 @@
    those whose last step exceeded STEP_TOL of max |H|.
 
    ritz_vectors(...) gives the eigenvectors by inverse iteration, O(n)
-   per value; its comment states the arguments. */
+   per value; its comment states the arguments.
+
+   The per-value stages run on nt OpenMP threads: the steps of one polish
+   sweep (each from the values before the sweep) and the vectors of the
+   inverse iteration (each value on its own, a cluster member after the
+   one before it).  Every value and vector is the same operations on the
+   same operands whichever thread computes it, so the results are bitwise
+   the same for any nt.  The QL is one serial pass. */
 
 #include <complex.h>
 #include <math.h>
+#include <omp.h>
 #include <string.h>
 
 #define MAX_ITER 30
@@ -36,8 +44,21 @@ static cplx inv(cplx a)
     return conj(a) / (creal(a) * creal(a) + cimag(a) * cimag(a));
 }
 
+/* |Re a| + |Im a|, LAPACK's CABS1 */
+static double cabs1(cplx a)
+{
+    return fabs(creal(a)) + fabs(cimag(a));
+}
+
 /* d: diagonal in, eigenvalues out; e: n entries, the off-diagonal in
-   e[0 .. n-2], destroyed */
+   e[0 .. n-2], destroyed.
+
+   e[m] splits the matrix when |e[m]| + (|d[m]| + |d[m+1]|) rounds to
+   |d[m]| + |d[m+1]|.  The scan first compares the cheap CABS1 values:
+   since |z| <= cabs1(z) <= sqrt(2) |z|, cabs1(e) > 2^-40 (cabs1(d[m]) +
+   cabs1(d[m+1])) puts |e| far above half an ulp of the sum, so the test
+   fails and the three moduli need not be computed.  The split found is
+   the same; a NaN or an infinite d falls through to the full test. */
 static int ql(int n, cplx *d, cplx *e)
 {
     e[n - 1] = 0.0;
@@ -45,6 +66,8 @@ static int ql(int n, cplx *d, cplx *e)
         for (int iter = 0;; iter++) {
             int m, i;
             for (m = l; m < n - 1; m++) {
+                if (cabs1(e[m]) > 0x1p-40 * (cabs1(d[m]) + cabs1(d[m + 1])))
+                    continue;
                 double dd = cabs(d[m]) + cabs(d[m + 1]);
                 if (cabs(e[m]) + dd == dd)
                     break;
@@ -109,10 +132,11 @@ static cplx newton(int n, const cplx *alpha, const cplx *off, cplx z,
    z_i -= N_i / (1 - N_i sum_{j != i} 1 / (z_i - z_j)), N_i the Newton
    quotient, every step of a sweep from the values before it.  The
    first sweep moves every value, later ones those whose last step
-   exceeded tol; a step that is not finite leaves its value alone.
-   Returns 0 once no step exceeds tol, 1 after MAX_SWEEPS sweeps. */
-static int aberth(int n, const cplx *alpha, const cplx *off, cplx *z,
-                  cplx *step, double tol, double tiny)
+   exceeded tol; a step that is not finite leaves its value alone.  The
+   steps of a sweep are split over nt threads.  Returns 0 once no step
+   exceeds tol, 1 after MAX_SWEEPS sweeps. */
+static int aberth(int nt, int n, const cplx *alpha, const cplx *off,
+                  cplx *z, cplx *step, double tol, double tiny)
 {
     for (int i = 0; i < n; i++)
         step[i] = INFINITY;
@@ -124,6 +148,7 @@ static int aberth(int n, const cplx *alpha, const cplx *off, cplx *z,
             return 0;
         if (sweep == MAX_SWEEPS)
             return 1;
+#pragma omp parallel for num_threads(nt) schedule(dynamic, 16)
         for (int i = 0; i < n; i++) {
             if (!(cabs(step[i]) > tol)) {
                 step[i] = 0.0;
@@ -144,8 +169,8 @@ static int aberth(int n, const cplx *alpha, const cplx *off, cplx *z,
     }
 }
 
-int ritz_values(int n, const cplx *alpha, const cplx *off, cplx *theta,
-                cplx *work)
+int ritz_values(int nt, int n, const cplx *alpha, const cplx *off,
+                cplx *theta, cplx *work)
 {
     double scale = 0.0;
     for (int k = 0; k < n; k++)
@@ -157,14 +182,8 @@ int ritz_values(int n, const cplx *alpha, const cplx *off, cplx *theta,
         memcpy(work, off, (n - 1) * sizeof(cplx));
     if (ql(n, theta, work))
         return 1;
-    return aberth(n, alpha, off, theta, work, STEP_TOL * scale,
+    return aberth(nt, n, alpha, off, theta, work, STEP_TOL * scale,
                   1e-300 + 0x1p-52 * scale);
-}
-
-/* |Re a| + |Im a|, LAPACK's CABS1 */
-static double cabs1(cplx a)
-{
-    return fabs(creal(a)) + fabs(cimag(a));
 }
 
 /* Pivoted LU of the tridiagonal with diagonal alpha - sigma and
@@ -239,6 +258,62 @@ static void normalize(int n, cplx *x)
         x[k] *= r;
 }
 
+/* Column i of the eigenvectors s (see ritz_vectors) from the start
+   vector x0 (real, n), with work (6 n) and piv (n).  Returns 0, or
+   ritz_vectors' failure code with *bad set. */
+static int one_vector(int n, const cplx *alpha, const cplx *off,
+                      const cplx *theta, const int *prev, int i,
+                      const double *x0, double nudge, int steps,
+                      double defect_tol, cplx *s, cplx *work, int *piv,
+                      cplx *bad)
+{
+    cplx *dl = work, *d = work + n, *du = work + 2 * n, *du2 = work + 3 * n,
+         *x = work + 4 * n, *coef = work + 5 * n;
+    int members = 0;
+    for (int j = prev[i]; j >= 0; j = prev[j])
+        members++;
+    cplx sigma = theta[i] + members * nudge;
+    for (int tries = 0; gttrf(n, alpha, off, sigma, dl, d, du, du2, piv);) {
+        sigma += nudge;
+        if (++tries == 3) {
+            *bad = sigma;
+            return 1;
+        }
+    }
+    for (int k = 0; k < n; k++)
+        x[k] = x0[k];
+    for (int step = 0; step < steps; step++) {
+        normalize(n, x);
+        gttrs(n, dl, d, du, du2, piv, x);
+        int c = 0;
+        for (int j = prev[i]; j >= 0; j = prev[j], c++) {
+            const cplx *sj = s + (size_t)j * n;
+            coef[c] = 0.0;
+            for (int k = 0; k < n; k++)
+                coef[c] += sj[k] * x[k];
+        }
+        c = 0;
+        for (int j = prev[i]; j >= 0; j = prev[j], c++) {
+            const cplx *sj = s + (size_t)j * n;
+            for (int k = 0; k < n; k++)
+                x[k] -= coef[c] * sj[k];
+        }
+    }
+    normalize(n, x);
+    cplx quasi = 0.0;
+    for (int k = 0; k < n; k++)
+        quasi += x[k] * x[k];
+    if (cabs(quasi) < defect_tol) {
+        *bad = quasi;
+        return 2;
+    }
+    cplx f = inv(csqrt(quasi));
+    cplx *si = s + (size_t)i * n;
+    for (int k = 0; k < n; k++)
+        si[k] = x[k] * f;
+    return 0;
+}
+
 /* Columns i0 .. i0 + count - 1 of the eigenvectors s (n x n, column
    major, scaled to s^T s = 1) of the tridiagonal (alpha, off) for the
    eigenvalues theta, by inverse iteration: for each value, one pivoted
@@ -246,66 +321,47 @@ static void normalize(int n, cplx *x)
    from the start vector start[(i - i0) * n ...] (real).
 
    prev[i] is the member of value i's cluster computed just before it,
-   or -1: the solves are orthogonalized in the bilinear form (x -=
+   or -1, and next[i] the one just after it, or -1 (prev[i] < i <
+   next[i]): the solves are orthogonalized in the bilinear form (x -=
    sum_j (s_j^T x) s_j, all coefficients from the same x) against the
    earlier members, and sigma sits members * nudge from theta[i].  An
    exactly zero pivot moves sigma by nudge and factors again, at most
    three times.
 
-   work holds 6 n values and piv n.  Returns 0; 1 when H - sigma I stays
-   singular (*bad = the last sigma); 2 when |s^T s| of a unit-norm
-   vector is below defect_tol (*bad = s^T s). */
-int ritz_vectors(int n, const cplx *alpha, const cplx *off,
-                 const cplx *theta, const int *prev, int i0, int count,
-                 const double *start, double nudge, int steps,
+   The values are split over nt threads: a value whose cluster
+   predecessor lies before i0 (or that has none) starts a chain, which
+   one thread runs down through next within the columns.  work holds
+   6 n values and piv n per thread.  Returns 0; else the code of the
+   lowest failing column: 1 when H - sigma I stays singular (*bad = the
+   last sigma), 2 when |s^T s| of a unit-norm vector is below
+   defect_tol (*bad = s^T s). */
+int ritz_vectors(int nt, int n, const cplx *alpha, const cplx *off,
+                 const cplx *theta, const int *prev, const int *next, int i0,
+                 int count, const double *start, double nudge, int steps,
                  double defect_tol, cplx *s, cplx *work, int *piv, cplx *bad)
 {
-    cplx *dl = work, *d = work + n, *du = work + 2 * n, *du2 = work + 3 * n,
-         *x = work + 4 * n, *coef = work + 5 * n;
-    for (int i = i0; i < i0 + count; i++) {
-        int members = 0;
-        for (int j = prev[i]; j >= 0; j = prev[j])
-            members++;
-        cplx sigma = theta[i] + members * nudge;
-        for (int tries = 0; gttrf(n, alpha, off, sigma, dl, d, du, du2, piv);) {
-            sigma += nudge;
-            if (++tries == 3) {
-                *bad = sigma;
-                return 1;
+    int end = i0 + count, failed = end, code = 0;
+#pragma omp parallel for num_threads(nt) schedule(dynamic, 1)
+    for (int head = i0; head < end; head++) {
+        if (prev[head] >= i0)
+            continue;
+        int t = omp_get_thread_num();
+        for (int i = head; i >= 0 && i < end; i = next[i]) {
+            cplx why;
+            int c = one_vector(n, alpha, off, theta, prev, i,
+                               start + (size_t)(i - i0) * n, nudge, steps,
+                               defect_tol, s, work + (size_t)t * 6 * n,
+                               piv + (size_t)t * n, &why);
+            if (c) {
+#pragma omp critical
+                if (i < failed) {
+                    failed = i;
+                    code = c;
+                    *bad = why;
+                }
+                break;
             }
         }
-        const double *x0 = start + (size_t)(i - i0) * n;
-        for (int k = 0; k < n; k++)
-            x[k] = x0[k];
-        for (int step = 0; step < steps; step++) {
-            normalize(n, x);
-            gttrs(n, dl, d, du, du2, piv, x);
-            int c = 0;
-            for (int j = prev[i]; j >= 0; j = prev[j], c++) {
-                const cplx *sj = s + (size_t)j * n;
-                coef[c] = 0.0;
-                for (int k = 0; k < n; k++)
-                    coef[c] += sj[k] * x[k];
-            }
-            c = 0;
-            for (int j = prev[i]; j >= 0; j = prev[j], c++) {
-                const cplx *sj = s + (size_t)j * n;
-                for (int k = 0; k < n; k++)
-                    x[k] -= coef[c] * sj[k];
-            }
-        }
-        normalize(n, x);
-        cplx quasi = 0.0;
-        for (int k = 0; k < n; k++)
-            quasi += x[k] * x[k];
-        if (cabs(quasi) < defect_tol) {
-            *bad = quasi;
-            return 2;
-        }
-        cplx f = inv(csqrt(quasi));
-        cplx *si = s + (size_t)i * n;
-        for (int k = 0; k < n; k++)
-            si[k] = x[k] * f;
     }
-    return 0;
+    return code;
 }

@@ -13,14 +13,25 @@ Q(t) = integral of q, making the second-order form match
 u_tt = A u - q(t) b of the stretched solver (the eps_src cancels in
 the update).
 
+The march is compiled (_fdtd.c, built on first use like the other
+kernels, see _native): each ctypes call runs _CHUNK_STEPS steps with
+the GIL released, so the march holds one CPU and no Python lock while
+the Krylov route runs beside it, and a cancel is seen between chunks.
+The source term comes from the history of Q computed before the march
+(_source_kicks).  The whole-array numpy march that the kernel
+reproduces bit for bit is the oracle of the tests (tests/support.py).
+
 Units: c0 = 1, mu = 1; eps is the squared slowness map.
 """
 
+import ctypes
+import functools
 from concurrent.futures import CancelledError
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .errors import InvalidParameterError
 from .grid import build_grid2d
 from .operator import MediumMap
@@ -32,6 +43,9 @@ COURANT = 0.95
 # reflection coefficient and polynomial order of the graded frame
 _R0 = 1e-5
 _PROFILE_ORDER = 3
+# steps per call of the compiled march, between two looks at cancel
+# (about 10 ms at ring-desk, 0.3 s at the paper presets)
+_CHUNK_STEPS = 256
 
 
 def time_step(n_int, eps_min):
@@ -46,7 +60,33 @@ class FdtdResult:
     waveform: Waveform
     n_steps: int
     probe_coords: tuple
-    energy: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class Yee:
+    """The fixed data of one march: node coordinates along either axis
+    (frame included), spacing, step and step count, eps on the nodes,
+    the semi-implicit loss coefficients, and the snapped source node
+    (None without a source) and probe nodes, as (row, column) indices.
+    The frame is square, so one coefficient pair per node index serves
+    Ezx (by row) and Ezy (by column), and one per midpoint Hy (by row)
+    and Hx (by column)."""
+
+    nodes: np.ndarray
+    delta: float
+    dt: float
+    n_steps: int
+    eps: np.ndarray
+    ca: np.ndarray  # at the nodes
+    cb: np.ndarray
+    da: np.ndarray  # at the midpoints
+    db: np.ndarray
+    source: tuple | None
+    probes: tuple
+
+    @property
+    def probe_coords(self):
+        return tuple((self.nodes[i], self.nodes[j]) for i, j in self.probes)
 
 
 def _sigma_profile(positions, delta, n_pml):
@@ -57,36 +97,9 @@ def _sigma_profile(positions, delta, n_pml):
     return sigma_max * np.clip(depth, 0.0, 1.0) ** _PROFILE_ORDER
 
 
-def run_fdtd(
-    n_int,
-    probes,
-    source_xy,
-    signature,
-    t_final,
-    medium_fn=None,
-    amplitude=1.0,
-    n_pml=10,
-    track_energy=False,
-    initial_ez=None,
-    cancel=None,
-):
-    """March the reference solver and record Ez at the probe nodes.
-
-    probes: list of (x, y) inside (-1, 1); snapped, like the source, to
-    the nearest interior Ez node by Grid2D.nearest_interior_node.
-    medium_fn(x, y) is rasterized by MediumMap.from_function on the
-    interior nodes (1 on the frame).  The step is time_step(n_int, min
-    eps).  The absorbing frame is n_pml cells deep, graded to the
-    reflection _R0 with order _PROFILE_ORDER; n_pml = 0 gives a closed
-    reflecting box (used by the energy-conservation diagnostic).
-
-    source_xy=None disables injection (signature is then unused);
-    initial_ez(x, y) seeds Ez at t = 0 with H = 0 so conservation can
-    be checked on a source-free closed box.  The snapped probe
-    coordinates come back on the result so references can be evaluated
-    at the positions actually sampled.  Once the threading.Event cancel
-    is set, the next step raises CancelledError.
-    """
+def yee_setup(n_int, probes, source_xy, signature, t_final, medium_fn,
+              n_pml):
+    """The Yee data of a march with run_fdtd's arguments."""
     if n_int < 4:
         raise InvalidParameterError(f"need n_int >= 4, got {n_int}")
     delta = 2.0 / n_int
@@ -117,94 +130,119 @@ def run_fdtd(
     if source_xy is not None:
         if signature is None:
             raise InvalidParameterError("source needs a signature")
-        src_i, src_j = snap(*source_xy)
+        source = snap(*source_xy)
     else:
-        src_i = src_j = None
-    probe_idx = [snap(x, y) for (x, y) in probes]
-    probe_coords = tuple((nodes[ix], nodes[iy]) for ix, iy in probe_idx)
+        source = None
 
     if n_pml > 0:
-        sig_ex = _sigma_profile(nodes, delta, n_pml)
-        sig_ey = sig_ex.copy()
-        sig_hx = _sigma_profile(mids, delta, n_pml)
-        sig_hy = sig_hx.copy()
+        sig_node = _sigma_profile(nodes, delta, n_pml)
+        sig_mid = _sigma_profile(mids, delta, n_pml)
     else:
-        sig_ex = sig_ey = np.zeros(nn)
-        sig_hx = sig_hy = np.zeros(nn - 1)
+        sig_node, sig_mid = np.zeros(nn), np.zeros(nn - 1)
 
     # semi-implicit loss coefficients
     def loss(sig):
         den = 1.0 + 0.5 * dt * sig
         return (1.0 - 0.5 * dt * sig) / den, dt / den
 
-    ca_x, cb_x = loss(sig_ex)    # per x-row, applies to Ezx
-    ca_y, cb_y = loss(sig_ey)    # per y-col, applies to Ezy
-    da_x, db_x = loss(sig_hy)    # at x-midpoints, applies to Hy
-    da_y, db_y = loss(sig_hx)    # at y-midpoints, applies to Hx
+    ca, cb = loss(sig_node)
+    da, db = loss(sig_mid)
+    return Yee(
+        nodes=nodes, delta=delta, dt=dt, n_steps=n_steps, eps=eps,
+        ca=ca, cb=cb, da=da, db=db, source=source,
+        probes=tuple(snap(x, y) for (x, y) in probes),
+    )
 
+
+def _source_kicks(yee, signature, amplitude):
+    """The source term of each step n, dt * (amplitude / delta^2) * Q at
+    t_{n+1/2}, with Q the running sum of dt * signature(t_n) from 0.0.
+    One scalar call per step: a vector call of the wavelet is not the
+    same bits everywhere (numpy's SIMD cos and exp differ from its
+    scalar ones by an ulp on 4 of the 7 283 steps of the paper
+    waveguide)."""
+    dt = yee.dt
+    src_scale = amplitude / yee.delta ** 2
+    kicks = np.empty(yee.n_steps)
+    q_accum = 0.0
+    for step in range(yee.n_steps):
+        q_accum += dt * signature(step * dt)  # Q at t_{n+1/2}
+        kicks[step] = dt * src_scale * q_accum
+    return kicks
+
+
+@functools.cache
+def _fdtd_kernel():
+    """The compiled march (_fdtd.c)."""
+    c_int, c_long, c_double = ctypes.c_int, ctypes.c_long, ctypes.c_double
+    ptr = ctypes.c_void_p
+    return _native.load("_fdtd.c", {
+        "fdtd_march": (c_int, [c_int, c_int, c_double, *[ptr] * 9, c_long,
+                               ptr, c_int, ptr, ptr, c_long, ptr]),
+    })
+
+
+def run_fdtd(
+    n_int,
+    probes,
+    source_xy,
+    signature,
+    t_final,
+    medium_fn=None,
+    amplitude=1.0,
+    n_pml=10,
+    cancel=None,
+):
+    """March the reference solver and record Ez at the probe nodes.
+
+    probes: list of (x, y) inside (-1, 1); snapped, like the source, to
+    the nearest interior Ez node by Grid2D.nearest_interior_node.
+    medium_fn(x, y) is rasterized by MediumMap.from_function on the
+    interior nodes (1 on the frame).  The step is time_step(n_int, min
+    eps).  The absorbing frame is n_pml cells deep, graded to the
+    reflection _R0 with order _PROFILE_ORDER; n_pml = 0 gives a closed
+    reflecting box.
+
+    source_xy=None disables injection (signature is then unused).  The
+    snapped probe coordinates come back on the result so references can
+    be evaluated at the positions actually sampled.  The march runs in
+    the compiled kernel, _CHUNK_STEPS steps per call; once the
+    threading.Event cancel is set, the next chunk raises CancelledError.
+    """
+    yee = yee_setup(n_int, probes, source_xy, signature, t_final,
+                    medium_fn, n_pml)
+    kernel = _fdtd_kernel()
+    nn, n_steps = yee.nodes.size, yee.n_steps
     ezx = np.zeros((nn, nn))
     ezy = np.zeros((nn, nn))
     hx = np.zeros((nn, nn - 1))
     hy = np.zeros((nn - 1, nn))
-    if initial_ez is not None:
-        gx, gy = np.meshgrid(nodes, nodes, indexing="ij")
-        ezy[1:-1, 1:-1] = np.asarray(initial_ez(gx, gy), dtype=float)[1:-1, 1:-1]
-
-    traces = np.zeros((len(probe_idx), n_steps + 1))
-    for p, (ix, iy) in enumerate(probe_idx):
-        traces[p, 0] = ezx[ix, iy] + ezy[ix, iy]
-    energy = np.zeros(n_steps) if track_energy else None
-
-    inv_eps = 1.0 / eps
-    q_accum = 0.0  # Q at t_{n+1/2}, midpoint accumulation
-    src_scale = amplitude / delta ** 2
-
-    for step in range(n_steps):
+    traces = np.zeros((len(yee.probes), n_steps + 1))  # from zero fields
+    if yee.source is None:
+        src, kicks = -1, np.zeros(n_steps)
+    else:
+        src = yee.source[0] * nn + yee.source[1]
+        kicks = _source_kicks(yee, signature, amplitude)
+    probe_flats = np.array([i * nn + j for i, j in yee.probes],
+                           dtype=ctypes.c_long)
+    inv_eps = 1.0 / yee.eps
+    arrays = [a.ctypes.data for a in (yee.ca, yee.cb, yee.da, yee.db,
+                                      inv_eps, ezx, ezy, hx, hy)]
+    work = np.empty(2 * nn)
+    for start in range(0, n_steps, _CHUNK_STEPS):
         if cancel is not None and cancel.is_set():
-            raise CancelledError(f"FDTD march cancelled at step {step}")
-        t_n = step * dt
-        ez = ezx + ezy
-        ez_prev = ez if track_energy else None
+            raise CancelledError(f"FDTD march cancelled at step {start}")
+        count = min(_CHUNK_STEPS, n_steps - start)
+        kernel.fdtd_march(
+            nn, count, yee.delta, *arrays, src,
+            kicks.ctypes.data + kicks.itemsize * start,
+            probe_flats.size, probe_flats.ctypes.data,
+            traces.ctypes.data + traces.itemsize * (start + 1),
+            n_steps + 1, work.ctypes.data)
 
-        # H updates to t_{n+1/2}
-        hx = da_y[None, :] * hx - db_y[None, :] * (
-            (ez[:, 1:] - ez[:, :-1]) / delta
-        )
-        hy = da_x[:, None] * hy + db_x[:, None] * (
-            (ez[1:, :] - ez[:-1, :]) / delta
-        )
-
-        # E updates to t_{n+1}; outermost nodes stay at zero (PEC)
-        curl_x = (hy[1:, 1:-1] - hy[:-1, 1:-1]) / delta
-        curl_y = (hx[1:-1, 1:] - hx[1:-1, :-1]) / delta
-        ezx[1:-1, 1:-1] = (
-            ca_x[1:-1, None] * ezx[1:-1, 1:-1]
-            + cb_x[1:-1, None] * inv_eps[1:-1, 1:-1] * curl_x
-        )
-        ezy[1:-1, 1:-1] = (
-            ca_y[None, 1:-1] * ezy[1:-1, 1:-1]
-            - cb_y[None, 1:-1] * inv_eps[1:-1, 1:-1] * curl_y
-        )
-        if src_i is not None:
-            q_accum += dt * signature(t_n)  # Q at t_{n+1/2}
-            ezy[src_i, src_j] -= dt * src_scale * q_accum
-
-        ez = ezx + ezy
-        for p, (ix, iy) in enumerate(probe_idx):
-            traces[p, step + 1] = ez[ix, iy]
-
-        if track_energy:
-            # conserved staggered quadratic form (lossless closed box)
-            energy[step] = 0.5 * delta ** 2 * (
-                np.sum(eps * ez * ez_prev)
-                + np.sum(hx ** 2)
-                + np.sum(hy ** 2)
-            )
-
-    times = np.arange(n_steps + 1) * dt
+    times = np.arange(n_steps + 1) * yee.dt
     return FdtdResult(
         waveform=Waveform(times=times, values=traces),
         n_steps=n_steps,
-        probe_coords=probe_coords,
-        energy=energy,
+        probe_coords=yee.probe_coords,
     )

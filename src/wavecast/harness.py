@@ -31,10 +31,11 @@ import numpy as np
 
 from .analytic import analytic_homogeneous
 from .errors import ConfigurationError, PrecisionError
-from .fdtd import run_fdtd, time_step
+from .fdtd import _fdtd_kernel, run_fdtd, time_step
 from .grid import build_grid2d
 from .krylov import (
     _block_count,
+    _eig_threads,
     _lanczos_kernel,
     _ritz_kernel,
     bilanczos,
@@ -226,8 +227,9 @@ def _reference_job(sc, asm, times, out, cancel):
     return wf, n_steps, time.perf_counter() - t0
 
 
-def _metadata(sc, asm, decomp, m_requested, m, modes, cpus_busy):
-    """Run metadata; modes is the eigensolve of the written trace (at m)."""
+def _metadata(sc, asm, decomp, m_requested, m, modes, cpus_busy, eig_busy):
+    """Run metadata; modes is the eigensolve of the written trace (at m),
+    which ran with eig_busy CPUs held by the reference."""
     return {
         "git": _git_hash(),
         "config": _clean(sc),
@@ -241,6 +243,7 @@ def _metadata(sc, asm, decomp, m_requested, m, modes, cpus_busy):
         "lanczos_threads": _block_count(asm.op.n, cpus_busy),
         "lanczos_product_form": _lanczos_kernel().form,
         "lanczos_drift": decomp.drift,
+        "eig_threads": _eig_threads(eig_busy),
         "recon_error": modes.recon_error,
         "modes_merged": modes.merged,
         "eig_route": modes.route,
@@ -271,6 +274,8 @@ def run_study(sc, ms, out_dir=None):
     # built (or found missing) before any route starts
     _ritz_kernel()
     _lanczos_kernel()
+    if sc.reference == "fdtd":
+        _fdtd_kernel()
     asm = _prepare(sc)
     if ms[-1] > asm.op.n:
         raise ConfigurationError(
@@ -283,7 +288,8 @@ def run_study(sc, ms, out_dir=None):
     # the reference runs on a worker thread beside the Krylov route (the
     # kernels of both release the GIL).  A Lanczos failure wins and drops
     # the reference's outcome, which a run in stage order never reaches;
-    # it, or an interrupt, sets cancel, and the march stops within a step.
+    # it, or an interrupt, sets cancel, and the march stops within a
+    # chunk of steps.
     cancel = threading.Event()
     pool = ThreadPoolExecutor(max_workers=1)
     try:
@@ -306,8 +312,10 @@ def run_study(sc, ms, out_dir=None):
         t0 = time.perf_counter()
         try:
             for m in ms:
+                # every CPU once the reference is done, one fewer before
+                eig_busy = int(ref_job is not None and not ref_job.done())
                 t_eig = time.perf_counter()
-                modes = eigen_tridiag(decomp.truncate(m))
+                modes = eigen_tridiag(decomp.truncate(m), cpus_busy=eig_busy)
                 timings["eigensolve_s"] += time.perf_counter() - t_eig
                 traces[m] = _finite(_trace_waveform(sc, modes, times),
                                     f"m = {m}")
@@ -324,6 +332,9 @@ def run_study(sc, ms, out_dir=None):
             t0 = time.perf_counter()
             ref_wf, fdtd_steps, timings["reference_s"] = ref_job.result()
             timings["reference_wait_s"] = time.perf_counter() - t0
+            if fdtd_steps:
+                timings["reference_ms_per_step"] = (
+                    1e3 * timings["reference_s"] / fdtd_steps)
             waveforms["reference"] = ref_wf
     finally:
         cancel.set()  # a no-op unless Lanczos failed or an interrupt came
@@ -347,7 +358,7 @@ def run_study(sc, ms, out_dir=None):
         fdtd_steps=fdtd_steps,
         timings=timings,
         metadata=_metadata(sc, asm, decomp, m_requested, ms[-1], modes,
-                           cpus_busy),
+                           cpus_busy, eig_busy),
     )
     if out is not None:
         report.to_json(out / "report.json")

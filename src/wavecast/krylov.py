@@ -35,7 +35,10 @@ O(m^3), gives the values.  The mode weights are S^T e_1, the first row
 of the eigenvector matrix S, which is S^-1 e_1 for bilinearly
 orthonormal vectors.  Close Ritz values are handled explicitly:
 clusters get bilinearly orthogonalized vectors, and ghost copies of one
-mode are merged.
+mode are merged.  The polish sweeps and the inverse iteration work
+value by value, on every usable CPU (one fewer while a reference runs
+beside them), with bitwise the same result for any thread count; the
+QL is serial.
 
 Each recursion step runs on preallocated vectors in two passes of a
 second C kernel (_lanczos.c), separated by the scalar reductions:
@@ -205,6 +208,12 @@ def _block_count(n, cpus_busy=0):
     """Row blocks (threads) for one recursion step on n unknowns, with
     cpus_busy usable CPUs held by other work."""
     return max(1, min(_usable_cpus() - cpus_busy, n // _ROWS_PER_WORKER))
+
+
+def _eig_threads(cpus_busy):
+    """Threads of the eigensolve's per-value stages, with cpus_busy
+    usable CPUs held by other work."""
+    return max(1, _usable_cpus() - cpus_busy)
 
 
 def _numpy_cmul_form(kernel):
@@ -485,10 +494,10 @@ def _ritz_kernel():
     cols = np.ctypeslib.ndpointer(np.complex128, ndim=2, flags="F_CONTIGUOUS")
     c_int, c_double = ctypes.c_int, ctypes.c_double
     return _native.load("_ritz.c", {
-        "ritz_values": (c_int, [c_int, vec, vec, vec, vec]),
-        "ritz_vectors": (c_int, [c_int, vec, vec, vec, ints, c_int, c_int,
-                                 starts, c_double, c_int, c_double, cols,
-                                 vec, ints, vec]),
+        "ritz_values": (c_int, [c_int, c_int, vec, vec, vec, vec]),
+        "ritz_vectors": (c_int, [c_int, c_int, vec, vec, vec, ints, ints,
+                                 c_int, c_int, starts, c_double, c_int,
+                                 c_double, cols, vec, ints, vec]),
     })
 
 
@@ -513,17 +522,18 @@ def _zgeev_values(alpha, off):
     return theta
 
 
-def _ritz_values(alpha, off):
+def _ritz_values(alpha, off, threads):
     """Eigenvalues of the symmetric tridiagonal H (diagonal alpha,
     off-diagonal off), sorted by real, then imaginary part, and the
-    route that computed them: "ql" (the compiled kernel) or "zgeev"."""
+    route that computed them: "ql" (the compiled kernel, its polish on
+    `threads` threads) or "zgeev"."""
     alpha = np.ascontiguousarray(alpha, dtype=complex)
     off = np.ascontiguousarray(off, dtype=complex)
     if alpha.ndim != 1 or alpha.size == 0 or off.shape != (alpha.size - 1,):
         raise InvalidParameterError("tridiagonal needs m >= 1 and m - 1 "
                                     "off-diagonal entries")
     theta = np.empty_like(alpha)
-    if _ritz_kernel().ritz_values(alpha.size, alpha, off, theta,
+    if _ritz_kernel().ritz_values(threads, alpha.size, alpha, off, theta,
                                   np.empty_like(alpha)) == 0:
         route = "ql"
     else:
@@ -549,10 +559,10 @@ def _defective(quasi):
 _START_BLOCK = 128
 
 
-def _ritz_vectors(alpha, off, theta, h_scale):
+def _ritz_vectors(alpha, off, theta, h_scale, threads):
     """Eigenvectors of H for the sorted Ritz values, as columns scaled to
     s^T s = 1, by inverse iteration in the compiled ritz_vectors kernel
-    (see eigen_tridiag)."""
+    on `threads` threads (see eigen_tridiag)."""
     m = theta.size
     rng = np.random.default_rng(_INVIT_SEED)
     nudge = 4.0 * np.finfo(float).eps * h_scale
@@ -563,22 +573,25 @@ def _ritz_vectors(alpha, off, theta, h_scale):
     if alpha.shape != (m,) or off.shape != (m - 1,):
         raise InvalidParameterError("tridiagonal and Ritz values differ "
                                     "in size")
-    # prev[i]: the member of i's cluster just before it, or -1
+    # prev[i], next[i]: the member of i's cluster just before, just
+    # after it, or -1
     order = np.argsort(label, kind="stable")
     prev = np.full(m, -1, dtype=np.intc)
+    nxt = np.full(m, -1, dtype=np.intc)
     same = label[order[1:]] == label[order[:-1]]
     prev[order[1:][same]] = order[:-1][same]
+    nxt[order[:-1][same]] = order[1:][same]
     s = np.empty((m, m), dtype=complex, order="F")
-    work = np.empty(6 * m, dtype=complex)
-    piv = np.empty(m, dtype=np.intc)
+    work = np.empty(6 * m * threads, dtype=complex)
+    piv = np.empty(m * threads, dtype=np.intc)
     bad = np.empty(1, dtype=complex)
     for i0 in range(0, m, _START_BLOCK):
         count = min(_START_BLOCK, m - i0)
         # the same draws, in the same order, as one m-vector per value
         start = rng.uniform(-1.0, 1.0, (count, m))
-        code = kernel.ritz_vectors(m, alpha, off, theta, prev, i0, count,
-                                   start, nudge, _INVIT_STEPS, _DEFECT_TOL,
-                                   s, work, piv, bad)
+        code = kernel.ritz_vectors(threads, m, alpha, off, theta, prev, nxt,
+                                   i0, count, start, nudge, _INVIT_STEPS,
+                                   _DEFECT_TOL, s, work, piv, bad)
         if code:
             raise (_singular if code == 1 else _defective)(bad[0])
     return s
@@ -601,7 +614,7 @@ def _merge_ghosts(theta, probe_modes, weights, tol):
             int(theta.size - keep.sum()))
 
 
-def eigen_tridiag(decomp):
+def eigen_tridiag(decomp, cpus_busy=0):
     """Diagonalize the projected tridiagonal for field evaluation.
 
     Works on the symmetrized H = D^{1/2} T D^{-1/2} (complex symmetric;
@@ -642,15 +655,19 @@ def eigen_tridiag(decomp):
       with the largest residue (window measured at the constant).  The
       returned ModeSet has m - merged modes.
 
-    Everything is O(m^2); memory beyond O(m) is S, m x m (and the dense
-    H on the zgeev route).
+    The polish sweeps and the inverse iteration run on _eig_threads(
+    cpus_busy) threads (every usable CPU not held by other work;
+    run_study passes 1 while a reference runs beside it), with bitwise
+    the same result for any thread count.  Everything is O(m^2); memory
+    beyond O(m) is S, m x m (and the dense H on the zgeev route).
     """
     alpha, zeta, delta = decomp.alpha, decomp.zeta, decomp.delta
     sqd = np.sqrt(delta)
     off = zeta[1:] * sqd[1:] / sqd[:-1]
     h_scale = float(max(np.abs(alpha).max(), np.abs(off).max(initial=0.0)))
-    theta, route = _ritz_values(alpha, off)
-    s = _ritz_vectors(alpha, off, theta, h_scale)
+    threads = _eig_threads(cpus_busy)
+    theta, route = _ritz_values(alpha, off, threads)
+    s = _ritz_vectors(alpha, off, theta, h_scale, threads)
     coeff = s[0].copy()  # S^T e_1
     h_col = np.zeros(decomp.m, dtype=complex)  # H e_1
     h_col[0] = alpha[0]

@@ -6,7 +6,9 @@ import scipy.sparse
 
 import wavecast.krylov as krylov
 from wavecast.errors import DegenerateInputError
+from wavecast.fdtd import FdtdResult, yee_setup
 from wavecast.operator import WaveOperator
+from wavecast.signals import Waveform
 
 
 def probe_index(op, x, y):
@@ -94,3 +96,87 @@ def invit_loop(alpha, off, theta, h_scale):
         s[:, i] = x / np.sqrt(quasi)
         group.append(i)
     return s
+
+
+def fdtd_oracle(n_int, probes, source_xy, signature, t_final,
+                medium_fn=None, amplitude=1.0, n_pml=10, track_energy=False,
+                initial_ez=None):
+    """The reference march of fdtd.run_fdtd as whole-array numpy steps,
+    with one scalar signature call and one += of Q per step: the oracle
+    of the compiled march.  Returns (FdtdResult, energy).
+
+    initial_ez(x, y) seeds Ez at t = 0 with H = 0, so conservation can be
+    checked on a source-free closed box (n_pml = 0); track_energy records
+    the staggered quadratic form after each step (else energy is None).
+    """
+    yee = yee_setup(n_int, probes, source_xy, signature, t_final,
+                    medium_fn, n_pml)
+    nodes, delta, dt, n_steps = yee.nodes, yee.delta, yee.dt, yee.n_steps
+    nn = nodes.size
+    ca_x = ca_y = yee.ca  # per x-row for Ezx, per y-column for Ezy
+    cb_x = cb_y = yee.cb
+    da_x = da_y = yee.da  # at x-midpoints for Hy, at y-midpoints for Hx
+    db_x = db_y = yee.db
+    eps = yee.eps
+
+    ezx = np.zeros((nn, nn))
+    ezy = np.zeros((nn, nn))
+    hx = np.zeros((nn, nn - 1))
+    hy = np.zeros((nn - 1, nn))
+    if initial_ez is not None:
+        gx, gy = np.meshgrid(nodes, nodes, indexing="ij")
+        ezy[1:-1, 1:-1] = np.asarray(initial_ez(gx, gy), dtype=float)[1:-1, 1:-1]
+
+    traces = np.zeros((len(yee.probes), n_steps + 1))
+    for p, (ix, iy) in enumerate(yee.probes):
+        traces[p, 0] = ezx[ix, iy] + ezy[ix, iy]
+    energy = np.zeros(n_steps) if track_energy else None
+
+    inv_eps = 1.0 / eps
+    q_accum = 0.0  # Q at t_{n+1/2}, midpoint accumulation
+    src_scale = amplitude / delta ** 2
+
+    for step in range(n_steps):
+        t_n = step * dt
+        ez = ezx + ezy
+        ez_prev = ez if track_energy else None
+
+        # H updates to t_{n+1/2}
+        hx = da_y[None, :] * hx - db_y[None, :] * (
+            (ez[:, 1:] - ez[:, :-1]) / delta
+        )
+        hy = da_x[:, None] * hy + db_x[:, None] * (
+            (ez[1:, :] - ez[:-1, :]) / delta
+        )
+
+        # E updates to t_{n+1}; outermost nodes stay at zero (PEC)
+        curl_x = (hy[1:, 1:-1] - hy[:-1, 1:-1]) / delta
+        curl_y = (hx[1:-1, 1:] - hx[1:-1, :-1]) / delta
+        ezx[1:-1, 1:-1] = (
+            ca_x[1:-1, None] * ezx[1:-1, 1:-1]
+            + cb_x[1:-1, None] * inv_eps[1:-1, 1:-1] * curl_x
+        )
+        ezy[1:-1, 1:-1] = (
+            ca_y[None, 1:-1] * ezy[1:-1, 1:-1]
+            - cb_y[None, 1:-1] * inv_eps[1:-1, 1:-1] * curl_y
+        )
+        if yee.source is not None:
+            q_accum += dt * signature(t_n)  # Q at t_{n+1/2}
+            ezy[yee.source] -= dt * src_scale * q_accum
+
+        ez = ezx + ezy
+        for p, (ix, iy) in enumerate(yee.probes):
+            traces[p, step + 1] = ez[ix, iy]
+
+        if track_energy:
+            # conserved staggered quadratic form (lossless closed box)
+            energy[step] = 0.5 * delta ** 2 * (
+                np.sum(eps * ez * ez_prev)
+                + np.sum(hx ** 2)
+                + np.sum(hy ** 2)
+            )
+
+    times = np.arange(n_steps + 1) * dt
+    result = FdtdResult(waveform=Waveform(times=times, values=traces),
+                        n_steps=n_steps, probe_coords=yee.probe_coords)
+    return result, energy

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import wavecast._native
 import wavecast.cli
+import wavecast.fdtd
 import wavecast.harness
 import wavecast.krylov
 from wavecast.cli import main
@@ -405,15 +406,17 @@ def test_kernel_build_failure_exits_2(tmp_path, monkeypatch, capsys):
     # a kernel that cannot be built stops the run before either route
     # starts: one line on stderr and no trace written.  Without a
     # compiler the eigensolve kernel fails first; a bad flag of the
-    # Lanczos kernel fails that one alone.
-    kernels = (wavecast.krylov._ritz_kernel, wavecast.krylov._lanczos_kernel)
-    for broken, want in (("_CC", "/nonexistent/cc"), ("FLAGS", "_lanczos.c")):
+    # Lanczos kernel, or of the FDTD march, fails that one alone.
+    kernels = (wavecast.krylov._ritz_kernel, wavecast.krylov._lanczos_kernel,
+               wavecast.fdtd._fdtd_kernel)
+    for broken, want in (("_CC", "/nonexistent/cc"), ("FLAGS", "_lanczos.c"),
+                         ("FLAGS", "_fdtd.c")):
         with monkeypatch.context() as patch:
             if broken == "_CC":
                 patch.setattr(wavecast._native, "_CC",
                               ("/nonexistent/cc", "-shared"))
             else:
-                patch.setitem(wavecast._native.FLAGS, "_lanczos.c",
+                patch.setitem(wavecast._native.FLAGS, want,
                               ("-fno-such-flag",))
             for kernel in kernels:
                 kernel.cache_clear()

@@ -38,11 +38,9 @@ ORACLES = {
 # parameters with a default that no call in the package sets, and the
 # tests that set them
 DIAGNOSTICS = {
-    "run_fdtd.n_pml": "n_pml = 0 closes the box: the energy and PML "
-                      "tests of test_reference.py (perfbench/child.py "
-                      "also reads it)",
-    "run_fdtd.track_energy": "test_fdtd_energy_conservation_*",
-    "run_fdtd.initial_ez": "test_fdtd_energy_conservation_*",
+    "run_fdtd.n_pml": "n_pml = 0 closes the box: the PML test and the "
+                      "closed-box oracle test of test_reference.py "
+                      "(perfbench/child.py also reads it)",
     "evaluate_impulse.kernel": "the growing negative control of "
                                "criterion 07 and test_krylov.py",
     "main.argv": "every test of test_cli.py",

@@ -2,11 +2,13 @@
 
 import json
 import threading
-from concurrent.futures import CancelledError
+import time
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import wavecast.fdtd
 import wavecast.harness
 import wavecast.krylov as krylov
 from wavecast.errors import BreakdownError, ConfigurationError, PrecisionError
@@ -199,15 +201,55 @@ def test_breakdown_retreat(monkeypatch):
     assert max(report.probe_errors) < 0.3
 
 
-@pytest.mark.parametrize("reference, threads", [("fdtd", 3), ("analytic", 4),
-                                                ("none", 4)])
-def test_fdtd_reference_holds_a_cpu(monkeypatch, reference, threads):
+@pytest.mark.parametrize("reference, held, threads", [
+    pytest.param("fdtd", True, (3, 3), id="fdtd-3"),
+    pytest.param("fdtd", False, (3, 4), id="fdtd-3-done"),
+    pytest.param("analytic", False, (4, 4), id="analytic-4"),
+    pytest.param("none", False, (4, 4), id="none-4"),
+])
+def test_fdtd_reference_holds_a_cpu(monkeypatch, reference, held, threads):
     # the FDTD march takes one CPU from the recursion's row blocks; the
-    # closed form, done in moments, takes none
+    # closed form, done in moments, takes none.  The eigensolve takes
+    # every CPU once the reference is done, and one fewer while it runs:
+    # a held reference starts only after the eigensolve, and the others
+    # have finished before it
     monkeypatch.setattr(krylov, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(krylov, "_ROWS_PER_WORKER", 1)
+    jobs, release = [], threading.Event()
+
+    class Pool(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            jobs.append(super().submit(*args, **kwargs))
+            return jobs[-1]
+
+    reference_waveform = wavecast.harness._reference_waveform
+    lanczos, eigen = wavecast.harness.bilanczos, wavecast.harness.eigen_tridiag
+
+    def held_reference(*args):
+        assert release.wait(timeout=60.0) or not held
+        return reference_waveform(*args)
+
+    def lanczos_then_reference(*args, **kwargs):
+        decomp = lanczos(*args, **kwargs)
+        if not held:
+            release.set()
+            for job in jobs:
+                job.result()
+        return decomp
+
+    def eigen_then_release(*args, **kwargs):
+        modes = eigen(*args, **kwargs)
+        release.set()
+        return modes
+
+    monkeypatch.setattr(wavecast.harness, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(wavecast.harness, "_reference_waveform",
+                        held_reference)
+    monkeypatch.setattr(wavecast.harness, "bilanczos", lanczos_then_reference)
+    monkeypatch.setattr(wavecast.harness, "eigen_tridiag", eigen_then_release)
     report, _ = run_study(_mini(reference=reference), (40,))
-    assert report.metadata["lanczos_threads"] == threads
+    assert (report.metadata["lanczos_threads"],
+            report.metadata["eig_threads"]) == threads
 
 
 def test_breakdown_without_index_propagates(monkeypatch):
@@ -301,28 +343,35 @@ def test_run_study_leaves_no_thread_behind(monkeypatch, stage):
 def test_krylov_failure_stops_the_march(monkeypatch, tmp_path, stage, error,
                                         cancelled):
     # an interrupt or a Lanczos failure stops the FDTD march within a
-    # step, and no reference is written; an eigensolve failure still
-    # waits for the whole march, whose error would go first
-    late, outcome = [], []
+    # chunk of steps, and no reference is written; an eigensolve failure
+    # still waits for the whole march, whose error would go first.  The
+    # chunks here are 4 steps and take 1 ms each, about 0.45 s in all.
+    late, outcome, cancels = [], [], []
     marching = threading.Event()
     fdtd = wavecast.harness.run_fdtd
+    kernel = wavecast.fdtd._fdtd_kernel()
+
+    class CountingKernel:
+        @staticmethod
+        def fdtd_march(*args):  # called once per chunk
+            if cancels[0].is_set():
+                late.append(args[1])
+            marching.set()
+            time.sleep(1e-3)
+            return kernel.fdtd_march(*args)
 
     def counting_fdtd(**kw):
-        signature, cancel = kw["signature"], kw["cancel"]
-
-        def counted(t):  # called once per step
-            if cancel.is_set():
-                late.append(t)
-            marching.set()
-            return signature(t)
-
+        cancels.append(kw["cancel"])
         try:
-            res = fdtd(**{**kw, "signature": counted})
+            res = fdtd(**kw)
         except CancelledError:
             outcome.append("cancelled")
             raise
         outcome.append("finished")
         return res
+
+    monkeypatch.setattr(wavecast.fdtd, "_fdtd_kernel", CountingKernel)
+    monkeypatch.setattr(wavecast.fdtd, "_CHUNK_STEPS", 4)
 
     def fail(*args, **kwargs):
         assert marching.wait(timeout=60.0)

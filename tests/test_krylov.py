@@ -212,7 +212,7 @@ def test_near_defective_raises():
     )
     # the QL iteration does not converge on it, so zgeev feeds the
     # inverse iteration
-    assert krylov._ritz_values(dec.alpha, np.array([1.0 + 0j]))[1] == "zgeev"
+    assert krylov._ritz_values(dec.alpha, np.array([1.0 + 0j]), 1)[1] == "zgeev"
     with pytest.raises(NearDefectiveError):
         eigen_tridiag(dec)
 
@@ -355,8 +355,8 @@ def test_weights_match_solve_oracle(ring1650):
     modes = eigen_tridiag(dec)
     alpha, off, sqd = _symmetrized(dec)
     h_scale = float(max(np.abs(alpha).max(), np.abs(off).max()))
-    theta, _ = krylov._ritz_values(alpha, off)
-    s = krylov._ritz_vectors(alpha, off, theta, h_scale)
+    theta, _ = krylov._ritz_values(alpha, off, 1)
+    s = krylov._ritz_vectors(alpha, off, theta, h_scale, 1)
     oracle = np.linalg.solve(s, np.eye(dec.m)[:, 0]) * sqd[0]
     keep = np.isin(theta, modes.theta)
     assert keep.sum() == modes.theta.size == dec.m - modes.merged
@@ -365,19 +365,44 @@ def test_weights_match_solve_oracle(ring1650):
 
 
 def test_kernel_vectors_match_python_loop(ring1650):
-    # the compiled inverse iteration against its Python loop of zgtsv
-    # solves, from the same starts; each vector is fixed up to its sign
-    # (the sign of the near-zero pivot), and at m = 150 they agree to
-    # 5e-13 apart from it
+    # the compiled inverse iteration, on one thread and on two, against
+    # its Python loop of zgtsv solves, from the same starts; each vector
+    # is fixed up to its sign (the sign of the near-zero pivot), and at
+    # m = 150 they agree to 5e-13 apart from it
     _, dec = ring1650
     alpha, off, _ = _symmetrized(dec.truncate(150))
     h_scale = float(max(np.abs(alpha).max(), np.abs(off).max()))
-    theta, _ = krylov._ritz_values(alpha, off)
-    got = krylov._ritz_vectors(alpha, off, theta, h_scale)
+    theta, _ = krylov._ritz_values(alpha, off, 1)
     want = invit_loop(alpha, off, theta, h_scale)
-    got *= np.sign((got * want).sum(axis=0).real)
-    assert (np.linalg.norm(got - want, axis=0)
-            <= 1e-10 * np.linalg.norm(want, axis=0)).all()
+    for threads in (1, 2):
+        got = krylov._ritz_vectors(alpha, off, theta, h_scale, threads)
+        got *= np.sign((got * want).sum(axis=0).real)
+        assert (np.linalg.norm(got - want, axis=0)
+                <= 1e-10 * np.linalg.norm(want, axis=0)).all()
+
+
+@pytest.mark.parametrize("m", [600, 1650])
+def test_eigensolve_is_bitwise_the_same_on_any_thread_count(ring1650,
+                                                            monkeypatch, m):
+    # m = 600 merges ghost pairs; at m = 1650, 122 cluster members each
+    # run after the member before them
+    _, dec = ring1650
+    dec = dec.truncate(m)
+    runs = []
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(krylov, "_usable_cpus", lambda: threads)
+        runs.append(eigen_tridiag(dec))
+    alpha, off, _ = _symmetrized(dec)
+    h_scale = float(max(np.abs(alpha).max(), np.abs(off).max()))
+    theta = krylov._ritz_values(alpha, off, 1)[0]
+    chained = krylov._close_groups(theta, krylov._CLUSTER_TOL * h_scale)
+    assert runs[0].merged >= 1
+    assert np.bincount(chained).max() >= 2
+    for modes in runs[1:]:
+        for field in ("theta", "probe_modes", "weights"):
+            assert np.array_equal(getattr(modes, field),
+                                  getattr(runs[0], field)), field
+        assert modes.recon_error == runs[0].recon_error
 
 
 def test_reconstruction_gate_checks_weights_identity(monkeypatch):
@@ -396,8 +421,8 @@ def test_reconstruction_gate_checks_weights_identity(monkeypatch):
     assert eigen_tridiag(dec).recon_error < 1e-14
     vectors = krylov._ritz_vectors
 
-    def stretched(alpha, off, theta, h_scale):
-        s = vectors(alpha, off, theta, h_scale)
+    def stretched(alpha, off, theta, h_scale, threads):
+        s = vectors(alpha, off, theta, h_scale, threads)
         s[:, np.argmin(np.abs(theta))] *= 1.1
         return s
 

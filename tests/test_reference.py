@@ -16,7 +16,7 @@ from wavecast.operator import MediumMap
 from wavecast.scenarios import PRESETS, get_scenario
 from wavecast.signals import compare_traces, make_wavelet
 
-from support import arrival_time
+from support import arrival_time, fdtd_oracle
 
 
 BAND = (6.0, 30.0)
@@ -78,7 +78,7 @@ def test_fdtd_energy_conservation_closed_box():
     # the staggered quadratic form is conserved to roundoff.  (A driven
     # run is not a fair conservation check: the wavelet keeps a tiny dc
     # component, so its integrated current never quite switches off.)
-    res = run_fdtd(
+    res, energy = fdtd_oracle(
         n_int=40,
         probes=[(0.25, 0.25)],
         source_xy=None,
@@ -91,13 +91,13 @@ def test_fdtd_energy_conservation_closed_box():
         ),
     )
     assert res.n_steps >= 10000
-    e = res.energy
+    e = energy
     assert e[0] > 0.0
     assert np.max(np.abs(e - e[0])) < 1e-10 * e[0]
 
 
 def test_fdtd_energy_conservation_with_dielectric():
-    res = run_fdtd(
+    res, energy = fdtd_oracle(
         n_int=36,
         probes=[(0.25, 0.25)],
         source_xy=None,
@@ -111,13 +111,13 @@ def test_fdtd_energy_conservation_with_dielectric():
         ),
     )
     assert res.n_steps >= 10000
-    e = res.energy
+    e = energy
     assert np.max(np.abs(e - e[0])) < 1e-10 * e[0]
 
 
 def test_fdtd_energy_conservation_below_unit_contrast():
     # eps = 0.2 in the disk: a wave speed above 1, which sets the step
-    res = run_fdtd(
+    _, energy = fdtd_oracle(
         n_int=36,
         probes=[(0.25, 0.25)],
         source_xy=None,
@@ -130,8 +130,69 @@ def test_fdtd_energy_conservation_below_unit_contrast():
             -((x - 0.3) ** 2 + (y - 0.2) ** 2) / (2.0 * 0.12 ** 2)
         ),
     )
-    e = res.energy
+    e = energy
     assert np.max(np.abs(e - e[0])) < 1e-10 * e[0]
+
+
+def _assert_march_matches_oracle(**kw):
+    got = run_fdtd(**kw)
+    want, _ = fdtd_oracle(**kw)
+    assert got.n_steps == want.n_steps
+    assert got.probe_coords == want.probe_coords
+    assert np.array_equal(got.waveform.times, want.waveform.times)
+    assert np.array_equal(got.waveform.values, want.waveform.values)
+
+
+def _preset_march(name, steps):
+    """run_fdtd's arguments for the reference of preset name, as
+    run_study passes them, over its first `steps` steps; the source node
+    is a probe too, so the traces are not zero from the first step."""
+    sc = get_scenario(name)
+    asm = _prepare(sc)
+    return dict(
+        n_int=sc.n_int,
+        probes=[asm.src_coords, *asm.probe_coords],
+        source_xy=asm.src_coords,
+        signature=sc.signature(),
+        t_final=steps * wavecast.fdtd.time_step(sc.n_int, asm.eps_min),
+        medium_fn=sc.medium_fn(),
+        amplitude=sc.amplitude,
+    )
+
+
+_FDTD_PRESETS = sorted(n for n in PRESETS
+                       if PRESETS[n]().reference == "fdtd")
+
+
+@pytest.mark.parametrize("name", _FDTD_PRESETS)
+def test_march_matches_numpy_oracle(name):
+    # the compiled march gives the numpy march's bits: over 400 steps at
+    # desk scale (past the wavelet's peak at the source), 40 at paper
+    # scale
+    _assert_march_matches_oracle(**_preset_march(
+        name, 400 if name.endswith("-desk") else 40))
+
+
+def test_march_matches_numpy_oracle_closed_box():
+    # no absorbing frame, a dielectric disk, a source and a probe, in a
+    # window long enough for the walls to echo
+    _assert_march_matches_oracle(
+        n_int=36,
+        probes=[(0.25, 0.25), (-0.6, 0.1)],
+        source_xy=(-0.1, 0.05),
+        signature=make_wavelet(*BAND),
+        t_final=6.0,
+        medium_fn=lambda x, y: 1.0 + 3.0 * ((x + 0.3) ** 2 + y ** 2 < 0.09),
+        amplitude=1.3,
+        n_pml=0,
+    )
+
+
+@pytest.mark.paper
+def test_paper_ring_march_matches_numpy_oracle():
+    # opt-in (pytest -m paper): the first 300 steps of the paper-scale
+    # ring reference
+    _assert_march_matches_oracle(**_preset_march("ring", 300))
 
 
 def test_fdtd_matches_analytic_and_pml_absorbs():
