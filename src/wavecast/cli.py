@@ -9,7 +9,7 @@
 <scenario> is a preset name or the path of a sectioned key-value
 config file.  Exit codes: 0 success, 2 configuration error (an
 eigensolve kernel that cannot be built too), 3 numerical breakdown, 4
-tolerance exceeded under --assert.
+tolerance exceeded under --assert, 130 interrupted (Ctrl-C).
 """
 
 import argparse
@@ -208,6 +208,10 @@ def main(argv=None):
     except WavecastError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        # run_study has already cancelled the reference march
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

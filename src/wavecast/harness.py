@@ -34,8 +34,6 @@ from .errors import ConfigurationError, PrecisionError
 from .fdtd import _fdtd_kernel, run_fdtd, time_step
 from .grid import build_grid2d
 from .krylov import (
-    _block_count,
-    _eig_threads,
     _lanczos_kernel,
     _ritz_kernel,
     bilanczos,
@@ -227,9 +225,8 @@ def _reference_job(sc, asm, times, out, cancel):
     return wf, n_steps, time.perf_counter() - t0
 
 
-def _metadata(sc, asm, decomp, m_requested, m, modes, cpus_busy, eig_busy):
-    """Run metadata; modes is the eigensolve of the written trace (at m),
-    which ran with eig_busy CPUs held by the reference."""
+def _metadata(sc, asm, decomp, m_requested, m, modes):
+    """Run metadata; modes is the eigensolve of the written trace (at m)."""
     return {
         "git": _git_hash(),
         "config": _clean(sc),
@@ -240,10 +237,10 @@ def _metadata(sc, asm, decomp, m_requested, m, modes, cpus_busy, eig_busy):
         "m": m,
         "m_requested": m_requested,
         "lanczos_stop": decomp.stop,
-        "lanczos_threads": _block_count(asm.op.n, cpus_busy),
+        "lanczos_threads": decomp.threads,
         "lanczos_product_form": _lanczos_kernel().form,
         "lanczos_drift": decomp.drift,
-        "eig_threads": _eig_threads(eig_busy),
+        "eig_threads": modes.threads,
         "recon_error": modes.recon_error,
         "modes_merged": modes.merged,
         "eig_route": modes.route,
@@ -289,18 +286,16 @@ def run_study(sc, ms, out_dir=None):
     # kernels of both release the GIL).  A Lanczos failure wins and drops
     # the reference's outcome, which a run in stage order never reaches;
     # it, or an interrupt, sets cancel, and the march stops within a
-    # chunk of steps.
+    # chunk of steps.  Both compiled stages leave the reference its core
+    # while it runs (krylov._thread_count).
     cancel = threading.Event()
     pool = ThreadPoolExecutor(max_workers=1)
     try:
         ref_job = (pool.submit(_reference_job, sc, asm, times, out, cancel)
                    if sc.reference != "none" else None)
-        # the FDTD march holds a CPU until it ends; the closed form is
-        # done in moments
-        cpus_busy = int(sc.reference == "fdtd")
         t0 = time.perf_counter()
         decomp = bilanczos(asm.op, asm.b, ms[-1], asm.probe_flats,
-                           cpus_busy=cpus_busy)
+                           ref_job=ref_job)
         timings["lanczos_s"] = time.perf_counter() - t0
         timings["lanczos_ms_per_iter"] = 1e3 * timings["lanczos_s"] / decomp.m
         # a breakdown retreat or a closed invariant subspace shortens the run
@@ -312,10 +307,8 @@ def run_study(sc, ms, out_dir=None):
         t0 = time.perf_counter()
         try:
             for m in ms:
-                # every CPU once the reference is done, one fewer before
-                eig_busy = int(ref_job is not None and not ref_job.done())
                 t_eig = time.perf_counter()
-                modes = eigen_tridiag(decomp.truncate(m), cpus_busy=eig_busy)
+                modes = eigen_tridiag(decomp.truncate(m), ref_job=ref_job)
                 timings["eigensolve_s"] += time.perf_counter() - t_eig
                 traces[m] = _finite(_trace_waveform(sc, modes, times),
                                     f"m = {m}")
@@ -357,8 +350,7 @@ def run_study(sc, ms, out_dir=None):
         convergence=tuple(entries),
         fdtd_steps=fdtd_steps,
         timings=timings,
-        metadata=_metadata(sc, asm, decomp, m_requested, ms[-1], modes,
-                           cpus_busy, eig_busy),
+        metadata=_metadata(sc, asm, decomp, m_requested, ms[-1], modes),
     )
     if out is not None:
         report.to_json(out / "report.json")

@@ -36,9 +36,10 @@ of the eigenvector matrix S, which is S^-1 e_1 for bilinearly
 orthonormal vectors.  Close Ritz values are handled explicitly:
 clusters get bilinearly orthogonalized vectors, and ghost copies of one
 mode are merged.  The polish sweeps and the inverse iteration work
-value by value, on every usable CPU (one fewer while a reference runs
-beside them), with bitwise the same result for any thread count; the
-QL is serial.
+value by value on OpenMP threads, with bitwise the same result for any
+thread count; the QL is serial.  One rule, _thread_count, sets the
+threads of both compiled stages (the recursion applies it before each
+step), not the BLAS or OpenMP thread settings.
 
 Each recursion step runs on preallocated vectors in two passes of a
 second C kernel (_lanczos.c), separated by the scalar reductions:
@@ -56,22 +57,19 @@ at paper scale the step is bound by memory traffic: about 57 MB per
 step at n = 229 441, against 125 MB for the separate numpy and CSR
 passes it replaces.  The dots and the norm stay single whole-vector
 numpy (BLAS) calls, whose summation order the bits depend on.  Both
-passes split the rows into min(usable CPUs, n // _ROWS_PER_WORKER)
-contiguous blocks (one below 2 * _ROWS_PER_WORKER rows; one CPU fewer
-while the FDTD reference runs beside the recursion), one OpenMP
-thread each, inside one ctypes call that releases the GIL.  Every
-element is the same operations on the same operands as in
-whole-vector numpy passes and scipy's product with the assembled CSR
-matrix (the rules are in _lanczos.c; the form of numpy's complex
-product is probed when the kernel is loaded, see _numpy_cmul_form),
-so the run is bitwise identical for every block count and on the
-kernel's SIMD and scalar paths, wherever the probe finds one of the
-two forms it knows.  The SIMD path (AVX2/FMA, two unknowns per
-vector) is 1.4 - 1.8x faster per iteration than the scalar one.  The
-block count does not read the BLAS or OpenMP thread settings.  The
-happy-breakdown test takes max |aw| only on the rare steps where
-zeta_{i+1} is below 1e-14 of its bound zeta_{i+1} + |alpha_i| + |c|
-on ||aw||.
+passes split the rows into contiguous blocks (one below
+2 * _ROWS_PER_WORKER rows), one OpenMP thread each, inside one ctypes
+call that releases the GIL.  Every element is the same operations on
+the same operands as in whole-vector numpy passes and scipy's product
+with the assembled CSR matrix (the rules are in _lanczos.c; the form of
+numpy's complex product is probed when the kernel is loaded, see
+_numpy_cmul_form), so the run is bitwise identical for every block
+count, even one that changes between steps, and on the kernel's SIMD
+and scalar paths, wherever the probe finds one of the two forms it
+knows.  The SIMD path (AVX2/FMA, two unknowns per vector) is 1.4 - 1.8x
+faster per iteration than the scalar one.  The happy-breakdown test
+takes max |aw| only on the rare steps where zeta_{i+1} is below 1e-14
+of its bound zeta_{i+1} + |alpha_i| + |c| on ||aw||.
 
 Both kernels are compiled with gcc on first use (never at import) and
 cached in this package's __pycache__ (see _native); gcc is required,
@@ -155,7 +153,8 @@ def sc_resolvent_dense(lam, a_dense):
 @dataclass
 class LanczosDecomposition:
     """Coefficients and probe rows of a recursion run, or of its leading
-    iterations (truncate); arrays are sized by the iteration count m."""
+    iterations (truncate); arrays are sized by the iteration count m.
+    threads is the row-block count of the run's last step."""
 
     m: int
     alpha: np.ndarray
@@ -164,6 +163,7 @@ class LanczosDecomposition:
     w_probe: np.ndarray       # (n_probes, m)
     stop: str                 # why it ended: "m", "invariant", "breakdown"
     drift: float              # max |w_j^T M w_1| / max |M| observed
+    threads: int
 
     def truncate(self, m_new):
         """Decomposition of the leading m_new iterations."""
@@ -183,12 +183,12 @@ class LanczosDecomposition:
         )
 
 
-# Fewest rows per worker thread.  Measured on a 2-core x86-64 VM, with
-# a Python thread pool around the numpy passes two blocks broke even
-# with one at n = 27 000 - 38 000; the OpenMP passes win from n = 5 000
-# (8 %; 17 % at 19 881, 20 % at 63 001) when they run alone.  A thread
-# that shares a core with the FDTD march holds up every pass at its
-# barrier (see bilanczos' cpus_busy).
+# Fewest rows per worker thread of a recursion step.  Measured on a
+# 2-core x86-64 VM, with a Python thread pool around the numpy passes
+# two blocks broke even with one at n = 27 000 - 38 000; the OpenMP
+# passes win from n = 5 000 (8 %; 17 % at 19 881, 20 % at 63 001) when
+# they run alone.  A thread that shares a core with the reference holds
+# up every pass at its barrier (see _thread_count).
 _ROWS_PER_WORKER = 20_000
 # the bilinear form has collapsed when |delta_i| < _BREAKDOWN_TOL * max |M|
 _BREAKDOWN_TOL = 1e-14
@@ -204,16 +204,18 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _block_count(n, cpus_busy=0):
-    """Row blocks (threads) for one recursion step on n unknowns, with
-    cpus_busy usable CPUs held by other work."""
-    return max(1, min(_usable_cpus() - cpus_busy, n // _ROWS_PER_WORKER))
-
-
-def _eig_threads(cpus_busy):
-    """Threads of the eigensolve's per-value stages, with cpus_busy
-    usable CPUs held by other work."""
-    return max(1, _usable_cpus() - cpus_busy)
+def _thread_count(ref_job, n=None):
+    """Threads of a compiled stage: every usable CPU, one fewer while
+    ref_job (the reference route beside it, a Future, or None) is not
+    done, since a thread that shares its core holds up every pass at
+    its barrier (the paper-scale ring ran 10.6 - 10.8 ms per Lanczos
+    iteration on two threads beside its numpy FDTD march, 6.3 on one);
+    for a recursion step on n unknowns at most n // _ROWS_PER_WORKER;
+    at least one."""
+    cpus = _usable_cpus() - (ref_job is not None and not ref_job.done())
+    if n is not None:
+        cpus = min(cpus, n // _ROWS_PER_WORKER)
+    return max(1, cpus)
 
 
 def _numpy_cmul_form(kernel):
@@ -279,7 +281,7 @@ def _complex_array(a, shape):
     return a
 
 
-def bilanczos(op, b, m, probe_indices, cpus_busy=0):
+def bilanczos(op, b, m, probe_indices, ref_job=None):
     """Run up to m iterations of the renormalized two-sided recursion.
 
     b is the start vector (the sampled source); probe_indices are the
@@ -292,13 +294,10 @@ def bilanczos(op, b, m, probe_indices, cpus_busy=0):
     raises BreakdownError.
 
     Each step runs the phases of the module docstring on
-    min(usable CPUs - cpus_busy, n // _ROWS_PER_WORKER) threads (at
-    least one), with bitwise the same result for any thread count.
-    cpus_busy counts the CPUs that other work holds for the whole run:
-    run_study passes 1 while the FDTD march runs beside the recursion.
-    A thread that shares a core with the march holds up every pass at
-    its barrier: the paper-scale ring ran 10.6 - 10.8 ms per iteration
-    on two threads beside its reference, and 6.3 on one.
+    _thread_count(ref_job, n) threads, with bitwise the same result for
+    any thread count: ref_job is the reference route beside the
+    recursion (None without one), looked at before each step.  The
+    decomposition records the thread count of the last step.
     """
     if m < 1:
         raise InvalidParameterError(f"need m >= 1, got {m}")
@@ -322,11 +321,8 @@ def bilanczos(op, b, m, probe_indices, cpus_busy=0):
     stencil.append(np.ascontiguousarray(op.inv_c, dtype=float))
     m_scale = float(np.abs(m_diag).max())
     kernel = _lanczos_kernel()
-    n_blocks = _block_count(n, cpus_busy)
-    phase_a = functools.partial(
-        kernel.lanczos_phase_a, n_blocks, kernel.simd, kernel.fused, wx, wy)
-    phase_b = functools.partial(
-        kernel.lanczos_phase_b, n_blocks, kernel.simd, kernel.fused, n)
+    flags = kernel.simd, kernel.fused
+    n_blocks = _thread_count(ref_job, n)
     consts = [a.ctypes.data for a in (*stencil, m_diag)]
 
     alpha = np.empty(m, dtype=complex)
@@ -363,8 +359,11 @@ def bilanczos(op, b, m, probe_indices, cpus_busy=0):
     i = 0
     while i < m:
         i += 1
-        phase_a(r.ctypes.data, scale, *consts, w_cur.ctypes.data,
-                aw.ctypes.data, mw.ctypes.data, maw.ctypes.data)
+        if ref_job is not None and ref_job.done():
+            ref_job, n_blocks = None, _thread_count(None, n)
+        kernel.lanczos_phase_a(n_blocks, *flags, wx, wy, r.ctypes.data,
+                               scale, *consts, w_cur.ctypes.data,
+                               aw.ctypes.data, mw.ctypes.data, maw.ctypes.data)
         d_i = w_cur @ mw
         if abs(d_i) < _BREAKDOWN_TOL * m_scale:
             if i <= 2:
@@ -380,8 +379,9 @@ def bilanczos(op, b, m, probe_indices, cpus_busy=0):
         c_prev = (d_i / delta_prev) * zeta_cur if i > 1 else 0.0
         scalars[:] = a_i, c_prev
         # r_{i+1} into w_prev's buffer, element by element
-        phase_b(aw.ctypes.data, w_cur.ctypes.data, scalars.ctypes.data,
-                w_prev.ctypes.data, i > 1, w_prev.ctypes.data)
+        kernel.lanczos_phase_b(n_blocks, *flags, n, aw.ctypes.data,
+                               w_cur.ctypes.data, scalars.ctypes.data,
+                               w_prev.ctypes.data, i > 1, w_prev.ctypes.data)
         r, w_prev, w_cur = w_prev, w_cur, r
         alpha[i - 1] = a_i
         zeta[i - 1] = zeta_cur
@@ -412,6 +412,7 @@ def bilanczos(op, b, m, probe_indices, cpus_busy=0):
         w_probe=w_probe[:m_run].T,
         stop=stop,
         drift=drift,
+        threads=n_blocks,
     )
     # keep one iteration of margin before the collapse
     return decomp.truncate(i - 2) if stop == "breakdown" else decomp
@@ -455,8 +456,9 @@ class ModeSet:
                                   * f(t, theta[i]).
 
     merged counts the ghost Ritz values folded into another mode; route
-    names the eigenvalue route of eigen_tridiag ("ql" or "zgeev"), None
-    for modes built otherwise.
+    names the eigenvalue route of eigen_tridiag ("ql" or "zgeev") and
+    threads the thread count of its per-value stages, each None for
+    modes built otherwise.
     """
 
     theta: np.ndarray
@@ -466,6 +468,7 @@ class ModeSet:
     recon_error: float
     merged: int = 0
     route: str | None = None
+    threads: int | None = None
 
 
 def _close_groups(theta, tol):
@@ -614,7 +617,7 @@ def _merge_ghosts(theta, probe_modes, weights, tol):
             int(theta.size - keep.sum()))
 
 
-def eigen_tridiag(decomp, cpus_busy=0):
+def eigen_tridiag(decomp, ref_job=None):
     """Diagonalize the projected tridiagonal for field evaluation.
 
     Works on the symmetrized H = D^{1/2} T D^{-1/2} (complex symmetric;
@@ -655,17 +658,17 @@ def eigen_tridiag(decomp, cpus_busy=0):
       with the largest residue (window measured at the constant).  The
       returned ModeSet has m - merged modes.
 
-    The polish sweeps and the inverse iteration run on _eig_threads(
-    cpus_busy) threads (every usable CPU not held by other work;
-    run_study passes 1 while a reference runs beside it), with bitwise
-    the same result for any thread count.  Everything is O(m^2); memory
+    The polish sweeps and the inverse iteration run on
+    _thread_count(ref_job) threads, ref_job being the reference route
+    beside the eigensolve (None without one), with bitwise the same
+    result for any thread count.  Everything is O(m^2); memory
     beyond O(m) is S, m x m (and the dense H on the zgeev route).
     """
     alpha, zeta, delta = decomp.alpha, decomp.zeta, decomp.delta
     sqd = np.sqrt(delta)
     off = zeta[1:] * sqd[1:] / sqd[:-1]
     h_scale = float(max(np.abs(alpha).max(), np.abs(off).max(initial=0.0)))
-    threads = _eig_threads(cpus_busy)
+    threads = _thread_count(ref_job)
     theta, route = _ritz_values(alpha, off, threads)
     s = _ritz_vectors(alpha, off, theta, h_scale, threads)
     coeff = s[0].copy()  # S^T e_1
@@ -692,6 +695,7 @@ def eigen_tridiag(decomp, cpus_busy=0):
         recon_error=recon,
         merged=merged,
         route=route,
+        threads=threads,
     )
 
 

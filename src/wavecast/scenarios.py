@@ -364,19 +364,15 @@ def homogeneous():
 
 
 def ring():
-    """Laboratory-scale annulus setup (not run by the test suite)."""
+    """Laboratory-scale annulus setup (not run by the test suite): the
+    band, grid and source of homogeneous()."""
     base = homogeneous()
-    return Scenario(
+    return dataclasses.replace(
+        base,
         name="ring",
-        omega_min=base.omega_min,
-        omega_max=base.omega_max,
-        n_int=base.n_int,
-        k=base.k,
         t_final=4e-13 * C0 / base.l_ref,
-        source_xy=(0.0, 0.0),
         probes=((0.15, 0.15),),
         shapes=(Annulus(0.0, 0.0, 0.35, 0.55, 4.0),),
-        l_ref=base.l_ref,
         reference="fdtd",
         m_default=4000,
         m_list=(1000, 2000, 3000, 4000),
@@ -384,21 +380,16 @@ def ring():
 
 
 def waveguide():
-    """Laboratory-scale lattice setup (not run by the test suite)."""
-    l_ref = 0.58e-6 / 0.2
-    lattice = _channel_lattice()
-    return Scenario(
+    """Laboratory-scale lattice setup (not run by the test suite): the
+    band, lattice and source of waveguide_desk()."""
+    base = waveguide_desk()
+    return dataclasses.replace(
+        base,
         name="waveguide",
-        omega_min=9.81e14 * l_ref / C0,
-        omega_max=1.44e15 * l_ref / C0,
         n_int=470,
         k=5,
-        t_final=2e-13 * C0 / l_ref,
-        source_xy=lattice.center(3, 3),
-        probes=(lattice.center(6, 3),),
-        shapes=(lattice,),
-        l_ref=l_ref,
-        reference="fdtd",
+        t_final=2e-13 * C0 / base.l_ref,
+        probes=(base.shapes[0].center(6, 3),),
         m_default=3000,
         m_list=(1000, 2000, 3000),
     ).validate()

@@ -160,6 +160,19 @@ def test_breakdown_maps_to_exit_3(mini_cfg, tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_interrupt_exits_130(mini_cfg, tmp_path, monkeypatch, capsys):
+    # Ctrl-C: one line on stderr and a documented exit code, not a
+    # traceback
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(wavecast.cli, "run_study", interrupted)
+    assert main(["run", str(mini_cfg), "--out", str(tmp_path / "x")]) == 130
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["interrupted"]
+    assert "Traceback" not in err
+
+
 def test_fast_medium_gives_finite_artifacts(tmp_path):
     # eps_r = 0.2 in the disk: waves there outrun the exterior, and the
     # reference's time step must follow them

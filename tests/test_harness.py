@@ -176,9 +176,9 @@ def _count_bilanczos(monkeypatch):
     """Record the m of every recursion run the harness starts."""
     calls = []
 
-    def counted(op, b, m, probe_indices, cpus_busy=0):
+    def counted(op, b, m, probe_indices, ref_job=None):
         calls.append(m)
-        return bilanczos(op, b, m, probe_indices, cpus_busy)
+        return bilanczos(op, b, m, probe_indices, ref_job)
 
     monkeypatch.setattr(wavecast.harness, "bilanczos", counted)
     return calls
@@ -201,18 +201,17 @@ def test_breakdown_retreat(monkeypatch):
     assert max(report.probe_errors) < 0.3
 
 
-@pytest.mark.parametrize("reference, held, threads", [
-    pytest.param("fdtd", True, (3, 3), id="fdtd-3"),
-    pytest.param("fdtd", False, (3, 4), id="fdtd-3-done"),
-    pytest.param("analytic", False, (4, 4), id="analytic-4"),
-    pytest.param("none", False, (4, 4), id="none-4"),
+@pytest.mark.parametrize("reference, ends, threads", [
+    pytest.param("fdtd", "after-eigensolve", (3, 3), id="fdtd-3"),
+    pytest.param("fdtd", "after-lanczos", (3, 4), id="fdtd-3-done"),
+    pytest.param("analytic", "before-lanczos", (4, 4), id="analytic-4"),
+    pytest.param("none", "before-lanczos", (4, 4), id="none-4"),
 ])
-def test_fdtd_reference_holds_a_cpu(monkeypatch, reference, held, threads):
-    # the FDTD march takes one CPU from the recursion's row blocks; the
-    # closed form, done in moments, takes none.  The eigensolve takes
-    # every CPU once the reference is done, and one fewer while it runs:
-    # a held reference starts only after the eigensolve, and the others
-    # have finished before it
+def test_fdtd_reference_holds_a_cpu(monkeypatch, reference, ends, threads):
+    # a reference that runs takes one CPU from the recursion's row
+    # blocks and from the eigensolve, and gives it back once done.  The
+    # reference is held until the stage named by ends returns, or it
+    # ends before the recursion starts
     monkeypatch.setattr(krylov, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(krylov, "_ROWS_PER_WORKER", 1)
     jobs, release = [], threading.Event()
@@ -226,15 +225,20 @@ def test_fdtd_reference_holds_a_cpu(monkeypatch, reference, held, threads):
     lanczos, eigen = wavecast.harness.bilanczos, wavecast.harness.eigen_tridiag
 
     def held_reference(*args):
-        assert release.wait(timeout=60.0) or not held
+        assert release.wait(timeout=60.0)
         return reference_waveform(*args)
 
-    def lanczos_then_reference(*args, **kwargs):
+    def end_reference():
+        release.set()
+        for job in jobs:
+            job.result(timeout=60.0)
+
+    def lanczos_between(*args, **kwargs):
+        if ends == "before-lanczos":
+            end_reference()
         decomp = lanczos(*args, **kwargs)
-        if not held:
-            release.set()
-            for job in jobs:
-                job.result()
+        if ends == "after-lanczos":
+            end_reference()
         return decomp
 
     def eigen_then_release(*args, **kwargs):
@@ -245,7 +249,7 @@ def test_fdtd_reference_holds_a_cpu(monkeypatch, reference, held, threads):
     monkeypatch.setattr(wavecast.harness, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(wavecast.harness, "_reference_waveform",
                         held_reference)
-    monkeypatch.setattr(wavecast.harness, "bilanczos", lanczos_then_reference)
+    monkeypatch.setattr(wavecast.harness, "bilanczos", lanczos_between)
     monkeypatch.setattr(wavecast.harness, "eigen_tridiag", eigen_then_release)
     report, _ = run_study(_mini(reference=reference), (40,))
     assert (report.metadata["lanczos_threads"],
@@ -255,7 +259,7 @@ def test_fdtd_reference_holds_a_cpu(monkeypatch, reference, held, threads):
 def test_breakdown_without_index_propagates(monkeypatch):
     # bilanczos always sets the index; an error without one must still
     # reach the caller unchanged
-    def dead(op, b, m, probe_indices, cpus_busy=0):
+    def dead(op, b, m, probe_indices, ref_job=None):
         raise BreakdownError("no usable prefix")
 
     monkeypatch.setattr(wavecast.harness, "bilanczos", dead)

@@ -209,6 +209,7 @@ def test_near_defective_raises():
         w_probe=np.ones((1, 2), dtype=complex),
         stop="m",
         drift=0.0,
+        threads=1,
     )
     # the QL iteration does not converge on it, so zgeev feeds the
     # inverse iteration
@@ -417,6 +418,7 @@ def test_reconstruction_gate_checks_weights_identity(monkeypatch):
         w_probe=np.ones((1, 2), dtype=complex),
         stop="m",
         drift=0.0,
+        threads=1,
     )
     assert eigen_tridiag(dec).recon_error < 1e-14
     vectors = krylov._ritz_vectors

@@ -9,6 +9,7 @@ path alike.
 """
 
 import sys
+from concurrent.futures import Future
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -85,6 +86,7 @@ def reference_recursion(op, b, m, probes, breakdown_tol=1e-14,
         w_probe=np.array(wp_cols[:keep], dtype=complex).T,
         stop=stop,
         drift=drift,
+        threads=1,
     )
 
 
@@ -100,16 +102,16 @@ def assert_bitwise(got, want):
 def force_blocks(monkeypatch):
     """Force the recursion's block count and record what it used."""
     used = []
-    real_block_count = krylov._block_count
+    real_thread_count = krylov._thread_count
 
-    def spy(n, cpus_busy=0):
-        used.append(real_block_count(n, cpus_busy))
+    def spy(ref_job, n=None):
+        used.append(real_thread_count(ref_job, n))
         return used[-1]
 
     def force(n_blocks):
         monkeypatch.setattr(krylov, "_ROWS_PER_WORKER", 1)
         monkeypatch.setattr(krylov, "_usable_cpus", lambda: n_blocks)
-        monkeypatch.setattr(krylov, "_block_count", spy)
+        monkeypatch.setattr(krylov, "_thread_count", spy)
         return used
 
     return force
@@ -276,13 +278,70 @@ def test_product_form_probe_reports_neither():
     assert krylov._numpy_cmul_form(kernel) == "other"
 
 
+class _Job:
+    """A reference job that is done from its (k + 1)-th look on."""
+
+    def __init__(self, k):
+        self.k, self.looks = k, 0
+
+    def done(self):
+        self.looks += 1
+        return self.looks > self.k
+
+
 def test_block_count_rule(monkeypatch):
-    monkeypatch.setattr(krylov, "_usable_cpus", lambda: 2)
+    # one rule for both compiled stages: every usable CPU, one fewer
+    # while the reference job runs, and for a recursion step at most
+    # n // _ROWS_PER_WORKER row blocks; never fewer than one
+    count = krylov._thread_count
     rows = krylov._ROWS_PER_WORKER
-    assert krylov._block_count(18_225) == 1  # ring-desk
-    assert krylov._block_count(2 * rows - 1) == 1
-    assert krylov._block_count(2 * rows) == 2
-    assert krylov._block_count(229_441) == 2  # paper-scale ring
-    assert krylov._block_count(229_441, cpus_busy=1) == 1  # beside FDTD
+    running, finished = Future(), Future()
+    finished.set_result(None)
+    monkeypatch.setattr(krylov, "_usable_cpus", lambda: 2)
+    for job in (None, finished):
+        assert count(job, 18_225) == 1  # ring-desk
+        assert count(job, 2 * rows - 1) == 1
+        assert count(job, 2 * rows) == 2
+        assert count(job, 229_441) == 2  # paper-scale ring
+        assert count(job) == 2  # the eigensolve
+    assert count(running, 229_441) == 1  # beside the reference
+    assert count(running) == 1
+    monkeypatch.setattr(krylov, "_usable_cpus", lambda: 3)
+    assert count(running, 229_441) == 2
+    assert count(running, 2 * rows) == 2
+    assert count(running) == 2
     monkeypatch.setattr(krylov, "_usable_cpus", lambda: 1)
-    assert krylov._block_count(229_441) == 1
+    for job in (None, finished, running):
+        assert count(job, 229_441) == 1
+        assert count(job) == 1
+
+
+def test_reference_done_mid_recursion(desk, force_blocks, monkeypatch):
+    # the recursion takes the reference's core at the first step after
+    # the job is done (step 150 here), with the bits of a one-thread run
+    asm, _ = desk
+    used = force_blocks(1)
+    one = bilanczos(asm.op, asm.b, 300, asm.probe_flats)
+    monkeypatch.setattr(krylov, "_usable_cpus", lambda: 3)
+    job = _Job(150)
+    got = bilanczos(asm.op, asm.b, 300, asm.probe_flats, ref_job=job)
+    assert used == [1, 2, 3] and job.looks == 151
+    assert (one.threads, got.threads) == (1, 3)
+    assert_bitwise(got, one)
+
+
+@pytest.mark.paper
+def test_paper_ring_reference_done_mid_recursion(monkeypatch):
+    # opt-in (pytest -m paper): the paper-scale ring takes two row
+    # blocks by its size on two CPUs, one while the reference job runs;
+    # a job done at iteration 150 of 300 leaves the bits of a one-thread
+    # run
+    asm = _prepare(get_scenario("ring"))
+    monkeypatch.setattr(krylov, "_usable_cpus", lambda: 1)
+    one = bilanczos(asm.op, asm.b, 300, asm.probe_flats)
+    monkeypatch.setattr(krylov, "_usable_cpus", lambda: 2)
+    job = _Job(150)
+    got = bilanczos(asm.op, asm.b, 300, asm.probe_flats, ref_job=job)
+    assert job.looks == 151
+    assert (one.threads, got.threads) == (1, 2)
+    assert_bitwise(got, one)
