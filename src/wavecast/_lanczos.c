@@ -2,8 +2,8 @@
    as two passes over the unknowns.  The dots and the norm between them
    stay in numpy.
 
-   lanczos_phase_a(nt, simd, fused, wx, wy, r, scale, cxm, cxp, cym, cyp,
-                   inv_c, m_diag, w, aw, mw, maw):
+   lanczos_phase_a(nt, simd, wx, wy, r, scale, cxm, cxp, cym, cyp, inv_c,
+                   m_diag, w, aw, mw, maw):
        w = r * scale, aw = A w, mw = M w, maw = M aw.  A is the
        five-point operator of operator.py on a wx x wy grid (unknown
        ix * wy + iy): row (ix, iy) couples (ix -+ 1, iy) by cxm[ix],
@@ -12,30 +12,27 @@
        cyp)[iy]) * inv_c; neighbours past the grid's edge drop out.  The
        scaled w of each neighbour is computed where it is used, so r is
        only read.
-   lanczos_phase_b(nt, simd, fused, n, aw, w, coef, w_prev, has_prev, r):
+   lanczos_phase_b(nt, simd, n, aw, w, coef, w_prev, has_prev, r):
        r = aw - alpha w, then r - c w_prev when has_prev, with coef the
        pairs (alpha, c); r may be w_prev.
-   lanczos_cmul(n, fused, a, a_step, b, out):
-       out = a * b by the product below, a_step 0 broadcasting a[0].
    lanczos_simd(): 1 when this CPU runs the AVX2/FMA path.
 
    Complex vectors, and the stencil factors, are interleaved doubles
    (re, im).  Both passes split the unknowns into nt contiguous row
    blocks, one OpenMP thread each.
 
-   Every element is the same operations on the same operands as numpy
-   and scipy compute it, so the recursion is bitwise that of whole-vector
-   numpy passes for any nt and either path:
+   Every element is computed by one fixed rule, so the recursion is
+   bitwise the same for any nt and on either path:
+   - The products of whole-vector numpy passes (the coefficients, M w,
+     M aw, alpha w, c w_prev) take the fused form fma(ar, br, -(ai bi))
+     + i fma(ar, bi, ai br), a the first operand.  That is numpy's own
+     product where its SIMD loops run on FMA hardware, so there the
+     recursion is bitwise that of numpy passes.
    - A w is scipy's csr_matvec on the assembled matrix: the sum starts at
      +0.0 and adds the products in column order (west, south, centre,
-     north, east), each coefficient times w as an unfused complex
-     product; each coefficient is numpy's complex product of the factor
-     by inv_c + 0i.
-   - The products numpy computes (the coefficients, M w, M aw, alpha w,
-     c w_prev) take its form on the running host, which the caller
-     probes: fused (numpy's SIMD loops on FMA hardware) is
-     fma(ar, br, -(ai bi)) + i fma(ar, bi, ai br), a the first operand;
-     plain is (ar br - ai bi) + i (ar bi + ai br).
+     north, east), each coefficient times w in the plain form (ar br -
+     ai bi) + i (ar bi + ai br); each coefficient is the fused product
+     of the factor by inv_c + 0i.
    - Built with -ffp-contract=off -fno-tree-slp-vectorize, so FMA comes
      only from fma() and the intrinsics: GCC's SLP vectorizer otherwise
      turns the plain product into vfmaddsub. */
@@ -47,29 +44,23 @@
 #include <immintrin.h>
 #endif
 
-/* p = a * b in the form of `fused`; the operands are (re, im) pairs */
-static inline void cmul(int fused, double ar, double ai, double br,
-                        double bi, double *pr, double *pi)
+/* p = a * b in the fused form; the operands are (re, im) pairs */
+static inline void cmul(double ar, double ai, double br, double bi,
+                        double *pr, double *pi)
 {
-    if (fused) {
-        *pr = fma(ar, br, -(ai * bi));
-        *pi = fma(ar, bi, ai * br);
-    } else {
-        *pr = ar * br - ai * bi;
-        *pi = ar * bi + ai * br;
-    }
+    *pr = fma(ar, br, -(ai * bi));
+    *pi = fma(ar, bi, ai * br);
 }
 
-/* s += (f * ic) * (x * scale): one stencil term, f a stencil factor */
-static inline void term(int fused, const double *f, double ic,
-                        const double *x, double scale, double *sr,
-                        double *si)
+/* s += (f * ic) * (x * scale): one stencil term, f a stencil factor,
+   the second product in the plain form */
+static inline void term(const double *f, double ic, const double *x,
+                        double scale, double *sr, double *si)
 {
-    double kr, ki, pr, pi;
-    cmul(fused, f[0], f[1], ic, 0.0, &kr, &ki);
-    cmul(0, kr, ki, x[0] * scale, x[1] * scale, &pr, &pi);
-    *sr += pr;
-    *si += pi;
+    double kr, ki, xr = x[0] * scale, xi = x[1] * scale;
+    cmul(f[0], f[1], ic, 0.0, &kr, &ki);
+    *sr += kr * xr - ki * xi;
+    *si += kr * xi + ki * xr;
 }
 
 /* GCC inlines fma() only where the target has FMA; elsewhere it is a
@@ -83,12 +74,11 @@ static inline void term(int fused, const double *f, double ic,
 #endif
 
 FMA_CLONES
-static void phase_a_scalar(long lo, long hi, int fused, int wx, int wy,
-                           const double *r, double scale, const double *cxm,
-                           const double *cxp, const double *cym,
-                           const double *cyp, const double *inv_c,
-                           const double *m_diag, double *w, double *aw,
-                           double *mw, double *maw)
+static void phase_a_scalar(long lo, long hi, int wx, int wy, const double *r,
+                           double scale, const double *cxm, const double *cxp,
+                           const double *cym, const double *cyp,
+                           const double *inv_c, const double *m_diag,
+                           double *w, double *aw, double *mw, double *maw)
 {
     long j = lo;
     while (j < hi) {
@@ -104,40 +94,39 @@ static void phase_a_scalar(long lo, long hi, int fused, int wx, int wy,
             double cen[2] = {sx[0] - (fy[0] + gy[0]),
                              sx[1] - (fy[1] + gy[1])};
             if (ix > 0)
-                term(fused, fx, ic, x - 2 * wy, scale, &sr, &si);
+                term(fx, ic, x - 2 * wy, scale, &sr, &si);
             if (iy > 0)
-                term(fused, fy, ic, x - 2, scale, &sr, &si);
-            term(fused, cen, ic, x, scale, &sr, &si);
+                term(fy, ic, x - 2, scale, &sr, &si);
+            term(cen, ic, x, scale, &sr, &si);
             if (iy < wy - 1)
-                term(fused, gy, ic, x + 2, scale, &sr, &si);
+                term(gy, ic, x + 2, scale, &sr, &si);
             if (ix < wx - 1)
-                term(fused, gx, ic, x + 2 * wy, scale, &sr, &si);
+                term(gx, ic, x + 2 * wy, scale, &sr, &si);
             double wr = x[0] * scale, wi = x[1] * scale;
             const double *m = m_diag + 2 * j;
             w[2 * j] = wr;
             w[2 * j + 1] = wi;
             aw[2 * j] = sr;
             aw[2 * j + 1] = si;
-            cmul(fused, m[0], m[1], wr, wi, mw + 2 * j, mw + 2 * j + 1);
-            cmul(fused, m[0], m[1], sr, si, maw + 2 * j, maw + 2 * j + 1);
+            cmul(m[0], m[1], wr, wi, mw + 2 * j, mw + 2 * j + 1);
+            cmul(m[0], m[1], sr, si, maw + 2 * j, maw + 2 * j + 1);
         }
     }
 }
 
 FMA_CLONES
-static void phase_b_scalar(long lo, long hi, int fused, const double *aw,
+static void phase_b_scalar(long lo, long hi, const double *aw,
                            const double *w, const double *alpha,
                            const double *w_prev, const double *c,
                            int has_prev, double *r)
 {
     for (long j = lo; j < hi; j++) {
         double tr, ti, rr, ri;
-        cmul(fused, alpha[0], alpha[1], w[2 * j], w[2 * j + 1], &tr, &ti);
+        cmul(alpha[0], alpha[1], w[2 * j], w[2 * j + 1], &tr, &ti);
         rr = aw[2 * j] - tr;
         ri = aw[2 * j + 1] - ti;
         if (has_prev) {
-            cmul(fused, c[0], c[1], w_prev[2 * j], w_prev[2 * j + 1], &tr,
-                 &ti);
+            cmul(c[0], c[1], w_prev[2 * j], w_prev[2 * j + 1], &tr, &ti);
             rr -= tr;
             ri -= ti;
         }
@@ -150,27 +139,31 @@ static void phase_b_scalar(long lo, long hi, int fused, const double *aw,
 /* two complex values per vector, (re0, im0, re1, im1) */
 #define AVX2 __attribute__((target("avx2,fma")))
 
-/* a * b in the form of `fused` */
-AVX2 static inline __m256d vmul(int fused, __m256d a, __m256d b)
+/* a * b in the fused form, and in the plain form */
+AVX2 static inline __m256d vmul(__m256d a, __m256d b)
 {
-    __m256d a_re = _mm256_movedup_pd(a);
-    __m256d a_im = _mm256_permute_pd(a, 0xF);
-    __m256d t = _mm256_mul_pd(a_im, _mm256_permute_pd(b, 0x5));
-    return fused ? _mm256_fmaddsub_pd(a_re, b, t)
-                 : _mm256_addsub_pd(_mm256_mul_pd(a_re, b), t);
+    __m256d t = _mm256_mul_pd(_mm256_permute_pd(a, 0xF),
+                              _mm256_permute_pd(b, 0x5));
+    return _mm256_fmaddsub_pd(_mm256_movedup_pd(a), b, t);
+}
+
+AVX2 static inline __m256d vmul_plain(__m256d a, __m256d b)
+{
+    __m256d t = _mm256_mul_pd(_mm256_permute_pd(a, 0xF),
+                              _mm256_permute_pd(b, 0x5));
+    return _mm256_addsub_pd(_mm256_mul_pd(_mm256_movedup_pd(a), b), t);
 }
 
 /* s + (f * ic) * (x * scale), as term() */
-AVX2 static inline __m256d vterm(int fused, __m256d s, __m256d f,
-                                 __m256d ic, const double *x, __m256d scale)
+AVX2 static inline __m256d vterm(__m256d s, __m256d f, __m256d ic,
+                                 const double *x, __m256d scale)
 {
-    __m256d k = vmul(fused, f, ic);
-    return _mm256_add_pd(s, vmul(0, k, _mm256_mul_pd(_mm256_loadu_pd(x),
-                                                     scale)));
+    __m256d xs = _mm256_mul_pd(_mm256_loadu_pd(x), scale);
+    return _mm256_add_pd(s, vmul_plain(vmul(f, ic), xs));
 }
 
 /* pairs of unknowns with all four neighbours; the rest as scalars */
-AVX2 static void phase_a_simd(long lo, long hi, int fused, int wx, int wy,
+AVX2 static void phase_a_simd(long lo, long hi, int wx, int wy,
                               const double *r, double scale,
                               const double *cxm, const double *cxp,
                               const double *cym, const double *cyp,
@@ -188,8 +181,8 @@ AVX2 static void phase_a_simd(long lo, long hi, int fused, int wx, int wy,
             b = end < row + wy - 1 ? end : row + wy - 1;
             b = b > a ? a + (b - a) / 2 * 2 : a;
         }
-        phase_a_scalar(j, a, fused, wx, wy, r, scale, cxm, cxp, cym, cyp,
-                       inv_c, m_diag, w, aw, mw, maw);
+        phase_a_scalar(j, a, wx, wy, r, scale, cxm, cxp, cym, cyp, inv_c,
+                       m_diag, w, aw, mw, maw);
         __m256d fx = _mm256_broadcast_pd((const __m128d *)(cxm + 2 * ix));
         __m256d gx = _mm256_broadcast_pd((const __m128d *)(cxp + 2 * ix));
         __m256d nsx = _mm256_xor_pd(_mm256_add_pd(fx, gx), sign);
@@ -201,25 +194,25 @@ AVX2 static void phase_a_simd(long lo, long hi, int fused, int wx, int wy,
             __m256d cen = _mm256_sub_pd(nsx, _mm256_add_pd(fy, gy));
             __m256d ic = _mm256_set_pd(0.0, inv_c[k + 1], 0.0, inv_c[k]);
             __m256d s = _mm256_setzero_pd();
-            s = vterm(fused, s, fx, ic, x - 2 * wy, vs);
-            s = vterm(fused, s, fy, ic, x - 2, vs);
-            s = vterm(fused, s, cen, ic, x, vs);
-            s = vterm(fused, s, gy, ic, x + 2, vs);
-            s = vterm(fused, s, gx, ic, x + 2 * wy, vs);
+            s = vterm(s, fx, ic, x - 2 * wy, vs);
+            s = vterm(s, fy, ic, x - 2, vs);
+            s = vterm(s, cen, ic, x, vs);
+            s = vterm(s, gy, ic, x + 2, vs);
+            s = vterm(s, gx, ic, x + 2 * wy, vs);
             __m256d wv = _mm256_mul_pd(_mm256_loadu_pd(x), vs);
             __m256d m = _mm256_loadu_pd(m_diag + 2 * k);
             _mm256_storeu_pd(w + 2 * k, wv);
             _mm256_storeu_pd(aw + 2 * k, s);
-            _mm256_storeu_pd(mw + 2 * k, vmul(fused, m, wv));
-            _mm256_storeu_pd(maw + 2 * k, vmul(fused, m, s));
+            _mm256_storeu_pd(mw + 2 * k, vmul(m, wv));
+            _mm256_storeu_pd(maw + 2 * k, vmul(m, s));
         }
-        phase_a_scalar(b, end, fused, wx, wy, r, scale, cxm, cxp, cym, cyp,
-                       inv_c, m_diag, w, aw, mw, maw);
+        phase_a_scalar(b, end, wx, wy, r, scale, cxm, cxp, cym, cyp, inv_c,
+                       m_diag, w, aw, mw, maw);
         j = end;
     }
 }
 
-AVX2 static void phase_b_simd(long lo, long hi, int fused, const double *aw,
+AVX2 static void phase_b_simd(long lo, long hi, const double *aw,
                               const double *w, const double *alpha,
                               const double *w_prev, const double *c,
                               int has_prev, double *r)
@@ -229,13 +222,12 @@ AVX2 static void phase_b_simd(long lo, long hi, int fused, const double *aw,
     long j = lo;
     for (; j + 2 <= hi; j += 2) {
         __m256d v = _mm256_sub_pd(_mm256_loadu_pd(aw + 2 * j),
-                                  vmul(fused, va, _mm256_loadu_pd(w + 2 * j)));
+                                  vmul(va, _mm256_loadu_pd(w + 2 * j)));
         if (has_prev)
-            v = _mm256_sub_pd(v, vmul(fused, vc,
-                                      _mm256_loadu_pd(w_prev + 2 * j)));
+            v = _mm256_sub_pd(v, vmul(vc, _mm256_loadu_pd(w_prev + 2 * j)));
         _mm256_storeu_pd(r + 2 * j, v);
     }
-    phase_b_scalar(j, hi, fused, aw, w, alpha, w_prev, c, has_prev, r);
+    phase_b_scalar(j, hi, aw, w, alpha, w_prev, c, has_prev, r);
 }
 #endif
 
@@ -249,9 +241,9 @@ int lanczos_simd(void)
 #endif
 }
 
-int lanczos_phase_a(int nt, int simd, int fused, int wx, int wy,
-                    const double *r, double scale, const double *cxm,
-                    const double *cxp, const double *cym, const double *cyp,
+int lanczos_phase_a(int nt, int simd, int wx, int wy, const double *r,
+                    double scale, const double *cxm, const double *cxp,
+                    const double *cym, const double *cyp,
                     const double *inv_c, const double *m_diag, double *w,
                     double *aw, double *mw, double *maw)
 {
@@ -261,19 +253,19 @@ int lanczos_phase_a(int nt, int simd, int fused, int wx, int wy,
         long lo = n * k / nt, hi = n * (k + 1) / nt;
 #ifdef HAVE_AVX2
         if (simd) {
-            phase_a_simd(lo, hi, fused, wx, wy, r, scale, cxm, cxp, cym, cyp,
+            phase_a_simd(lo, hi, wx, wy, r, scale, cxm, cxp, cym, cyp,
                          inv_c, m_diag, w, aw, mw, maw);
             continue;
         }
 #endif
-        phase_a_scalar(lo, hi, fused, wx, wy, r, scale, cxm, cxp, cym, cyp,
+        phase_a_scalar(lo, hi, wx, wy, r, scale, cxm, cxp, cym, cyp,
                        inv_c, m_diag, w, aw, mw, maw);
     }
     (void)simd;
     return 0;
 }
 
-int lanczos_phase_b(int nt, int simd, int fused, long n, const double *aw,
+int lanczos_phase_b(int nt, int simd, long n, const double *aw,
                     const double *w, const double *coef,
                     const double *w_prev, int has_prev, double *r)
 {
@@ -283,21 +275,12 @@ int lanczos_phase_b(int nt, int simd, int fused, long n, const double *aw,
         long lo = n * k / nt, hi = n * (k + 1) / nt;
 #ifdef HAVE_AVX2
         if (simd) {
-            phase_b_simd(lo, hi, fused, aw, w, alpha, w_prev, c, has_prev, r);
+            phase_b_simd(lo, hi, aw, w, alpha, w_prev, c, has_prev, r);
             continue;
         }
 #endif
-        phase_b_scalar(lo, hi, fused, aw, w, alpha, w_prev, c, has_prev, r);
+        phase_b_scalar(lo, hi, aw, w, alpha, w_prev, c, has_prev, r);
     }
     (void)simd;
-    return 0;
-}
-
-int lanczos_cmul(long n, int fused, const double *a, int a_step,
-                 const double *b, double *out)
-{
-    for (long j = 0; j < n; j++)
-        cmul(fused, a[2 * j * a_step], a[2 * j * a_step + 1], b[2 * j],
-             b[2 * j + 1], out + 2 * j, out + 2 * j + 1);
     return 0;
 }

@@ -7,9 +7,10 @@
     wavecast grid-dump <scenario> [--out FILE]
 
 <scenario> is a preset name or the path of a sectioned key-value
-config file.  Exit codes: 0 success, 2 configuration error (an
-eigensolve kernel that cannot be built too), 3 numerical breakdown, 4
-tolerance exceeded under --assert, 130 interrupted (Ctrl-C).
+config file.  Exit codes: 0 success, 2 configuration error (a kernel
+that cannot be built, and an input too large to allocate for, too), 3
+numerical breakdown, 4 tolerance exceeded under --assert, 130
+interrupted (Ctrl-C).
 """
 
 import argparse
@@ -201,6 +202,10 @@ def main(argv=None):
         return args.fn(args)
     except (ConfigurationError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # an input too large to allocate for, such as n_int = 1e11
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except ValidationError as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)

@@ -156,19 +156,10 @@ def yee_setup(n_int, probes, source_xy, signature, t_final, medium_fn,
 
 def _source_kicks(yee, signature, amplitude):
     """The source term of each step n, dt * (amplitude / delta^2) * Q at
-    t_{n+1/2}, with Q the running sum of dt * signature(t_n) from 0.0.
-    One scalar call per step: a vector call of the wavelet is not the
-    same bits everywhere (numpy's SIMD cos and exp differ from its
-    scalar ones by an ulp on 4 of the 7 283 steps of the paper
-    waveguide)."""
+    t_{n+1/2}, with Q the running sum of dt * signature(t_n)."""
     dt = yee.dt
-    src_scale = amplitude / yee.delta ** 2
-    kicks = np.empty(yee.n_steps)
-    q_accum = 0.0
-    for step in range(yee.n_steps):
-        q_accum += dt * signature(step * dt)  # Q at t_{n+1/2}
-        kicks[step] = dt * src_scale * q_accum
-    return kicks
+    q = np.cumsum(dt * signature(np.arange(yee.n_steps) * dt))
+    return dt * (amplitude / yee.delta ** 2) * q
 
 
 @functools.cache

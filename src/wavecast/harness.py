@@ -238,7 +238,6 @@ def _metadata(sc, asm, decomp, m_requested, m, modes):
         "m_requested": m_requested,
         "lanczos_stop": decomp.stop,
         "lanczos_threads": decomp.threads,
-        "lanczos_product_form": _lanczos_kernel().form,
         "lanczos_drift": decomp.drift,
         "eig_threads": modes.threads,
         "recon_error": modes.recon_error,

@@ -59,17 +59,18 @@ passes it replaces.  The dots and the norm stay single whole-vector
 numpy (BLAS) calls, whose summation order the bits depend on.  Both
 passes split the rows into contiguous blocks (one below
 2 * _ROWS_PER_WORKER rows), one OpenMP thread each, inside one ctypes
-call that releases the GIL.  Every element is the same operations on
-the same operands as in whole-vector numpy passes and scipy's product
-with the assembled CSR matrix (the rules are in _lanczos.c; the form of
-numpy's complex product is probed when the kernel is loaded, see
-_numpy_cmul_form), so the run is bitwise identical for every block
-count, even one that changes between steps, and on the kernel's SIMD
-and scalar paths, wherever the probe finds one of the two forms it
-knows.  The SIMD path (AVX2/FMA, two unknowns per vector) is 1.4 - 1.8x
-faster per iteration than the scalar one.  The happy-breakdown test
-takes max |aw| only on the rare steps where zeta_{i+1} is below 1e-14
-of its bound zeta_{i+1} + |alpha_i| + |c| on ||aw||.
+call that releases the GIL.  Every element follows one fixed rule (in
+_lanczos.c): the products numpy would compute take the fused form
+fma(ar, br, -(ai bi)) + i fma(ar, bi, ai br), and the stencil sum is
+scipy's product with the assembled CSR matrix.  So the run is bitwise
+identical for every block count, even one that changes between steps,
+and on the kernel's SIMD and scalar paths; where numpy's own complex
+product is fused (its SIMD loops on FMA hardware) it is also bitwise
+that of whole-vector numpy passes.  The SIMD path (AVX2/FMA, two
+unknowns per vector) is 1.4 - 1.8x faster per iteration than the
+scalar one.  The happy-breakdown test takes max |aw| only on the rare
+steps where zeta_{i+1} is below _HAPPY_TOL of its bound zeta_{i+1} +
+|alpha_i| + |c| on ||aw||.
 
 Both kernels are compiled with gcc on first use (never at import) and
 cached in this package's __pycache__ (see _native); gcc is required,
@@ -192,6 +193,9 @@ class LanczosDecomposition:
 _ROWS_PER_WORKER = 20_000
 # the bilinear form has collapsed when |delta_i| < _BREAKDOWN_TOL * max |M|
 _BREAKDOWN_TOL = 1e-14
+# an invariant subspace has closed when zeta_{i+1} < _HAPPY_TOL *
+# (max |A w_i| + |alpha_i|)
+_HAPPY_TOL = 1e-14
 # steps between samples of the orthogonality drift (also sampled at the
 # end of every run)
 _DRIFT_EVERY = 500
@@ -218,58 +222,20 @@ def _thread_count(ref_job, n=None):
     return max(1, cpus)
 
 
-def _numpy_cmul_form(kernel):
-    """The form of numpy's complex product on the running host: "fused"
-    when np.multiply(a, b) gives fma(ar, br, -(ai bi)) + i fma(ar, bi,
-    ai br), "plain" when it gives (ar br - ai bi) + i (ar bi + ai br),
-    each for every operand layout the recursion's products take (two
-    arrays, a scalar first operand, and a broadcast factor, of zero
-    inner or outer stride, times a real array as in the stencil
-    coefficients); "other" when it gives neither, and the kernel, which
-    then takes the plain form, does not match numpy bit for bit."""
-    rng = np.random.default_rng(0)
-    x, y = rng.uniform(-1.0, 1.0, (2, 286)).view(complex)
-    f = rng.uniform(-1.0, 1.0, 26).view(complex)
-    real = rng.uniform(0.5, 2.0, (13, 11))
-    column = np.broadcast_to(f[:, None], real.shape)
-    row = np.broadcast_to(f[None, :11], real.shape)
-    cases = [  # (a, a_step, b, numpy's a * b)
-        (x, 1, y, x * y),
-        (x, 0, y, x[0] * y),
-        (column.ravel(), 1, real.ravel() + 0j, (column * real).ravel()),
-        (row.ravel(), 1, real.ravel() + 0j, (row * real).ravel()),
-    ]
-    for form, fused in (("fused", 1), ("plain", 0)):
-        for a, a_step, b, want in cases:
-            got = np.empty_like(b)
-            kernel.lanczos_cmul(b.size, fused, a, a_step, b, got)
-            if not np.array_equal(got, want):
-                break
-        else:
-            return form
-    return "other"
-
-
 @functools.cache
 def _lanczos_kernel():
     """The compiled recursion step (_lanczos.c), with `simd` (the CPU
-    runs its AVX2/FMA path), `form` (numpy's complex product form, see
-    _numpy_cmul_form) and `fused` (form is "fused") set on the
-    library."""
+    runs its AVX2/FMA path) set on the library."""
     c_int, c_long, c_double = ctypes.c_int, ctypes.c_long, ctypes.c_double
     ptr = ctypes.c_void_p
-    vec = np.ctypeslib.ndpointer(np.complex128, ndim=1, flags="C_CONTIGUOUS")
     kernel = _native.load("_lanczos.c", {
         "lanczos_simd": (c_int, []),
-        "lanczos_phase_a": (c_int, [c_int, c_int, c_int, c_int, c_int, ptr,
+        "lanczos_phase_a": (c_int, [c_int, c_int, c_int, c_int, ptr,
                                     c_double, *[ptr] * 10]),
-        "lanczos_phase_b": (c_int, [c_int, c_int, c_int, c_long, ptr, ptr,
-                                    ptr, ptr, c_int, ptr]),
-        "lanczos_cmul": (c_int, [c_long, c_int, vec, c_int, vec, vec]),
+        "lanczos_phase_b": (c_int, [c_int, c_int, c_long, ptr, ptr, ptr,
+                                    ptr, c_int, ptr]),
     })
     kernel.simd = kernel.lanczos_simd()
-    kernel.form = _numpy_cmul_form(kernel)
-    kernel.fused = int(kernel.form == "fused")
     return kernel
 
 
@@ -321,7 +287,6 @@ def bilanczos(op, b, m, probe_indices, ref_job=None):
     stencil.append(np.ascontiguousarray(op.inv_c, dtype=float))
     m_scale = float(np.abs(m_diag).max())
     kernel = _lanczos_kernel()
-    flags = kernel.simd, kernel.fused
     n_blocks = _thread_count(ref_job, n)
     consts = [a.ctypes.data for a in (*stencil, m_diag)]
 
@@ -361,7 +326,7 @@ def bilanczos(op, b, m, probe_indices, ref_job=None):
         i += 1
         if ref_job is not None and ref_job.done():
             ref_job, n_blocks = None, _thread_count(None, n)
-        kernel.lanczos_phase_a(n_blocks, *flags, wx, wy, r.ctypes.data,
+        kernel.lanczos_phase_a(n_blocks, kernel.simd, wx, wy, r.ctypes.data,
                                scale, *consts, w_cur.ctypes.data,
                                aw.ctypes.data, mw.ctypes.data, maw.ctypes.data)
         d_i = w_cur @ mw
@@ -379,7 +344,7 @@ def bilanczos(op, b, m, probe_indices, ref_job=None):
         c_prev = (d_i / delta_prev) * zeta_cur if i > 1 else 0.0
         scalars[:] = a_i, c_prev
         # r_{i+1} into w_prev's buffer, element by element
-        kernel.lanczos_phase_b(n_blocks, *flags, n, aw.ctypes.data,
+        kernel.lanczos_phase_b(n_blocks, kernel.simd, n, aw.ctypes.data,
                                w_cur.ctypes.data, scalars.ctypes.data,
                                w_prev.ctypes.data, i > 1, w_prev.ctypes.data)
         r, w_prev, w_cur = w_prev, w_cur, r
@@ -389,11 +354,12 @@ def bilanczos(op, b, m, probe_indices, ref_job=None):
         np.take(w_prev, probes, out=w_probe[i - 1])
         z_next = float(np.linalg.norm(r))
         delta_prev = d_i
-        # happy when z_next < 1e-14 (max |aw| + |a_i|); since
+        # happy when z_next < _HAPPY_TOL (max |aw| + |a_i|); since
         # max |aw| <= ||aw|| <= z_next + |a_i| + |c_prev| for unit
-        # w's, the max pass runs only when z_next is below 1e-14 of that
-        if (z_next < 1e-14 * (z_next + abs(a_i) + abs(c_prev))
-                and z_next < 1e-14 * (np.abs(aw).max() + abs(a_i))):
+        # w's, the max pass runs only when z_next is below _HAPPY_TOL of
+        # that
+        if (z_next < _HAPPY_TOL * (z_next + abs(a_i) + abs(c_prev))
+                and z_next < _HAPPY_TOL * (np.abs(aw).max() + abs(a_i))):
             stop = "invariant"  # w_{i+1} = 0 adds no drift
             break
         # numpy's complex division by z_next + 0j multiplies by the same
@@ -457,8 +423,7 @@ class ModeSet:
 
     merged counts the ghost Ritz values folded into another mode; route
     names the eigenvalue route of eigen_tridiag ("ql" or "zgeev") and
-    threads the thread count of its per-value stages, each None for
-    modes built otherwise.
+    threads the thread count of its per-value stages.
     """
 
     theta: np.ndarray
@@ -466,9 +431,9 @@ class ModeSet:
     weights: np.ndarray
     zeta1: float
     recon_error: float
-    merged: int = 0
-    route: str | None = None
-    threads: int | None = None
+    merged: int
+    route: str
+    threads: int
 
 
 def _close_groups(theta, tol):

@@ -102,8 +102,8 @@ def fdtd_oracle(n_int, probes, source_xy, signature, t_final,
                 medium_fn=None, amplitude=1.0, n_pml=10, track_energy=False,
                 initial_ez=None):
     """The reference march of fdtd.run_fdtd as whole-array numpy steps,
-    with one scalar signature call and one += of Q per step: the oracle
-    of the compiled march.  Returns (FdtdResult, energy).
+    with the history of Q from one vector signature call: the oracle of
+    the compiled march.  Returns (FdtdResult, energy).
 
     initial_ez(x, y) seeds Ez at t = 0 with H = 0, so conservation can be
     checked on a source-free closed box (n_pml = 0); track_energy records
@@ -133,11 +133,12 @@ def fdtd_oracle(n_int, probes, source_xy, signature, t_final,
     energy = np.zeros(n_steps) if track_energy else None
 
     inv_eps = 1.0 / eps
-    q_accum = 0.0  # Q at t_{n+1/2}, midpoint accumulation
     src_scale = amplitude / delta ** 2
+    if yee.source is not None:
+        # Q at t_{n+1/2}, midpoint accumulation
+        q_accum = np.cumsum(dt * signature(np.arange(n_steps) * dt))
 
     for step in range(n_steps):
-        t_n = step * dt
         ez = ezx + ezy
         ez_prev = ez if track_energy else None
 
@@ -161,8 +162,7 @@ def fdtd_oracle(n_int, probes, source_xy, signature, t_final,
             - cb_y[None, 1:-1] * inv_eps[1:-1, 1:-1] * curl_y
         )
         if yee.source is not None:
-            q_accum += dt * signature(t_n)  # Q at t_{n+1/2}
-            ezy[yee.source] -= dt * src_scale * q_accum
+            ezy[yee.source] -= dt * src_scale * q_accum[step]
 
         ez = ezx + ezy
         for p, (ix, iy) in enumerate(yee.probes):

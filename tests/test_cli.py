@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -463,6 +464,38 @@ def test_default_section_is_rejected(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "[DEFAULT]" in err
+
+
+@pytest.fixture
+def address_space_cap():
+    # caps the process's address space at 256 GiB, so that a 745 GiB
+    # allocation fails at once on any host, overcommitting or not
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 256 << 30
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    yield
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "{huge}"],
+    ["grid-dump", "{huge}"],
+    ["pml-report", "--chi", "100", "--k", "4", "--samples", "100000000000"],
+])
+def test_input_too_large_to_allocate_exits_2(tmp_path, capsys, command,
+                                             address_space_cap):
+    # n_int = 1e11 and 1e11 samples each ask for 745 GiB at once
+    huge = tmp_path / "huge.cfg"
+    huge.write_text(MINI_CFG.replace("n_int = 40", "n_int = 100000000000"))
+    out = tmp_path / "x"
+    argv = [a.format(huge=huge) for a in command] + ["--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "GiB" in err
+    assert not out.exists()
 
 
 # every (section, key) load_config reads, with a valid value where

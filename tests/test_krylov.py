@@ -283,7 +283,8 @@ def _mp_modes(dec):
             thetas.append(complex(lam))
     return ModeSet(theta=np.array(thetas), probe_modes=np.array(residues).T,
                    weights=np.full(dec.m, sqd[0], dtype=complex),
-                   zeta1=float(dec.zeta[0]), recon_error=0.0)
+                   zeta1=float(dec.zeta[0]), recon_error=0.0, merged=0,
+                   route="mpmath", threads=1)
 
 
 def test_structured_eigensolve_matches_dense_route(ring1650):
@@ -457,14 +458,15 @@ def test_every_kernel_source_is_built_and_shipped():
         assert any(fnmatch.fnmatch(name, glob) for glob in shipped), name
 
 
+def _one_mode(theta):
+    """A unit mode at theta, seen by one probe."""
+    return ModeSet(theta=np.array([theta]), probe_modes=np.array([[1.0 + 0j]]),
+                   weights=np.array([1.0 + 0j]), zeta1=1.0, recon_error=0.0,
+                   merged=0, route="given", threads=1)
+
+
 def test_kernels_agree_on_real_negative_spectrum():
-    modes = ModeSet(
-        theta=np.array([-4.0 + 0j]),
-        probe_modes=np.array([[1.0 + 0j]]),
-        weights=np.array([1.0 + 0j]),
-        zeta1=1.0,
-        recon_error=0.0,
-    )
+    modes = _one_mode(-4.0 + 0j)
     t = np.linspace(0.0, 5.0, 200)
     stable = evaluate_impulse(modes, t)
     uncorr = evaluate_impulse(modes, t, kernel="uncorrected")
@@ -473,13 +475,7 @@ def test_kernels_agree_on_real_negative_spectrum():
 
 
 def test_uncorrected_kernel_grows_off_axis():
-    modes = ModeSet(
-        theta=np.array([-4.0 + 0.4j]),
-        probe_modes=np.array([[1.0 + 0j]]),
-        weights=np.array([1.0 + 0j]),
-        zeta1=1.0,
-        recon_error=0.0,
-    )
+    modes = _one_mode(-4.0 + 0.4j)
     t = np.linspace(0.0, 60.0, 600)
     stable = evaluate_impulse(modes, t)
     uncorr = evaluate_impulse(modes, t, kernel="uncorrected")
@@ -505,13 +501,7 @@ def test_impulse_blocks_match_one_block(monkeypatch, kernel):
 
 
 def test_evaluate_rejects_negative_times():
-    modes = ModeSet(
-        theta=np.array([-4.0 + 0.4j]),
-        probe_modes=np.array([[1.0 + 0j]]),
-        weights=np.array([1.0 + 0j]),
-        zeta1=1.0,
-        recon_error=0.0,
-    )
+    modes = _one_mode(-4.0 + 0.4j)
     with pytest.raises(InvalidParameterError):
         evaluate_impulse(modes, np.array([-0.1, 0.5]))
     with pytest.raises(InvalidParameterError):
