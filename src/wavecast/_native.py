@@ -4,7 +4,8 @@ Each C source in this package is compiled with gcc on first use (never
 at import) into the package's __pycache__, under a name keyed by the
 SHA-256 of the source and the compiler command.  The library is written
 to a temporary name and renamed into place, so no process loads a
-half-written file.  gcc is required: a kernel that cannot be built or
+half-written file; the builds of the same source under other keys are
+then removed.  gcc is required: a kernel that cannot be built or
 loaded is a ConfigurationError, which run_study meets before either
 route starts.  ctypes releases the GIL for every call into a kernel.
 """
@@ -55,6 +56,10 @@ def load(name, signatures):
                 os.replace(tmp, lib_path)
             finally:
                 Path(tmp).unlink(missing_ok=True)
+            # builds of older revisions of the source are dead weight
+            for stale in cache.glob(f"{source_path.stem}-*.so"):
+                if stale != lib_path:
+                    stale.unlink(missing_ok=True)
         lib = ctypes.CDLL(str(lib_path))
         for function, (restype, argtypes) in signatures.items():
             fn = getattr(lib, function)

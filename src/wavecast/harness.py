@@ -20,6 +20,7 @@ bytes.
 
 import dataclasses
 import json
+import resource
 import subprocess
 import threading
 import time
@@ -51,16 +52,19 @@ _GUARD_TAPS = _TAPS // 2 + 1
 
 
 def _git_hash():
+    """The short commit hash of the checkout this package runs from
+    (whatever the working directory), or "unknown"."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
             capture_output=True,
             text=True,
             timeout=5.0,
+            cwd=Path(__file__).parent,
         )
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         pass
     return "unknown"
 
@@ -245,6 +249,9 @@ def _metadata(sc, asm, decomp, m_requested, m, modes):
         "eig_route": modes.route,
         "source_coords": asm.src_coords,
         "probe_coords": asm.probe_coords,
+        # the process's own peak so far (ru_maxrss is in KiB on Linux)
+        "peak_rss_mb":
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 
 

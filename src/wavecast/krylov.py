@@ -90,8 +90,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
 
 from . import _native
 from .errors import (
@@ -140,6 +138,8 @@ def sc_resolvent_dense(lam, a_dense):
     the result is then the stack f[k] = f(lam[k], A).  Dense reference
     implementation for small systems.
     """
+    import scipy.linalg  # an oracle's import, kept off the run path
+
     a_dense = np.asarray(a_dense, dtype=complex)
     n = a_dense.shape[0]
     sqlam = _sqrt_from_above(lam)[..., None, None]
@@ -472,6 +472,8 @@ def _ritz_kernel():
 def _zgeev_values(alpha, off):
     """Eigenvalues of the tridiagonal H from LAPACK's zgeev on the dense
     matrix, O(m^3): the route when the QL kernel does not converge."""
+    import scipy.linalg  # only this rare route needs it
+
     m = alpha.size
     h = np.zeros((m, m), dtype=complex, order="F")
     h[np.arange(m), np.arange(m)] = alpha
@@ -703,6 +705,21 @@ def evaluate_impulse(modes, times, kernel="stable"):
 MIN_SAMPLES_PER_PERIOD = 8
 
 
+def _fast_len(n):
+    """The smallest 5-smooth integer >= n >= 1 (2^a 3^b 5^c), the FFT
+    length scipy.fft.next_fast_len(n, real=True) gives."""
+    best = 1 << (n - 1).bit_length()  # the smallest power of two >= n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two times p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def convolve_source(impulse, q_samples, dt, omega_max=None):
     """Convolve probe impulse responses with a source history.
 
@@ -728,11 +745,13 @@ def convolve_source(impulse, q_samples, dt, omega_max=None):
                 "period)"
             )
     nt = q.size
-    # zero-padded real FFTs at the length scipy.signal.fftconvolve picks
-    # for the full 2 nt - 1 product; only the causal first nt are kept
-    nfft = scipy.fft.next_fast_len(2 * nt - 1, real=True)
-    spec = scipy.fft.rfft(impulse, nfft) * scipy.fft.rfft(q, nfft)
-    u = scipy.fft.irfft(spec, nfft)[:, :nt] * dt
+    # zero-padded real FFTs of the full 2 nt - 1 product at the length
+    # scipy.signal.fftconvolve picks (_fast_len); numpy >= 2.0 runs the
+    # same pocketfft as scipy.fft, so the result is bitwise fftconvolve's.
+    # Only the causal first nt samples are kept
+    nfft = _fast_len(2 * nt - 1)
+    spec = np.fft.rfft(impulse, nfft) * np.fft.rfft(q, nfft)
+    u = np.fft.irfft(spec, nfft)[:, :nt] * dt
     # trapezoid endpoint weights (1/2 at tau = 0 and tau = t)
     u = u - 0.5 * dt * (q[0] * impulse + impulse[:, :1] * q[None, :])
     return u

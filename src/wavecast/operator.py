@@ -18,7 +18,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .errors import InvalidParameterError, ValidationError
 
@@ -89,7 +88,11 @@ class WaveOperator:
 
     @functools.cached_property
     def a_mat(self):
-        """A as a CSR matrix, built on first use."""
+        """A as a CSR matrix, built on first use.  scipy.sparse is
+        imported here, not at module level: no stage of a run needs the
+        matrix, and the import costs a quarter second of start-up."""
+        import scipy.sparse
+
         cxm, cxp, cym, cyp, inv_c = (self.cxm, self.cxp, self.cym, self.cyp,
                                      self.inv_c)
         wx, wy = inv_c.shape

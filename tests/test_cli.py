@@ -308,7 +308,21 @@ def test_grid_dump(mini_cfg, tmp_path):
     assert np.any(ims != 0.0)  # stretched layer present
 
 
-def test_cli_import_is_lean():
+def _python_out(code):
+    """The standard output of code run in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+
+
+# the scipy modules loaded so far, as a printed list
+_SCIPY_LOADED = ("sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.'))")
+
+
+def test_cli_import_is_lean(tmp_path):
     # scipy.signal (and scipy.stats behind it) cost about a second of
     # start-up; importing the CLI must not start threads either
     code = (
@@ -316,12 +330,30 @@ def test_cli_import_is_lean():
         "print(sorted(m for m in ('scipy.signal', 'scipy.stats') "
         "if m in sys.modules), threading.active_count())"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    assert _python_out(code).split() == ["[]", "1"]
+    # scipy.sparse, .fft and .linalg cost another half second: scipy is
+    # for the tests, the oracles and the zgeev fallback, and neither the
+    # package, nor the CLI, nor a run loads any of it
+    for module in ("wavecast", "wavecast.cli"):
+        code = f"import sys, {module}; print({_SCIPY_LOADED})"
+        assert _python_out(code).split() == ["[]"], module
+    for reference in ("fdtd", "analytic"):
+        cfg = tmp_path / f"{reference}.cfg"
+        cfg.write_text(MINI_CFG.replace("reference = analytic",
+                                        f"reference = {reference}"),
+                       encoding="utf-8")
+    code = (
+        "import os, sys; from wavecast.cli import main; "
+        f"os.chdir({str(tmp_path)!r})\n"
+        "for ref in ('fdtd', 'analytic'):\n"
+        "    code = main(['run', ref + '.cfg', '--out', ref])\n"
+        f"    print('loaded', ref, code, {_SCIPY_LOADED})"
     )
-    assert out.stdout.split() == ["[]", "1"]
+    lines = [line for line in _python_out(code).splitlines()
+             if line.startswith("loaded ")]
+    assert lines == ["loaded fdtd 0 []", "loaded analytic 0 []"]
+    for reference in ("fdtd", "analytic"):
+        assert (tmp_path / reference / "reference.csv").exists()
 
 
 _NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)

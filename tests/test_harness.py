@@ -1,9 +1,12 @@
 """Experiment driver tests on a small free-space scenario."""
 
 import json
+import resource
+import subprocess
 import threading
 import time
 from concurrent.futures import CancelledError, ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ import wavecast.fdtd
 import wavecast.harness
 import wavecast.krylov as krylov
 from wavecast.errors import BreakdownError, ConfigurationError, PrecisionError
-from wavecast.harness import ComparisonReport, _csv_units, run_study
+from wavecast.harness import ComparisonReport, _csv_units, _git_hash, run_study
 from wavecast.krylov import bilanczos
 from wavecast.scenarios import Scenario
 from wavecast.signals import Waveform
@@ -83,6 +86,9 @@ def test_run_artifacts(mini_run):
     assert payload["metadata"]["m_requested"] == 160
     assert payload["metadata"]["lanczos_stop"] == "m"
     assert 0.0 < payload["metadata"]["lanczos_drift"] < 1e-6
+    # this process's peak, taken at the end of the run
+    peak_now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    assert 0.0 < payload["metadata"]["peak_rss_mb"] <= peak_now
     # run is a study of one m
     assert [e["m"] for e in payload["convergence"]] == [160]
     assert payload["convergence"][0]["errors"] == payload["probe_errors"]
@@ -409,3 +415,33 @@ def test_report_json_round_trip(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["scenario"] == "x"
     assert payload["probe_errors"] == [0.5]
+
+
+def test_git_hash_is_the_package_checkout(tmp_path, monkeypatch):
+    # the hash of the checkout the package runs from, whatever the
+    # working directory: outside any repository, or inside another one
+    package = Path(wavecast.harness.__file__).parent
+    try:
+        out = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+                             cwd=package, capture_output=True, text=True)
+    except OSError:
+        pytest.skip("git is not installed")
+    if out.returncode != 0:
+        pytest.skip("the sources are not a git checkout")
+    want = out.stdout.strip()
+    monkeypatch.chdir(tmp_path)
+    assert _git_hash() == want
+    git = ["git", "-c", "user.name=x", "-c", "user.email=x@x",
+           "-c", "commit.gpgsign=false"]
+    subprocess.run([*git, "init", "-q"], cwd=tmp_path, check=True)
+    subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "other"],
+                   cwd=tmp_path, check=True)
+    assert _git_hash() == want
+
+
+def test_git_hash_timeout_is_unknown(monkeypatch):
+    def hung(command, **kwargs):
+        raise subprocess.TimeoutExpired(command, kwargs["timeout"])
+
+    monkeypatch.setattr(wavecast.harness.subprocess, "run", hung)
+    assert _git_hash() == "unknown"

@@ -6,6 +6,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 import scipy.signal
 
@@ -447,6 +448,27 @@ def test_kernel_source_compiles_without_warnings():
         assert out.returncode == 0, (name, out.stderr)
 
 
+def test_new_build_removes_stale_builds(tmp_path, monkeypatch):
+    # a build of a revised source removes the builds of its earlier
+    # revisions, and leaves those of the other sources
+    monkeypatch.setattr(_native, "__file__", str(tmp_path / "_native.py"))
+    source = tmp_path / "_fdtd.c"
+    shutil.copy(PACKAGE / "_fdtd.c", source)
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    other = cache / "_ritz-0123456789abcdef.so"
+    for path in (cache / "_fdtd-0123456789abcdef.so", other):
+        path.write_bytes(b"")
+    builds = []
+    for _ in range(2):
+        _native.load("_fdtd.c", {})
+        builds.append(sorted(cache.glob("_fdtd-*.so")))
+        source.write_text(source.read_text() + "/* revised */\n")
+    assert len(builds[0]) == len(builds[1]) == 1
+    assert builds[0] != builds[1]
+    assert other.exists()
+
+
 def test_every_kernel_source_is_built_and_shipped():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     sources = {path.name for path in PACKAGE.glob("*.c")}
@@ -531,6 +553,13 @@ def test_convolution_is_bitwise_fftconvolve(shape):
     u = full[:, : shape[1]] * dt
     want = u - 0.5 * dt * (q[0] * impulse + impulse[:, :1] * q[None, :])
     assert np.array_equal(convolve_source(impulse, q, dt), want)
+
+
+def test_fft_length_is_scipy_next_fast_len():
+    # the padded length of convolve_source is scipy.fft's real-input rule
+    for n in [*range(1, 20_001), 100_001, 131_073, 229_441, 1_000_003,
+              7 ** 9]:
+        assert krylov._fast_len(n) == scipy.fft.next_fast_len(n, real=True), n
 
 
 def test_convolution_endpoint_weights():
