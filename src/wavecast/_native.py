@@ -28,8 +28,7 @@ FLAGS = {
     "_ritz.c": ("-fopenmp",),
     # OpenMP row blocks, and FMA only where the source asks for it (see
     # the source's comment)
-    "_lanczos.c": ("-fopenmp", "-ffp-contract=off",
-                   "-fno-tree-slp-vectorize"),
+    "_lanczos.c": ("-fopenmp", "-ffp-contract=off"),
     # the numpy march's operations, with no product and sum fused; -O3
     # vectorizes the row loops (twice the speed of -O2)
     "_fdtd.c": ("-O3", "-ffp-contract=off"),

@@ -30,6 +30,7 @@
 #include <complex.h>
 #include <math.h>
 #include <omp.h>
+#include <stdint.h>
 #include <string.h>
 
 #define MAX_ITER 30
@@ -258,14 +259,25 @@ static void normalize(int n, cplx *x)
         x[k] *= r;
 }
 
-/* Column i of the eigenvectors s (see ritz_vectors) from the start
-   vector x0 (real, n), with work (6 n) and piv (n).  Returns 0, or
-   ritz_vectors' failure code with *bad set. */
+/* Component k of the start vector of value i: splitmix64 (Steele, Lea
+   & Flood, OOPSLA 2014) of the counter (i, k), its top 53 bits mapped to
+   [-1, 1) */
+static double start_component(int i, int k)
+{
+    uint64_t z = ((uint64_t)i << 32 | (uint32_t)k) + 0x9e3779b97f4a7c15u;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9u;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebu;
+    z ^= z >> 31;
+    return (double)(z >> 11) * 0x1p-52 - 1.0;
+}
+
+/* Column i of the eigenvectors s (see ritz_vectors), with work (6 n)
+   and piv (n).  Returns 0, or ritz_vectors' failure code with *bad
+   set. */
 static int one_vector(int n, const cplx *alpha, const cplx *off,
                       const cplx *theta, const int *prev, int i,
-                      const double *x0, double nudge, int steps,
-                      double defect_tol, cplx *s, cplx *work, int *piv,
-                      cplx *bad)
+                      double nudge, int steps, double defect_tol, cplx *s,
+                      cplx *work, int *piv, cplx *bad)
 {
     cplx *dl = work, *d = work + n, *du = work + 2 * n, *du2 = work + 3 * n,
          *x = work + 4 * n, *coef = work + 5 * n;
@@ -281,7 +293,7 @@ static int one_vector(int n, const cplx *alpha, const cplx *off,
         }
     }
     for (int k = 0; k < n; k++)
-        x[k] = x0[k];
+        x[k] = start_component(i, k);
     for (int step = 0; step < steps; step++) {
         normalize(n, x);
         gttrs(n, dl, d, du, du2, piv, x);
@@ -314,11 +326,12 @@ static int one_vector(int n, const cplx *alpha, const cplx *off,
     return 0;
 }
 
-/* Columns i0 .. i0 + count - 1 of the eigenvectors s (n x n, column
-   major, scaled to s^T s = 1) of the tridiagonal (alpha, off) for the
-   eigenvalues theta, by inverse iteration: for each value, one pivoted
-   LU of H - sigma I, then steps solves x <- (H - sigma I)^{-1} x / ||x||
-   from the start vector start[(i - i0) * n ...] (real).
+/* The eigenvectors s (n x n, column major, scaled to s^T s = 1) of the
+   tridiagonal (alpha, off) for the eigenvalues theta, by inverse
+   iteration: for each value i, one pivoted LU of H - sigma I, then
+   steps solves x <- (H - sigma I)^{-1} x / ||x|| from the real start
+   vector of start_component(i, .), a fixed counter hash, so that the
+   vectors are deterministic (as LAPACK's xSTEIN fixes its seed).
 
    prev[i] is the member of value i's cluster computed just before it,
    or -1, and next[i] the one just after it, or -1 (prev[i] < i <
@@ -328,28 +341,26 @@ static int one_vector(int n, const cplx *alpha, const cplx *off,
    exactly zero pivot moves sigma by nudge and factors again, at most
    three times.
 
-   The values are split over nt threads: a value whose cluster
-   predecessor lies before i0 (or that has none) starts a chain, which
-   one thread runs down through next within the columns.  work holds
-   6 n values and piv n per thread.  Returns 0; else the code of the
+   The values are split over nt threads: a value with no cluster
+   predecessor starts a chain, which one thread runs down through next.
+   work holds 6 n values and piv n per thread.  Returns 0; else the code of the
    lowest failing column: 1 when H - sigma I stays singular (*bad = the
    last sigma), 2 when |s^T s| of a unit-norm vector is below
    defect_tol (*bad = s^T s). */
 int ritz_vectors(int nt, int n, const cplx *alpha, const cplx *off,
-                 const cplx *theta, const int *prev, const int *next, int i0,
-                 int count, const double *start, double nudge, int steps,
-                 double defect_tol, cplx *s, cplx *work, int *piv, cplx *bad)
+                 const cplx *theta, const int *prev, const int *next,
+                 double nudge, int steps, double defect_tol, cplx *s,
+                 cplx *work, int *piv, cplx *bad)
 {
-    int end = i0 + count, failed = end, code = 0;
+    int failed = n, code = 0;
 #pragma omp parallel for num_threads(nt) schedule(dynamic, 1)
-    for (int head = i0; head < end; head++) {
-        if (prev[head] >= i0)
+    for (int head = 0; head < n; head++) {
+        if (prev[head] >= 0)
             continue;
         int t = omp_get_thread_num();
-        for (int i = head; i >= 0 && i < end; i = next[i]) {
+        for (int i = head; i >= 0; i = next[i]) {
             cplx why;
-            int c = one_vector(n, alpha, off, theta, prev, i,
-                               start + (size_t)(i - i0) * n, nudge, steps,
+            int c = one_vector(n, alpha, off, theta, prev, i, nudge, steps,
                                defect_tol, s, work + (size_t)t * 6 * n,
                                piv + (size_t)t * n, &why);
             if (c) {

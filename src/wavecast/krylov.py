@@ -42,35 +42,37 @@ threads of both compiled stages (the recursion applies it before each
 step), not the BLAS or OpenMP thread settings.
 
 Each recursion step runs on preallocated vectors in two passes of a
-second C kernel (_lanczos.c), separated by the scalar reductions:
+second C kernel (_lanczos.c), each with its own reductions:
 
-    A: w_i = r_i * (1 / zeta_i), aw = A w_i, M w_i, M aw
-       (numpy: delta_i = w^T M w, alpha_i = w^T M aw / delta_i)
-    B: r_{i+1} = aw - alpha_i w_i - (delta_i/delta_{i-1}) zeta_i w_{i-1}
-       (numpy: zeta_{i+1} = ||r_{i+1}||)
+    A: w_i = r_i * (1 / zeta_i), aw = A w_i,
+       delta_i = w^T M w, alpha_i = w^T M aw / delta_i
+    B: r_{i+1} = aw - alpha_i w_i - (delta_i/delta_{i-1}) zeta_i w_{i-1},
+       zeta_{i+1} = ||r_{i+1}||
 
 Phase A is matrix-free: A w comes from the operator's five-point
 stencil factors, not from an assembled matrix, and the previous step's
 scale is applied to r as each value is read, so w is never a pass of
-its own.  Each pass fuses the products that read the same rows, since
-at paper scale the step is bound by memory traffic: about 57 MB per
-step at n = 229 441, against 125 MB for the separate numpy and CSR
-passes it replaces.  The dots and the norm stay single whole-vector
-numpy (BLAS) calls, whose summation order the bits depend on.  Both
-passes split the rows into contiguous blocks (one below
-2 * _ROWS_PER_WORKER rows), one OpenMP thread each, inside one ctypes
-call that releases the GIL.  Every element follows one fixed rule (in
-_lanczos.c): the products numpy would compute take the fused form
-fma(ar, br, -(ai bi)) + i fma(ar, bi, ai br), and the stencil sum is
-scipy's product with the assembled CSR matrix.  So the run is bitwise
+its own.  Each pass computes everything that reads the same rows, since
+at paper scale the step is bound by memory traffic: M w and M aw are
+never stored, and a step moves about 31 MB at n = 229 441, against
+57 MB with the dots and the norm as numpy passes and 125 MB for
+separate numpy and CSR passes.  Both passes split the grid rows into
+contiguous blocks (one below 2 * _ROWS_PER_WORKER unknowns), one
+OpenMP thread each, inside one ctypes call that releases the GIL.
+Every element follows one fixed rule (in _lanczos.c): every complex
+product takes the fused form fma(ar, br, -(ai bi)) + i fma(ar, bi,
+ai br), the stencil sum adds its terms in column order, and each
+reduction sums one partial per grid row in element order, which
+bilanczos adds up with np.sum (pairwise, in a fixed order).  ||b||, and
+so zeta_1, comes from the same row rule.  So the run is bitwise
 identical for every block count, even one that changes between steps,
-and on the kernel's SIMD and scalar paths; where numpy's own complex
-product is fused (its SIMD loops on FMA hardware) it is also bitwise
-that of whole-vector numpy passes.  The SIMD path (AVX2/FMA, two
-unknowns per vector) is 1.4 - 1.8x faster per iteration than the
-scalar one.  The happy-breakdown test takes max |aw| only on the rare
-steps where zeta_{i+1} is below _HAPPY_TOL of its bound zeta_{i+1} +
-|alpha_i| + |c| on ||aw||.
+on the kernel's SIMD and scalar paths, and for any BLAS thread count:
+no reduction of the recursion goes through the BLAS.  (The eigensolve's
+matrix products still do, and may move the last digits of a trace.)
+The SIMD path (AVX2/FMA, two unknowns per vector) is 1.4 - 2.6x faster
+per iteration than the scalar one.  The happy-breakdown test takes
+max |aw| only on the rare steps where zeta_{i+1} is below _HAPPY_TOL of
+its bound zeta_{i+1} + |alpha_i| + |c| on ||aw||.
 
 Both kernels are compiled with gcc on first use (never at import) and
 cached in this package's __pycache__ (see _native); gcc is required,
@@ -184,13 +186,14 @@ class LanczosDecomposition:
         )
 
 
-# Fewest rows per worker thread of a recursion step.  Measured on a
-# 2-core x86-64 VM, with a Python thread pool around the numpy passes
-# two blocks broke even with one at n = 27 000 - 38 000; the OpenMP
-# passes win from n = 5 000 (8 %; 17 % at 19 881, 20 % at 63 001) when
-# they run alone.  A thread that shares a core with the reference holds
-# up every pass at its barrier (see _thread_count).
-_ROWS_PER_WORKER = 20_000
+# Fewest unknowns per worker thread of a recursion step.  Measured on a
+# 2-core x86-64 VM with the reductions inside the passes (median of five
+# 400-step runs alone): two blocks against one take 0.88x the time per
+# step at n = 2 209, 0.68x at 7 569, 0.65x at 16 129 and 0.57x at
+# 34 969, and break even near n = 1 400 (0.94x at 1 369, 1.10x at 841).
+# A thread that shares a core with the reference holds up every pass at
+# its barrier (see _thread_count).
+_ROWS_PER_WORKER = 1_000
 # the bilinear form has collapsed when |delta_i| < _BREAKDOWN_TOL * max |M|
 _BREAKDOWN_TOL = 1e-14
 # an invariant subspace has closed when zeta_{i+1} < _HAPPY_TOL *
@@ -226,14 +229,14 @@ def _thread_count(ref_job, n=None):
 def _lanczos_kernel():
     """The compiled recursion step (_lanczos.c), with `simd` (the CPU
     runs its AVX2/FMA path) set on the library."""
-    c_int, c_long, c_double = ctypes.c_int, ctypes.c_long, ctypes.c_double
+    c_int, c_double = ctypes.c_int, ctypes.c_double
     ptr = ctypes.c_void_p
     kernel = _native.load("_lanczos.c", {
         "lanczos_simd": (c_int, []),
         "lanczos_phase_a": (c_int, [c_int, c_int, c_int, c_int, ptr,
-                                    c_double, *[ptr] * 10]),
-        "lanczos_phase_b": (c_int, [c_int, c_int, c_long, ptr, ptr, ptr,
-                                    ptr, c_int, ptr]),
+                                    c_double, *[ptr] * 9]),
+        "lanczos_phase_b": (c_int, [c_int, c_int, c_int, c_int, ptr, ptr,
+                                    ptr, ptr, c_int, ptr, ptr]),
     })
     kernel.simd = kernel.lanczos_simd()
     return kernel
@@ -271,9 +274,6 @@ def bilanczos(op, b, m, probe_indices, ref_job=None):
     n = op.n
     if b.shape != (n,):
         raise InvalidParameterError("start vector length mismatch")
-    norm_b = float(np.linalg.norm(b))
-    if norm_b == 0.0:
-        raise InvalidParameterError("start vector is zero")
     probes = np.asarray(probe_indices, dtype=int)
     if probes.size == 0:
         raise InvalidParameterError("need at least one probe index")
@@ -297,22 +297,36 @@ def bilanczos(op, b, m, probe_indices, ref_job=None):
 
     # rotating basis buffers: r (w_i before its scale), w_cur (w_i, once
     # phase A has written it) and w_prev (w_{i-1}, then r_{i+1} in place)
-    r = b / norm_b
-    scale = 1.0  # w_i = r * scale
+    r = np.array(b)
     w_cur = np.empty(n, dtype=complex)
     w_prev = np.zeros(n, dtype=complex)
     aw = np.empty(n, dtype=complex)
-    mw = np.empty(n, dtype=complex)  # M w
-    maw = np.empty(n, dtype=complex)  # M A w
-    scalars = np.empty(2, dtype=complex)  # alpha_i, c_prev for phase B
+    dots = np.empty((2, wx), dtype=complex)  # row partials of d_i, a_i d_i
+    norms = np.empty(wx)  # row partials of ||r_{i+1}||^2
+    scalars = np.zeros(2, dtype=complex)  # alpha_i, c_prev for phase B
+
+    def phase_b(aw, w, has_prev, out):
+        # out = aw - alpha_i w - c_prev out, element by element; returns
+        # ||out||
+        kernel.lanczos_phase_b(n_blocks, kernel.simd, wx, wy, aw.ctypes.data,
+                               w.ctypes.data, scalars.ctypes.data,
+                               out.ctypes.data, has_prev, out.ctypes.data,
+                               norms.ctypes.data)
+        return float(np.sqrt(norms.sum()))
+
+    # ||b|| by the same rule: with alpha = 0, phase B leaves r = b
+    norm_b = phase_b(r, r, False, r)
+    if norm_b == 0.0:
+        raise InvalidParameterError("start vector is zero")
+    scale = 1.0 / norm_b  # w_i = r * scale
     zeta_cur = norm_b  # zeta_i, the norm that produced w_i
     delta_prev = 1.0
-    m_w_first = m_diag * r  # for the drift samples
+    m_w_first = m_diag * (r * scale)  # for the drift samples
 
     def drift_sample(w):
         # global two-sided orthogonality drift against the first vector;
         # purely diagnostic
-        return float(abs(w @ m_w_first) / m_scale)
+        return float(abs((w * m_w_first).sum()) / m_scale)
 
     def scaled_r():
         # w_{i+1} = r * scale into the free buffer, as phase A writes it
@@ -328,8 +342,8 @@ def bilanczos(op, b, m, probe_indices, ref_job=None):
             ref_job, n_blocks = None, _thread_count(None, n)
         kernel.lanczos_phase_a(n_blocks, kernel.simd, wx, wy, r.ctypes.data,
                                scale, *consts, w_cur.ctypes.data,
-                               aw.ctypes.data, mw.ctypes.data, maw.ctypes.data)
-        d_i = w_cur @ mw
+                               aw.ctypes.data, dots.ctypes.data)
+        d_i = dots[0].sum()
         if abs(d_i) < _BREAKDOWN_TOL * m_scale:
             if i <= 2:
                 raise BreakdownError(
@@ -340,19 +354,16 @@ def bilanczos(op, b, m, probe_indices, ref_job=None):
             stop = "breakdown"
             drift = max(drift, drift_sample(w_cur))
             break
-        a_i = (w_cur @ maw) / d_i
+        a_i = dots[1].sum() / d_i
         c_prev = (d_i / delta_prev) * zeta_cur if i > 1 else 0.0
         scalars[:] = a_i, c_prev
-        # r_{i+1} into w_prev's buffer, element by element
-        kernel.lanczos_phase_b(n_blocks, kernel.simd, n, aw.ctypes.data,
-                               w_cur.ctypes.data, scalars.ctypes.data,
-                               w_prev.ctypes.data, i > 1, w_prev.ctypes.data)
+        # r_{i+1} into w_prev's buffer
+        z_next = phase_b(aw, w_cur, i > 1, w_prev)
         r, w_prev, w_cur = w_prev, w_cur, r
         alpha[i - 1] = a_i
         zeta[i - 1] = zeta_cur
         delta[i - 1] = d_i
         np.take(w_prev, probes, out=w_probe[i - 1])
-        z_next = float(np.linalg.norm(r))
         delta_prev = d_i
         # happy when z_next < _HAPPY_TOL (max |aw| + |a_i|); since
         # max |aw| <= ||aw|| <= z_next + |a_i| + |c_prev| for unit
@@ -362,8 +373,6 @@ def bilanczos(op, b, m, probe_indices, ref_job=None):
                 and z_next < _HAPPY_TOL * (np.abs(aw).max() + abs(a_i))):
             stop = "invariant"  # w_{i+1} = 0 adds no drift
             break
-        # numpy's complex division by z_next + 0j multiplies by the same
-        # reciprocal
         scale = 1.0 / z_next
         zeta_cur = z_next
         if i % _DRIFT_EVERY == 0 or i == m:
@@ -404,9 +413,6 @@ _GHOST_TOL = 1e-13
 # a neighbour theta_j by ~eps * max |H| / |theta_i - theta_j|, so a pair
 # just outside _GHOST_TOL is separated to ~(eps / _GHOST_TOL)^3 = 1e-8
 _INVIT_STEPS = 3
-# fixed seed of the inverse-iteration start vectors (as LAPACK's xSTEIN
-# fixes ISEED), so the eigenvectors are deterministic
-_INVIT_SEED = 4
 # largest ||S diag(theta) S^T e_1 - H e_1|| / max |H|, and largest
 # ||S S^T e_1 - e_1||, the eigensolve accepts
 _RECON_TOL = 1e-8
@@ -458,14 +464,13 @@ def _ritz_kernel():
     ritz_values and ritz_vectors set up."""
     vec = np.ctypeslib.ndpointer(np.complex128, ndim=1, flags="C_CONTIGUOUS")
     ints = np.ctypeslib.ndpointer(np.intc, ndim=1, flags="C_CONTIGUOUS")
-    starts = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
     cols = np.ctypeslib.ndpointer(np.complex128, ndim=2, flags="F_CONTIGUOUS")
     c_int, c_double = ctypes.c_int, ctypes.c_double
     return _native.load("_ritz.c", {
         "ritz_values": (c_int, [c_int, c_int, vec, vec, vec, vec]),
         "ritz_vectors": (c_int, [c_int, c_int, vec, vec, vec, ints, ints,
-                                 c_int, c_int, starts, c_double, c_int,
-                                 c_double, cols, vec, ints, vec]),
+                                 c_double, c_int, c_double, cols, vec, ints,
+                                 vec]),
     })
 
 
@@ -524,17 +529,11 @@ def _defective(quasi):
     )
 
 
-# start vectors drawn, and columns computed, per call of the compiled
-# inverse iteration (1.7 MB of starts at m = 1650)
-_START_BLOCK = 128
-
-
 def _ritz_vectors(alpha, off, theta, h_scale, threads):
     """Eigenvectors of H for the sorted Ritz values, as columns scaled to
     s^T s = 1, by inverse iteration in the compiled ritz_vectors kernel
     on `threads` threads (see eigen_tridiag)."""
     m = theta.size
-    rng = np.random.default_rng(_INVIT_SEED)
     nudge = 4.0 * np.finfo(float).eps * h_scale
     label = _close_groups(theta, _CLUSTER_TOL * h_scale)
     kernel = _ritz_kernel()
@@ -555,15 +554,11 @@ def _ritz_vectors(alpha, off, theta, h_scale, threads):
     work = np.empty(6 * m * threads, dtype=complex)
     piv = np.empty(m * threads, dtype=np.intc)
     bad = np.empty(1, dtype=complex)
-    for i0 in range(0, m, _START_BLOCK):
-        count = min(_START_BLOCK, m - i0)
-        # the same draws, in the same order, as one m-vector per value
-        start = rng.uniform(-1.0, 1.0, (count, m))
-        code = kernel.ritz_vectors(threads, m, alpha, off, theta, prev, nxt,
-                                   i0, count, start, nudge, _INVIT_STEPS,
-                                   _DEFECT_TOL, s, work, piv, bad)
-        if code:
-            raise (_singular if code == 1 else _defective)(bad[0])
+    code = kernel.ritz_vectors(threads, m, alpha, off, theta, prev, nxt,
+                               nudge, _INVIT_STEPS, _DEFECT_TOL, s, work, piv,
+                               bad)
+    if code:
+        raise (_singular if code == 1 else _defective)(bad[0])
     return s
 
 
@@ -604,8 +599,8 @@ def eigen_tridiag(decomp, ref_job=None):
     - One eigenvector per Ritz value theta_i by _INVIT_STEPS steps of
       inverse iteration, x <- (H - sigma I)^{-1} x / ||x||, in the same
       kernel (ritz_vectors): one pivoted tridiagonal LU of H - sigma I
-      per value, O(m) each.  Start vectors come from a generator with a
-      fixed seed (_INVIT_SEED, as LAPACK's xSTEIN fixes its ISEED), so
+      per value, O(m) each.  Each start vector is a fixed counter hash of
+      (value index, component), as LAPACK's xSTEIN fixes its ISEED, so
       the result is deterministic.  Ritz values within _CLUSTER_TOL *
       max |H| form a cluster: each member is orthogonalized in the
       bilinear form s_j^T x (the one complex symmetric eigenvectors

@@ -60,6 +60,18 @@ def arrival_time(wf, probe=0, frac=0.5):
     return float(t0 + (thr - u0) / (u1 - u0) * (t1 - t0))
 
 
+def invit_start(i, m):
+    """The start vector of value i in the compiled inverse iteration
+    (_ritz.c's start_component): splitmix64 of the counter (i, k) for
+    k < m, its top 53 bits mapped to [-1, 1)."""
+    u64 = np.uint64
+    z = (u64(i) << u64(32) | np.arange(m, dtype=u64)) + u64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> u64(30))) * u64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
+    z ^= z >> u64(31)
+    return (z >> u64(11)).astype(float) * 2.0 ** -52 - 1.0
+
+
 def invit_loop(alpha, off, theta, h_scale):
     """Eigenvectors of the symmetric tridiagonal (alpha, off) for the
     sorted Ritz values theta by the inverse iteration of the compiled
@@ -67,7 +79,6 @@ def invit_loop(alpha, off, theta, h_scale):
     same start vectors: the oracle of krylov._ritz_vectors (m >= 2, since
     zgtsv takes no empty off-diagonal)."""
     m = theta.size
-    rng = np.random.default_rng(krylov._INVIT_SEED)
     nudge = 4.0 * np.finfo(float).eps * h_scale
     label = krylov._close_groups(theta, krylov._CLUSTER_TOL * h_scale)
     s = np.empty((m, m), dtype=complex, order="F")
@@ -75,7 +86,7 @@ def invit_loop(alpha, off, theta, h_scale):
     for i in range(m):
         group = earlier.setdefault(label[i], [])
         sigma = theta[i] + len(group) * nudge
-        x = rng.uniform(-1.0, 1.0, m).astype(complex)
+        x = invit_start(i, m).astype(complex)
         for _ in range(krylov._INVIT_STEPS):
             y = x / np.linalg.norm(x)
             for _ in range(3):  # a zero pivot moves sigma and solves again

@@ -333,7 +333,8 @@ def test_cli_import_is_lean(tmp_path):
     assert _python_out(code).split() == ["[]", "1"]
     # scipy.sparse, .fft and .linalg cost another half second: scipy is
     # for the tests, the oracles and the zgeev fallback, and neither the
-    # package, nor the CLI, nor a run loads any of it
+    # package, nor the CLI, nor a run loads any of it; nor does a run
+    # load numpy.random (about 18 ms)
     for module in ("wavecast", "wavecast.cli"):
         code = f"import sys, {module}; print({_SCIPY_LOADED})"
         assert _python_out(code).split() == ["[]"], module
@@ -347,11 +348,12 @@ def test_cli_import_is_lean(tmp_path):
         f"os.chdir({str(tmp_path)!r})\n"
         "for ref in ('fdtd', 'analytic'):\n"
         "    code = main(['run', ref + '.cfg', '--out', ref])\n"
-        f"    print('loaded', ref, code, {_SCIPY_LOADED})"
+        f"    print('loaded', ref, code, {_SCIPY_LOADED},\n"
+        "          'numpy.random' in sys.modules)"
     )
     lines = [line for line in _python_out(code).splitlines()
              if line.startswith("loaded ")]
-    assert lines == ["loaded fdtd 0 []", "loaded analytic 0 []"]
+    assert lines == ["loaded fdtd 0 [] False", "loaded analytic 0 [] False"]
     for reference in ("fdtd", "analytic"):
         assert (tmp_path / reference / "reference.csv").exists()
 
