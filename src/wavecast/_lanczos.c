@@ -29,11 +29,12 @@
 
    Every element, and every row partial, is computed by one fixed rule,
    so the results are bitwise the same for any nt and on either path:
-   - Every complex product takes the fused form fma(ar, br, -(ai bi))
-     + i fma(ar, bi, ai br), a the first operand: the stencil
-     coefficients (factor times inv_c + 0i), their products with w, M w,
-     M aw, the dot terms w_j (M w)_j and w_j (M aw)_j, alpha w and
-     c w_prev.
+   - A stencil coefficient, factor f times inv_c, is the two real
+     products (f_re inv_c, f_im inv_c).
+   - Every other complex product takes the fused form fma(ar, br,
+     -(ai bi)) + i fma(ar, bi, ai br), a the first operand: the
+     coefficients' products with w, M w, M aw, the dot terms
+     w_j (M w)_j and w_j (M aw)_j, alpha w and c w_prev.
    - A w sums its terms from +0.0 in column order (west, south, centre,
      north, east), as a CSR product of the assembled matrix would.
    - A row partial starts at +0.0 and adds its terms in element order;
@@ -56,13 +57,13 @@ static inline void cmul(double ar, double ai, double br, double bi,
     *pi = fma(ar, bi, ai * br);
 }
 
-/* s += (f * ic) * (x * scale): one stencil term, f a stencil factor */
+/* s += (f * ic) * (x * scale): one stencil term, f a stencil factor and
+   f * ic the coefficient (f_re ic, f_im ic) */
 static inline void term(const double *f, double ic, const double *x,
                         double scale, double *s)
 {
-    double kr, ki, tr, ti;
-    cmul(f[0], f[1], ic, 0.0, &kr, &ki);
-    cmul(kr, ki, x[0] * scale, x[1] * scale, &tr, &ti);
+    double tr, ti;
+    cmul(f[0] * ic, f[1] * ic, x[0] * scale, x[1] * scale, &tr, &ti);
     s[0] += tr;
     s[1] += ti;
 }
@@ -168,12 +169,12 @@ AVX2 static inline __m256d vmul(__m256d a, __m256d b)
     return _mm256_fmaddsub_pd(_mm256_movedup_pd(a), b, t);
 }
 
-/* s + (f * ic) * (x * scale), as term() */
+/* s + (f * ic) * (x * scale), as term(); ic holds (ic0, ic0, ic1, ic1) */
 AVX2 static inline __m256d vterm(__m256d s, __m256d f, __m256d ic,
                                  const double *x, __m256d scale)
 {
     __m256d xs = _mm256_mul_pd(_mm256_loadu_pd(x), scale);
-    return _mm256_add_pd(s, vmul(vmul(f, ic), xs));
+    return _mm256_add_pd(s, vmul(_mm256_mul_pd(f, ic), xs));
 }
 
 /* acc + t0 + t1, the two complex values of t in element order */
@@ -210,7 +211,8 @@ AVX2 static void phase_a_simd(int ix, int wx, int wy, const double *r,
         __m256d fy = _mm256_loadu_pd(cym + 2 * iy);
         __m256d gy = _mm256_loadu_pd(cyp + 2 * iy);
         __m256d cen = _mm256_sub_pd(nsx, _mm256_add_pd(fy, gy));
-        __m256d ic = _mm256_set_pd(0.0, inv_c[k + 1], 0.0, inv_c[k]);
+        __m256d ic = _mm256_set_pd(inv_c[k + 1], inv_c[k + 1], inv_c[k],
+                                   inv_c[k]);
         __m256d s = _mm256_setzero_pd();
         s = vterm(s, fx, ic, x - 2 * wy, vs);
         s = vterm(s, fy, ic, x - 2, vs);

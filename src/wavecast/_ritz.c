@@ -3,15 +3,22 @@
 
    ritz_values(nt, n, alpha, off, theta, work): alpha (n >= 1) is the
    diagonal, off (n - 1) the off-diagonal, theta (n) receives the
-   eigenvalues and work (n) is workspace.  Returns 0, or 1 when the QL
-   iteration exceeds MAX_ITER sweeps for one eigenvalue or leaves a value
-   that is not finite, or the polish has not settled after MAX_SWEEPS.
+   eigenvalues and work (n) is workspace.  H should have max |H| near 1
+   (the caller scales it by a power of two), since the QL squares the
+   off-diagonal.  Returns 0, or 1 when the QL iteration exceeds MAX_ITER
+   sweeps for one eigenvalue or leaves a value that is not finite, or the
+   polish has not settled after MAX_SWEEPS.
 
    The values come from an implicit QL with Wilkinson shifts and
    complex-orthogonal rotations (c^2 + s^2 = 1, not unitary), the
    complex form of tqli (Cullum & Willoughby, SIAM J. Matrix Anal. Appl.
-   17, 1996).  Such rotations are not backward stable, and the values
-   are good to only 1e-11 to 1e-10 of max |H|, so Jacobi-style
+   17, 1996), run root-free: the Pal-Walker-Kahan QL (LAPACK's xSTERF;
+   Parlett, The Symmetric Eigenvalue Problem, 8.15) works on the squared
+   off-diagonal, with two square roots per iteration (the shift) and none
+   per rotation.  Complex-orthogonal rotations are not backward stable,
+   and the values are good to only 1e-11 to 1e-10 of max |H| (the desk
+   presets, and paper ring up to m = 4000, as with a square root per
+   rotation), so Jacobi-style
    Ehrlich-Aberth sweeps (Bini, Gemignani & Tisseur, SIAM J. Matrix
    Anal. Appl. 27, 2005) polish them to rounding level: the first moves
    every value, later ones (typically one, on 10-30 % of the values)
@@ -51,15 +58,23 @@ static double cabs1(cplx a)
     return fabs(creal(a)) + fabs(cimag(a));
 }
 
-/* d: diagonal in, eigenvalues out; e: n entries, the off-diagonal in
-   e[0 .. n-2], destroyed.
+/* d: diagonal in, eigenvalues out; e: n entries, the squared
+   off-diagonal e^2 in e[0 .. n-2], destroyed.
+
+   One sweep of the root-free QL (LAPACK's xSTERF) carries the squares
+   c = cos^2, s = sin^2 (c + s = 1) of its rotations and p = gamma^2 / c,
+   so a rotation takes two reciprocals and no square root; the shift
+   takes csqrt(e^2[l]) and the root of g^2 + 1.  Where c = 0 (gamma = 0),
+   p = c_old e^2[i] instead.
 
    e[m] splits the matrix when |e[m]| + (|d[m]| + |d[m+1]|) rounds to
    |d[m]| + |d[m+1]|.  The scan first compares the cheap CABS1 values:
-   since |z| <= cabs1(z) <= sqrt(2) |z|, cabs1(e) > 2^-40 (cabs1(d[m]) +
-   cabs1(d[m+1])) puts |e| far above half an ulp of the sum, so the test
+   since |z| <= cabs1(z) <= sqrt(2) |z|, cabs1(e^2) > 2^-80 (cabs1(d[m]) +
+   cabs1(d[m+1]))^2 puts |e| far above half an ulp of the sum, so the test
    fails and the three moduli need not be computed.  The split found is
-   the same; a NaN or an infinite d falls through to the full test. */
+   the same; a NaN or an infinite d falls through to the full test.  The
+   caller scales H to max |H| ~ 1, so the squares neither overflow nor
+   underflow where they matter. */
 static int ql(int n, cplx *d, cplx *e)
 {
     e[n - 1] = 0.0;
@@ -67,42 +82,45 @@ static int ql(int n, cplx *d, cplx *e)
         for (int iter = 0;; iter++) {
             int m, i;
             for (m = l; m < n - 1; m++) {
-                if (cabs1(e[m]) > 0x1p-40 * (cabs1(d[m]) + cabs1(d[m + 1])))
+                double d1 = cabs1(d[m]) + cabs1(d[m + 1]);
+                if (cabs1(e[m]) > 0x1p-80 * d1 * d1)
                     continue;
                 double dd = cabs(d[m]) + cabs(d[m + 1]);
-                if (cabs(e[m]) + dd == dd)
+                if (sqrt(cabs(e[m])) + dd == dd)
                     break;
             }
             if (m == l)
                 break;
             if (iter == MAX_ITER)
                 return 1;
-            cplx g = (d[l + 1] - d[l]) / (2.0 * e[l]);
+            cplx rte = csqrt(e[l]);
+            cplx g = (d[l + 1] - d[l]) / (2.0 * rte);
             cplx r = csqrt(g * g + 1.0);
             /* the root of the 2 x 2 block nearer d[l] */
-            g = d[m] - d[l] + e[l] / (cabs(g + r) >= cabs(g - r) ? g + r : g - r);
-            cplx s = 1.0, c = 1.0, p = 0.0;
+            cplx sigma = d[l] - rte / (cabs(g + r) >= cabs(g - r) ? g + r
+                                                                  : g - r);
+            cplx s = 0.0, c = 1.0, gamma = d[m] - sigma, p = gamma * gamma;
             for (i = m - 1; i >= l; i--) {
-                cplx f = s * e[i], b = c * e[i];
-                e[i + 1] = r = csqrt(f * f + g * g);
-                if (r == 0.0) { /* split (or an isotropic f, g): reshift */
-                    d[i + 1] -= p;
+                cplx bb = e[i];
+                r = p + bb;
+                if (i != m - 1)
+                    e[i + 1] = s * r;
+                if (r == 0.0) { /* split (or an isotropic rotation): reshift */
+                    d[i + 1] = sigma + gamma;
                     e[m] = 0.0;
                     break;
                 }
-                cplx ir = inv(r);
-                s = f * ir;
-                c = g * ir;
-                g = d[i + 1] - p;
-                r = (d[i] - g) * s + 2.0 * c * b;
-                p = s * r;
-                d[i + 1] = g + p;
-                g = c * r - b;
+                cplx old_c = c, old_gamma = gamma, ir = inv(r);
+                c = p * ir;
+                s = bb * ir;
+                gamma = c * (d[i] - sigma) - s * old_gamma;
+                d[i + 1] = old_gamma + (d[i] - gamma);
+                p = c != 0.0 ? gamma * gamma * inv(c) : old_c * bb;
             }
             if (r == 0.0 && i >= l)
                 continue;
-            d[l] -= p;
-            e[l] = g;
+            e[l] = s * p;
+            d[l] = sigma + gamma;
             e[m] = 0.0;
         }
     }
@@ -179,8 +197,8 @@ int ritz_values(int nt, int n, const cplx *alpha, const cplx *off,
     for (int k = 0; k + 1 < n; k++)
         scale = fmax(scale, cabs(off[k]));
     memcpy(theta, alpha, n * sizeof(cplx));
-    if (n > 1)
-        memcpy(work, off, (n - 1) * sizeof(cplx));
+    for (int k = 0; k + 1 < n; k++)
+        work[k] = off[k] * off[k];
     if (ql(n, theta, work))
         return 1;
     return aberth(nt, n, alpha, off, theta, work, STEP_TOL * scale,

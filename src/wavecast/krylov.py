@@ -26,9 +26,10 @@ sin(sqrt(-a) t)/sqrt(-a) kernel, which diverges off the real axis.
 
 The decomposition is structured (eigen_tridiag) and O(m^2) throughout,
 with no m x m array but the eigenvectors.  A small C kernel (_ritz.c)
-gives the eigenvalues of the symmetrized tridiagonal H -- an implicit QL
-with complex-orthogonal rotations, then Ehrlich-Aberth sweeps that
-polish every value to rounding level -- and one eigenvector per value,
+gives the eigenvalues of the symmetrized tridiagonal H -- a root-free
+implicit QL (complex-orthogonal rotations on the squared off-diagonal,
+no square root per rotation), then Ehrlich-Aberth sweeps that polish
+every value to rounding level -- and one eigenvector per value,
 by three steps of inverse iteration on one pivoted tridiagonal LU of
 H - theta I.  When the QL does not converge, LAPACK's dense zgeev,
 O(m^3), gives the values.  The mode weights are S^T e_1, the first row
@@ -59,7 +60,8 @@ never stored, and a step moves about 31 MB at n = 229 441, against
 separate numpy and CSR passes.  Both passes split the grid rows into
 contiguous blocks (one below 2 * _ROWS_PER_WORKER unknowns), one
 OpenMP thread each, inside one ctypes call that releases the GIL.
-Every element follows one fixed rule (in _lanczos.c): every complex
+Every element follows one fixed rule (in _lanczos.c): a stencil
+coefficient, factor times inv_c, is two real products, every complex
 product takes the fused form fma(ar, br, -(ai bi)) + i fma(ar, bi,
 ai br), the stencil sum adds its terms in column order, and each
 reduction sums one partial per grid row in element order, which
@@ -187,12 +189,14 @@ class LanczosDecomposition:
 
 
 # Fewest unknowns per worker thread of a recursion step.  Measured on a
-# 2-core x86-64 VM with the reductions inside the passes (median of five
-# 400-step runs alone): two blocks against one take 0.88x the time per
-# step at n = 2 209, 0.68x at 7 569, 0.65x at 16 129 and 0.57x at
-# 34 969, and break even near n = 1 400 (0.94x at 1 369, 1.10x at 841).
-# A thread that shares a core with the reference holds up every pass at
-# its barrier (see _thread_count).
+# 2-core x86-64 VM with the reductions inside the passes and the stencil
+# coefficients as real products (median of eleven 400-step runs alone,
+# five above n = 2 500): two blocks against one take 0.87x the time per
+# step at n = 2 500, 0.75x at 7 056, 0.63x at 15 376 and 0.57x at
+# 33 856, and break even between n = 1 024 (1.03x) and 1 296 (0.93x);
+# below 2 000 unknowns (one block by this rule) two save at most ~8 %,
+# within the noise of these runs.  A thread that shares a core with the
+# reference holds up every pass at its barrier (see _thread_count).
 _ROWS_PER_WORKER = 1_000
 # the bilinear form has collapsed when |delta_i| < _BREAKDOWN_TOL * max |M|
 _BREAKDOWN_TOL = 1e-14
@@ -501,16 +505,26 @@ def _ritz_values(alpha, off, threads):
     """Eigenvalues of the symmetric tridiagonal H (diagonal alpha,
     off-diagonal off), sorted by real, then imaginary part, and the
     route that computed them: "ql" (the compiled kernel, its polish on
-    `threads` threads) or "zgeev"."""
+    `threads` threads) or "zgeev".  The kernel sees H scaled by the
+    power of two that puts max |H| in [0.5, 1), which is exact: its QL
+    squares the off-diagonal, and its shift and deflation tests are
+    accurate only near unit scale."""
     alpha = np.ascontiguousarray(alpha, dtype=complex)
     off = np.ascontiguousarray(off, dtype=complex)
     if alpha.ndim != 1 or alpha.size == 0 or off.shape != (alpha.size - 1,):
         raise InvalidParameterError("tridiagonal needs m >= 1 and m - 1 "
                                     "off-diagonal entries")
+    h_scale = max(np.abs(alpha).max(), np.abs(off).max(initial=0.0))
+    exp = int(np.frexp(h_scale)[1]) if 0.0 < h_scale < np.inf else 0
+
+    def ldexp(z, k):  # z * 2^k, componentwise
+        return np.ldexp(z.view(float), k).view(complex)
+
     theta = np.empty_like(alpha)
-    if _ritz_kernel().ritz_values(threads, alpha.size, alpha, off, theta,
+    if _ritz_kernel().ritz_values(threads, alpha.size, ldexp(alpha, -exp),
+                                  ldexp(off, -exp), theta,
                                   np.empty_like(alpha)) == 0:
-        route = "ql"
+        theta, route = ldexp(theta, exp), "ql"
     else:
         theta, route = _zgeev_values(alpha, off), "zgeev"
     return theta[np.lexsort((theta.imag, theta.real))], route
@@ -586,9 +600,11 @@ def eigen_tridiag(decomp, ref_job=None):
     the branch choices in D^{1/2} cancel), in four steps:
 
     - Eigenvalues only, sorted by real, then imaginary part, from the
-      compiled kernel (route "ql"): a complex QL with Wilkinson shifts
-      (Cullum & Willoughby 1996), whose values are good to 1e-11 to
-      1e-10 of max |H|, then Jacobi-style Ehrlich-Aberth sweeps (Bini,
+      compiled kernel (route "ql") on H scaled by a power of two to
+      max |H| in [0.5, 1): a complex QL with Wilkinson shifts (Cullum &
+      Willoughby 1996) in the root-free form of LAPACK's xSTERF, on the
+      squared off-diagonal, whose values are good to 1e-11 to 1e-10 of
+      max |H|, then Jacobi-style Ehrlich-Aberth sweeps (Bini,
       Gemignani & Tisseur 2005) with the Newton quotient from the ratio
       form of the three-term recurrence.  The first sweep moves every value,
       later ones those whose last step exceeded 1e-12 of max |H|; the

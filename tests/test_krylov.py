@@ -222,6 +222,63 @@ def test_near_defective_raises():
         eigen_tridiag(dec)
 
 
+def _random_tridiagonal(rng, m):
+    """Diagonal and off-diagonal of a random complex symmetric tridiagonal."""
+    alpha = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    off = rng.standard_normal(m - 1) + 1j * rng.standard_normal(m - 1)
+    return alpha, off
+
+
+def _dense(alpha, off):
+    return np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _assert_same_values(got, want, tol):
+    # each value near one of the other set, both ways
+    gap = np.abs(got[:, None] - want[None, :])
+    assert got.size == want.size
+    assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= tol
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e300, 1e-300])
+@pytest.mark.parametrize("graded", [False, True])
+def test_ql_values_hold_at_any_scale(scale, graded):
+    # the kernel sees H scaled to max |H| in [0.5, 1) by a power of two,
+    # so its values hold at any scale of H (its QL squares the
+    # off-diagonal, which over- or underflows far from unit scale); the
+    # oracle is the dense eig of the unit-scale matrix.  A graded H runs
+    # from 1 to 1e-12 down the diagonal
+    rng = np.random.default_rng(19)
+    for _ in range(100):
+        m = int(rng.integers(2, 121))
+        alpha, off = _random_tridiagonal(rng, m)
+        if graded:
+            g = np.logspace(0.0, -6.0, m)  # H <- G H G
+            alpha, off = alpha * g * g, off * g[1:] * g[:-1]
+        unit = max(np.abs(alpha).max(), np.abs(off).max())
+        alpha, off = alpha / unit, off / unit
+        want = np.linalg.eigvals(_dense(alpha, off)) * scale
+        theta, route = krylov._ritz_values(alpha * scale, off * scale, 1)
+        assert route == "ql"
+        _assert_same_values(theta, want, 1e-13 * scale)
+
+
+def test_ql_splits_at_exact_zero_off_diagonal():
+    # a direct sum of two tridiagonals: the QL deflates at the zero
+    # off-diagonal and returns the union of the blocks' values (the
+    # oracle, numpy's eig of each block, is itself up to ~7e-15 max |H|
+    # off at these sizes)
+    rng = np.random.default_rng(5)
+    blocks = [_random_tridiagonal(rng, m) for m in (17, 29)]
+    alpha = np.concatenate([a for a, _ in blocks])
+    off = np.concatenate([blocks[0][1], [0.0], blocks[1][1]])
+    h_scale = max(np.abs(alpha).max(), np.abs(off).max())
+    want = np.concatenate([np.linalg.eigvals(_dense(*b)) for b in blocks])
+    theta, route = krylov._ritz_values(alpha, off, 1)
+    assert route == "ql"
+    _assert_same_values(theta, want, 1e-14 * h_scale)
+
+
 @pytest.fixture(scope="module")
 def ring1650():
     """ring-desk decomposed to its default m = 1650, via public calls;
@@ -337,10 +394,10 @@ def test_ghost_merge_matches_dense_oracle(ring1650):
 
 
 def test_ghost_grouping_at_large_m_matches_zgeev(ring1650, monkeypatch):
-    # at m = 1650 the unpolished QL values are up to ~1e-10 * max |H|
-    # off and merge 2 of the 3 ghost pairs, which moves the impulse ~1e-3;
-    # a QL that reports its iteration cap hands the values to zgeev, and
-    # the compiled vectors then follow those
+    # at m = 1650 the unpolished QL values are up to 5e-11 * max |H|
+    # off; they merge the same 3 ghost pairs and move the impulse by
+    # 1e-7.  A QL that reports its iteration cap hands the values to
+    # zgeev, and the compiled vectors then follow those
     sc, dec = ring1650
     modes = eigen_tridiag(dec)
     monkeypatch.setattr(krylov._ritz_kernel(), "ritz_values", lambda *a: 1)

@@ -393,6 +393,45 @@ def test_products_are_exactly_fused():
                     check_norm(norms[ix], row)
 
 
+def test_stencil_product_follows_its_rule():
+    # on every host and both paths, A w is element by element its
+    # documented rule: each term is the fused product of the coefficient
+    # (f_re inv_c, f_im inv_c) with w_k = r_k * scale, the centre factor
+    # is -(cxm + cxp) - (cym + cyp), and the terms are added from +0.0 in
+    # column order (west, south, centre, north, east), those past the
+    # grid's edge left out
+    steps = to_continued_fraction(
+        zolotarev_approx(SpectralInterval(-25.0, -1.0), 2))
+    grid = build_grid2d(8, steps)
+    op = assemble_operator(grid, MediumMap.from_function(
+        grid, lambda x, y: 1.0 + x ** 2 + 2.0 * y ** 2))
+    wx, wy = op.inv_c.shape
+    assert wy % 2 == 1  # the SIMD path has a scalar tail in every row
+    r = np.random.default_rng(13).uniform(-1.0, 1.0, 2 * op.n).view(complex)
+    scale = 0.37
+    want = np.empty(op.n, dtype=complex)
+    for ix in range(wx):
+        fx, gx = op.cxm[ix], op.cxp[ix]
+        for iy in range(wy):
+            fy, gy = op.cym[iy], op.cyp[iy]
+            sx = complex(-(fx.real + gx.real), -(fx.imag + gx.imag))
+            centre = complex(sx.real - (fy.real + gy.real),
+                             sx.imag - (fy.imag + gy.imag))
+            j, ic = ix * wy + iy, op.inv_c[ix, iy]
+            s = 0j
+            for f, k, edge in ((fx, j - wy, ix > 0), (fy, j - 1, iy > 0),
+                               (centre, j, True), (gy, j + 1, iy < wy - 1),
+                               (gx, j + wy, ix < wx - 1)):
+                if edge:
+                    s += _exact_fused(complex(f.real * ic, f.imag * ic),
+                                      r[k] * scale)
+            want[j] = s
+    for simd in sorted({0, krylov._lanczos_kernel().simd}):
+        for n_blocks in (1, 3):
+            _, aw, _ = _phase_a(op, r, scale, n_blocks, simd)
+            assert np.array_equal(aw, want), (simd, n_blocks)
+
+
 @pytest.mark.parametrize("name", ["homogeneous-desk", "ring-desk",
                                   "waveguide-desk"])
 def test_stencil_product_is_bitwise_csr(name):
