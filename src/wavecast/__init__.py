@@ -2,7 +2,6 @@
 
 from .analytic import analytic_homogeneous
 from .errors import (
-    BranchCutError,
     BreakdownError,
     ConfigurationError,
     DegenerateInputError,
@@ -25,7 +24,6 @@ from .krylov import (
     eigen_tridiag,
     evaluate_impulse,
     sc_resolvent_dense,
-    sctde_scalar,
 )
 from .operator import MediumMap, WaveOperator, assemble_operator
 from .scenarios import (

@@ -13,23 +13,22 @@ a smooth integrand handled by Gauss-Legendre panels with doubling
 until convergence.
 """
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
 from .errors import InvalidParameterError, PrecisionError
 from .signals import Waveform
 
-_LEGENDRE_CACHE = {}
 # successive Gauss-Legendre doublings agree to this, relative to
 # 1 + |integral|
 _REL_TOL = 1e-10
 
 
+@functools.cache
 def _leggauss(n):
-    if n not in _LEGENDRE_CACHE:
-        _LEGENDRE_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _LEGENDRE_CACHE[n]
+    # looked up on first use: numpy.polynomial stays out of start-up
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _tail_integral(signature, r, t):
@@ -52,42 +51,17 @@ def _tail_integral(signature, r, t):
     )
 
 
-@dataclass(frozen=True)
-class AnalyticProbe:
-    """Free-space reference at one receiver."""
-
-    source_xy: tuple
-    probe_xy: tuple
-    amplitude: float = 1.0
-
-    @property
-    def r(self):
-        dx = self.probe_xy[0] - self.source_xy[0]
-        dy = self.probe_xy[1] - self.source_xy[1]
-        r = float(np.hypot(dx, dy))
-        if r == 0.0:
-            raise InvalidParameterError("probe coincides with the source")
-        return r
-
-    def evaluate(self, signature, times):
-        times = np.asarray(times, dtype=float)
-        r = self.r
-        out = np.zeros(times.size)
-        for j, t in enumerate(times):
-            if t > r:
-                out[j] = -(self.amplitude / (2.0 * np.pi)) * _tail_integral(
-                    signature, r, t)
-        return out
-
-
 def analytic_homogeneous(source_xy, probes, signature, times, amplitude=1.0):
     """Waveform of free-space reference traces at several receivers."""
     times = np.asarray(times, dtype=float)
-    vals = np.vstack(
-        [
-            AnalyticProbe(tuple(source_xy), tuple(p), amplitude).evaluate(
-                signature, times)
-            for p in probes
-        ]
-    )
+    vals = np.zeros((len(probes), times.size))
+    for p, probe_xy in enumerate(probes):
+        r = float(np.hypot(probe_xy[0] - source_xy[0],
+                           probe_xy[1] - source_xy[1]))
+        if r == 0.0:
+            raise InvalidParameterError("probe coincides with the source")
+        for j, t in enumerate(times):
+            if t > r:
+                vals[p, j] = -(amplitude / (2.0 * np.pi)) * _tail_integral(
+                    signature, r, t)
     return Waveform(times=times, values=vals)

@@ -42,10 +42,6 @@ class NearDefectiveError(WavecastError):
     """Eigenvector basis is too ill-conditioned to trust."""
 
 
-class BranchCutError(WavecastError, ValueError):
-    """Scalar kernel evaluated on its branch cut."""
-
-
 class SamplingError(WavecastError):
     """A time grid is too coarse for the requested bandwidth."""
 

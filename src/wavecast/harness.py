@@ -43,12 +43,12 @@ from .krylov import (
     evaluate_impulse,
 )
 from .operator import MediumMap, assemble_operator
-from .signals import _TAPS, Waveform, compare_traces
+from .signals import HALF_WINDOW, Waveform, compare_traces
 from .zolotarev import to_continued_fraction, zolotarev_approx
 
 # one sample past the trace resampler's interpolation half-window, in
 # reference samples
-_GUARD_TAPS = _TAPS // 2 + 1
+_GUARD_TAPS = HALF_WINDOW + 1
 
 
 def _git_hash():

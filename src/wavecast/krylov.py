@@ -97,29 +97,12 @@ import numpy as np
 
 from . import _native
 from .errors import (
-    BranchCutError,
     BreakdownError,
     InvalidParameterError,
     NearDefectiveError,
     PrecisionError,
     SamplingError,
 )
-
-
-def sctde_scalar(t, a):
-    """Stability-corrected exponent kernel exp(-sqrt(a) t)/sqrt(a).
-
-    Principal square root; a on the closed negative real axis sits on
-    the branch cut and is rejected (matrix routines use the limit from
-    above instead, taking real parts afterwards).
-    """
-    a = complex(a)
-    if a.imag == 0.0 and a.real <= 0.0:
-        raise BranchCutError(
-            f"argument {a} lies on the branch cut (-inf, 0]"
-        )
-    sq = np.sqrt(a)
-    return np.exp(-sq * np.asarray(t)) / sq
 
 
 def _sqrt_from_above(z):
@@ -219,8 +202,9 @@ def _thread_count(ref_job, n=None):
     """Threads of a compiled stage: every usable CPU, one fewer while
     ref_job (the reference route beside it, a Future, or None) is not
     done, since a thread that shares its core holds up every pass at
-    its barrier (the paper-scale ring ran 10.6 - 10.8 ms per Lanczos
-    iteration on two threads beside its numpy FDTD march, 6.3 on one);
+    its barrier (on two cores, paper-scale run ring took 19.4 - 20.7 s
+    with two Lanczos threads beside its FDTD march, 13.1 - 13.3 s with
+    one);
     for a recursion step on n unknowns at most n // _ROWS_PER_WORKER;
     at least one."""
     cpus = _usable_cpus() - (ref_job is not None and not ref_job.done())
@@ -682,31 +666,21 @@ def eigen_tridiag(decomp, ref_job=None):
 _KERNEL_BLOCK = 2 ** 22
 
 
-def evaluate_impulse(modes, times, kernel="stable"):
-    """Impulse response at the probes for t >= 0.
-
-    kernel "stable" uses exp(-sqrt(a) t)/sqrt(a); kernel "uncorrected"
-    uses -sin(sqrt(-a) t)/sqrt(-a), which is exact on the real negative
-    spectrum but blows up off it (kept as a negative control).  The
-    kernel is evaluated in blocks of samples of at most _KERNEL_BLOCK
-    values, so memory stays bounded for long traces at large m.
+def evaluate_impulse(modes, times):
+    """Impulse response at the probes for t >= 0, by the stable kernel
+    exp(-sqrt(a) t)/sqrt(a).  The kernel is evaluated in blocks of
+    samples of at most _KERNEL_BLOCK values, so memory stays bounded for
+    long traces at large m.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise InvalidParameterError("times must be a nonempty 1D array")
     if np.any(times < 0.0):
         raise InvalidParameterError("impulse response is causal: t >= 0")
-    if kernel == "stable":
-        sq = _sqrt_from_above(modes.theta)
-        fvals = lambda t: np.exp(-sq[:, None] * t) / sq[:, None]
-    elif kernel == "uncorrected":
-        sq = _sqrt_from_above(-modes.theta)
-        fvals = lambda t: -np.sin(sq[:, None] * t) / sq[:, None]
-    else:
-        raise InvalidParameterError(f"unknown kernel {kernel!r}")
+    sq = _sqrt_from_above(modes.theta)[:, None]
     residues = modes.probe_modes * modes.weights[None, :]
     width = max(1, _KERNEL_BLOCK // sq.size)
-    u = np.hstack([(residues @ fvals(times[None, lo:lo + width])).real
+    u = np.hstack([(residues @ (np.exp(-sq * times[lo:lo + width]) / sq)).real
                    for lo in range(0, times.size, width)])
     return modes.zeta1 * u
 

@@ -143,7 +143,9 @@ class Waveform:
         )
 
 
-_TAPS = 65
+# half the resampler's window (2 HALF_WINDOW + 1 = 65 taps), in source
+# samples: the guard a resampled trace needs at each end of its span
+HALF_WINDOW = 32
 _BETA = 14.0
 
 
@@ -161,17 +163,16 @@ def resample_waveform(wf, new_times):
     ):
         raise SamplingError("requested times fall outside the sampled span")
     dt = wf.dt
-    half = _TAPS // 2
     pos = (new_times - wf.times[0]) / dt
     base = np.floor(pos).astype(int)
     nt = wf.times.size
-    offsets = np.arange(-half, half + 1)
+    offsets = np.arange(-HALF_WINDOW, HALF_WINDOW + 1)
     idx = base[:, None] + offsets[None, :]
     frac = pos[:, None] - idx
     valid = (idx >= 0) & (idx < nt)
     idx_c = np.clip(idx, 0, nt - 1)
     window = np.i0(_BETA * np.sqrt(np.clip(
-        1.0 - (frac / (half + 1)) ** 2, 0.0, None
+        1.0 - (frac / (HALF_WINDOW + 1)) ** 2, 0.0, None
     ))) / np.i0(_BETA)
     taps = np.sinc(frac) * window * valid
     out = np.empty((wf.n_probes, new_times.size))
@@ -189,7 +190,7 @@ def compare_traces(test_wf, ref_wf, t_lo=None, t_hi=None):
     """
     if test_wf.n_probes != ref_wf.n_probes:
         raise InvalidParameterError("probe count mismatch")
-    guard = (_TAPS // 2) * ref_wf.dt
+    guard = HALF_WINDOW * ref_wf.dt
     lo = max(test_wf.times[0], ref_wf.times[0] + guard)
     hi = min(test_wf.times[-1], ref_wf.times[-1] - guard)
     if t_lo is not None:

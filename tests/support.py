@@ -60,6 +60,16 @@ def arrival_time(wf, probe=0, frac=0.5):
     return float(t0 + (thr - u0) / (u1 - u0) * (t1 - t0))
 
 
+def uncorrected_impulse(modes, times):
+    """krylov.evaluate_impulse with the uncorrected kernel
+    -sin(sqrt(-a) t)/sqrt(-a) in place of the stable one: exact on the
+    real negative spectrum, growing off it (the negative control of
+    criterion 07)."""
+    sq = krylov._sqrt_from_above(-modes.theta)[:, None]
+    residues = modes.probe_modes * modes.weights[None, :]
+    return modes.zeta1 * (residues @ (-np.sin(sq * times) / sq)).real
+
+
 def invit_start(i, m):
     """The start vector of value i in the compiled inverse iteration
     (_ritz.c's start_component): splitmix64 of the counter (i, k) for

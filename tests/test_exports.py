@@ -23,8 +23,6 @@ MODULES = [ast.parse(path.read_text())
 ORACLES = {
     "sc_resolvent_dense": "dense stability-corrected resolvent, the "
                           "oracle of criterion 04",
-    "sctde_scalar": "scalar form of the corrected kernel and of its "
-                    "branch-cut rule, which the matrix route follows",
     "eval_impedance_cf": "direct evaluation of the continued-fraction "
                          "ladder, checked against the partial fractions",
     "SourceSignature.spectrum": "exact transform of the wavelet, behind "
@@ -41,8 +39,6 @@ DIAGNOSTICS = {
     "run_fdtd.n_pml": "n_pml = 0 closes the box: the PML test and the "
                       "closed-box oracle test of test_reference.py "
                       "(perfbench/child.py also reads it)",
-    "evaluate_impulse.kernel": "the growing negative control of "
-                               "criterion 07 and test_krylov.py",
     "main.argv": "every test of test_cli.py",
 }
 

@@ -231,12 +231,17 @@ def test_breakdown_retreat_is_bitwise_reference(desk, n_blocks,
     # a tolerance just below the smallest |delta| of iterations 1..150
     # makes a later iteration i the first collapse; the run keeps
     # iterations 1..i-2, bitwise those of a run asked for m = i - 2 on
-    # both paths, and near the oracle's
+    # both paths, and near the oracle's.  The tolerance is found with
+    # bilanczos's own test, abs(delta_i) < tol * max |M| on the scalar,
+    # since numpy's array abs may round |delta_i| one ulp the other way
     asm, ref, base = desk
-    ratio = np.abs(base.delta) / np.abs(asm.op.m_diag).max()
-    tol = ratio[:150].min()
-    i = 1 + int(np.argmax(ratio < tol))
-    assert 150 < i <= 300 and ratio[i - 1] < tol
+    m_scale = float(np.abs(asm.op.m_diag).max())
+    tol = min(abs(d) for d in base.delta[:150]) / m_scale
+    while any(abs(d) < tol * m_scale for d in base.delta[:150]):
+        tol = np.nextafter(tol, 0.0)
+    collapsed = [abs(d) < tol * m_scale for d in base.delta]
+    i = 1 + int(np.argmax(collapsed))
+    assert 150 < i <= 300 and collapsed[i - 1]
     fresh = bilanczos(asm.op, asm.b, i - 2, asm.probe_flats)
     used = force_blocks(n_blocks)
     monkeypatch.setattr(krylov, "_BREAKDOWN_TOL", tol)

@@ -8,7 +8,7 @@ import scipy.special
 
 import wavecast.analytic
 import wavecast.fdtd
-from wavecast.analytic import AnalyticProbe, analytic_homogeneous
+from wavecast.analytic import analytic_homogeneous
 from wavecast.errors import InvalidParameterError
 from wavecast.fdtd import run_fdtd
 from wavecast.harness import _prepare
@@ -37,9 +37,8 @@ def _hankel_synthesis(r, signature, times, amplitude=1.0):
 
 def test_analytic_causality_and_smoothness():
     sig = make_wavelet(*BAND)
-    probe = AnalyticProbe((0.0, 0.0), (0.4, 0.0))
     t = np.linspace(0.0, 3.0, 900)
-    u = probe.evaluate(sig, t)
+    (u,) = analytic_homogeneous((0.0, 0.0), [(0.4, 0.0)], sig, t).values
     # exactly zero before arrival at r = 0.4
     assert np.all(u[t <= 0.4] == 0.0)
     assert np.abs(u).max() > 0.0
@@ -51,7 +50,8 @@ def test_analytic_matches_hankel_route():
     r = 0.55
     dt = 2.0 * np.pi / BAND[1] / 24.0
     t = np.arange(0.0, 6.0, dt)
-    quad = AnalyticProbe((0.0, 0.0), (r, 0.0), amplitude=1.7).evaluate(sig, t)
+    (quad,) = analytic_homogeneous((0.0, 0.0), [(r, 0.0)], sig, t,
+                                   amplitude=1.7).values
     hank = _hankel_synthesis(r, sig, t, amplitude=1.7)
     scale = np.abs(quad).max()
     assert np.max(np.abs(quad - hank)) < 1e-3 * scale
@@ -59,18 +59,22 @@ def test_analytic_matches_hankel_route():
 
 def test_analytic_quadrature_tolerance(monkeypatch):
     sig = make_wavelet(*BAND)
-    probe = AnalyticProbe((0.1, -0.2), (0.5, 0.3))
     t = np.linspace(0.8, 2.0, 7)
+
+    def trace():
+        return analytic_homogeneous((0.1, -0.2), [(0.5, 0.3)], sig, t).values
+
     monkeypatch.setattr(wavecast.analytic, "_REL_TOL", 1e-6)
-    coarse = probe.evaluate(sig, t)
+    coarse = trace()
     monkeypatch.setattr(wavecast.analytic, "_REL_TOL", 1e-12)
-    fine = probe.evaluate(sig, t)
+    fine = trace()
     assert np.max(np.abs(coarse - fine)) < 1e-5 * np.abs(fine).max()
 
 
 def test_analytic_validation():
     with pytest.raises(InvalidParameterError):
-        AnalyticProbe((0.0, 0.0), (0.0, 0.0)).r
+        analytic_homogeneous((0.0, 0.0), [(0.0, 0.0)], make_wavelet(*BAND),
+                             np.array([0.5]))
 
 
 def test_fdtd_energy_conservation_closed_box():
