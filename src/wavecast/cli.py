@@ -8,9 +8,9 @@
 
 <scenario> is a preset name or the path of a sectioned key-value
 config file.  Exit codes: 0 success, 2 configuration error (a kernel
-that cannot be built, and an input too large to allocate for, too), 3
-numerical breakdown, 4 tolerance exceeded under --assert, 130
-interrupted (Ctrl-C).
+that cannot be built, an input too large to allocate for, and an output
+path that cannot be created or written, too), 3 numerical breakdown, 4
+tolerance exceeded under --assert, 130 interrupted (Ctrl-C).
 """
 
 import argparse
@@ -206,6 +206,10 @@ def main(argv=None):
     except MemoryError as exc:
         # an input too large to allocate for, such as n_int = 1e11
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # an output path that is a file, a directory or not writable
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)

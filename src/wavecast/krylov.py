@@ -388,12 +388,12 @@ _CLUSTER_TOL = 1e-8
 # Ritz values closer than _GHOST_TOL * max |H| are one mode (ghost copies
 # from lost orthogonality); their residues are summed onto one member.
 # Worst probe impulse at t_final/2 and t_final on ring-desk against a
-# dense sqrtm/expm oracle of H, relative to the oracle's peak:
-#   m = 600:  1e-14 and 1e-13 merge 2 pairs, 9e-9 (dense eigenvector
-#             route 1e-6); 1e-12 also merges a distinct pair 3e-13 apart
-#             across the branch cut, 1e-6; no merge, 2e-2
-#   m = 1650: 1e-14 to 1e-12 merge 3-4, 3e-6 (as the dense eigenvector
-#             route); 1e-10 merges 65 distinct modes, 5e-3; no merge, 9e-3
+# dense sqrtm/expm oracle of H, relative to the oracle's peak, with two
+# BLAS threads (with one, the oracle itself moves by 7e-5 at m = 1650):
+#   m = 600:  1e-14 to 1e-12 merge 2, 1e-11 and 1e-10 merge 3, all 2e-9;
+#             no merge, 2e-3
+#   m = 1650: 1e-14 merges 3, 1e-13 7, 1e-12 21, 1e-10 35, all 3e-8;
+#             no merge, 7e-3
 # Unmerged ghost pairs straddling the branch cut carry huge cancelling
 # residues whose kernels differ across the cut.
 _GHOST_TOL = 1e-13

@@ -42,6 +42,12 @@ class Disk:
     radius: float
     eps_r: float
 
+    def __post_init__(self):
+        # paint squares the radius and extent adds it, so a negative
+        # one paints past the standoff that extent checks
+        if self.radius <= 0.0:
+            raise ConfigurationError(f"need radius > 0, got {self.radius}")
+
     def paint(self, eps, x, y):
         mask = (x - self.cx) ** 2 + (y - self.cy) ** 2 <= self.radius ** 2
         eps[mask] = self.eps_r
@@ -184,6 +190,8 @@ class Scenario:
             raise ConfigurationError("need n_int >= 4 and k >= 1")
         if self.t_final <= 0.0:
             raise ConfigurationError("observation window must be positive")
+        if self.l_ref is not None and self.l_ref <= 0.0:
+            raise ConfigurationError(f"l_ref must be positive, got {self.l_ref}")
         if self.reference not in ("analytic", "fdtd", "none"):
             raise ConfigurationError(f"unknown reference {self.reference!r}")
         if self.reference == "analytic" and self.shapes:

@@ -4,8 +4,9 @@ A half-space absorber is characterized by how well a rational function
 phi_k approximates the boundary impedance 1/sqrt(s) over the operative
 spectral interval.  This module builds the minimax (equioscillating)
 approximant of type [k-1/k] in closed form from Jacobi elliptic
-functions, converts it to the step sizes of an equivalent staggered
-two-point grid (a Stieltjes continued fraction), and evaluates both
+functions (poles, zeros and the 2k + 1 equioscillation points alike),
+converts it to the step sizes of an equivalent staggered two-point
+grid (a Stieltjes continued fraction), and evaluates both
 representations.
 
 Conventions
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import ellip_km1, jacobi_sn_cn
+from .elliptic import _EPS, ellip_km1, jacobi_sn_cn
 from .errors import (
     DegenerateInputError,
     InvalidParameterError,
@@ -37,10 +38,6 @@ from .errors import (
     PrecisionError,
 )
 
-_MACHINE_EPS = np.finfo(float).eps
-# log-spaced samples of [1/chi, 1] scanned for the equioscillation
-# extrema before their golden-section refinement
-_SCAN_SAMPLES = 8192
 # largest relative pole or residue mismatch the continued-fraction round
 # trip may leave
 _ROUNDTRIP_TOL = 1e-10
@@ -152,54 +149,13 @@ class PmlSteps:
         object.__setattr__(self, "gamma_hat", gh)
 
 
-def _refine_extrema(fun, xs):
-    """Locate and polish local extrema of fun on the sampled grid xs.
-
-    Returns (x_ext, f_ext) including both endpoints.  Interior extrema
-    are refined by golden-section search between their grid neighbours.
-    """
-    f = fun(xs)
-    # one-sided non-strict comparison so an extremum landing exactly
-    # between two grid points (a two-sample plateau) is still caught
-    ix = np.where((f[1:-1] >= f[:-2]) & (f[1:-1] > f[2:]))[0] + 1
-    im = np.where((f[1:-1] <= f[:-2]) & (f[1:-1] < f[2:]))[0] + 1
-    out_x = [xs[0]]
-    out_f = [f[0]]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    for i in np.sort(np.concatenate([ix, im])):
-        sign = 1.0 if i in ix else -1.0
-        a, b = np.log(xs[i - 1]), np.log(xs[i + 1])
-        c, d = b - invphi * (b - a), a + invphi * (b - a)
-        fc = sign * fun(np.exp(c))
-        fd = sign * fun(np.exp(d))
-        for _ in range(60):
-            if b - a < 1e-14 * max(1.0, abs(a)):
-                break
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = sign * fun(np.exp(c))
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = sign * fun(np.exp(d))
-        xstar = np.exp(0.5 * (a + b))
-        out_x.append(xstar)
-        out_f.append(fun(xstar))
-    out_x.append(xs[-1])
-    out_f.append(f[-1])
-    return np.asarray(out_x), np.asarray(out_f)
-
-
 def _magnitude_ratio(poles, zeros, x):
     """sqrt(x) * prod(x - zeros) / prod(x - poles) via log accumulation."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     lg = 0.5 * np.log(x)
     if zeros.size:
         lg = lg + np.sum(np.log(x[:, None] - zeros[None, :]), axis=1)
     lg = lg - np.sum(np.log(x[:, None] - poles[None, :]), axis=1)
-    out = np.exp(lg)
-    return out if out.size > 1 else out[0]
+    return np.exp(lg)
 
 
 def _normalized_zolotarev(chi, k):
@@ -210,23 +166,25 @@ def _normalized_zolotarev(chi, k):
     big_k = ellip_km1(1.0 - eps)
     # closed-form level 4*exp(-2*pi*k*K/K'); used only for feasibility
     exponent = 2.0 * np.pi * k * big_k / big_kc
-    if k > 1 and exponent > -np.log(25.0 * _MACHINE_EPS):
-        k_max = int(np.floor(-np.log(25.0 * _MACHINE_EPS) * big_kc
+    if k > 1 and exponent > -np.log(25.0 * _EPS):
+        k_max = int(np.floor(-np.log(25.0 * _EPS) * big_kc
                              / (2.0 * np.pi * big_k)))
         raise PrecisionError(
             f"equioscillation level underflows double precision at k={k}; "
             f"largest resolvable order for chi={chi:g} is k={max(k_max, 1)}"
         )
+    # at u_i = i K'/2k: poles (odd i) and zeros (even i) at
+    # -eps sn^2/cn^2, interior extrema at eps / dn^2
     mags = np.empty(2 * k - 1)
+    x_ext = np.empty(2 * k + 1)
+    x_ext[0], x_ext[-1] = eps, 1.0
     for i in range(1, 2 * k):
         sn, cn = jacobi_sn_cn(i * big_kc / (2.0 * k), kappa_c, m1=eps)
         mags[i - 1] = eps * (sn / cn) ** 2
+        x_ext[i] = eps / (1.0 - (1.0 - eps) * sn ** 2)
     poles = -mags[0::2]
     zeros = -mags[1::2]
-    xs = np.geomspace(eps, 1.0, _SCAN_SAMPLES)
-    _, g_ext = _refine_extrema(
-        lambda x: _magnitude_ratio(poles, zeros, x), xs
-    )
+    g_ext = _magnitude_ratio(poles, zeros, x_ext)
     g_hi, g_lo = float(np.max(g_ext)), float(np.min(g_ext))
     scale = 2.0 / (g_hi + g_lo)
     level = (g_hi - g_lo) / (g_hi + g_lo)
@@ -241,8 +199,9 @@ def _normalized_zolotarev(chi, k):
 def zolotarev_approx(interval, k):
     """Best [k-1/k] relative approximation of 1/sqrt(s) on the interval.
 
-    Poles and zeros in closed form; the error level and residue scale
-    from the extrema on a scan of _SCAN_SAMPLES log-spaced points.
+    Poles, zeros and the 2k + 1 equioscillation points in closed form;
+    the error level and residue scale from the extremal values of
+    sqrt(x) prod(x - zeros) / prod(x - poles) at those points.
 
     Parameters
     ----------

@@ -244,6 +244,27 @@ def test_pml_report_rejects_bad_chi(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "{cfg}"],
+    ["converge", "{cfg}"],
+    ["pml-report", "--chi", "100", "--k", "4"],
+    ["grid-dump", "{cfg}"],
+])
+def test_unwritable_output_exits_2(mini_cfg, tmp_path, capsys, command):
+    # a file where the output directory goes, a directory where
+    # grid-dump's output file goes
+    taken = tmp_path / "taken"
+    if command[0] == "grid-dump":
+        taken.mkdir()
+    else:
+        taken.write_text("")
+    argv = [a.format(cfg=mini_cfg) for a in command] + ["--out", str(taken)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_compare_and_assert(tmp_path):
     t = np.linspace(0.0, 10.0, 801)
     a = Waveform(times=t, values=np.sin(2.0 * np.pi * t)[None, :])

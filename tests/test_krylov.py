@@ -380,7 +380,7 @@ def test_structured_eigensolve_matches_dense_route(ring1650):
 
 def test_ghost_merge_matches_dense_oracle(ring1650):
     # ring-desk at m = 600 has ghost Ritz pairs straddling the branch
-    # cut; unmerged, their cancelling residues leave the impulse ~2e-2 off
+    # cut; unmerged, their cancelling residues leave the impulse ~2e-3 off
     sc, dec = ring1650
     dec = dec.truncate(600)
     modes = eigen_tridiag(dec)
@@ -401,10 +401,11 @@ def test_ghost_merge_matches_dense_oracle(ring1650):
 
 
 def test_ghost_grouping_at_large_m_matches_zgeev(ring1650, monkeypatch):
-    # at m = 1650 the unpolished QL values are up to 5e-11 * max |H|
-    # off; they merge the same 3 ghost pairs and move the impulse by
-    # 1e-7.  A QL that reports its iteration cap hands the values to
-    # zgeev, and the compiled vectors then follow those
+    # at m = 1650 the unpolished QL values are up to 3e-11 * max |H|
+    # off; zgeev's lie within 1e-13 of the polished ones, merge as many
+    # (7) ghost values and move the impulse by 4e-7.  A QL that reports
+    # its iteration cap hands the values to zgeev, and the compiled
+    # vectors then follow those
     sc, dec = ring1650
     modes = eigen_tridiag(dec)
     monkeypatch.setattr(krylov._ritz_kernel(), "ritz_values", lambda *a: 1)

@@ -16,9 +16,15 @@ import numpy as np
 import pytest
 import scipy.special
 
+from wavecast.scenarios import get_scenario
 from wavecast.zolotarev import SpectralInterval, zolotarev_approx
 
-CASES = [(100.0, 4), (1e4, 6), (30.0, 2), (1e4, 9)]
+# and the (chi, k) pairs the presets run at (ring-desk and
+# homogeneous-desk share theirs)
+CASES = [(100.0, 4), (1e4, 6), (30.0, 2), (1e4, 9)] + sorted({
+    (get_scenario(name).chi, get_scenario(name).k)
+    for name in ("ring-desk", "homogeneous-desk", "waveguide-desk", "ring")
+})
 
 
 def _error(theta, y, x):

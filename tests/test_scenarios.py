@@ -151,6 +151,8 @@ def test_analytic_reference_forbids_shapes():
         ("floor_db", -1e-300),  # the wavelet width rounds to 0
         ("floor_db", 1e4),  # 10 ** (floor_db / 20) overflows
         ("omega_max", 1e200),  # omega_max ** 2 overflows
+        ("l_ref", 0.0),
+        ("l_ref", -1.0),
     ],
 )
 def test_validate_rejects(field, value):
@@ -172,6 +174,13 @@ def test_validate_rejects(field, value):
 def test_annulus_radius_order():
     with pytest.raises(ConfigurationError):
         Annulus(0.0, 0.0, 0.5, 0.4, 2.0)
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.25])
+def test_disk_radius_positive(radius):
+    # a negative radius would paint |radius| while extent subtracts it
+    with pytest.raises(ConfigurationError):
+        Disk(0.7, 0.0, radius, 4.0)
 
 
 def test_unit_round_trip():
