@@ -1,31 +1,34 @@
 /* One step of the renormalized two-sided Lanczos recursion of krylov.py,
    as two passes over the unknowns, each with its reductions.
 
-   lanczos_phase_a(nt, simd, wx, wy, r, scale, cxm, cxp, cym, cyp, inv_c,
-                   m_diag, w, aw, dots):
-       w = r * scale and aw = A w, and for each grid row ix the partial
-       sums dots[ix] of w_j (m_j w_j) and dots[wx + ix] of w_j (m_j aw_j)
-       (m = M's diagonal), whose totals are w^T M w and w^T M A w.  A is
-       the five-point operator of operator.py on a wx x wy grid (unknown
-       ix * wy + iy): row (ix, iy) couples (ix -+ 1, iy) by cxm[ix],
+   Vectors are planar: n real parts, then n imaginary parts (unknown
+   ix * wy + iy of a wx x wy grid, n = wx wy), and so are the stencil
+   factors.  The recursion keeps r_i = zeta_i w_i; each pass forms
+   w_i = r_i s_i (s_i = 1 / zeta_i, one real product per component)
+   where it reads it, so w is never stored.
+
+   lanczos_phase_a(nt, s, simd, wx, wy, r, cxm, cxp, cym, cyp, inv_c,
+                   m_diag, aw, dots):
+       aw = A w with w = r s, and for each grid row ix the partial sums
+       dots[ix] of w_j (m_j w_j) and dots[wx + ix] of w_j (m_j aw_j)
+       (m = M's diagonal; dots is complex, interleaved), whose totals
+       are w^T M w and w^T M A w.  A is the five-point operator of
+       operator.py: row (ix, iy) couples (ix -+ 1, iy) by cxm[ix],
        cxp[ix] and (ix, iy -+ 1) by cym[iy], cyp[iy], each times
        inv_c[ix * wy + iy], with centre (-(cxm + cxp)[ix] - (cym +
-       cyp)[iy]) * inv_c; neighbours past the grid's edge drop out.  The
-       scaled w of each neighbour is computed where it is used, so r is
-       only read.
-   lanczos_phase_b(nt, simd, wx, wy, aw, w, coef, w_prev, has_prev, r,
+       cyp)[iy]) * inv_c; neighbours past the grid's edge drop out.
+   lanczos_phase_b(nt, has_prev, simd, wx, wy, aw, r, r_prev, coef,
                    norms):
-       r = aw - alpha w, then r - c w_prev when has_prev, with coef the
-       pairs (alpha, c), and for each grid row ix the partial sum
-       norms[ix] of |r_j|^2; r may be w_prev, or aw.
+       with coef = (alpha_re, alpha_im, c_re, c_im, s, s_prev), writes
+       aw - alpha (r s) - c (r_prev s_prev) over r_prev, the last term
+       only when has_prev, and for each grid row ix the partial sum
+       norms[ix] of its |.|^2; r_prev may be r, and then aw too.
    lanczos_simd(): 1 when this CPU runs the AVX2/FMA path.
 
-   Complex vectors, and the stencil factors, are interleaved doubles
-   (re, im).  Both passes split the grid rows into nt contiguous blocks,
-   one OpenMP thread each.  M w and M A w are never stored: a step reads
-   and writes 136 bytes per unknown (31 MB at n = 229 441), against 248
-   when the dots and the norm were whole-vector BLAS passes in between,
-   and no reduction of the step depends on the BLAS or its threads.
+   Both passes split the grid rows into nt contiguous blocks (a static
+   schedule), one OpenMP thread each.  Neither w, M w nor M A w is
+   stored: a step moves 120 bytes per unknown (27.5 MB at n = 229 441),
+   and no reduction depends on the BLAS.
 
    Every element, and every row partial, is computed by one fixed rule,
    so the results are bitwise the same for any nt and on either path:
@@ -49,7 +52,15 @@
 #include <immintrin.h>
 #endif
 
-/* p = a * b in the fused form; the operands are (re, im) pairs */
+/* phase A's grid and operator; a planar x has its re row at x, its im
+   row at x + n (x + wx, x + wy for the stencil factors) */
+struct step {
+    int wx, wy;
+    long n;
+    const double *cxm, *cxp, *cym, *cyp, *inv_c, *m_diag;
+};
+
+/* p = a * b in the fused form */
 static inline void cmul(double ar, double ai, double br, double bi,
                         double *pr, double *pi)
 {
@@ -57,26 +68,26 @@ static inline void cmul(double ar, double ai, double br, double bi,
     *pi = fma(ar, bi, ai * br);
 }
 
-/* s += (f * ic) * (x * scale): one stencil term, f a stencil factor and
-   f * ic the coefficient (f_re ic, f_im ic) */
-static inline void term(const double *f, double ic, const double *x,
-                        double scale, double *s)
+/* s += (f * ic) * (x * scale): one stencil term, (fr, fi) a stencil
+   factor and (fr ic, fi ic) the coefficient; x points at a real part */
+static inline void term(double fr, double fi, double ic, const double *x,
+                        long n, double scale, double *s)
 {
     double tr, ti;
-    cmul(f[0] * ic, f[1] * ic, x[0] * scale, x[1] * scale, &tr, &ti);
+    cmul(fr * ic, fi * ic, x[0] * scale, x[n] * scale, &tr, &ti);
     s[0] += tr;
     s[1] += ti;
 }
 
 /* s += a (m b), the term of a row partial of a^T M b */
-static inline void dot_term(const double *m, double ar, double ai,
-                            double br, double bi, double *sr, double *si)
+static inline void dot_term(double mr, double mi, double ar, double ai,
+                            double br, double bi, double *s)
 {
     double pr, pi, tr, ti;
-    cmul(m[0], m[1], br, bi, &pr, &pi);
+    cmul(mr, mi, br, bi, &pr, &pi);
     cmul(ar, ai, pr, pi, &tr, &ti);
-    *sr += tr;
-    *si += ti;
+    s[0] += tr;
+    s[1] += ti;
 }
 
 /* GCC inlines fma() only where the target has FMA; elsewhere it is a
@@ -92,171 +103,180 @@ static inline void dot_term(const double *m, double ar, double ai,
 /* unknowns [lo, hi) of grid row ix; acc holds the row's partials of
    w^T M w (acc[0..1]) and w^T M aw (acc[2..3]) so far */
 FMA_CLONES
-static void phase_a_scalar(long lo, long hi, int ix, int wx, int wy,
-                           const double *r, double scale, const double *cxm,
-                           const double *cxp, const double *cym,
-                           const double *cyp, const double *inv_c,
-                           const double *m_diag, double *w, double *aw,
-                           double *acc)
+static void phase_a_scalar(const struct step *g, long lo, long hi, int ix,
+                           const double *r, double scale, double *aw,
+                           double *restrict acc)
 {
-    long row = (long)ix * wy;
-    const double *fx = cxm + 2 * ix, *gx = cxp + 2 * ix;
-    double sx[2] = {-(fx[0] + gx[0]), -(fx[1] + gx[1])};
-    double dr = acc[0], di = acc[1], ar = acc[2], ai = acc[3];
+    int wx = g->wx, wy = g->wy;
+    long n = g->n, row = (long)ix * wy;
+    double fxr = g->cxm[ix], fxi = g->cxm[wx + ix];
+    double gxr = g->cxp[ix], gxi = g->cxp[wx + ix];
+    double sxr = -(fxr + gxr), sxi = -(fxi + gxi);
     for (long j = lo; j < hi; j++) {
         int iy = (int)(j - row);
-        const double *x = r + 2 * j, *fy = cym + 2 * iy;
-        const double *gy = cyp + 2 * iy, *m = m_diag + 2 * j;
-        double ic = inv_c[j], s[2] = {0.0, 0.0};
-        double cen[2] = {sx[0] - (fy[0] + gy[0]), sx[1] - (fy[1] + gy[1])};
+        const double *x = r + j;
+        double fyr = g->cym[iy], fyi = g->cym[wy + iy];
+        double gyr = g->cyp[iy], gyi = g->cyp[wy + iy];
+        double ic = g->inv_c[j], s[2] = {0.0, 0.0};
         if (ix > 0)
-            term(fx, ic, x - 2 * wy, scale, s);
+            term(fxr, fxi, ic, x - wy, n, scale, s);
         if (iy > 0)
-            term(fy, ic, x - 2, scale, s);
-        term(cen, ic, x, scale, s);
+            term(fyr, fyi, ic, x - 1, n, scale, s);
+        term(sxr - (fyr + gyr), sxi - (fyi + gyi), ic, x, n, scale, s);
         if (iy < wy - 1)
-            term(gy, ic, x + 2, scale, s);
+            term(gyr, gyi, ic, x + 1, n, scale, s);
         if (ix < wx - 1)
-            term(gx, ic, x + 2 * wy, scale, s);
-        double wr = x[0] * scale, wi = x[1] * scale;
-        w[2 * j] = wr;
-        w[2 * j + 1] = wi;
-        aw[2 * j] = s[0];
-        aw[2 * j + 1] = s[1];
-        dot_term(m, wr, wi, wr, wi, &dr, &di);
-        dot_term(m, wr, wi, s[0], s[1], &ar, &ai);
+            term(gxr, gxi, ic, x + wy, n, scale, s);
+        double wr = x[0] * scale, wi = x[n] * scale;
+        double mr = g->m_diag[j], mi = g->m_diag[n + j];
+        aw[j] = s[0];
+        aw[n + j] = s[1];
+        dot_term(mr, mi, wr, wi, wr, wi, acc);
+        dot_term(mr, mi, wr, wi, s[0], s[1], acc + 2);
     }
-    acc[0] = dr;
-    acc[1] = di;
-    acc[2] = ar;
-    acc[3] = ai;
 }
 
-/* unknowns [lo, hi) of one grid row; returns acc, the row's partial
-   of ||r||^2 so far, with their terms added */
+/* unknowns [lo, hi); out = aw - alpha (r s) - c (r_prev s_prev), the last
+   term when has_prev, with coef as lanczos_phase_b's; returns acc, the
+   row's partial of ||out||^2 so far, with their terms added */
 FMA_CLONES
-static double phase_b_scalar(long lo, long hi, const double *aw,
-                             const double *w, const double *alpha,
-                             const double *w_prev, const double *c,
-                             int has_prev, double *r, double acc)
+static double phase_b_scalar(long lo, long hi, long n, const double *aw,
+                             const double *r, const double *restrict coef,
+                             int has_prev, double *r_prev, double acc)
 {
     for (long j = lo; j < hi; j++) {
-        double tr, ti, rr, ri;
-        cmul(alpha[0], alpha[1], w[2 * j], w[2 * j + 1], &tr, &ti);
-        rr = aw[2 * j] - tr;
-        ri = aw[2 * j + 1] - ti;
+        double tr, ti, rr, ri, s = coef[4], sp = coef[5];
+        cmul(coef[0], coef[1], r[j] * s, r[n + j] * s, &tr, &ti);
+        rr = aw[j] - tr;
+        ri = aw[n + j] - ti;
         if (has_prev) {
-            cmul(c[0], c[1], w_prev[2 * j], w_prev[2 * j + 1], &tr, &ti);
+            cmul(coef[2], coef[3], r_prev[j] * sp, r_prev[n + j] * sp, &tr,
+                 &ti);
             rr -= tr;
             ri -= ti;
         }
-        r[2 * j] = rr;
-        r[2 * j + 1] = ri;
+        r_prev[j] = rr;
+        r_prev[n + j] = ri;
         acc += rr * rr + ri * ri;
     }
     return acc;
 }
 
 #ifdef HAVE_AVX2
-/* two complex values per vector, (re0, im0, re1, im1) */
+/* four unknowns per vector: their real parts in one, imaginary in another */
 #define AVX2 __attribute__((target("avx2,fma")))
+#define LOAD(p) _mm256_loadu_pd(p)
 
-/* a * b in the fused form */
-AVX2 static inline __m256d vmul(__m256d a, __m256d b)
+/* (pr, pi) = a * b in the fused form */
+AVX2 static inline void vmul(__m256d ar, __m256d ai, __m256d br,
+                             __m256d bi, __m256d *pr, __m256d *pi)
 {
-    __m256d t = _mm256_mul_pd(_mm256_permute_pd(a, 0xF),
-                              _mm256_permute_pd(b, 0x5));
-    return _mm256_fmaddsub_pd(_mm256_movedup_pd(a), b, t);
+    *pr = _mm256_fmsub_pd(ar, br, _mm256_mul_pd(ai, bi));
+    *pi = _mm256_fmadd_pd(ar, bi, _mm256_mul_pd(ai, br));
 }
 
-/* s + (f * ic) * (x * scale), as term(); ic holds (ic0, ic0, ic1, ic1) */
-AVX2 static inline __m256d vterm(__m256d s, __m256d f, __m256d ic,
-                                 const double *x, __m256d scale)
+/* s += (f * ic) * (x * scale), as term() */
+AVX2 static inline void vterm(__m256d fr, __m256d fi, __m256d ic,
+                              const double *x, long n, __m256d scale,
+                              __m256d *sr, __m256d *si)
 {
-    __m256d xs = _mm256_mul_pd(_mm256_loadu_pd(x), scale);
-    return _mm256_add_pd(s, vmul(_mm256_mul_pd(f, ic), xs));
+    __m256d tr, ti;
+    vmul(_mm256_mul_pd(fr, ic), _mm256_mul_pd(fi, ic),
+         _mm256_mul_pd(LOAD(x), scale), _mm256_mul_pd(LOAD(x + n), scale),
+         &tr, &ti);
+    *sr = _mm256_add_pd(*sr, tr);
+    *si = _mm256_add_pd(*si, ti);
 }
 
-/* acc + t0 + t1, the two complex values of t in element order */
-AVX2 static inline __m128d vsum(__m128d acc, __m256d t)
+/* grid row ix: runs of four unknowns with all four neighbours, the rest
+   as scalars; acc as phase_a_scalar's */
+AVX2 static void phase_a_simd(const struct step *g, int ix, const double *r,
+                              double scale, double *aw, double *acc)
 {
-    acc = _mm_add_pd(acc, _mm256_castpd256_pd128(t));
-    return _mm_add_pd(acc, _mm256_extractf128_pd(t, 1));
-}
-
-/* grid row ix: pairs of unknowns with all four neighbours, the rest as
-   scalars; acc as phase_a_scalar's */
-AVX2 static void phase_a_simd(int ix, int wx, int wy, const double *r,
-                              double scale, const double *cxm,
-                              const double *cxp, const double *cym,
-                              const double *cyp, const double *inv_c,
-                              const double *m_diag, double *w, double *aw,
-                              double *acc)
-{
-    const __m256d sign = _mm256_set1_pd(-0.0), vs = _mm256_set1_pd(scale);
-    long row = (long)ix * wy, a = row, b = row;  /* [a, b): the vectors */
+    int wx = g->wx, wy = g->wy;
+    long n = g->n, row = (long)ix * wy, a = row, b = row;  /* [a, b) */
     if (ix > 0 && ix < wx - 1 && wy > 2) {
         a = row + 1;
-        b = a + (wy - 2) / 2 * 2;
+        b = a + (wy - 2) / 4 * 4;
     }
-    phase_a_scalar(row, a, ix, wx, wy, r, scale, cxm, cxp, cym, cyp, inv_c,
-                   m_diag, w, aw, acc);
-    __m256d fx = _mm256_broadcast_pd((const __m128d *)(cxm + 2 * ix));
-    __m256d gx = _mm256_broadcast_pd((const __m128d *)(cxp + 2 * ix));
-    __m256d nsx = _mm256_xor_pd(_mm256_add_pd(fx, gx), sign);
-    __m128d dw = _mm_loadu_pd(acc), da = _mm_loadu_pd(acc + 2);
-    for (long k = a; k < b; k += 2) {
-        const double *x = r + 2 * k;
+    phase_a_scalar(g, row, a, ix, r, scale, aw, acc);
+    const double *fx = g->cxm + ix, *gx = g->cxp + ix;
+    __m256d vs = _mm256_set1_pd(scale);
+    __m256d fxr = _mm256_set1_pd(fx[0]), fxi = _mm256_set1_pd(fx[wx]);
+    __m256d gxr = _mm256_set1_pd(gx[0]), gxi = _mm256_set1_pd(gx[wx]);
+    __m256d sxr = _mm256_set1_pd(-(fx[0] + gx[0]));
+    __m256d sxi = _mm256_set1_pd(-(fx[wx] + gx[wx]));
+    /* (w^T M w re, im, w^T M aw re, im), one unknown's terms at a time */
+    __m256d sum = _mm256_loadu_pd(acc);
+    for (long k = a; k < b; k += 4) {
+        const double *x = r + k;
         long iy = k - row;
-        __m256d fy = _mm256_loadu_pd(cym + 2 * iy);
-        __m256d gy = _mm256_loadu_pd(cyp + 2 * iy);
-        __m256d cen = _mm256_sub_pd(nsx, _mm256_add_pd(fy, gy));
-        __m256d ic = _mm256_set_pd(inv_c[k + 1], inv_c[k + 1], inv_c[k],
-                                   inv_c[k]);
-        __m256d s = _mm256_setzero_pd();
-        s = vterm(s, fx, ic, x - 2 * wy, vs);
-        s = vterm(s, fy, ic, x - 2, vs);
-        s = vterm(s, cen, ic, x, vs);
-        s = vterm(s, gy, ic, x + 2, vs);
-        s = vterm(s, gx, ic, x + 2 * wy, vs);
-        __m256d wv = _mm256_mul_pd(_mm256_loadu_pd(x), vs);
-        __m256d m = _mm256_loadu_pd(m_diag + 2 * k);
-        _mm256_storeu_pd(w + 2 * k, wv);
-        _mm256_storeu_pd(aw + 2 * k, s);
-        dw = vsum(dw, vmul(wv, vmul(m, wv)));
-        da = vsum(da, vmul(wv, vmul(m, s)));
+        __m256d fyr = LOAD(g->cym + iy), fyi = LOAD(g->cym + wy + iy);
+        __m256d gyr = LOAD(g->cyp + iy), gyi = LOAD(g->cyp + wy + iy);
+        __m256d ic = LOAD(g->inv_c + k);
+        __m256d sr = _mm256_setzero_pd(), si = _mm256_setzero_pd();
+        vterm(fxr, fxi, ic, x - wy, n, vs, &sr, &si);
+        vterm(fyr, fyi, ic, x - 1, n, vs, &sr, &si);
+        vterm(_mm256_sub_pd(sxr, _mm256_add_pd(fyr, gyr)),
+              _mm256_sub_pd(sxi, _mm256_add_pd(fyi, gyi)), ic, x, n, vs,
+              &sr, &si);
+        vterm(gyr, gyi, ic, x + 1, n, vs, &sr, &si);
+        vterm(gxr, gxi, ic, x + wy, n, vs, &sr, &si);
+        _mm256_storeu_pd(aw + k, sr);
+        _mm256_storeu_pd(aw + n + k, si);
+        __m256d wr = _mm256_mul_pd(LOAD(x), vs);
+        __m256d wi = _mm256_mul_pd(LOAD(x + n), vs);
+        __m256d mr = LOAD(g->m_diag + k), mi = LOAD(g->m_diag + n + k);
+        __m256d pr, pi, dr, di, er, ei;
+        vmul(mr, mi, wr, wi, &pr, &pi);
+        vmul(wr, wi, pr, pi, &dr, &di);
+        vmul(mr, mi, sr, si, &pr, &pi);
+        vmul(wr, wi, pr, pi, &er, &ei);
+        /* transpose (dr, di, er, ei) to one vector per unknown */
+        __m256d t0 = _mm256_unpacklo_pd(dr, di);
+        __m256d t1 = _mm256_unpackhi_pd(dr, di);
+        __m256d t2 = _mm256_unpacklo_pd(er, ei);
+        __m256d t3 = _mm256_unpackhi_pd(er, ei);
+        sum = _mm256_add_pd(sum, _mm256_permute2f128_pd(t0, t2, 0x20));
+        sum = _mm256_add_pd(sum, _mm256_permute2f128_pd(t1, t3, 0x20));
+        sum = _mm256_add_pd(sum, _mm256_permute2f128_pd(t0, t2, 0x31));
+        sum = _mm256_add_pd(sum, _mm256_permute2f128_pd(t1, t3, 0x31));
     }
-    _mm_storeu_pd(acc, dw);
-    _mm_storeu_pd(acc + 2, da);
-    phase_a_scalar(b, row + wy, ix, wx, wy, r, scale, cxm, cxp, cym, cyp,
-                   inv_c, m_diag, w, aw, acc);
+    _mm256_storeu_pd(acc, sum);
+    phase_a_scalar(g, b, row + wy, ix, r, scale, aw, acc);
 }
 
-/* grid row ix, two unknowns per vector; returns the row's partial of
-   ||r||^2 */
-AVX2 static double phase_b_simd(int ix, int wy, const double *aw,
-                                const double *w, const double *alpha,
-                                const double *w_prev, const double *c,
-                                int has_prev, double *r)
+/* grid row ix, four unknowns per vector and the rest as scalars;
+   returns the row's partial of ||out||^2 */
+AVX2 static double phase_b_simd(int ix, int wy, long n, const double *aw,
+                                const double *r, const double *coef,
+                                int has_prev, double *r_prev)
 {
-    __m256d va = _mm256_broadcast_pd((const __m128d *)alpha);
-    __m256d vc = _mm256_broadcast_pd((const __m128d *)c);
+    __m256d ar = _mm256_set1_pd(coef[0]), ai = _mm256_set1_pd(coef[1]);
+    __m256d cr = _mm256_set1_pd(coef[2]), ci = _mm256_set1_pd(coef[3]);
+    __m256d s = _mm256_set1_pd(coef[4]), sp = _mm256_set1_pd(coef[5]);
     long j = (long)ix * wy, end = j + wy;
-    __m128d acc = _mm_setzero_pd();
-    for (; j + 2 <= end; j += 2) {
-        __m256d v = _mm256_sub_pd(_mm256_loadu_pd(aw + 2 * j),
-                                  vmul(va, _mm256_loadu_pd(w + 2 * j)));
-        if (has_prev)
-            v = _mm256_sub_pd(v, vmul(vc, _mm256_loadu_pd(w_prev + 2 * j)));
-        _mm256_storeu_pd(r + 2 * j, v);
-        /* (|r_j|^2, ., |r_j+1|^2, .) */
-        __m256d sq = _mm256_mul_pd(v, v);
-        sq = _mm256_hadd_pd(sq, sq);
-        acc = _mm_add_sd(acc, _mm256_castpd256_pd128(sq));
-        acc = _mm_add_sd(acc, _mm256_extractf128_pd(sq, 1));
+    double acc = 0.0;
+    for (; j + 4 <= end; j += 4) {
+        __m256d tr, ti;
+        vmul(ar, ai, _mm256_mul_pd(LOAD(r + j), s),
+             _mm256_mul_pd(LOAD(r + n + j), s), &tr, &ti);
+        __m256d vr = _mm256_sub_pd(LOAD(aw + j), tr);
+        __m256d vi = _mm256_sub_pd(LOAD(aw + n + j), ti);
+        if (has_prev) {
+            vmul(cr, ci, _mm256_mul_pd(LOAD(r_prev + j), sp),
+                 _mm256_mul_pd(LOAD(r_prev + n + j), sp), &tr, &ti);
+            vr = _mm256_sub_pd(vr, tr);
+            vi = _mm256_sub_pd(vi, ti);
+        }
+        _mm256_storeu_pd(r_prev + j, vr);
+        _mm256_storeu_pd(r_prev + n + j, vi);
+        double sq[4];  /* |.|^2, added lane by lane in element order */
+        _mm256_storeu_pd(sq, _mm256_add_pd(_mm256_mul_pd(vr, vr),
+                                           _mm256_mul_pd(vi, vi)));
+        acc = acc + sq[0] + sq[1] + sq[2] + sq[3];
     }
-    return phase_b_scalar(j, end, aw, w, alpha, w_prev, c, has_prev, r,
-                          _mm_cvtsd_f64(acc));
+    return phase_b_scalar(j, end, n, aw, r, coef, has_prev, r_prev, acc);
 }
 #endif
 
@@ -270,56 +290,49 @@ int lanczos_simd(void)
 #endif
 }
 
-int lanczos_phase_a(int nt, int simd, int wx, int wy, const double *r,
-                    double scale, const double *cxm, const double *cxp,
+int lanczos_phase_a(int nt, double s, int simd, int wx, int wy,
+                    const double *r, const double *cxm, const double *cxp,
                     const double *cym, const double *cyp,
-                    const double *inv_c, const double *m_diag, double *w,
-                    double *aw, double *dots)
+                    const double *inv_c, const double *m_diag, double *aw,
+                    double *dots)
 {
-#pragma omp parallel for num_threads(nt) schedule(static, 1)
-    for (int k = 0; k < nt; k++) {
-        int r0 = (int)((long)wx * k / nt), r1 = (int)((long)wx * (k + 1) / nt);
-        for (int ix = r0; ix < r1; ix++) {
-            long row = (long)ix * wy;
-            double acc[4] = {0.0, 0.0, 0.0, 0.0};
+    const struct step g = {wx, wy, (long)wx * wy, cxm, cxp, cym, cyp,
+                           inv_c, m_diag};
+#pragma omp parallel for num_threads(nt) schedule(static)
+    for (int ix = 0; ix < wx; ix++) {
+        long row = (long)ix * wy;
+        double acc[4] = {0.0, 0.0, 0.0, 0.0};
 #ifdef HAVE_AVX2
-            if (simd)
-                phase_a_simd(ix, wx, wy, r, scale, cxm, cxp, cym, cyp,
-                             inv_c, m_diag, w, aw, acc);
-            else
+        if (simd)
+            phase_a_simd(&g, ix, r, s, aw, acc);
+        else
 #endif
-                phase_a_scalar(row, row + wy, ix, wx, wy, r, scale, cxm,
-                               cxp, cym, cyp, inv_c, m_diag, w, aw, acc);
-            dots[2 * ix] = acc[0];
-            dots[2 * ix + 1] = acc[1];
-            dots[2 * (wx + ix)] = acc[2];
-            dots[2 * (wx + ix) + 1] = acc[3];
-        }
+            phase_a_scalar(&g, row, row + wy, ix, r, s, aw, acc);
+        dots[2 * ix] = acc[0];
+        dots[2 * ix + 1] = acc[1];
+        dots[2 * (wx + ix)] = acc[2];
+        dots[2 * (wx + ix) + 1] = acc[3];
     }
     (void)simd;
     return 0;
 }
 
-int lanczos_phase_b(int nt, int simd, int wx, int wy, const double *aw,
-                    const double *w, const double *coef,
-                    const double *w_prev, int has_prev, double *r,
-                    double *norms)
+int lanczos_phase_b(int nt, int has_prev, int simd, int wx, int wy,
+                    const double *aw, const double *r, double *r_prev,
+                    const double *coef, double *norms)
 {
-    const double *alpha = coef, *c = coef + 2;
-#pragma omp parallel for num_threads(nt) schedule(static, 1)
-    for (int k = 0; k < nt; k++) {
-        int r0 = (int)((long)wx * k / nt), r1 = (int)((long)wx * (k + 1) / nt);
-        for (int ix = r0; ix < r1; ix++) {
-            long row = (long)ix * wy;
+    long n = (long)wx * wy;
+#pragma omp parallel for num_threads(nt) schedule(static)
+    for (int ix = 0; ix < wx; ix++) {
+        long row = (long)ix * wy;
 #ifdef HAVE_AVX2
-            if (simd)
-                norms[ix] = phase_b_simd(ix, wy, aw, w, alpha, w_prev, c,
-                                         has_prev, r);
-            else
+        if (simd)
+            norms[ix] = phase_b_simd(ix, wy, n, aw, r, coef, has_prev,
+                                     r_prev);
+        else
 #endif
-                norms[ix] = phase_b_scalar(row, row + wy, aw, w, alpha,
-                                           w_prev, c, has_prev, r, 0.0);
-        }
+            norms[ix] = phase_b_scalar(row, row + wy, n, aw, r, coef,
+                                       has_prev, r_prev, 0.0);
     }
     (void)simd;
     return 0;

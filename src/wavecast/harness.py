@@ -22,6 +22,7 @@ import dataclasses
 import json
 import resource
 import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -229,6 +230,21 @@ def _reference_job(sc, asm, times, out, cancel):
     return wf, n_steps, time.perf_counter() - t0
 
 
+def _peak_rss_mb():
+    """This process's own peak resident set so far, in MB.  On Linux it
+    is VmHWM: ru_maxrss carries the parent's peak across exec, so a run
+    spawned by a process that held 256 MB read 270 MB."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0  # kB
+    except OSError:
+        pass
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0)
+
+
 def _metadata(sc, asm, decomp, m_requested, m, modes):
     """Run metadata; modes is the eigensolve of the written trace (at m)."""
     return {
@@ -249,9 +265,7 @@ def _metadata(sc, asm, decomp, m_requested, m, modes):
         "eig_route": modes.route,
         "source_coords": asm.src_coords,
         "probe_coords": asm.probe_coords,
-        # the process's own peak so far (ru_maxrss is in KiB on Linux)
-        "peak_rss_mb":
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": _peak_rss_mb(),
     }
 
 

@@ -43,38 +43,42 @@ threads of both compiled stages (the recursion applies it before each
 step), not the BLAS or OpenMP thread settings.
 
 Each recursion step runs on preallocated vectors in two passes of a
-second C kernel (_lanczos.c), each with its own reductions:
+second C kernel (_lanczos.c), each with its own reductions.  The
+recursion keeps the unscaled r_i = zeta_i w_i, and each pass forms
+w_i = r_i s_i, s_i = 1 / zeta_i, where it reads it:
 
-    A: w_i = r_i * (1 / zeta_i), aw = A w_i,
-       delta_i = w^T M w, alpha_i = w^T M aw / delta_i
+    A: aw = A w_i, delta_i = w^T M w, alpha_i = w^T M aw / delta_i
     B: r_{i+1} = aw - alpha_i w_i - (delta_i/delta_{i-1}) zeta_i w_{i-1},
-       zeta_{i+1} = ||r_{i+1}||
+       zeta_{i+1} = ||r_{i+1}||, written over r_{i-1}
 
 Phase A is matrix-free: A w comes from the operator's five-point
-stencil factors, not from an assembled matrix, and the previous step's
-scale is applied to r as each value is read, so w is never a pass of
-its own.  Each pass computes everything that reads the same rows, since
-at paper scale the step is bound by memory traffic: M w and M aw are
-never stored, and a step moves about 31 MB at n = 229 441, against
-57 MB with the dots and the norm as numpy passes and 125 MB for
-separate numpy and CSR passes.  Both passes split the grid rows into
-contiguous blocks (one below 2 * _ROWS_PER_WORKER unknowns), one
-OpenMP thread each, inside one ctypes call that releases the GIL.
-Every element follows one fixed rule (in _lanczos.c): a stencil
-coefficient, factor times inv_c, is two real products, every complex
-product takes the fused form fma(ar, br, -(ai bi)) + i fma(ar, bi,
-ai br), the stencil sum adds its terms in column order, and each
-reduction sums one partial per grid row in element order, which
-bilanczos adds up with np.sum (pairwise, in a fixed order).  ||b||, and
-so zeta_1, comes from the same row rule.  So the run is bitwise
-identical for every block count, even one that changes between steps,
-on the kernel's SIMD and scalar paths, and for any BLAS thread count:
-no reduction of the recursion goes through the BLAS.  (The eigensolve's
-matrix products still do, and may move the last digits of a trace.)
-The SIMD path (AVX2/FMA, two unknowns per vector) is 1.4 - 2.6x faster
-per iteration than the scalar one.  The happy-breakdown test takes
-max |aw| only on the rare steps where zeta_{i+1} is below _HAPPY_TOL of
-its bound zeta_{i+1} + |alpha_i| + |c| on ||aw||.
+stencil factors, not from an assembled matrix.  Each pass computes
+everything that reads the same rows, since at paper scale the step is
+bound by memory traffic: w, M w and M aw are never stored, and a step
+moves about 27.5 MB at n = 229 441 (120 bytes per unknown), against
+31 MB when phase A stored w, 57 MB with the dots and the norm as numpy
+passes and 125 MB for separate numpy and CSR passes.  The vectors are
+planar, a (2, n) array of real parts then imaginary parts, so the SIMD
+path's complex products take no shuffles.  Both passes split the grid
+rows into contiguous blocks (one below 2 * _ROWS_PER_WORKER unknowns),
+one OpenMP thread each, inside one ctypes call that releases the GIL;
+their pointer arguments are computed once per run, for either role of
+the two r buffers.  Every element follows one fixed rule (in
+_lanczos.c): a stencil coefficient, factor times inv_c, is two real
+products, every complex product takes the fused form fma(ar, br,
+-(ai bi)) + i fma(ar, bi, ai br), the stencil sum adds its terms in
+column order, and each reduction sums one partial per grid row in
+element order, which bilanczos adds up with np.sum (pairwise, in a
+fixed order).  ||b||, and so zeta_1, comes from the same row rule.  So
+the run is bitwise identical for every block count, even one that
+changes between steps, on the kernel's SIMD and scalar paths, and for
+any BLAS thread count: no reduction of the recursion goes through the
+BLAS.  (The eigensolve's matrix products still do, and may move the
+last digits of a trace.)  The SIMD path (AVX2/FMA, four unknowns per
+vector) is 1.9 - 2.6x faster per iteration than the scalar one on the
+desk presets and paper ring.  The happy-breakdown test takes max |aw|
+only on the rare steps where zeta_{i+1} is below _HAPPY_TOL of its
+bound zeta_{i+1} + |alpha_i| + |c| on ||aw||.
 
 Both kernels are compiled with gcc on first use (never at import) and
 cached in this package's __pycache__ (see _native); gcc is required,
@@ -172,14 +176,16 @@ class LanczosDecomposition:
 
 
 # Fewest unknowns per worker thread of a recursion step.  Measured on a
-# 2-core x86-64 VM with the reductions inside the passes and the stencil
-# coefficients as real products (median of eleven 400-step runs alone,
-# five above n = 2 500): two blocks against one take 0.87x the time per
-# step at n = 2 500, 0.75x at 7 056, 0.63x at 15 376 and 0.57x at
-# 33 856, and break even between n = 1 024 (1.03x) and 1 296 (0.93x);
-# below 2 000 unknowns (one block by this rule) two save at most ~8 %,
-# within the noise of these runs.  A thread that shares a core with the
-# reference holds up every pass at its barrier (see _thread_count).
+# 2-core x86-64 VM with the planar step (medians of 11 or 21 alternated
+# 400-step runs in one process, one to three processes per size): two
+# blocks against one take 1.06 - 1.09x the time per step at n = 1 024
+# and 1 296, 1.00 - 1.26x at 1 936, 0.92 - 1.08x at 2 209 and 2 500,
+# 0.87 - 0.89x at 3 136, 0.83 - 0.94x at 4 096 to 7 056, 0.66 - 0.83x
+# at 15 376 and 0.70x at 33 856.  They break even between n = 2 000
+# and 3 000, where this rule switches (two blocks from n = 2 000), and
+# differ there by less than these runs' noise.  A thread that shares a
+# core with the reference holds up every pass at its barrier (see
+# _thread_count).
 _ROWS_PER_WORKER = 1_000
 # the bilinear form has collapsed when |delta_i| < _BREAKDOWN_TOL * max |M|
 _BREAKDOWN_TOL = 1e-14
@@ -221,21 +227,40 @@ def _lanczos_kernel():
     ptr = ctypes.c_void_p
     kernel = _native.load("_lanczos.c", {
         "lanczos_simd": (c_int, []),
-        "lanczos_phase_a": (c_int, [c_int, c_int, c_int, c_int, ptr,
-                                    c_double, *[ptr] * 9]),
-        "lanczos_phase_b": (c_int, [c_int, c_int, c_int, c_int, ptr, ptr,
-                                    ptr, ptr, c_int, ptr, ptr]),
+        "lanczos_phase_a": (c_int, [c_int, c_double, c_int, c_int, c_int,
+                                    *[ptr] * 9]),
+        "lanczos_phase_b": (c_int, [c_int, c_int, c_int, c_int, c_int,
+                                    *[ptr] * 5]),
     })
     kernel.simd = kernel.lanczos_simd()
     return kernel
 
 
-def _complex_array(a, shape):
-    a = np.ascontiguousarray(a, dtype=complex)
+def _planar(a, shape):
+    """a as a C-contiguous (2, *shape) float array: its real parts, then
+    its imaginary parts."""
+    a = np.asarray(a, dtype=complex)
     if a.shape != shape:
         raise InvalidParameterError(
             f"operator array of shape {a.shape}, need {shape}")
-    return a
+    return np.stack((a.real, a.imag))
+
+
+def _step_operands(op):
+    """Phase A's operator arrays, as the kernel reads them: the planar
+    stencil factors cxm, cxp, cym, cyp, inv_c and the planar M diagonal."""
+    wx, wy = op.inv_c.shape
+    return [*(_planar(f, (size,)) for f, size in (
+        (op.cxm, wx), (op.cxp, wx), (op.cym, wy), (op.cyp, wy))),
+        np.ascontiguousarray(op.inv_c, dtype=float),
+        _planar(op.m_diag, (op.n,))]
+
+
+def _complex(x):
+    """The complex array of planar x (x[0] real parts, x[1] imaginary)."""
+    z = np.empty(x.shape[1:], dtype=complex)
+    z.real, z.imag = x
+    return z
 
 
 def bilanczos(op, b, m, probe_indices, ref_job=None):
@@ -269,57 +294,58 @@ def bilanczos(op, b, m, probe_indices, ref_job=None):
         raise InvalidParameterError("probe index out of range")
 
     wx, wy = op.inv_c.shape
-    m_diag = _complex_array(op.m_diag, (n,))
-    stencil = [_complex_array(f, (size,)) for f, size in (
-        (op.cxm, wx), (op.cxp, wx), (op.cym, wy), (op.cyp, wy))]
-    stencil.append(np.ascontiguousarray(op.inv_c, dtype=float))
+    m_diag = np.asarray(op.m_diag, dtype=complex)
     m_scale = float(np.abs(m_diag).max())
     kernel = _lanczos_kernel()
     n_blocks = _thread_count(ref_job, n)
-    consts = [a.ctypes.data for a in (*stencil, m_diag)]
 
     alpha = np.empty(m, dtype=complex)
     zeta = np.empty(m, dtype=float)
     delta = np.empty(m, dtype=complex)
-    w_probe = np.empty((m, probes.size), dtype=complex)
+    probe_rows = np.empty((m, 2, probes.size))  # planar w_i[probes]
 
-    # rotating basis buffers: r (w_i before its scale), w_cur (w_i, once
-    # phase A has written it) and w_prev (w_{i-1}, then r_{i+1} in place)
-    r = np.array(b)
-    w_cur = np.empty(n, dtype=complex)
-    w_prev = np.zeros(n, dtype=complex)
-    aw = np.empty(n, dtype=complex)
+    # planar buffers: r (r_i = zeta_i w_i), r_prev (r_{i-1}, then r_{i+1}
+    # in place) and aw; the two r buffers swap roles every step
+    r = _planar(b, (n,))
+    r_prev = np.zeros((2, n))
+    aw = np.empty((2, n))
     dots = np.empty((2, wx), dtype=complex)  # row partials of d_i, a_i d_i
     norms = np.empty(wx)  # row partials of ||r_{i+1}||^2
-    scalars = np.zeros(2, dtype=complex)  # alpha_i, c_prev for phase B
+    # alpha_i and c_prev (re, im), then the scales s_i and s_{i-1}
+    coef = np.zeros(6)
+    # the kernels' arguments after the thread count and the scalar that
+    # follows it, for each role of the two r buffers: step i reads r_i
+    # from buffer (i - 1) % 2
+    consts = _step_operands(op)  # kept alive while the kernel reads them
+    p_r, p_prev, p_aw, p_dots, p_norms, p_coef, *p_consts = (
+        a.ctypes.data for a in (r, r_prev, aw, dots, norms, coef, *consts))
+    fixed = (kernel.simd, wx, wy)
+    args_a = [(*fixed, x, *p_consts, p_aw, p_dots) for x in (p_r, p_prev)]
+    args_b = [(*fixed, p_aw, x, y, p_coef, p_norms)
+              for x, y in ((p_r, p_prev), (p_prev, p_r))]
 
-    def phase_b(aw, w, has_prev, out):
-        # out = aw - alpha_i w - c_prev out, element by element; returns
-        # ||out||
-        kernel.lanczos_phase_b(n_blocks, kernel.simd, wx, wy, aw.ctypes.data,
-                               w.ctypes.data, scalars.ctypes.data,
-                               out.ctypes.data, has_prev, out.ctypes.data,
-                               norms.ctypes.data)
-        return float(np.sqrt(norms.sum()))
-
-    # ||b|| by the same rule: with alpha = 0, phase B leaves r = b
-    norm_b = phase_b(r, r, False, r)
+    # ||b|| by the same rule: with alpha = 0 and s = 1, phase B leaves r = b
+    coef[4] = 1.0
+    kernel.lanczos_phase_b(n_blocks, False, *fixed, p_r, p_r, p_r, p_coef,
+                           p_norms)
+    norm_b = float(np.sqrt(norms.sum()))
     if norm_b == 0.0:
         raise InvalidParameterError("start vector is zero")
-    scale = 1.0 / norm_b  # w_i = r * scale
+    scale, scale_prev = 1.0 / norm_b, 0.0  # w_i = r_i * scale
     zeta_cur = norm_b  # zeta_i, the norm that produced w_i
     delta_prev = 1.0
-    m_w_first = m_diag * (r * scale)  # for the drift samples
 
-    def drift_sample(w):
-        # global two-sided orthogonality drift against the first vector;
-        # purely diagnostic
-        return float(abs((w * m_w_first).sum()) / m_scale)
+    # w_1 = r * scale, component by component as the kernel forms it
+    m_w_first = m_diag * _complex(r * scale)  # for the drift samples
 
-    def scaled_r():
-        # w_{i+1} = r * scale into the free buffer, as phase A writes it
-        np.multiply(r.view(float), scale, out=w_cur.view(float))
-        return w_cur
+    def drift_sample(x, s):
+        # global two-sided orthogonality drift of w = x * s against the
+        # first vector, in one temporary; purely diagnostic
+        w = _complex(x)
+        w.real *= s
+        w.imag *= s
+        w *= m_w_first
+        return float(abs(w.sum()) / m_scale)
 
     drift = 0.0
     stop = "m"
@@ -328,9 +354,8 @@ def bilanczos(op, b, m, probe_indices, ref_job=None):
         i += 1
         if ref_job is not None and ref_job.done():
             ref_job, n_blocks = None, _thread_count(None, n)
-        kernel.lanczos_phase_a(n_blocks, kernel.simd, wx, wy, r.ctypes.data,
-                               scale, *consts, w_cur.ctypes.data,
-                               aw.ctypes.data, dots.ctypes.data)
+        parity = (i - 1) % 2
+        kernel.lanczos_phase_a(n_blocks, scale, *args_a[parity])
         d_i = dots[0].sum()
         if abs(d_i) < _BREAKDOWN_TOL * m_scale:
             if i <= 2:
@@ -340,31 +365,34 @@ def bilanczos(op, b, m, probe_indices, ref_job=None):
                     index=i,
                 )
             stop = "breakdown"
-            drift = max(drift, drift_sample(w_cur))
+            drift = max(drift, drift_sample(r, scale))
             break
         a_i = dots[1].sum() / d_i
-        c_prev = (d_i / delta_prev) * zeta_cur if i > 1 else 0.0
-        scalars[:] = a_i, c_prev
-        # r_{i+1} into w_prev's buffer
-        z_next = phase_b(aw, w_cur, i > 1, w_prev)
-        r, w_prev, w_cur = w_prev, w_cur, r
+        c_prev = (d_i / delta_prev) * zeta_cur if i > 1 else 0j
+        coef[:] = (a_i.real, a_i.imag, c_prev.real, c_prev.imag, scale,
+                   scale_prev)
+        # r_{i+1} into r_prev's buffer
+        kernel.lanczos_phase_b(n_blocks, i > 1, *args_b[parity])
+        z_next = float(np.sqrt(norms.sum()))
         alpha[i - 1] = a_i
         zeta[i - 1] = zeta_cur
         delta[i - 1] = d_i
-        np.take(w_prev, probes, out=w_probe[i - 1])
+        np.multiply(r[:, probes], scale, out=probe_rows[i - 1])
+        r, r_prev = r_prev, r
         delta_prev = d_i
         # happy when z_next < _HAPPY_TOL (max |aw| + |a_i|); since
         # max |aw| <= ||aw|| <= z_next + |a_i| + |c_prev| for unit
         # w's, the max pass runs only when z_next is below _HAPPY_TOL of
         # that
         if (z_next < _HAPPY_TOL * (z_next + abs(a_i) + abs(c_prev))
-                and z_next < _HAPPY_TOL * (np.abs(aw).max() + abs(a_i))):
+                and z_next < _HAPPY_TOL * (np.hypot(*aw).max()
+                                           + abs(a_i))):
             stop = "invariant"  # w_{i+1} = 0 adds no drift
             break
-        scale = 1.0 / z_next
+        scale, scale_prev = 1.0 / z_next, scale
         zeta_cur = z_next
         if i % _DRIFT_EVERY == 0 or i == m:
-            drift = max(drift, drift_sample(scaled_r()))
+            drift = max(drift, drift_sample(r, scale))
 
     m_run = i - 1 if stop == "breakdown" else i
     decomp = LanczosDecomposition(
@@ -372,7 +400,7 @@ def bilanczos(op, b, m, probe_indices, ref_job=None):
         alpha=alpha[:m_run],
         zeta=zeta[:m_run],
         delta=delta[:m_run],
-        w_probe=w_probe[:m_run].T,
+        w_probe=_complex(probe_rows[:m_run].transpose(1, 2, 0)),
         stop=stop,
         drift=drift,
         threads=n_blocks,

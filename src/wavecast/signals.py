@@ -83,10 +83,14 @@ class Waveform:
         v = np.atleast_2d(np.asarray(self.values, dtype=float))
         if t.ndim != 1 or v.shape[1] != t.size:
             raise InvalidParameterError("times/values shape mismatch")
-        if t.size >= 2:
+        # a step between finite times can overflow to inf (-1.7e308 to
+        # 1.7e308), and inf - inf is nan, which no comparison rejects
+        with np.errstate(over="ignore", invalid="ignore"):
             dt = np.diff(t)
-            if dt.min() <= 0.0 or (dt.max() - dt.min()) > 1e-9 * dt.max():
-                raise InvalidParameterError("times must be uniform increasing")
+        if not (np.isfinite(t).all() and np.isfinite(dt).all()) or (
+                dt.size and (dt.min() <= 0.0
+                             or dt.max() - dt.min() > 1e-9 * dt.max())):
+            raise InvalidParameterError("times must be uniform increasing")
         names = self.probe_names or tuple(
             f"probe{i + 1}" for i in range(v.shape[0])
         )

@@ -315,6 +315,46 @@ def test_compare_bad_trace_file(tmp_path, capsys, kind):
     assert "error:" in capsys.readouterr().err
 
 
+def test_compare_overflowed_step_exits_2(tmp_path):
+    # finite times whose step overflows to inf: the step's spread was nan,
+    # which passed the uniformity test, and numpy's overflow warnings
+    # reached stderr before the error line
+    path = tmp_path / "huge.csv"
+    path.write_text("t,p1\n-1.7e308,0\n1.7e308,1\n")
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from wavecast.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "compare", str(path), str(path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        "error: times must be uniform increasing"]
+
+
+# a parent that holds 256 MB, then runs the CLI with argv[1:] as a child
+_RUN_FROM_BIG_PARENT = """
+import resource, subprocess, sys
+held = b"\\x01" * (256 << 20)
+assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss >= 256 << 10
+subprocess.run([sys.executable, "-c", "import sys; from wavecast.cli import "
+                "main; sys.exit(main(sys.argv[1:]))", *sys.argv[1:]],
+               check=True)
+"""
+
+
+def test_peak_rss_is_the_runs_own(mini_cfg, tmp_path):
+    # Linux carries ru_maxrss across exec, so a run spawned by a large
+    # process read its parent's peak; report.json gives the run's own
+    out = tmp_path / "out"
+    subprocess.run(
+        [sys.executable, "-c", _RUN_FROM_BIG_PARENT, "run", str(mini_cfg),
+         "--out", str(out)],
+        capture_output=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    report = json.loads((out / "report.json").read_text())
+    assert 0.0 < report["metadata"]["peak_rss_mb"] < 256.0
+
+
 def test_grid_dump(mini_cfg, tmp_path):
     out = tmp_path / "grid.csv"
     assert main(["grid-dump", str(mini_cfg), "--out", str(out)]) == 0

@@ -285,32 +285,51 @@ def test_happy_breakdown_with_blocks(n_blocks, force_blocks):
 
 
 def _phase_a(op, r, scale, n_blocks, simd):
-    """w, A w and the row partials (2, wx) of w^T M w and w^T M A w from
-    the compiled phase A on r * scale."""
-    kernel = krylov._lanczos_kernel()
+    """A w and the row partials (2, wx) of w^T M w and w^T M A w from the
+    compiled phase A on w = r * scale."""
     wx, wy = op.inv_c.shape
-    w, aw = np.empty((2, op.n), dtype=complex)
+    aw = np.empty((2, op.n))
     dots = np.empty((2, wx), dtype=complex)
-    args = [a.ctypes.data for a in (op.cxm, op.cxp, op.cym, op.cyp,
-                                     op.inv_c, op.m_diag, w, aw, dots)]
-    kernel.lanczos_phase_a(n_blocks, simd, wx, wy, r.ctypes.data, scale,
-                           *args)
-    return w, aw, dots
+    arrays = [krylov._planar(r, (op.n,)), *krylov._step_operands(op), aw,
+              dots]
+    krylov._lanczos_kernel().lanczos_phase_a(
+        n_blocks, scale, simd, wx, wy, *[a.ctypes.data for a in arrays])
+    return krylov._complex(aw), dots
 
 
-def _phase_b(op, aw, w, alpha, c, w_prev, n_blocks, simd):
-    """aw - alpha w - c w_prev (no c w_prev term when w_prev is None) and
-    its row partials of ||.||^2 from the compiled phase B."""
+def _phase_b(op, aw, r, s, alpha, c, r_prev, s_prev, n_blocks, simd):
+    """aw - alpha (r s) - c (r_prev s_prev) (no c term when r_prev is
+    None) and its row partials of ||.||^2 from the compiled phase B."""
     wx, wy = op.inv_c.shape
-    r = np.empty_like(aw)
+    out = krylov._planar(r if r_prev is None else r_prev, (op.n,))
     norms = np.empty(wx)
-    coef = np.array([alpha, c])
-    prev = w if w_prev is None else w_prev
+    coef = np.array([alpha.real, alpha.imag, c.real, c.imag, s, s_prev])
+    arrays = [krylov._planar(aw, (op.n,)), krylov._planar(r, (op.n,)), out,
+              coef, norms]
     krylov._lanczos_kernel().lanczos_phase_b(
-        n_blocks, simd, wx, wy, aw.ctypes.data, w.ctypes.data,
-        coef.ctypes.data, prev.ctypes.data, w_prev is not None,
-        r.ctypes.data, norms.ctypes.data)
-    return r, norms
+        n_blocks, r_prev is not None, simd, wx, wy,
+        *[a.ctypes.data for a in arrays])
+    return krylov._complex(out), norms
+
+
+# interior counts whose grids (k = 2, wy = n_int + 3) leave phase A's SIMD
+# path each tail (wy - 2) mod 4 = 0, 1, 2, 3 in a row; phase B's tail,
+# wy mod 4, then takes every value too
+TAIL_N_INT = (7, 8, 9, 10)
+
+
+def _tail_operators():
+    """(tail, operator) for each SIMD tail length: a complex stencil and a
+    varying inv_c."""
+    steps = to_continued_fraction(
+        zolotarev_approx(SpectralInterval(-25.0, -1.0), 2))
+    for tail, n_int in enumerate(TAIL_N_INT):
+        grid = build_grid2d(n_int, steps)
+        op = assemble_operator(grid, MediumMap.from_function(
+            grid, lambda x, y: 1.0 + x ** 2 + 2.0 * y ** 2))
+        assert (op.inv_c.shape[1] - 2) % 4 == tail
+        assert np.iscomplexobj(op.cxm) and np.ptp(op.inv_c) > 0.0
+        yield tail, op
 
 
 def _rows(x, wy):
@@ -331,110 +350,103 @@ def _abs1(x):
 
 
 def test_products_are_exactly_fused():
-    # on every host and both paths: the update's alpha w and c w_prev are
-    # the exactly rounded fused products, and each row partial is its
-    # terms added from +0.0 in element order, a dot term being the fused
-    # product a_j (m_j b_j).  Against exact sums, with |x|_1 = |Re x| +
-    # |Im x| and gamma_k the bound on k roundings:
+    # on every host, both paths and every SIMD tail length: the update's
+    # alpha w and c w_prev are the exactly rounded fused products of
+    # alpha and c with w = r s and w_prev = r_prev s_prev (numpy's r * s),
+    # and each row partial is its terms added from +0.0 in element order,
+    # a dot term being the fused product a_j (m_j b_j).  Against exact
+    # sums, with |x|_1 = |Re x| + |Im x| and gamma_k the bound on k
+    # roundings:
     # - a fused product errs by at most gamma_2 |x|_1 |y|_1 per
     #   component, so a dot term by at most gamma_5 T_j, T_j = |a_j|_1
     #   |m_j|_1 |b_j|_1, and its row partial, after wy - 1 additions, by
     #   at most gamma_(wy + 5) sum_j T_j;
     # - a norm term rr rr + ri ri takes 3 roundings, so a norm partial
     #   errs by at most gamma_(wy + 2) sum_j |r_j|^2.
-    steps = to_continued_fraction(
-        zolotarev_approx(SpectralInterval(-25.0, -1.0), 2))
-    grid = build_grid2d(8, steps)
-    op = assemble_operator(grid, MediumMap.from_function(
-        grid, lambda x, y: 1.0 + x ** 2 + 2.0 * y ** 2))
-    wy = op.inv_c.shape[1]
     rng = np.random.default_rng(11)
-    r, w_prev = rng.uniform(-1.0, 1.0, (2, 2 * op.n)).view(complex)
-    alpha, c = rng.uniform(-1.0, 1.0, 4).view(complex)
-    assert np.iscomplexobj(op.cxm) and np.ptp(op.inv_c) > 0.0
-    assert wy % 2 == 1  # the SIMD path has a scalar tail in every row
-    dot_bound, norm_bound = _gamma(wy + 5), _gamma(wy + 2)
-
-    def check_dot(got, a, m, b):
-        s = 0j
-        exact_re = exact_im = size = Fraction(0)
-        for aj, mj, bj in zip(a, m, b):
-            s += _exact_fused(aj, _exact_fused(mj, bj))
-            re, im = _exact_mul(_exact(aj), _exact_mul(_exact(mj),
-                                                       _exact(bj)))
-            exact_re += re
-            exact_im += im
-            size += _abs1(aj) * _abs1(mj) * _abs1(bj)
-        assert got == s
-        assert abs(Fraction(got.real) - exact_re) <= dot_bound * size
-        assert abs(Fraction(got.imag) - exact_im) <= dot_bound * size
-
-    def check_norm(got, row):
-        s = 0.0
-        exact = Fraction(0)
-        for x in row:
-            s += x.real * x.real + x.imag * x.imag
-            exact += Fraction(x.real) ** 2 + Fraction(x.imag) ** 2
-        assert got == s
-        assert abs(Fraction(got) - exact) <= norm_bound * exact
-
     kernel = krylov._lanczos_kernel()
-    for simd in sorted({0, kernel.simd}):
-        for n_blocks in (1, 3):
-            w, aw, dots = _phase_a(op, r, 0.37, n_blocks, simd)
-            assert np.array_equal(w, r * 0.37)
-            rows = zip(*(_rows(x, wy) for x in (op.m_diag, w, aw)))
-            for ix, (m, w_row, aw_row) in enumerate(rows):
-                check_dot(dots[0, ix], w_row, m, w_row)
-                check_dot(dots[1, ix], w_row, m, aw_row)
-            for prev in (None, w_prev):
-                got, norms = _phase_b(op, aw, w, alpha, c, prev, n_blocks,
-                                      simd)
-                want = aw - [_exact_fused(alpha, x) for x in w]
-                if prev is not None:
-                    want -= [_exact_fused(c, x) for x in prev]
-                assert np.array_equal(got, want)
-                for ix, row in enumerate(_rows(got, wy)):
-                    check_norm(norms[ix], row)
+    for tail, op in _tail_operators():
+        wy = op.inv_c.shape[1]
+        r, r_prev = rng.uniform(-1.0, 1.0, (2, 2 * op.n)).view(complex)
+        alpha, c = rng.uniform(-1.0, 1.0, 4).view(complex)
+        w, w_prev = r * 0.37, r_prev * 0.61
+        dot_bound, norm_bound = _gamma(wy + 5), _gamma(wy + 2)
+
+        def check_dot(got, a, m, b):
+            s = 0j
+            exact_re = exact_im = size = Fraction(0)
+            for aj, mj, bj in zip(a, m, b):
+                s += _exact_fused(aj, _exact_fused(mj, bj))
+                re, im = _exact_mul(_exact(aj), _exact_mul(_exact(mj),
+                                                           _exact(bj)))
+                exact_re += re
+                exact_im += im
+                size += _abs1(aj) * _abs1(mj) * _abs1(bj)
+            assert got == s, tail
+            assert abs(Fraction(got.real) - exact_re) <= dot_bound * size
+            assert abs(Fraction(got.imag) - exact_im) <= dot_bound * size
+
+        def check_norm(got, row):
+            s = 0.0
+            exact = Fraction(0)
+            for x in row:
+                s += x.real * x.real + x.imag * x.imag
+                exact += Fraction(x.real) ** 2 + Fraction(x.imag) ** 2
+            assert got == s, tail
+            assert abs(Fraction(got) - exact) <= norm_bound * exact
+
+        for simd in sorted({0, kernel.simd}):
+            for n_blocks in (1, 3):
+                aw, dots = _phase_a(op, r, 0.37, n_blocks, simd)
+                rows = zip(*(_rows(x, wy) for x in (op.m_diag, w, aw)))
+                for ix, (m, w_row, aw_row) in enumerate(rows):
+                    check_dot(dots[0, ix], w_row, m, w_row)
+                    check_dot(dots[1, ix], w_row, m, aw_row)
+                for prev in (None, r_prev):
+                    got, norms = _phase_b(op, aw, r, 0.37, alpha, c, prev,
+                                          0.61, n_blocks, simd)
+                    want = aw - [_exact_fused(alpha, x) for x in w]
+                    if prev is not None:
+                        want -= [_exact_fused(c, x) for x in w_prev]
+                    assert np.array_equal(got, want), (tail, simd)
+                    for ix, row in enumerate(_rows(got, wy)):
+                        check_norm(norms[ix], row)
 
 
 def test_stencil_product_follows_its_rule():
-    # on every host and both paths, A w is element by element its
-    # documented rule: each term is the fused product of the coefficient
-    # (f_re inv_c, f_im inv_c) with w_k = r_k * scale, the centre factor
-    # is -(cxm + cxp) - (cym + cyp), and the terms are added from +0.0 in
-    # column order (west, south, centre, north, east), those past the
-    # grid's edge left out
-    steps = to_continued_fraction(
-        zolotarev_approx(SpectralInterval(-25.0, -1.0), 2))
-    grid = build_grid2d(8, steps)
-    op = assemble_operator(grid, MediumMap.from_function(
-        grid, lambda x, y: 1.0 + x ** 2 + 2.0 * y ** 2))
-    wx, wy = op.inv_c.shape
-    assert wy % 2 == 1  # the SIMD path has a scalar tail in every row
-    r = np.random.default_rng(13).uniform(-1.0, 1.0, 2 * op.n).view(complex)
+    # on every host, both paths and every SIMD tail length, A w is
+    # element by element its documented rule: each term is the fused
+    # product of the coefficient (f_re inv_c, f_im inv_c) with w_k = r_k *
+    # scale, the centre factor is -(cxm + cxp) - (cym + cyp), and the
+    # terms are added from +0.0 in column order (west, south, centre,
+    # north, east), those past the grid's edge left out
+    rng = np.random.default_rng(13)
     scale = 0.37
-    want = np.empty(op.n, dtype=complex)
-    for ix in range(wx):
-        fx, gx = op.cxm[ix], op.cxp[ix]
-        for iy in range(wy):
-            fy, gy = op.cym[iy], op.cyp[iy]
-            sx = complex(-(fx.real + gx.real), -(fx.imag + gx.imag))
-            centre = complex(sx.real - (fy.real + gy.real),
-                             sx.imag - (fy.imag + gy.imag))
-            j, ic = ix * wy + iy, op.inv_c[ix, iy]
-            s = 0j
-            for f, k, edge in ((fx, j - wy, ix > 0), (fy, j - 1, iy > 0),
-                               (centre, j, True), (gy, j + 1, iy < wy - 1),
-                               (gx, j + wy, ix < wx - 1)):
-                if edge:
-                    s += _exact_fused(complex(f.real * ic, f.imag * ic),
-                                      r[k] * scale)
-            want[j] = s
-    for simd in sorted({0, krylov._lanczos_kernel().simd}):
-        for n_blocks in (1, 3):
-            _, aw, _ = _phase_a(op, r, scale, n_blocks, simd)
-            assert np.array_equal(aw, want), (simd, n_blocks)
+    for tail, op in _tail_operators():
+        wx, wy = op.inv_c.shape
+        r = rng.uniform(-1.0, 1.0, 2 * op.n).view(complex)
+        want = np.empty(op.n, dtype=complex)
+        for ix in range(wx):
+            fx, gx = op.cxm[ix], op.cxp[ix]
+            for iy in range(wy):
+                fy, gy = op.cym[iy], op.cyp[iy]
+                sx = complex(-(fx.real + gx.real), -(fx.imag + gx.imag))
+                centre = complex(sx.real - (fy.real + gy.real),
+                                 sx.imag - (fy.imag + gy.imag))
+                j, ic = ix * wy + iy, op.inv_c[ix, iy]
+                s = 0j
+                for f, k, edge in ((fx, j - wy, ix > 0), (fy, j - 1, iy > 0),
+                                   (centre, j, True),
+                                   (gy, j + 1, iy < wy - 1),
+                                   (gx, j + wy, ix < wx - 1)):
+                    if edge:
+                        s += _exact_fused(complex(f.real * ic, f.imag * ic),
+                                          r[k] * scale)
+                want[j] = s
+        for simd in sorted({0, krylov._lanczos_kernel().simd}):
+            for n_blocks in (1, 3):
+                aw, _ = _phase_a(op, r, scale, n_blocks, simd)
+                assert np.array_equal(aw, want), (tail, simd, n_blocks)
 
 
 @pytest.mark.parametrize("name", ["homogeneous-desk", "ring-desk",
@@ -460,8 +472,7 @@ def test_stencil_product_is_bitwise_csr(name):
     first = None
     for simd in sorted({0, krylov._lanczos_kernel().simd}):
         for n_blocks in (1, 3):
-            got_w, aw, _ = _phase_a(op, r, 0.37, n_blocks, simd)
-            assert np.array_equal(got_w, w)
+            aw, _ = _phase_a(op, r, 0.37, n_blocks, simd)
             first = aw if first is None else first
             assert np.array_equal(aw, first)
     assert (np.abs(first.real - want.real) <= bound.real).all()
