@@ -5,9 +5,9 @@
    diagonal, off (n - 1) the off-diagonal, theta (n) receives the
    eigenvalues and work (n) is workspace.  H should have max |H| near 1
    (the caller scales it by a power of two), since the QL squares the
-   off-diagonal.  Returns 0, or 1 when the QL iteration exceeds MAX_ITER
-   sweeps for one eigenvalue or leaves a value that is not finite, or the
-   polish has not settled after MAX_SWEEPS.
+   off-diagonal.  Returns 0, or 1 when the values did not converge: the QL
+   exceeds MAX_ITER sweeps for a value or leaves one not finite, or the
+   polish is unsettled after MAX_SWEEPS (the caller's NearDefectiveError).
 
    The values come from an implicit QL with Wilkinson shifts and
    complex-orthogonal rotations (c^2 + s^2 = 1, not unitary), the
@@ -15,14 +15,17 @@
    17, 1996), run root-free: the Pal-Walker-Kahan QL (LAPACK's xSTERF;
    Parlett, The Symmetric Eigenvalue Problem, 8.15) works on the squared
    off-diagonal, with two square roots per iteration (the shift) and none
-   per rotation.  Complex-orthogonal rotations are not backward stable,
-   and the values are good to only 1e-11 to 1e-10 of max |H| (the desk
-   presets, and paper ring up to m = 4000, as with a square root per
-   rotation), so Jacobi-style
-   Ehrlich-Aberth sweeps (Bini, Gemignani & Tisseur, SIAM J. Matrix
-   Anal. Appl. 27, 2005) polish them to rounding level: the first moves
-   every value, later ones (typically one, on 10-30 % of the values)
-   those whose last step exceeded STEP_TOL of max |H|.
+   per rotation.  Sweep EXCEPTIONAL_ITER of a value shifts by d[l] + 0.75
+   |sqrt(e^2[l])|, not Wilkinson's root, which can cycle on a sound H; in
+   seeded sweeps of small H, the QL then fails only where an eigenvector
+   is quasi-isotropic (|s^T s| < 4e-8).  The presets' values take at most
+   11 sweeps (desk) or 9 (paper, m = 500 to 9000).  Complex-orthogonal
+   rotations are not backward stable, and the values are good to only
+   1e-11 to 1e-10 of max |H|, so Jacobi-style Ehrlich-Aberth sweeps
+   (Bini, Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27, 2005)
+   polish them to rounding level: the first moves every value, later ones
+   (typically one, on 10-30 % of the values) those whose last step
+   exceeded STEP_TOL of max |H|.
 
    ritz_vectors(...) gives the eigenvectors by inverse iteration, O(n)
    per value; its comment states the arguments.
@@ -30,9 +33,8 @@
    The per-value stages run on nt OpenMP threads: the steps of one polish
    sweep (each from the values before the sweep) and the vectors of the
    inverse iteration (each value on its own, a cluster member after the
-   one before it).  Every value and vector is the same operations on the
-   same operands whichever thread computes it, so the results are bitwise
-   the same for any nt.  The QL is one serial pass. */
+   one before it), each the same operations on the same operands on any
+   thread, so bitwise the same for any nt.  The QL is one serial pass. */
 
 #include <complex.h>
 #include <math.h>
@@ -41,6 +43,7 @@
 #include <string.h>
 
 #define MAX_ITER 30
+#define EXCEPTIONAL_ITER 20
 #define MAX_SWEEPS 8
 #define STEP_TOL 1e-12
 
@@ -99,6 +102,8 @@ static int ql(int n, cplx *d, cplx *e)
             /* the root of the 2 x 2 block nearer d[l] */
             cplx sigma = d[l] - rte / (cabs(g + r) >= cabs(g - r) ? g + r
                                                                   : g - r);
+            if (iter == EXCEPTIONAL_ITER)
+                sigma = d[l] + 0.75 * cabs(rte);
             cplx s = 0.0, c = 1.0, gamma = d[m] - sigma, p = gamma * gamma;
             for (i = m - 1; i >= l; i--) {
                 cplx bb = e[i];

@@ -95,8 +95,9 @@ def _cmd_converge(args):
 
 
 def _cmd_pml_report(args):
-    if args.chi < 1.0:
-        raise ConfigurationError(f"--chi must be >= 1, got {args.chi}")
+    if not 1.0 <= args.chi < np.inf:
+        raise ConfigurationError(
+            f"--chi must be finite and >= 1, got {args.chi}")
     if args.samples < 2:
         raise ConfigurationError(f"--samples must be >= 2, got {args.samples}")
     interval = SpectralInterval(-float(args.chi), -1.0)

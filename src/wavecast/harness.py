@@ -170,14 +170,28 @@ def _csv_units(sc, wf):
 
 def _padded_times(sc, asm):
     """Trace grid extended past the window so the comparison's
-    interpolation guard does not eat into [0, t_final]."""
-    dt = sc.trace_dt
-    if sc.reference == "fdtd":
-        # guard taps of the reference's own step
-        pad = _GUARD_TAPS * time_step(sc.n_int, asm.eps_min) + 2.0 * dt
-    else:
-        pad = _GUARD_TAPS * dt
-    return sc.trace_times(pad=pad)
+    interpolation guard (HALF_WINDOW steps of the reference's own step)
+    does not eat into [0, t_final].  ConfigurationError when the
+    reference could not be compared: a closed-form probe on the source
+    node, or no trace sample between the guard and t_final."""
+    fdtd = sc.reference == "fdtd"
+    ref_dt = time_step(sc.n_int, asm.eps_min) if fdtd else sc.trace_dt
+    times = sc.trace_times(
+        pad=_GUARD_TAPS * ref_dt + (2.0 * sc.trace_dt if fdtd else 0.0))
+    if sc.reference == "analytic" and asm.src_coords in asm.probe_coords:
+        p = asm.probe_coords.index(asm.src_coords)
+        raise ConfigurationError(
+            f"probe {p + 1} at {sc.probes[p]} snaps onto the source node "
+            f"{asm.src_coords}: the closed form needs it on another node "
+            f"(grid step {2.0 / sc.n_int:g})")
+    guard = HALF_WINDOW * ref_dt
+    first = times[times >= guard][0]
+    if sc.reference != "none" and not first <= sc.t_final > guard:
+        raise ConfigurationError(
+            f"t_final = {sc.t_final:g} ends inside the comparison guard of "
+            f"{HALF_WINDOW} reference steps: the first trace sample it "
+            f"compares is at t = {first:g}")
+    return times
 
 
 def _finite(wf, route):
@@ -262,7 +276,6 @@ def _metadata(sc, asm, decomp, m_requested, m, modes):
         "eig_threads": modes.threads,
         "recon_error": modes.recon_error,
         "modes_merged": modes.merged,
-        "eig_route": modes.route,
         "source_coords": asm.src_coords,
         "probe_coords": asm.probe_coords,
         "peak_rss_mb": _peak_rss_mb(),
@@ -277,7 +290,8 @@ def run_study(sc, ms, out_dir=None):
     smaller entries, so the operator work is not repeated; `wavecast
     run` is the study of a single m.  A trace with a value that is not
     finite raises PrecisionError before it is written.  A kernel that
-    cannot be built, or a largest m above the operator size n, raises
+    cannot be built, a largest m above the operator size n, or a
+    reference that could not be compared (_padded_times) raises
     ConfigurationError before either route starts and before anything
     is written.  Returns (report, waveforms dict).
     """
@@ -297,11 +311,11 @@ def run_study(sc, ms, out_dir=None):
     if ms[-1] > asm.op.n:
         raise ConfigurationError(
             f"m = {ms[-1]} exceeds the operator size n = {asm.op.n}")
+    times = _padded_times(sc, asm)
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     timings = {"assemble_s": asm.seconds}
-    times = _padded_times(sc, asm)
     # the reference runs on a worker thread beside the Krylov route (the
     # kernels of both release the GIL).  A Lanczos failure wins and drops
     # the reference's outcome, which a run in stage order never reaches;

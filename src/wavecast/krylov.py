@@ -31,10 +31,10 @@ implicit QL (complex-orthogonal rotations on the squared off-diagonal,
 no square root per rotation), then Ehrlich-Aberth sweeps that polish
 every value to rounding level -- and one eigenvector per value,
 by three steps of inverse iteration on one pivoted tridiagonal LU of
-H - theta I.  When the QL does not converge, LAPACK's dense zgeev,
-O(m^3), gives the values.  The mode weights are S^T e_1, the first row
-of the eigenvector matrix S, which is S^-1 e_1 for bilinearly
-orthonormal vectors.  Close Ritz values are handled explicitly:
+H - theta I.  Values that do not converge mark a numerically defective
+H (NearDefectiveError).  The mode weights are S^T e_1, the first row of
+the eigenvector matrix S, which is S^-1 e_1 for bilinearly orthonormal
+vectors.  Close Ritz values are handled explicitly:
 clusters get bilinearly orthogonalized vectors, and ghost copies of one
 mode are merged.  The polish sweeps and the inverse iteration work
 value by value on OpenMP threads, with bitwise the same result for any
@@ -443,9 +443,8 @@ class ModeSet:
         u_p(t) = zeta_1 * Re sum_i probe_modes[p, i] * weights[i]
                                   * f(t, theta[i]).
 
-    merged counts the ghost Ritz values folded into another mode; route
-    names the eigenvalue route of eigen_tridiag ("ql" or "zgeev") and
-    threads the thread count of its per-value stages.
+    merged counts the ghost Ritz values folded into another mode and
+    threads the thread count of eigen_tridiag's per-value stages.
     """
 
     theta: np.ndarray
@@ -454,7 +453,6 @@ class ModeSet:
     zeta1: float
     recon_error: float
     merged: int
-    route: str
     threads: int
 
 
@@ -490,37 +488,15 @@ def _ritz_kernel():
     })
 
 
-def _zgeev_values(alpha, off):
-    """Eigenvalues of the tridiagonal H from LAPACK's zgeev on the dense
-    matrix, O(m^3): the route when the QL kernel does not converge."""
-    import scipy.linalg  # only this rare route needs it
-
-    m = alpha.size
-    h = np.zeros((m, m), dtype=complex, order="F")
-    h[np.arange(m), np.arange(m)] = alpha
-    h[np.arange(m - 1), np.arange(1, m)] = off
-    h[np.arange(1, m), np.arange(m - 1)] = off
-    # default workspace: it selects LAPACK's unblocked Hessenberg
-    # reduction, which skips the zero columns of a tridiagonal (6 s
-    # against 10 s with the blocked one at m = 1650, one thread)
-    theta, _, _, info = scipy.linalg.lapack.zgeev(
-        h, compute_vl=0, compute_vr=0, overwrite_a=1)
-    if info != 0:
-        raise PrecisionError(
-            f"eigenvalues of the projected matrix did not converge "
-            f"(zgeev info = {info})"
-        )
-    return theta
-
-
 def _ritz_values(alpha, off, threads):
     """Eigenvalues of the symmetric tridiagonal H (diagonal alpha,
-    off-diagonal off), sorted by real, then imaginary part, and the
-    route that computed them: "ql" (the compiled kernel, its polish on
-    `threads` threads) or "zgeev".  The kernel sees H scaled by the
-    power of two that puts max |H| in [0.5, 1), which is exact: its QL
-    squares the off-diagonal, and its shift and deflation tests are
-    accurate only near unit scale."""
+    off-diagonal off), sorted by real, then imaginary part, from the
+    compiled kernel, its polish on `threads` threads.  The kernel sees H
+    scaled by the power of two that puts max |H| in [0.5, 1), which is
+    exact: its QL squares the off-diagonal, and its shift and deflation
+    tests are accurate only near unit scale.  Values that do not
+    converge raise NearDefectiveError: with the QL's exceptional shift,
+    only a numerically defective H has been seen to stop it."""
     alpha = np.ascontiguousarray(alpha, dtype=complex)
     off = np.ascontiguousarray(off, dtype=complex)
     if alpha.ndim != 1 or alpha.size == 0 or off.shape != (alpha.size - 1,):
@@ -535,11 +511,12 @@ def _ritz_values(alpha, off, threads):
     theta = np.empty_like(alpha)
     if _ritz_kernel().ritz_values(threads, alpha.size, ldexp(alpha, -exp),
                                   ldexp(off, -exp), theta,
-                                  np.empty_like(alpha)) == 0:
-        theta, route = ldexp(theta, exp), "ql"
-    else:
-        theta, route = _zgeev_values(alpha, off), "zgeev"
-    return theta[np.lexsort((theta.imag, theta.real))], route
+                                  np.empty_like(alpha)):
+        raise NearDefectiveError(
+            "eigenvalues of the projected matrix did not converge: it is "
+            "numerically defective")
+    theta = ldexp(theta, exp)
+    return theta[np.lexsort((theta.imag, theta.real))]
 
 
 def _singular(sigma):
@@ -612,18 +589,18 @@ def eigen_tridiag(decomp, ref_job=None):
     the branch choices in D^{1/2} cancel), in four steps:
 
     - Eigenvalues only, sorted by real, then imaginary part, from the
-      compiled kernel (route "ql") on H scaled by a power of two to
-      max |H| in [0.5, 1): a complex QL with Wilkinson shifts (Cullum &
-      Willoughby 1996) in the root-free form of LAPACK's xSTERF, on the
-      squared off-diagonal, whose values are good to 1e-11 to 1e-10 of
-      max |H|, then Jacobi-style Ehrlich-Aberth sweeps (Bini,
-      Gemignani & Tisseur 2005) with the Newton quotient from the ratio
-      form of the three-term recurrence.  The first sweep moves every value,
-      later ones those whose last step exceeded 1e-12 of max |H|; the
-      polish is what keeps ghost grouping at _GHOST_TOL right.  Both
-      stages are O(m^2).  When its iteration cap is hit (as on a
-      Jordan-like H), LAPACK's zgeev on the dense H gives the values
-      (route "zgeev"); ModeSet.route records which.
+      compiled kernel on H scaled by a power of two to max |H| in
+      [0.5, 1): a complex QL with Wilkinson shifts (Cullum & Willoughby
+      1996) and one late exceptional shift, in the root-free form of
+      LAPACK's xSTERF, on the squared off-diagonal, whose values are
+      good to 1e-11 to 1e-10 of max |H|, then Jacobi-style
+      Ehrlich-Aberth sweeps (Bini, Gemignani & Tisseur 2005) with the
+      Newton quotient from the ratio form of the three-term recurrence.
+      The first sweep moves every value, later ones those whose last
+      step exceeded 1e-12 of max |H|; the polish is what keeps ghost
+      grouping at _GHOST_TOL right.  Both stages are O(m^2).  Values
+      that do not converge (as on a Jordan-like H) raise
+      NearDefectiveError.
     - One eigenvector per Ritz value theta_i by _INVIT_STEPS steps of
       inverse iteration, x <- (H - sigma I)^{-1} x / ||x||, in the same
       kernel (ritz_vectors): one pivoted tridiagonal LU of H - sigma I
@@ -652,14 +629,14 @@ def eigen_tridiag(decomp, ref_job=None):
     _thread_count(ref_job) threads, ref_job being the reference route
     beside the eigensolve (None without one), with bitwise the same
     result for any thread count.  Everything is O(m^2); memory
-    beyond O(m) is S, m x m (and the dense H on the zgeev route).
+    beyond O(m) is S, m x m.
     """
     alpha, zeta, delta = decomp.alpha, decomp.zeta, decomp.delta
     sqd = np.sqrt(delta)
     off = zeta[1:] * sqd[1:] / sqd[:-1]
     h_scale = float(max(np.abs(alpha).max(), np.abs(off).max(initial=0.0)))
     threads = _thread_count(ref_job)
-    theta, route = _ritz_values(alpha, off, threads)
+    theta = _ritz_values(alpha, off, threads)
     s = _ritz_vectors(alpha, off, theta, h_scale, threads)
     coeff = s[0].copy()  # S^T e_1
     h_col = np.zeros(decomp.m, dtype=complex)  # H e_1
@@ -684,7 +661,6 @@ def eigen_tridiag(decomp, ref_job=None):
         zeta1=float(decomp.zeta[0]),
         recon_error=recon,
         merged=merged,
-        route=route,
         threads=threads,
     )
 

@@ -229,6 +229,10 @@ def zolotarev_approx(interval, k):
             residues=np.array([2.0 * np.sqrt(x_hi)]),
             max_error=0.0,
         )
+    if np.sqrt(1.0 - 1.0 / chi) == 1.0:  # kappa' as _normalized_zolotarev
+        raise InvalidParameterError(
+            f"chi = {chi:g} is too large: the complementary modulus "
+            "sqrt(1 - 1/chi) rounds to 1 (need chi < 2^54)")
     poles_n, res_n, level = _normalized_zolotarev(chi, k)
     return RationalImpedance(
         k=k,

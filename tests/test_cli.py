@@ -393,9 +393,9 @@ def test_cli_import_is_lean(tmp_path):
     )
     assert _python_out(code).split() == ["[]", "1"]
     # scipy.sparse, .fft and .linalg cost another half second: scipy is
-    # for the tests, the oracles and the zgeev fallback, and neither the
-    # package, nor the CLI, nor a run loads any of it; nor does a run
-    # load numpy.random (about 18 ms)
+    # for the tests and the dense oracles, and neither the package, nor
+    # the CLI, nor a run loads any of it; nor does a run load
+    # numpy.random (about 18 ms)
     for module in ("wavecast", "wavecast.cli"):
         code = f"import sys, {module}; print({_SCIPY_LOADED})"
         assert _python_out(code).split() == ["[]"], module
@@ -549,6 +549,48 @@ def test_m_above_operator_size_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "n = 18225" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new, want", [
+    # the closed form has no value at r = 0
+    ("probe1 = 0.3, 0.0", "probe1 = 0.004, 0.0", "snaps onto the source"),
+    # the comparison trims HALF_WINDOW reference steps from the start:
+    # 0.8 of the closed form's trace step, 1.075 past the FDTD's
+    ("t_final = 6.0", "t_final = 0.7", "guard of 32 reference steps"),
+    ("reference = analytic\nt_final = 6.0", "reference = fdtd\nt_final = 0.9",
+     "guard of 32 reference steps"),
+])
+def test_run_that_cannot_compare_exits_2(tmp_path, capsys, old, new, want):
+    # rejected before either route starts and before anything is
+    # written, not after the Krylov route has run
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(MINI_CFG.replace(old, new), encoding="utf-8")
+    out = tmp_path / "x"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and want in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, want", [
+    (["pml-report", "--chi", "inf", "--k", "4"], "--chi must be finite"),
+    (["pml-report", "--chi", "nan", "--k", "4"], "--chi must be finite"),
+    # chi = (omega_max / (mu omega_min))^2 = 1e18, where sqrt(1 - 1/chi)
+    # rounds to 1
+    (["run", "{cfg}"], "chi = 1e+18 is too large"),
+])
+def test_chi_out_of_range_is_named(tmp_path, capsys, command, want):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(MINI_CFG.replace("omega_min = 3.14159265358979",
+                                    "omega_min = 1e-8\nmu = 1")
+                   .replace("omega_max = 12.5663706143592", "omega_max = 10"),
+                   encoding="utf-8")
+    out = tmp_path / "x"
+    argv = [a.format(cfg=cfg) for a in command] + ["--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and want in err
     assert not out.exists()
 
 
