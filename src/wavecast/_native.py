@@ -24,8 +24,10 @@ from .errors import ConfigurationError
 _CC = ("gcc", "-O2", "-shared", "-fPIC")
 # per-source flags (every C source of the package has an entry)
 FLAGS = {
-    # OpenMP over the values of the polish and of the inverse iteration
-    "_ritz.c": ("-fopenmp",),
+    # OpenMP over the values of the polish and of the inverse iteration,
+    # and over the impulse's samples; no product and sum fused, so each
+    # lockstep lane is its value's operations alone on any target
+    "_ritz.c": ("-fopenmp", "-ffp-contract=off"),
     # OpenMP row blocks, and FMA only where the source asks for it (see
     # the source's comment)
     "_lanczos.c": ("-fopenmp", "-ffp-contract=off"),

@@ -25,22 +25,24 @@ for spectra anywhere off the branch cut, unlike the naive
 sin(sqrt(-a) t)/sqrt(-a) kernel, which diverges off the real axis.
 
 The decomposition is structured (eigen_tridiag) and O(m^2) throughout,
-with no m x m array but the eigenvectors.  A small C kernel (_ritz.c)
-gives the eigenvalues of the symmetrized tridiagonal H -- a root-free
-implicit QL (complex-orthogonal rotations on the squared off-diagonal,
-no square root per rotation), then Ehrlich-Aberth sweeps that polish
-every value to rounding level -- and one eigenvector per value,
-by three steps of inverse iteration on one pivoted tridiagonal LU of
-H - theta I.  Values that do not converge mark a numerically defective
-H (NearDefectiveError).  The mode weights are S^T e_1, the first row of
-the eigenvector matrix S, which is S^-1 e_1 for bilinearly orthonormal
-vectors.  Close Ritz values are handled explicitly:
+with no m x m array: the eigenvectors are streamed.  A small C kernel
+(_ritz.c) gives the eigenvalues of the symmetrized tridiagonal H -- a
+root-free implicit QL (complex-orthogonal rotations on the squared
+off-diagonal, no square root per rotation), then Ehrlich-Aberth sweeps
+that polish every value to rounding level -- and one eigenvector per
+value, by three steps of inverse iteration on one pivoted tridiagonal
+LU of H - theta I, from which it keeps only what the trace and the
+reconstruction gate need: the mode weight s_i[0] (S^T e_1 is S^-1 e_1
+for bilinearly orthonormal vectors), the probe rows and two running
+sums.  Values that do not converge mark a numerically defective H
+(NearDefectiveError).  Close Ritz values are handled explicitly:
 clusters get bilinearly orthogonalized vectors, and ghost copies of one
-mode are merged.  The polish sweeps and the inverse iteration work
-value by value on OpenMP threads, with bitwise the same result for any
-thread count; the QL is serial.  One rule, _thread_count, sets the
-threads of both compiled stages (the recursion applies it before each
-step), not the BLAS or OpenMP thread settings.
+mode are merged.  The polish sweeps, the inverse iteration and the
+impulse sum work value by value (sample by sample) on OpenMP threads,
+with bitwise the same result for any thread count; the QL is serial.
+One rule, _thread_count, sets the threads of the compiled stages (the
+recursion applies it before each step), not the BLAS or OpenMP thread
+settings.
 
 Each recursion step runs on preallocated vectors in two passes of a
 second C kernel (_lanczos.c), each with its own reductions.  The
@@ -72,9 +74,8 @@ element order, which bilanczos adds up with np.sum (pairwise, in a
 fixed order).  ||b||, and so zeta_1, comes from the same row rule.  So
 the run is bitwise identical for every block count, even one that
 changes between steps, on the kernel's SIMD and scalar paths, and for
-any BLAS thread count: no reduction of the recursion goes through the
-BLAS.  (The eigensolve's matrix products still do, and may move the
-last digits of a trace.)  The SIMD path (AVX2/FMA, four unknowns per
+any BLAS thread count: no reduction of the recursion, the eigensolve or
+the impulse goes through the BLAS.  The SIMD path (AVX2/FMA, four unknowns per
 vector) is 1.9 - 2.6x faster per iteration than the scalar one on the
 desk presets and paper ring.  The happy-breakdown test takes max |aw|
 only on the rare steps where zeta_{i+1} is below _HAPPY_TOL of its
@@ -444,7 +445,8 @@ class ModeSet:
                                   * f(t, theta[i]).
 
     merged counts the ghost Ritz values folded into another mode and
-    threads the thread count of eigen_tridiag's per-value stages.
+    threads the thread count of eigen_tridiag's per-value stages, which
+    evaluate_impulse takes too.
     """
 
     theta: np.ndarray
@@ -475,17 +477,38 @@ def _close_groups(theta, tol):
 @functools.cache
 def _ritz_kernel():
     """The compiled Ritz kernels (_ritz.c): the library, with
-    ritz_values and ritz_vectors set up."""
-    vec = np.ctypeslib.ndpointer(np.complex128, ndim=1, flags="C_CONTIGUOUS")
-    ints = np.ctypeslib.ndpointer(np.intc, ndim=1, flags="C_CONTIGUOUS")
-    cols = np.ctypeslib.ndpointer(np.complex128, ndim=2, flags="F_CONTIGUOUS")
+    ritz_values, ritz_vectors and impulse set up."""
+    cplx = np.ctypeslib.ndpointer(np.complex128, flags="C_CONTIGUOUS")
+    real = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    ints = np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS")
     c_int, c_double = ctypes.c_int, ctypes.c_double
     return _native.load("_ritz.c", {
-        "ritz_values": (c_int, [c_int, c_int, vec, vec, vec, vec]),
-        "ritz_vectors": (c_int, [c_int, c_int, vec, vec, vec, ints, ints,
-                                 c_double, c_int, c_double, cols, vec, ints,
-                                 vec]),
+        "ritz_values": (c_int, [c_int, c_int, cplx, cplx, cplx, cplx, ints]),
+        "ritz_vectors": (c_int, [c_int, c_int, cplx, cplx, cplx, ints, ints,
+                                 c_double, c_int, c_double, c_int, cplx, cplx,
+                                 cplx, cplx, cplx]),
+        "impulse": (None, [c_int, c_int, c_int, cplx, cplx, c_int, real,
+                           real]),
     })
+
+
+def _h_scale(alpha, off):
+    """max |H| of the tridiagonal (diagonal alpha, off-diagonal off), and
+    the exponent e that puts max |H| 2^-e in [0.5, 1) (0 when max |H| is
+    zero or not finite)."""
+    h_scale = float(max(np.abs(alpha).max(), np.abs(off).max(initial=0.0)))
+    return h_scale, int(np.frexp(h_scale)[1]) if 0.0 < h_scale < np.inf else 0
+
+
+def _ldexp(z, k):
+    """Complex z * 2^k, componentwise (exact unless it over- or
+    underflows)."""
+    return np.ldexp(z.view(float), k).view(complex)
+
+
+def _norm(x):
+    """The 2-norm of complex x, summed by numpy (not the BLAS)."""
+    return float(np.sqrt(np.sum(x.real ** 2 + x.imag ** 2)))
 
 
 def _ritz_values(alpha, off, threads):
@@ -502,20 +525,16 @@ def _ritz_values(alpha, off, threads):
     if alpha.ndim != 1 or alpha.size == 0 or off.shape != (alpha.size - 1,):
         raise InvalidParameterError("tridiagonal needs m >= 1 and m - 1 "
                                     "off-diagonal entries")
-    h_scale = max(np.abs(alpha).max(), np.abs(off).max(initial=0.0))
-    exp = int(np.frexp(h_scale)[1]) if 0.0 < h_scale < np.inf else 0
-
-    def ldexp(z, k):  # z * 2^k, componentwise
-        return np.ldexp(z.view(float), k).view(complex)
-
+    _, exp = _h_scale(alpha, off)
     theta = np.empty_like(alpha)
-    if _ritz_kernel().ritz_values(threads, alpha.size, ldexp(alpha, -exp),
-                                  ldexp(off, -exp), theta,
-                                  np.empty_like(alpha)):
+    if _ritz_kernel().ritz_values(threads, alpha.size, _ldexp(alpha, -exp),
+                                  _ldexp(off, -exp), theta,
+                                  np.empty_like(alpha),
+                                  np.empty(alpha.size, dtype=np.intc)):
         raise NearDefectiveError(
             "eigenvalues of the projected matrix did not converge: it is "
             "numerically defective")
-    theta = ldexp(theta, exp)
+    theta = _ldexp(theta, exp)
     return theta[np.lexsort((theta.imag, theta.real))]
 
 
@@ -532,19 +551,22 @@ def _defective(quasi):
     )
 
 
-def _ritz_vectors(alpha, off, theta, h_scale, threads):
-    """Eigenvectors of H for the sorted Ritz values, as columns scaled to
-    s^T s = 1, by inverse iteration in the compiled ritz_vectors kernel
-    on `threads` threads (see eigen_tridiag)."""
+def _ritz_vectors(alpha, off, theta, rows, threads):
+    """The eigenvectors s_i of H (scaled to s^T s = 1) for the sorted
+    Ritz values, streamed through the compiled ritz_vectors kernel on
+    `threads` threads (see eigen_tridiag), on H, theta and the shift step
+    scaled as in _ritz_values.  No vector is kept: returns (first,
+    probe, hs, ss), first[i] = s_i[0], probe[p, i] = rows[p] . s_i, hs =
+    S diag(theta) S^T e_1 and ss = S S^T e_1."""
     m = theta.size
-    nudge = 4.0 * np.finfo(float).eps * h_scale
+    alpha, off, theta, rows = (np.ascontiguousarray(a, dtype=complex)
+                               for a in (alpha, off, theta, rows))
+    if (alpha.shape != (m,) or off.shape != (m - 1,) or rows.ndim != 2
+            or rows.shape[1] != m):
+        raise InvalidParameterError("tridiagonal, Ritz values and probe "
+                                    "rows differ in size")
+    h_scale, exp = _h_scale(alpha, off)
     label = _close_groups(theta, _CLUSTER_TOL * h_scale)
-    kernel = _ritz_kernel()
-    alpha, off, theta = (np.ascontiguousarray(a, dtype=complex)
-                         for a in (alpha, off, theta))
-    if alpha.shape != (m,) or off.shape != (m - 1,):
-        raise InvalidParameterError("tridiagonal and Ritz values differ "
-                                    "in size")
     # prev[i], next[i]: the member of i's cluster just before, just
     # after it, or -1
     order = np.argsort(label, kind="stable")
@@ -553,16 +575,22 @@ def _ritz_vectors(alpha, off, theta, h_scale, threads):
     same = label[order[1:]] == label[order[:-1]]
     prev[order[1:][same]] = order[:-1][same]
     nxt[order[:-1][same]] = order[1:][same]
-    s = np.empty((m, m), dtype=complex, order="F")
-    work = np.empty(6 * m * threads, dtype=complex)
-    piv = np.empty(m * threads, dtype=np.intc)
+    first = np.empty(m, dtype=complex)
+    probe = np.empty_like(rows)
+    sums = np.empty(2 * m, dtype=complex)
     bad = np.empty(1, dtype=complex)
-    code = kernel.ritz_vectors(threads, m, alpha, off, theta, prev, nxt,
-                               nudge, _INVIT_STEPS, _DEFECT_TOL, s, work, piv,
-                               bad)
-    if code:
-        raise (_singular if code == 1 else _defective)(bad[0])
-    return s
+    nudge = np.ldexp(4.0 * np.finfo(float).eps * h_scale, -exp)
+    code = _ritz_kernel().ritz_vectors(
+        threads, m, _ldexp(alpha, -exp), _ldexp(off, -exp),
+        _ldexp(theta, -exp), prev, nxt, nudge, _INVIT_STEPS, _DEFECT_TOL,
+        rows.shape[0], rows, first, probe, sums, bad)
+    if code == 1:
+        raise _singular(_ldexp(bad, exp)[0])  # the kernel's sigma is scaled
+    if code == 2:
+        raise _defective(bad[0])
+    if code == 3:
+        raise MemoryError("no memory for the inverse iteration's workspace")
+    return first, probe, _ldexp(sums[:m], exp), sums[m:]
 
 
 def _merge_ghosts(theta, probe_modes, weights, tol):
@@ -614,12 +642,16 @@ def eigen_tridiag(decomp, ref_job=None):
       by the same step and factors again.  Each vector is scaled to
       s^T s = 1; NearDefectiveError if |s^T s| of the unit-norm vector
       is below _DEFECT_TOL.
-    - Mode weights S^T e_1, the first row of S: with bilinearly
+    - Streamed, not stored: the kernel keeps no vector past its value
+      (but the earlier members of an open cluster chain) and emits the
+      mode weight s_i[0] (S^T e_1, the first row of S: with bilinearly
       orthonormal vectors S^T = S^-1, and the cluster orthogonalization
-      keeps that true of close and ghost pairs too.  PrecisionError
-      unless both S diag(theta) S^T e_1 reproduces H e_1 to _RECON_TOL *
-      max |H| and S S^T e_1 reproduces e_1 to _RECON_TOL; recon_error is
-      the larger of the two (relative) residuals.
+      keeps that true of close and ghost pairs too), the probe rows
+      (W D^{-1/2}) s_i, and the sums S diag(theta) S^T e_1 and S S^T e_1,
+      added in fixed blocks of values and the blocks in order.
+      PrecisionError unless the first reproduces H e_1 to _RECON_TOL *
+      max |H| and the second e_1 to _RECON_TOL; recon_error is the larger
+      of the two (relative) residuals.
     - Ghost merge: Ritz values within _GHOST_TOL * max |H| are one mode,
       whose residues (probe_modes * weights) are summed onto the member
       with the largest residue (window measured at the constant).  The
@@ -628,30 +660,28 @@ def eigen_tridiag(decomp, ref_job=None):
     The polish sweeps and the inverse iteration run on
     _thread_count(ref_job) threads, ref_job being the reference route
     beside the eigensolve (None without one), with bitwise the same
-    result for any thread count.  Everything is O(m^2); memory
-    beyond O(m) is S, m x m.
+    result for any thread count.  Both stages see H scaled by the same
+    power of two (exact), so any scale of H gives finite modes.
+    Everything is O(m^2) in time; memory beyond O(m) is the kernel's
+    block partials, 2 m values per 64 values (1.4 MB at m = 1 650).
     """
     alpha, zeta, delta = decomp.alpha, decomp.zeta, decomp.delta
     sqd = np.sqrt(delta)
     off = zeta[1:] * sqd[1:] / sqd[:-1]
-    h_scale = float(max(np.abs(alpha).max(), np.abs(off).max(initial=0.0)))
+    h_scale, _ = _h_scale(alpha, off)
     threads = _thread_count(ref_job)
     theta = _ritz_values(alpha, off, threads)
-    s = _ritz_vectors(alpha, off, theta, h_scale, threads)
-    coeff = s[0].copy()  # S^T e_1
-    h_col = np.zeros(decomp.m, dtype=complex)  # H e_1
-    h_col[0] = alpha[0]
-    h_col[1:2] = off[:1]
-    recon = float(np.linalg.norm(s @ (theta * coeff) - h_col)) / h_scale
-    ident = s @ coeff
-    ident[0] -= 1.0
-    recon = max(recon, float(np.linalg.norm(ident)))
+    coeff, probe_modes, hs, ss = _ritz_vectors(
+        alpha, off, theta, decomp.w_probe / sqd[None, :], threads)
+    hs[0] -= alpha[0]  # the residuals against H e_1 and e_1
+    hs[1:2] -= off[:1]
+    ss[0] -= 1.0
+    recon = max(_norm(hs / h_scale), _norm(ss))
     if not recon <= _RECON_TOL:
         raise PrecisionError(
             f"eigendecomposition failed reconstruction: relative residual "
             f"{recon:.2e} exceeds {_RECON_TOL:.0e}"
         )
-    probe_modes = (decomp.w_probe / sqd[None, :]) @ s
     theta, probe_modes, weights, merged = _merge_ghosts(
         theta, probe_modes, coeff * sqd[0], _GHOST_TOL * h_scale)
     return ModeSet(
@@ -665,27 +695,25 @@ def eigen_tridiag(decomp, ref_job=None):
     )
 
 
-# most kernel values (modes x samples) evaluate_impulse holds at once,
-# 64 MiB of complex128; ring-desk at its default m needs 970 200
-_KERNEL_BLOCK = 2 ** 22
-
-
 def evaluate_impulse(modes, times):
     """Impulse response at the probes for t >= 0, by the stable kernel
-    exp(-sqrt(a) t)/sqrt(a).  The kernel is evaluated in blocks of
-    samples of at most _KERNEL_BLOCK values, so memory stays bounded for
-    long traces at large m.
+    exp(-sqrt(a) t)/sqrt(a): u_p(t_j) = zeta_1 Re sum_i g_{p,i}
+    exp(-sqrt(theta_i) t_j), g = probe_modes * weights / sqrt(theta),
+    summed by the compiled impulse kernel on modes.threads threads, with
+    no array beyond the trace.
     """
-    times = np.asarray(times, dtype=float)
+    times = np.ascontiguousarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise InvalidParameterError("times must be a nonempty 1D array")
     if np.any(times < 0.0):
         raise InvalidParameterError("impulse response is causal: t >= 0")
-    sq = _sqrt_from_above(modes.theta)[:, None]
-    residues = modes.probe_modes * modes.weights[None, :]
-    width = max(1, _KERNEL_BLOCK // sq.size)
-    u = np.hstack([(residues @ (np.exp(-sq * times[lo:lo + width]) / sq)).real
-                   for lo in range(0, times.size, width)])
+    sq = _sqrt_from_above(modes.theta)
+    g = np.ascontiguousarray(modes.probe_modes * modes.weights / sq)
+    if g.ndim != 2 or g.shape[1] != sq.size:
+        raise InvalidParameterError("probe modes must be (probes, modes)")
+    u = np.empty((g.shape[0], times.size))
+    _ritz_kernel().impulse(modes.threads, sq.size, g.shape[0], sq, g,
+                           times.size, times, u)
     return modes.zeta1 * u
 
 

@@ -1,8 +1,9 @@
 """Experiment driver tests on a small free-space scenario."""
 
 import json
-import resource
+import os
 import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import CancelledError, ThreadPoolExecutor
@@ -86,8 +87,10 @@ def test_run_artifacts(mini_run):
     assert payload["metadata"]["m_requested"] == 160
     assert payload["metadata"]["lanczos_stop"] == "m"
     assert 0.0 < payload["metadata"]["lanczos_drift"] < 1e-6
-    # this process's peak, taken at the end of the run
-    peak_now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    # this process's peak, taken at the end of the run, by the same
+    # counter (VmHWM; ru_maxrss may hold a parent's larger peak or, with
+    # its rounding, a smaller one)
+    peak_now = wavecast.harness._peak_rss_mb()
     assert 0.0 < payload["metadata"]["peak_rss_mb"] <= peak_now
     # run is a study of one m
     assert [e["m"] for e in payload["convergence"]] == [160]
@@ -442,3 +445,27 @@ def test_git_hash_timeout_is_unknown(monkeypatch):
 
     monkeypatch.setattr(wavecast.harness.subprocess, "run", hung)
     assert _git_hash() == "unknown"
+
+
+_RUN_PAPER_RING = """
+import dataclasses, sys
+from wavecast.harness import run_study
+from wavecast.scenarios import get_scenario
+sc = dataclasses.replace(get_scenario("ring"), reference="none")
+run_study(sc, (5000,), out_dir=sys.argv[1])
+"""
+
+
+@pytest.mark.paper
+def test_paper_ring_peak_stays_below_the_eigenvector_matrix(tmp_path):
+    # opt-in (pytest -m paper): paper ring at m = 5 000, without a
+    # reference, in a fresh process; the eigensolve streams its vectors,
+    # so the run's peak stays below the 400 MB that the m x m
+    # eigenvector matrix alone would take (it read 425 MB with it)
+    subprocess.run(
+        [sys.executable, "-c", _RUN_PAPER_RING, str(tmp_path)],
+        capture_output=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    metadata = json.loads((tmp_path / "report.json").read_text())["metadata"]
+    assert metadata["m"] == 5000
+    assert metadata["peak_rss_mb"] < 400.0

@@ -1,3 +1,4 @@
+import dataclasses
 import fnmatch
 import shutil
 import subprocess
@@ -482,21 +483,46 @@ def test_ghost_grouping_at_large_m_matches_zgeev(ring1650, monkeypatch):
     assert np.abs(got - want).max() < 1e-6 * np.abs(want).max()
 
 
+def _streamed(s, theta, rows):
+    """What the ritz_vectors kernel streams, from the vectors s (columns):
+    (first, probe, hs, ss) of krylov._ritz_vectors."""
+    first = s[0]
+    return first, rows @ s, s @ (theta * first), s @ first
+
+
 def test_weights_match_solve_oracle(ring1650):
-    # the weights are S^T e_1; solving S x = e_1 with the same S is the
-    # oracle (their transpose shortcut holds for the cluster-orthogonalized
-    # vectors, ghost pairs included)
+    # the weights are S^T e_1, streamed without S; the oracle solves
+    # S x = e_1 with S from the Python loop of zgtsv solves (the
+    # transpose shortcut holds for the cluster-orthogonalized vectors,
+    # ghost pairs included).  Each vector is fixed up to its sign, and
+    # within a cluster up to the basis of the cluster's subspace (the
+    # loop's and the kernel's differ there by up to 1e-4 at m = 1650):
+    # the sums over each cluster of w^2 and of w times the probe row are
+    # fixed under both
     _, dec = ring1650
     modes = eigen_tridiag(dec)
     alpha, off, sqd = _symmetrized(dec)
+    rows = dec.w_probe / sqd
     h_scale = float(max(np.abs(alpha).max(), np.abs(off).max()))
     theta = krylov._ritz_values(alpha, off, 1)
-    s = krylov._ritz_vectors(alpha, off, theta, h_scale, 1)
-    oracle = np.linalg.solve(s, np.eye(dec.m)[:, 0]) * sqd[0]
-    keep = np.isin(theta, modes.theta)
-    assert keep.sum() == modes.theta.size == dec.m - modes.merged
-    assert (np.linalg.norm(modes.weights - oracle[keep])
-            <= 1e-9 * np.linalg.norm(oracle[keep]))
+    first, probe, _, _ = krylov._ritz_vectors(alpha, off, theta, rows, 1)
+    assert np.array_equal(modes.weights, first[np.isin(theta, modes.theta)]
+                          * sqd[0])
+    s = invit_loop(alpha, off, theta, h_scale)
+    oracle = np.linalg.solve(s, np.eye(dec.m)[:, 0])
+    label = krylov._close_groups(theta, krylov._CLUSTER_TOL * h_scale)
+    assert np.bincount(label).max() >= 2
+
+    def by_cluster(x):
+        x = np.atleast_2d(x)
+        out = np.zeros((x.shape[0], label.max() + 1), dtype=complex)
+        np.add.at(out, (slice(None), label), x)
+        return out
+
+    for got, want in ((first ** 2, oracle ** 2),
+                      (probe * first, (rows @ s) * oracle)):
+        got, want = by_cluster(got), by_cluster(want)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def test_invit_start_is_splitmix64():
@@ -511,28 +537,103 @@ def test_invit_start_is_splitmix64():
     assert abs(starts.mean()) < 0.02 and len({*starts[:, 0]}) == 3
 
 
+def _assert_streams_match(got, s, theta, rows, tol):
+    """The kernel's streamed outputs got against those of the vectors s,
+    by products fixed under each vector's sign: first^2, probe * first and
+    the sums, each within tol of its scale (|s_i|^2, |row| |s_i|^2)."""
+    first, probe, hs, ss = got
+    want = _streamed(s, theta, rows)
+    size = np.linalg.norm(s, axis=0) ** 2
+    assert (np.abs(first ** 2 - want[0] ** 2) <= tol * size).all()
+    assert (np.abs(probe * first - want[1] * want[0])
+            <= tol * size * np.linalg.norm(rows, axis=1)[:, None]).all()
+    for sum_got, sum_want in zip((hs, ss), want[2:]):
+        assert (np.linalg.norm(sum_got - sum_want)
+                <= tol * np.linalg.norm(sum_want))
+
+
 def test_kernel_vectors_match_python_loop(ring1650):
     # the compiled inverse iteration, on one thread and on two, against
     # its Python loop of zgtsv solves, from the same starts; each vector
     # is fixed up to its sign (the sign of the near-zero pivot), and at
     # m = 150 they agree to 5e-13 apart from it
     _, dec = ring1650
-    alpha, off, _ = _symmetrized(dec.truncate(150))
+    alpha, off, sqd = _symmetrized(dec.truncate(150))
+    rows = dec.w_probe[:, :150] / sqd
     h_scale = float(max(np.abs(alpha).max(), np.abs(off).max()))
     theta = krylov._ritz_values(alpha, off, 1)
     want = invit_loop(alpha, off, theta, h_scale)
     for threads in (1, 2):
-        got = krylov._ritz_vectors(alpha, off, theta, h_scale, threads)
-        got *= np.sign((got * want).sum(axis=0).real)
-        assert (np.linalg.norm(got - want, axis=0)
-                <= 1e-10 * np.linalg.norm(want, axis=0)).all()
+        got = krylov._ritz_vectors(alpha, off, theta, rows, threads)
+        _assert_streams_match(got, want, theta, rows, 1e-10)
 
 
-@pytest.mark.parametrize("m", [600, 1650])
+def test_zero_pivot_retry_inside_a_lane_group():
+    # a direct sum of 1 x 1 and 2 x 2 blocks, m = 10 (not a multiple of
+    # the kernel's four lanes): at the exact value of a 1 x 1 block,
+    # H - theta I has an exactly zero pivot, so that lane factors again
+    # at theta + nudge while the other lanes of its group go on, with
+    # bitwise the outputs they have beside no retry.  Every output
+    # matches the Python loop, which retries the same way, and is
+    # bitwise the same on 1, 2 and 3 threads
+    alpha = np.array([1.0 + 0.5j, 2.0, 2.5 + 1j, 4.0 - 1j, 5.0, 5.5 + 2j,
+                      7.0, 8.0 - 0.5j, 8.5, 10.0 + 1j])
+    off = np.array([0.0, 0.7j, 0.0, 0.0, 1.3, 0.0, 0.0, 0.4, 0.0])
+    lone = alpha[[0, 3, 6, 9]]
+    theta = krylov._ritz_values(alpha, off, 1)
+    at = np.abs(theta[:, None] - lone[None, :]).argmin(axis=0)
+    theta[at] = lone  # exact, as the polish may move them by an ulp
+    assert (np.diff(theta.real) > 0).all()
+    rows = np.arange(20.0).reshape(2, 10) + 1j
+    h_scale = float(np.abs(alpha).max())
+    want = invit_loop(alpha, off, theta, h_scale)
+    runs = [krylov._ritz_vectors(alpha, off, theta, rows, threads)
+            for threads in (1, 2, 3)]
+    _assert_streams_match(runs[0], want, theta, rows, 1e-12)
+    for got in runs[1:]:
+        for a, b in zip(got, runs[0]):
+            assert np.array_equal(a, b)
+    nearby = theta.copy()
+    nearby[at] *= 1.0 + 2.0 ** -40  # no zero pivot
+    calm = krylov._ritz_vectors(alpha, off, nearby, rows, 1)
+    other = np.ones(theta.size, dtype=bool)
+    other[at] = False
+    for a, b in zip(calm[:2], runs[0][:2]):
+        assert np.array_equal(a[..., other], b[..., other])
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+def test_vectors_hold_at_any_scale(c):
+    # the inverse iteration runs on H, theta and its shift step scaled
+    # like the values (by a power of two, exactly), so a random 6 x 6 at
+    # any scale gives finite modes that pass the reconstruction gate,
+    # with the residues of the unit-scale H
+    rng = np.random.default_rng(6)
+    alpha = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    zeta = np.abs(rng.standard_normal(6))
+    w_probe = rng.standard_normal((2, 6)) + 0j
+
+    def modes_at(scale):
+        return eigen_tridiag(LanczosDecomposition(
+            m=6, alpha=alpha * scale, zeta=zeta * scale,
+            delta=np.ones(6, dtype=complex), w_probe=w_probe, stop="m",
+            drift=0.0, threads=1))
+
+    unit, modes = modes_at(1.0), modes_at(c)
+    for field in ("theta", "probe_modes", "weights"):
+        assert np.isfinite(getattr(modes, field)).all(), field
+    assert modes.recon_error <= krylov._RECON_TOL
+    want = unit.probe_modes * unit.weights
+    assert (np.abs(modes.probe_modes * modes.weights - want)
+            <= 1e-12 * np.abs(want).max()).all()
+
+
+@pytest.mark.parametrize("m", [600, 1001, 1650])
 def test_eigensolve_is_bitwise_the_same_on_any_thread_count(ring1650,
                                                             monkeypatch, m):
     # m = 600 merges ghost pairs; at m = 1650, 122 cluster members each
-    # run after the member before them
+    # run after the member before them; m = 1001 leaves a short last
+    # block and lane group
     _, dec = ring1650
     dec = dec.truncate(m)
     runs = []
@@ -553,9 +654,11 @@ def test_eigensolve_is_bitwise_the_same_on_any_thread_count(ring1650,
 
 
 def test_reconstruction_gate_checks_weights_identity(monkeypatch):
-    # H = [[1, 1], [1, 1]] has eigenvalues 0 and 2; stretching the
+    # H = [[1, 1], [1, 1]] has eigenvalues 0 and 2.  Stretching the
     # eigenvector of 0 leaves S diag(theta) S^T e_1 = H e_1 intact, so
-    # only S S^T e_1 = e_1 sees it
+    # only S S^T e_1 = e_1 sees it; a wrong theta in the first sum leaves
+    # S S^T e_1 intact, so only H e_1 sees that.  The streamed outputs
+    # are built from the loop's S, and the gate must reject both
     dec = LanczosDecomposition(
         m=2,
         alpha=np.array([1.0 + 0j, 1.0 + 0j]),
@@ -567,16 +670,19 @@ def test_reconstruction_gate_checks_weights_identity(monkeypatch):
         threads=1,
     )
     assert eigen_tridiag(dec).recon_error < 1e-14
-    vectors = krylov._ritz_vectors
 
-    def stretched(alpha, off, theta, h_scale, threads):
-        s = vectors(alpha, off, theta, h_scale, threads)
-        s[:, np.argmin(np.abs(theta))] *= 1.1
-        return s
+    def perturbed(stretch, shift):
+        def vectors(alpha, off, theta, rows, threads):
+            s = invit_loop(alpha, off, theta, 1.0)
+            s[:, np.argmin(np.abs(theta))] *= stretch
+            first, probe, _, ss = _streamed(s, theta, rows)
+            return first, probe, s @ ((theta + shift) * first), ss
+        return vectors
 
-    monkeypatch.setattr(krylov, "_ritz_vectors", stretched)
-    with pytest.raises(PrecisionError, match="reconstruction"):
-        eigen_tridiag(dec)
+    for stretch, shift in ((1.1, 0.0), (1.0, 0.1)):
+        monkeypatch.setattr(krylov, "_ritz_vectors", perturbed(stretch, shift))
+        with pytest.raises(PrecisionError, match="reconstruction"):
+            eigen_tridiag(dec)
 
 
 def test_kernel_source_compiles_without_warnings():
@@ -649,20 +755,23 @@ def test_uncorrected_kernel_grows_off_axis():
     assert np.abs(uncorr).max() > 20.0 * np.abs(stable).max()
 
 
-def test_impulse_blocks_match_one_block(monkeypatch):
+def test_impulse_is_the_same_on_any_thread_count():
+    # the compiled sum takes each sample's modes in order, so its trace
+    # is bitwise the same on 1, 2 and 3 threads, and within rounding of
+    # numpy's product of the residues and the kernel values
     op = _small_op()
     b = np.zeros(op.n)
     b[op.n // 2] = 1.0
     modes = eigen_tridiag(bilanczos(op, b, 30, [3, op.n // 2 + 2]))
     t = np.linspace(0.0, 4.0, 101)
-    whole = evaluate_impulse(modes, t)
-    n_modes = modes.theta.size
-    # one sample per block, then 3 per block with a shorter last one;
-    # BLAS may sum a narrower product in another order
-    for block in (1, 3 * n_modes + 1):
-        monkeypatch.setattr(krylov, "_KERNEL_BLOCK", block)
-        parts = evaluate_impulse(modes, t)
-        assert np.abs(parts - whole).max() <= 1e-13 * np.abs(whole).max()
+    sq = krylov._sqrt_from_above(modes.theta)[:, None]
+    want = modes.zeta1 * ((modes.probe_modes * modes.weights)
+                          @ (np.exp(-sq * t) / sq)).real
+    runs = [evaluate_impulse(dataclasses.replace(modes, threads=threads), t)
+            for threads in (1, 2, 3)]
+    assert np.abs(runs[0] - want).max() <= 1e-13 * np.abs(want).max()
+    for got in runs[1:]:
+        assert np.array_equal(got, runs[0])
 
 
 def test_evaluate_rejects_negative_times():

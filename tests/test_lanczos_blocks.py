@@ -558,10 +558,10 @@ with open(sys.argv[1] + "/decomp.pkl", "wb") as f:
 
 
 def test_run_is_independent_of_blas_threads(tmp_path):
-    # every reduction of the recursion is the kernel's, so the BLAS
-    # thread count leaves the decomposition's bits alone; the
-    # eigensolve's matrix products still go through the BLAS and may
-    # move the error's last digits
+    # no stage of the run goes through the BLAS after the set-up: the
+    # recursion's reductions are its kernel's, and the eigensolve and the
+    # impulse are compiled sums in a fixed order; so the BLAS thread
+    # count leaves the decomposition, the trace and the error alone
     runs = []
     for threads in ("1", "2"):
         out = tmp_path / threads
@@ -572,12 +572,14 @@ def test_run_is_independent_of_blas_threads(tmp_path):
                  "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
         decomp = pickle.loads((out / "decomp.pkl").read_bytes())
         report = json.loads((out / "report.json").read_text())
-        runs.append((decomp, max(report["probe_errors"])))
-    (one, err_one), (two, err_two) = runs
+        runs.append((decomp, (out / "lanczos.csv").read_bytes(),
+                     report["probe_errors"]))
+    (one, csv_one, err_one), (two, csv_two, err_two) = runs
     assert one.m == 1650
     for name in FIELDS:
         assert np.array_equal(getattr(one, name), getattr(two, name)), name
-    assert abs(err_two - err_one) <= 1e-10 * err_one
+    assert csv_one == csv_two
+    assert err_one == err_two
 
 
 @pytest.mark.paper
