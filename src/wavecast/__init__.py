@@ -23,7 +23,6 @@ from .krylov import (
     convolve_source,
     eigen_tridiag,
     evaluate_impulse,
-    sc_resolvent_dense,
 )
 from .operator import MediumMap, WaveOperator, assemble_operator
 from .scenarios import (

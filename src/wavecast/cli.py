@@ -126,6 +126,9 @@ def _cmd_pml_report(args):
 
 
 def _cmd_compare(args):
+    if args.tolerance is not None and not args.tolerance >= 0.0:
+        raise ConfigurationError(
+            f"--assert must be a number >= 0, got {args.tolerance}")
     wa = Waveform.from_csv(args.trace_a)
     wb = Waveform.from_csv(args.trace_b)
     rel, lo, hi = compare_traces(wa, wb)

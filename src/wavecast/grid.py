@@ -65,6 +65,8 @@ def build_axis(n_int, steps=None):
     """
     if n_int < 2:
         raise InvalidParameterError(f"need n_int >= 2, got {n_int}")
+    if n_int > np.iinfo(np.intp).max // 16:  # numpy's size limit
+        raise MemoryError(f"n_int = {n_int} is too large for an array")
     h = 2.0 / n_int
     interior = np.linspace(-1.0, 1.0, n_int + 1).astype(complex)
     mid = 0.5 * (interior[:-1] + interior[1:])

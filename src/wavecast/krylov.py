@@ -55,11 +55,8 @@ w_i = r_i s_i, s_i = 1 / zeta_i, where it reads it:
 
 Phase A is matrix-free: A w comes from the operator's five-point
 stencil factors, not from an assembled matrix.  Each pass computes
-everything that reads the same rows, since at paper scale the step is
-bound by memory traffic: w, M w and M aw are never stored, and a step
-moves about 27.5 MB at n = 229 441 (120 bytes per unknown), against
-31 MB when phase A stored w, 57 MB with the dots and the norm as numpy
-passes and 125 MB for separate numpy and CSR passes.  The vectors are
+everything that reads the same rows, so that w, M w and M aw are never
+stored and a step moves 120 bytes per unknown.  The vectors are
 planar, a (2, n) array of real parts then imaginary parts, so the SIMD
 path's complex products take no shuffles.  Both passes split the grid
 rows into contiguous blocks (one below 2 * _ROWS_PER_WORKER unknowns),
@@ -71,7 +68,8 @@ products, every complex product takes the fused form fma(ar, br,
 -(ai bi)) + i fma(ar, bi, ai br), the stencil sum adds its terms in
 column order, and each reduction sums one partial per grid row in
 element order, which bilanczos adds up with np.sum (pairwise, in a
-fixed order).  ||b||, and so zeta_1, comes from the same row rule.  So
+fixed order).  ||b||, and so zeta_1, comes from the same row rule, on
+b scaled by a power of two (exact, so any finite b has a norm).  So
 the run is bitwise identical for every block count, even one that
 changes between steps, on the kernel's SIMD and scalar paths, and for
 any BLAS thread count: no reduction of the recursion, the eigensolve or
@@ -116,31 +114,6 @@ def _sqrt_from_above(z):
     out = np.sqrt(z)
     flip = (z.imag == 0.0) & (z.real < 0.0) & (out.imag < 0.0)
     return np.where(flip, -out, out)
-
-
-def sc_resolvent_dense(lam, a_dense):
-    """Stability-corrected resolvent of a dense matrix.
-
-    f(lam, A) = 1/2 A^{-1/2} (sqrt(lam) I + sqrt(A))^{-1}
-              + 1/2 conj(A^{-1/2}) (sqrt(lam) I + conj(sqrt(A)))^{-1}
-
-    with sqrt(lam) = i sqrt(|lam|) for lam < 0 (limit from above).  Its
-    real part equals Re (A - lam I)^{-1} for lam on the negative axis.
-    lam is a scalar, or a 1-D array of shifts that share one sqrt(A);
-    the result is then the stack f[k] = f(lam[k], A).  Dense reference
-    implementation for small systems.
-    """
-    import scipy.linalg  # an oracle's import, kept off the run path
-
-    a_dense = np.asarray(a_dense, dtype=complex)
-    n = a_dense.shape[0]
-    sqlam = _sqrt_from_above(lam)[..., None, None]
-    sqa = scipy.linalg.sqrtm(a_dense).astype(complex)
-    inv_sqa = np.linalg.inv(sqa)
-    eye = np.eye(n)
-    term1 = inv_sqa @ np.linalg.inv(sqlam * eye + sqa)
-    term2 = np.conj(inv_sqa) @ np.linalg.inv(sqlam * eye + np.conj(sqa))
-    return 0.5 * (term1 + term2)
 
 
 @dataclass
@@ -308,6 +281,16 @@ def bilanczos(op, b, m, probe_indices, ref_job=None):
     # planar buffers: r (r_i = zeta_i w_i), r_prev (r_{i-1}, then r_{i+1}
     # in place) and aw; the two r buffers swap roles every step
     r = _planar(b, (n,))
+    # r = b 2^-e in place, its largest component in [0.5, 1): exact, and
+    # ||r|| neither over- nor underflows for any finite b; 2^e goes back
+    # into zeta_1 alone, so the run is the same for b at any scale
+    big = max(r.max(), -r.min())
+    if not np.isfinite(big):
+        raise InvalidParameterError("start vector is not finite")
+    if big == 0.0:
+        raise InvalidParameterError("start vector is zero")
+    b_exp = int(np.frexp(big)[1])
+    np.ldexp(r, -b_exp, out=r)
     r_prev = np.zeros((2, n))
     aw = np.empty((2, n))
     dots = np.empty((2, wx), dtype=complex)  # row partials of d_i, a_i d_i
@@ -325,15 +308,14 @@ def bilanczos(op, b, m, probe_indices, ref_job=None):
     args_b = [(*fixed, p_aw, x, y, p_coef, p_norms)
               for x, y in ((p_r, p_prev), (p_prev, p_r))]
 
-    # ||b|| by the same rule: with alpha = 0 and s = 1, phase B leaves r = b
+    # ||r|| by the same rule: with alpha = 0 and s = 1, phase B leaves r
     coef[4] = 1.0
     kernel.lanczos_phase_b(n_blocks, False, *fixed, p_r, p_r, p_r, p_coef,
                            p_norms)
-    norm_b = float(np.sqrt(norms.sum()))
-    if norm_b == 0.0:
-        raise InvalidParameterError("start vector is zero")
-    scale, scale_prev = 1.0 / norm_b, 0.0  # w_i = r_i * scale
-    zeta_cur = norm_b  # zeta_i, the norm that produced w_i
+    norm_r = float(np.sqrt(norms.sum()))
+    scale, scale_prev = 1.0 / norm_r, 0.0  # w_i = r_i * scale
+    # zeta_i, the norm that produced w_i: zeta_1 = ||b||
+    zeta_cur = float(np.ldexp(norm_r, b_exp))
     delta_prev = 1.0
 
     # w_1 = r * scale, component by component as the kernel forms it

@@ -88,9 +88,11 @@ class WaveOperator:
 
     @functools.cached_property
     def a_mat(self):
-        """A as a CSR matrix, built on first use.  scipy.sparse is
-        imported here, not at module level: no stage of a run needs the
-        matrix, and the import costs a quarter second of start-up."""
+        """A as a CSR matrix, built on first use: an oracle of the tests,
+        and the nnz count of the bench.  It needs scipy (the `test`
+        extra), imported here only: no stage of a run needs the matrix,
+        and the package depends on numpy alone.  It can leave the
+        package once the bench counts nnz from the stencil factors."""
         import scipy.sparse
 
         cxm, cxp, cym, cyp, inv_c = (self.cxm, self.cxp, self.cym, self.cyp,

@@ -251,6 +251,8 @@ def impedance_error(imp, interval, samples=20000):
     """
     if samples < 2:
         raise InvalidParameterError("need at least two sample points")
+    if samples > np.iinfo(np.intp).max // 16:  # numpy's size limit
+        raise MemoryError(f"{samples} samples are too many for an array")
     xs = np.geomspace(interval.x_lo, interval.x_hi, samples)
     return xs, np.abs(1.0 - np.sqrt(xs) * imp(xs))
 

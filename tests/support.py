@@ -32,6 +32,29 @@ def diagonal_operator(diag, m_diag):
     )
 
 
+def sc_resolvent_dense(lam, a_dense):
+    """Stability-corrected resolvent of a dense matrix, the oracle of
+    criterion 04.
+
+    f(lam, A) = 1/2 A^{-1/2} (sqrt(lam) I + sqrt(A))^{-1}
+              + 1/2 conj(A^{-1/2}) (sqrt(lam) I + conj(sqrt(A)))^{-1}
+
+    with sqrt(lam) = i sqrt(|lam|) for lam < 0 (limit from above).  Its
+    real part equals Re (A - lam I)^{-1} for lam on the negative axis.
+    lam is a scalar, or a 1-D array of shifts that share one sqrt(A);
+    the result is then the stack f[k] = f(lam[k], A).
+    """
+    a_dense = np.asarray(a_dense, dtype=complex)
+    n = a_dense.shape[0]
+    sqlam = krylov._sqrt_from_above(lam)[..., None, None]
+    sqa = scipy.linalg.sqrtm(a_dense).astype(complex)
+    inv_sqa = np.linalg.inv(sqa)
+    eye = np.eye(n)
+    term1 = inv_sqa @ np.linalg.inv(sqlam * eye + sqa)
+    term2 = np.conj(inv_sqa) @ np.linalg.inv(sqlam * eye + np.conj(sqa))
+    return 0.5 * (term1 + term2)
+
+
 def weighted(op):
     """M A of op as a sparse matrix (complex symmetric)."""
     return scipy.sparse.diags(op.m_diag) @ op.a_mat

@@ -20,7 +20,6 @@ from wavecast.krylov import (
     convolve_source,
     eigen_tridiag,
     evaluate_impulse,
-    sc_resolvent_dense,
 )
 from wavecast.harness import run_study
 from wavecast.operator import MediumMap, assemble_operator
@@ -33,7 +32,7 @@ from wavecast.zolotarev import (
     zolotarev_approx,
 )
 
-from support import probe_index, uncorrected_impulse
+from support import probe_index, sc_resolvent_dense, uncorrected_impulse
 
 
 def _study(name):

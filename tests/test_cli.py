@@ -87,6 +87,28 @@ def test_run_is_deterministic(mini_cfg, tmp_path):
     ).read_bytes()
 
 
+def test_run_is_the_same_at_any_amplitude(tmp_path, capsys):
+    # the problem is linear in the source: amplitudes from 1e-200 to
+    # 1e160 give amplitude 1's error (||b||^2 used to over- or underflow,
+    # exiting 3 or 2 with a wrong diagnosis), and 1e308, whose start
+    # vector is not finite, is a configuration error
+    errors = []
+    for amplitude in ("1", "1e152", "1e160", "1e-170", "1e-200", "1e308"):
+        cfg = tmp_path / f"{amplitude}.cfg"
+        cfg.write_text(MINI_CFG.replace(
+            "t_final = 6.0", f"t_final = 6.0\namplitude = {amplitude}"))
+        out = tmp_path / amplitude
+        code = main(["run", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        if amplitude == "1e308":
+            assert code == 2 and "start vector is not finite" in err
+            continue
+        assert code == 0, err
+        report = json.loads((out / "report.json").read_text())
+        errors.append(report["probe_errors"][0])
+    assert errors == pytest.approx([errors[0]] * 5, rel=1e-12, abs=0.0)
+
+
 def test_converge_reports_decreasing_errors(mini_cfg, tmp_path, capsys):
     out = tmp_path / "conv"
     assert main(["converge", str(mini_cfg), "--out", str(out)]) == 0
@@ -265,7 +287,7 @@ def test_unwritable_output_exits_2(mini_cfg, tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
-def test_compare_and_assert(tmp_path):
+def test_compare_and_assert(tmp_path, capsys):
     t = np.linspace(0.0, 10.0, 801)
     a = Waveform(times=t, values=np.sin(2.0 * np.pi * t)[None, :])
     shifted = np.sin(2.0 * np.pi * (t - t[1]))[None, :]
@@ -277,6 +299,15 @@ def test_compare_and_assert(tmp_path):
     # one-sample shift at fine dt: small but nonzero
     assert main(["compare", str(pa), str(pb)]) == 0
     assert main(["compare", str(pa), str(pb), "--assert", "1e-6"]) == 4
+    # a tolerance that is nan or negative is a configuration error, named
+    # before either trace is read (nan used to exit 4: "exceeds nan")
+    for tolerance in ("nan", "-0.001"):
+        for path in (pa, tmp_path / "missing.csv"):
+            capsys.readouterr()
+            assert main(["compare", str(path), str(path),
+                         "--assert", tolerance]) == 2
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and "--assert" in err
 
 
 def test_compare_probe_mismatch(tmp_path):
@@ -378,45 +409,66 @@ def _python_out(code):
     ).stdout
 
 
-# the scipy modules loaded so far, as a printed list
-_SCIPY_LOADED = ("sorted(m for m in sys.modules "
-                 "if m == 'scipy' or m.startswith('scipy.'))")
+# a fresh interpreter's preamble: every import of scipy or a scipy
+# submodule fails, and is recorded in `tried`
+_BLOCK_SCIPY = """
+import sys
+tried = []
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            tried.append(name)
+            raise ModuleNotFoundError(f"{name} is blocked", name=name)
+
+sys.meta_path.insert(0, BlockScipy())
+"""
 
 
 def test_cli_import_is_lean(tmp_path):
-    # scipy.signal (and scipy.stats behind it) cost about a second of
-    # start-up; importing the CLI must not start threads either
-    code = (
-        "import sys, threading, wavecast.cli; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') "
-        "if m in sys.modules), threading.active_count())"
-    )
-    assert _python_out(code).split() == ["[]", "1"]
-    # scipy.sparse, .fft and .linalg cost another half second: scipy is
-    # for the tests and the dense oracles, and neither the package, nor
-    # the CLI, nor a run loads any of it; nor does a run load
-    # numpy.random (about 18 ms)
-    for module in ("wavecast", "wavecast.cli"):
-        code = f"import sys, {module}; print({_SCIPY_LOADED})"
-        assert _python_out(code).split() == ["[]"], module
+    # scipy is a test-only dependency (it also cost 0.5 - 1.5 s of
+    # start-up): with every scipy import made to fail, each command
+    # runs, none tries to import scipy, and the traces are byte for byte
+    # those of a run that could import it.  Importing the CLI starts no
+    # thread, and no run loads numpy.random (about 18 ms).
     for reference in ("fdtd", "analytic"):
         cfg = tmp_path / f"{reference}.cfg"
         cfg.write_text(MINI_CFG.replace("reference = analytic",
                                         f"reference = {reference}"),
                        encoding="utf-8")
-    code = (
-        "import os, sys; from wavecast.cli import main; "
-        f"os.chdir({str(tmp_path)!r})\n"
-        "for ref in ('fdtd', 'analytic'):\n"
-        "    code = main(['run', ref + '.cfg', '--out', ref])\n"
-        f"    print('loaded', ref, code, {_SCIPY_LOADED},\n"
-        "          'numpy.random' in sys.modules)"
-    )
+    code = _BLOCK_SCIPY + f"""
+import json, os, threading
+from wavecast.cli import main
+codes = {{"threads": threading.active_count()}}
+os.chdir({str(tmp_path)!r})
+for ref in ("fdtd", "analytic"):
+    for command in ("run", "converge"):
+        codes[command + "-" + ref] = main(
+            [command, ref + ".cfg", "--out", command + "-" + ref])
+codes["pml-report"] = main(["pml-report", "--chi", "100", "--k", "4",
+                            "--out", "pml"])
+codes["grid-dump"] = main(["grid-dump", "fdtd.cfg", "--out", "grid.csv"])
+codes["compare"] = main(["compare", "run-fdtd/lanczos.csv",
+                         "run-fdtd/reference.csv"])
+codes["numpy.random"] = "numpy.random" in sys.modules
+codes["tried"] = tried
+print("codes", json.dumps(codes))
+"""
     lines = [line for line in _python_out(code).splitlines()
-             if line.startswith("loaded ")]
-    assert lines == ["loaded fdtd 0 [] False", "loaded analytic 0 [] False"]
+             if line.startswith("codes ")]
+    assert len(lines) == 1
+    assert json.loads(lines[0].removeprefix("codes ")) == {
+        "threads": 1, "run-fdtd": 0, "converge-fdtd": 0, "run-analytic": 0,
+        "converge-analytic": 0, "pml-report": 0, "grid-dump": 0,
+        "compare": 0, "numpy.random": False, "tried": []}
     for reference in ("fdtd", "analytic"):
-        assert (tmp_path / reference / "reference.csv").exists()
+        for command in ("run", "converge"):
+            name = f"{command}-{reference}"
+            assert main([command, str(tmp_path / f"{reference}.cfg"),
+                         "--out", str(tmp_path / "free" / name)]) == 0
+            for trace in ("lanczos.csv", "reference.csv"):
+                assert ((tmp_path / name / trace).read_bytes()
+                        == (tmp_path / "free" / name / trace).read_bytes())
 
 
 _NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
@@ -616,22 +668,32 @@ def address_space_cap():
     resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
+_HUGE, _HUGER = "1" + "0" * 11, "1" + "0" * 20
+
+
 @pytest.mark.parametrize("command", [
-    ["run", "{huge}"],
-    ["grid-dump", "{huge}"],
-    ["pml-report", "--chi", "100", "--k", "4", "--samples", "100000000000"],
+    ["run", _HUGE],
+    ["grid-dump", _HUGE],
+    ["pml-report", "--chi", "100", "--k", "4", "--samples", _HUGE],
+    ["run", _HUGER],
+    ["grid-dump", _HUGER],
+    ["pml-report", "--chi", "100", "--k", "4", "--samples", _HUGER],
 ])
 def test_input_too_large_to_allocate_exits_2(tmp_path, capsys, command,
                                              address_space_cap):
-    # n_int = 1e11 and 1e11 samples each ask for 745 GiB at once
-    huge = tmp_path / "huge.cfg"
-    huge.write_text(MINI_CFG.replace("n_int = 40", "n_int = 100000000000"))
+    # n_int = 1e11 and 1e11 samples each ask for 745 GiB at once; 1e20
+    # is past the largest array numpy can make at all (it raised a
+    # ValueError, with a traceback)
+    size, argv = command[-1], list(command)
+    if command[0] != "pml-report":  # the size is the config's n_int
+        argv[-1] = tmp_path / "huge.cfg"
+        argv[-1].write_text(MINI_CFG.replace("n_int = 40", f"n_int = {size}"))
     out = tmp_path / "x"
-    argv = [a.format(huge=huge) for a in command] + ["--out", str(out)]
-    assert main(argv) == 2
+    assert main([*map(str, argv), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert "GiB" in err
+    if size == _HUGE:
+        assert "GiB" in err  # the rows that reach an allocation
     assert not out.exists()
 
 

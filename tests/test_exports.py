@@ -21,16 +21,17 @@ MODULES = [ast.parse(path.read_text())
 
 # defined, called by no module of the package, and kept on purpose
 ORACLES = {
-    "sc_resolvent_dense": "dense stability-corrected resolvent, the "
-                          "oracle of criterion 04",
     "eval_impedance_cf": "direct evaluation of the continued-fraction "
                          "ladder, checked against the partial fractions",
     "SourceSignature.spectrum": "exact transform of the wavelet, behind "
                                 "the Hankel route of "
                                 "test_analytic_matches_hankel_route",
-    "WaveOperator.a_mat": "A as a CSR matrix: the oracle of the compiled "
-                          "stencil product and of the dense tests "
-                          "(perfbench/child.py also reads its nnz)",
+    "WaveOperator.a_mat": "A as a CSR matrix (scipy.sparse, from the "
+                          "`test` extra): the oracle of the compiled "
+                          "stencil product and of the dense tests; "
+                          "perfbench/child.py reads its nnz, so it can "
+                          "move to tests/support.py once the bench counts "
+                          "nnz from the stencil factors",
 }
 
 # parameters with a default that no call in the package sets, and the

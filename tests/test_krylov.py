@@ -29,7 +29,6 @@ from wavecast.krylov import (
     convolve_source,
     eigen_tridiag,
     evaluate_impulse,
-    sc_resolvent_dense,
 )
 from wavecast.operator import MediumMap, assemble_operator
 from wavecast.scenarios import get_scenario
@@ -44,6 +43,7 @@ from support import (
     invit_loop,
     invit_start,
     probe_index,
+    sc_resolvent_dense,
     uncorrected_impulse,
 )
 
@@ -147,6 +147,29 @@ def test_truncate_equals_fresh_run():
         assert np.array_equal(getattr(cut, name), getattr(short, name)), name
     with pytest.raises(InvalidParameterError):
         long.truncate(0)
+
+
+@pytest.mark.parametrize("power", [600, -600])
+def test_start_vector_at_any_scale(power):
+    # the recursion is linear in b: b 2^power gives bitwise the same run,
+    # with zeta_1 = ||b|| scaled exactly, although ||b||^2 is out of range
+    op = _small_op()
+    rng = np.random.default_rng(7)
+    b = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
+    probes = [probe_index(op, 0.5, -0.5)]
+    want = bilanczos(op, b, 40, probes)
+    got = bilanczos(op, np.ldexp(b.view(float), power).view(complex), 40,
+                    probes)
+    assert got.m == want.m == 40 and got.stop == want.stop
+    for name in ("alpha", "delta", "w_probe", "drift"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.zeta[1:], want.zeta[1:])
+    assert got.zeta[0] == np.ldexp(want.zeta[0], power)
+    for bad in (np.nan, np.inf, -np.inf):
+        b_bad = b.copy()
+        b_bad[3] = bad
+        with pytest.raises(InvalidParameterError, match="not finite"):
+            bilanczos(op, b_bad, 5, probes)
 
 
 def test_breakdown_raises():
