@@ -59,7 +59,6 @@ def time_step(n_int, eps_min):
 class FdtdResult:
     waveform: Waveform
     n_steps: int
-    probe_coords: tuple
 
 
 @dataclass(frozen=True)
@@ -83,10 +82,6 @@ class Yee:
     db: np.ndarray
     source: tuple | None
     probes: tuple
-
-    @property
-    def probe_coords(self):
-        return tuple((self.nodes[i], self.nodes[j]) for i, j in self.probes)
 
 
 def _sigma_profile(positions, delta, n_pml):
@@ -195,10 +190,9 @@ def run_fdtd(
     reflecting box.
 
     source_xy=None disables injection (signature is then unused).  The
-    snapped probe coordinates come back on the result so references can
-    be evaluated at the positions actually sampled.  The march runs in
-    the compiled kernel, _CHUNK_STEPS steps per call; once the
-    threading.Event cancel is set, the next chunk raises CancelledError.
+    march runs in the compiled kernel, _CHUNK_STEPS steps per call; once
+    the threading.Event cancel is set, the next chunk raises
+    CancelledError.
     """
     yee = yee_setup(n_int, probes, source_xy, signature, t_final,
                     medium_fn, n_pml)
@@ -235,5 +229,4 @@ def run_fdtd(
     return FdtdResult(
         waveform=Waveform(times=times, values=traces),
         n_steps=n_steps,
-        probe_coords=yee.probe_coords,
     )

@@ -23,26 +23,28 @@ with the principal square root (branch approached from above on the
 negative real axis): u(t) = zeta_1 * Re[W f(t, T_m) e_1] stays bounded
 for spectra anywhere off the branch cut, unlike the naive
 sin(sqrt(-a) t)/sqrt(-a) kernel, which diverges off the real axis.
+In the Ritz values theta_i and their residues r it is the spectral
+form u_p(t) = zeta_1 Re sum_i r_{p,i} f(t, theta_i) (ModeSet).
 
 The decomposition is structured (eigen_tridiag) and O(m^2) throughout,
 with no m x m array: the eigenvectors are streamed.  A small C kernel
-(_ritz.c) gives the eigenvalues of the symmetrized tridiagonal H -- a
-root-free implicit QL (complex-orthogonal rotations on the squared
-off-diagonal, no square root per rotation), then Ehrlich-Aberth sweeps
-that polish every value to rounding level -- and one eigenvector per
-value, by three steps of inverse iteration on one pivoted tridiagonal
-LU of H - theta I, from which it keeps only what the trace and the
-reconstruction gate need: the mode weight s_i[0] (S^T e_1 is S^-1 e_1
-for bilinearly orthonormal vectors), the probe rows and two running
-sums.  Values that do not converge mark a numerically defective H
-(NearDefectiveError).  Close Ritz values are handled explicitly:
-clusters get bilinearly orthogonalized vectors, and ghost copies of one
-mode are merged.  The polish sweeps, the inverse iteration and the
-impulse sum work value by value (sample by sample) on OpenMP threads,
-with bitwise the same result for any thread count; the QL is serial.
-One rule, _thread_count, sets the threads of the compiled stages (the
-recursion applies it before each step), not the BLAS or OpenMP thread
-settings.
+(_ritz.c) gives the eigenvalues of the symmetrized tridiagonal H,
+scaled once by a power of two (_h_scale) -- a root-free implicit QL
+(complex-orthogonal rotations on the squared off-diagonal, no square
+root per rotation), then Ehrlich-Aberth sweeps that polish every value
+to rounding level -- and one eigenvector s_i per value, by three steps
+of inverse iteration on one pivoted tridiagonal LU of H - theta I, from
+which it keeps only what the residues and the reconstruction gate need:
+s_i[0] (S^T e_1 is S^-1 e_1 for bilinearly orthonormal vectors), the
+probe rows and two running sums.  Values that do not converge mark a
+numerically defective H (NearDefectiveError).  Close Ritz values are
+handled explicitly: clusters get bilinearly orthogonalized vectors, and
+the residues of ghost copies of one mode are summed.  The polish sweeps,
+the inverse iteration and the impulse sum work value by value (sample
+by sample) on OpenMP threads, with bitwise the same result for any
+thread count; the QL is serial.  One rule, _thread_count, sets the
+threads of the compiled stages (the recursion applies it before each
+step), not the BLAS or OpenMP thread settings.
 
 Each recursion step runs on preallocated vectors in two passes of a
 second C kernel (_lanczos.c), each with its own reductions.  The
@@ -95,6 +97,7 @@ import dataclasses
 import functools
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -423,17 +426,17 @@ _DEFECT_TOL = 1e-12
 class ModeSet:
     """Spectral form of a projected run: field at probe p is
 
-        u_p(t) = zeta_1 * Re sum_i probe_modes[p, i] * weights[i]
-                                  * f(t, theta[i]).
+        u_p(t) = zeta_1 * Re sum_i residues[p, i] * f(t, theta[i]),
 
-    merged counts the ghost Ritz values folded into another mode and
-    threads the thread count of eigen_tridiag's per-value stages, which
+    residues[p, i] = (W D^{-1/2} s_i)_p s_i[0] d_1^{1/2} (see
+    eigen_tridiag), summed over the ghost copies of a mode.  merged
+    counts the ghost Ritz values folded into another mode and threads
+    the thread count of eigen_tridiag's per-value stages, which
     evaluate_impulse takes too.
     """
 
     theta: np.ndarray
-    probe_modes: np.ndarray
-    weights: np.ndarray
+    residues: np.ndarray      # (n_probes, modes)
     zeta1: float
     recon_error: float
     merged: int
@@ -474,18 +477,35 @@ def _ritz_kernel():
     })
 
 
-def _h_scale(alpha, off):
-    """max |H| of the tridiagonal (diagonal alpha, off-diagonal off), and
-    the exponent e that puts max |H| 2^-e in [0.5, 1) (0 when max |H| is
-    zero or not finite)."""
-    h_scale = float(max(np.abs(alpha).max(), np.abs(off).max(initial=0.0)))
-    return h_scale, int(np.frexp(h_scale)[1]) if 0.0 < h_scale < np.inf else 0
-
-
 def _ldexp(z, k):
     """Complex z * 2^k, componentwise (exact unless it over- or
     underflows)."""
     return np.ldexp(z.view(float), k).view(complex)
+
+
+class _ScaledH(NamedTuple):
+    """H (diagonal alpha, off-diagonal off) times 2^-exp (_h_scale)."""
+
+    alpha: np.ndarray
+    off: np.ndarray
+    h_max: float
+    exp: int
+
+
+def _h_scale(alpha, off):
+    """H scaled by the power of two 2^-exp that puts max |H| in [0.5, 1)
+    (exp = 0 when max |H| is zero or not finite): the one scaling of the
+    eigensolve.  It is exact, and the QL squares the off-diagonal and
+    tests its shifts and deflations accurately only near unit scale."""
+    alpha = np.ascontiguousarray(alpha, dtype=complex)
+    off = np.ascontiguousarray(off, dtype=complex)
+    if alpha.ndim != 1 or alpha.size == 0 or off.shape != (alpha.size - 1,):
+        raise InvalidParameterError("tridiagonal needs m >= 1 and m - 1 "
+                                    "off-diagonal entries")
+    h_max = float(max(np.abs(alpha).max(), np.abs(off).max(initial=0.0)))
+    exp = int(np.frexp(h_max)[1]) if 0.0 < h_max < np.inf else 0
+    return _ScaledH(_ldexp(alpha, -exp), _ldexp(off, -exp),
+                    float(np.ldexp(h_max, -exp)), exp)
 
 
 def _norm(x):
@@ -493,30 +513,19 @@ def _norm(x):
     return float(np.sqrt(np.sum(x.real ** 2 + x.imag ** 2)))
 
 
-def _ritz_values(alpha, off, threads):
-    """Eigenvalues of the symmetric tridiagonal H (diagonal alpha,
-    off-diagonal off), sorted by real, then imaginary part, from the
-    compiled kernel, its polish on `threads` threads.  The kernel sees H
-    scaled by the power of two that puts max |H| in [0.5, 1), which is
-    exact: its QL squares the off-diagonal, and its shift and deflation
-    tests are accurate only near unit scale.  Values that do not
-    converge raise NearDefectiveError: with the QL's exceptional shift,
-    only a numerically defective H has been seen to stop it."""
-    alpha = np.ascontiguousarray(alpha, dtype=complex)
-    off = np.ascontiguousarray(off, dtype=complex)
-    if alpha.ndim != 1 or alpha.size == 0 or off.shape != (alpha.size - 1,):
-        raise InvalidParameterError("tridiagonal needs m >= 1 and m - 1 "
-                                    "off-diagonal entries")
-    _, exp = _h_scale(alpha, off)
-    theta = np.empty_like(alpha)
-    if _ritz_kernel().ritz_values(threads, alpha.size, _ldexp(alpha, -exp),
-                                  _ldexp(off, -exp), theta,
-                                  np.empty_like(alpha),
-                                  np.empty(alpha.size, dtype=np.intc)):
+def _ritz_values(h, threads):
+    """Eigenvalues of the scaled H (a _ScaledH), in its units, sorted by
+    real, then imaginary part, from the compiled kernel, its polish on
+    `threads` threads.  Values that do not converge raise
+    NearDefectiveError: with the QL's exceptional shift, only a
+    numerically defective H has been seen to stop it."""
+    theta = np.empty_like(h.alpha)
+    if _ritz_kernel().ritz_values(threads, theta.size, h.alpha, h.off, theta,
+                                  np.empty_like(theta),
+                                  np.empty(theta.size, dtype=np.intc)):
         raise NearDefectiveError(
             "eigenvalues of the projected matrix did not converge: it is "
             "numerically defective")
-    theta = _ldexp(theta, exp)
     return theta[np.lexsort((theta.imag, theta.real))]
 
 
@@ -533,22 +542,20 @@ def _defective(quasi):
     )
 
 
-def _ritz_vectors(alpha, off, theta, rows, threads):
-    """The eigenvectors s_i of H (scaled to s^T s = 1) for the sorted
-    Ritz values, streamed through the compiled ritz_vectors kernel on
-    `threads` threads (see eigen_tridiag), on H, theta and the shift step
-    scaled as in _ritz_values.  No vector is kept: returns (first,
-    probe, hs, ss), first[i] = s_i[0], probe[p, i] = rows[p] . s_i, hs =
-    S diag(theta) S^T e_1 and ss = S S^T e_1."""
+def _ritz_vectors(h, theta, rows, threads):
+    """The eigenvectors s_i (scaled to s^T s = 1) of the scaled H (a
+    _ScaledH) for its sorted Ritz values theta, streamed through the
+    compiled ritz_vectors kernel on `threads` threads (see
+    eigen_tridiag).  No vector is kept: returns (first, probe, hs, ss),
+    first[i] = s_i[0], probe[p, i] = rows[p] . s_i, hs = S diag(theta)
+    S^T e_1 and ss = S S^T e_1."""
     m = theta.size
-    alpha, off, theta, rows = (np.ascontiguousarray(a, dtype=complex)
-                               for a in (alpha, off, theta, rows))
-    if (alpha.shape != (m,) or off.shape != (m - 1,) or rows.ndim != 2
-            or rows.shape[1] != m):
+    theta, rows = (np.ascontiguousarray(a, dtype=complex)
+                   for a in (theta, rows))
+    if h.alpha.shape != (m,) or rows.ndim != 2 or rows.shape[1] != m:
         raise InvalidParameterError("tridiagonal, Ritz values and probe "
                                     "rows differ in size")
-    h_scale, exp = _h_scale(alpha, off)
-    label = _close_groups(theta, _CLUSTER_TOL * h_scale)
+    label = _close_groups(theta, _CLUSTER_TOL * h.h_max)
     # prev[i], next[i]: the member of i's cluster just before, just
     # after it, or -1
     order = np.argsort(label, kind="stable")
@@ -561,49 +568,48 @@ def _ritz_vectors(alpha, off, theta, rows, threads):
     probe = np.empty_like(rows)
     sums = np.empty(2 * m, dtype=complex)
     bad = np.empty(1, dtype=complex)
-    nudge = np.ldexp(4.0 * np.finfo(float).eps * h_scale, -exp)
     code = _ritz_kernel().ritz_vectors(
-        threads, m, _ldexp(alpha, -exp), _ldexp(off, -exp),
-        _ldexp(theta, -exp), prev, nxt, nudge, _INVIT_STEPS, _DEFECT_TOL,
+        threads, m, h.alpha, h.off, theta, prev, nxt,
+        4.0 * np.finfo(float).eps * h.h_max, _INVIT_STEPS, _DEFECT_TOL,
         rows.shape[0], rows, first, probe, sums, bad)
     if code == 1:
-        raise _singular(_ldexp(bad, exp)[0])  # the kernel's sigma is scaled
+        raise _singular(_ldexp(bad, h.exp)[0])  # sigma in H's own units
     if code == 2:
         raise _defective(bad[0])
     if code == 3:
         raise MemoryError("no memory for the inverse iteration's workspace")
-    return first, probe, _ldexp(sums[:m], exp), sums[m:]
+    return first, probe, sums[:m], sums[m:]
 
 
-def _merge_ghosts(theta, probe_modes, weights, tol):
+def _merge_ghosts(theta, residues, tol):
     """Fold Ritz values closer than tol into one mode each: the group's
-    residues (probe_modes * weights) are summed onto its member with the
-    largest residue.  Returns (theta, probe_modes, weights, merged)."""
+    residues are summed onto its member with the largest residue.
+    Returns (theta, residues, merged)."""
     label = _close_groups(theta, tol)
-    residues = probe_modes * weights
     keep = np.ones(theta.size, dtype=bool)
     for g in np.flatnonzero(np.bincount(label) > 1):
         members = np.flatnonzero(label == g)
         lead = members[np.argmax(np.abs(residues[:, members]).max(axis=0))]
-        probe_modes[:, lead] = residues[:, members].sum(axis=1) / weights[lead]
+        residues[:, lead] = residues[:, members].sum(axis=1)
         keep[members] = False
         keep[lead] = True
-    return (theta[keep], probe_modes[:, keep], weights[keep],
-            int(theta.size - keep.sum()))
+    return theta[keep], residues[:, keep], int(theta.size - keep.sum())
 
 
 def eigen_tridiag(decomp, ref_job=None):
     """Diagonalize the projected tridiagonal for field evaluation.
 
     Works on the symmetrized H = D^{1/2} T D^{-1/2} (complex symmetric;
-    the branch choices in D^{1/2} cancel), in four steps:
+    the branch choices in D^{1/2} cancel), scaled once by _h_scale, and
+    exactly: every step below runs in those units and theta is scaled
+    back at the end, so H at any power-of-two scale has the same modes
+    but for theta.  In four steps:
 
     - Eigenvalues only, sorted by real, then imaginary part, from the
-      compiled kernel on H scaled by a power of two to max |H| in
-      [0.5, 1): a complex QL with Wilkinson shifts (Cullum & Willoughby
-      1996) and one late exceptional shift, in the root-free form of
-      LAPACK's xSTERF, on the squared off-diagonal, whose values are
-      good to 1e-11 to 1e-10 of max |H|, then Jacobi-style
+      compiled kernel: a complex QL with Wilkinson shifts (Cullum &
+      Willoughby 1996) and one late exceptional shift, in the root-free
+      form of LAPACK's xSTERF, on the squared off-diagonal, whose values
+      are good to 1e-11 to 1e-10 of max |H|, then Jacobi-style
       Ehrlich-Aberth sweeps (Bini, Gemignani & Tisseur 2005) with the
       Newton quotient from the ratio form of the three-term recurrence.
       The first sweep moves every value, later ones those whose last
@@ -625,64 +631,56 @@ def eigen_tridiag(decomp, ref_job=None):
       s^T s = 1; NearDefectiveError if |s^T s| of the unit-norm vector
       is below _DEFECT_TOL.
     - Streamed, not stored: the kernel keeps no vector past its value
-      (but the earlier members of an open cluster chain) and emits the
-      mode weight s_i[0] (S^T e_1, the first row of S: with bilinearly
-      orthonormal vectors S^T = S^-1, and the cluster orthogonalization
-      keeps that true of close and ghost pairs too), the probe rows
-      (W D^{-1/2}) s_i, and the sums S diag(theta) S^T e_1 and S S^T e_1,
-      added in fixed blocks of values and the blocks in order.
-      PrecisionError unless the first reproduces H e_1 to _RECON_TOL *
-      max |H| and the second e_1 to _RECON_TOL; recon_error is the larger
-      of the two (relative) residuals.
+      (but the earlier members of an open cluster chain) and emits
+      s_i[0] (S^T e_1, the first row of S: with bilinearly orthonormal
+      vectors S^T = S^-1, and the cluster orthogonalization keeps that
+      true of close and ghost pairs too), the probe rows (W D^{-1/2})
+      s_i, and the sums S diag(theta) S^T e_1 and S S^T e_1, added in
+      fixed blocks of values and the blocks in order.  PrecisionError
+      unless the first reproduces H e_1 to _RECON_TOL * max |H| and the
+      second e_1 to _RECON_TOL; recon_error is the larger of the two
+      (relative) residuals.  Mode i's residues are its probe rows times
+      s_i[0] d_1^{1/2}.
     - Ghost merge: Ritz values within _GHOST_TOL * max |H| are one mode,
-      whose residues (probe_modes * weights) are summed onto the member
-      with the largest residue (window measured at the constant).  The
-      returned ModeSet has m - merged modes.
+      whose residues are summed onto the member with the largest residue
+      (window measured at the constant).  The returned ModeSet has
+      m - merged modes.
 
     The polish sweeps and the inverse iteration run on
     _thread_count(ref_job) threads, ref_job being the reference route
     beside the eigensolve (None without one), with bitwise the same
-    result for any thread count.  Both stages see H scaled by the same
-    power of two (exact), so any scale of H gives finite modes.
-    Everything is O(m^2) in time; memory beyond O(m) is the kernel's
-    block partials, 2 m values per 64 values (1.4 MB at m = 1 650).
+    result for any thread count.  Everything is O(m^2) in time; memory
+    beyond O(m) is the kernel's block partials, 2 m values per 64
+    values (1.4 MB at m = 1 650).
     """
-    alpha, zeta, delta = decomp.alpha, decomp.zeta, decomp.delta
-    sqd = np.sqrt(delta)
-    off = zeta[1:] * sqd[1:] / sqd[:-1]
-    h_scale, _ = _h_scale(alpha, off)
+    sqd = np.sqrt(decomp.delta)
+    h = _h_scale(decomp.alpha, decomp.zeta[1:] * sqd[1:] / sqd[:-1])
     threads = _thread_count(ref_job)
-    theta = _ritz_values(alpha, off, threads)
-    coeff, probe_modes, hs, ss = _ritz_vectors(
-        alpha, off, theta, decomp.w_probe / sqd[None, :], threads)
-    hs[0] -= alpha[0]  # the residuals against H e_1 and e_1
-    hs[1:2] -= off[:1]
+    theta = _ritz_values(h, threads)
+    first, probe, hs, ss = _ritz_vectors(
+        h, theta, decomp.w_probe / sqd[None, :], threads)
+    hs[0] -= h.alpha[0]  # the residuals against H e_1 and e_1
+    hs[1:2] -= h.off[:1]
     ss[0] -= 1.0
-    recon = max(_norm(hs / h_scale), _norm(ss))
+    recon = max(_norm(hs / h.h_max), _norm(ss))
     if not recon <= _RECON_TOL:
         raise PrecisionError(
             f"eigendecomposition failed reconstruction: relative residual "
             f"{recon:.2e} exceeds {_RECON_TOL:.0e}"
         )
-    theta, probe_modes, weights, merged = _merge_ghosts(
-        theta, probe_modes, coeff * sqd[0], _GHOST_TOL * h_scale)
-    return ModeSet(
-        theta=theta,
-        probe_modes=probe_modes,
-        weights=weights,
-        zeta1=float(decomp.zeta[0]),
-        recon_error=recon,
-        merged=merged,
-        threads=threads,
-    )
+    theta, residues, merged = _merge_ghosts(
+        theta, probe * (first * sqd[0]), _GHOST_TOL * h.h_max)
+    return ModeSet(theta=_ldexp(theta, h.exp), residues=residues,
+                   zeta1=float(decomp.zeta[0]), recon_error=recon,
+                   merged=merged, threads=threads)
 
 
 def evaluate_impulse(modes, times):
     """Impulse response at the probes for t >= 0, by the stable kernel
     exp(-sqrt(a) t)/sqrt(a): u_p(t_j) = zeta_1 Re sum_i g_{p,i}
-    exp(-sqrt(theta_i) t_j), g = probe_modes * weights / sqrt(theta),
-    summed by the compiled impulse kernel on modes.threads threads, with
-    no array beyond the trace.
+    exp(-sqrt(theta_i) t_j), g = residues / sqrt(theta), summed by the
+    compiled impulse kernel on modes.threads threads, with no array
+    beyond the trace.
     """
     times = np.ascontiguousarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -690,9 +688,9 @@ def evaluate_impulse(modes, times):
     if np.any(times < 0.0):
         raise InvalidParameterError("impulse response is causal: t >= 0")
     sq = _sqrt_from_above(modes.theta)
-    g = np.ascontiguousarray(modes.probe_modes * modes.weights / sq)
+    g = np.ascontiguousarray(modes.residues / sq)
     if g.ndim != 2 or g.shape[1] != sq.size:
-        raise InvalidParameterError("probe modes must be (probes, modes)")
+        raise InvalidParameterError("residues must be (probes, modes)")
     u = np.empty((g.shape[0], times.size))
     _ritz_kernel().impulse(modes.threads, sq.size, g.shape[0], sq, g,
                            times.size, times, u)

@@ -129,14 +129,19 @@ class WaveOperator:
         """Point source: discrete delta at the nearest interior node.
 
         Returns (b, flat_index); b integrates to `amplitude` against
-        the dual cell areas.
+        the dual cell areas.  InvalidParameterError if the sampled value
+        is not finite.
         """
         ix, iy, _, _ = self.grid.nearest_interior_node(x, y)
-        area = (
-            self.grid.axis_x.steps_dual[ix] * self.grid.axis_y.steps_dual[iy]
-        )
+        area = float((self.grid.axis_x.steps_dual[ix]
+                      * self.grid.axis_y.steps_dual[iy]).real)
+        value = float(amplitude) / area  # Python floats: inf, no warning
+        if not np.isfinite(value):
+            raise InvalidParameterError(
+                f"source is not finite: amplitude {amplitude:g} over the "
+                f"cell area {area:.3e}")
         b = np.zeros(self.n)
-        b[self.grid.node_index(ix, iy)] = amplitude / area.real
+        b[self.grid.node_index(ix, iy)] = value
         return b, self.grid.node_index(ix, iy)
 
 

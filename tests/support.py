@@ -89,8 +89,7 @@ def uncorrected_impulse(modes, times):
     real negative spectrum, growing off it (the negative control of
     criterion 07)."""
     sq = krylov._sqrt_from_above(-modes.theta)[:, None]
-    residues = modes.probe_modes * modes.weights[None, :]
-    return modes.zeta1 * (residues @ (-np.sin(sq * times) / sq)).real
+    return modes.zeta1 * (modes.residues @ (-np.sin(sq * times) / sq)).real
 
 
 def invit_start(i, m):
@@ -222,5 +221,5 @@ def fdtd_oracle(n_int, probes, source_xy, signature, t_final,
 
     times = np.arange(n_steps + 1) * dt
     result = FdtdResult(waveform=Waveform(times=times, values=traces),
-                        n_steps=n_steps, probe_coords=yee.probe_coords)
+                        n_steps=n_steps)
     return result, energy

@@ -263,7 +263,7 @@ def test_criterion_07_long_window_stability(ring_modes):
     # exp stays under float64 overflow (budget e^600 ~ 3.8e260)
     root = np.sqrt(modes.theta.astype(complex))
     amp = np.log(
-        np.abs(modes.zeta1 * modes.weights * modes.probe_modes[0] / root)
+        np.abs(modes.zeta1 * modes.residues[0] / root)
         + 1e-300
     )
     t_cap = float(np.min((600.0 - amp) / root.real))

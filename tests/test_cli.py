@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -90,18 +91,22 @@ def test_run_is_deterministic(mini_cfg, tmp_path):
 def test_run_is_the_same_at_any_amplitude(tmp_path, capsys):
     # the problem is linear in the source: amplitudes from 1e-200 to
     # 1e160 give amplitude 1's error (||b||^2 used to over- or underflow,
-    # exiting 3 or 2 with a wrong diagnosis), and 1e308, whose start
-    # vector is not finite, is a configuration error
+    # exiting 3 or 2 with a wrong diagnosis), and 1e308, whose sampled
+    # source is not finite, is a configuration error, found without a
+    # warning before anything is written
     errors = []
     for amplitude in ("1", "1e152", "1e160", "1e-170", "1e-200", "1e308"):
         cfg = tmp_path / f"{amplitude}.cfg"
         cfg.write_text(MINI_CFG.replace(
             "t_final = 6.0", f"t_final = 6.0\namplitude = {amplitude}"))
         out = tmp_path / amplitude
-        code = main(["run", str(cfg), "--out", str(out)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", str(cfg), "--out", str(out)])
         err = capsys.readouterr().err
         if amplitude == "1e308":
-            assert code == 2 and "start vector is not finite" in err
+            assert code == 2 and "source is not finite" in err
+            assert not out.exists()
             continue
         assert code == 0, err
         report = json.loads((out / "report.json").read_text())

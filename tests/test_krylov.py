@@ -220,19 +220,20 @@ def test_happy_breakdown_on_invariant_start():
     assert abs(dec.alpha[0] - lam[3]) < 1e-10 * abs(lam[3])
 
 
+def _run_of(alpha, zeta, w_probe=None):
+    """A run whose H has diagonal alpha and off-diagonal zeta[1:]
+    (delta = 1), and one probe row of ones unless w_probe is given."""
+    m = len(alpha)
+    return LanczosDecomposition(
+        m=m, alpha=np.asarray(alpha, dtype=complex), zeta=np.asarray(zeta),
+        delta=np.ones(m, dtype=complex), stop="m", drift=0.0, threads=1,
+        w_probe=np.ones((1, m), dtype=complex) if w_probe is None else w_probe)
+
+
 def _jordan_2x2(c):
     """The run of H = c [[i, 1], [1, -i]], a double eigenvalue with a
     quasi-null eigenvector (s^T s = 0) at every scale c."""
-    return LanczosDecomposition(
-        m=2,
-        alpha=c * np.array([1j, -1j]),
-        zeta=np.array([1.0, c]),
-        delta=np.array([1.0 + 0j, 1.0 + 0j]),
-        w_probe=np.ones((1, 2), dtype=complex),
-        stop="m",
-        drift=0.0,
-        threads=1,
-    )
+    return _run_of(c * np.array([1j, -1j]), [1.0, c])
 
 
 def test_near_defective_raises():
@@ -263,6 +264,13 @@ def _dense(alpha, off):
     return np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1)
 
 
+def _values(alpha, off, threads=1):
+    """The Ritz values of H (diagonal alpha, off-diagonal off) as
+    eigen_tridiag finds them, through its one scaling (_h_scale)."""
+    h = krylov._h_scale(alpha, off)
+    return krylov._ldexp(krylov._ritz_values(h, threads), h.exp)
+
+
 def _assert_same_values(got, want, tol):
     # each value near one of the other set, both ways
     gap = np.abs(got[:, None] - want[None, :])
@@ -273,8 +281,8 @@ def _assert_same_values(got, want, tol):
 @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e300, 1e-300])
 @pytest.mark.parametrize("graded", [False, True])
 def test_ql_values_hold_at_any_scale(scale, graded):
-    # the kernel sees H scaled to max |H| in [0.5, 1) by a power of two,
-    # so its values hold at any scale of H (its QL squares the
+    # the eigensolve scales H to max |H| in [0.5, 1) by a power of two
+    # (_values), so the values hold at any scale of H (its QL squares the
     # off-diagonal, which over- or underflows far from unit scale); the
     # oracle is the dense eig of the unit-scale matrix.  A graded H runs
     # from 1 to 1e-12 down the diagonal
@@ -288,7 +296,7 @@ def test_ql_values_hold_at_any_scale(scale, graded):
         unit = max(np.abs(alpha).max(), np.abs(off).max())
         alpha, off = alpha / unit, off / unit
         want = np.linalg.eigvals(_dense(alpha, off)) * scale
-        theta = krylov._ritz_values(alpha * scale, off * scale, 1)
+        theta = _values(alpha * scale, off * scale)
         _assert_same_values(theta, want, 1e-13 * scale)
 
 
@@ -303,7 +311,7 @@ def test_ql_splits_at_exact_zero_off_diagonal():
     off = np.concatenate([blocks[0][1], [0.0], blocks[1][1]])
     h_scale = max(np.abs(alpha).max(), np.abs(off).max())
     want = np.concatenate([np.linalg.eigvals(_dense(*b)) for b in blocks])
-    theta = krylov._ritz_values(alpha, off, 1)
+    theta = _values(alpha, off)
     _assert_same_values(theta, want, 1e-14 * h_scale)
 
 
@@ -317,7 +325,7 @@ def test_values_of_a_well_conditioned_h_the_ql_stalls_on(scale):
     alpha = np.array([-2 - 2j, 2, 0, -2 + 1j])
     off = np.array([2 - 2j, 2 - 2j, -1 + 0j])
     h = _dense(alpha, off)
-    theta = krylov._ritz_values(alpha * scale, off * scale, 1)
+    theta = _values(alpha * scale, off * scale)
     _assert_same_values(theta, np.linalg.eigvals(h) * scale,
                         1e-13 * np.abs(h).max() * scale)
 
@@ -332,7 +340,7 @@ def test_paper_values_converge_at_m_9000(name):
     dec = bilanczos(asm.op, asm.b, 9000, asm.probe_flats)
     assert dec.m == 9000
     alpha, off, _ = _symmetrized(dec)
-    theta = krylov._ritz_values(alpha, off, 2)
+    theta = _values(alpha, off, 2)
     assert theta.shape == (9000,) and np.isfinite(theta).all()
 
 
@@ -361,7 +369,7 @@ def test_ql_converges_unless_h_is_defective():
         h = _dense(alpha, off)
         q = _min_isotropy(h)
         try:
-            theta = krylov._ritz_values(alpha, off, 1)
+            theta = _values(alpha, off)
         except NearDefectiveError:
             failed += 1
             assert q < 1e-6
@@ -399,7 +407,7 @@ def _mp_modes(dec):
     eigenvector s follows from the tridiagonal recurrence with s_1 = 1
     at the polished value (the recurrence amplifies the error of the
     value, so not from the Newton pass), and the mode's residues are
-    (W D^{-1/2} s) s_1 / s^T s.
+    (W D^{-1/2} s) s_1 d_1^{1/2} / s^T s.
     """
     alpha, off, sqd = _symmetrized(dec)
     start = np.linalg.eigvals(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
@@ -434,8 +442,8 @@ def _mp_modes(dec):
             residues.append([complex(mpmath.fsum(x * y for x, y in zip(row, s)) / sts)
                              for row in w])
             thetas.append(complex(lam))
-    return ModeSet(theta=np.array(thetas), probe_modes=np.array(residues).T,
-                   weights=np.full(dec.m, sqd[0], dtype=complex),
+    return ModeSet(theta=np.array(thetas),
+                   residues=np.array(residues).T * sqd[0],
                    zeta1=float(dec.zeta[0]), recon_error=0.0, merged=0,
                    threads=1)
 
@@ -493,8 +501,8 @@ def test_ghost_grouping_at_large_m_matches_zgeev(ring1650, monkeypatch):
     sc, dec = ring1650
     modes = eigen_tridiag(dec)
 
-    def dense_values(alpha, off, threads):
-        theta = np.linalg.eigvals(_dense(alpha, off))
+    def dense_values(h, threads):
+        theta = np.linalg.eigvals(_dense(h.alpha, h.off))
         return theta[np.lexsort((theta.imag, theta.real))]
 
     monkeypatch.setattr(krylov, "_ritz_values", dense_values)
@@ -514,26 +522,31 @@ def _streamed(s, theta, rows):
 
 
 def test_weights_match_solve_oracle(ring1650):
-    # the weights are S^T e_1, streamed without S; the oracle solves
-    # S x = e_1 with S from the Python loop of zgtsv solves (the
-    # transpose shortcut holds for the cluster-orthogonalized vectors,
-    # ghost pairs included).  Each vector is fixed up to its sign, and
-    # within a cluster up to the basis of the cluster's subspace (the
-    # loop's and the kernel's differ there by up to 1e-4 at m = 1650):
-    # the sums over each cluster of w^2 and of w times the probe row are
-    # fixed under both
+    # the residues are the probe rows times the weights S^T e_1 and
+    # d_1^{1/2}, summed over each ghost group.  The weights are streamed
+    # without S; the oracle solves S x = e_1 with S from the Python loop of
+    # zgtsv solves (the transpose shortcut holds for the
+    # cluster-orthogonalized vectors, ghost pairs included).  Each vector is
+    # fixed up to its sign, and within a cluster up to the basis of the
+    # cluster's subspace (the loop's and the kernel's differ there by up to
+    # 1e-4 at m = 1650): the sums over each cluster of w^2 and of w times
+    # the probe row are fixed under both
     _, dec = ring1650
     modes = eigen_tridiag(dec)
     alpha, off, sqd = _symmetrized(dec)
     rows = dec.w_probe / sqd
-    h_scale = float(max(np.abs(alpha).max(), np.abs(off).max()))
-    theta = krylov._ritz_values(alpha, off, 1)
-    first, probe, _, _ = krylov._ritz_vectors(alpha, off, theta, rows, 1)
-    assert np.array_equal(modes.weights, first[np.isin(theta, modes.theta)]
-                          * sqd[0])
-    s = invit_loop(alpha, off, theta, h_scale)
+    h = krylov._h_scale(alpha, off)
+    theta = krylov._ritz_values(h, 1)
+    first, probe, _, _ = krylov._ritz_vectors(h, theta, rows, 1)
+    residues, at = probe * (first * sqd[0]), krylov._ldexp(theta, h.exp)
+    ghosts = krylov._close_groups(theta, krylov._GHOST_TOL * h.h_max)
+    for g in np.unique(ghosts):  # one mode each, its residues summed
+        (lead,) = np.flatnonzero(np.isin(modes.theta, at[ghosts == g]))
+        assert np.array_equal(modes.residues[:, lead],
+                              residues[:, ghosts == g].sum(axis=1))
+    s = invit_loop(h.alpha, h.off, theta, h.h_max)
     oracle = np.linalg.solve(s, np.eye(dec.m)[:, 0])
-    label = krylov._close_groups(theta, krylov._CLUSTER_TOL * h_scale)
+    label = krylov._close_groups(theta, krylov._CLUSTER_TOL * h.h_max)
     assert np.bincount(label).max() >= 2
 
     def by_cluster(x):
@@ -583,11 +596,11 @@ def test_kernel_vectors_match_python_loop(ring1650):
     _, dec = ring1650
     alpha, off, sqd = _symmetrized(dec.truncate(150))
     rows = dec.w_probe[:, :150] / sqd
-    h_scale = float(max(np.abs(alpha).max(), np.abs(off).max()))
-    theta = krylov._ritz_values(alpha, off, 1)
-    want = invit_loop(alpha, off, theta, h_scale)
+    h = krylov._h_scale(alpha, off)
+    theta = krylov._ritz_values(h, 1)
+    want = invit_loop(h.alpha, h.off, theta, h.h_max)
     for threads in (1, 2):
-        got = krylov._ritz_vectors(alpha, off, theta, rows, threads)
+        got = krylov._ritz_vectors(h, theta, rows, threads)
         _assert_streams_match(got, want, theta, rows, 1e-10)
 
 
@@ -602,15 +615,15 @@ def test_zero_pivot_retry_inside_a_lane_group():
     alpha = np.array([1.0 + 0.5j, 2.0, 2.5 + 1j, 4.0 - 1j, 5.0, 5.5 + 2j,
                       7.0, 8.0 - 0.5j, 8.5, 10.0 + 1j])
     off = np.array([0.0, 0.7j, 0.0, 0.0, 1.3, 0.0, 0.0, 0.4, 0.0])
-    lone = alpha[[0, 3, 6, 9]]
-    theta = krylov._ritz_values(alpha, off, 1)
+    h = krylov._h_scale(alpha, off)
+    lone = h.alpha[[0, 3, 6, 9]]
+    theta = krylov._ritz_values(h, 1)
     at = np.abs(theta[:, None] - lone[None, :]).argmin(axis=0)
     theta[at] = lone  # exact, as the polish may move them by an ulp
     assert (np.diff(theta.real) > 0).all()
     rows = np.arange(20.0).reshape(2, 10) + 1j
-    h_scale = float(np.abs(alpha).max())
-    want = invit_loop(alpha, off, theta, h_scale)
-    runs = [krylov._ritz_vectors(alpha, off, theta, rows, threads)
+    want = invit_loop(h.alpha, h.off, theta, h.h_max)
+    runs = [krylov._ritz_vectors(h, theta, rows, threads)
             for threads in (1, 2, 3)]
     _assert_streams_match(runs[0], want, theta, rows, 1e-12)
     for got in runs[1:]:
@@ -618,37 +631,39 @@ def test_zero_pivot_retry_inside_a_lane_group():
             assert np.array_equal(a, b)
     nearby = theta.copy()
     nearby[at] *= 1.0 + 2.0 ** -40  # no zero pivot
-    calm = krylov._ritz_vectors(alpha, off, nearby, rows, 1)
+    calm = krylov._ritz_vectors(h, nearby, rows, 1)
     other = np.ones(theta.size, dtype=bool)
     other[at] = False
     for a, b in zip(calm[:2], runs[0][:2]):
         assert np.array_equal(a[..., other], b[..., other])
 
 
-@pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+@pytest.mark.parametrize("c", [
+    1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300,
+    pytest.param(2.0 ** -600, id="2^-600"),
+    pytest.param(2.0 ** 600, id="2^600")])
 def test_vectors_hold_at_any_scale(c):
-    # the inverse iteration runs on H, theta and its shift step scaled
-    # like the values (by a power of two, exactly), so a random 6 x 6 at
-    # any scale gives finite modes that pass the reconstruction gate,
-    # with the residues of the unit-scale H
+    # the eigensolve scales H once, by a power of two (exactly), so a
+    # random 6 x 6 at any scale gives finite modes that pass the
+    # reconstruction gate, with the residues of the unit-scale H; at a
+    # power-of-two scale every stage sees bitwise the unit-scale H, so
+    # theta and zeta_1 scale exactly and the residues are the same
     rng = np.random.default_rng(6)
     alpha = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     zeta = np.abs(rng.standard_normal(6))
     w_probe = rng.standard_normal((2, 6)) + 0j
 
-    def modes_at(scale):
-        return eigen_tridiag(LanczosDecomposition(
-            m=6, alpha=alpha * scale, zeta=zeta * scale,
-            delta=np.ones(6, dtype=complex), w_probe=w_probe, stop="m",
-            drift=0.0, threads=1))
-
-    unit, modes = modes_at(1.0), modes_at(c)
-    for field in ("theta", "probe_modes", "weights"):
+    unit, modes = (eigen_tridiag(_run_of(alpha * s, zeta * s, w_probe))
+                   for s in (1.0, c))
+    for field in ("theta", "residues"):
         assert np.isfinite(getattr(modes, field)).all(), field
     assert modes.recon_error <= krylov._RECON_TOL
-    want = unit.probe_modes * unit.weights
-    assert (np.abs(modes.probe_modes * modes.weights - want)
-            <= 1e-12 * np.abs(want).max()).all()
+    assert (np.abs(modes.residues - unit.residues)
+            <= 1e-12 * np.abs(unit.residues).max()).all()
+    if np.frexp(c)[0] == 0.5:
+        assert np.array_equal(modes.theta, unit.theta * c)
+        assert np.array_equal(modes.residues, unit.residues)
+        assert modes.zeta1 == unit.zeta1 * c
 
 
 @pytest.mark.parametrize("m", [600, 1001, 1650])
@@ -663,14 +678,13 @@ def test_eigensolve_is_bitwise_the_same_on_any_thread_count(ring1650,
     for threads in (1, 2, 3):
         monkeypatch.setattr(krylov, "_usable_cpus", lambda: threads)
         runs.append(eigen_tridiag(dec))
-    alpha, off, _ = _symmetrized(dec)
-    h_scale = float(max(np.abs(alpha).max(), np.abs(off).max()))
-    theta = krylov._ritz_values(alpha, off, 1)
-    chained = krylov._close_groups(theta, krylov._CLUSTER_TOL * h_scale)
+    h = krylov._h_scale(*_symmetrized(dec)[:2])
+    chained = krylov._close_groups(krylov._ritz_values(h, 1),
+                                   krylov._CLUSTER_TOL * h.h_max)
     assert runs[0].merged >= 1
     assert np.bincount(chained).max() >= 2
     for modes in runs[1:]:
-        for field in ("theta", "probe_modes", "weights"):
+        for field in ("theta", "residues"):
             assert np.array_equal(getattr(modes, field),
                                   getattr(runs[0], field)), field
         assert modes.recon_error == runs[0].recon_error
@@ -682,21 +696,12 @@ def test_reconstruction_gate_checks_weights_identity(monkeypatch):
     # only S S^T e_1 = e_1 sees it; a wrong theta in the first sum leaves
     # S S^T e_1 intact, so only H e_1 sees that.  The streamed outputs
     # are built from the loop's S, and the gate must reject both
-    dec = LanczosDecomposition(
-        m=2,
-        alpha=np.array([1.0 + 0j, 1.0 + 0j]),
-        zeta=np.array([1.0, 1.0]),
-        delta=np.array([1.0 + 0j, 1.0 + 0j]),
-        w_probe=np.ones((1, 2), dtype=complex),
-        stop="m",
-        drift=0.0,
-        threads=1,
-    )
+    dec = _run_of([1.0, 1.0], [1.0, 1.0])
     assert eigen_tridiag(dec).recon_error < 1e-14
 
     def perturbed(stretch, shift):
-        def vectors(alpha, off, theta, rows, threads):
-            s = invit_loop(alpha, off, theta, 1.0)
+        def vectors(h, theta, rows, threads):
+            s = invit_loop(h.alpha, h.off, theta, h.h_max)
             s[:, np.argmin(np.abs(theta))] *= stretch
             first, probe, _, ss = _streamed(s, theta, rows)
             return first, probe, s @ ((theta + shift) * first), ss
@@ -755,9 +760,8 @@ def test_every_kernel_source_is_built_and_shipped():
 
 def _one_mode(theta):
     """A unit mode at theta, seen by one probe."""
-    return ModeSet(theta=np.array([theta]), probe_modes=np.array([[1.0 + 0j]]),
-                   weights=np.array([1.0 + 0j]), zeta1=1.0, recon_error=0.0,
-                   merged=0, threads=1)
+    return ModeSet(theta=np.array([theta]), residues=np.array([[1.0 + 0j]]),
+                   zeta1=1.0, recon_error=0.0, merged=0, threads=1)
 
 
 def test_kernels_agree_on_real_negative_spectrum():
@@ -788,8 +792,7 @@ def test_impulse_is_the_same_on_any_thread_count():
     modes = eigen_tridiag(bilanczos(op, b, 30, [3, op.n // 2 + 2]))
     t = np.linspace(0.0, 4.0, 101)
     sq = krylov._sqrt_from_above(modes.theta)[:, None]
-    want = modes.zeta1 * ((modes.probe_modes * modes.weights)
-                          @ (np.exp(-sq * t) / sq)).real
+    want = modes.zeta1 * (modes.residues @ (np.exp(-sq * t) / sq)).real
     runs = [evaluate_impulse(dataclasses.replace(modes, threads=threads), t)
             for threads in (1, 2, 3)]
     assert np.abs(runs[0] - want).max() <= 1e-13 * np.abs(want).max()

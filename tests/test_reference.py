@@ -1,7 +1,5 @@
 """Reference-route tests: FDTD solver and free-space closed form."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 import scipy.special
@@ -10,9 +8,8 @@ import wavecast.analytic
 import wavecast.fdtd
 from wavecast.analytic import analytic_homogeneous
 from wavecast.errors import InvalidParameterError
-from wavecast.fdtd import run_fdtd
+from wavecast.fdtd import run_fdtd, yee_setup
 from wavecast.harness import _prepare
-from wavecast.operator import MediumMap
 from wavecast.scenarios import PRESETS, get_scenario
 from wavecast.signals import compare_traces, make_wavelet
 
@@ -20,6 +17,11 @@ from support import arrival_time, fdtd_oracle
 
 
 BAND = (6.0, 30.0)
+
+
+def _snapped(yee):
+    """The (x, y) of the Ez nodes that a march's probes snap onto."""
+    return tuple((yee.nodes[i], yee.nodes[j]) for i, j in yee.probes)
 
 
 def _hankel_synthesis(r, signature, times, amplitude=1.0):
@@ -142,7 +144,6 @@ def _assert_march_matches_oracle(**kw):
     got = run_fdtd(**kw)
     want, _ = fdtd_oracle(**kw)
     assert got.n_steps == want.n_steps
-    assert got.probe_coords == want.probe_coords
     assert np.array_equal(got.waveform.times, want.waveform.times)
     assert np.array_equal(got.waveform.values, want.waveform.values)
 
@@ -242,7 +243,8 @@ def test_fdtd_second_order_convergence():
             signature=sig,
             t_final=2.0,
         )
-        assert res.probe_coords[0] == pytest.approx((r, 0.0), abs=1e-12)
+        yee = yee_setup(n, [(r, 0.0)], (0.0, 0.0), sig, 2.0, None, 10)
+        assert _snapped(yee)[0] == pytest.approx((r, 0.0), abs=1e-12)
         ana = analytic_homogeneous(
             (0.0, 0.0), [(r, 0.0)], sig, res.waveform.times
         )
@@ -318,30 +320,16 @@ def test_fdtd_validation():
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
-def test_fdtd_and_operator_solve_one_medium(monkeypatch, name):
+def test_fdtd_and_operator_solve_one_medium(name):
     # the reference marches on the operator's medium and samples its
     # nodes, bit for bit: the interior eps (as the 1/eps both updates
     # use) and the snapped source and probe coordinates
     sc = get_scenario(name)
     asm = _prepare(sc)
-    marched = []
-
-    def recording(grid, fn):
-        medium = MediumMap.from_function(grid, fn)
-        marched.append(medium.values)
-        return medium
-
-    monkeypatch.setattr(wavecast.fdtd, "MediumMap",
-                        SimpleNamespace(from_function=recording))
-    res = run_fdtd(
-        n_int=sc.n_int,
-        probes=[sc.source_xy, *sc.probes],  # snapped as the source is
-        source_xy=None,
-        signature=None,
-        t_final=1e-9,
-        medium_fn=sc.medium_fn(),
-    )
-    k = sc.k
-    (eps,) = marched
-    assert np.array_equal(1.0 / eps, asm.op.inv_c[k:-k, k:-k])
-    assert res.probe_coords == (asm.src_coords, *asm.probe_coords)
+    n_pml = 10  # run_fdtd's frame
+    yee = yee_setup(sc.n_int, [sc.source_xy, *sc.probes], None, None, 1e-9,
+                    sc.medium_fn(), n_pml)  # probes snapped as the source
+    inner, k = slice(n_pml + 1, n_pml + sc.n_int), sc.k
+    assert np.array_equal(1.0 / yee.eps[inner, inner],
+                          asm.op.inv_c[k:-k, k:-k])
+    assert _snapped(yee) == (asm.src_coords, *asm.probe_coords)
