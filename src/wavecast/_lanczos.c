@@ -1,5 +1,6 @@
-/* One step of the renormalized two-sided Lanczos recursion of krylov.py,
-   as two passes over the unknowns, each with its reductions.
+/* The renormalized two-sided Lanczos recursion of krylov.py: each step
+   is two passes over the unknowns, each with its reductions, and
+   lanczos_run runs a chunk of steps in one call.
 
    Vectors are planar: n real parts, then n imaginary parts (unknown
    ix * wy + iy of a wx x wy grid, n = wx wy), and so are the stencil
@@ -23,6 +24,26 @@
        aw - alpha (r s) - c (r_prev s_prev) over r_prev, the last term
        only when has_prev, and for each grid row ix the partial sum
        norms[ix] of its |.|^2; r_prev may be r, and then aw too.
+   lanczos_run(nt, last, simd, wx, wy, r0, r1, cxm, cxp, cym, cyp, inv_c,
+               m_diag, aw, dots, norms, state, np, probes, alpha, zeta,
+               delta, probe_rows):
+       the steps after state's count up to step last, each phase A, the
+       sums of the dots, alpha_i and c, phase B and the sum of the norms,
+       in one OpenMP region whose barriers part them.  Step i reads r_i
+       from r0 when i is odd, r1 when even, and writes r_{i+1} over
+       r_{i-1} in the other; it stores alpha_i, zeta_i, delta_i (alpha,
+       delta complex, interleaved) and the planar w_i at the np probes
+       (probe_rows[i - 1] = (re, im) rows) at index i - 1.  state (the
+       enum below) carries the scales, zeta_i, delta_{i-1} and the count
+       from call to call, so chunks resume exactly.  Returns RUN_DONE,
+       or ends early: RUN_BREAKDOWN when |delta_i| < state[BREAKDOWN]
+       (delta_i left in state, the count set to i, nothing of step i
+       stored), RUN_INVARIANT when step i closes an invariant subspace,
+       krylov.py's happy test, with state[HAPPY] its tolerance (step i
+       stored, the scales and zeta left as they were).
+   lanczos_sum(n, complex, a, out), lanczos_div(n, a, b, q): the loop's
+       sum of n doubles or complex values, and its quotients q_k = a_k /
+       b_k of complex values, exposed for the tests.
    lanczos_simd(): 1 when this CPU runs the AVX2/FMA path.
 
    Both passes split the grid rows into nt contiguous blocks (a static
@@ -41,9 +62,19 @@
    - A w sums its terms from +0.0 in column order (west, south, centre,
      north, east), as a CSR product of the assembled matrix would.
    - A row partial starts at +0.0 and adds its terms in element order;
-     |r_j|^2 is rr rr + ri ri.  The caller adds up the row partials.
+     |r_j|^2 is rr rr + ri ri.
    - Built with -ffp-contract=off, so FMA comes only from fma() and the
-     intrinsics. */
+     intrinsics.
+   lanczos_run computes each number the loop of numpy calls it replaced
+   did, by numpy's rules, so its bits are theirs:
+   - the row partials are added as np.sum adds them: +0.0 plus numpy
+     2.x's pairwise sum (pairwise, cpairwise);
+   - alpha_i = (w^T M aw) / delta_i and delta_i / delta_{i-1} are
+     numpy's complex128 quotients (Smith's algorithm, cdiv), and c is
+     that quotient times (zeta_i + 0i) as numpy multiplies complex
+     values;
+   - zeta_{i+1} is sqrt of its sum, |.| of a complex value is hypot,
+     and max |aw| propagates a NaN as np.max does. */
 
 #include <math.h>
 
@@ -290,6 +321,49 @@ int lanczos_simd(void)
 #endif
 }
 
+/* lanczos_run's state, carried from call to call: the scales s_i and
+   s_{i-1}, zeta_i, delta_{i-1} (re, im), the steps done, and the two
+   limits, max |M| _BREAKDOWN_TOL and _HAPPY_TOL */
+enum { SCALE, SCALE_PREV, ZETA, DELTA_RE, DELTA_IM, STEPS, BREAKDOWN, HAPPY };
+/* how a lanczos_run call ends */
+enum { RUN_DONE, RUN_BREAKDOWN, RUN_INVARIANT };
+
+/* phase A of grid row ix on w = r s: aw, and the row's partials of
+   w^T M w at dots[ix] and of w^T M aw at dots[wx + ix] (complex,
+   interleaved) */
+static void row_a(const struct step *g, int simd, int ix, const double *r,
+                  double s, double *aw, double *dots)
+{
+    long row = (long)ix * g->wy;
+    double acc[4] = {0.0, 0.0, 0.0, 0.0};
+#ifdef HAVE_AVX2
+    if (simd)
+        phase_a_simd(g, ix, r, s, aw, acc);
+    else
+#endif
+        phase_a_scalar(g, row, row + g->wy, ix, r, s, aw, acc);
+    dots[2 * ix] = acc[0];
+    dots[2 * ix + 1] = acc[1];
+    dots[2 * (g->wx + ix)] = acc[2];
+    dots[2 * (g->wx + ix) + 1] = acc[3];
+    (void)simd;
+}
+
+/* phase B of grid row ix; returns the row's partial of ||out||^2 */
+static double row_b(int simd, int ix, int wy, long n, const double *aw,
+                    const double *r, const double *coef, int has_prev,
+                    double *r_prev)
+{
+    long row = (long)ix * wy;
+#ifdef HAVE_AVX2
+    if (simd)
+        return phase_b_simd(ix, wy, n, aw, r, coef, has_prev, r_prev);
+#endif
+    (void)simd;
+    return phase_b_scalar(row, row + wy, n, aw, r, coef, has_prev, r_prev,
+                          0.0);
+}
+
 int lanczos_phase_a(int nt, double s, int simd, int wx, int wy,
                     const double *r, const double *cxm, const double *cxp,
                     const double *cym, const double *cyp,
@@ -299,21 +373,8 @@ int lanczos_phase_a(int nt, double s, int simd, int wx, int wy,
     const struct step g = {wx, wy, (long)wx * wy, cxm, cxp, cym, cyp,
                            inv_c, m_diag};
 #pragma omp parallel for num_threads(nt) schedule(static)
-    for (int ix = 0; ix < wx; ix++) {
-        long row = (long)ix * wy;
-        double acc[4] = {0.0, 0.0, 0.0, 0.0};
-#ifdef HAVE_AVX2
-        if (simd)
-            phase_a_simd(&g, ix, r, s, aw, acc);
-        else
-#endif
-            phase_a_scalar(&g, row, row + wy, ix, r, s, aw, acc);
-        dots[2 * ix] = acc[0];
-        dots[2 * ix + 1] = acc[1];
-        dots[2 * (wx + ix)] = acc[2];
-        dots[2 * (wx + ix) + 1] = acc[3];
-    }
-    (void)simd;
+    for (int ix = 0; ix < wx; ix++)
+        row_a(&g, simd, ix, r, s, aw, dots);
     return 0;
 }
 
@@ -323,17 +384,210 @@ int lanczos_phase_b(int nt, int has_prev, int simd, int wx, int wy,
 {
     long n = (long)wx * wy;
 #pragma omp parallel for num_threads(nt) schedule(static)
-    for (int ix = 0; ix < wx; ix++) {
-        long row = (long)ix * wy;
-#ifdef HAVE_AVX2
-        if (simd)
-            norms[ix] = phase_b_simd(ix, wy, n, aw, r, coef, has_prev,
-                                     r_prev);
-        else
-#endif
-            norms[ix] = phase_b_scalar(row, row + wy, n, aw, r, coef,
-                                       has_prev, r_prev, 0.0);
-    }
-    (void)simd;
+    for (int ix = 0; ix < wx; ix++)
+        norms[ix] = row_b(simd, ix, wy, n, aw, r, coef, has_prev, r_prev);
     return 0;
+}
+
+/* numpy 2.x's pairwise sum of n doubles (its DOUBLE_pairwise_sum): below
+   8 terms added in order from -0.0; up to 128, eight running sums over
+   blocks of eight, combined as ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)),
+   then the rest in order; above, the halves split at n / 2 rounded down
+   to a multiple of 8, each summed so */
+static double pairwise(const double *a, long n)
+{
+    if (n < 8) {
+        double s = -0.0;
+        for (long i = 0; i < n; i++)
+            s += a[i];
+        return s;
+    }
+    if (n <= 128) {
+        double p[8];
+        long i;
+        for (int k = 0; k < 8; k++)
+            p[k] = a[k];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int k = 0; k < 8; k++)
+                p[k] += a[i + k];
+        double s = ((p[0] + p[1]) + (p[2] + p[3]))
+                   + ((p[4] + p[5]) + (p[6] + p[7]));
+        for (; i < n; i++)
+            s += a[i];
+        return s;
+    }
+    long half = n / 2;
+    half -= half % 8;
+    return pairwise(a, half) + pairwise(a + half, n - half);
+}
+
+/* numpy 2.x's pairwise sum of complex a (n doubles, interleaved; its
+   CDOUBLE_pairwise_sum): the same rule on the doubles, a block of eight
+   being four values, whose four running sums combine as (0 + 1) + (2 +
+   3) */
+static void cpairwise(const double *a, long n, double *re, double *im)
+{
+    if (n < 8) {
+        *re = *im = -0.0;
+        for (long i = 0; i < n; i += 2) {
+            *re += a[i];
+            *im += a[i + 1];
+        }
+        return;
+    }
+    if (n <= 128) {
+        double p[8];
+        long i;
+        for (int k = 0; k < 8; k++)
+            p[k] = a[k];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int k = 0; k < 8; k++)
+                p[k] += a[i + k];
+        *re = (p[0] + p[2]) + (p[4] + p[6]);
+        *im = (p[1] + p[3]) + (p[5] + p[7]);
+        for (; i < n; i += 2) {
+            *re += a[i];
+            *im += a[i + 1];
+        }
+        return;
+    }
+    double r1, i1, r2, i2;
+    long half = n / 2;
+    half -= half % 8;
+    cpairwise(a, half, &r1, &i1);
+    cpairwise(a + half, n - half, &r2, &i2);
+    *re = r1 + r2;
+    *im = i1 + i2;
+}
+
+/* q = a / b by numpy's complex128 rule (Smith's algorithm) */
+static void cdiv(double ar, double ai, double br, double bi, double *qr,
+                 double *qi)
+{
+    double abr = fabs(br), abi = fabs(bi);
+    if (abr >= abi) {
+        if (abr == 0.0 && abi == 0.0) {
+            *qr = ar / abr;
+            *qi = ai / abr;
+            return;
+        }
+        double rat = bi / br, scl = 1.0 / (br + bi * rat);
+        *qr = (ar + ai * rat) * scl;
+        *qi = (ai - ar * rat) * scl;
+    } else {
+        double rat = br / bi, scl = 1.0 / (bi + br * rat);
+        *qr = (ar * rat + ai) * scl;
+        *qi = (ai * rat - ar) * scl;
+    }
+}
+
+void lanczos_sum(long n, int complex_, const double *a, double *out)
+{
+    if (complex_) {
+        cpairwise(a, 2 * n, out, out + 1);
+        out[0] = 0.0 + out[0];
+        out[1] = 0.0 + out[1];
+    } else {
+        out[0] = 0.0 + pairwise(a, n);
+    }
+}
+
+void lanczos_div(long n, const double *a, const double *b, double *q)
+{
+    for (long k = 0; k < n; k++)
+        cdiv(a[2 * k], a[2 * k + 1], b[2 * k], b[2 * k + 1], q + 2 * k,
+             q + 2 * k + 1);
+}
+
+int lanczos_run(int nt, int last, int simd, int wx, int wy, double *r0,
+                double *r1, const double *cxm, const double *cxp,
+                const double *cym, const double *cyp, const double *inv_c,
+                const double *m_diag, double *aw, double *dots,
+                double *norms, double *st, int np, const long *probes,
+                double *alpha, double *zeta, double *delta,
+                double *probe_rows)
+{
+    const struct step g = {wx, wy, (long)wx * wy, cxm, cxp, cym, cyp,
+                           inv_c, m_diag};
+    long n = g.n;
+    int i = (int)st[STEPS], status = RUN_DONE;
+    double coef[6], d[2];
+#pragma omp parallel num_threads(nt)
+    while (status == RUN_DONE && i < last) {
+        /* step k reads r_k from buffer (k - 1) % 2 and writes r_{k+1}
+           over r_{k-1} in the other */
+        int k = i + 1;
+        double *r = k % 2 ? r0 : r1, *r_prev = k % 2 ? r1 : r0;
+#pragma omp for schedule(static)
+        for (int ix = 0; ix < wx; ix++)
+            row_a(&g, simd, ix, r, st[SCALE], aw, dots);
+#pragma omp single
+        {
+            cpairwise(dots, 2 * wx, d, d + 1);
+            d[0] = 0.0 + d[0];
+            d[1] = 0.0 + d[1];
+            if (hypot(d[0], d[1]) < st[BREAKDOWN]) {
+                st[DELTA_RE] = d[0];
+                st[DELTA_IM] = d[1];
+                st[STEPS] = k;
+                status = RUN_BREAKDOWN;
+            } else {
+                double ar, ai;
+                cpairwise(dots + 2 * wx, 2 * wx, &ar, &ai);
+                cdiv(0.0 + ar, 0.0 + ai, d[0], d[1], coef, coef + 1);
+                coef[2] = coef[3] = 0.0;
+                if (k > 1) {
+                    /* (d_k / delta_{k-1}) zeta_k, the product as numpy's
+                       complex times (zeta_k + 0i) */
+                    double qr, qi, z = st[ZETA];
+                    cdiv(d[0], d[1], st[DELTA_RE], st[DELTA_IM], &qr, &qi);
+                    coef[2] = qr * z - qi * 0.0;
+                    coef[3] = qr * 0.0 + qi * z;
+                }
+                coef[4] = st[SCALE];
+                coef[5] = st[SCALE_PREV];
+            }
+        }
+        if (status != RUN_DONE)
+            break;
+#pragma omp for schedule(static)
+        for (int ix = 0; ix < wx; ix++)
+            norms[ix] = row_b(simd, ix, wy, n, aw, r, coef, k > 1, r_prev);
+#pragma omp single
+        {
+            double z = sqrt(0.0 + pairwise(norms, wx));
+            double *rows = probe_rows + 2L * np * (k - 1);
+            alpha[2 * (k - 1)] = coef[0];
+            alpha[2 * (k - 1) + 1] = coef[1];
+            zeta[k - 1] = st[ZETA];
+            delta[2 * (k - 1)] = d[0];
+            delta[2 * (k - 1) + 1] = d[1];
+            for (int p = 0; p < np; p++) {
+                rows[p] = r[probes[p]] * st[SCALE];
+                rows[np + p] = r[n + probes[p]] * st[SCALE];
+            }
+            st[DELTA_RE] = d[0];
+            st[DELTA_IM] = d[1];
+            st[STEPS] = i = k;
+            /* happy when z < tol (max |aw| + |alpha|); the max pass runs
+               only when z is below tol of its bound z + |alpha| + |c| */
+            double abs_a = hypot(coef[0], coef[1]);
+            double tol = st[HAPPY];
+            if (z < tol * (z + abs_a + hypot(coef[2], coef[3]))) {
+                double big = hypot(aw[0], aw[n]);
+                for (long j = 1; j < n; j++) {
+                    double h = hypot(aw[j], aw[n + j]);
+                    big = big >= h || isnan(big) ? big : h;  /* np.max */
+                }
+                if (z < tol * (big + abs_a))
+                    status = RUN_INVARIANT;
+            }
+            if (status == RUN_DONE) {
+                st[SCALE_PREV] = st[SCALE];
+                st[SCALE] = 1.0 / z;
+                st[ZETA] = z;
+            }
+        }
+    }
+    return status;
 }

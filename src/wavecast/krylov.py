@@ -42,14 +42,19 @@ handled explicitly: clusters get bilinearly orthogonalized vectors, and
 the residues of ghost copies of one mode are summed.  The polish sweeps,
 the inverse iteration and the impulse sum work value by value (sample
 by sample) on OpenMP threads, with bitwise the same result for any
-thread count; the QL is serial.  One rule, _thread_count, sets the
+thread count; the QL is serial, each rotation written so that its two
+reciprocals run side by side.  One rule, _thread_count, sets the
 threads of the compiled stages (the recursion applies it before each
-step), not the BLAS or OpenMP thread settings.
+chunk of steps), not the BLAS or OpenMP thread settings.
 
-Each recursion step runs on preallocated vectors in two passes of a
-second C kernel (_lanczos.c), each with its own reductions.  The
-recursion keeps the unscaled r_i = zeta_i w_i, and each pass forms
-w_i = r_i s_i, s_i = 1 / zeta_i, where it reads it:
+The recursion runs in a second C kernel (_lanczos.c), on preallocated
+vectors, a chunk of steps per GIL-free call: one step at a time while
+the reference route beside it runs, so that it is looked at before
+each step, else up to the next drift sample (every _DRIFT_EVERY steps
+and at the end), which stays in Python.  A step is two passes, each
+with its own reductions, and the sums between them, in one OpenMP
+region.  The recursion keeps the unscaled r_i = zeta_i w_i, and each
+pass forms w_i = r_i s_i, s_i = 1 / zeta_i, where it reads it:
 
     A: aw = A w_i, delta_i = w^T M w, alpha_i = w^T M aw / delta_i
     B: r_{i+1} = aw - alpha_i w_i - (delta_i/delta_{i-1}) zeta_i w_{i-1},
@@ -62,16 +67,17 @@ stored and a step moves 120 bytes per unknown.  The vectors are
 planar, a (2, n) array of real parts then imaginary parts, so the SIMD
 path's complex products take no shuffles.  Both passes split the grid
 rows into contiguous blocks (one below 2 * _ROWS_PER_WORKER unknowns),
-one OpenMP thread each, inside one ctypes call that releases the GIL;
-their pointer arguments are computed once per run, for either role of
-the two r buffers.  Every element follows one fixed rule (in
+one OpenMP thread each.  Every element follows one fixed rule (in
 _lanczos.c): a stencil coefficient, factor times inv_c, is two real
 products, every complex product takes the fused form fma(ar, br,
 -(ai bi)) + i fma(ar, bi, ai br), the stencil sum adds its terms in
 column order, and each reduction sums one partial per grid row in
-element order, which bilanczos adds up with np.sum (pairwise, in a
-fixed order).  ||b||, and so zeta_1, comes from the same row rule, on
-b scaled by a power of two (exact, so any finite b has a norm).  So
+element order.  The kernel adds up the row partials by np.sum's
+pairwise rule and forms alpha_i and the previous vector's coefficient
+by numpy's complex division and product, so a step's numbers are those
+of the numpy loop it replaced, bit for bit.  ||b||, and so zeta_1,
+comes from the same row rule, on b scaled by a power of two (exact, so
+any finite b has a norm).  So
 the run is bitwise identical for every block count, even one that
 changes between steps, on the kernel's SIMD and scalar paths, and for
 any BLAS thread count: no reduction of the recursion, the eigensolve or
@@ -111,12 +117,13 @@ from .errors import (
 )
 
 
-def _sqrt_from_above(z):
-    """Principal sqrt with the negative real axis approached from above."""
+def _sqrt_from_above(z, tol=0.0):
+    """Principal sqrt with the negative real axis approached from above;
+    a value of negative real part within tol of that axis counts as
+    lying on it."""
     z = np.asarray(z, dtype=complex)
-    out = np.sqrt(z)
-    flip = (z.imag == 0.0) & (z.real < 0.0) & (out.imag < 0.0)
-    return np.where(flip, -out, out)
+    on_cut = (z.real < 0.0) & (np.abs(z.imag) <= tol)
+    return np.sqrt(np.where(on_cut, z.real + 0j, z))
 
 
 @dataclass
@@ -170,7 +177,7 @@ _BREAKDOWN_TOL = 1e-14
 # (max |A w_i| + |alpha_i|)
 _HAPPY_TOL = 1e-14
 # steps between samples of the orthogonality drift (also sampled at the
-# end of every run)
+# end of every run); the recursion's chunks end at the samples
 _DRIFT_EVERY = 500
 
 
@@ -198,9 +205,9 @@ def _thread_count(ref_job, n=None):
 
 @functools.cache
 def _lanczos_kernel():
-    """The compiled recursion step (_lanczos.c), with `simd` (the CPU
-    runs its AVX2/FMA path) set on the library."""
-    c_int, c_double = ctypes.c_int, ctypes.c_double
+    """The compiled recursion (_lanczos.c), with `simd` (the CPU runs its
+    AVX2/FMA path) set on the library."""
+    c_int, c_long, c_double = ctypes.c_int, ctypes.c_long, ctypes.c_double
     ptr = ctypes.c_void_p
     kernel = _native.load("_lanczos.c", {
         "lanczos_simd": (c_int, []),
@@ -208,9 +215,18 @@ def _lanczos_kernel():
                                     *[ptr] * 9]),
         "lanczos_phase_b": (c_int, [c_int, c_int, c_int, c_int, c_int,
                                     *[ptr] * 5]),
+        "lanczos_run": (c_int, [c_int, c_int, c_int, c_int, c_int,
+                                *[ptr] * 12, c_int, *[ptr] * 5]),
+        "lanczos_sum": (None, [c_long, c_int, ptr, ptr]),
+        "lanczos_div": (None, [c_long, ptr, ptr, ptr]),
     })
     kernel.simd = kernel.lanczos_simd()
     return kernel
+
+
+# lanczos_run's early endings (0: the chunk ran to its last step): the
+# bilinear form collapsed, an invariant subspace closed
+_RUN_BREAKDOWN, _RUN_INVARIANT = 1, 2
 
 
 def _planar(a, shape):
@@ -255,8 +271,11 @@ def bilanczos(op, b, m, probe_indices, ref_job=None):
     Each step runs the phases of the module docstring on
     _thread_count(ref_job, n) threads, with bitwise the same result for
     any thread count: ref_job is the reference route beside the
-    recursion (None without one), looked at before each step.  The
-    decomposition records the thread count of the last step.
+    recursion (None without one), looked at before each step until it
+    is done.  The steps run in the kernel's chunks (lanczos_run): one
+    step while ref_job runs, else up to the next drift sample.  An
+    interrupt is seen when a chunk returns.  The decomposition records
+    the thread count of the last step.
     """
     if m < 1:
         raise InvalidParameterError(f"need m >= 1, got {m}")
@@ -264,7 +283,7 @@ def bilanczos(op, b, m, probe_indices, ref_job=None):
     n = op.n
     if b.shape != (n,):
         raise InvalidParameterError("start vector length mismatch")
-    probes = np.asarray(probe_indices, dtype=int)
+    probes = np.ascontiguousarray(probe_indices, dtype=np.intp)
     if probes.size == 0:
         raise InvalidParameterError("need at least one probe index")
     if probes.min() < 0 or probes.max() >= n:
@@ -298,38 +317,34 @@ def bilanczos(op, b, m, probe_indices, ref_job=None):
     aw = np.empty((2, n))
     dots = np.empty((2, wx), dtype=complex)  # row partials of d_i, a_i d_i
     norms = np.empty(wx)  # row partials of ||r_{i+1}||^2
-    # alpha_i and c_prev (re, im), then the scales s_i and s_{i-1}
-    coef = np.zeros(6)
-    # the kernels' arguments after the thread count and the scalar that
-    # follows it, for each role of the two r buffers: step i reads r_i
-    # from buffer (i - 1) % 2
-    consts = _step_operands(op)  # kept alive while the kernel reads them
-    p_r, p_prev, p_aw, p_dots, p_norms, p_coef, *p_consts = (
-        a.ctypes.data for a in (r, r_prev, aw, dots, norms, coef, *consts))
-    fixed = (kernel.simd, wx, wy)
-    args_a = [(*fixed, x, *p_consts, p_aw, p_dots) for x in (p_r, p_prev)]
-    args_b = [(*fixed, p_aw, x, y, p_coef, p_norms)
-              for x, y in ((p_r, p_prev), (p_prev, p_r))]
 
-    # ||r|| by the same rule: with alpha = 0 and s = 1, phase B leaves r
-    coef[4] = 1.0
-    kernel.lanczos_phase_b(n_blocks, False, *fixed, p_r, p_r, p_r, p_coef,
-                           p_norms)
+    # ||r|| by the phase B rule: with alpha = 0 and s = 1, it leaves r
+    coef = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+    p_r, p_norms = r.ctypes.data, norms.ctypes.data
+    kernel.lanczos_phase_b(n_blocks, False, kernel.simd, wx, wy, p_r, p_r,
+                           p_r, coef.ctypes.data, p_norms)
     norm_r = float(np.sqrt(norms.sum()))
-    scale, scale_prev = 1.0 / norm_r, 0.0  # w_i = r_i * scale
-    # zeta_i, the norm that produced w_i: zeta_1 = ||b||
-    zeta_cur = float(np.ldexp(norm_r, b_exp))
-    delta_prev = 1.0
+    # the state lanczos_run carries from chunk to chunk: the scales s_i
+    # and s_{i-1} (w_i = r_i s_i), zeta_i (zeta_1 = ||b||), delta_{i-1}
+    # (re, im), the steps done, and the two limits
+    state = np.array([1.0 / norm_r, 0.0, float(np.ldexp(norm_r, b_exp)),
+                      1.0, 0.0, 0.0, _BREAKDOWN_TOL * m_scale, _HAPPY_TOL])
+    # lanczos_run's arguments after the thread count and the chunk's last
+    # step; step i reads r_i from buffer (i - 1) % 2 (r, then r_prev)
+    consts = _step_operands(op)  # kept alive while the kernel reads them
+    args = (kernel.simd, wx, wy, *(a.ctypes.data for a in (
+        r, r_prev, *consts, aw, dots, norms, state)), probes.size,
+        *(a.ctypes.data for a in (probes, alpha, zeta, delta, probe_rows)))
 
-    # w_1 = r * scale, component by component as the kernel forms it
-    m_w_first = m_diag * _complex(r * scale)  # for the drift samples
+    # w_1 = r * s_1, component by component as the kernel forms it
+    m_w_first = m_diag * _complex(r * state[0])  # for the drift samples
 
-    def drift_sample(x, s):
+    def drift_sample(x):
         # global two-sided orthogonality drift of w = x * s against the
         # first vector, in one temporary; purely diagnostic
         w = _complex(x)
-        w.real *= s
-        w.imag *= s
+        w.real *= state[0]
+        w.imag *= state[0]
         w *= m_w_first
         return float(abs(w.sum()) / m_scale)
 
@@ -337,48 +352,29 @@ def bilanczos(op, b, m, probe_indices, ref_job=None):
     stop = "m"
     i = 0
     while i < m:
-        i += 1
+        # one step at a time while the reference runs, else up to the
+        # next drift sample
         if ref_job is not None and ref_job.done():
             ref_job, n_blocks = None, _thread_count(None, n)
-        parity = (i - 1) % 2
-        kernel.lanczos_phase_a(n_blocks, scale, *args_a[parity])
-        d_i = dots[0].sum()
-        if abs(d_i) < _BREAKDOWN_TOL * m_scale:
+        last = (i + 1 if ref_job is not None
+                else min(m, (i // _DRIFT_EVERY + 1) * _DRIFT_EVERY))
+        code = kernel.lanczos_run(n_blocks, last, *args)
+        i = int(state[5])
+        if code == _RUN_BREAKDOWN:
             if i <= 2:
                 raise BreakdownError(
                     f"bilinear form collapsed at iteration {i}: "
-                    f"|delta| = {abs(d_i):.3e}",
+                    f"|delta| = {abs(complex(*state[3:5])):.3e}",
                     index=i,
                 )
             stop = "breakdown"
-            drift = max(drift, drift_sample(r, scale))
+            drift = max(drift, drift_sample((r, r_prev)[(i - 1) % 2]))
             break
-        a_i = dots[1].sum() / d_i
-        c_prev = (d_i / delta_prev) * zeta_cur if i > 1 else 0j
-        coef[:] = (a_i.real, a_i.imag, c_prev.real, c_prev.imag, scale,
-                   scale_prev)
-        # r_{i+1} into r_prev's buffer
-        kernel.lanczos_phase_b(n_blocks, i > 1, *args_b[parity])
-        z_next = float(np.sqrt(norms.sum()))
-        alpha[i - 1] = a_i
-        zeta[i - 1] = zeta_cur
-        delta[i - 1] = d_i
-        np.multiply(r[:, probes], scale, out=probe_rows[i - 1])
-        r, r_prev = r_prev, r
-        delta_prev = d_i
-        # happy when z_next < _HAPPY_TOL (max |aw| + |a_i|); since
-        # max |aw| <= ||aw|| <= z_next + |a_i| + |c_prev| for unit
-        # w's, the max pass runs only when z_next is below _HAPPY_TOL of
-        # that
-        if (z_next < _HAPPY_TOL * (z_next + abs(a_i) + abs(c_prev))
-                and z_next < _HAPPY_TOL * (np.hypot(*aw).max()
-                                           + abs(a_i))):
+        if code == _RUN_INVARIANT:
             stop = "invariant"  # w_{i+1} = 0 adds no drift
             break
-        scale, scale_prev = 1.0 / z_next, scale
-        zeta_cur = z_next
         if i % _DRIFT_EVERY == 0 or i == m:
-            drift = max(drift, drift_sample(r, scale))
+            drift = max(drift, drift_sample((r, r_prev)[i % 2]))
 
     m_run = i - 1 if stop == "breakdown" else i
     decomp = LanczosDecomposition(
@@ -415,6 +411,10 @@ _GHOST_TOL = 1e-13
 # a neighbour theta_j by ~eps * max |H| / |theta_i - theta_j|, so a pair
 # just outside _GHOST_TOL is separated to ~(eps / _GHOST_TOL)^3 = 1e-8
 _INVIT_STEPS = 3
+# Ritz values of negative real part within _CUT_TOL * max |theta| of the
+# real axis lie on the branch cut (evaluate_impulse): their imaginary
+# parts are rounding, and a side picked by rounding flips sqrt(theta)
+_CUT_TOL = 4.0 * np.finfo(float).eps
 # largest ||S diag(theta) S^T e_1 - H e_1|| / max |H|, and largest
 # ||S S^T e_1 - e_1||, the eigensolve accepts
 _RECON_TOL = 1e-8
@@ -687,7 +687,8 @@ def evaluate_impulse(modes, times):
         raise InvalidParameterError("times must be a nonempty 1D array")
     if np.any(times < 0.0):
         raise InvalidParameterError("impulse response is causal: t >= 0")
-    sq = _sqrt_from_above(modes.theta)
+    sq = _sqrt_from_above(modes.theta,
+                          _CUT_TOL * np.abs(modes.theta).max(initial=0.0))
     g = np.ascontiguousarray(modes.residues / sq)
     if g.ndim != 2 or g.shape[1] != sq.size:
         raise InvalidParameterError("residues must be (probes, modes)")

@@ -300,6 +300,24 @@ def test_ql_values_hold_at_any_scale(scale, graded):
         _assert_same_values(theta, want, 1e-13 * scale)
 
 
+def test_ql_values_hold_as_the_off_diagonal_falls_to_1e_150():
+    # a graded H whose diagonal and off-diagonal fall geometrically from
+    # 1 to 1e-150 over 40 to 120 rows: deep in the grading a rotation's p
+    # and r = p + e^2 are both tiny.  The rotation divides by each apart
+    # (p' = gamma (X / p), gamma = X / r); written as X^2 / (r p), whose
+    # product under- or overflows there, the kernel gave up on about
+    # one H in seven of these
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        m = int(rng.integers(40, 121))
+        alpha, off = _random_tridiagonal(rng, m)
+        g = np.logspace(0.0, -150.0, m)
+        alpha, off = alpha * g, off * g[1:]
+        h = _dense(alpha, off)
+        _assert_same_values(_values(alpha, off), np.linalg.eigvals(h),
+                            1e-13 * np.abs(h).max())
+
+
 def test_ql_splits_at_exact_zero_off_diagonal():
     # a direct sum of two tridiagonals: the QL deflates at the zero
     # off-diagonal and returns the union of the blocks' values (the
@@ -469,6 +487,26 @@ def test_structured_eigensolve_matches_dense_route(ring1650):
     want = evaluate_impulse(exact, times)
     got = evaluate_impulse(modes, times)
     assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
+
+
+def test_impulse_takes_values_near_the_cut_from_above(ring1650):
+    # ring-desk at m = 600 has Ritz values on the negative real axis but
+    # for rounding, some just above it and some just below; each counts
+    # as lying on the cut, approached from above, so the side rounding
+    # picks moves no bit of the impulse
+    sc, dec = ring1650
+    modes = eigen_tridiag(dec.truncate(600))
+    theta = modes.theta
+    window = (theta.real < 0.0) & (np.abs(theta.imag) <= krylov._CUT_TOL
+                                   * np.abs(theta).max())
+    below = np.signbit(theta.imag[window])
+    assert window.sum() >= 40 and below.any() and not below.all()
+    flipped = theta.copy()
+    flipped[window] = np.conj(theta[window])
+    times = np.linspace(0.0, sc.t_final, 200)
+    assert np.array_equal(
+        evaluate_impulse(dataclasses.replace(modes, theta=flipped), times),
+        evaluate_impulse(modes, times))
 
 
 def test_ghost_merge_matches_dense_oracle(ring1650):

@@ -488,6 +488,58 @@ def test_simd_and_scalar_paths_are_bitwise(desk, monkeypatch):
         assert_bitwise(got, base)
 
 
+def _kernel_sum(a):
+    """The kernel's sum of a 1-D float or complex array (lanczos_sum)."""
+    a = np.ascontiguousarray(a)
+    out = np.empty(2)
+    krylov._lanczos_kernel().lanczos_sum(a.size, a.dtype == complex,
+                                         a.ctypes.data, out.ctypes.data)
+    return complex(*out) if a.dtype == complex else out[0]
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_kernel_sums_as_np_sum(dtype):
+    # the compiled loop adds a step's row partials by numpy's pairwise
+    # rule, so each sum is bitwise np.sum's: every length to 700 (past
+    # several of its splits) and the row counts of ring-desk (135) and
+    # paper ring (479), on terms spread over 1e+-5, with signed zeros
+    # among them and on their own
+    rng = np.random.default_rng(29)
+    width = 2 if dtype is complex else 1
+    for n in (*range(1, 701), 135, 479):
+        x = rng.standard_normal(width * n) * 10.0 ** rng.uniform(-5, 5,
+                                                               width * n)
+        x[rng.random(width * n) < 0.1] = 0.0
+        x[rng.random(width * n) < 0.1] = -0.0
+        zeros = np.where(rng.random(width * n) < 0.5, -0.0, 0.0)
+        for a in (x, zeros):
+            a = a.view(dtype)
+            assert _bits(_kernel_sum(a)) == _bits(np.sum(a)), n
+
+
+def test_kernel_divides_as_numpy():
+    # alpha_i and the c coefficient divide by numpy's complex128 rule
+    # (Smith's algorithm), so each quotient is bitwise numpy's scalar
+    # one: 1e5 pairs over 1e+-8, a fifth of the divisors with a zero
+    # real or imaginary part of either sign
+    rng = np.random.default_rng(31)
+    k = 100_000
+    a, b = (rng.standard_normal(2 * k) * 10.0 ** rng.uniform(-8, 8, 2 * k)
+            for _ in range(2))
+    a, b = a.view(complex), b.view(complex)
+    b.real[:k // 20], b.real[k // 20:k // 10] = 0.0, -0.0
+    b.imag[k // 10:3 * k // 20], b.imag[3 * k // 20:k // 5] = 0.0, -0.0
+    got = np.empty(k, dtype=complex)
+    krylov._lanczos_kernel().lanczos_div(k, a.ctypes.data, b.ctypes.data,
+                                         got.ctypes.data)
+    want = np.array([x / y for x, y in zip(a, b)])
+    assert _bits(got) == _bits(want)
+
+
 class _Job:
     """A reference job that is done from its (k + 1)-th look on."""
 
@@ -540,6 +592,29 @@ def test_reference_done_mid_recursion(desk, force_blocks, monkeypatch):
     assert used == [1, 2, 3] and job.looks == 151
     assert (one.threads, got.threads) == (1, 3)
     assert_bitwise(got, one)
+
+
+def test_recursion_runs_in_chunks(desk, monkeypatch):
+    # without a reference, one kernel call runs the steps up to each
+    # drift sample, past ||b||'s call; beside a reference that runs,
+    # one call per step, so that the job is looked at before each
+    asm, _, base = desk
+    kernel = krylov._lanczos_kernel()
+    calls = []
+    for name in ("lanczos_phase_a", "lanczos_phase_b", "lanczos_run"):
+        real = getattr(kernel, name)
+        monkeypatch.setattr(kernel, name, lambda *a, real=real, name=name:
+                            calls.append(name) or real(*a))
+    monkeypatch.setattr(krylov, "_DRIFT_EVERY", 50)
+    monkeypatch.setattr(krylov, "_usable_cpus", lambda: 1)
+    assert_bitwise(bilanczos(asm.op, asm.b, 300, asm.probe_flats), base)
+    assert len(calls) <= -(-300 // 50) + 1
+    calls.clear()
+    job = _Job(10 ** 9)
+    got = bilanczos(asm.op, asm.b, 300, asm.probe_flats, ref_job=job)
+    assert_bitwise(got, base)
+    assert calls.count("lanczos_run") == len(calls) - 1 == 300
+    assert job.looks == 301
 
 
 # `wavecast run ring-desk --out DIR` in a fresh interpreter, which also
