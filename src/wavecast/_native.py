@@ -25,14 +25,16 @@ _CC = ("gcc", "-O2", "-shared", "-fPIC")
 # per-source flags (every C source of the package has an entry)
 FLAGS = {
     # OpenMP over the values of the polish and of the inverse iteration,
-    # and over the impulse's samples; no product and sum fused, so each
-    # lockstep lane is its value's operations alone on any target
+    # and over the impulse's blocks of samples; no product and sum fused,
+    # so each lockstep lane, scalar or AVX2 (chosen at run time, see the
+    # source), is its value's operations alone
     "_ritz.c": ("-fopenmp", "-ffp-contract=off"),
     # OpenMP row blocks, and FMA only where the source asks for it (see
     # the source's comment)
     "_lanczos.c": ("-fopenmp", "-ffp-contract=off"),
-    # the numpy march's operations, with no product and sum fused; -O3
-    # vectorizes the row loops (twice the speed of -O2)
+    # the numpy oracle's operations, with no product and sum fused; -O3
+    # vectorizes the row loops (twice the speed of -O2), two values wide,
+    # or four in the AVX2 step chosen at run time
     "_fdtd.c": ("-O3", "-ffp-contract=off"),
 }
 

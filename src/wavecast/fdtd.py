@@ -18,8 +18,11 @@ kernels, see _native): each ctypes call runs _CHUNK_STEPS steps with
 the GIL released, so the march holds one CPU and no Python lock while
 the Krylov route runs beside it, and a cancel is seen between chunks.
 The source term comes from the history of Q computed before the march
-(_source_kicks).  The whole-array numpy march that the kernel
-reproduces bit for bit is the oracle of the tests (tests/support.py).
+(_source_kicks).  Each difference is multiplied by one reciprocal
+1 / delta, not divided by delta, and the step has an AVX2 path chosen at
+run time (`simd` on the loaded library); the whole-array numpy march
+that the kernel reproduces bit for bit on either path, with the same
+reciprocal, is the oracle of the tests (tests/support.py).
 
 Units: c0 = 1, mu = 1; eps is the squared slowness map.
 """
@@ -159,13 +162,17 @@ def _source_kicks(yee, signature, amplitude):
 
 @functools.cache
 def _fdtd_kernel():
-    """The compiled march (_fdtd.c)."""
+    """The compiled march (_fdtd.c), with `simd` (the CPU runs its AVX2
+    step) set on the library."""
     c_int, c_long, c_double = ctypes.c_int, ctypes.c_long, ctypes.c_double
     ptr = ctypes.c_void_p
-    return _native.load("_fdtd.c", {
+    kernel = _native.load("_fdtd.c", {
+        "fdtd_simd": (c_int, []),
         "fdtd_march": (c_int, [c_int, c_int, c_double, *[ptr] * 9, c_long,
-                               ptr, c_int, ptr, ptr, c_long, ptr]),
+                               ptr, c_int, ptr, ptr, c_long, ptr, c_int]),
     })
+    kernel.simd = kernel.fdtd_simd()
+    return kernel
 
 
 def run_fdtd(
@@ -223,7 +230,7 @@ def run_fdtd(
             kicks.ctypes.data + kicks.itemsize * start,
             probe_flats.size, probe_flats.ctypes.data,
             traces.ctypes.data + traces.itemsize * (start + 1),
-            n_steps + 1, work.ctypes.data)
+            n_steps + 1, work.ctypes.data, kernel.simd)
 
     times = np.arange(n_steps + 1) * yee.dt
     return FdtdResult(

@@ -39,10 +39,14 @@ s_i[0] (S^T e_1 is S^-1 e_1 for bilinearly orthonormal vectors), the
 probe rows and two running sums.  Values that do not converge mark a
 numerically defective H (NearDefectiveError).  Close Ritz values are
 handled explicitly: clusters get bilinearly orthogonalized vectors, and
-the residues of ghost copies of one mode are summed.  The polish sweeps,
-the inverse iteration and the impulse sum work value by value (sample
-by sample) on OpenMP threads, with bitwise the same result for any
-thread count; the QL is serial, each rotation written so that its two
+the residues of ghost copies of one mode are summed.  The polish sweeps
+and the inverse iteration work value by value on OpenMP threads, eight
+values in lockstep (two AVX2 registers of four where the CPU has AVX2,
+else a scalar loop, each lane its value's own operations, so bitwise
+the same on either path), and the impulse sum works in blocks of eight
+samples, stepping each mode's term from the block's first sample by
+exp(-sqrt(theta) dt); both give bitwise the same result for any thread
+count.  The QL is serial, each rotation written so that its two
 reciprocals run side by side.  One rule, _thread_count, sets the
 threads of the compiled stages (the recursion applies it before each
 chunk of steps), not the BLAS or OpenMP thread settings.
@@ -415,6 +419,10 @@ _INVIT_STEPS = 3
 # real axis lie on the branch cut (evaluate_impulse): their imaginary
 # parts are rounding, and a side picked by rounding flips sqrt(theta)
 _CUT_TOL = 4.0 * np.finfo(float).eps
+# widest spread of the steps of evaluate_impulse's times, relative to
+# max t: the samples of a uniform grid are rounded, so its steps differ
+# by up to about 2 eps max t
+_GRID_TOL = 4.0 * np.finfo(float).eps
 # largest ||S diag(theta) S^T e_1 - H e_1|| / max |H|, and largest
 # ||S S^T e_1 - e_1||, the eigensolve accepts
 _RECON_TOL = 1e-8
@@ -462,19 +470,24 @@ def _close_groups(theta, tol):
 @functools.cache
 def _ritz_kernel():
     """The compiled Ritz kernels (_ritz.c): the library, with
-    ritz_values, ritz_vectors and impulse set up."""
+    ritz_values, ritz_vectors and impulse set up, and `simd` (the CPU
+    runs its AVX2 lanes) set on it."""
     cplx = np.ctypeslib.ndpointer(np.complex128, flags="C_CONTIGUOUS")
     real = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     ints = np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS")
     c_int, c_double = ctypes.c_int, ctypes.c_double
-    return _native.load("_ritz.c", {
-        "ritz_values": (c_int, [c_int, c_int, cplx, cplx, cplx, cplx, ints]),
-        "ritz_vectors": (c_int, [c_int, c_int, cplx, cplx, cplx, ints, ints,
-                                 c_double, c_int, c_double, c_int, cplx, cplx,
-                                 cplx, cplx, cplx]),
-        "impulse": (None, [c_int, c_int, c_int, cplx, cplx, c_int, real,
-                           real]),
+    kernel = _native.load("_ritz.c", {
+        "ritz_simd": (c_int, []),
+        "ritz_values": (c_int, [c_int, c_int, c_int, cplx, cplx, cplx, cplx,
+                                ints]),
+        "ritz_vectors": (c_int, [c_int, c_int, c_int, cplx, cplx, cplx, ints,
+                                 ints, c_double, c_int, c_double, c_int, cplx,
+                                 cplx, cplx, cplx, cplx]),
+        "impulse": (None, [c_int, c_int, c_int, cplx, cplx, cplx, c_int,
+                           real, real]),
     })
+    kernel.simd = kernel.ritz_simd()
+    return kernel
 
 
 def _ldexp(z, k):
@@ -520,9 +533,10 @@ def _ritz_values(h, threads):
     NearDefectiveError: with the QL's exceptional shift, only a
     numerically defective H has been seen to stop it."""
     theta = np.empty_like(h.alpha)
-    if _ritz_kernel().ritz_values(threads, theta.size, h.alpha, h.off, theta,
-                                  np.empty_like(theta),
-                                  np.empty(theta.size, dtype=np.intc)):
+    kernel = _ritz_kernel()
+    if kernel.ritz_values(threads, kernel.simd, theta.size, h.alpha, h.off,
+                          theta, np.empty_like(theta),
+                          np.empty(theta.size, dtype=np.intc)):
         raise NearDefectiveError(
             "eigenvalues of the projected matrix did not converge: it is "
             "numerically defective")
@@ -568,8 +582,9 @@ def _ritz_vectors(h, theta, rows, threads):
     probe = np.empty_like(rows)
     sums = np.empty(2 * m, dtype=complex)
     bad = np.empty(1, dtype=complex)
-    code = _ritz_kernel().ritz_vectors(
-        threads, m, h.alpha, h.off, theta, prev, nxt,
+    kernel = _ritz_kernel()
+    code = kernel.ritz_vectors(
+        threads, kernel.simd, m, h.alpha, h.off, theta, prev, nxt,
         4.0 * np.finfo(float).eps * h.h_max, _INVIT_STEPS, _DEFECT_TOL,
         rows.shape[0], rows, first, probe, sums, bad)
     if code == 1:
@@ -681,20 +696,29 @@ def evaluate_impulse(modes, times):
     exp(-sqrt(theta_i) t_j), g = residues / sqrt(theta), summed by the
     compiled impulse kernel on modes.threads threads, with no array
     beyond the trace.
+
+    times must be one uniform grid (steps within _GRID_TOL * max t of
+    each other): the kernel takes each mode's term exactly at every
+    eighth sample and steps it to the next seven by the factor
+    exp(-sqrt(theta_i) dt), dt the grid's mean step.
     """
     times = np.ascontiguousarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise InvalidParameterError("times must be a nonempty 1D array")
     if np.any(times < 0.0):
         raise InvalidParameterError("impulse response is causal: t >= 0")
+    steps = np.diff(times)
+    if steps.size and not np.ptp(steps) <= _GRID_TOL * times.max():
+        raise InvalidParameterError("times must be one uniform grid")
+    dt = (times[-1] - times[0]) / max(steps.size, 1)
     sq = _sqrt_from_above(modes.theta,
                           _CUT_TOL * np.abs(modes.theta).max(initial=0.0))
     g = np.ascontiguousarray(modes.residues / sq)
     if g.ndim != 2 or g.shape[1] != sq.size:
         raise InvalidParameterError("residues must be (probes, modes)")
     u = np.empty((g.shape[0], times.size))
-    _ritz_kernel().impulse(modes.threads, sq.size, g.shape[0], sq, g,
-                           times.size, times, u)
+    _ritz_kernel().impulse(modes.threads, sq.size, g.shape[0], sq,
+                           np.exp(-sq * dt), g, times.size, times, u)
     return modes.zeta1 * u
 
 

@@ -92,6 +92,17 @@ def uncorrected_impulse(modes, times):
     return modes.zeta1 * (modes.residues @ (-np.sin(sq * times) / sq)).real
 
 
+def direct_impulse(modes, times):
+    """krylov.evaluate_impulse as a direct sum: each term g_i
+    exp(-sqrt(theta_i) t_j) computed from t_j itself, with the same
+    branch of sqrt(theta) (the oracle of the kernel's recurrence over
+    the samples)."""
+    sq = krylov._sqrt_from_above(
+        modes.theta, krylov._CUT_TOL * np.abs(modes.theta).max(initial=0.0))
+    terms = np.exp(-sq[:, None] * np.asarray(times, dtype=float)[None, :])
+    return modes.zeta1 * ((modes.residues / sq) @ terms).real
+
+
 def invit_start(i, m):
     """The start vector of value i in the compiled inverse iteration
     (_ritz.c's start_component): splitmix64 of the counter (i, k) for
@@ -176,6 +187,7 @@ def fdtd_oracle(n_int, probes, source_xy, signature, t_final,
     energy = np.zeros(n_steps) if track_energy else None
 
     inv_eps = 1.0 / eps
+    inv_delta = 1.0 / delta
     src_scale = amplitude / delta ** 2
     if yee.source is not None:
         # Q at t_{n+1/2}, midpoint accumulation
@@ -187,15 +199,15 @@ def fdtd_oracle(n_int, probes, source_xy, signature, t_final,
 
         # H updates to t_{n+1/2}
         hx = da_y[None, :] * hx - db_y[None, :] * (
-            (ez[:, 1:] - ez[:, :-1]) / delta
+            (ez[:, 1:] - ez[:, :-1]) * inv_delta
         )
         hy = da_x[:, None] * hy + db_x[:, None] * (
-            (ez[1:, :] - ez[:-1, :]) / delta
+            (ez[1:, :] - ez[:-1, :]) * inv_delta
         )
 
         # E updates to t_{n+1}; outermost nodes stay at zero (PEC)
-        curl_x = (hy[1:, 1:-1] - hy[:-1, 1:-1]) / delta
-        curl_y = (hx[1:-1, 1:] - hx[1:-1, :-1]) / delta
+        curl_x = (hy[1:, 1:-1] - hy[:-1, 1:-1]) * inv_delta
+        curl_y = (hx[1:-1, 1:] - hx[1:-1, :-1]) * inv_delta
         ezx[1:-1, 1:-1] = (
             ca_x[1:-1, None] * ezx[1:-1, 1:-1]
             + cb_x[1:-1, None] * inv_eps[1:-1, 1:-1] * curl_x

@@ -362,6 +362,8 @@ def test_krylov_failure_stops_the_march(monkeypatch, tmp_path, stage, error,
     kernel = wavecast.fdtd._fdtd_kernel()
 
     class CountingKernel:
+        simd = kernel.simd
+
         @staticmethod
         def fdtd_march(*args):  # called once per chunk
             if cancels[0].is_set():

@@ -21,7 +21,7 @@ from wavecast.errors import (
     SamplingError,
 )
 from wavecast.grid import build_grid2d
-from wavecast.harness import _prepare
+from wavecast.harness import _padded_times, _prepare
 from wavecast.krylov import (
     LanczosDecomposition,
     ModeSet,
@@ -40,6 +40,7 @@ from wavecast.zolotarev import (
 
 from support import (
     diagonal_operator,
+    direct_impulse,
     invit_loop,
     invit_start,
     probe_index,
@@ -302,20 +303,25 @@ def test_ql_values_hold_at_any_scale(scale, graded):
 
 def test_ql_values_hold_as_the_off_diagonal_falls_to_1e_150():
     # a graded H whose diagonal and off-diagonal fall geometrically from
-    # 1 to 1e-150 over 40 to 120 rows: deep in the grading a rotation's p
-    # and r = p + e^2 are both tiny.  The rotation divides by each apart
-    # (p' = gamma (X / p), gamma = X / r); written as X^2 / (r p), whose
-    # product under- or overflows there, the kernel gave up on about
-    # one H in seven of these
-    rng = np.random.default_rng(23)
-    for _ in range(100):
-        m = int(rng.integers(40, 121))
-        alpha, off = _random_tridiagonal(rng, m)
-        g = np.logspace(0.0, -150.0, m)
-        alpha, off = alpha * g, off * g[1:]
-        h = _dense(alpha, off)
-        _assert_same_values(_values(alpha, off), np.linalg.eigvals(h),
-                            1e-13 * np.abs(h).max())
+    # 1 to 1e-150: deep in the grading a rotation's p and r = p + e^2 are
+    # both tiny.  The rotation divides by each apart (p' = gamma (X / p),
+    # gamma = X / r); written as X^2 / (r p), whose product under- or
+    # overflows there, the kernel gave up on about one H in seven of the
+    # 100 of seed 23 (40 to 120 rows).  At 10 to 15 rows (10 to 17
+    # decades a row) |r|^2 or |p|^2 itself underflows, so the QL takes
+    # those reciprocals through a power-of-two rescale: without it, 7 of
+    # the 1 200 H of seeds 0-5 (3 to 120 rows) stop the QL
+    draws = [(23, 100, 40)] + [(seed, 200, 3) for seed in range(6)]
+    for seed, count, fewest in draws:
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            m = int(rng.integers(fewest, 121))
+            alpha, off = _random_tridiagonal(rng, m)
+            g = np.logspace(0.0, -150.0, m)
+            alpha, off = alpha * g, off * g[1:]
+            h = _dense(alpha, off)
+            _assert_same_values(_values(alpha, off), np.linalg.eigvals(h),
+                                1e-13 * np.abs(h).max())
 
 
 def test_ql_splits_at_exact_zero_off_diagonal():
@@ -642,14 +648,38 @@ def test_kernel_vectors_match_python_loop(ring1650):
         _assert_streams_match(got, want, theta, rows, 1e-10)
 
 
+def _ritz_runs(h, rows, theta=None):
+    """(theta, first, probe, hs, ss) of the compiled eigensolve of the
+    scaled H on 1, 2 and 3 threads, on the kernel's AVX2 lanes (where the
+    CPU has them), then on its scalar lanes; theta, when given, is used
+    in place of the kernel's values."""
+    kernel = krylov._ritz_kernel()
+    runs = []
+    for simd in sorted({kernel.simd, 0}, reverse=True):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "simd", simd)
+            for threads in (1, 2, 3):
+                values = (krylov._ritz_values(h, threads) if theta is None
+                          else theta)
+                runs.append((values, *krylov._ritz_vectors(h, values, rows,
+                                                           threads)))
+    return runs
+
+
+def _assert_runs_bitwise(runs):
+    for got in runs[1:]:
+        for a, b in zip(got, runs[0]):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_zero_pivot_retry_inside_a_lane_group():
     # a direct sum of 1 x 1 and 2 x 2 blocks, m = 10 (not a multiple of
-    # the kernel's four lanes): at the exact value of a 1 x 1 block,
+    # the kernel's eight lanes): at the exact value of a 1 x 1 block,
     # H - theta I has an exactly zero pivot, so that lane factors again
     # at theta + nudge while the other lanes of its group go on, with
     # bitwise the outputs they have beside no retry.  Every output
     # matches the Python loop, which retries the same way, and is
-    # bitwise the same on 1, 2 and 3 threads
+    # bitwise the same on 1, 2 and 3 threads and on either lane path
     alpha = np.array([1.0 + 0.5j, 2.0, 2.5 + 1j, 4.0 - 1j, 5.0, 5.5 + 2j,
                       7.0, 8.0 - 0.5j, 8.5, 10.0 + 1j])
     off = np.array([0.0, 0.7j, 0.0, 0.0, 1.3, 0.0, 0.0, 0.4, 0.0])
@@ -661,12 +691,9 @@ def test_zero_pivot_retry_inside_a_lane_group():
     assert (np.diff(theta.real) > 0).all()
     rows = np.arange(20.0).reshape(2, 10) + 1j
     want = invit_loop(h.alpha, h.off, theta, h.h_max)
-    runs = [krylov._ritz_vectors(h, theta, rows, threads)
-            for threads in (1, 2, 3)]
+    runs = [run[1:] for run in _ritz_runs(h, rows, theta)]
     _assert_streams_match(runs[0], want, theta, rows, 1e-12)
-    for got in runs[1:]:
-        for a, b in zip(got, runs[0]):
-            assert np.array_equal(a, b)
+    _assert_runs_bitwise(runs)
     nearby = theta.copy()
     nearby[at] *= 1.0 + 2.0 ** -40  # no zero pivot
     calm = krylov._ritz_vectors(h, nearby, rows, 1)
@@ -674,6 +701,42 @@ def test_zero_pivot_retry_inside_a_lane_group():
     other[at] = False
     for a, b in zip(calm[:2], runs[0][:2]):
         assert np.array_equal(a[..., other], b[..., other])
+
+
+def test_ritz_paths_agree_on_short_groups():
+    # n = 1, 2, 3 and 9 leave idle lanes in a group of eight (seven,
+    # six, five; and seven in the second group of n = 9): the values and
+    # everything the vectors emit are the same bits on 1, 2 and 3 threads
+    # and on either lane path
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 9):
+        alpha, off = _random_tridiagonal(rng, n)
+        rows = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        runs = _ritz_runs(krylov._h_scale(alpha, off), rows)
+        assert np.isfinite(runs[0][0]).all() and np.isfinite(runs[0][2]).all()
+        _assert_runs_bitwise(runs)
+
+
+@pytest.fixture(scope="module", params=["homogeneous-desk", "ring-desk",
+                                        "waveguide-desk"])
+def desk1650(request):
+    """(scenario, assembly, its decomposition at m = 1650) of a desk
+    preset; tests at smaller m truncate it."""
+    sc = get_scenario(request.param)
+    asm = _prepare(sc)
+    return sc, asm, bilanczos(asm.op, asm.b, 1650, asm.probe_flats)
+
+
+@pytest.mark.parametrize("m", [150, 600, 1650])
+def test_ritz_simd_and_scalar_paths_are_bitwise(desk1650, m):
+    # each lane runs its value's own operations, blends in place of the
+    # branches on the AVX2 path: the values, first components, probe
+    # rows and sums of a desk preset are the same bits on either path and
+    # on 1, 2 and 3 threads (m = 1650 has cluster chains on ring-desk)
+    _, _, dec = desk1650
+    alpha, off, sqd = _symmetrized(dec.truncate(m))
+    _assert_runs_bitwise(_ritz_runs(krylov._h_scale(alpha, off),
+                                    dec.w_probe[:, :m] / sqd))
 
 
 @pytest.mark.parametrize("c", [
@@ -836,6 +899,46 @@ def test_impulse_is_the_same_on_any_thread_count():
     assert np.abs(runs[0] - want).max() <= 1e-13 * np.abs(want).max()
     for got in runs[1:]:
         assert np.array_equal(got, runs[0])
+
+
+def test_impulse_recurrence_matches_direct_sum(desk1650):
+    # the kernel takes each mode's term exactly at every eighth sample
+    # and steps it by exp(-sqrt(theta) dt) to the next seven.  At the
+    # preset's m and trace times, against a direct sum of the terms, the
+    # trace run writes (the impulse convolved with the source) moves by
+    # at most 1e-13 of its peak, and is bitwise the same on 1, 2 and 3
+    # threads.  The impulse itself moves by up to 1.9e-13 of its peak
+    # (ring-desk): the recurrence samples t_j0 + s dt exactly, while each
+    # t_j is rounded to an ulp of t, and at |sqrt(theta)| up to 170 and t
+    # up to 18 that offset alone moves a long-double sum by 1.6e-13
+    sc, asm, dec = desk1650
+    modes = eigen_tridiag(dec.truncate(sc.m_default))
+    times = _padded_times(sc, asm)
+    want = direct_impulse(modes, times)
+    runs = [evaluate_impulse(dataclasses.replace(modes, threads=threads),
+                             times) for threads in (1, 2, 3)]
+    assert np.abs(runs[0] - want).max() <= 3e-13 * np.abs(want).max()
+    q, dt = sc.signature()(times), times[1] - times[0]
+    trace, oracle = (convolve_source(u, q, dt) for u in (runs[0], want))
+    assert np.abs(trace - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    for got in runs[1:]:
+        assert got.tobytes() == runs[0].tobytes()
+
+
+def test_evaluate_rejects_a_nonuniform_grid():
+    # the recurrence needs one step: times whose steps spread by more
+    # than _GRID_TOL * max t are refused, while a grid of arange * dt or
+    # linspace (whose rounded steps spread by up to about 2 eps max t)
+    # and a single time pass
+    modes = _one_mode(-4.0 + 0.4j)
+    t = np.arange(600) * 0.031415926535897934
+    for good in (t, np.linspace(0.0, 18.0, 588), t[7:], t[:1]):
+        assert np.isfinite(evaluate_impulse(modes, good)).all()
+    moved = t.copy()
+    moved[300] += 8.0 * np.finfo(float).eps * t.max()
+    for bad in (moved, np.array([0.0, 0.1, 0.3]), np.array([0.0, np.nan])):
+        with pytest.raises(InvalidParameterError, match="uniform grid"):
+            evaluate_impulse(modes, bad)
 
 
 def test_evaluate_rejects_negative_times():

@@ -178,10 +178,11 @@ def test_march_matches_numpy_oracle(name):
         name, 400 if name.endswith("-desk") else 40))
 
 
-def test_march_matches_numpy_oracle_closed_box():
-    # no absorbing frame, a dielectric disk, a source and a probe, in a
-    # window long enough for the walls to echo
-    _assert_march_matches_oracle(
+def _closed_box():
+    """run_fdtd's arguments for a box without absorbing frame, with a
+    dielectric disk, a source and a probe, in a window long enough for
+    the walls to echo."""
+    return dict(
         n_int=36,
         probes=[(0.25, 0.25), (-0.6, 0.1)],
         source_xy=(-0.1, 0.05),
@@ -191,6 +192,26 @@ def test_march_matches_numpy_oracle_closed_box():
         amplitude=1.3,
         n_pml=0,
     )
+
+
+def test_march_matches_numpy_oracle_closed_box():
+    _assert_march_matches_oracle(**_closed_box())
+
+
+@pytest.mark.parametrize("case", ["ring-desk", "closed box"])
+def test_march_paths_are_bitwise(case, monkeypatch):
+    # the AVX2 step (where the CPU has it) and the scalar one are the
+    # same operations, so the whole ring-desk reference window (1 700
+    # steps) and the closed box give the same bits on either path
+    kw = _closed_box() if case == "closed box" else _preset_march(case, 1700)
+    kernel = wavecast.fdtd._fdtd_kernel()
+    runs = []
+    for simd in sorted({kernel.simd, 0}, reverse=True):
+        monkeypatch.setattr(kernel, "simd", simd)
+        runs.append(run_fdtd(**kw).waveform.values)
+    assert np.abs(runs[0]).max() > 0.0
+    for got in runs[1:]:
+        assert np.array_equal(got, runs[0])
 
 
 @pytest.mark.paper
