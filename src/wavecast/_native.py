@@ -32,10 +32,11 @@ FLAGS = {
     # OpenMP row blocks, and FMA only where the source asks for it (see
     # the source's comment)
     "_lanczos.c": ("-fopenmp", "-ffp-contract=off"),
-    # the numpy oracle's operations, with no product and sum fused; -O3
-    # vectorizes the row loops (twice the speed of -O2), two values wide,
-    # or four in the AVX2 step chosen at run time
-    "_fdtd.c": ("-O3", "-ffp-contract=off"),
+    # OpenMP row blocks, and the numpy oracle's operations, with no
+    # product and sum fused; -O3 vectorizes the row loops (twice the
+    # speed of -O2), two values wide, or four in the AVX2 step chosen at
+    # run time
+    "_fdtd.c": ("-O3", "-fopenmp", "-ffp-contract=off"),
 }
 
 

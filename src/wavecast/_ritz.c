@@ -2,14 +2,16 @@
    matrix H in O(n^2), and the impulse response of its modes.  The
    vectors are streamed: no n x n array is formed.
 
-   ritz_values(nt, simd, n, alpha, off, theta, work, busy): alpha (n >=
-   1) is the diagonal, off (n - 1) the off-diagonal, theta (n) receives
-   the eigenvalues, and work (n values) and busy (n ints) are workspace.
-   H should have max |H| near 1 (the caller scales it by a power of two),
-   since the QL squares the off-diagonal.  Returns 0, or 1 when the
-   values did not converge: the QL exceeds MAX_ITER sweeps for a value or
-   leaves one not finite, or the polish is unsettled after MAX_SWEEPS
-   (the caller's NearDefectiveError).
+   ritz_ql(n, alpha, off, theta, work), then ritz_polish(nt, simd, n,
+   alpha, off, theta, work, busy): alpha (n >= 1) is the diagonal, off
+   (n - 1) the off-diagonal, theta (n) receives the eigenvalues, and work
+   (n values) and busy (n ints) are workspace.  They are two calls so
+   that the caller can choose the polish's nt once the serial QL has
+   returned.  H should have max |H| near 1 (the caller scales it by a
+   power of two), since the QL squares the off-diagonal.  Each returns
+   0, or 1 when the values did not converge: the QL exceeds MAX_ITER
+   sweeps for a value or leaves one not finite, or the polish is
+   unsettled after MAX_SWEEPS (the caller's NearDefectiveError).
 
    The values come from an implicit QL with Wilkinson shifts and
    complex-orthogonal rotations (c^2 + s^2 = 1, not unitary), the
@@ -465,7 +467,16 @@ int ritz_simd(void)
 #endif
 }
 
-int ritz_values(int nt, int simd, int n, const cplx *alpha, const cplx *off,
+int ritz_ql(int n, const cplx *alpha, const cplx *off, cplx *theta,
+            cplx *work)
+{
+    memcpy(theta, alpha, n * sizeof(cplx));
+    for (int k = 0; k + 1 < n; k++)
+        work[k] = off[k] * off[k];
+    return ql(n, theta, work);
+}
+
+int ritz_polish(int nt, int simd, int n, const cplx *alpha, const cplx *off,
                 cplx *theta, cplx *work, int *busy)
 {
     double scale = 0.0;
@@ -473,11 +484,6 @@ int ritz_values(int nt, int simd, int n, const cplx *alpha, const cplx *off,
         scale = fmax(scale, cabs(alpha[k]));
     for (int k = 0; k + 1 < n; k++)
         scale = fmax(scale, cabs(off[k]));
-    memcpy(theta, alpha, n * sizeof(cplx));
-    for (int k = 0; k + 1 < n; k++)
-        work[k] = off[k] * off[k];
-    if (ql(n, theta, work))
-        return 1;
     return aberth(nt, simd, n, alpha, off, theta, work, busy,
                   STEP_TOL * scale, 1e-300 + 0x1p-52 * scale);
 }

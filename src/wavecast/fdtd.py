@@ -15,8 +15,11 @@ the update).
 
 The march is compiled (_fdtd.c, built on first use like the other
 kernels, see _native): each ctypes call runs _CHUNK_STEPS steps with
-the GIL released, so the march holds one CPU and no Python lock while
-the Krylov route runs beside it, and a cancel is seen between chunks.
+the GIL released, on OpenMP blocks of grid rows, and a cancel is seen
+between chunks.  Each chunk chooses its block count (_march_blocks):
+one while the Krylov route runs beside the march, so that it holds one
+CPU and no Python lock, and every usable CPU once that route has ended.
+The march has no reduction, so the block count moves no bit.
 The source term comes from the history of Q computed before the march
 (_source_kicks).  Each difference is multiplied by one reciprocal
 1 / delta, not divided by delta, and the step has an AVX2 path chosen at
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _native
+from . import _native, krylov
 from .errors import InvalidParameterError
 from .grid import build_grid2d
 from .operator import MediumMap
@@ -62,6 +65,7 @@ def time_step(n_int, eps_min):
 class FdtdResult:
     waveform: Waveform
     n_steps: int
+    threads: int  # row blocks of the last chunk
 
 
 @dataclass(frozen=True)
@@ -168,11 +172,19 @@ def _fdtd_kernel():
     ptr = ctypes.c_void_p
     kernel = _native.load("_fdtd.c", {
         "fdtd_simd": (c_int, []),
-        "fdtd_march": (c_int, [c_int, c_int, c_double, *[ptr] * 9, c_long,
-                               ptr, c_int, ptr, ptr, c_long, ptr, c_int]),
+        "fdtd_march": (c_int, [c_int, c_int, c_int, c_double, *[ptr] * 9,
+                               c_long, ptr, c_int, ptr, ptr, c_long, ptr,
+                               c_int]),
     })
     kernel.simd = kernel.fdtd_simd()
     return kernel
+
+
+def _march_blocks(alone):
+    """Row blocks of the next chunk of the march: one until the
+    threading.Event alone is set (the route beside the march holds the
+    other CPUs), then, or with alone None, every usable CPU."""
+    return krylov._usable_cpus() if alone is None or alone.is_set() else 1
 
 
 def run_fdtd(
@@ -185,6 +197,7 @@ def run_fdtd(
     amplitude=1.0,
     n_pml=10,
     cancel=None,
+    alone=None,
 ):
     """March the reference solver and record Ez at the probe nodes.
 
@@ -197,9 +210,10 @@ def run_fdtd(
     reflecting box.
 
     source_xy=None disables injection (signature is then unused).  The
-    march runs in the compiled kernel, _CHUNK_STEPS steps per call; once
-    the threading.Event cancel is set, the next chunk raises
-    CancelledError.
+    march runs in the compiled kernel, _CHUNK_STEPS steps per call, each
+    call on _march_blocks(alone) row blocks, with bitwise the same result
+    for any block count; once the threading.Event cancel is set, the next
+    chunk raises CancelledError.
     """
     yee = yee_setup(n_int, probes, source_xy, signature, t_final,
                     medium_fn, n_pml)
@@ -220,13 +234,15 @@ def run_fdtd(
     inv_eps = 1.0 / yee.eps
     arrays = [a.ctypes.data for a in (yee.ca, yee.cb, yee.da, yee.db,
                                       inv_eps, ezx, ezy, hx, hy)]
-    work = np.empty(2 * nn)
+    blocks = 1
     for start in range(0, n_steps, _CHUNK_STEPS):
         if cancel is not None and cancel.is_set():
             raise CancelledError(f"FDTD march cancelled at step {start}")
         count = min(_CHUNK_STEPS, n_steps - start)
+        blocks = min(_march_blocks(alone), nn)
+        work = np.empty(2 * nn * blocks)  # two row buffers per block
         kernel.fdtd_march(
-            nn, count, yee.delta, *arrays, src,
+            blocks, nn, count, yee.delta, *arrays, src,
             kicks.ctypes.data + kicks.itemsize * start,
             probe_flats.size, probe_flats.ctypes.data,
             traces.ctypes.data + traces.itemsize * (start + 1),
@@ -236,4 +252,5 @@ def run_fdtd(
     return FdtdResult(
         waveform=Waveform(times=times, values=traces),
         n_steps=n_steps,
+        threads=blocks,
     )

@@ -2,10 +2,10 @@
 compare against the designated reference, and write artifacts.
 
 One pipeline serves `wavecast run` (a single m) and `wavecast
-converge` (an m list), in stages: prepare, then two routes side by
-side -- the reference on a worker thread, and decompose -> eigensolve
-and trace per m on the calling thread -- then compare per m ->
-artifacts.  Every m is a truncation of one recursion run at the
+converge` (an m list), in stages: prepare -> decompose, on every core;
+then two routes side by side -- the reference on a worker thread, and
+eigensolve and trace per m on the calling thread -- then compare per
+m -> artifacts.  Every m is a truncation of one recursion run at the
 largest; a run that ends early (an invariant subspace, or the breakdown
 retreat inside bilanczos) drops the m past its length, and
 metadata.lanczos_stop says why.
@@ -200,17 +200,20 @@ def _finite(wf, route):
     return wf
 
 
-def _trace_waveform(sc, modes, times):
-    impulse = evaluate_impulse(modes, times)
+def _trace_waveform(sc, modes, times, ref_job):
+    impulse = evaluate_impulse(modes, times, ref_job)
     q = sc.signature()(times)
     dt = times[1] - times[0]
     u = convolve_source(impulse, q, dt, omega_max=sc.omega_max)
     return Waveform(times=times, values=u)
 
 
-def _reference_waveform(sc, asm, times, cancel):
+def _reference_waveform(sc, asm, times, cancel, alone):
     """The designated independent route (analytic or fdtd), at the
-    snapped coordinates; setting cancel stops the FDTD march."""
+    snapped coordinates: (waveform, FDTD steps, FDTD row blocks of the
+    last chunk), the last two None for the closed form.  Setting cancel
+    stops the FDTD march, and setting alone gives it every usable CPU
+    (fdtd.run_fdtd)."""
     if sc.reference == "analytic":
         wf = analytic_homogeneous(
             asm.src_coords,
@@ -219,7 +222,7 @@ def _reference_waveform(sc, asm, times, cancel):
             times,
             amplitude=sc.amplitude,
         )
-        return wf, None
+        return wf, None, None
     res = run_fdtd(
         n_int=sc.n_int,
         probes=asm.probe_coords,
@@ -229,19 +232,21 @@ def _reference_waveform(sc, asm, times, cancel):
         medium_fn=sc.medium_fn(),
         amplitude=sc.amplitude,
         cancel=cancel,
+        alone=alone,
     )
-    return res.waveform, res.n_steps
+    return res.waveform, res.n_steps, res.threads
 
 
-def _reference_job(sc, asm, times, out, cancel):
+def _reference_job(sc, asm, times, out, cancel, alone):
     """The reference trace, written to out/reference.csv as soon as it
-    exists, its FDTD step count and its wall time."""
+    exists, its FDTD step count and row blocks (_reference_waveform) and
+    its wall time."""
     t0 = time.perf_counter()
-    wf, n_steps = _reference_waveform(sc, asm, times, cancel)
+    wf, n_steps, threads = _reference_waveform(sc, asm, times, cancel, alone)
     _finite(wf, sc.reference)
     if out is not None:
         _csv_units(sc, wf).to_csv(out / "reference.csv")
-    return wf, n_steps, time.perf_counter() - t0
+    return wf, n_steps, threads, time.perf_counter() - t0
 
 
 def _peak_rss_mb():
@@ -259,8 +264,10 @@ def _peak_rss_mb():
     return peak / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0)
 
 
-def _metadata(sc, asm, decomp, m_requested, m, modes):
-    """Run metadata; modes is the eigensolve of the written trace (at m)."""
+def _metadata(sc, asm, decomp, m_requested, m, modes, ref_threads):
+    """Run metadata; modes is the eigensolve of the written trace (at m),
+    ref_threads the FDTD march's row blocks in its last chunk (None
+    without a march)."""
     return {
         "git": _git_hash(),
         "config": _clean(sc),
@@ -274,6 +281,7 @@ def _metadata(sc, asm, decomp, m_requested, m, modes):
         "lanczos_threads": decomp.threads,
         "lanczos_drift": decomp.drift,
         "eig_threads": modes.threads,
+        "reference_threads": ref_threads,
         "recon_error": modes.recon_error,
         "modes_merged": modes.merged,
         "source_coords": asm.src_coords,
@@ -316,22 +324,25 @@ def run_study(sc, ms, out_dir=None):
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     timings = {"assemble_s": asm.seconds}
-    # the reference runs on a worker thread beside the Krylov route (the
-    # kernels of both release the GIL).  A Lanczos failure wins and drops
-    # the reference's outcome, which a run in stage order never reaches;
-    # it, or an interrupt, sets cancel, and the march stops within a
-    # chunk of steps.  Both compiled stages leave the reference its core
-    # while it runs (krylov._thread_count).
-    cancel = threading.Event()
+    # the recursion runs alone on every core; the reference starts when
+    # it returns, on a worker thread beside the eigensolve (the kernels
+    # of both release the GIL), so the march fills the core that the
+    # serial QL leaves idle.  The eigensolve's stages and the impulse
+    # leave the reference its core while it runs (krylov._thread_count),
+    # and the march runs on one row block until the last trace is
+    # evaluated, which sets alone.  A Lanczos failure starts no
+    # reference; an interrupt sets cancel, and the march stops within a
+    # chunk of steps.
+    cancel, alone = threading.Event(), threading.Event()
     pool = ThreadPoolExecutor(max_workers=1)
     try:
-        ref_job = (pool.submit(_reference_job, sc, asm, times, out, cancel)
-                   if sc.reference != "none" else None)
         t0 = time.perf_counter()
-        decomp = bilanczos(asm.op, asm.b, ms[-1], asm.probe_flats,
-                           ref_job=ref_job)
+        decomp = bilanczos(asm.op, asm.b, ms[-1], asm.probe_flats)
         timings["lanczos_s"] = time.perf_counter() - t0
         timings["lanczos_ms_per_iter"] = 1e3 * timings["lanczos_s"] / decomp.m
+        ref_job = (pool.submit(_reference_job, sc, asm, times, out, cancel,
+                               alone)
+                   if sc.reference != "none" else None)
         # a breakdown retreat or a closed invariant subspace shortens the run
         m_requested = ms[-1]
         ms = tuple(m for m in ms if m <= decomp.m) or (decomp.m,)
@@ -344,27 +355,31 @@ def run_study(sc, ms, out_dir=None):
                 t_eig = time.perf_counter()
                 modes = eigen_tridiag(decomp.truncate(m), ref_job=ref_job)
                 timings["eigensolve_s"] += time.perf_counter() - t_eig
-                traces[m] = _finite(_trace_waveform(sc, modes, times),
-                                    f"m = {m}")
+                traces[m] = _finite(
+                    _trace_waveform(sc, modes, times, ref_job), f"m = {m}")
         except Exception:
             if ref_job is not None:
                 # a run one stage after another meets a failed reference
                 # before any eigensolve, so its error goes first
+                alone.set()
                 ref_job.result()
             raise
+        alone.set()
         timings["evaluate_s"] = time.perf_counter() - t0
         waveforms = {}
-        ref_wf = fdtd_steps = None
+        ref_wf = fdtd_steps = ref_threads = None
         if ref_job is not None:
             t0 = time.perf_counter()
-            ref_wf, fdtd_steps, timings["reference_s"] = ref_job.result()
+            (ref_wf, fdtd_steps, ref_threads,
+             timings["reference_s"]) = ref_job.result()
             timings["reference_wait_s"] = time.perf_counter() - t0
             if fdtd_steps:
                 timings["reference_ms_per_step"] = (
                     1e3 * timings["reference_s"] / fdtd_steps)
             waveforms["reference"] = ref_wf
     finally:
-        cancel.set()  # a no-op unless Lanczos failed or an interrupt came
+        # a no-op unless the Krylov route failed or an interrupt came
+        cancel.set()
         pool.shutdown()
 
     entries = []
@@ -384,7 +399,8 @@ def run_study(sc, ms, out_dir=None):
         convergence=tuple(entries),
         fdtd_steps=fdtd_steps,
         timings=timings,
-        metadata=_metadata(sc, asm, decomp, m_requested, ms[-1], modes),
+        metadata=_metadata(sc, asm, decomp, m_requested, ms[-1], modes,
+                           ref_threads),
     )
     if out is not None:
         report.to_json(out / "report.json")

@@ -48,17 +48,17 @@ samples, stepping each mode's term from the block's first sample by
 exp(-sqrt(theta) dt); both give bitwise the same result for any thread
 count.  The QL is serial, each rotation written so that its two
 reciprocals run side by side.  One rule, _thread_count, sets the
-threads of the compiled stages (the recursion applies it before each
-chunk of steps), not the BLAS or OpenMP thread settings.
+threads of the compiled stages, not the BLAS or OpenMP thread
+settings: the recursion applies it once per run, and the polish, the
+vectors and the impulse each when they start.
 
 The recursion runs in a second C kernel (_lanczos.c), on preallocated
-vectors, a chunk of steps per GIL-free call: one step at a time while
-the reference route beside it runs, so that it is looked at before
-each step, else up to the next drift sample (every _DRIFT_EVERY steps
-and at the end), which stays in Python.  A step is two passes, each
-with its own reductions, and the sums between them, in one OpenMP
-region.  The recursion keeps the unscaled r_i = zeta_i w_i, and each
-pass forms w_i = r_i s_i, s_i = 1 / zeta_i, where it reads it:
+vectors, a chunk of steps per GIL-free call, up to the next drift
+sample (every _DRIFT_EVERY steps and at the end), which stays in
+Python.  A step is two passes, each with its own reductions, and the
+sums between them, in one OpenMP region.  The recursion keeps the
+unscaled r_i = zeta_i w_i, and each pass forms w_i = r_i s_i,
+s_i = 1 / zeta_i, where it reads it:
 
     A: aw = A w_i, delta_i = w^T M w, alpha_i = w^T M aw / delta_i
     B: r_{i+1} = aw - alpha_i w_i - (delta_i/delta_{i-1}) zeta_i w_{i-1},
@@ -171,9 +171,7 @@ class LanczosDecomposition:
 # 0.87 - 0.89x at 3 136, 0.83 - 0.94x at 4 096 to 7 056, 0.66 - 0.83x
 # at 15 376 and 0.70x at 33 856.  They break even between n = 2 000
 # and 3 000, where this rule switches (two blocks from n = 2 000), and
-# differ there by less than these runs' noise.  A thread that shares a
-# core with the reference holds up every pass at its barrier (see
-# _thread_count).
+# differ there by less than these runs' noise.
 _ROWS_PER_WORKER = 1_000
 # the bilinear form has collapsed when |delta_i| < _BREAKDOWN_TOL * max |M|
 _BREAKDOWN_TOL = 1e-14
@@ -192,15 +190,16 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _thread_count(ref_job, n=None):
+def _thread_count(ref_job=None, n=None):
     """Threads of a compiled stage: every usable CPU, one fewer while
     ref_job (the reference route beside it, a Future, or None) is not
-    done, since a thread that shares its core holds up every pass at
-    its barrier (on two cores, paper-scale run ring took 19.4 - 20.7 s
+    done, since a thread that shares its core holds up its stage at
+    every barrier (on two cores, paper-scale run ring took 19.4 - 20.7 s
     with two Lanczos threads beside its FDTD march, 13.1 - 13.3 s with
-    one);
-    for a recursion step on n unknowns at most n // _ROWS_PER_WORKER;
-    at least one."""
+    one); for a recursion step on n unknowns at most
+    n // _ROWS_PER_WORKER; at least one.  The recursion runs before the
+    reference starts (harness.run_study), so only the eigensolve's
+    stages and the impulse pass a ref_job."""
     cpus = _usable_cpus() - (ref_job is not None and not ref_job.done())
     if n is not None:
         cpus = min(cpus, n // _ROWS_PER_WORKER)
@@ -260,7 +259,7 @@ def _complex(x):
     return z
 
 
-def bilanczos(op, b, m, probe_indices, ref_job=None):
+def bilanczos(op, b, m, probe_indices):
     """Run up to m iterations of the renormalized two-sided recursion.
 
     b is the start vector (the sampled source); probe_indices are the
@@ -273,13 +272,10 @@ def bilanczos(op, b, m, probe_indices, ref_job=None):
     raises BreakdownError.
 
     Each step runs the phases of the module docstring on
-    _thread_count(ref_job, n) threads, with bitwise the same result for
-    any thread count: ref_job is the reference route beside the
-    recursion (None without one), looked at before each step until it
-    is done.  The steps run in the kernel's chunks (lanczos_run): one
-    step while ref_job runs, else up to the next drift sample.  An
-    interrupt is seen when a chunk returns.  The decomposition records
-    the thread count of the last step.
+    _thread_count(n=n) threads, with bitwise the same result for any
+    thread count.  The steps run in the kernel's chunks (lanczos_run), up
+    to each drift sample; an interrupt is seen when a chunk returns.  The
+    decomposition records the thread count.
     """
     if m < 1:
         raise InvalidParameterError(f"need m >= 1, got {m}")
@@ -297,7 +293,7 @@ def bilanczos(op, b, m, probe_indices, ref_job=None):
     m_diag = np.asarray(op.m_diag, dtype=complex)
     m_scale = float(np.abs(m_diag).max())
     kernel = _lanczos_kernel()
-    n_blocks = _thread_count(ref_job, n)
+    n_blocks = _thread_count(n=n)
 
     alpha = np.empty(m, dtype=complex)
     zeta = np.empty(m, dtype=float)
@@ -356,12 +352,7 @@ def bilanczos(op, b, m, probe_indices, ref_job=None):
     stop = "m"
     i = 0
     while i < m:
-        # one step at a time while the reference runs, else up to the
-        # next drift sample
-        if ref_job is not None and ref_job.done():
-            ref_job, n_blocks = None, _thread_count(None, n)
-        last = (i + 1 if ref_job is not None
-                else min(m, (i // _DRIFT_EVERY + 1) * _DRIFT_EVERY))
+        last = min(m, (i // _DRIFT_EVERY + 1) * _DRIFT_EVERY)
         code = kernel.lanczos_run(n_blocks, last, *args)
         i = int(state[5])
         if code == _RUN_BREAKDOWN:
@@ -439,8 +430,8 @@ class ModeSet:
     residues[p, i] = (W D^{-1/2} s_i)_p s_i[0] d_1^{1/2} (see
     eigen_tridiag), summed over the ghost copies of a mode.  merged
     counts the ghost Ritz values folded into another mode and threads
-    the thread count of eigen_tridiag's per-value stages, which
-    evaluate_impulse takes too.
+    the thread count of eigen_tridiag's inverse iteration (its last
+    per-value stage).
     """
 
     theta: np.ndarray
@@ -469,8 +460,8 @@ def _close_groups(theta, tol):
 
 @functools.cache
 def _ritz_kernel():
-    """The compiled Ritz kernels (_ritz.c): the library, with
-    ritz_values, ritz_vectors and impulse set up, and `simd` (the CPU
+    """The compiled Ritz kernels (_ritz.c): the library, with ritz_ql,
+    ritz_polish, ritz_vectors and impulse set up, and `simd` (the CPU
     runs its AVX2 lanes) set on it."""
     cplx = np.ctypeslib.ndpointer(np.complex128, flags="C_CONTIGUOUS")
     real = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
@@ -478,7 +469,8 @@ def _ritz_kernel():
     c_int, c_double = ctypes.c_int, ctypes.c_double
     kernel = _native.load("_ritz.c", {
         "ritz_simd": (c_int, []),
-        "ritz_values": (c_int, [c_int, c_int, c_int, cplx, cplx, cplx, cplx,
+        "ritz_ql": (c_int, [c_int, cplx, cplx, cplx, cplx]),
+        "ritz_polish": (c_int, [c_int, c_int, c_int, cplx, cplx, cplx, cplx,
                                 ints]),
         "ritz_vectors": (c_int, [c_int, c_int, c_int, cplx, cplx, cplx, ints,
                                  ints, c_double, c_int, c_double, c_int, cplx,
@@ -526,17 +518,22 @@ def _norm(x):
     return float(np.sqrt(np.sum(x.real ** 2 + x.imag ** 2)))
 
 
-def _ritz_values(h, threads):
+def _ritz_values(h, ref_job=None):
     """Eigenvalues of the scaled H (a _ScaledH), in its units, sorted by
-    real, then imaginary part, from the compiled kernel, its polish on
-    `threads` threads.  Values that do not converge raise
-    NearDefectiveError: with the QL's exceptional shift, only a
-    numerically defective H has been seen to stop it."""
+    real, then imaginary part, from the compiled kernel: the serial QL,
+    then the polish on _thread_count(ref_job) threads, counted when the
+    QL returns.  Values that do not converge raise NearDefectiveError:
+    with the QL's exceptional shift, only a numerically defective H has
+    been seen to stop it."""
     theta = np.empty_like(h.alpha)
+    work = np.empty_like(theta)
     kernel = _ritz_kernel()
-    if kernel.ritz_values(threads, kernel.simd, theta.size, h.alpha, h.off,
-                          theta, np.empty_like(theta),
-                          np.empty(theta.size, dtype=np.intc)):
+    code = kernel.ritz_ql(theta.size, h.alpha, h.off, theta, work)
+    if not code:
+        code = kernel.ritz_polish(_thread_count(ref_job), kernel.simd,
+                                  theta.size, h.alpha, h.off, theta, work,
+                                  np.empty(theta.size, dtype=np.intc))
+    if code:
         raise NearDefectiveError(
             "eigenvalues of the projected matrix did not converge: it is "
             "numerically defective")
@@ -661,17 +658,18 @@ def eigen_tridiag(decomp, ref_job=None):
       (window measured at the constant).  The returned ModeSet has
       m - merged modes.
 
-    The polish sweeps and the inverse iteration run on
-    _thread_count(ref_job) threads, ref_job being the reference route
-    beside the eigensolve (None without one), with bitwise the same
-    result for any thread count.  Everything is O(m^2) in time; memory
+    The polish sweeps and the inverse iteration each run on
+    _thread_count(ref_job) threads, counted when the stage starts, ref_job
+    being the reference route beside the eigensolve (None without one),
+    with bitwise the same result for any thread count; ModeSet.threads is
+    the inverse iteration's.  Everything is O(m^2) in time; memory
     beyond O(m) is the kernel's block partials, 2 m values per 64
     values (1.4 MB at m = 1 650).
     """
     sqd = np.sqrt(decomp.delta)
     h = _h_scale(decomp.alpha, decomp.zeta[1:] * sqd[1:] / sqd[:-1])
+    theta = _ritz_values(h, ref_job)
     threads = _thread_count(ref_job)
-    theta = _ritz_values(h, threads)
     first, probe, hs, ss = _ritz_vectors(
         h, theta, decomp.w_probe / sqd[None, :], threads)
     hs[0] -= h.alpha[0]  # the residuals against H e_1 and e_1
@@ -690,11 +688,12 @@ def eigen_tridiag(decomp, ref_job=None):
                    merged=merged, threads=threads)
 
 
-def evaluate_impulse(modes, times):
+def evaluate_impulse(modes, times, ref_job=None):
     """Impulse response at the probes for t >= 0, by the stable kernel
     exp(-sqrt(a) t)/sqrt(a): u_p(t_j) = zeta_1 Re sum_i g_{p,i}
     exp(-sqrt(theta_i) t_j), g = residues / sqrt(theta), summed by the
-    compiled impulse kernel on modes.threads threads, with no array
+    compiled impulse kernel on _thread_count(ref_job) threads (ref_job as
+    for eigen_tridiag), bitwise the same for any count, with no array
     beyond the trace.
 
     times must be one uniform grid (steps within _GRID_TOL * max t of
@@ -717,8 +716,8 @@ def evaluate_impulse(modes, times):
     if g.ndim != 2 or g.shape[1] != sq.size:
         raise InvalidParameterError("residues must be (probes, modes)")
     u = np.empty((g.shape[0], times.size))
-    _ritz_kernel().impulse(modes.threads, sq.size, g.shape[0], sq,
-                           np.exp(-sq * dt), g, times.size, times, u)
+    _ritz_kernel().impulse(_thread_count(ref_job), sq.size, g.shape[0],
+                           sq, np.exp(-sq * dt), g, times.size, times, u)
     return modes.zeta1 * u
 
 

@@ -233,5 +233,5 @@ def fdtd_oracle(n_int, probes, source_xy, signature, t_final,
 
     times = np.arange(n_steps + 1) * dt
     result = FdtdResult(waveform=Waveform(times=times, values=traces),
-                        n_steps=n_steps)
+                        n_steps=n_steps, threads=1)
     return result, energy

@@ -218,7 +218,8 @@ def test_fast_medium_gives_finite_artifacts(tmp_path):
 
 def test_nonfinite_trace_exits_3(mini_cfg, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(wavecast.harness, "evaluate_impulse",
-                        lambda modes, times: np.full((1, times.size), np.nan))
+                        lambda modes, times, ref_job: np.full((1, times.size),
+                                                              np.nan))
     out = tmp_path / "x"
     assert main(["run", str(mini_cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
@@ -234,7 +235,7 @@ def test_nonfinite_reference_exits_3(mini_cfg, tmp_path, monkeypatch,
         n = 50
         wf = Waveform(times=np.linspace(0.0, kwargs["t_final"], n),
                       values=np.full((1, n), np.nan))
-        return SimpleNamespace(waveform=wf, n_steps=n - 1)
+        return SimpleNamespace(waveform=wf, n_steps=n - 1, threads=1)
 
     cfg = tmp_path / "fdtd.cfg"
     cfg.write_text(MINI_CFG.replace("reference = analytic",

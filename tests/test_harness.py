@@ -182,9 +182,9 @@ def _count_bilanczos(monkeypatch):
     """Record the m of every recursion run the harness starts."""
     calls = []
 
-    def counted(op, b, m, probe_indices, ref_job=None):
+    def counted(op, b, m, probe_indices):
         calls.append(m)
-        return bilanczos(op, b, m, probe_indices, ref_job)
+        return bilanczos(op, b, m, probe_indices)
 
     monkeypatch.setattr(wavecast.harness, "bilanczos", counted)
     return calls
@@ -208,16 +208,20 @@ def test_breakdown_retreat(monkeypatch):
 
 
 @pytest.mark.parametrize("reference, ends, threads", [
-    pytest.param("fdtd", "after-eigensolve", (3, 3), id="fdtd-3"),
-    pytest.param("fdtd", "after-lanczos", (3, 4), id="fdtd-3-done"),
-    pytest.param("analytic", "before-lanczos", (4, 4), id="analytic-4"),
-    pytest.param("none", "before-lanczos", (4, 4), id="none-4"),
+    pytest.param("fdtd", "after-eigensolve", (4, 3, 4), id="fdtd-3"),
+    pytest.param("fdtd", "before-eigensolve", (4, 4, 1), id="fdtd-3-done"),
+    pytest.param("analytic", "before-eigensolve", (4, 4, None),
+                 id="analytic-4"),
+    pytest.param("none", None, (4, 4, None), id="none-4"),
 ])
 def test_fdtd_reference_holds_a_cpu(monkeypatch, reference, ends, threads):
-    # a reference that runs takes one CPU from the recursion's row
-    # blocks and from the eigensolve, and gives it back once done.  The
-    # reference is held until the stage named by ends returns, or it
-    # ends before the recursion starts
+    # (lanczos_threads, eig_threads, reference_threads): the recursion
+    # runs alone on every CPU.  A reference that runs beside the
+    # eigensolve takes one CPU from its stages and gives it back once
+    # done, and the march runs on one row block until the last trace is
+    # evaluated, then on every CPU.  The reference is held until the
+    # eigensolve returns and the harness sets alone, or it ends before
+    # the eigensolve starts
     monkeypatch.setattr(krylov, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(krylov, "_ROWS_PER_WORKER", 1)
     jobs, release = [], threading.Event()
@@ -228,26 +232,19 @@ def test_fdtd_reference_holds_a_cpu(monkeypatch, reference, ends, threads):
             return jobs[-1]
 
     reference_waveform = wavecast.harness._reference_waveform
-    lanczos, eigen = wavecast.harness.bilanczos, wavecast.harness.eigen_tridiag
+    eigen = wavecast.harness.eigen_tridiag
 
     def held_reference(*args):
         assert release.wait(timeout=60.0)
+        if ends == "after-eigensolve":
+            assert args[-1].wait(timeout=60.0)  # alone
         return reference_waveform(*args)
 
-    def end_reference():
-        release.set()
-        for job in jobs:
-            job.result(timeout=60.0)
-
-    def lanczos_between(*args, **kwargs):
-        if ends == "before-lanczos":
-            end_reference()
-        decomp = lanczos(*args, **kwargs)
-        if ends == "after-lanczos":
-            end_reference()
-        return decomp
-
-    def eigen_then_release(*args, **kwargs):
+    def eigen_between(*args, **kwargs):
+        if ends == "before-eigensolve":
+            release.set()
+            for job in jobs:
+                job.result(timeout=60.0)
         modes = eigen(*args, **kwargs)
         release.set()
         return modes
@@ -255,17 +252,39 @@ def test_fdtd_reference_holds_a_cpu(monkeypatch, reference, ends, threads):
     monkeypatch.setattr(wavecast.harness, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(wavecast.harness, "_reference_waveform",
                         held_reference)
-    monkeypatch.setattr(wavecast.harness, "bilanczos", lanczos_between)
-    monkeypatch.setattr(wavecast.harness, "eigen_tridiag", eigen_then_release)
+    monkeypatch.setattr(wavecast.harness, "eigen_tridiag", eigen_between)
     report, _ = run_study(_mini(reference=reference), (40,))
     assert (report.metadata["lanczos_threads"],
-            report.metadata["eig_threads"]) == threads
+            report.metadata["eig_threads"],
+            report.metadata["reference_threads"]) == threads
+
+
+def test_march_starts_after_the_recursion(monkeypatch):
+    # the reference is submitted once bilanczos has returned, so the
+    # march never shares a core with the recursion
+    events = []
+    lanczos, fdtd = wavecast.harness.bilanczos, wavecast.harness.run_fdtd
+
+    def recursion(*args):
+        events.append("recursion starts")
+        decomp = lanczos(*args)
+        events.append("recursion returns")
+        return decomp
+
+    def march(**kw):
+        events.append("march starts")
+        return fdtd(**kw)
+
+    monkeypatch.setattr(wavecast.harness, "bilanczos", recursion)
+    monkeypatch.setattr(wavecast.harness, "run_fdtd", march)
+    run_study(_mini(reference="fdtd"), (40,))
+    assert events == ["recursion starts", "recursion returns", "march starts"]
 
 
 def test_breakdown_without_index_propagates(monkeypatch):
     # bilanczos always sets the index; an error without one must still
     # reach the caller unchanged
-    def dead(op, b, m, probe_indices, ref_job=None):
+    def dead(op, b, m, probe_indices):
         raise BreakdownError("no usable prefix")
 
     monkeypatch.setattr(wavecast.harness, "bilanczos", dead)
@@ -345,15 +364,17 @@ def test_run_study_leaves_no_thread_behind(monkeypatch, stage):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("stage, error, cancelled", [
+@pytest.mark.parametrize("stage, error, stops", [
     ("bilanczos", KeyboardInterrupt("ctrl-c"), True),
     ("bilanczos", BreakdownError("krylov failed", index=1), True),
     ("eigen_tridiag", PrecisionError("krylov failed"), False),
+    ("eigen_tridiag", KeyboardInterrupt("ctrl-c"), True),
 ])
 def test_krylov_failure_stops_the_march(monkeypatch, tmp_path, stage, error,
-                                        cancelled):
-    # an interrupt or a Lanczos failure stops the FDTD march within a
-    # chunk of steps, and no reference is written; an eigensolve failure
+                                        stops):
+    # a failed or interrupted recursion starts no march, and an
+    # interrupt during the eigensolve stops the march within a chunk of
+    # steps; either way no reference is written.  An eigensolve failure
     # still waits for the whole march, whose error would go first.  The
     # chunks here are 4 steps and take 1 ms each, about 0.45 s in all.
     late, outcome, cancels = [], [], []
@@ -367,7 +388,7 @@ def test_krylov_failure_stops_the_march(monkeypatch, tmp_path, stage, error,
         @staticmethod
         def fdtd_march(*args):  # called once per chunk
             if cancels[0].is_set():
-                late.append(args[1])
+                late.append(args)
             marching.set()
             time.sleep(1e-3)
             return kernel.fdtd_march(*args)
@@ -386,7 +407,8 @@ def test_krylov_failure_stops_the_march(monkeypatch, tmp_path, stage, error,
     monkeypatch.setattr(wavecast.fdtd, "_CHUNK_STEPS", 4)
 
     def fail(*args, **kwargs):
-        assert marching.wait(timeout=60.0)
+        if stage == "eigen_tridiag":
+            assert marching.wait(timeout=60.0)
         raise error
 
     monkeypatch.setattr(wavecast.harness, "run_fdtd", counting_fdtd)
@@ -394,11 +416,13 @@ def test_krylov_failure_stops_the_march(monkeypatch, tmp_path, stage, error,
     with pytest.raises(type(error)):
         run_study(_mini(reference="fdtd", t_final=60.0), (40,),
                   out_dir=tmp_path)
-    if cancelled:
+    if stage == "bilanczos":
+        assert not cancels
+    elif stops:
         assert outcome == ["cancelled"] and len(late) <= 1
     else:
         assert outcome == ["finished"] and not late
-    assert (tmp_path / "reference.csv").exists() == (not cancelled)
+    assert (tmp_path / "reference.csv").exists() == (not stops)
 
 
 def test_report_json_round_trip(tmp_path):

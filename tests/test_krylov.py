@@ -265,11 +265,11 @@ def _dense(alpha, off):
     return np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1)
 
 
-def _values(alpha, off, threads=1):
+def _values(alpha, off):
     """The Ritz values of H (diagonal alpha, off-diagonal off) as
     eigen_tridiag finds them, through its one scaling (_h_scale)."""
     h = krylov._h_scale(alpha, off)
-    return krylov._ldexp(krylov._ritz_values(h, threads), h.exp)
+    return krylov._ldexp(krylov._ritz_values(h), h.exp)
 
 
 def _assert_same_values(got, want, tol):
@@ -364,7 +364,7 @@ def test_paper_values_converge_at_m_9000(name):
     dec = bilanczos(asm.op, asm.b, 9000, asm.probe_flats)
     assert dec.m == 9000
     alpha, off, _ = _symmetrized(dec)
-    theta = _values(alpha, off, 2)
+    theta = _values(alpha, off)
     assert theta.shape == (9000,) and np.isfinite(theta).all()
 
 
@@ -545,7 +545,7 @@ def test_ghost_grouping_at_large_m_matches_zgeev(ring1650, monkeypatch):
     sc, dec = ring1650
     modes = eigen_tridiag(dec)
 
-    def dense_values(h, threads):
+    def dense_values(h, ref_job):
         theta = np.linalg.eigvals(_dense(h.alpha, h.off))
         return theta[np.lexsort((theta.imag, theta.real))]
 
@@ -580,7 +580,7 @@ def test_weights_match_solve_oracle(ring1650):
     alpha, off, sqd = _symmetrized(dec)
     rows = dec.w_probe / sqd
     h = krylov._h_scale(alpha, off)
-    theta = krylov._ritz_values(h, 1)
+    theta = krylov._ritz_values(h)
     first, probe, _, _ = krylov._ritz_vectors(h, theta, rows, 1)
     residues, at = probe * (first * sqd[0]), krylov._ldexp(theta, h.exp)
     ghosts = krylov._close_groups(theta, krylov._GHOST_TOL * h.h_max)
@@ -641,7 +641,7 @@ def test_kernel_vectors_match_python_loop(ring1650):
     alpha, off, sqd = _symmetrized(dec.truncate(150))
     rows = dec.w_probe[:, :150] / sqd
     h = krylov._h_scale(alpha, off)
-    theta = krylov._ritz_values(h, 1)
+    theta = krylov._ritz_values(h)
     want = invit_loop(h.alpha, h.off, theta, h.h_max)
     for threads in (1, 2):
         got = krylov._ritz_vectors(h, theta, rows, threads)
@@ -659,8 +659,8 @@ def _ritz_runs(h, rows, theta=None):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel, "simd", simd)
             for threads in (1, 2, 3):
-                values = (krylov._ritz_values(h, threads) if theta is None
-                          else theta)
+                mp.setattr(krylov, "_usable_cpus", lambda: threads)
+                values = krylov._ritz_values(h) if theta is None else theta
                 runs.append((values, *krylov._ritz_vectors(h, values, rows,
                                                            threads)))
     return runs
@@ -685,7 +685,7 @@ def test_zero_pivot_retry_inside_a_lane_group():
     off = np.array([0.0, 0.7j, 0.0, 0.0, 1.3, 0.0, 0.0, 0.4, 0.0])
     h = krylov._h_scale(alpha, off)
     lone = h.alpha[[0, 3, 6, 9]]
-    theta = krylov._ritz_values(h, 1)
+    theta = krylov._ritz_values(h)
     at = np.abs(theta[:, None] - lone[None, :]).argmin(axis=0)
     theta[at] = lone  # exact, as the polish may move them by an ulp
     assert (np.diff(theta.real) > 0).all()
@@ -780,7 +780,7 @@ def test_eigensolve_is_bitwise_the_same_on_any_thread_count(ring1650,
         monkeypatch.setattr(krylov, "_usable_cpus", lambda: threads)
         runs.append(eigen_tridiag(dec))
     h = krylov._h_scale(*_symmetrized(dec)[:2])
-    chained = krylov._close_groups(krylov._ritz_values(h, 1),
+    chained = krylov._close_groups(krylov._ritz_values(h),
                                    krylov._CLUSTER_TOL * h.h_max)
     assert runs[0].merged >= 1
     assert np.bincount(chained).max() >= 2
@@ -894,8 +894,11 @@ def test_impulse_is_the_same_on_any_thread_count():
     t = np.linspace(0.0, 4.0, 101)
     sq = krylov._sqrt_from_above(modes.theta)[:, None]
     want = modes.zeta1 * (modes.residues @ (np.exp(-sq * t) / sq)).real
-    runs = [evaluate_impulse(dataclasses.replace(modes, threads=threads), t)
-            for threads in (1, 2, 3)]
+    runs = []
+    for threads in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(krylov, "_usable_cpus", lambda: threads)
+            runs.append(evaluate_impulse(modes, t))
     assert np.abs(runs[0] - want).max() <= 1e-13 * np.abs(want).max()
     for got in runs[1:]:
         assert np.array_equal(got, runs[0])
@@ -915,8 +918,11 @@ def test_impulse_recurrence_matches_direct_sum(desk1650):
     modes = eigen_tridiag(dec.truncate(sc.m_default))
     times = _padded_times(sc, asm)
     want = direct_impulse(modes, times)
-    runs = [evaluate_impulse(dataclasses.replace(modes, threads=threads),
-                             times) for threads in (1, 2, 3)]
+    runs = []
+    for threads in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(krylov, "_usable_cpus", lambda: threads)
+            runs.append(evaluate_impulse(modes, times))
     assert np.abs(runs[0] - want).max() <= 3e-13 * np.abs(want).max()
     q, dt = sc.signature()(times), times[1] - times[0]
     trace, oracle = (convolve_source(u, q, dt) for u in (runs[0], want))

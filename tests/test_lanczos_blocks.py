@@ -21,13 +21,17 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import wavecast.fdtd as fdtd
+import wavecast.harness as harness
 import wavecast.krylov as krylov
+from wavecast.cli import main
 from wavecast.errors import BreakdownError
 from wavecast.grid import build_grid2d
 from wavecast.harness import _prepare
@@ -155,7 +159,7 @@ def force_blocks(monkeypatch):
     used = []
     real_thread_count = krylov._thread_count
 
-    def spy(ref_job, n=None):
+    def spy(ref_job=None, n=None):
         used.append(real_thread_count(ref_job, n))
         return used[-1]
 
@@ -540,64 +544,76 @@ def test_kernel_divides_as_numpy():
     assert _bits(got) == _bits(want)
 
 
-class _Job:
-    """A reference job that is done from its (k + 1)-th look on."""
-
-    def __init__(self, k):
-        self.k, self.looks = k, 0
-
-    def done(self):
-        self.looks += 1
-        return self.looks > self.k
-
-
 def test_block_count_rule(monkeypatch):
-    # one rule for both compiled stages: every usable CPU, one fewer
-    # while the reference job runs, and for a recursion step at most
-    # n // _ROWS_PER_WORKER row blocks; never fewer than one
-    count = krylov._thread_count
+    # one rule for the compiled stages of the Krylov route: every usable
+    # CPU, one fewer while the reference job runs (the eigensolve's
+    # stages and the impulse), and for a recursion step, which runs
+    # before the reference starts, at most n // _ROWS_PER_WORKER row
+    # blocks; never fewer than one.  The march takes one row block until
+    # the Krylov route has ended, then every usable CPU
+    count, march = krylov._thread_count, fdtd._march_blocks
     rows = krylov._ROWS_PER_WORKER
     running, finished = Future(), Future()
     finished.set_result(None)
+    beside, alone = threading.Event(), threading.Event()
+    alone.set()
     assert rows == 1_000
     monkeypatch.setattr(krylov, "_usable_cpus", lambda: 2)
+    assert count(n=18_225) == 2  # ring-desk
+    assert count(n=2 * rows - 1) == 1
+    assert count(n=2 * rows) == 2
+    assert count(n=229_441) == 2  # paper-scale ring
     for job in (None, finished):
-        assert count(job, 18_225) == 2  # ring-desk
-        assert count(job, 2 * rows - 1) == 1
-        assert count(job, 2 * rows) == 2
-        assert count(job, 229_441) == 2  # paper-scale ring
         assert count(job) == 2  # the eigensolve
-    assert count(running, 229_441) == 1  # beside the reference
-    assert count(running, 18_225) == 1
-    assert count(running) == 1
+    assert count(running) == 1  # beside the reference
+    assert (march(beside), march(alone), march(None)) == (1, 2, 2)
     monkeypatch.setattr(krylov, "_usable_cpus", lambda: 3)
-    assert count(running, 229_441) == 2
-    assert count(running, 2 * rows) == 2
+    assert count(n=229_441) == 3
+    assert count(n=2 * rows) == 2
     assert count(running) == 2
+    assert (march(beside), march(alone), march(None)) == (1, 3, 3)
     monkeypatch.setattr(krylov, "_usable_cpus", lambda: 1)
+    assert count(n=229_441) == 1
     for job in (None, finished, running):
-        assert count(job, 229_441) == 1
         assert count(job) == 1
+    assert (march(beside), march(alone), march(None)) == (1, 1, 1)
 
 
-def test_reference_done_mid_recursion(desk, force_blocks, monkeypatch):
-    # the recursion takes the reference's core at the first step after
-    # the job is done (step 150 here), with the bits of a one-thread run
+def _run_alone(monkeypatch, name, m):
+    """The decomposition run_study makes for preset name at m, which
+    must start while the study has started no reference (no worker
+    thread); the study's report."""
+    runs, before = [], threading.active_count()
+
+    def alone(*args):
+        assert threading.active_count() == before
+        runs.append(bilanczos(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(harness, "bilanczos", alone)
+    report, _ = harness.run_study(get_scenario(name), (m,))
+    return runs[0], report
+
+
+def test_recursion_runs_alone(desk, force_blocks, monkeypatch, request):
+    # run_study starts the reference only once the recursion has
+    # returned, so every step of the recursion runs on every usable CPU
+    # (three row blocks here), with the bits of a one-block run
     asm, _, _ = desk
     used = force_blocks(1)
     one = bilanczos(asm.op, asm.b, 300, asm.probe_flats)
     monkeypatch.setattr(krylov, "_usable_cpus", lambda: 3)
-    job = _Job(150)
-    got = bilanczos(asm.op, asm.b, 300, asm.probe_flats, ref_job=job)
-    assert used == [1, 2, 3] and job.looks == 151
+    got, report = _run_alone(monkeypatch, request.node.callspec.params["desk"],
+                             300)
+    assert used[:2] == [1, 3]  # one call per run
     assert (one.threads, got.threads) == (1, 3)
+    assert report.metadata["lanczos_threads"] == 3
     assert_bitwise(got, one)
 
 
 def test_recursion_runs_in_chunks(desk, monkeypatch):
-    # without a reference, one kernel call runs the steps up to each
-    # drift sample, past ||b||'s call; beside a reference that runs,
-    # one call per step, so that the job is looked at before each
+    # one kernel call runs the steps up to each drift sample, past
+    # ||b||'s call
     asm, _, base = desk
     kernel = krylov._lanczos_kernel()
     calls = []
@@ -608,13 +624,7 @@ def test_recursion_runs_in_chunks(desk, monkeypatch):
     monkeypatch.setattr(krylov, "_DRIFT_EVERY", 50)
     monkeypatch.setattr(krylov, "_usable_cpus", lambda: 1)
     assert_bitwise(bilanczos(asm.op, asm.b, 300, asm.probe_flats), base)
-    assert len(calls) <= -(-300 // 50) + 1
-    calls.clear()
-    job = _Job(10 ** 9)
-    got = bilanczos(asm.op, asm.b, 300, asm.probe_flats, ref_job=job)
-    assert_bitwise(got, base)
-    assert calls.count("lanczos_run") == len(calls) - 1 == 300
-    assert job.looks == 301
+    assert calls.count("lanczos_run") == len(calls) - 1 == 300 // 50
 
 
 # `wavecast run ring-desk --out DIR` in a fresh interpreter, which also
@@ -657,18 +667,35 @@ def test_run_is_independent_of_blas_threads(tmp_path):
     assert err_one == err_two
 
 
+@pytest.mark.parametrize("name", ["ring-desk", "waveguide-desk"])
+def test_run_is_independent_of_cpu_count(tmp_path, monkeypatch, name):
+    # every compiled stage of the run splits its work by the usable CPU
+    # count, and none of them moves a bit by it: the recursion's row
+    # blocks, the eigensolve's and the impulse's threads, and the
+    # march's row blocks, whose count changes between chunks when the
+    # Krylov route ends mid-march
+    runs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(krylov, "_usable_cpus", lambda: cpus)
+        out = tmp_path / str(cpus)
+        assert main(["run", name, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["metadata"]["lanczos_threads"] == cpus
+        runs.append([(out / f).read_bytes()
+                     for f in ("lanczos.csv", "reference.csv")]
+                    + [report["probe_errors"]])
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 @pytest.mark.paper
-def test_paper_ring_reference_done_mid_recursion(monkeypatch):
-    # opt-in (pytest -m paper): the paper-scale ring takes two row
-    # blocks by its size on two CPUs, one while the reference job runs;
-    # a job done at iteration 150 of 300 leaves the bits of a one-thread
-    # run
+def test_paper_ring_recursion_runs_alone(monkeypatch):
+    # opt-in (pytest -m paper): in run_study the paper-scale ring's
+    # recursion takes two row blocks by its size on two CPUs, before the
+    # reference starts, with the bits of a one-thread run
     asm = _prepare(get_scenario("ring"))
     monkeypatch.setattr(krylov, "_usable_cpus", lambda: 1)
     one = bilanczos(asm.op, asm.b, 300, asm.probe_flats)
     monkeypatch.setattr(krylov, "_usable_cpus", lambda: 2)
-    job = _Job(150)
-    got = bilanczos(asm.op, asm.b, 300, asm.probe_flats, ref_job=job)
-    assert job.looks == 151
+    got, _ = _run_alone(monkeypatch, "ring", 300)
     assert (one.threads, got.threads) == (1, 2)
     assert_bitwise(got, one)

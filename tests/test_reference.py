@@ -1,5 +1,7 @@
 """Reference-route tests: FDTD solver and free-space closed form."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.special
@@ -212,6 +214,27 @@ def test_march_paths_are_bitwise(case, monkeypatch):
     assert np.abs(runs[0]).max() > 0.0
     for got in runs[1:]:
         assert np.array_equal(got, runs[0])
+
+
+@pytest.mark.parametrize("case", ["ring-desk", "closed box"])
+def test_march_row_blocks_are_bitwise(case, monkeypatch):
+    # the march has no reduction, so its rows may go to any number of
+    # blocks: on 1, 2 and 3 row blocks, and on a count that changes from
+    # chunk to chunk, the whole ring-desk reference window and the closed
+    # box give the numpy oracle's bits on either step path
+    kw = _closed_box() if case == "closed box" else _preset_march(case, 1700)
+    want, _ = fdtd_oracle(**kw)
+    monkeypatch.setattr(wavecast.fdtd, "_CHUNK_STEPS", 40)  # 5 or 43 chunks
+    kernel = wavecast.fdtd._fdtd_kernel()
+    for simd in sorted({kernel.simd, 0}, reverse=True):
+        monkeypatch.setattr(kernel, "simd", simd)
+        for blocks in ([1], [2], [3], [2, 3, 1]):
+            counts = itertools.cycle(blocks)
+            monkeypatch.setattr(wavecast.fdtd, "_march_blocks",
+                                lambda alone: next(counts))
+            got = run_fdtd(**kw)
+            assert np.array_equal(got.waveform.values, want.waveform.values)
+            assert got.threads in blocks
 
 
 @pytest.mark.paper
