@@ -26,8 +26,9 @@ _CC = ("gcc", "-O2", "-shared", "-fPIC")
 FLAGS = {
     # OpenMP over the values of the polish and of the inverse iteration,
     # and over the impulse's blocks of samples; no product and sum fused,
-    # so each lockstep lane, scalar or AVX2 (chosen at run time, see the
-    # source), is its value's operations alone
+    # so each lockstep lane, on the AVX2 path or the baseline path of one
+    # lane source (chosen at run time, see the source), is its value's
+    # operations alone
     "_ritz.c": ("-fopenmp", "-ffp-contract=off"),
     # OpenMP row blocks, and FMA only where the source asks for it (see
     # the source's comment)

@@ -44,18 +44,21 @@
    one before it), each the same operations on the same operands on any
    thread, so bitwise the same for any nt.  Both run their per-value
    recurrences (the Newton quotient and the repel sum; the LU, the solves
-   and the sums over a vector) for LANES = 8 values in lockstep.  With
-   simd set (ritz_simd()), the lanes are two AVX2 registers of four, so
-   two independent recurrences hide each other's latency, and the pivot
-   and j == i branches are blends; else a scalar loop over the lanes runs
-   them.  Either way each lane is its value's own operations, the same as
-   alone: mul() with no product and sum fused, inv() with its two
-   divisions, -1 + z leaving Im z as it is, a skipped repel term added as
-   +0.0 (a no-op on a sum that starts at +0.0).  So theta, the vectors and
-   every emitted value are bitwise the same on either path.  The QL is
-   one serial pass.  The memory beyond O(n) is ritz_vectors' block
-   partials, 2 n values per BLOCK values. */
+   and the sums over a vector) for LANES = 8 values in lockstep, in the
+   lane stages.  These are written once, on GCC vector types of W lanes,
+   in the section at the end of this file, which is compiled twice: with
+   W = 4 under target("avx2"), the AVX2 path that simd chooses
+   (ritz_simd()), and with W = 2 on the baseline path.  LANES / W
+   independent recurrences hide each other's latency, and the pivot and
+   j == i branches are selects on comparison masks.  Each lane is its
+   value's own operations, the same as alone: mul() with no product and
+   sum fused, inv() with its two divisions, -1 + z leaving Im z as it is,
+   a skipped repel term added as +0.0 (a no-op on a sum that starts at
+   +0.0).  So theta, the vectors and every emitted value are bitwise the
+   same on either path.  The QL is one serial pass.  The memory beyond
+   O(n) is ritz_vectors' block partials, 2 n values per BLOCK values. */
 
+#ifndef W  /* the file proper; W is set while the lane section is read */
 #define _GNU_SOURCE  /* sincos */
 #include <complex.h>
 #include <math.h>
@@ -63,16 +66,6 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-#if defined(__x86_64__) || defined(__i386__)
-#define HAVE_AVX2 1
-#include <immintrin.h>
-/* a lane stage on the path simd chooses: stage##_simd or stage */
-#define ON_PATH(simd, stage, ...) \
-    ((simd) ? stage##_simd(__VA_ARGS__) : stage(__VA_ARGS__))
-#else
-#define ON_PATH(simd, stage, ...) ((void)(simd), stage(__VA_ARGS__))
-#endif
 
 #define MAX_ITER 30
 #define EXCEPTIONAL_ITER 20
@@ -127,8 +120,7 @@ static cplx inv_graded(cplx a)
 /* a b, bitwise the a * b of C for finite a and b: it leaves out the
    recovery of infinite products (C99 Annex G), which only an infinite or
    NaN operand reaches, and whose test and library call after every
-   product made the lockstep vectors a quarter slower (ritz_vectors at
-   n = 1650 on one thread: 158 against 121 ms, medians of 15) */
+   product would slow the loops that call it (vmul() is its lane form) */
 static cplx mul(cplx a, cplx b)
 {
     return __builtin_complex(creal(a) * creal(b) - cimag(a) * cimag(b),
@@ -152,10 +144,8 @@ static double cabs1(cplx a)
    This one forms X = p (d[i] - sigma) - e^2[i] gamma_old and takes
    gamma = X (1 / r) and p' = gamma (X (1 / p)), the same numbers since
    gamma r = X and c = p / r: both reciprocals wait on p alone, so they
-   run side by side.  On the desk presets' H the QL took 55.3 against
-   72.8 ms (ring-desk), 38.5 against 51.2 (waveguide-desk) and 50.4
-   against 67.6 (homogeneous-desk), on a 2-core x86-64 VM, best of 7.
-   The values move within the QL's rounding.
+   run side by side and shorten the rotation's chain.  The values move
+   within the QL's rounding.
    X (1 / p) keeps the two divisions apart: X^2 / (r p) under- or
    overflows where p and r are both tiny.  Where p = 0 (gamma = 0), p' =
    c_old e^2[i] instead.  The reciprocals are inv_graded(), since deep in
@@ -229,188 +219,26 @@ static int ql(int n, cplx *d, cplx *e)
     return 0;
 }
 
-/* One polish step's parts for the LANES values z[idx[l]] in lockstep:
-   the Newton quotients det / det' of H - z I, from the ratios r_k =
-   (alpha_k - z) - off_{k-1}^2 / r_{k-1} = det_k / det_{k-1} and their
-   derivatives q_k (det' / det = sum_k q_k / r_k), and the repel sums
-   sum_{j != i} 1 / (z_i - z_j).  Each lane runs its own operations, the
-   same as alone. */
-static void polish(int n, const cplx *alpha, const cplx *off, const cplx *z,
-                   const int *idx, double tiny, cplx *quotient, cplx *repel)
-{
-    cplx ir[LANES], q[LANES], log_deriv[LANES];
-    EACH_LANE(l)
-        ir[l] = q[l] = log_deriv[l] = 0.0;
-    for (int k = 0; k < n; k++) {
-        cplx o2 = k ? off[k - 1] * off[k - 1] : 0.0;
-        EACH_LANE(l) {
-            cplx r = alpha[k] - z[idx[l]] - mul(o2, ir[l]);
-            q[l] = -1.0 + mul(mul(mul(o2, q[l]), ir[l]), ir[l]);
-            ir[l] = inv(r == 0.0 ? tiny : r);
-            log_deriv[l] += mul(q[l], ir[l]);
-        }
-    }
-    EACH_LANE(l) {
-        quotient[l] = inv(log_deriv[l]);
-        repel[l] = 0.0;
-        for (int j = 0; j < n; j++)
-            if (j != idx[l])
-                repel[l] += inv(z[idx[l]] - z[j]);
-    }
-}
-
-#ifdef HAVE_AVX2
-/* The AVX2 path: four lanes per register pair, real parts in one and
-   imaginary parts in the other; LANES = 8 is two such groups, h = 0, 1.
-   Built without FMA, each operation is the scalar lanes' own. */
-#define AVX2 __attribute__((target("avx2")))
-#define GROUPS (LANES / 4)
-#define EACH_GROUP(h) \
-    _Pragma("GCC unroll 2") for (int h = 0; h < GROUPS; h++)
-
-typedef struct {
-    __m256d re, im;
-} vc;
-
-AVX2 static inline vc vset1(cplx a)
-{
-    return (vc){_mm256_set1_pd(creal(a)), _mm256_set1_pd(cimag(a))};
-}
-
-/* lanes 4 h .. 4 h + 3 of row i of a lane array */
-AVX2 static inline vc vload(const double *a, int i, int h)
-{
-    const double *p = &RE(a, i, 4 * h);
-    return (vc){_mm256_loadu_pd(p), _mm256_loadu_pd(p + LANES)};
-}
-
-AVX2 static inline void vstore(double *a, int i, int h, vc z)
-{
-    double *p = &RE(a, i, 4 * h);
-    _mm256_storeu_pd(p, z.re);
-    _mm256_storeu_pd(p + LANES, z.im);
-}
-
-/* lanes 4 h .. 4 h + 3 of an array of complex values */
-AVX2 static inline vc vgather(const cplx *a, int h)
-{
-    const cplx *p = a + 4 * h;
-    return (vc){_mm256_setr_pd(creal(p[0]), creal(p[1]), creal(p[2]),
-                               creal(p[3])),
-                _mm256_setr_pd(cimag(p[0]), cimag(p[1]), cimag(p[2]),
-                               cimag(p[3]))};
-}
-
-AVX2 static inline void vscatter(cplx *a, int h, vc z)
-{
-    double re[4], im[4];
-    _mm256_storeu_pd(re, z.re);
-    _mm256_storeu_pd(im, z.im);
-    for (int l = 0; l < 4; l++)
-        a[4 * h + l] = __builtin_complex(re[l], im[l]);
-}
-
-AVX2 static inline vc vadd(vc a, vc b)
-{
-    return (vc){_mm256_add_pd(a.re, b.re), _mm256_add_pd(a.im, b.im)};
-}
-
-AVX2 static inline vc vsub(vc a, vc b)
-{
-    return (vc){_mm256_sub_pd(a.re, b.re), _mm256_sub_pd(a.im, b.im)};
-}
-
-AVX2 static inline __m256d vflip(__m256d a)  /* -a, the sign bit flipped */
-{
-    return _mm256_xor_pd(a, _mm256_set1_pd(-0.0));
-}
-
-/* mul() */
-AVX2 static inline vc vmul(vc a, vc b)
-{
-    return (vc){_mm256_sub_pd(_mm256_mul_pd(a.re, b.re),
-                              _mm256_mul_pd(a.im, b.im)),
-                _mm256_add_pd(_mm256_mul_pd(a.re, b.im),
-                              _mm256_mul_pd(a.im, b.re))};
-}
-
-/* inv() */
-AVX2 static inline vc vinv(vc a)
-{
-    __m256d den = _mm256_add_pd(_mm256_mul_pd(a.re, a.re),
-                                _mm256_mul_pd(a.im, a.im));
-    return (vc){_mm256_div_pd(a.re, den), _mm256_div_pd(vflip(a.im), den)};
-}
-
-/* mask ? a : b, lane by lane */
-AVX2 static inline vc vblend(__m256d mask, vc a, vc b)
-{
-    return (vc){_mm256_blendv_pd(b.re, a.re, mask),
-                _mm256_blendv_pd(b.im, a.im, mask)};
-}
-
-/* the lanes where a == 0.0 */
-AVX2 static inline __m256d vzero(vc a)
-{
-    __m256d zero = _mm256_setzero_pd();
-    return _mm256_and_pd(_mm256_cmp_pd(a.re, zero, _CMP_EQ_OQ),
-                         _mm256_cmp_pd(a.im, zero, _CMP_EQ_OQ));
-}
-
-/* cabs1() */
-AVX2 static inline __m256d vcabs1(vc a)
-{
-    __m256d sign = _mm256_set1_pd(-0.0);
-    return _mm256_add_pd(_mm256_andnot_pd(sign, a.re),
-                         _mm256_andnot_pd(sign, a.im));
-}
-
-/* polish() */
-AVX2 static void polish_simd(int n, const cplx *alpha, const cplx *off,
-                             const cplx *z, const int *idx, double tiny,
-                             cplx *quotient, cplx *repel)
-{
-    cplx zl[LANES];
-    vc zg[GROUPS], ir[GROUPS], q[GROUPS], ld[GROUPS];
-    vc vtiny = vset1(tiny), zero = vset1(0.0);
-    __m256d minus_one = _mm256_set1_pd(-1.0);
-    for (int l = 0; l < LANES; l++)
-        zl[l] = z[idx[l]];
-    EACH_GROUP(h) {
-        zg[h] = vgather(zl, h);
-        ir[h] = q[h] = ld[h] = zero;
-    }
-    for (int k = 0; k < n; k++) {
-        vc o2 = vset1(k ? off[k - 1] * off[k - 1] : 0.0), a = vset1(alpha[k]);
-        EACH_GROUP(h) {
-            vc r = vsub(vsub(a, zg[h]), vmul(o2, ir[h]));
-            vc t = vmul(vmul(vmul(o2, q[h]), ir[h]), ir[h]);
-            q[h] = (vc){_mm256_add_pd(minus_one, t.re), t.im};
-            ir[h] = vinv(vblend(vzero(r), vtiny, r));
-            ld[h] = vadd(ld[h], vmul(q[h], ir[h]));
-        }
-    }
-    __m256d self[GROUPS];
-    EACH_GROUP(h) {
-        vscatter(quotient, h, vinv(ld[h]));
-        self[h] = _mm256_setr_pd(idx[4 * h], idx[4 * h + 1], idx[4 * h + 2],
-                                 idx[4 * h + 3]);
-        ld[h] = zero;  /* now the repel sums */
-    }
-    for (int j = 0; j < n; j++) {
-        vc zj = vset1(z[j]);
-        __m256d at = _mm256_set1_pd(j);
-        EACH_GROUP(h) {
-            vc t = vinv(vsub(zg[h], zj));
-            __m256d skip = _mm256_cmp_pd(self[h], at, _CMP_EQ_OQ);
-            ld[h].re = _mm256_add_pd(ld[h].re, _mm256_andnot_pd(skip, t.re));
-            ld[h].im = _mm256_add_pd(ld[h].im, _mm256_andnot_pd(skip, t.im));
-        }
-    }
-    EACH_GROUP(h)
-        vscatter(repel, h, ld[h]);
-}
+/* The lane stages, read from the section at the end of this file once
+   per path, each path at the widest vector it keeps in registers: a
+   32-byte vector has none without AVX.  Their names are stage_avx2 (W =
+   4, under target("avx2")) and stage_base (W = 2). */
+#if defined(__x86_64__) || defined(__i386__)
+#define HAVE_AVX2 1
+#define W 4
+#define PATH(stage) stage##_avx2
+#define TARGET __attribute__((target("avx2")))
+#include "_ritz.c"
+/* a lane stage on the path simd chooses */
+#define ON_PATH(simd, stage, ...) \
+    ((simd) ? stage##_avx2(__VA_ARGS__) : stage##_base(__VA_ARGS__))
+#else
+#define ON_PATH(simd, stage, ...) ((void)(simd), stage##_base(__VA_ARGS__))
 #endif
+#define W 2
+#define PATH(stage) stage##_base
+#define TARGET
+#include "_ritz.c"
 
 /* Jacobi-style Ehrlich-Aberth sweeps on the eigenvalues z:
    z_i -= N_i / (1 - N_i sum_{j != i} 1 / (z_i - z_j)), N_i the Newton
@@ -488,354 +316,6 @@ int ritz_polish(int nt, int simd, int n, const cplx *alpha, const cplx *off,
                   STEP_TOL * scale, 1e-300 + 0x1p-52 * scale);
 }
 
-/* Pivoted LU of the tridiagonals with diagonal alpha - sigma_l and
-   off-diagonal off, LANES shifts in lockstep, each as LAPACK's xGTTRF:
-   unit lower L with multipliers dl, upper U with diagonal d (stored
-   inverted) and superdiagonals du and du2, all lane arrays; piv[LANES i
-   + l] = -1 where lane l swapped rows i and i + 1, else 0.  Returns the
-   mask of the lanes with an exactly zero pivot. */
-static int gttrf(int n, const cplx *alpha, const cplx *off,
-                 const cplx *sigma, double *dl, double *d, double *du,
-                 double *du2, int *piv)
-{
-    for (int i = 0; i < n; i++)
-        EACH_LANE(l)
-            put(d, i, l, alpha[i] - sigma[l]);
-    for (int i = 0; i + 1 < n; i++)
-        EACH_LANE(l) {
-            put(dl, i, l, off[i]);
-            put(du, i, l, off[i]);
-            put(du2, i, l, 0.0);
-        }
-    for (int i = 0; i + 1 < n; i++) {
-        EACH_LANE(l) {
-            cplx di = get(d, i, l), dli = get(dl, i, l);
-            piv[LANES * i + l] = cabs1(di) < cabs1(dli) ? -1 : 0;
-            if (!piv[LANES * i + l]) {
-                if (di != 0.0) {  /* else dl is zero too */
-                    cplx f = mul(dli, inv(di));
-                    put(dl, i, l, f);
-                    put(d, i + 1, l, get(d, i + 1, l) - mul(f, get(du, i, l)));
-                }
-                continue;
-            }
-            cplx f = mul(di, inv(dli)), u = get(du, i, l),
-                 d1 = get(d, i + 1, l);
-            put(d, i, l, dli);
-            put(dl, i, l, f);
-            put(du, i, l, d1);
-            put(d, i + 1, l, u - mul(f, d1));
-            if (i + 2 < n) {
-                cplx du1 = get(du, i + 1, l);
-                put(du2, i, l, du1);
-                put(du, i + 1, l, mul(du1, -f));
-            }
-        }
-    }
-    int zero = 0;
-    for (int i = 0; i < n; i++)
-        EACH_LANE(l) {
-            cplx di = get(d, i, l);
-            if (di == 0.0)
-                zero |= 1 << l;
-            else
-                put(d, i, l, inv(di));
-        }
-    return zero;
-}
-
-/* b <- (LU)^{-1} b in each lane, with the factors of gttrf */
-static void gttrs(int n, const double *dl, const double *d, const double *du,
-                  const double *du2, const int *piv, double *b)
-{
-    for (int i = 0; i + 1 < n; i++) {
-        EACH_LANE(l) {
-            cplx b0 = get(b, i, l), b1 = get(b, i + 1, l);
-            if (piv[LANES * i + l]) {
-                put(b, i, l, b1);
-                put(b, i + 1, l, b0 - mul(get(dl, i, l), b1));
-            } else {
-                put(b, i + 1, l, b1 - mul(get(dl, i, l), b0));
-            }
-        }
-    }
-    EACH_LANE(l)
-        put(b, n - 1, l, mul(get(b, n - 1, l), get(d, n - 1, l)));
-    if (n > 1)
-        EACH_LANE(l)
-            put(b, n - 2, l, mul(get(b, n - 2, l) - mul(get(du, n - 2, l),
-                                                         get(b, n - 1, l)),
-                                 get(d, n - 2, l)));
-    for (int i = n - 3; i >= 0; i--)
-        EACH_LANE(l)
-            put(b, i, l, mul(get(b, i, l) - mul(get(du, i, l),
-                                                get(b, i + 1, l))
-                             - mul(get(du2, i, l), get(b, i + 2, l)),
-                             get(d, i, l)));
-}
-
-/* x <- x / ||x|| in each lane */
-static void normalize(int n, double *x)
-{
-    double ss[LANES], r[LANES];
-    EACH_LANE(l)
-        ss[l] = 0.0;
-    for (int k = 0; k < n; k++)
-        EACH_LANE(l)
-            ss[l] += RE(x, k, l) * RE(x, k, l) + IM(x, k, l) * IM(x, k, l);
-    EACH_LANE(l)
-        r[l] = 1.0 / sqrt(ss[l]);
-    for (int k = 0; k < n; k++)
-        EACH_LANE(l) {
-            RE(x, k, l) *= r[l];
-            IM(x, k, l) *= r[l];
-        }
-}
-
-/* quasi[l] = x^T x in each lane */
-static void quasi_sums(int n, const double *x, cplx *quasi)
-{
-    EACH_LANE(l)
-        quasi[l] = 0.0;
-    for (int k = 0; k < n; k++)
-        EACH_LANE(l)
-            quasi[l] += mul(get(x, k, l), get(x, k, l));
-}
-
-/* x <- x scale[l] in each lane */
-static void scale_lanes(int n, double *x, const cplx *scale)
-{
-    for (int k = 0; k < n; k++)
-        EACH_LANE(l)
-            put(x, k, l, mul(get(x, k, l), scale[l]));
-}
-
-/* acc[l] = row . x in each lane */
-static void row_dots(int n, const cplx *row, const double *x, cplx *acc)
-{
-    EACH_LANE(l)
-        acc[l] = 0.0;
-    for (int k = 0; k < n; k++)
-        EACH_LANE(l)
-            acc[l] += mul(row[k], get(x, k, l));
-}
-
-/* The sums' terms of rows k0 .. n - 1: sums[k] += x_k tc, sums[2 n + k]
-   += x_k x0 (each planar, the imaginary part n on), lane by lane over
-   the act lanes (na of them, in order) */
-static void emit_sums(int n, int k0, const double *x, const cplx *tc,
-                      const cplx *x0, const int *act, int na, double *sums)
-{
-    for (int k = k0; k < n; k++)
-        for (int j = 0; j < na; j++) {
-            cplx xk = get(x, k, act[j]), h = mul(xk, tc[act[j]]),
-                 s = mul(xk, x0[act[j]]);
-            sums[k] += creal(h);
-            sums[n + k] += cimag(h);
-            sums[2 * n + k] += creal(s);
-            sums[3 * n + k] += cimag(s);
-        }
-}
-
-#ifdef HAVE_AVX2
-/* gttrf(): one pass down the rows, d and du of the next row carried in
-   registers, each pivot inverted as soon as it is final */
-AVX2 static int gttrf_simd(int n, const cplx *alpha, const cplx *off,
-                           const cplx *sigma, double *dl, double *d,
-                           double *du, double *du2, int *piv)
-{
-    vc sg[GROUPS], dc[GROUPS], duc[GROUPS], zero = vset1(0.0);
-    __m256i odd = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
-    int zmask = 0;
-    EACH_GROUP(h) {
-        sg[h] = vgather(sigma, h);
-        dc[h] = vsub(vset1(alpha[0]), sg[h]);
-        duc[h] = n > 1 ? vset1(off[0]) : zero;
-    }
-    for (int i = 0; i < n; i++) {
-        vc dli = i + 1 < n ? vset1(off[i]) : zero;
-        vc a1 = i + 1 < n ? vset1(alpha[i + 1]) : zero;
-        vc du1 = i + 2 < n ? vset1(off[i + 1]) : zero;
-        EACH_GROUP(h) {
-            vc di = dc[h], fin = di;
-            if (i + 1 < n) {
-                vc d1 = vsub(a1, sg[h]), dui = duc[h];
-                __m256d p = _mm256_cmp_pd(vcabs1(di), vcabs1(dli), _CMP_LT_OQ);
-                __m256d z = vzero(di);
-                /* no swap: dl / d, d1 - (dl / d) du (nothing where d is
-                   zero); a swap: f = d / dl, u - f d1 */
-                vc f_keep = vmul(dli, vinv(di));
-                vc d1_keep = vblend(z, d1, vsub(d1, vmul(f_keep, dui)));
-                vc f_swap = vmul(di, vinv(dli));
-                fin = vblend(p, dli, di);
-                vstore(dl, i, h, vblend(p, f_swap, vblend(z, dli, f_keep)));
-                vstore(du, i, h, vblend(p, d1, dui));
-                vstore(du2, i, h, vblend(p, du1, zero));
-                dc[h] = vblend(p, vsub(dui, vmul(f_swap, d1)), d1_keep);
-                duc[h] = vblend(p, vmul(du1, (vc){vflip(f_swap.re),
-                                                  vflip(f_swap.im)}), du1);
-                __m256i p32 = _mm256_permutevar8x32_epi32(
-                    _mm256_castpd_si256(p), odd);
-                _mm_storeu_si128((__m128i *)(piv + LANES * i + 4 * h),
-                                 _mm256_castsi256_si128(p32));
-            }
-            __m256d z = vzero(fin);
-            zmask |= _mm256_movemask_pd(z) << 4 * h;
-            vstore(d, i, h, vblend(z, fin, vinv(fin)));
-        }
-    }
-    return zmask;
-}
-
-/* gttrs(), the running entries of each pass carried in registers */
-AVX2 static void gttrs_simd(int n, const double *dl, const double *d,
-                            const double *du, const double *du2,
-                            const int *piv, double *b)
-{
-    vc bi[GROUPS], x0[GROUPS], x1[GROUPS];
-    EACH_GROUP(h)
-        bi[h] = vload(b, 0, h);
-    for (int i = 0; i + 1 < n; i++)
-        EACH_GROUP(h) {
-            __m256d p = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(
-                _mm_loadu_si128((const __m128i *)(piv + LANES * i + 4 * h))));
-            vc b1 = vload(b, i + 1, h);
-            vc top = vblend(p, b1, bi[h]), low = vblend(p, bi[h], b1);
-            vstore(b, i, h, top);
-            bi[h] = vsub(low, vmul(vload(dl, i, h), top));
-        }
-    EACH_GROUP(h) {
-        x0[h] = x1[h] = vmul(bi[h], vload(d, n - 1, h));
-        vstore(b, n - 1, h, x1[h]);
-        if (n > 1) {
-            x0[h] = vmul(vsub(vload(b, n - 2, h),
-                              vmul(vload(du, n - 2, h), x1[h])),
-                         vload(d, n - 2, h));
-            vstore(b, n - 2, h, x0[h]);
-        }
-    }
-    for (int i = n - 3; i >= 0; i--)
-        EACH_GROUP(h) {
-            vc x = vmul(vsub(vsub(vload(b, i, h),
-                                  vmul(vload(du, i, h), x0[h])),
-                             vmul(vload(du2, i, h), x1[h])),
-                        vload(d, i, h));
-            vstore(b, i, h, x);
-            x1[h] = x0[h];
-            x0[h] = x;
-        }
-}
-
-AVX2 static void normalize_simd(int n, double *x)
-{
-    __m256d ss[GROUPS], r[GROUPS];
-    EACH_GROUP(h)
-        ss[h] = _mm256_setzero_pd();
-    for (int k = 0; k < n; k++)
-        EACH_GROUP(h) {
-            vc xk = vload(x, k, h);
-            ss[h] = _mm256_add_pd(ss[h],
-                                  _mm256_add_pd(_mm256_mul_pd(xk.re, xk.re),
-                                                _mm256_mul_pd(xk.im, xk.im)));
-        }
-    EACH_GROUP(h)
-        r[h] = _mm256_div_pd(_mm256_set1_pd(1.0), _mm256_sqrt_pd(ss[h]));
-    for (int k = 0; k < n; k++)
-        EACH_GROUP(h) {
-            vc xk = vload(x, k, h);
-            vstore(x, k, h, (vc){_mm256_mul_pd(xk.re, r[h]),
-                                 _mm256_mul_pd(xk.im, r[h])});
-        }
-}
-
-AVX2 static void quasi_sums_simd(int n, const double *x, cplx *quasi)
-{
-    vc sum[GROUPS];
-    EACH_GROUP(h)
-        sum[h] = vset1(0.0);
-    for (int k = 0; k < n; k++)
-        EACH_GROUP(h) {
-            vc xk = vload(x, k, h);
-            sum[h] = vadd(sum[h], vmul(xk, xk));
-        }
-    EACH_GROUP(h)
-        vscatter(quasi, h, sum[h]);
-}
-
-AVX2 static void scale_lanes_simd(int n, double *x, const cplx *scale)
-{
-    EACH_GROUP(h) {
-        vc s = vgather(scale, h);
-        for (int k = 0; k < n; k++)
-            vstore(x, k, h, vmul(vload(x, k, h), s));
-    }
-}
-
-AVX2 static void row_dots_simd(int n, const cplx *row, const double *x,
-                               cplx *acc)
-{
-    vc sum[GROUPS];
-    EACH_GROUP(h)
-        sum[h] = vset1(0.0);
-    for (int k = 0; k < n; k++) {
-        vc rk = vset1(row[k]);
-        EACH_GROUP(h)
-            sum[h] = vadd(sum[h], vmul(rk, vload(x, k, h)));
-    }
-    EACH_GROUP(h)
-        vscatter(acc, h, sum[h]);
-}
-
-/* four lanes of a lane array in four rows from p (one lane's entry of
-   the first row), one vector per lane: the 4 x 4 block transposed */
-AVX2 static inline void vtranspose(const double *p, __m256d *col)
-{
-    __m256d r0 = _mm256_loadu_pd(p), r1 = _mm256_loadu_pd(p + 2 * LANES),
-            r2 = _mm256_loadu_pd(p + 4 * LANES),
-            r3 = _mm256_loadu_pd(p + 6 * LANES);
-    __m256d t0 = _mm256_unpacklo_pd(r0, r1), t1 = _mm256_unpackhi_pd(r0, r1);
-    __m256d t2 = _mm256_unpacklo_pd(r2, r3), t3 = _mm256_unpackhi_pd(r2, r3);
-    col[0] = _mm256_permute2f128_pd(t0, t2, 0x20);
-    col[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
-    col[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
-    col[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
-}
-
-/* emit_sums() from row 0, four rows per vector: each row's terms are
-   added in lane order, the four rows side by side.  Returns the first
-   row left, for emit_sums. */
-AVX2 static int emit_sums_simd(int n, const double *x, const cplx *tc,
-                               const cplx *x0, const int *act, int na,
-                               double *sums)
-{
-    int on[LANES] = {0}, k0 = 0;
-    for (int j = 0; j < na; j++)
-        on[act[j]] = 1;
-    for (; k0 + 4 <= n; k0 += 4) {
-        double *hr = sums + k0, *hi = hr + n, *sr = hi + n, *si = sr + n;
-        vc h = {_mm256_loadu_pd(hr), _mm256_loadu_pd(hi)};
-        vc s = {_mm256_loadu_pd(sr), _mm256_loadu_pd(si)};
-        EACH_GROUP(g) {
-            __m256d re[4], im[4];
-            vtranspose(&RE(x, k0, 4 * g), re);
-            vtranspose(&IM(x, k0, 4 * g), im);
-            _Pragma("GCC unroll 4") for (int l = 0; l < 4; l++) {
-                if (!on[4 * g + l])
-                    continue;
-                vc xk = {re[l], im[l]};
-                h = vadd(h, vmul(xk, vset1(tc[4 * g + l])));
-                s = vadd(s, vmul(xk, vset1(x0[4 * g + l])));
-            }
-        }
-        _mm256_storeu_pd(hr, h.re);
-        _mm256_storeu_pd(hi, h.im);
-        _mm256_storeu_pd(sr, s.re);
-        _mm256_storeu_pd(si, s.im);
-    }
-    return k0;
-}
-#endif
-
 /* Component k of the start vector of value i: splitmix64 (Steele, Lea
    & Flood, OOPSLA 2014) of the counter (i, k), its top 53 bits mapped to
    [-1, 1) */
@@ -848,9 +328,12 @@ static double start_component(int i, int k)
     return (double)(z >> 11) * 0x1p-52 - 1.0;
 }
 
-/* The arguments of ritz_vectors that every lane group reads */
+/* The arguments of ritz_vectors that every lane group reads; stride is
+   n rounded up to a multiple of LANES, the rows of a lane array and the
+   length of each plane of the block partials, so that emit_sums takes
+   whole blocks of W rows */
 struct invit {
-    int n, steps, chain, np, simd;
+    int n, stride, steps, chain, np, simd;
     const cplx *alpha, *off, *theta, *rows;
     const int *prev, *next;
     double nudge, defect_tol;
@@ -879,14 +362,14 @@ static void fail(struct failure *f, int value, int code, cplx bad)
    components, probe rows and terms s theta c, s c are emitted, the
    last two added into the block partials sums (emit_sums) in lane
    order.  A lane that fails is recorded in *f and set idle.  work holds
-   five lane arrays of n rows (10 LANES n doubles) and piv LANES n
-   ints. */
+   five lane arrays of stride rows (10 LANES stride doubles) and piv
+   LANES n doubles. */
 static void lane_group(const struct invit *a, int *v, const int *pos,
-                       cplx **slots, double *sums, double *work, int *piv,
-                       struct failure *f)
+                       cplx **slots, double *sums, double *work,
+                       double *piv, struct failure *f)
 {
     int n = a->n, simd = a->simd, lead = 0;
-    size_t size = 2 * LANES * (size_t)n;
+    size_t size = 2 * LANES * (size_t)a->stride;
     double *dl = work, *d = work + size, *du = work + 2 * size,
            *du2 = work + 3 * size, *x = work + 4 * size;
     cplx sigma[LANES];
@@ -959,11 +442,9 @@ static void lane_group(const struct invit *a, int *v, const int *pos,
     }
     ON_PATH(simd, scale_lanes, n, x, scale);
     cplx tc[LANES], x0[LANES], acc[LANES];
-    int act[LANES], na = 0;
     for (int l = 0; l < LANES; l++) {
         if (v[l] < 0)
             continue;
-        act[na++] = l;
         x0[l] = a->first[v[l]] = get(x, 0, l);
         tc[l] = mul(a->theta[v[l]], x0[l]);
         if (a->next[v[l]] >= 0) {  /* kept for the chain's next member */
@@ -974,34 +455,31 @@ static void lane_group(const struct invit *a, int *v, const int *pos,
     }
     for (int p = 0; p < a->np; p++) {
         ON_PATH(simd, row_dots, n, a->rows + (size_t)p * n, x, acc);
-        for (int j = 0; j < na; j++)
-            a->probe[(size_t)p * n + v[act[j]]] = acc[act[j]];
+        for (int l = 0; l < LANES; l++)
+            if (v[l] >= 0)
+                a->probe[(size_t)p * n + v[l]] = acc[l];
     }
-    int k0 = 0;
-#ifdef HAVE_AVX2
-    if (simd)
-        k0 = emit_sums_simd(n, x, tc, x0, act, na, sums);
-#endif
-    emit_sums(n, k0, x, tc, x0, act, na, sums);
+    ON_PATH(simd, emit_sums, n, a->stride, x, tc, x0, v, sums);
 }
 
 /* The vector loop of one block of ritz_vectors: the chains headed by
    values b BLOCK .. b BLOCK + BLOCK - 1, LANES at a time in lockstep, a
    lane taking the block's next head when its chain ends.  Their terms of
-   the sums go to the block's partials (4 n doubles at partial + 4 n b,
-   zeroed here: the real, then the imaginary parts of hs, then of ss).
-   own holds the lane arrays (10 LANES n doubles) and the chain slots
-   (LANES chain n values), piv LANES n ints. */
+   the sums go to the block's partials (4 stride doubles at partial +
+   4 stride b, zeroed here: the real, then the imaginary parts of hs,
+   then of ss).  own holds the lane arrays (10 LANES stride doubles) and
+   the chain slots (LANES chain n values), piv LANES n doubles. */
 static void run_block(const struct invit *a, int b, double *partial,
-                      cplx *own, int *piv, struct failure *f)
+                      cplx *own, double *piv, struct failure *f)
 {
     int n = a->n, head = b * BLOCK, end = head + BLOCK < n ? head + BLOCK : n;
     int v[LANES], pos[LANES];
-    double *sums = partial + (size_t)b * 4 * n;
+    double *sums = partial + (size_t)b * 4 * a->stride;
     cplx *slots[LANES];
-    memset(sums, 0, 4 * n * sizeof(double));
+    memset(sums, 0, 4 * a->stride * sizeof(double));
     EACH_LANE(l) {
-        slots[l] = own + (size_t)(5 * LANES + a->chain * l) * n;
+        slots[l] = own + 5 * LANES * (size_t)a->stride
+                   + (size_t)a->chain * l * n;
         v[l] = -1;
     }
     for (;;) {
@@ -1059,24 +537,26 @@ int ritz_vectors(int nt, int simd, int n, const cplx *alpha, const cplx *off,
                  const cplx *rows, cplx *first, cplx *probe, cplx *sums,
                  cplx *bad)
 {
-    int chain = 1;
+    int chain = 1, stride = (n + LANES - 1) / LANES * LANES;
     for (int i = 0; i < n; i++) {
         int members = 1;
         for (int j = prev[i]; j >= 0; j = prev[j])
             members++;
         chain = members > chain ? members : chain;
     }
-    struct invit a = {n, steps, chain, np, simd, alpha, off, theta, rows,
-                      prev, next, nudge, defect_tol, first, probe};
+    struct invit a = {n, stride, steps, chain, np, simd, alpha, off, theta,
+                      rows, prev, next, nudge, defect_tol, first, probe};
     struct failure f = {n, 0, 0.0};
     int blocks = (n + BLOCK - 1) / BLOCK, nomem = 0;
-    double *partial = malloc((size_t)blocks * 4 * n * sizeof(double));
+    double *partial = malloc((size_t)blocks * 4 * stride * sizeof(double));
     if (!partial)
         return 3;
 #pragma omp parallel num_threads(nt)
     {
-        cplx *own = malloc((size_t)LANES * (5 + chain) * n * sizeof(cplx));
-        int *piv = malloc((size_t)LANES * n * sizeof(int));
+        /* zeroed, so that the rows of x past n are finite */
+        cplx *own = calloc(LANES * (5 * (size_t)stride + (size_t)chain * n),
+                           sizeof(cplx));
+        double *piv = malloc((size_t)LANES * n * sizeof(double));
 #pragma omp for schedule(dynamic, 1)
         for (int b = 0; b < blocks; b++) {
             if (own && piv)
@@ -1089,12 +569,13 @@ int ritz_vectors(int nt, int simd, int n, const cplx *alpha, const cplx *off,
         free(piv);
     }
     for (int k = 0; !nomem && k < 2 * n; k++) {
-        /* hs[k] or ss[k - n]: its real part at 2 n (k >= n) + k % n */
+        /* hs[k] or ss[k - n]: its real part at 2 stride (k >= n) + k % n */
         double re = 0.0, im = 0.0;
         for (int b = 0; b < blocks; b++) {
-            const double *p = partial + (size_t)b * 4 * n + (k / n) * n + k;
+            const double *p = partial + ((size_t)4 * b + 2 * (k / n)) * stride
+                              + k % n;
             re += p[0];
-            im += p[n];
+            im += p[stride];
         }
         sums[k] = __builtin_complex(re, im);
     }
@@ -1141,3 +622,377 @@ void impulse(int nt, int nm, int np, const cplx *sq, const cplx *w,
                 u[(size_t)p * ns + j0 + s] = acc[p][s];
     }
 }
+
+#else  /* the lane section, read with W, PATH and TARGET set */
+
+/* this path's names: W lanes of doubles, their comparison masks, W lanes
+   of complex values, and the helpers on them */
+#define vr PATH(vr)
+#define vm PATH(vm)
+#define vc PATH(vc)
+#define vset1 PATH(vset1)
+#define vload PATH(vload)
+#define vstore PATH(vstore)
+#define vgather PATH(vgather)
+#define vscatter PATH(vscatter)
+#define vadd PATH(vadd)
+#define vsub PATH(vsub)
+#define vmul PATH(vmul)
+#define vinv PATH(vinv)
+#define vsel PATH(vsel)
+#define vzero PATH(vzero)
+#define vcabs1 PATH(vcabs1)
+#define vtranspose PATH(vtranspose)
+/* LANES is GROUPS vectors of W */
+#define GROUPS (LANES / W)
+#define EACH_GROUP(h) \
+    _Pragma("GCC unroll 8") for (int h = 0; h < GROUPS; h++)
+
+typedef double vr __attribute__((vector_size(8 * W)));
+typedef int64_t vm __attribute__((vector_size(8 * W)));
+typedef struct {
+    vr re, im;
+} vc;
+
+/* a in every lane; x - (vr){} keeps a -0.0, which (vr){} + x would not */
+TARGET static inline vc vset1(cplx a)
+{
+    return (vc){creal(a) - (vr){}, cimag(a) - (vr){}};
+}
+
+/* lanes W h .. W h + W - 1 of row i of a lane array */
+TARGET static inline vc vload(const double *a, int i, int h)
+{
+    vc z;
+    memcpy(&z.re, &RE(a, i, W * h), sizeof z.re);
+    memcpy(&z.im, &IM(a, i, W * h), sizeof z.im);
+    return z;
+}
+
+TARGET static inline void vstore(double *a, int i, int h, vc z)
+{
+    memcpy(&RE(a, i, W * h), &z.re, sizeof z.re);
+    memcpy(&IM(a, i, W * h), &z.im, sizeof z.im);
+}
+
+/* lanes W h .. W h + W - 1 of an array of complex values */
+TARGET static inline vc vgather(const cplx *a, int h)
+{
+    vc z = {};
+    for (int w = 0; w < W; w++) {
+        z.re[w] = creal(a[W * h + w]);
+        z.im[w] = cimag(a[W * h + w]);
+    }
+    return z;
+}
+
+TARGET static inline void vscatter(cplx *a, int h, vc z)
+{
+    for (int w = 0; w < W; w++)
+        a[W * h + w] = __builtin_complex(z.re[w], z.im[w]);
+}
+
+TARGET static inline vc vadd(vc a, vc b)
+{
+    return (vc){a.re + b.re, a.im + b.im};
+}
+
+TARGET static inline vc vsub(vc a, vc b)
+{
+    return (vc){a.re - b.re, a.im - b.im};
+}
+
+/* mul() */
+TARGET static inline vc vmul(vc a, vc b)
+{
+    return (vc){a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
+}
+
+/* inv() */
+TARGET static inline vc vinv(vc a)
+{
+    vr den = a.re * a.re + a.im * a.im;
+    return (vc){a.re / den, -a.im / den};
+}
+
+/* mask ? a : b, lane by lane */
+TARGET static inline vc vsel(vm mask, vc a, vc b)
+{
+    return (vc){(vr)((mask & (vm)a.re) | (~mask & (vm)b.re)),
+                (vr)((mask & (vm)a.im) | (~mask & (vm)b.im))};
+}
+
+/* the lanes where a == 0.0 */
+TARGET static inline vm vzero(vc a)
+{
+    return (a.re == 0.0) & (a.im == 0.0);
+}
+
+/* cabs1() */
+TARGET static inline vr vcabs1(vc a)
+{
+    return (vr)((vm)a.re & INT64_MAX) + (vr)((vm)a.im & INT64_MAX);
+}
+
+/* The W x W block of a lane array's parts (real or imaginary) from p,
+   lanes l .. l + W - 1 of W rows, p = &RE(a, i, l), transposed: col[w]
+   holds lane l + w of the W rows.  Stage s (1, 2, .. W / 2) pairs row
+   i with row i + s (i & s == 0), lo taking the even s-blocks of both
+   and hi the odd ones. */
+TARGET static inline void vtranspose(const double *p, vr *col)
+{
+    static const int64_t iota[LANES] = {0, 1, 2, 3, 4, 5, 6, 7};
+    vm e;
+    memcpy(&e, iota, sizeof e);
+    _Pragma("GCC unroll 8") for (int w = 0; w < W; w++)
+        memcpy(&col[w], p + 2 * LANES * w, sizeof col[w]);
+    _Pragma("GCC unroll 3") for (int s = 1; s < W; s *= 2) {
+        vm lo = e + (((e & s) != 0) & (W - s)), hi = lo + s;
+        _Pragma("GCC unroll 8") for (int i = 0; i < W; i++) {
+            if (i & s)
+                continue;
+            vr a = col[i], b = col[i + s];
+            col[i] = __builtin_shuffle(a, b, lo);
+            col[i + s] = __builtin_shuffle(a, b, hi);
+        }
+    }
+}
+
+/* One polish step's parts for the LANES values z[idx[l]] in lockstep:
+   the Newton quotients det / det' of H - z I, from the ratios r_k =
+   (alpha_k - z) - off_{k-1}^2 / r_{k-1} = det_k / det_{k-1} and their
+   derivatives q_k (det' / det = sum_k q_k / r_k), and the repel sums
+   sum_{j != i} 1 / (z_i - z_j).  An exactly zero r_k is taken as tiny. */
+TARGET static void PATH(polish)(int n, const cplx *alpha, const cplx *off,
+                                const cplx *z, const int *idx, double tiny,
+                                cplx *quotient, cplx *repel)
+{
+    cplx zl[LANES];
+    vc zg[GROUPS], ir[GROUPS], q[GROUPS], ld[GROUPS], vtiny = vset1(tiny);
+    vm self[GROUPS];
+    EACH_LANE(l)
+        zl[l] = z[idx[l]];
+    EACH_GROUP(h) {
+        zg[h] = vgather(zl, h);
+        ir[h] = q[h] = ld[h] = (vc){};
+    }
+    for (int k = 0; k < n; k++) {
+        vc o2 = vset1(k ? off[k - 1] * off[k - 1] : 0.0), a = vset1(alpha[k]);
+        EACH_GROUP(h) {
+            vc r = vsub(vsub(a, zg[h]), vmul(o2, ir[h]));
+            vc t = vmul(vmul(vmul(o2, q[h]), ir[h]), ir[h]);
+            q[h] = (vc){-1.0 + t.re, t.im};
+            ir[h] = vinv(vsel(vzero(r), vtiny, r));
+            ld[h] = vadd(ld[h], vmul(q[h], ir[h]));
+        }
+    }
+    EACH_GROUP(h) {
+        vscatter(quotient, h, vinv(ld[h]));
+        for (int w = 0; w < W; w++)
+            self[h][w] = idx[W * h + w];
+        ld[h] = (vc){};  /* now the repel sums */
+    }
+    for (int j = 0; j < n; j++) {
+        vc zj = vset1(z[j]);
+        EACH_GROUP(h)  /* the term j == idx as +0.0 */
+            ld[h] = vadd(ld[h], vsel(self[h] == j, (vc){},
+                                     vinv(vsub(zg[h], zj))));
+    }
+    EACH_GROUP(h)
+        vscatter(repel, h, ld[h]);
+}
+
+/* Pivoted LU of the tridiagonals with diagonal alpha - sigma_l and
+   off-diagonal off, LANES shifts in lockstep, each as LAPACK's xGTTRF:
+   unit lower L with multipliers dl, upper U with diagonal d (stored
+   inverted) and superdiagonals du and du2, all lane arrays; piv[LANES i
+   + l] holds the bits of the swap mask, all ones (a NaN) where lane l
+   swapped rows i and i + 1, else zero.  One pass down the rows, d and du
+   of the next row carried, each pivot inverted as soon as it is final.
+   Returns the mask of the lanes with an exactly zero pivot. */
+TARGET static int PATH(gttrf)(int n, const cplx *alpha, const cplx *off,
+                              const cplx *sigma, double *dl, double *d,
+                              double *du, double *du2, double *piv)
+{
+    vc sg[GROUPS], dc[GROUPS], duc[GROUPS], zero = {};
+    vm singular[GROUPS];
+    EACH_GROUP(h) {
+        sg[h] = vgather(sigma, h);
+        dc[h] = vsub(vset1(alpha[0]), sg[h]);
+        duc[h] = n > 1 ? vset1(off[0]) : zero;
+        singular[h] = (vm){};
+    }
+    for (int i = 0; i < n; i++) {
+        vc dli = i + 1 < n ? vset1(off[i]) : zero;
+        vc a1 = i + 1 < n ? vset1(alpha[i + 1]) : zero;
+        vc du1 = i + 2 < n ? vset1(off[i + 1]) : zero;
+        EACH_GROUP(h) {
+            vc di = dc[h], fin = di;
+            if (i + 1 < n) {
+                vc d1 = vsub(a1, sg[h]), dui = duc[h];
+                vm p = vcabs1(di) < vcabs1(dli), z = vzero(di);
+                /* no swap: dl / d, d1 - (dl / d) du (nothing where d is
+                   zero); a swap: f = d / dl, u - f d1 */
+                vc f_keep = vmul(dli, vinv(di));
+                vc d1_keep = vsel(z, d1, vsub(d1, vmul(f_keep, dui)));
+                vc f_swap = vmul(di, vinv(dli));
+                fin = vsel(p, dli, di);
+                vstore(dl, i, h, vsel(p, f_swap, vsel(z, dli, f_keep)));
+                vstore(du, i, h, vsel(p, d1, dui));
+                vstore(du2, i, h, vsel(p, du1, zero));
+                dc[h] = vsel(p, vsub(dui, vmul(f_swap, d1)), d1_keep);
+                duc[h] = vsel(p, vmul(du1, (vc){-f_swap.re, -f_swap.im}),
+                              du1);
+                memcpy(piv + LANES * i + W * h, &p, sizeof p);
+            }
+            vm z = vzero(fin);
+            singular[h] |= z;
+            vstore(d, i, h, vsel(z, fin, vinv(fin)));
+        }
+    }
+    int mask = 0;
+    EACH_GROUP(h)
+        for (int w = 0; w < W; w++)
+            mask |= (int)(singular[h][w] & 1) << (W * h + w);
+    return mask;
+}
+
+/* b <- (LU)^{-1} b in each lane, with the factors of gttrf, the running
+   entries of each pass carried */
+TARGET static void PATH(gttrs)(int n, const double *dl, const double *d,
+                               const double *du, const double *du2,
+                               const double *piv, double *b)
+{
+    vc bi[GROUPS], x0[GROUPS], x1[GROUPS];
+    EACH_GROUP(h)
+        bi[h] = vload(b, 0, h);
+    for (int i = 0; i + 1 < n; i++)
+        EACH_GROUP(h) {
+            vr swap;  /* the mask back from a comparison, which blends */
+            memcpy(&swap, piv + LANES * i + W * h, sizeof swap);
+            vm p = swap != swap;
+            vc b1 = vload(b, i + 1, h);
+            vc top = vsel(p, b1, bi[h]), low = vsel(p, bi[h], b1);
+            vstore(b, i, h, top);
+            bi[h] = vsub(low, vmul(vload(dl, i, h), top));
+        }
+    EACH_GROUP(h) {
+        x0[h] = x1[h] = vmul(bi[h], vload(d, n - 1, h));
+        vstore(b, n - 1, h, x1[h]);
+        if (n > 1) {
+            x0[h] = vmul(vsub(vload(b, n - 2, h),
+                              vmul(vload(du, n - 2, h), x1[h])),
+                         vload(d, n - 2, h));
+            vstore(b, n - 2, h, x0[h]);
+        }
+    }
+    for (int i = n - 3; i >= 0; i--)
+        EACH_GROUP(h) {
+            vc x = vmul(vsub(vsub(vload(b, i, h),
+                                  vmul(vload(du, i, h), x0[h])),
+                             vmul(vload(du2, i, h), x1[h])),
+                        vload(d, i, h));
+            vstore(b, i, h, x);
+            x1[h] = x0[h];
+            x0[h] = x;
+        }
+}
+
+/* x <- x / ||x|| in each lane */
+TARGET static void PATH(normalize)(int n, double *x)
+{
+    vr ss[GROUPS], r[GROUPS];
+    EACH_GROUP(h)
+        ss[h] = (vr){};
+    for (int k = 0; k < n; k++)
+        EACH_GROUP(h) {
+            vc xk = vload(x, k, h);
+            ss[h] += xk.re * xk.re + xk.im * xk.im;
+        }
+    EACH_GROUP(h)
+        for (int w = 0; w < W; w++)
+            r[h][w] = 1.0 / sqrt(ss[h][w]);
+    for (int k = 0; k < n; k++)
+        EACH_GROUP(h) {
+            vc xk = vload(x, k, h);
+            vstore(x, k, h, (vc){xk.re * r[h], xk.im * r[h]});
+        }
+}
+
+/* quasi[l] = x^T x in each lane */
+TARGET static void PATH(quasi_sums)(int n, const double *x, cplx *quasi)
+{
+    vc sum[GROUPS];
+    EACH_GROUP(h)
+        sum[h] = (vc){};
+    for (int k = 0; k < n; k++)
+        EACH_GROUP(h) {
+            vc xk = vload(x, k, h);
+            sum[h] = vadd(sum[h], vmul(xk, xk));
+        }
+    EACH_GROUP(h)
+        vscatter(quasi, h, sum[h]);
+}
+
+/* x <- x scale[l] in each lane */
+TARGET static void PATH(scale_lanes)(int n, double *x, const cplx *scale)
+{
+    EACH_GROUP(h) {
+        vc s = vgather(scale, h);
+        for (int k = 0; k < n; k++)
+            vstore(x, k, h, vmul(vload(x, k, h), s));
+    }
+}
+
+/* acc[l] = row . x in each lane */
+TARGET static void PATH(row_dots)(int n, const cplx *row, const double *x,
+                                  cplx *acc)
+{
+    vc sum[GROUPS];
+    EACH_GROUP(h)
+        sum[h] = (vc){};
+    for (int k = 0; k < n; k++) {
+        vc rk = vset1(row[k]);
+        EACH_GROUP(h)
+            sum[h] = vadd(sum[h], vmul(rk, vload(x, k, h)));
+    }
+    EACH_GROUP(h)
+        vscatter(acc, h, sum[h]);
+}
+
+/* The sums' terms of the rows k < n: sums[k] += x_k tc, sums[2 stride +
+   k] += x_k x0 (each planar, the imaginary part stride on), over the
+   lanes with v[l] >= 0, in lane order.  W rows go side by side, so the
+   rows of x and sums up to n rounded up to W are read and written too
+   (stride, a multiple of LANES, is past them). */
+TARGET static void PATH(emit_sums)(int n, int stride, const double *x,
+                                   const cplx *tc, const cplx *x0,
+                                   const int *v, double *sums)
+{
+    for (int k = 0; k < n; k += W) {
+        vr part[4];  /* the real and imaginary parts of hs, then of ss */
+        _Pragma("GCC unroll 4") for (int c = 0; c < 4; c++)
+            memcpy(&part[c], sums + (size_t)c * stride + k, sizeof part[c]);
+        vc h = {part[0], part[1]}, s = {part[2], part[3]};
+        EACH_GROUP(g) {
+            vr re[W], im[W];
+            vtranspose(&RE(x, k, W * g), re);
+            vtranspose(&IM(x, k, W * g), im);
+            _Pragma("GCC unroll 8") for (int w = 0; w < W; w++) {
+                if (v[W * g + w] < 0)
+                    continue;
+                vc xk = {re[w], im[w]};
+                h = vadd(h, vmul(xk, vset1(tc[W * g + w])));
+                s = vadd(s, vmul(xk, vset1(x0[W * g + w])));
+            }
+        }
+        part[0] = h.re, part[1] = h.im, part[2] = s.re, part[3] = s.im;
+        _Pragma("GCC unroll 4") for (int c = 0; c < 4; c++)
+            memcpy(sums + (size_t)c * stride + k, &part[c], sizeof part[c]);
+    }
+}
+
+#undef W
+#undef PATH
+#undef TARGET
+#endif

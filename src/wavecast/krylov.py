@@ -41,9 +41,10 @@ numerically defective H (NearDefectiveError).  Close Ritz values are
 handled explicitly: clusters get bilinearly orthogonalized vectors, and
 the residues of ghost copies of one mode are summed.  The polish sweeps
 and the inverse iteration work value by value on OpenMP threads, eight
-values in lockstep (two AVX2 registers of four where the CPU has AVX2,
-else a scalar loop, each lane its value's own operations, so bitwise
-the same on either path), and the impulse sum works in blocks of eight
+values in lockstep (one source on GCC vector types, compiled into an
+AVX2 path of four-wide vectors and a baseline path of two-wide ones,
+each lane its value's own operations, so bitwise the same on either
+path), and the impulse sum works in blocks of eight
 samples, stepping each mode's term from the block's first sample by
 exp(-sqrt(theta) dt); both give bitwise the same result for any thread
 count.  The QL is serial, each rotation written so that its two
@@ -194,9 +195,7 @@ def _thread_count(ref_job=None, n=None):
     """Threads of a compiled stage: every usable CPU, one fewer while
     ref_job (the reference route beside it, a Future, or None) is not
     done, since a thread that shares its core holds up its stage at
-    every barrier (on two cores, paper-scale run ring took 19.4 - 20.7 s
-    with two Lanczos threads beside its FDTD march, 13.1 - 13.3 s with
-    one); for a recursion step on n unknowns at most
+    every barrier; for a recursion step on n unknowns at most
     n // _ROWS_PER_WORKER; at least one.  The recursion runs before the
     reference starts (harness.run_study), so only the eigensolve's
     stages and the impulse pass a ref_job."""
@@ -461,8 +460,9 @@ def _close_groups(theta, tol):
 @functools.cache
 def _ritz_kernel():
     """The compiled Ritz kernels (_ritz.c): the library, with ritz_ql,
-    ritz_polish, ritz_vectors and impulse set up, and `simd` (the CPU
-    runs its AVX2 lanes) set on it."""
+    ritz_polish, ritz_vectors and impulse set up, and `simd` set on it:
+    1 when the CPU runs the AVX2 path of the lanes' one source, 0 for
+    its baseline path."""
     cplx = np.ctypeslib.ndpointer(np.complex128, flags="C_CONTIGUOUS")
     real = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     ints = np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS")
