@@ -9,7 +9,7 @@
    where it reads it, so w is never stored.
 
    lanczos_phase_a(nt, s, simd, wx, wy, r, cxm, cxp, cym, cyp, inv_c,
-                   m_diag, aw, dots):
+                   m_diag, real, aw, dots):
        aw = A w with w = r s, and for each grid row ix the partial sums
        dots[ix] of w_j (m_j w_j) and dots[wx + ix] of w_j (m_j aw_j)
        (m = M's diagonal; dots is complex, interleaved), whose totals
@@ -18,6 +18,10 @@
        cxp[ix] and (ix, iy -+ 1) by cym[iy], cyp[iy], each times
        inv_c[ix * wy + iy], with centre (-(cxm + cxp)[ix] - (cym +
        cyp)[iy]) * inv_c; neighbours past the grid's edge drop out.
+       real = (ix0, ix1, iy0, iy1) bounds the rows [ix0, ix1) and
+       columns [iy0, iy1) on which cxm, cxp, cym, cyp and m_diag all
+       have a zero imaginary part (krylov._real_rectangle): there the
+       SIMD path takes its real form (below).
    lanczos_phase_b(nt, has_prev, simd, wx, wy, aw, r, r_prev, coef,
                    norms):
        with coef = (alpha_re, alpha_im, c_re, c_im, s, s_prev), writes
@@ -25,8 +29,8 @@
        only when has_prev, and for each grid row ix the partial sum
        norms[ix] of its |.|^2; r_prev may be r, and then aw too.
    lanczos_run(nt, last, simd, wx, wy, r0, r1, cxm, cxp, cym, cyp, inv_c,
-               m_diag, aw, dots, norms, state, np, probes, alpha, zeta,
-               delta, probe_rows):
+               m_diag, real, aw, dots, norms, state, np, probes, alpha,
+               zeta, delta, probe_rows):
        the steps after state's count up to step last, each phase A, the
        sums of the dots, alpha_i and c, phase B and the sum of the norms,
        in one OpenMP region whose barriers part them.  Step i reads r_i
@@ -49,12 +53,30 @@
    Both passes split the grid rows into nt contiguous blocks (a static
    schedule), one OpenMP thread each.  Neither w, M w nor M A w is
    stored: a step moves 120 bytes per unknown (27.5 MB at n = 229 441),
-   and no reduction depends on the BLAS.
+   and 112 in the real form, which never loads M's imaginary row; no
+   reduction depends on the BLAS.
+
+   The real form.  Two imaginary steps of the stretched grid make a
+   real stencil factor, so the factors are real but on the two lines
+   where the absorbing layer meets the interior, and M is real on the
+   interior.  In their rectangle each coefficient is the one real product
+   f_re inv_c, and each stencil term and each product with M two real
+   products; the dot terms keep the fused form.  With f_im = +-0 the
+   complex form's fma(cr, br, -(+-0 bi)) and fma(cr, bi, +-0 br) are cr br
+   and cr bi rounded once, as in the real form, but for the sign of an
+   exact zero, and so are M's products.  For a finite w such a zero only
+   makes exact zeros of the products and sums it enters, up to a sum
+   that starts at +0.0 (an element of A w, a row partial), where its
+   sign is lost: aw, the row partials and the run are bitwise the
+   complex form's.  The SIMD path takes the real form on the runs of
+   four wholly inside the rectangle, the complex form elsewhere; the
+   scalar path takes the complex form throughout.
 
    Every element, and every row partial, is computed by one fixed rule,
    so the results are bitwise the same for any nt and on either path:
    - A stencil coefficient, factor f times inv_c, is the two real
-     products (f_re inv_c, f_im inv_c).
+     products (f_re inv_c, f_im inv_c), the first alone in the real
+     form, which drops every product with a +-0 imaginary part (above).
    - Every other complex product takes the fused form fma(ar, br,
      -(ai bi)) + i fma(ar, bi, ai br), a the first operand: the
      coefficients' products with w, M w, M aw, the dot terms
@@ -89,6 +111,9 @@ struct step {
     int wx, wy;
     long n;
     const double *cxm, *cxp, *cym, *cyp, *inv_c, *m_diag;
+    /* the real form's rectangle: rows real[0] to real[1] - 1, columns
+       real[2] to real[3] - 1 */
+    const int *real;
 };
 
 /* p = a * b in the fused form */
@@ -219,60 +244,115 @@ AVX2 static inline void vterm(__m256d fr, __m256d fi, __m256d ic,
     *si = _mm256_add_pd(*si, ti);
 }
 
-/* grid row ix: runs of four unknowns with all four neighbours, the rest
-   as scalars; acc as phase_a_scalar's */
-AVX2 static void phase_a_simd(const struct step *g, int ix, const double *r,
-                              double scale, double *aw, double *acc)
+/* s += (f * ic) * (x * scale) for a real f: the real coefficient f ic
+   times w's real and imaginary parts, vterm()'s bits when f's imaginary
+   part is +-0 (see the header) */
+AVX2 static inline void vterm_real(__m256d f, __m256d ic, const double *x,
+                                   long n, __m256d scale, __m256d *sr,
+                                   __m256d *si)
 {
-    int wx = g->wx, wy = g->wy;
-    long n = g->n, row = (long)ix * wy, a = row, b = row;  /* [a, b) */
-    if (ix > 0 && ix < wx - 1 && wy > 2) {
-        a = row + 1;
-        b = a + (wy - 2) / 4 * 4;
-    }
-    phase_a_scalar(g, row, a, ix, r, scale, aw, acc);
-    const double *fx = g->cxm + ix, *gx = g->cxp + ix;
-    __m256d vs = _mm256_set1_pd(scale);
-    __m256d fxr = _mm256_set1_pd(fx[0]), fxi = _mm256_set1_pd(fx[wx]);
-    __m256d gxr = _mm256_set1_pd(gx[0]), gxi = _mm256_set1_pd(gx[wx]);
-    __m256d sxr = _mm256_set1_pd(-(fx[0] + gx[0]));
-    __m256d sxi = _mm256_set1_pd(-(fx[wx] + gx[wx]));
-    /* (w^T M w re, im, w^T M aw re, im), one unknown's terms at a time */
-    __m256d sum = _mm256_loadu_pd(acc);
-    for (long k = a; k < b; k += 4) {
-        const double *x = r + k;
-        long iy = k - row;
-        __m256d fyr = LOAD(g->cym + iy), fyi = LOAD(g->cym + wy + iy);
-        __m256d gyr = LOAD(g->cyp + iy), gyi = LOAD(g->cyp + wy + iy);
-        __m256d ic = LOAD(g->inv_c + k);
-        __m256d sr = _mm256_setzero_pd(), si = _mm256_setzero_pd();
-        vterm(fxr, fxi, ic, x - wy, n, vs, &sr, &si);
+    __m256d c = _mm256_mul_pd(f, ic);
+    *sr = _mm256_add_pd(*sr, _mm256_mul_pd(c, _mm256_mul_pd(LOAD(x), scale)));
+    *si = _mm256_add_pd(*si,
+                        _mm256_mul_pd(c, _mm256_mul_pd(LOAD(x + n), scale)));
+}
+
+/* grid row ix's factors, broadcast: cxm (f), cxp (g) and the centre's
+   row part s = -(cxm + cxp), each re and im */
+struct row_factors {
+    __m256d fr, fi, gr, gi, sr, si;
+};
+
+/* unknowns k to k + 3 of grid row ix, from column iy, each with all four
+   neighbours: stores their aw and returns sum (the row's partials, as
+   phase_a_scalar's acc) plus their dot terms.  real: the real form, for
+   factors and an M whose imaginary parts are +-0, which never loads
+   them.  Inlined, so that each caller's form is compiled on its own. */
+AVX2 static inline __attribute__((always_inline)) __m256d
+run4(const struct step *g, const struct row_factors *f, long k, long iy,
+     const double *r, __m256d vs, int real, double *aw, __m256d sum)
+{
+    long n = g->n, wy = g->wy;
+    const double *x = r + k;
+    __m256d fyr = LOAD(g->cym + iy), gyr = LOAD(g->cyp + iy);
+    __m256d ic = LOAD(g->inv_c + k), mr = LOAD(g->m_diag + k);
+    __m256d cr = _mm256_sub_pd(f->sr, _mm256_add_pd(fyr, gyr));
+    __m256d wr = _mm256_mul_pd(LOAD(x), vs);
+    __m256d wi = _mm256_mul_pd(LOAD(x + n), vs);
+    __m256d sr = _mm256_setzero_pd(), si = _mm256_setzero_pd();
+    __m256d pr, pi, dr, di, er, ei;
+    if (real) {
+        vterm_real(f->fr, ic, x - wy, n, vs, &sr, &si);
+        vterm_real(fyr, ic, x - 1, n, vs, &sr, &si);
+        vterm_real(cr, ic, x, n, vs, &sr, &si);
+        vterm_real(gyr, ic, x + 1, n, vs, &sr, &si);
+        vterm_real(f->gr, ic, x + wy, n, vs, &sr, &si);
+        vmul(wr, wi, _mm256_mul_pd(mr, wr), _mm256_mul_pd(mr, wi), &dr, &di);
+        vmul(wr, wi, _mm256_mul_pd(mr, sr), _mm256_mul_pd(mr, si), &er, &ei);
+    } else {
+        __m256d fyi = LOAD(g->cym + wy + iy), gyi = LOAD(g->cyp + wy + iy);
+        __m256d mi = LOAD(g->m_diag + n + k);
+        vterm(f->fr, f->fi, ic, x - wy, n, vs, &sr, &si);
         vterm(fyr, fyi, ic, x - 1, n, vs, &sr, &si);
-        vterm(_mm256_sub_pd(sxr, _mm256_add_pd(fyr, gyr)),
-              _mm256_sub_pd(sxi, _mm256_add_pd(fyi, gyi)), ic, x, n, vs,
-              &sr, &si);
+        vterm(cr, _mm256_sub_pd(f->si, _mm256_add_pd(fyi, gyi)), ic, x, n,
+              vs, &sr, &si);
         vterm(gyr, gyi, ic, x + 1, n, vs, &sr, &si);
-        vterm(gxr, gxi, ic, x + wy, n, vs, &sr, &si);
-        _mm256_storeu_pd(aw + k, sr);
-        _mm256_storeu_pd(aw + n + k, si);
-        __m256d wr = _mm256_mul_pd(LOAD(x), vs);
-        __m256d wi = _mm256_mul_pd(LOAD(x + n), vs);
-        __m256d mr = LOAD(g->m_diag + k), mi = LOAD(g->m_diag + n + k);
-        __m256d pr, pi, dr, di, er, ei;
+        vterm(f->gr, f->gi, ic, x + wy, n, vs, &sr, &si);
         vmul(mr, mi, wr, wi, &pr, &pi);
         vmul(wr, wi, pr, pi, &dr, &di);
         vmul(mr, mi, sr, si, &pr, &pi);
         vmul(wr, wi, pr, pi, &er, &ei);
-        /* transpose (dr, di, er, ei) to one vector per unknown */
-        __m256d t0 = _mm256_unpacklo_pd(dr, di);
-        __m256d t1 = _mm256_unpackhi_pd(dr, di);
-        __m256d t2 = _mm256_unpacklo_pd(er, ei);
-        __m256d t3 = _mm256_unpackhi_pd(er, ei);
-        sum = _mm256_add_pd(sum, _mm256_permute2f128_pd(t0, t2, 0x20));
-        sum = _mm256_add_pd(sum, _mm256_permute2f128_pd(t1, t3, 0x20));
-        sum = _mm256_add_pd(sum, _mm256_permute2f128_pd(t0, t2, 0x31));
-        sum = _mm256_add_pd(sum, _mm256_permute2f128_pd(t1, t3, 0x31));
     }
+    _mm256_storeu_pd(aw + k, sr);
+    _mm256_storeu_pd(aw + n + k, si);
+    /* transpose (dr, di, er, ei) to one vector per unknown */
+    __m256d t0 = _mm256_unpacklo_pd(dr, di);
+    __m256d t1 = _mm256_unpackhi_pd(dr, di);
+    __m256d t2 = _mm256_unpacklo_pd(er, ei);
+    __m256d t3 = _mm256_unpackhi_pd(er, ei);
+    sum = _mm256_add_pd(sum, _mm256_permute2f128_pd(t0, t2, 0x20));
+    sum = _mm256_add_pd(sum, _mm256_permute2f128_pd(t1, t3, 0x20));
+    sum = _mm256_add_pd(sum, _mm256_permute2f128_pd(t0, t2, 0x31));
+    return _mm256_add_pd(sum, _mm256_permute2f128_pd(t1, t3, 0x31));
+}
+
+/* grid row ix: runs of four unknowns with all four neighbours, the rest
+   as scalars; the runs wholly inside the real form's rectangle take that
+   form; acc as phase_a_scalar's */
+AVX2 static void phase_a_simd(const struct step *g, int ix, const double *r,
+                              double scale, double *aw, double *acc)
+{
+    int wx = g->wx, wy = g->wy;
+    long row = (long)ix * wy, a = row, b = row;  /* runs [a, b) */
+    if (ix > 0 && ix < wx - 1 && wy > 2) {
+        a = row + 1;
+        b = a + (wy - 2) / 4 * 4;
+    }
+    long p = a, q = a;  /* the real runs [p, q); lo, hi from column 1 */
+    if (ix >= g->real[0] && ix < g->real[1]) {
+        long lo = g->real[2] - 1, hi = g->real[3] - 1;
+        p = lo > 0 ? a + (lo + 3) / 4 * 4 : a;
+        q = hi > 0 ? a + hi / 4 * 4 : a;
+        p = p < b ? p : b;
+        q = q < b ? q : b;
+        q = q > p ? q : p;
+    }
+    phase_a_scalar(g, row, a, ix, r, scale, aw, acc);
+    const double *fx = g->cxm + ix, *gx = g->cxp + ix;
+    struct row_factors f = {
+        _mm256_set1_pd(fx[0]), _mm256_set1_pd(fx[wx]),
+        _mm256_set1_pd(gx[0]), _mm256_set1_pd(gx[wx]),
+        _mm256_set1_pd(-(fx[0] + gx[0])), _mm256_set1_pd(-(fx[wx] + gx[wx]))};
+    __m256d vs = _mm256_set1_pd(scale);
+    /* (w^T M w re, im, w^T M aw re, im), one unknown's terms at a time */
+    __m256d sum = _mm256_loadu_pd(acc);
+    long k = a;
+    for (; k < p; k += 4)
+        sum = run4(g, &f, k, k - row, r, vs, 0, aw, sum);
+    for (; k < q; k += 4)
+        sum = run4(g, &f, k, k - row, r, vs, 1, aw, sum);
+    for (; k < b; k += 4)
+        sum = run4(g, &f, k, k - row, r, vs, 0, aw, sum);
     _mm256_storeu_pd(acc, sum);
     phase_a_scalar(g, b, row + wy, ix, r, scale, aw, acc);
 }
@@ -367,11 +447,11 @@ static double row_b(int simd, int ix, int wy, long n, const double *aw,
 int lanczos_phase_a(int nt, double s, int simd, int wx, int wy,
                     const double *r, const double *cxm, const double *cxp,
                     const double *cym, const double *cyp,
-                    const double *inv_c, const double *m_diag, double *aw,
-                    double *dots)
+                    const double *inv_c, const double *m_diag,
+                    const int *real, double *aw, double *dots)
 {
     const struct step g = {wx, wy, (long)wx * wy, cxm, cxp, cym, cyp,
-                           inv_c, m_diag};
+                           inv_c, m_diag, real};
 #pragma omp parallel for num_threads(nt) schedule(static)
     for (int ix = 0; ix < wx; ix++)
         row_a(&g, simd, ix, r, s, aw, dots);
@@ -502,13 +582,13 @@ void lanczos_div(long n, const double *a, const double *b, double *q)
 int lanczos_run(int nt, int last, int simd, int wx, int wy, double *r0,
                 double *r1, const double *cxm, const double *cxp,
                 const double *cym, const double *cyp, const double *inv_c,
-                const double *m_diag, double *aw, double *dots,
-                double *norms, double *st, int np, const long *probes,
-                double *alpha, double *zeta, double *delta,
-                double *probe_rows)
+                const double *m_diag, const int *real, double *aw,
+                double *dots, double *norms, double *st, int np,
+                const long *probes, double *alpha, double *zeta,
+                double *delta, double *probe_rows)
 {
     const struct step g = {wx, wy, (long)wx * wy, cxm, cxp, cym, cyp,
-                           inv_c, m_diag};
+                           inv_c, m_diag, real};
     long n = g.n;
     int i = (int)st[STEPS], status = RUN_DONE;
     double coef[6], d[2];

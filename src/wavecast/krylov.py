@@ -68,29 +68,32 @@ s_i = 1 / zeta_i, where it reads it:
 Phase A is matrix-free: A w comes from the operator's five-point
 stencil factors, not from an assembled matrix.  Each pass computes
 everything that reads the same rows, so that w, M w and M aw are never
-stored and a step moves 120 bytes per unknown.  The vectors are
-planar, a (2, n) array of real parts then imaginary parts, so the SIMD
-path's complex products take no shuffles.  Both passes split the grid
-rows into contiguous blocks (one below 2 * _ROWS_PER_WORKER unknowns),
-one OpenMP thread each.  Every element follows one fixed rule (in
-_lanczos.c): a stencil coefficient, factor times inv_c, is two real
-products, every complex product takes the fused form fma(ar, br,
--(ai bi)) + i fma(ar, bi, ai br), the stencil sum adds its terms in
-column order, and each reduction sums one partial per grid row in
-element order.  The kernel adds up the row partials by np.sum's
-pairwise rule and forms alpha_i and the previous vector's coefficient
-by numpy's complex division and product, so a step's numbers are those
-of the numpy loop it replaced, bit for bit.  ||b||, and so zeta_1,
-comes from the same row rule, on b scaled by a power of two (exact, so
-any finite b has a norm).  So
-the run is bitwise identical for every block count, even one that
-changes between steps, on the kernel's SIMD and scalar paths, and for
-any BLAS thread count: no reduction of the recursion, the eigensolve or
-the impulse goes through the BLAS.  The SIMD path (AVX2/FMA, four unknowns per
-vector) is 1.9 - 2.6x faster per iteration than the scalar one on the
-desk presets and paper ring.  The happy-breakdown test takes max |aw|
-only on the rare steps where zeta_{i+1} is below _HAPPY_TOL of its
-bound zeta_{i+1} + |alpha_i| + |c| on ||aw||.
+stored and a step moves 120 bytes per unknown (112 in the real form
+below).  The vectors are planar, a (2, n) array of real parts then
+imaginary parts, so the SIMD path's complex products take no shuffles.
+Both passes split the grid rows into contiguous blocks (one below
+2 * _ROWS_PER_WORKER unknowns), one OpenMP thread each.  Every element
+follows one fixed rule (in _lanczos.c): a stencil coefficient, factor
+times inv_c, is two real products, every complex product takes the
+fused form fma(ar, br, -(ai bi)) + i fma(ar, bi, ai br), the stencil
+sum adds its terms in column order, and each reduction sums one partial
+per grid row in element order.  The paper's stretching is purely
+imaginary, so the stencil factors and M are real on most of the grid:
+on the rectangle _real_rectangle finds, the SIMD path drops every
+product with a +-0 imaginary part (the real form), which changes at
+most the sign of an exact zero that a sum from +0.0 then loses, so the
+bits are the complex form's.  The kernel adds up the row partials by
+np.sum's pairwise rule and forms alpha_i and the previous vector's
+coefficient by numpy's complex division and product, so a step's
+numbers are those of the numpy loop it replaced, bit for bit.  ||b||,
+and so zeta_1, comes from the same row rule, on b scaled by a power of
+two (exact, so any finite b has a norm).  So the run is bitwise
+identical for every block count, even one that changes between steps,
+on the kernel's SIMD and scalar paths, and for any BLAS thread count:
+no reduction of the recursion, the eigensolve or the impulse goes
+through the BLAS.  The happy-breakdown test takes max |aw| only on the
+rare steps where zeta_{i+1} is below _HAPPY_TOL of its bound
+zeta_{i+1} + |alpha_i| + |c| on ||aw||.
 
 Both kernels are compiled with gcc on first use (never at import) and
 cached in this package's __pycache__ (see _native); gcc is required,
@@ -165,15 +168,16 @@ class LanczosDecomposition:
 
 
 # Fewest unknowns per worker thread of a recursion step.  Measured on a
-# 2-core x86-64 VM with the planar step (medians of 11 or 21 alternated
-# 400-step runs in one process, one to three processes per size): two
-# blocks against one take 1.06 - 1.09x the time per step at n = 1 024
-# and 1 296, 1.00 - 1.26x at 1 936, 0.92 - 1.08x at 2 209 and 2 500,
-# 0.87 - 0.89x at 3 136, 0.83 - 0.94x at 4 096 to 7 056, 0.66 - 0.83x
-# at 15 376 and 0.70x at 33 856.  They break even between n = 2 000
-# and 3 000, where this rule switches (two blocks from n = 2 000), and
-# differ there by less than these runs' noise.
-_ROWS_PER_WORKER = 1_000
+# 2-core x86-64 VM with the real-form step (medians of 11 or 21
+# alternated 400-step runs in one process, one to three processes per
+# size): two blocks against one take 1.12 - 1.15x the time per step at
+# n = 400, 1.03 - 1.11x at 576, 0.95 - 1.02x at 784, 0.81 - 0.95x at
+# 1 024, 0.82 - 0.86x at 1 296, 0.72 - 0.84x at 1 936, 0.76 - 0.79x at
+# 2 209 and 2 500, 0.60 - 0.67x at 3 136 to 7 056 and 0.63 - 0.64x at
+# 15 376 and 33 856.  They break even near n = 800, where this rule
+# switches (two blocks from n = 1 000), and differ there by less than
+# these runs' noise.
+_ROWS_PER_WORKER = 500
 # the bilinear form has collapsed when |delta_i| < _BREAKDOWN_TOL * max |M|
 _BREAKDOWN_TOL = 1e-14
 # an invariant subspace has closed when zeta_{i+1} < _HAPPY_TOL *
@@ -214,11 +218,11 @@ def _lanczos_kernel():
     kernel = _native.load("_lanczos.c", {
         "lanczos_simd": (c_int, []),
         "lanczos_phase_a": (c_int, [c_int, c_double, c_int, c_int, c_int,
-                                    *[ptr] * 9]),
+                                    *[ptr] * 10]),
         "lanczos_phase_b": (c_int, [c_int, c_int, c_int, c_int, c_int,
                                     *[ptr] * 5]),
         "lanczos_run": (c_int, [c_int, c_int, c_int, c_int, c_int,
-                                *[ptr] * 12, c_int, *[ptr] * 5]),
+                                *[ptr] * 13, c_int, *[ptr] * 5]),
         "lanczos_sum": (None, [c_long, c_int, ptr, ptr]),
         "lanczos_div": (None, [c_long, ptr, ptr, ptr]),
     })
@@ -241,14 +245,50 @@ def _planar(a, shape):
     return np.stack((a.real, a.imag))
 
 
+def _real_rectangle(op):
+    """(ix0, ix1, iy0, iy1): the rows [ix0, ix1) and columns [iy0, iy1) of
+    the largest block of unknowns on which the row factors cxm, cxp, the
+    column factors cym, cyp and M's diagonal all have a zero imaginary
+    part (+-0); of several, the first by ix0, then ix1, then iy0; all 0
+    when no unknown is real.  Rows of the same pattern are merged first,
+    so that the search runs over the few row bands the stretching makes."""
+    wx, wy = op.inv_c.shape
+    real = ((op.m_diag.imag == 0).reshape(wx, wy)
+            & ((op.cxm.imag == 0) & (op.cxp.imag == 0))[:, None]
+            & ((op.cym.imag == 0) & (op.cyp.imag == 0))[None, :])
+    # bands of equal rows: a largest block's rows are whole bands
+    starts = np.flatnonzero(np.r_[True, (real[1:] != real[:-1]).any(1)])
+    ends = np.r_[starts[1:], wx]
+    best, rect = 0, (0, 0, 0, 0)
+    for i, ix0 in enumerate(starts):
+        cols = real[ix0]
+        for ix1 in ends[i:]:
+            cols = cols & real[ix1 - 1]
+            # the longest run of real columns, the first of equal runs
+            edges = np.flatnonzero(np.diff(np.r_[0, cols.view(np.int8), 0]))
+            if edges.size == 0:
+                break
+            lengths = edges[1::2] - edges[::2]
+            k = int(np.argmax(lengths))
+            area = int(lengths[k]) * int(ix1 - ix0)
+            if area > best:
+                best = area
+                rect = (int(ix0), int(ix1), int(edges[2 * k]),
+                        int(edges[2 * k + 1]))
+    return rect
+
+
 def _step_operands(op):
     """Phase A's operator arrays, as the kernel reads them: the planar
-    stencil factors cxm, cxp, cym, cyp, inv_c and the planar M diagonal."""
+    stencil factors cxm, cxp, cym, cyp, inv_c, the planar M diagonal and
+    the bounds of _real_rectangle, where the kernel's SIMD path takes its
+    real form."""
     wx, wy = op.inv_c.shape
     return [*(_planar(f, (size,)) for f, size in (
         (op.cxm, wx), (op.cxp, wx), (op.cym, wy), (op.cyp, wy))),
         np.ascontiguousarray(op.inv_c, dtype=float),
-        _planar(op.m_diag, (op.n,))]
+        _planar(op.m_diag, (op.n,)),
+        np.array(_real_rectangle(op), dtype=np.intc)]
 
 
 def _complex(x):

@@ -16,6 +16,7 @@ ring-desk runs differ by 1e-2), so it is compared over the first
 ORACLE_ITERS iterations only, to ORACLE_TOL.
 """
 
+import dataclasses
 import json
 import os
 import pickle
@@ -336,6 +337,64 @@ def _tail_operators():
         yield tail, op
 
 
+def _planes(re, im):
+    """The complex array of parts re and im, signed zeros kept."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _edge_operators():
+    """(label, operator) whose real rectangles put the edges of the SIMD
+    path's real form where its runs of four do not: the tail operator
+    with wy = 21 (runs over columns 1 to 16), its factors and M made real
+    on one rectangle only, with alternating +-0 imaginary parts and
+    complex elsewhere, the column span [5 + o, 13 + (o + 2) % 4) starting
+    and ending at every offset o mod 4 from column 1; and the operator as
+    assembled, but for one interior cym entry with an imaginary part of
+    1e-300, whose column must leave the rectangle."""
+    steps = to_continued_fraction(
+        zolotarev_approx(SpectralInterval(-25.0, -1.0), 2))
+    grid = build_grid2d(18, steps)
+    op = assemble_operator(grid, MediumMap.from_function(
+        grid, lambda x, y: 1.0 + x ** 2 + 2.0 * y ** 2))
+    wx, wy = op.inv_c.shape
+    assert wy == 21
+
+    def real_on(f, inside):
+        zeros = np.where(np.arange(f.size) % 2, -0.0, 0.0)
+        return _planes(f.real, np.where(inside, zeros, 0.25 * f.real))
+
+    for o in range(4):
+        ix0, ix1 = 2 + o % 2, wx - 2 - o // 2
+        iy0, iy1 = 5 + o, 13 + (o + 2) % 4
+        rows, cols = np.arange(wx), np.arange(wy)
+        in_rows = (ix0 <= rows) & (rows < ix1)
+        in_cols = (iy0 <= cols) & (cols < iy1)
+        zeros = np.where(np.arange(op.n) % 3, 0.0, -0.0)
+        edge = dataclasses.replace(
+            op, cxm=real_on(op.cxm, in_rows), cxp=real_on(op.cxp, in_rows),
+            cym=real_on(op.cym, in_cols), cyp=real_on(op.cyp, in_cols),
+            m_diag=_planes(op.m_diag.real, zeros))
+        assert krylov._real_rectangle(edge) == (ix0, ix1, iy0, iy1)
+        assert np.signbit(edge.cym.imag[in_cols]).any()
+        yield f"span {iy0}:{iy1}", edge
+    iy = wy // 2
+    cym = op.cym.copy()
+    assert cym.imag[iy] == 0.0
+    cym.imag[iy] = 1e-300
+    tiny = dataclasses.replace(op, cym=cym)
+    ix0, ix1, iy0, iy1 = krylov._real_rectangle(tiny)
+    assert ix1 > ix0 and iy1 > iy0 and not iy0 <= iy < iy1
+    yield "cym 1e-300i", tiny
+
+
+def _rule_operators():
+    """The tail operators, then the edge operators."""
+    yield from _tail_operators()
+    yield from _edge_operators()
+
+
 def _rows(x, wy):
     return [x[k:k + wy] for k in range(0, x.size, wy)]
 
@@ -354,7 +413,8 @@ def _abs1(x):
 
 
 def test_products_are_exactly_fused():
-    # on every host, both paths and every SIMD tail length: the update's
+    # on every host, both paths, every SIMD tail length and every edge of
+    # the SIMD path's real form (_edge_operators): the update's
     # alpha w and c w_prev are the exactly rounded fused products of
     # alpha and c with w = r s and w_prev = r_prev s_prev (numpy's r * s),
     # and each row partial is its terms added from +0.0 in element order,
@@ -369,7 +429,7 @@ def test_products_are_exactly_fused():
     #   errs by at most gamma_(wy + 2) sum_j |r_j|^2.
     rng = np.random.default_rng(11)
     kernel = krylov._lanczos_kernel()
-    for tail, op in _tail_operators():
+    for tail, op in _rule_operators():
         wy = op.inv_c.shape[1]
         r, r_prev = rng.uniform(-1.0, 1.0, (2, 2 * op.n)).view(complex)
         alpha, c = rng.uniform(-1.0, 1.0, 4).view(complex)
@@ -418,7 +478,8 @@ def test_products_are_exactly_fused():
 
 
 def test_stencil_product_follows_its_rule():
-    # on every host, both paths and every SIMD tail length, A w is
+    # on every host, both paths, every SIMD tail length and every edge of
+    # the SIMD path's real form (_edge_operators), A w is
     # element by element its documented rule: each term is the fused
     # product of the coefficient (f_re inv_c, f_im inv_c) with w_k = r_k *
     # scale, the centre factor is -(cxm + cxp) - (cym + cyp), and the
@@ -426,7 +487,7 @@ def test_stencil_product_follows_its_rule():
     # north, east), those past the grid's edge left out
     rng = np.random.default_rng(13)
     scale = 0.37
-    for tail, op in _tail_operators():
+    for tail, op in _rule_operators():
         wx, wy = op.inv_c.shape
         r = rng.uniform(-1.0, 1.0, 2 * op.n).view(complex)
         want = np.empty(op.n, dtype=complex)
@@ -490,6 +551,110 @@ def test_simd_and_scalar_paths_are_bitwise(desk, monkeypatch):
         asm.op, asm.b, 300, asm.probe_flats))
     for got in runs:
         assert_bitwise(got, base)
+
+
+def _real_form_control(name, m, force_blocks):
+    """Runs of preset name to m, on both paths and on one and three row
+    blocks, each with the derived real rectangle and with none."""
+    asm = _prepare(get_scenario(name))
+    ix0, ix1, iy0, iy1 = krylov._real_rectangle(asm.op)
+    assert (ix1 - ix0) * (iy1 - iy0) > asm.op.n // 2
+    runs = []
+    for rect in (krylov._real_rectangle, lambda op: (0, 0, 0, 0)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(krylov, "_real_rectangle", rect)
+            for n_blocks in (1, 3):
+                force_blocks(n_blocks)
+                runs += on_both_paths(lambda: bilanczos(
+                    asm.op, asm.b, m, asm.probe_flats))
+    return runs
+
+
+@pytest.mark.parametrize("name", ["homogeneous-desk", "ring-desk",
+                                  "waveguide-desk"])
+def test_real_form_is_bitwise_the_complex_form(name, force_blocks):
+    # the SIMD path's real form on the rectangle where the stencil factors
+    # and M are real leaves every bit of a 300-step run as the complex
+    # form everywhere (the rectangle forced empty) has it, on both paths
+    # and for one and three row blocks
+    runs = _real_form_control(name, 300, force_blocks)
+    assert runs[0].m == 300
+    for got in runs[1:]:
+        assert_bitwise(got, runs[0])
+
+
+@pytest.mark.paper
+def test_paper_ring_real_form_is_bitwise_the_complex_form(force_blocks):
+    # opt-in (pytest -m paper): the same control on the paper-scale ring,
+    # over 100 steps
+    runs = _real_form_control("ring", 100, force_blocks)
+    assert runs[0].m == 100
+    for got in runs[1:]:
+        assert_bitwise(got, runs[0])
+
+
+def _brute_rectangle(real):
+    """The first largest all-True block of the 2-D mask real, in the
+    order of (ix0, ix1, iy0, iy1), by trying every block."""
+    wx, wy = real.shape
+    best, rect = 0, (0, 0, 0, 0)
+    for ix0 in range(wx):
+        for ix1 in range(ix0 + 1, wx + 1):
+            for iy0 in range(wy):
+                for iy1 in range(iy0 + 1, wy + 1):
+                    area = (ix1 - ix0) * (iy1 - iy0)
+                    if area > best and real[ix0:ix1, iy0:iy1].all():
+                        best, rect = area, (ix0, ix1, iy0, iy1)
+    return rect
+
+
+def test_real_rectangle_is_the_largest():
+    # the derived rectangle is the brute-force search's on random masks,
+    # banded (as the stretching makes them) and not, and empty when no
+    # unknown is real
+    rng = np.random.default_rng(37)
+
+    def parts(real):  # real where real, else complex; signed zeros
+        zeros = np.where(rng.random(real.shape) < 0.5, -0.0, 0.0)
+        return _planes(rng.standard_normal(real.shape),
+                       np.where(real, zeros, rng.standard_normal(real.shape)))
+
+    def operator(rows, cols, m_real):
+        wx, wy = m_real.shape
+        return dataclasses.replace(
+            diagonal_operator(np.ones(wx), np.ones(wx)),
+            cxm=parts(rows[0]), cxp=parts(rows[1]), cym=parts(cols[0]),
+            cyp=parts(cols[1]), inv_c=np.ones((wx, wy)),
+            m_diag=parts(m_real).ravel())
+
+    for trial in range(60):
+        wx, wy = rng.integers(1, 9, 2)
+        rows, cols = rng.random((2, wx)) < 0.85, rng.random((2, wy)) < 0.85
+        m_real = rng.random((wx, wy)) < 0.8
+        if trial % 2:  # three bands of equal rows
+            bands = [wx // 3, wx // 3, wx - 2 * (wx // 3)]
+            rows = np.repeat(rng.random((2, 3)) < 0.85, bands, axis=1)
+            m_real = np.repeat(rng.random((3, wy)) < 0.8, bands, axis=0)
+        op = operator(rows, cols, m_real)
+        mask = m_real & (rows[0] & rows[1])[:, None] & (cols[0] & cols[1])
+        assert krylov._real_rectangle(op) == _brute_rectangle(mask), trial
+    no_m = operator(np.ones((2, 4), bool), np.ones((2, 5), bool),
+                    np.zeros((4, 5), bool))
+    assert krylov._real_rectangle(no_m) == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("name", ["homogeneous-desk", "ring-desk",
+                                  "waveguide-desk"])
+def test_report_records_real_share(name, tmp_path):
+    # report.json's lanczos_real_share is the real rectangle's area over n
+    sc = get_scenario(name)
+    harness.run_study(sc, (100,), out_dir=tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())
+    op = _prepare(sc).op
+    ix0, ix1, iy0, iy1 = krylov._real_rectangle(op)
+    share = report["metadata"]["lanczos_real_share"]
+    assert share == (ix1 - ix0) * (iy1 - iy0) / op.n
+    assert 0.6 < share < 1.0
 
 
 def _kernel_sum(a):
@@ -557,7 +722,7 @@ def test_block_count_rule(monkeypatch):
     finished.set_result(None)
     beside, alone = threading.Event(), threading.Event()
     alone.set()
-    assert rows == 1_000
+    assert rows == 500
     monkeypatch.setattr(krylov, "_usable_cpus", lambda: 2)
     assert count(n=18_225) == 2  # ring-desk
     assert count(n=2 * rows - 1) == 1
