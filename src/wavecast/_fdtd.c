@@ -21,7 +21,7 @@
        ezy[src] -= kick[s] on step s when src >= 0, then the probe
        samples traces[p * stride + s] = ezx + ezy at node probes[p].
        rd = 1.0 / delta, one reciprocal for the whole march; simd runs
-       the AVX2 step (fdtd_simd(): 1 when this CPU has AVX2).  The rows
+       the AVX2 step (kernel_simd(): 1 when this CPU has AVX2).  The rows
        go to min(nt, nn) OpenMP threads in contiguous blocks; work holds
        2 nn values per thread.
 
@@ -158,7 +158,7 @@ __attribute__((target("avx2"))) static void edge_avx2(EDGE_ARGS)
 #define ON_PATH(simd, pass, ...) ((void)(simd), pass(__VA_ARGS__))
 #endif
 
-int fdtd_simd(void)
+int kernel_simd(void)
 {
 #ifdef HAVE_AVX2
     __builtin_cpu_init();

@@ -8,26 +8,6 @@
    w_i = r_i s_i (s_i = 1 / zeta_i, one real product per component)
    where it reads it, so w is never stored.
 
-   lanczos_phase_a(nt, s, simd, wx, wy, r, cxm, cxp, cym, cyp, inv_c,
-                   m_diag, real, aw, dots):
-       aw = A w with w = r s, and for each grid row ix the partial sums
-       dots[ix] of w_j (m_j w_j) and dots[wx + ix] of w_j (m_j aw_j)
-       (m = M's diagonal; dots is complex, interleaved), whose totals
-       are w^T M w and w^T M A w.  A is the five-point operator of
-       operator.py: row (ix, iy) couples (ix -+ 1, iy) by cxm[ix],
-       cxp[ix] and (ix, iy -+ 1) by cym[iy], cyp[iy], each times
-       inv_c[ix * wy + iy], with centre (-(cxm + cxp)[ix] - (cym +
-       cyp)[iy]) * inv_c; neighbours past the grid's edge drop out.
-       real = (ix0, ix1, iy0, iy1) bounds the rows [ix0, ix1) and
-       columns [iy0, iy1) on which cxm, cxp, cym, cyp and m_diag all
-       have a zero imaginary part (krylov._real_rectangle): there the
-       SIMD path takes its real form (below).
-   lanczos_phase_b(nt, has_prev, simd, wx, wy, aw, r, r_prev, coef,
-                   norms):
-       with coef = (alpha_re, alpha_im, c_re, c_im, s, s_prev), writes
-       aw - alpha (r s) - c (r_prev s_prev) over r_prev, the last term
-       only when has_prev, and for each grid row ix the partial sum
-       norms[ix] of its |.|^2; r_prev may be r, and then aw too.
    lanczos_run(nt, last, simd, wx, wy, r0, r1, cxm, cxp, cym, cyp, inv_c,
                m_diag, real, aw, dots, norms, state, np, probes, alpha,
                zeta, delta, probe_rows):
@@ -45,10 +25,26 @@
        stored), RUN_INVARIANT when step i closes an invariant subspace,
        krylov.py's happy test, with state[HAPPY] its tolerance (step i
        stored, the scales and zeta left as they were).
+       Phase A sets aw = A w with w = r_i s_i, and for each grid row ix
+       the partial sums dots[ix] of w_j (m_j w_j) and dots[wx + ix] of
+       w_j (m_j aw_j) (m = M's diagonal; dots is complex, interleaved),
+       whose totals are delta_i = w^T M w and w^T M A w.  A is the
+       five-point operator of operator.py: row (ix, iy) couples (ix -+ 1,
+       iy) by cxm[ix], cxp[ix] and (ix, iy -+ 1) by cym[iy], cyp[iy], each
+       times inv_c[ix * wy + iy], with centre (-(cxm + cxp)[ix] - (cym +
+       cyp)[iy]) * inv_c; neighbours past the grid's edge drop out.
+       real = (ix0, ix1, iy0, iy1) bounds the rows [ix0, ix1) and
+       columns [iy0, iy1) on which cxm, cxp, cym, cyp and m_diag all
+       have a zero imaginary part (krylov._real_rectangle): there the
+       SIMD path takes its real form (below).
+       Phase B writes r_{i+1} = aw - alpha_i w_i - c w_{i-1}, c =
+       (delta_i / delta_{i-1}) zeta_i, over r_{i-1} (w_{i-1} = r_{i-1}
+       s_{i-1}, the last term only when i > 1), and for each grid row ix
+       the partial sum norms[ix] of its |.|^2.
    lanczos_sum(n, complex, a, out), lanczos_div(n, a, b, q): the loop's
        sum of n doubles or complex values, and its quotients q_k = a_k /
        b_k of complex values, exposed for the tests.
-   lanczos_simd(): 1 when this CPU runs the AVX2/FMA path.
+   kernel_simd(): 1 when this CPU runs the AVX2/FMA path.
 
    Both passes split the grid rows into nt contiguous blocks (a static
    schedule), one OpenMP thread each.  Neither w, M w nor M A w is
@@ -193,8 +189,9 @@ static void phase_a_scalar(const struct step *g, long lo, long hi, int ix,
 }
 
 /* unknowns [lo, hi); out = aw - alpha (r s) - c (r_prev s_prev), the last
-   term when has_prev, with coef as lanczos_phase_b's; returns acc, the
-   row's partial of ||out||^2 so far, with their terms added */
+   term when has_prev, with coef = (alpha_re, alpha_im, c_re, c_im, s,
+   s_prev), written over r_prev; returns acc, the row's partial of
+   ||out||^2 so far, with their terms added */
 FMA_CLONES
 static double phase_b_scalar(long lo, long hi, long n, const double *aw,
                              const double *r, const double *restrict coef,
@@ -391,7 +388,7 @@ AVX2 static double phase_b_simd(int ix, int wy, long n, const double *aw,
 }
 #endif
 
-int lanczos_simd(void)
+int kernel_simd(void)
 {
 #ifdef HAVE_AVX2
     __builtin_cpu_init();
@@ -442,31 +439,6 @@ static double row_b(int simd, int ix, int wy, long n, const double *aw,
     (void)simd;
     return phase_b_scalar(row, row + wy, n, aw, r, coef, has_prev, r_prev,
                           0.0);
-}
-
-int lanczos_phase_a(int nt, double s, int simd, int wx, int wy,
-                    const double *r, const double *cxm, const double *cxp,
-                    const double *cym, const double *cyp,
-                    const double *inv_c, const double *m_diag,
-                    const int *real, double *aw, double *dots)
-{
-    const struct step g = {wx, wy, (long)wx * wy, cxm, cxp, cym, cyp,
-                           inv_c, m_diag, real};
-#pragma omp parallel for num_threads(nt) schedule(static)
-    for (int ix = 0; ix < wx; ix++)
-        row_a(&g, simd, ix, r, s, aw, dots);
-    return 0;
-}
-
-int lanczos_phase_b(int nt, int has_prev, int simd, int wx, int wy,
-                    const double *aw, const double *r, double *r_prev,
-                    const double *coef, double *norms)
-{
-    long n = (long)wx * wy;
-#pragma omp parallel for num_threads(nt) schedule(static)
-    for (int ix = 0; ix < wx; ix++)
-        norms[ix] = row_b(simd, ix, wy, n, aw, r, coef, has_prev, r_prev);
-    return 0;
 }
 
 /* numpy 2.x's pairwise sum of n doubles (its DOUBLE_pairwise_sum): below

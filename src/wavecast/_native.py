@@ -8,6 +8,15 @@ half-written file; the builds of the same source under other keys are
 then removed.  gcc is required: a kernel that cannot be built or
 loaded is a ConfigurationError, which run_study meets before either
 route starts.  ctypes releases the GIL for every call into a kernel.
+
+Every kernel is called one way.  An array goes across as a typed
+argument (REAL, CPLX, INTS, LONGS: C-contiguous float64, complex128,
+intc and C long), so a wrong dtype or a strided array is a ctypes
+error, not a misread buffer; a call at an offset passes a slice.  Every
+source defines the one path probe, kernel_simd() (1 when the CPU runs
+the source's AVX2 path), and load sets its answer on the library as
+`simd`.  _usable_cpus is the CPU count that every compiled stage splits
+its work by.
 """
 
 import ctypes
@@ -17,7 +26,13 @@ import subprocess
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigurationError
+
+REAL, CPLX, INTS, LONGS = (
+    np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+    for dtype in (np.float64, np.complex128, np.intc, ctypes.c_long))
 
 # the compiler command shared by every source; the source's own flags,
 # then the output path and the source, are appended
@@ -41,9 +56,17 @@ FLAGS = {
 }
 
 
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def load(name, signatures):
     """The library built from the package's C source `name`, with each
-    function of signatures ({function: (restype, argtypes)}) set up."""
+    function of signatures ({function: (restype, argtypes)}) set up and
+    `simd` set to its kernel_simd()."""
     source_path = Path(__file__).with_name(name)
     command = (*_CC, *FLAGS[name])
     cache = source_path.with_name("__pycache__")
@@ -69,6 +92,8 @@ def load(name, signatures):
         for function, (restype, argtypes) in signatures.items():
             fn = getattr(lib, function)
             fn.restype, fn.argtypes = restype, argtypes
+        lib.kernel_simd.restype = ctypes.c_int
+        lib.simd = lib.kernel_simd()
     except (OSError, AttributeError, subprocess.SubprocessError) as exc:
         # one line: the compiler's first message, or the error's own
         stderr = getattr(exc, "stderr", None) or b""

@@ -36,7 +36,7 @@
    ritz_vectors(...) gives the eigenvectors by inverse iteration, O(n)
    per value, and emits from each what the caller needs of it; impulse(...)
    sums the modes' kernel terms.  Their comments state the arguments.
-   ritz_simd() is 1 when this CPU runs the AVX2 path.
+   kernel_simd() is 1 when this CPU runs the AVX2 path.
 
    The per-value stages run on nt OpenMP threads: the steps of one polish
    sweep (each from the values before the sweep) and the vectors of the
@@ -48,7 +48,7 @@
    lane stages.  These are written once, on GCC vector types of W lanes,
    in the section at the end of this file, which is compiled twice: with
    W = 4 under target("avx2"), the AVX2 path that simd chooses
-   (ritz_simd()), and with W = 2 on the baseline path.  LANES / W
+   (kernel_simd()), and with W = 2 on the baseline path.  LANES / W
    independent recurrences hide each other's latency, and the pivot and
    j == i branches are selects on comparison masks.  Each lane is its
    value's own operations, the same as alone: mul() with no product and
@@ -285,7 +285,7 @@ static int aberth(int nt, int simd, int n, const cplx *alpha,
     }
 }
 
-int ritz_simd(void)
+int kernel_simd(void)
 {
 #ifdef HAVE_AVX2
     __builtin_cpu_init();
@@ -512,7 +512,7 @@ static void run_block(const struct invit *a, int b, double *partial,
    probe[p n + i] = rows_p . s_i (np rows of n, rows[p n + k]), and the
    sums hs = sum_i s_i theta_i c_i (= S diag(theta) S^T e_1) in sums[0 ..
    n - 1] and ss = sum_i s_i c_i (= S S^T e_1) in sums[n .. 2 n - 1].
-   simd chooses the lanes' path (ritz_simd()).
+   simd chooses the lanes' path (kernel_simd()).
 
    prev[i] is the member of value i's cluster computed just before it,
    or -1, and next[i] the one just after it, or -1 (prev[i] < i <

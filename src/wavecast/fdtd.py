@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _native, krylov
+from . import _native
 from .errors import InvalidParameterError
 from .grid import build_grid2d
 from .operator import MediumMap
@@ -168,23 +168,19 @@ def _source_kicks(yee, signature, amplitude):
 def _fdtd_kernel():
     """The compiled march (_fdtd.c), with `simd` (the CPU runs its AVX2
     step) set on the library."""
-    c_int, c_long, c_double = ctypes.c_int, ctypes.c_long, ctypes.c_double
-    ptr = ctypes.c_void_p
-    kernel = _native.load("_fdtd.c", {
-        "fdtd_simd": (c_int, []),
-        "fdtd_march": (c_int, [c_int, c_int, c_int, c_double, *[ptr] * 9,
-                               c_long, ptr, c_int, ptr, ptr, c_long, ptr,
-                               c_int]),
+    c_int, c_long, real = ctypes.c_int, ctypes.c_long, _native.REAL
+    return _native.load("_fdtd.c", {
+        "fdtd_march": (c_int, [c_int, c_int, c_int, ctypes.c_double,
+                               *[real] * 9, c_long, real, c_int,
+                               _native.LONGS, real, c_long, real, c_int]),
     })
-    kernel.simd = kernel.fdtd_simd()
-    return kernel
 
 
 def _march_blocks(alone):
     """Row blocks of the next chunk of the march: one until the
     threading.Event alone is set (the route beside the march holds the
     other CPUs), then, or with alone None, every usable CPU."""
-    return krylov._usable_cpus() if alone is None or alone.is_set() else 1
+    return _native._usable_cpus() if alone is None or alone.is_set() else 1
 
 
 def run_fdtd(
@@ -232,8 +228,7 @@ def run_fdtd(
     probe_flats = np.array([i * nn + j for i, j in yee.probes],
                            dtype=ctypes.c_long)
     inv_eps = 1.0 / yee.eps
-    arrays = [a.ctypes.data for a in (yee.ca, yee.cb, yee.da, yee.db,
-                                      inv_eps, ezx, ezy, hx, hy)]
+    arrays = (yee.ca, yee.cb, yee.da, yee.db, inv_eps, ezx, ezy, hx, hy)
     blocks = 1
     for start in range(0, n_steps, _CHUNK_STEPS):
         if cancel is not None and cancel.is_set():
@@ -242,11 +237,9 @@ def run_fdtd(
         blocks = min(_march_blocks(alone), nn)
         work = np.empty(2 * nn * blocks)  # two row buffers per block
         kernel.fdtd_march(
-            blocks, nn, count, yee.delta, *arrays, src,
-            kicks.ctypes.data + kicks.itemsize * start,
-            probe_flats.size, probe_flats.ctypes.data,
-            traces.ctypes.data + traces.itemsize * (start + 1),
-            n_steps + 1, work.ctypes.data, kernel.simd)
+            blocks, nn, count, yee.delta, *arrays, src, kicks[start:],
+            probe_flats.size, probe_flats, traces.reshape(-1)[start + 1:],
+            n_steps + 1, work, kernel.simd)
 
     times = np.arange(n_steps + 1) * yee.dt
     return FdtdResult(

@@ -86,8 +86,9 @@ bits are the complex form's.  The kernel adds up the row partials by
 np.sum's pairwise rule and forms alpha_i and the previous vector's
 coefficient by numpy's complex division and product, so a step's
 numbers are those of the numpy loop it replaced, bit for bit.  ||b||,
-and so zeta_1, comes from the same row rule, on b scaled by a power of
-two (exact, so any finite b has a norm).  So the run is bitwise
+and so zeta_1, is taken by numpy in bilanczos by phase B's row rule
+(np.cumsum along each row, np.sum over the rows), on b scaled by a
+power of two (exact, so any finite b has a norm).  So the run is bitwise
 identical for every block count, even one that changes between steps,
 on the kernel's SIMD and scalar paths, and for any BLAS thread count:
 no reduction of the recursion, the eigensolve or the impulse goes
@@ -95,9 +96,9 @@ through the BLAS.  The happy-breakdown test takes max |aw| only on the
 rare steps where zeta_{i+1} is below _HAPPY_TOL of its bound
 zeta_{i+1} + |alpha_i| + |c| on ||aw||.
 
-Both kernels are compiled with gcc on first use (never at import) and
-cached in this package's __pycache__ (see _native); gcc is required,
-and a kernel that cannot be built or loaded is a ConfigurationError.
+Both kernels are built, loaded and called as _native sets out; gcc is
+required, and a kernel that cannot be built or loaded is a
+ConfigurationError.
 
 bilanczos runs the recursion once, from b.  A collapse of the bilinear
 form at iteration i > 2 ends the run there and hands back its first
@@ -109,7 +110,6 @@ the one run.
 import ctypes
 import dataclasses
 import functools
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -188,13 +188,6 @@ _HAPPY_TOL = 1e-14
 _DRIFT_EVERY = 500
 
 
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
 def _thread_count(ref_job=None, n=None):
     """Threads of a compiled stage: every usable CPU, one fewer while
     ref_job (the reference route beside it, a Future, or None) is not
@@ -203,7 +196,8 @@ def _thread_count(ref_job=None, n=None):
     n // _ROWS_PER_WORKER; at least one.  The recursion runs before the
     reference starts (harness.run_study), so only the eigensolve's
     stages and the impulse pass a ref_job."""
-    cpus = _usable_cpus() - (ref_job is not None and not ref_job.done())
+    beside = ref_job is not None and not ref_job.done()
+    cpus = _native._usable_cpus() - beside
     if n is not None:
         cpus = min(cpus, n // _ROWS_PER_WORKER)
     return max(1, cpus)
@@ -213,21 +207,18 @@ def _thread_count(ref_job=None, n=None):
 def _lanczos_kernel():
     """The compiled recursion (_lanczos.c), with `simd` (the CPU runs its
     AVX2/FMA path) set on the library."""
-    c_int, c_long, c_double = ctypes.c_int, ctypes.c_long, ctypes.c_double
-    ptr = ctypes.c_void_p
-    kernel = _native.load("_lanczos.c", {
-        "lanczos_simd": (c_int, []),
-        "lanczos_phase_a": (c_int, [c_int, c_double, c_int, c_int, c_int,
-                                    *[ptr] * 10]),
-        "lanczos_phase_b": (c_int, [c_int, c_int, c_int, c_int, c_int,
-                                    *[ptr] * 5]),
-        "lanczos_run": (c_int, [c_int, c_int, c_int, c_int, c_int,
-                                *[ptr] * 13, c_int, *[ptr] * 5]),
-        "lanczos_sum": (None, [c_long, c_int, ptr, ptr]),
-        "lanczos_div": (None, [c_long, ptr, ptr, ptr]),
+    c_int, c_long = ctypes.c_int, ctypes.c_long
+    real, cplx = _native.REAL, _native.CPLX
+    return _native.load("_lanczos.c", {
+        # r0, r1, the stencil factors, inv_c and m_diag (planar), then
+        # real, aw, dots, norms and state; np, then probes, alpha, zeta,
+        # delta and probe_rows
+        "lanczos_run": (c_int, [*[c_int] * 5, *[real] * 8, _native.INTS,
+                                real, cplx, real, real, c_int, _native.LONGS,
+                                cplx, real, cplx, real]),
+        "lanczos_sum": (None, [c_long, c_int, real, real]),
+        "lanczos_div": (None, [c_long, cplx, cplx, cplx]),
     })
-    kernel.simd = kernel.lanczos_simd()
-    return kernel
 
 
 # lanczos_run's early endings (0: the chunk ran to its last step): the
@@ -352,17 +343,14 @@ def bilanczos(op, b, m, probe_indices):
         raise InvalidParameterError("start vector is zero")
     b_exp = int(np.frexp(big)[1])
     np.ldexp(r, -b_exp, out=r)
+    # ||r|| by phase B's rule: each row adds its |r_j|^2 in element order,
+    # and np.sum adds the rows
+    sq = (r[0] * r[0] + r[1] * r[1]).reshape(wx, wy)
+    norm_r = float(np.sqrt(np.sum(np.cumsum(sq, axis=1)[:, -1])))
     r_prev = np.zeros((2, n))
     aw = np.empty((2, n))
     dots = np.empty((2, wx), dtype=complex)  # row partials of d_i, a_i d_i
     norms = np.empty(wx)  # row partials of ||r_{i+1}||^2
-
-    # ||r|| by the phase B rule: with alpha = 0 and s = 1, it leaves r
-    coef = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-    p_r, p_norms = r.ctypes.data, norms.ctypes.data
-    kernel.lanczos_phase_b(n_blocks, False, kernel.simd, wx, wy, p_r, p_r,
-                           p_r, coef.ctypes.data, p_norms)
-    norm_r = float(np.sqrt(norms.sum()))
     # the state lanczos_run carries from chunk to chunk: the scales s_i
     # and s_{i-1} (w_i = r_i s_i), zeta_i (zeta_1 = ||b||), delta_{i-1}
     # (re, im), the steps done, and the two limits
@@ -370,10 +358,8 @@ def bilanczos(op, b, m, probe_indices):
                       1.0, 0.0, 0.0, _BREAKDOWN_TOL * m_scale, _HAPPY_TOL])
     # lanczos_run's arguments after the thread count and the chunk's last
     # step; step i reads r_i from buffer (i - 1) % 2 (r, then r_prev)
-    consts = _step_operands(op)  # kept alive while the kernel reads them
-    args = (kernel.simd, wx, wy, *(a.ctypes.data for a in (
-        r, r_prev, *consts, aw, dots, norms, state)), probes.size,
-        *(a.ctypes.data for a in (probes, alpha, zeta, delta, probe_rows)))
+    args = (kernel.simd, wx, wy, r, r_prev, *_step_operands(op), aw, dots,
+            norms, state, probes.size, probes, alpha, zeta, delta, probe_rows)
 
     # w_1 = r * s_1, component by component as the kernel forms it
     m_w_first = m_diag * _complex(r * state[0])  # for the drift samples
@@ -503,12 +489,9 @@ def _ritz_kernel():
     ritz_polish, ritz_vectors and impulse set up, and `simd` set on it:
     1 when the CPU runs the AVX2 path of the lanes' one source, 0 for
     its baseline path."""
-    cplx = np.ctypeslib.ndpointer(np.complex128, flags="C_CONTIGUOUS")
-    real = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    ints = np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS")
+    cplx, real, ints = _native.CPLX, _native.REAL, _native.INTS
     c_int, c_double = ctypes.c_int, ctypes.c_double
-    kernel = _native.load("_ritz.c", {
-        "ritz_simd": (c_int, []),
+    return _native.load("_ritz.c", {
         "ritz_ql": (c_int, [c_int, cplx, cplx, cplx, cplx]),
         "ritz_polish": (c_int, [c_int, c_int, c_int, cplx, cplx, cplx, cplx,
                                 ints]),
@@ -518,8 +501,6 @@ def _ritz_kernel():
         "impulse": (None, [c_int, c_int, c_int, cplx, cplx, cplx, c_int,
                            real, real]),
     })
-    kernel.simd = kernel.ritz_simd()
-    return kernel
 
 
 def _ldexp(z, k):
@@ -749,6 +730,8 @@ def evaluate_impulse(modes, times, ref_job=None):
     steps = np.diff(times)
     if steps.size and not np.ptp(steps) <= _GRID_TOL * times.max():
         raise InvalidParameterError("times must be one uniform grid")
+    if not np.isfinite(times).all():
+        raise InvalidParameterError("times must be finite")
     dt = (times[-1] - times[0]) / max(steps.size, 1)
     sq = _sqrt_from_above(modes.theta,
                           _CUT_TOL * np.abs(modes.theta).max(initial=0.0))
@@ -795,8 +778,8 @@ def convolve_source(impulse, q_samples, dt, omega_max=None):
         raise InvalidParameterError(
             "source history must match the impulse sample count"
         )
-    if dt <= 0.0:
-        raise InvalidParameterError("dt must be positive")
+    if not 0.0 < dt < np.inf:
+        raise InvalidParameterError("dt must be positive and finite")
     if omega_max is not None:
         dt_max = 2.0 * np.pi / (MIN_SAMPLES_PER_PERIOD * omega_max)
         if dt > dt_max:

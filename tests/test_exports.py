@@ -5,11 +5,14 @@ correctness oracle, and a parameter default that no caller of the
 package overrides is a constant.  The checks read the package's AST and
 match by name, without types: a definition whose name the package also
 loads for something else (a local variable, a numpy function) passes
-unseen.  The oracles and the diagnostic parameters that only tests set
-are listed here with the reason each one stays.
+unseen.  The C kernels' exported functions are held to the same rule
+through their _native.load signatures.  The oracles, the kernels' test
+seams and the diagnostic parameters that only tests set are listed here
+with the reason each one stays.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import wavecast
@@ -33,6 +36,18 @@ ORACLES = {
                           "move to tests/support.py once the bench counts "
                           "nnz from the stencil factors",
 }
+
+# exported by a C kernel, bound by its loader, and called only by tests
+SEAMS = {
+    "lanczos_sum": "the recursion's pairwise sum of the row partials, "
+                   "which lanczos_run shows only under a square root: "
+                   "test_kernel_sums_as_np_sum checks it against np.sum",
+    "lanczos_div": "the recursion's complex division: "
+                   "test_kernel_divides_as_numpy checks it against numpy",
+}
+# the path probe that every kernel source defines and _native.load binds
+# and calls itself
+PROBE = "kernel_simd"
 
 # parameters with a default that no call in the package sets, and the
 # tests that set them
@@ -180,3 +195,44 @@ def test_oracles_and_diagnostics_are_current():
     assert set(ORACLES) <= set(defined)
     assert not [q for q in ORACLES if _used(defined[q].name, defined[q])]
     assert set(DIAGNOSTICS) <= _unset_defaults()
+
+
+def _c_exports(source):
+    """Names of the functions a C source defines with external linkage:
+    a definition at column 0 whose return type is a plain C type (the
+    package's static functions all start with static or a macro)."""
+    text = re.sub(r"/\*.*?\*/", "", source, flags=re.S)
+    return set(re.findall(r"^(?:int|void|double|long)\b[\s*]*(\w+)\s*\(",
+                          text, flags=re.M))
+
+
+def _load_signatures():
+    """source name -> the function names of its _native.load signatures."""
+    out = {}
+    for tree in MODULES:
+        for call in ast.walk(tree):
+            if (isinstance(call, ast.Call)
+                    and ast.unparse(call.func) == "_native.load"):
+                name, signatures = call.args
+                out[name.value] = {k.value for k in signatures.keys}
+    return out
+
+
+def test_kernel_exports_are_bound_and_used():
+    # each function a kernel exports is bound by its loader and called by
+    # the package, or is the probe _native.load binds and calls, or is a
+    # listed seam
+    bound = _load_signatures()
+    sources = {path.name: _c_exports(path.read_text())
+               for path in sorted(PACKAGE.glob("*.c"))}
+    assert set(bound) == set(sources)
+    unbound = {f"{name}:{f}" for name, exports in sources.items()
+               for f in exports - bound[name] - {PROBE}}
+    unused = {f"{name}:{f}" for name, exports in sources.items()
+              for f in exports - set(SEAMS) - {PROBE} if not _used(f)}
+    assert not unbound, f"exported but not bound: {sorted(unbound)}"
+    assert not unused, f"exported but only tests call them: {sorted(unused)}"
+    assert not [f for f in SEAMS if _used(f)]
+    native = ast.parse((PACKAGE / "_native.py").read_text())
+    assert PROBE in {name for name, _ in _loads(native)}
+    assert all(PROBE in exports for exports in sources.values())

@@ -15,6 +15,7 @@ import pytest
 import wavecast.fdtd
 import wavecast.harness
 import wavecast.krylov as krylov
+from wavecast import _native
 from wavecast.errors import BreakdownError, ConfigurationError, PrecisionError
 from wavecast.harness import ComparisonReport, _csv_units, _git_hash, run_study
 from wavecast.krylov import bilanczos
@@ -222,7 +223,7 @@ def test_fdtd_reference_holds_a_cpu(monkeypatch, reference, ends, threads):
     # evaluated, then on every CPU.  The reference is held until the
     # eigensolve returns and the harness sets alone, or it ends before
     # the eigensolve starts
-    monkeypatch.setattr(krylov, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(_native, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(krylov, "_ROWS_PER_WORKER", 1)
     jobs, release = [], threading.Event()
 

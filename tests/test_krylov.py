@@ -659,7 +659,7 @@ def _ritz_runs(h, rows, theta=None):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel, "simd", simd)
             for threads in (1, 2, 3):
-                mp.setattr(krylov, "_usable_cpus", lambda: threads)
+                mp.setattr(_native, "_usable_cpus", lambda: threads)
                 values = krylov._ritz_values(h) if theta is None else theta
                 runs.append((values, *krylov._ritz_vectors(h, values, rows,
                                                            threads)))
@@ -779,7 +779,7 @@ def test_eigensolve_is_bitwise_the_same_on_any_thread_count(ring1650,
     dec = dec.truncate(m)
     runs = []
     for threads in (1, 2, 3):
-        monkeypatch.setattr(krylov, "_usable_cpus", lambda: threads)
+        monkeypatch.setattr(_native, "_usable_cpus", lambda: threads)
         runs.append(eigen_tridiag(dec))
     h = krylov._h_scale(*_symmetrized(dec)[:2])
     chained = krylov._close_groups(krylov._ritz_values(h),
@@ -901,7 +901,7 @@ def test_impulse_is_the_same_on_any_thread_count():
     runs = []
     for threads in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(krylov, "_usable_cpus", lambda: threads)
+            mp.setattr(_native, "_usable_cpus", lambda: threads)
             runs.append(evaluate_impulse(modes, t))
     assert np.abs(runs[0] - want).max() <= 1e-13 * np.abs(want).max()
     for got in runs[1:]:
@@ -925,7 +925,7 @@ def test_impulse_recurrence_matches_direct_sum(desk1650):
     runs = []
     for threads in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(krylov, "_usable_cpus", lambda: threads)
+            mp.setattr(_native, "_usable_cpus", lambda: threads)
             runs.append(evaluate_impulse(modes, times))
     assert np.abs(runs[0] - want).max() <= 3e-13 * np.abs(want).max()
     q, dt = sc.signature()(times), times[1] - times[0]
@@ -955,6 +955,12 @@ def test_evaluate_rejects_negative_times():
     modes = _one_mode(-4.0 + 0.4j)
     with pytest.raises(InvalidParameterError):
         evaluate_impulse(modes, np.array([-0.1, 0.5]))
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_evaluate_rejects_nonfinite_times(t):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        evaluate_impulse(_one_mode(-4.0 + 0.4j), np.array([t]))
 
 
 def test_convolution_against_direct_quadrature():
@@ -996,6 +1002,13 @@ def test_convolution_endpoint_weights():
     ones = np.ones(n)
     got = convolve_source(ones, ones, dt)
     assert np.allclose(got[0], np.arange(n) * dt, atol=1e-13)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, np.nan, np.inf])
+def test_convolution_rejects_a_bad_step(dt):
+    sig = np.ones(32)
+    with pytest.raises(InvalidParameterError, match="dt must be positive"):
+        convolve_source(sig, sig, dt)
 
 
 def test_convolution_sampling_guard():

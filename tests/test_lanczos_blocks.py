@@ -32,6 +32,7 @@ import pytest
 import wavecast.fdtd as fdtd
 import wavecast.harness as harness
 import wavecast.krylov as krylov
+from wavecast import _native
 from wavecast.cli import main
 from wavecast.errors import BreakdownError
 from wavecast.grid import build_grid2d
@@ -166,7 +167,7 @@ def force_blocks(monkeypatch):
 
     def force(n_blocks):
         monkeypatch.setattr(krylov, "_ROWS_PER_WORKER", 1)
-        monkeypatch.setattr(krylov, "_usable_cpus", lambda: n_blocks)
+        monkeypatch.setattr(_native, "_usable_cpus", lambda: n_blocks)
         monkeypatch.setattr(krylov, "_thread_count", spy)
         return used
 
@@ -194,7 +195,7 @@ def desk(request):
                               drift_every=50)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(krylov, "_DRIFT_EVERY", 50)
-        mp.setattr(krylov, "_usable_cpus", lambda: 1)
+        mp.setattr(_native, "_usable_cpus", lambda: 1)
         base = bilanczos(asm.op, asm.b, 300, asm.probe_flats)
     return asm, ref, base
 
@@ -289,32 +290,56 @@ def test_happy_breakdown_with_blocks(n_blocks, force_blocks):
         assert_near_oracle(got, want)
 
 
-def _phase_a(op, r, scale, n_blocks, simd):
-    """A w and the row partials (2, wx) of w^T M w and w^T M A w from the
-    compiled phase A on w = r * scale."""
+def _one_step(op, r0, r1, state, n_blocks, simd):
+    """One lanczos_run step, the one after state's count, on the planar
+    buffers r0 and r1 (in place): its code, A w (complex), the row
+    partials (2, wx) of phase A and of phase B, and the step's alpha and
+    delta."""
     wx, wy = op.inv_c.shape
     aw = np.empty((2, op.n))
     dots = np.empty((2, wx), dtype=complex)
-    arrays = [krylov._planar(r, (op.n,)), *krylov._step_operands(op), aw,
-              dots]
-    krylov._lanczos_kernel().lanczos_phase_a(
-        n_blocks, scale, simd, wx, wy, *[a.ctypes.data for a in arrays])
-    return krylov._complex(aw), dots
-
-
-def _phase_b(op, aw, r, s, alpha, c, r_prev, s_prev, n_blocks, simd):
-    """aw - alpha (r s) - c (r_prev s_prev) (no c term when r_prev is
-    None) and its row partials of ||.||^2 from the compiled phase B."""
-    wx, wy = op.inv_c.shape
-    out = krylov._planar(r if r_prev is None else r_prev, (op.n,))
     norms = np.empty(wx)
-    coef = np.array([alpha.real, alpha.imag, c.real, c.imag, s, s_prev])
-    arrays = [krylov._planar(aw, (op.n,)), krylov._planar(r, (op.n,)), out,
-              coef, norms]
-    krylov._lanczos_kernel().lanczos_phase_b(
-        n_blocks, r_prev is not None, simd, wx, wy,
-        *[a.ctypes.data for a in arrays])
-    return krylov._complex(out), norms
+    last = int(state[5]) + 1
+    alpha, delta = np.zeros((2, last), dtype=complex)
+    code = krylov._lanczos_kernel().lanczos_run(
+        n_blocks, last, simd, wx, wy, r0, r1, *krylov._step_operands(op), aw,
+        dots, norms, state, 1, np.zeros(1, dtype=np.intp), alpha,
+        np.empty(last), delta, np.empty((last, 2, 1)))
+    return code, krylov._complex(aw), dots, norms, alpha[-1], delta[-1]
+
+
+def _phase_a(op, r, scale, n_blocks, simd):
+    """A w and the row partials (2, wx) of w^T M w and w^T M A w from the
+    compiled phase A on w = r * scale: step 1, which a breakdown limit of
+    inf ends right after phase A."""
+    state = np.array([scale, 0.0, 1.0, 1.0, 0.0, 0.0, np.inf, 0.0])
+    code, aw, dots, *_ = _one_step(op, krylov._planar(r, (op.n,)),
+                                   np.zeros((2, op.n)), state, n_blocks, simd)
+    assert code == krylov._RUN_BREAKDOWN
+    return aw, dots
+
+
+def _phase_b(op, r, s, r_prev, s_prev, zeta, delta_prev, n_blocks, simd):
+    """The compiled phase B on w = r s and w_prev = r_prev s_prev, with
+    both limits 0 so that the step runs to its end: step 2 from zeta and
+    delta_prev, or step 1 (no w_prev term) when r_prev is None.  Returns
+    the update aw - alpha w - c w_prev, its row partials of ||.||^2, and
+    the step's aw, alpha and c = (delta / delta_prev) (zeta + 0i), c
+    computed here by numpy's rules as the kernel computes it."""
+    r = krylov._planar(r, (op.n,))
+    if r_prev is None:
+        state = np.array([s, 0.0, zeta, 1.0, 0.0, 0.0, 0.0, 0.0])
+        bufs = (r, np.zeros_like(r))
+    else:
+        state = np.array([s, s_prev, zeta, delta_prev.real, delta_prev.imag,
+                          1.0, 0.0, 0.0])
+        bufs = (krylov._planar(r_prev, (op.n,)), r)
+    code, aw, _, norms, alpha, delta = _one_step(op, *bufs, state, n_blocks,
+                                                 simd)
+    assert code == 0  # the step ran to its end
+    c = 0j if r_prev is None else (delta / delta_prev) * np.complex128(zeta)
+    out = bufs[1] if r_prev is None else bufs[0]  # r_{i+1} over r_{i-1}
+    return krylov._complex(out), norms, aw, alpha, c
 
 
 # interior counts whose grids (k = 2, wy = n_int + 3) leave phase A's SIMD
@@ -432,7 +457,8 @@ def test_products_are_exactly_fused():
     for tail, op in _rule_operators():
         wy = op.inv_c.shape[1]
         r, r_prev = rng.uniform(-1.0, 1.0, (2, 2 * op.n)).view(complex)
-        alpha, c = rng.uniform(-1.0, 1.0, 4).view(complex)
+        zeta = rng.uniform(0.5, 1.0)
+        delta_prev = rng.uniform(-1.0, 1.0, 2).view(complex)[0]
         w, w_prev = r * 0.37, r_prev * 0.61
         dot_bound, norm_bound = _gamma(wy + 5), _gamma(wy + 2)
 
@@ -467,8 +493,10 @@ def test_products_are_exactly_fused():
                     check_dot(dots[0, ix], w_row, m, w_row)
                     check_dot(dots[1, ix], w_row, m, aw_row)
                 for prev in (None, r_prev):
-                    got, norms = _phase_b(op, aw, r, 0.37, alpha, c, prev,
-                                          0.61, n_blocks, simd)
+                    got, norms, aw_b, alpha, c = _phase_b(
+                        op, r, 0.37, prev, 0.61, zeta, delta_prev, n_blocks,
+                        simd)
+                    assert np.array_equal(aw_b, aw)
                     want = aw - [_exact_fused(alpha, x) for x in w]
                     if prev is not None:
                         want -= [_exact_fused(c, x) for x in w_prev]
@@ -512,6 +540,34 @@ def test_stencil_product_follows_its_rule():
             for n_blocks in (1, 3):
                 aw, _ = _phase_a(op, r, scale, n_blocks, simd)
                 assert np.array_equal(aw, want), (tail, simd, n_blocks)
+
+
+def test_start_norm_follows_its_rule():
+    # zeta_1 = ||b||, on every SIMD tail length and a desk preset, for
+    # dense b with signed zeros over 1e+-3: on r = b 2^-e (the largest
+    # component in [0.5, 1)) each grid row adds its rr rr + ri ri from
+    # +0.0 in element order, np.sum adds the rows, and the root is
+    # scaled back by 2^e
+    rng = np.random.default_rng(43)
+    ops = [op for _, op in _tail_operators()]
+    ops.append(_prepare(get_scenario("ring-desk")).op)
+    for op in ops:
+        wy = op.inv_c.shape[1]
+        parts = rng.standard_normal(2 * op.n) * 10.0 ** rng.uniform(
+            -3, 3, 2 * op.n)
+        parts[rng.random(2 * op.n) < 0.1] = 0.0
+        parts[rng.random(2 * op.n) < 0.1] = -0.0
+        e = int(np.frexp(np.abs(parts).max())[1])
+        r = np.ldexp(parts, -e).view(complex).tolist()
+        rows = []
+        for k in range(0, op.n, wy):
+            s = 0.0
+            for x in r[k:k + wy]:
+                s += x.real * x.real + x.imag * x.imag
+            rows.append(s)
+        want = float(np.ldexp(np.sqrt(np.sum(rows)), e))
+        got = bilanczos(op, parts.view(complex), 1, [0]).zeta[0]
+        assert _bits(got) == _bits(want), op.n
 
 
 @pytest.mark.parametrize("name", ["homogeneous-desk", "ring-desk",
@@ -662,7 +718,7 @@ def _kernel_sum(a):
     a = np.ascontiguousarray(a)
     out = np.empty(2)
     krylov._lanczos_kernel().lanczos_sum(a.size, a.dtype == complex,
-                                         a.ctypes.data, out.ctypes.data)
+                                         a.view(float), out)
     return complex(*out) if a.dtype == complex else out[0]
 
 
@@ -703,8 +759,7 @@ def test_kernel_divides_as_numpy():
     b.real[:k // 20], b.real[k // 20:k // 10] = 0.0, -0.0
     b.imag[k // 10:3 * k // 20], b.imag[3 * k // 20:k // 5] = 0.0, -0.0
     got = np.empty(k, dtype=complex)
-    krylov._lanczos_kernel().lanczos_div(k, a.ctypes.data, b.ctypes.data,
-                                         got.ctypes.data)
+    krylov._lanczos_kernel().lanczos_div(k, a, b, got)
     want = np.array([x / y for x, y in zip(a, b)])
     assert _bits(got) == _bits(want)
 
@@ -723,7 +778,7 @@ def test_block_count_rule(monkeypatch):
     beside, alone = threading.Event(), threading.Event()
     alone.set()
     assert rows == 500
-    monkeypatch.setattr(krylov, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_native, "_usable_cpus", lambda: 2)
     assert count(n=18_225) == 2  # ring-desk
     assert count(n=2 * rows - 1) == 1
     assert count(n=2 * rows) == 2
@@ -732,12 +787,12 @@ def test_block_count_rule(monkeypatch):
         assert count(job) == 2  # the eigensolve
     assert count(running) == 1  # beside the reference
     assert (march(beside), march(alone), march(None)) == (1, 2, 2)
-    monkeypatch.setattr(krylov, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(_native, "_usable_cpus", lambda: 3)
     assert count(n=229_441) == 3
     assert count(n=2 * rows) == 2
     assert count(running) == 2
     assert (march(beside), march(alone), march(None)) == (1, 3, 3)
-    monkeypatch.setattr(krylov, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(_native, "_usable_cpus", lambda: 1)
     assert count(n=229_441) == 1
     for job in (None, finished, running):
         assert count(job) == 1
@@ -767,7 +822,7 @@ def test_recursion_runs_alone(desk, force_blocks, monkeypatch, request):
     asm, _, _ = desk
     used = force_blocks(1)
     one = bilanczos(asm.op, asm.b, 300, asm.probe_flats)
-    monkeypatch.setattr(krylov, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(_native, "_usable_cpus", lambda: 3)
     got, report = _run_alone(monkeypatch, request.node.callspec.params["desk"],
                              300)
     assert used[:2] == [1, 3]  # one call per run
@@ -777,19 +832,17 @@ def test_recursion_runs_alone(desk, force_blocks, monkeypatch, request):
 
 
 def test_recursion_runs_in_chunks(desk, monkeypatch):
-    # one kernel call runs the steps up to each drift sample, past
-    # ||b||'s call
+    # one kernel call runs the steps up to each drift sample
     asm, _, base = desk
     kernel = krylov._lanczos_kernel()
     calls = []
-    for name in ("lanczos_phase_a", "lanczos_phase_b", "lanczos_run"):
-        real = getattr(kernel, name)
-        monkeypatch.setattr(kernel, name, lambda *a, real=real, name=name:
-                            calls.append(name) or real(*a))
+    real = kernel.lanczos_run
+    monkeypatch.setattr(kernel, "lanczos_run",
+                        lambda *a: calls.append(a[1]) or real(*a))
     monkeypatch.setattr(krylov, "_DRIFT_EVERY", 50)
-    monkeypatch.setattr(krylov, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(_native, "_usable_cpus", lambda: 1)
     assert_bitwise(bilanczos(asm.op, asm.b, 300, asm.probe_flats), base)
-    assert calls.count("lanczos_run") == len(calls) - 1 == 300 // 50
+    assert calls == list(range(50, 301, 50))
 
 
 # `wavecast run ring-desk --out DIR` in a fresh interpreter, which also
@@ -841,7 +894,7 @@ def test_run_is_independent_of_cpu_count(tmp_path, monkeypatch, name):
     # Krylov route ends mid-march
     runs = []
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(krylov, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_native, "_usable_cpus", lambda: cpus)
         out = tmp_path / str(cpus)
         assert main(["run", name, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
@@ -858,9 +911,9 @@ def test_paper_ring_recursion_runs_alone(monkeypatch):
     # recursion takes two row blocks by its size on two CPUs, before the
     # reference starts, with the bits of a one-thread run
     asm = _prepare(get_scenario("ring"))
-    monkeypatch.setattr(krylov, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(_native, "_usable_cpus", lambda: 1)
     one = bilanczos(asm.op, asm.b, 300, asm.probe_flats)
-    monkeypatch.setattr(krylov, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_native, "_usable_cpus", lambda: 2)
     got, _ = _run_alone(monkeypatch, "ring", 300)
     assert (one.threads, got.threads) == (1, 2)
     assert_bitwise(got, one)
