@@ -109,10 +109,15 @@ static cplx inv(cplx a)
 /* 1 / a for the QL, whose operands fall far below unit scale on a
    steeply graded H: where |a|^2 would underflow (both parts below
    2^-500), a is scaled by 2^600 first and the reciprocal by 2^600 after,
-   both exact; elsewhere it is bitwise inv(a) */
-static cplx inv_graded(cplx a)
+   both exact; elsewhere it is bitwise inv(a).  The test is two
+   comparisons, not fmax() of the two parts, and takes the same branch
+   for every input: max(x, y) >= t exactly when x >= t or y >= t, and a
+   NaN part compares false, as fmax() drops a NaN operand for the other
+   (two NaN parts take the scaled branch either way).  Forced inline,
+   the rotation's two reciprocals make no call. */
+static inline __attribute__((always_inline)) cplx inv_graded(cplx a)
 {
-    if (fmax(fabs(creal(a)), fabs(cimag(a))) >= 0x1p-500)
+    if (fabs(creal(a)) >= 0x1p-500 || fabs(cimag(a)) >= 0x1p-500)
         return inv(a);
     return inv(a * 0x1p600) * 0x1p600;
 }
@@ -827,27 +832,29 @@ TARGET static int PATH(gttrf)(int n, const cplx *alpha, const cplx *off,
         vc a1 = i + 1 < n ? vset1(alpha[i + 1]) : zero;
         vc du1 = i + 2 < n ? vset1(off[i + 1]) : zero;
         EACH_GROUP(h) {
-            vc di = dc[h], fin = di;
+            /* the pivot fin: dl where the lane swaps (never in the last
+               row, where dl is zero), else d; one reciprocal serves the
+               multiplier and the stored pivot */
+            vc di = dc[h];
+            vm p = vcabs1(di) < vcabs1(dli);
+            vc fin = vsel(p, dli, di), ifin = vinv(fin);
             if (i + 1 < n) {
                 vc d1 = vsub(a1, sg[h]), dui = duc[h];
-                vm p = vcabs1(di) < vcabs1(dli), z = vzero(di);
-                /* no swap: dl / d, d1 - (dl / d) du (nothing where d is
+                vm z = vzero(di);
+                /* no swap: f = dl / d, d1 - f du (nothing where d is
                    zero); a swap: f = d / dl, u - f d1 */
-                vc f_keep = vmul(dli, vinv(di));
-                vc d1_keep = vsel(z, d1, vsub(d1, vmul(f_keep, dui)));
-                vc f_swap = vmul(di, vinv(dli));
-                fin = vsel(p, dli, di);
-                vstore(dl, i, h, vsel(p, f_swap, vsel(z, dli, f_keep)));
+                vc f = vmul(vsel(p, di, dli), ifin);
+                vstore(dl, i, h, vsel(p, f, vsel(z, dli, f)));
                 vstore(du, i, h, vsel(p, d1, dui));
                 vstore(du2, i, h, vsel(p, du1, zero));
-                dc[h] = vsel(p, vsub(dui, vmul(f_swap, d1)), d1_keep);
-                duc[h] = vsel(p, vmul(du1, (vc){-f_swap.re, -f_swap.im}),
-                              du1);
+                dc[h] = vsel(p, vsub(dui, vmul(f, d1)),
+                             vsel(z, d1, vsub(d1, vmul(f, dui))));
+                duc[h] = vsel(p, vmul(du1, (vc){-f.re, -f.im}), du1);
                 memcpy(piv + LANES * i + W * h, &p, sizeof p);
             }
             vm z = vzero(fin);
             singular[h] |= z;
-            vstore(d, i, h, vsel(z, fin, vinv(fin)));
+            vstore(d, i, h, vsel(z, fin, ifin));
         }
     }
     int mask = 0;

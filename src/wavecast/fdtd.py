@@ -178,8 +178,8 @@ def _fdtd_kernel():
 
 def _march_blocks(alone):
     """Row blocks of the next chunk of the march: one until the
-    threading.Event alone is set (the route beside the march holds the
-    other CPUs), then, or with alone None, every usable CPU."""
+    threading.Event alone is set (the Krylov route beside the march runs
+    on every CPU), then, or with alone None, every usable CPU."""
     return _native._usable_cpus() if alone is None or alone.is_set() else 1
 
 

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .analytic import analytic_homogeneous
 from .errors import ConfigurationError, PrecisionError
 from .fdtd import _fdtd_kernel, run_fdtd, time_step
@@ -201,8 +202,8 @@ def _finite(wf, route):
     return wf
 
 
-def _trace_waveform(sc, modes, times, ref_job):
-    impulse = evaluate_impulse(modes, times, ref_job)
+def _trace_waveform(sc, modes, times):
+    impulse = evaluate_impulse(modes, times)
     q = sc.signature()(times)
     dt = times[1] - times[0]
     u = convolve_source(impulse, q, dt, omega_max=sc.omega_max)
@@ -283,7 +284,7 @@ def _metadata(sc, asm, decomp, m_requested, m, modes, ref_threads):
         "lanczos_threads": decomp.threads,
         "lanczos_drift": decomp.drift,
         "lanczos_real_share": (ix1 - ix0) * (iy1 - iy0) / asm.op.n,
-        "eig_threads": modes.threads,
+        "eig_threads": _native._usable_cpus(),
         "reference_threads": ref_threads,
         "recon_error": modes.recon_error,
         "modes_merged": modes.merged,
@@ -327,15 +328,16 @@ def run_study(sc, ms, out_dir=None):
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     timings = {"assemble_s": asm.seconds}
-    # the recursion runs alone on every core; the reference starts when
-    # it returns, on a worker thread beside the eigensolve (the kernels
-    # of both release the GIL), so the march fills the core that the
-    # serial QL leaves idle.  The eigensolve's stages and the impulse
-    # leave the reference its core while it runs (krylov._thread_count),
-    # and the march runs on one row block until the last trace is
-    # evaluated, which sets alone.  A Lanczos failure starts no
-    # reference; an interrupt sets cancel, and the march stops within a
-    # chunk of steps.
+    # the recursion runs alone on every core: a march beside it shares a
+    # core with one of its threads, which then holds up every step at its
+    # barriers.  The reference starts when it returns, on a worker thread
+    # beside the eigensolve (the kernels of both release the GIL), so the
+    # march fills the core that the serial QL leaves idle.  Only the
+    # march yields: it runs on one row block until the last trace is
+    # evaluated, which sets alone, while the eigensolve's stages and the
+    # impulse, with few barriers each, take every core.  A Lanczos
+    # failure starts no reference; an interrupt sets cancel, and the
+    # march stops within a chunk of steps.
     cancel, alone = threading.Event(), threading.Event()
     pool = ThreadPoolExecutor(max_workers=1)
     try:
@@ -356,10 +358,10 @@ def run_study(sc, ms, out_dir=None):
         try:
             for m in ms:
                 t_eig = time.perf_counter()
-                modes = eigen_tridiag(decomp.truncate(m), ref_job=ref_job)
+                modes = eigen_tridiag(decomp.truncate(m))
                 timings["eigensolve_s"] += time.perf_counter() - t_eig
                 traces[m] = _finite(
-                    _trace_waveform(sc, modes, times, ref_job), f"m = {m}")
+                    _trace_waveform(sc, modes, times), f"m = {m}")
         except Exception:
             if ref_job is not None:
                 # a run one stage after another meets a failed reference

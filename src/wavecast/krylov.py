@@ -48,10 +48,11 @@ path), and the impulse sum works in blocks of eight
 samples, stepping each mode's term from the block's first sample by
 exp(-sqrt(theta) dt); both give bitwise the same result for any thread
 count.  The QL is serial, each rotation written so that its two
-reciprocals run side by side.  One rule, _thread_count, sets the
-threads of the compiled stages, not the BLAS or OpenMP thread
-settings: the recursion applies it once per run, and the polish, the
-vectors and the impulse each when they start.
+reciprocals run side by side.  Every compiled stage runs on every
+usable CPU (_native._usable_cpus, not the BLAS or OpenMP thread
+settings), a recursion step on at most n // _ROWS_PER_WORKER row
+blocks; none depends on the reference route, which yields to them
+instead (fdtd._march_blocks).
 
 The recursion runs in a second C kernel (_lanczos.c), on preallocated
 vectors, a chunk of steps per GIL-free call, up to the next drift
@@ -188,21 +189,6 @@ _HAPPY_TOL = 1e-14
 _DRIFT_EVERY = 500
 
 
-def _thread_count(ref_job=None, n=None):
-    """Threads of a compiled stage: every usable CPU, one fewer while
-    ref_job (the reference route beside it, a Future, or None) is not
-    done, since a thread that shares its core holds up its stage at
-    every barrier; for a recursion step on n unknowns at most
-    n // _ROWS_PER_WORKER; at least one.  The recursion runs before the
-    reference starts (harness.run_study), so only the eigensolve's
-    stages and the impulse pass a ref_job."""
-    beside = ref_job is not None and not ref_job.done()
-    cpus = _native._usable_cpus() - beside
-    if n is not None:
-        cpus = min(cpus, n // _ROWS_PER_WORKER)
-    return max(1, cpus)
-
-
 @functools.cache
 def _lanczos_kernel():
     """The compiled recursion (_lanczos.c), with `simd` (the CPU runs its
@@ -301,11 +287,12 @@ def bilanczos(op, b, m, probe_indices):
     run asked for m = i - 2.  A collapse at i <= 2 leaves nothing and
     raises BreakdownError.
 
-    Each step runs the phases of the module docstring on
-    _thread_count(n=n) threads, with bitwise the same result for any
-    thread count.  The steps run in the kernel's chunks (lanczos_run), up
-    to each drift sample; an interrupt is seen when a chunk returns.  The
-    decomposition records the thread count.
+    Each step runs the phases of the module docstring on every usable
+    CPU, at most n // _ROWS_PER_WORKER threads and at least one, with
+    bitwise the same result for any thread count.  The steps run in the
+    kernel's chunks (lanczos_run), up to each drift sample; an interrupt
+    is seen when a chunk returns.  The decomposition records the thread
+    count.
     """
     if m < 1:
         raise InvalidParameterError(f"need m >= 1, got {m}")
@@ -323,7 +310,7 @@ def bilanczos(op, b, m, probe_indices):
     m_diag = np.asarray(op.m_diag, dtype=complex)
     m_scale = float(np.abs(m_diag).max())
     kernel = _lanczos_kernel()
-    n_blocks = _thread_count(n=n)
+    n_blocks = max(1, min(_native._usable_cpus(), n // _ROWS_PER_WORKER))
 
     alpha = np.empty(m, dtype=complex)
     zeta = np.empty(m, dtype=float)
@@ -454,9 +441,7 @@ class ModeSet:
 
     residues[p, i] = (W D^{-1/2} s_i)_p s_i[0] d_1^{1/2} (see
     eigen_tridiag), summed over the ghost copies of a mode.  merged
-    counts the ghost Ritz values folded into another mode and threads
-    the thread count of eigen_tridiag's inverse iteration (its last
-    per-value stage).
+    counts the ghost Ritz values folded into another mode.
     """
 
     theta: np.ndarray
@@ -464,7 +449,6 @@ class ModeSet:
     zeta1: float
     recon_error: float
     merged: int
-    threads: int
 
 
 def _close_groups(theta, tol):
@@ -539,19 +523,18 @@ def _norm(x):
     return float(np.sqrt(np.sum(x.real ** 2 + x.imag ** 2)))
 
 
-def _ritz_values(h, ref_job=None):
+def _ritz_values(h):
     """Eigenvalues of the scaled H (a _ScaledH), in its units, sorted by
     real, then imaginary part, from the compiled kernel: the serial QL,
-    then the polish on _thread_count(ref_job) threads, counted when the
-    QL returns.  Values that do not converge raise NearDefectiveError:
-    with the QL's exceptional shift, only a numerically defective H has
-    been seen to stop it."""
+    then the polish on every usable CPU.  Values that do not converge
+    raise NearDefectiveError: with the QL's exceptional shift, only a
+    numerically defective H has been seen to stop it."""
     theta = np.empty_like(h.alpha)
     work = np.empty_like(theta)
     kernel = _ritz_kernel()
     code = kernel.ritz_ql(theta.size, h.alpha, h.off, theta, work)
     if not code:
-        code = kernel.ritz_polish(_thread_count(ref_job), kernel.simd,
+        code = kernel.ritz_polish(_native._usable_cpus(), kernel.simd,
                                   theta.size, h.alpha, h.off, theta, work,
                                   np.empty(theta.size, dtype=np.intc))
     if code:
@@ -574,10 +557,10 @@ def _defective(quasi):
     )
 
 
-def _ritz_vectors(h, theta, rows, threads):
+def _ritz_vectors(h, theta, rows):
     """The eigenvectors s_i (scaled to s^T s = 1) of the scaled H (a
     _ScaledH) for its sorted Ritz values theta, streamed through the
-    compiled ritz_vectors kernel on `threads` threads (see
+    compiled ritz_vectors kernel on every usable CPU (see
     eigen_tridiag).  No vector is kept: returns (first, probe, hs, ss),
     first[i] = s_i[0], probe[p, i] = rows[p] . s_i, hs = S diag(theta)
     S^T e_1 and ss = S S^T e_1."""
@@ -602,9 +585,9 @@ def _ritz_vectors(h, theta, rows, threads):
     bad = np.empty(1, dtype=complex)
     kernel = _ritz_kernel()
     code = kernel.ritz_vectors(
-        threads, kernel.simd, m, h.alpha, h.off, theta, prev, nxt,
-        4.0 * np.finfo(float).eps * h.h_max, _INVIT_STEPS, _DEFECT_TOL,
-        rows.shape[0], rows, first, probe, sums, bad)
+        _native._usable_cpus(), kernel.simd, m, h.alpha, h.off, theta,
+        prev, nxt, 4.0 * np.finfo(float).eps * h.h_max, _INVIT_STEPS,
+        _DEFECT_TOL, rows.shape[0], rows, first, probe, sums, bad)
     if code == 1:
         raise _singular(_ldexp(bad, h.exp)[0])  # sigma in H's own units
     if code == 2:
@@ -629,7 +612,7 @@ def _merge_ghosts(theta, residues, tol):
     return theta[keep], residues[:, keep], int(theta.size - keep.sum())
 
 
-def eigen_tridiag(decomp, ref_job=None):
+def eigen_tridiag(decomp):
     """Diagonalize the projected tridiagonal for field evaluation.
 
     Works on the symmetrized H = D^{1/2} T D^{-1/2} (complex symmetric;
@@ -679,20 +662,18 @@ def eigen_tridiag(decomp, ref_job=None):
       (window measured at the constant).  The returned ModeSet has
       m - merged modes.
 
-    The polish sweeps and the inverse iteration each run on
-    _thread_count(ref_job) threads, counted when the stage starts, ref_job
-    being the reference route beside the eigensolve (None without one),
-    with bitwise the same result for any thread count; ModeSet.threads is
-    the inverse iteration's.  Everything is O(m^2) in time; memory
-    beyond O(m) is the kernel's block partials, 2 m values per 64
-    values (1.4 MB at m = 1 650).
+    The polish sweeps and the inverse iteration each run on every usable
+    CPU, with bitwise the same result for any thread count; the polish
+    joins its threads once per sweep, and the inverse iteration hands
+    out blocks of values dynamically and joins once.  Everything is
+    O(m^2) in time; memory beyond O(m) is the kernel's block partials,
+    2 m values per 64 values (1.4 MB at m = 1 650).
     """
     sqd = np.sqrt(decomp.delta)
     h = _h_scale(decomp.alpha, decomp.zeta[1:] * sqd[1:] / sqd[:-1])
-    theta = _ritz_values(h, ref_job)
-    threads = _thread_count(ref_job)
+    theta = _ritz_values(h)
     first, probe, hs, ss = _ritz_vectors(
-        h, theta, decomp.w_probe / sqd[None, :], threads)
+        h, theta, decomp.w_probe / sqd[None, :])
     hs[0] -= h.alpha[0]  # the residuals against H e_1 and e_1
     hs[1:2] -= h.off[:1]
     ss[0] -= 1.0
@@ -706,15 +687,15 @@ def eigen_tridiag(decomp, ref_job=None):
         theta, probe * (first * sqd[0]), _GHOST_TOL * h.h_max)
     return ModeSet(theta=_ldexp(theta, h.exp), residues=residues,
                    zeta1=float(decomp.zeta[0]), recon_error=recon,
-                   merged=merged, threads=threads)
+                   merged=merged)
 
 
-def evaluate_impulse(modes, times, ref_job=None):
+def evaluate_impulse(modes, times):
     """Impulse response at the probes for t >= 0, by the stable kernel
     exp(-sqrt(a) t)/sqrt(a): u_p(t_j) = zeta_1 Re sum_i g_{p,i}
     exp(-sqrt(theta_i) t_j), g = residues / sqrt(theta), summed by the
-    compiled impulse kernel on _thread_count(ref_job) threads (ref_job as
-    for eigen_tridiag), bitwise the same for any count, with no array
+    compiled impulse kernel in one static loop over blocks of samples on
+    every usable CPU, bitwise the same for any count, with no array
     beyond the trace.
 
     times must be one uniform grid (steps within _GRID_TOL * max t of
@@ -739,7 +720,7 @@ def evaluate_impulse(modes, times, ref_job=None):
     if g.ndim != 2 or g.shape[1] != sq.size:
         raise InvalidParameterError("residues must be (probes, modes)")
     u = np.empty((g.shape[0], times.size))
-    _ritz_kernel().impulse(_thread_count(ref_job), sq.size, g.shape[0],
+    _ritz_kernel().impulse(_native._usable_cpus(), sq.size, g.shape[0],
                            sq, np.exp(-sq * dt), g, times.size, times, u)
     return modes.zeta1 * u
 

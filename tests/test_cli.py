@@ -218,8 +218,7 @@ def test_fast_medium_gives_finite_artifacts(tmp_path):
 
 def test_nonfinite_trace_exits_3(mini_cfg, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(wavecast.harness, "evaluate_impulse",
-                        lambda modes, times, ref_job: np.full((1, times.size),
-                                                              np.nan))
+                        lambda modes, times: np.full((1, times.size), np.nan))
     out = tmp_path / "x"
     assert main(["run", str(mini_cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err

@@ -209,23 +209,29 @@ def test_breakdown_retreat(monkeypatch):
 
 
 @pytest.mark.parametrize("reference, ends, threads", [
-    pytest.param("fdtd", "after-eigensolve", (4, 3, 4), id="fdtd-3"),
-    pytest.param("fdtd", "before-eigensolve", (4, 4, 1), id="fdtd-3-done"),
+    pytest.param("fdtd", "after-eigensolve", (4, 4, 4), id="fdtd-4"),
+    pytest.param("fdtd", "before-eigensolve", (4, 4, 1), id="fdtd-4-done"),
     pytest.param("analytic", "before-eigensolve", (4, 4, None),
                  id="analytic-4"),
     pytest.param("none", None, (4, 4, None), id="none-4"),
 ])
 def test_fdtd_reference_holds_a_cpu(monkeypatch, reference, ends, threads):
     # (lanczos_threads, eig_threads, reference_threads): the recursion
-    # runs alone on every CPU.  A reference that runs beside the
-    # eigensolve takes one CPU from its stages and gives it back once
-    # done, and the march runs on one row block until the last trace is
-    # evaluated, then on every CPU.  The reference is held until the
-    # eigensolve returns and the harness sets alone, or it ends before
-    # the eigensolve starts
+    # runs alone on every CPU, and so do the polish, the inverse
+    # iteration and the impulse, whether a reference runs beside them or
+    # not.  Only the march yields: it runs on one row block until the
+    # last trace is evaluated, then on every CPU.  The reference is held
+    # until the eigensolve returns and the harness sets alone, or it ends
+    # before the eigensolve starts
     monkeypatch.setattr(_native, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(krylov, "_ROWS_PER_WORKER", 1)
     jobs, release = [], threading.Event()
+    stages, ritz = [], krylov._ritz_kernel()
+    for name in ("ritz_polish", "ritz_vectors", "impulse"):
+        def spy(nt, *args, run=getattr(ritz, name)):
+            stages.append(nt)
+            return run(nt, *args)
+        monkeypatch.setattr(ritz, name, spy)
 
     class Pool(ThreadPoolExecutor):
         def submit(self, *args, **kwargs):
@@ -258,6 +264,7 @@ def test_fdtd_reference_holds_a_cpu(monkeypatch, reference, ends, threads):
     assert (report.metadata["lanczos_threads"],
             report.metadata["eig_threads"],
             report.metadata["reference_threads"]) == threads
+    assert stages == [4, 4, 4]
 
 
 def test_march_starts_after_the_recursion(monkeypatch):

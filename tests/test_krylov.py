@@ -468,8 +468,7 @@ def _mp_modes(dec):
             thetas.append(complex(lam))
     return ModeSet(theta=np.array(thetas),
                    residues=np.array(residues).T * sqd[0],
-                   zeta1=float(dec.zeta[0]), recon_error=0.0, merged=0,
-                   threads=1)
+                   zeta1=float(dec.zeta[0]), recon_error=0.0, merged=0)
 
 
 def test_structured_eigensolve_matches_dense_route(ring1650):
@@ -545,7 +544,7 @@ def test_ghost_grouping_at_large_m_matches_zgeev(ring1650, monkeypatch):
     sc, dec = ring1650
     modes = eigen_tridiag(dec)
 
-    def dense_values(h, ref_job):
+    def dense_values(h):
         theta = np.linalg.eigvals(_dense(h.alpha, h.off))
         return theta[np.lexsort((theta.imag, theta.real))]
 
@@ -581,7 +580,7 @@ def test_weights_match_solve_oracle(ring1650):
     rows = dec.w_probe / sqd
     h = krylov._h_scale(alpha, off)
     theta = krylov._ritz_values(h)
-    first, probe, _, _ = krylov._ritz_vectors(h, theta, rows, 1)
+    first, probe, _, _ = krylov._ritz_vectors(h, theta, rows)
     residues, at = probe * (first * sqd[0]), krylov._ldexp(theta, h.exp)
     ghosts = krylov._close_groups(theta, krylov._GHOST_TOL * h.h_max)
     for g in np.unique(ghosts):  # one mode each, its residues summed
@@ -632,7 +631,7 @@ def _assert_streams_match(got, s, theta, rows, tol):
                 <= tol * np.linalg.norm(sum_want))
 
 
-def test_kernel_vectors_match_python_loop(ring1650):
+def test_kernel_vectors_match_python_loop(ring1650, monkeypatch):
     # the compiled inverse iteration, on one thread and on two, against
     # its Python loop of zgtsv solves, from the same starts; each vector
     # is fixed up to its sign (the sign of the near-zero pivot), and at
@@ -644,7 +643,8 @@ def test_kernel_vectors_match_python_loop(ring1650):
     theta = krylov._ritz_values(h)
     want = invit_loop(h.alpha, h.off, theta, h.h_max)
     for threads in (1, 2):
-        got = krylov._ritz_vectors(h, theta, rows, threads)
+        monkeypatch.setattr(_native, "_usable_cpus", lambda: threads)
+        got = krylov._ritz_vectors(h, theta, rows)
         _assert_streams_match(got, want, theta, rows, 1e-10)
 
 
@@ -661,8 +661,7 @@ def _ritz_runs(h, rows, theta=None):
             for threads in (1, 2, 3):
                 mp.setattr(_native, "_usable_cpus", lambda: threads)
                 values = krylov._ritz_values(h) if theta is None else theta
-                runs.append((values, *krylov._ritz_vectors(h, values, rows,
-                                                           threads)))
+                runs.append((values, *krylov._ritz_vectors(h, values, rows)))
     return runs
 
 
@@ -696,7 +695,7 @@ def test_zero_pivot_retry_inside_a_lane_group():
     _assert_runs_bitwise(runs)
     nearby = theta.copy()
     nearby[at] *= 1.0 + 2.0 ** -40  # no zero pivot
-    calm = krylov._ritz_vectors(h, nearby, rows, 1)
+    calm = krylov._ritz_vectors(h, nearby, rows)
     other = np.ones(theta.size, dtype=bool)
     other[at] = False
     for a, b in zip(calm[:2], runs[0][:2]):
@@ -803,7 +802,7 @@ def test_reconstruction_gate_checks_weights_identity(monkeypatch):
     assert eigen_tridiag(dec).recon_error < 1e-14
 
     def perturbed(stretch, shift):
-        def vectors(h, theta, rows, threads):
+        def vectors(h, theta, rows):
             s = invit_loop(h.alpha, h.off, theta, h.h_max)
             s[:, np.argmin(np.abs(theta))] *= stretch
             first, probe, _, ss = _streamed(s, theta, rows)
@@ -866,7 +865,7 @@ def test_every_kernel_source_is_built_and_shipped():
 def _one_mode(theta):
     """A unit mode at theta, seen by one probe."""
     return ModeSet(theta=np.array([theta]), residues=np.array([[1.0 + 0j]]),
-                   zeta1=1.0, recon_error=0.0, merged=0, threads=1)
+                   zeta1=1.0, recon_error=0.0, merged=0)
 
 
 def test_kernels_agree_on_real_negative_spectrum():

@@ -23,7 +23,6 @@ import pickle
 import subprocess
 import sys
 import threading
-from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +36,12 @@ from wavecast.cli import main
 from wavecast.errors import BreakdownError
 from wavecast.grid import build_grid2d
 from wavecast.harness import _prepare
-from wavecast.krylov import LanczosDecomposition, bilanczos
+from wavecast.krylov import (
+    LanczosDecomposition,
+    bilanczos,
+    eigen_tridiag,
+    evaluate_impulse,
+)
 from wavecast.operator import MediumMap, assemble_operator
 from wavecast.scenarios import get_scenario
 from wavecast.zolotarev import (
@@ -157,18 +161,20 @@ def assert_near_oracle(got, want):
 
 @pytest.fixture
 def force_blocks(monkeypatch):
-    """Force the recursion's block count and record what it used."""
+    """Force the recursion's block count and record the count each
+    lanczos_run call (one chunk of steps) used."""
     used = []
-    real_thread_count = krylov._thread_count
+    kernel = krylov._lanczos_kernel()
+    real_run = kernel.lanczos_run
 
-    def spy(ref_job=None, n=None):
-        used.append(real_thread_count(ref_job, n))
-        return used[-1]
+    def spy(n_blocks, *args):
+        used.append(n_blocks)
+        return real_run(n_blocks, *args)
 
     def force(n_blocks):
         monkeypatch.setattr(krylov, "_ROWS_PER_WORKER", 1)
         monkeypatch.setattr(_native, "_usable_cpus", lambda: n_blocks)
-        monkeypatch.setattr(krylov, "_thread_count", spy)
+        monkeypatch.setattr(kernel, "lanczos_run", spy)
         return used
 
     return force
@@ -253,7 +259,7 @@ def test_breakdown_retreat_is_bitwise_reference(desk, n_blocks,
     monkeypatch.setattr(krylov, "_BREAKDOWN_TOL", tol)
     runs = on_both_paths(lambda: bilanczos(
         asm.op, asm.b, 300, asm.probe_flats))
-    assert used == [n_blocks] * 2  # one recursion run per path
+    assert used == [n_blocks] * 2  # one chunk per path
     for got in runs:
         assert got.m == i - 2 and got.stop == "breakdown"
         for name in ("alpha", "zeta", "delta", "w_probe"):
@@ -765,38 +771,38 @@ def test_kernel_divides_as_numpy():
 
 
 def test_block_count_rule(monkeypatch):
-    # one rule for the compiled stages of the Krylov route: every usable
-    # CPU, one fewer while the reference job runs (the eigensolve's
-    # stages and the impulse), and for a recursion step, which runs
-    # before the reference starts, at most n // _ROWS_PER_WORKER row
-    # blocks; never fewer than one.  The march takes one row block until
-    # the Krylov route has ended, then every usable CPU
-    count, march = krylov._thread_count, fdtd._march_blocks
-    rows = krylov._ROWS_PER_WORKER
-    running, finished = Future(), Future()
-    finished.set_result(None)
+    # one CPU rule: the Krylov route's compiled stages take every usable
+    # CPU, a recursion step at most n // _ROWS_PER_WORKER row blocks and
+    # never fewer than one.  Only the march yields to the other route: one
+    # row block until the Krylov route has ended, then every usable CPU
+    assert krylov._ROWS_PER_WORKER == 500
+    op = assemble_operator(build_grid2d(12))
+    b = np.zeros(op.n)
+    b[op.n // 2] = 1.0
+    used = {}
+    for kernel, names in ((krylov._lanczos_kernel(), ("lanczos_run",)),
+                          (krylov._ritz_kernel(),
+                           ("ritz_polish", "ritz_vectors", "impulse"))):
+        for name in names:
+            def spy(nt, *args, name=name, run=getattr(kernel, name)):
+                used.setdefault(name, set()).add(nt)
+                return run(nt, *args)
+            monkeypatch.setattr(kernel, name, spy)
     beside, alone = threading.Event(), threading.Event()
     alone.set()
-    assert rows == 500
-    monkeypatch.setattr(_native, "_usable_cpus", lambda: 2)
-    assert count(n=18_225) == 2  # ring-desk
-    assert count(n=2 * rows - 1) == 1
-    assert count(n=2 * rows) == 2
-    assert count(n=229_441) == 2  # paper-scale ring
-    for job in (None, finished):
-        assert count(job) == 2  # the eigensolve
-    assert count(running) == 1  # beside the reference
-    assert (march(beside), march(alone), march(None)) == (1, 2, 2)
-    monkeypatch.setattr(_native, "_usable_cpus", lambda: 3)
-    assert count(n=229_441) == 3
-    assert count(n=2 * rows) == 2
-    assert count(running) == 2
-    assert (march(beside), march(alone), march(None)) == (1, 3, 3)
-    monkeypatch.setattr(_native, "_usable_cpus", lambda: 1)
-    assert count(n=229_441) == 1
-    for job in (None, finished, running):
-        assert count(job) == 1
-    assert (march(beside), march(alone), march(None)) == (1, 1, 1)
+    half = op.n // 2
+    for cpus, rows, steps in ((2, 1, 2), (2, half, 2), (2, half + 1, 1),
+                              (2, op.n + 1, 1), (3, 1, 3), (3, half, 2),
+                              (1, 1, 1)):
+        monkeypatch.setattr(_native, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(krylov, "_ROWS_PER_WORKER", rows)
+        used.clear()
+        modes = eigen_tridiag(bilanczos(op, b, 12, [0, half]))
+        evaluate_impulse(modes, np.linspace(0.0, 1.0, 20))
+        assert used == {"lanczos_run": {steps}, "ritz_polish": {cpus},
+                        "ritz_vectors": {cpus}, "impulse": {cpus}}
+        march = fdtd._march_blocks
+        assert (march(beside), march(alone), march(None)) == (1, cpus, cpus)
 
 
 def _run_alone(monkeypatch, name, m):
@@ -825,7 +831,7 @@ def test_recursion_runs_alone(desk, force_blocks, monkeypatch, request):
     monkeypatch.setattr(_native, "_usable_cpus", lambda: 3)
     got, report = _run_alone(monkeypatch, request.node.callspec.params["desk"],
                              300)
-    assert used[:2] == [1, 3]  # one call per run
+    assert used[:2] == [1, 3]  # one chunk per run
     assert (one.threads, got.threads) == (1, 3)
     assert report.metadata["lanczos_threads"] == 3
     assert_bitwise(got, one)
