@@ -86,7 +86,7 @@
    lanczos_run computes each number the loop of numpy calls it replaced
    did, by numpy's rules, so its bits are theirs:
    - the row partials are added as np.sum adds them: +0.0 plus numpy
-     2.x's pairwise sum (pairwise, cpairwise);
+     2.x's pairwise sum (np_sum);
    - alpha_i = (w^T M aw) / delta_i and delta_i / delta_{i-1} are
      numpy's complex128 quotients (Smith's algorithm, cdiv), and c is
      that quotient times (zeta_i + 0i) as numpy multiplies complex
@@ -441,18 +441,23 @@ static double row_b(int simd, int ix, int wy, long n, const double *aw,
                           0.0);
 }
 
-/* numpy 2.x's pairwise sum of n doubles (its DOUBLE_pairwise_sum): below
-   8 terms added in order from -0.0; up to 128, eight running sums over
-   blocks of eight, combined as ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)),
-   then the rest in order; above, the halves split at n / 2 rounded down
-   to a multiple of 8, each summed so */
-static double pairwise(const double *a, long n)
+/* numpy 2.x's pairwise sum of n doubles a, each of the s parts (s = 1,
+   or 2 for complex a, interleaved) into out[part] (its DOUBLE_ and
+   CDOUBLE_pairwise_sum): below 8 doubles each part added in order from
+   -0.0; up to 128, eight running sums over blocks of eight doubles, part
+   c's combined pairwise (((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)) for
+   s = 1, (0 + 2) + (4 + 6) and (1 + 3) + (5 + 7) for s = 2), then the
+   rest in order; above, the halves split at n / 2 rounded down to a
+   multiple of 8, each summed so */
+static void pairwise(const double *a, long n, int s, double *out)
 {
     if (n < 8) {
-        double s = -0.0;
-        for (long i = 0; i < n; i++)
-            s += a[i];
-        return s;
+        for (int c = 0; c < s; c++) {
+            out[c] = -0.0;
+            for (long i = c; i < n; i += s)
+                out[c] += a[i];
+        }
+        return;
     }
     if (n <= 128) {
         double p[8];
@@ -462,54 +467,32 @@ static double pairwise(const double *a, long n)
         for (i = 8; i < n - n % 8; i += 8)
             for (int k = 0; k < 8; k++)
                 p[k] += a[i + k];
-        double s = ((p[0] + p[1]) + (p[2] + p[3]))
-                   + ((p[4] + p[5]) + (p[6] + p[7]));
-        for (; i < n; i++)
-            s += a[i];
-        return s;
+        for (int c = 0; c < s; c++) {
+            for (int w = s; w < 8; w *= 2)
+                for (int k = 0; k < 8; k += 2 * w)
+                    p[k + c] += p[k + c + w];
+            out[c] = p[c];
+            for (long j = i + c; j < n; j += s)
+                out[c] += a[j];
+        }
+        return;
     }
+    double lo[2], hi[2];
     long half = n / 2;
     half -= half % 8;
-    return pairwise(a, half) + pairwise(a + half, n - half);
+    pairwise(a, half, s, lo);
+    pairwise(a + half, n - half, s, hi);
+    for (int c = 0; c < s; c++)
+        out[c] = lo[c] + hi[c];
 }
 
-/* numpy 2.x's pairwise sum of complex a (n doubles, interleaved; its
-   CDOUBLE_pairwise_sum): the same rule on the doubles, a block of eight
-   being four values, whose four running sums combine as (0 + 1) + (2 +
-   3) */
-static void cpairwise(const double *a, long n, double *re, double *im)
+/* np.sum's value of the n doubles a in s parts: +0.0, where numpy's
+   reduction starts, plus their pairwise sum */
+static void np_sum(const double *a, long n, int s, double *out)
 {
-    if (n < 8) {
-        *re = *im = -0.0;
-        for (long i = 0; i < n; i += 2) {
-            *re += a[i];
-            *im += a[i + 1];
-        }
-        return;
-    }
-    if (n <= 128) {
-        double p[8];
-        long i;
-        for (int k = 0; k < 8; k++)
-            p[k] = a[k];
-        for (i = 8; i < n - n % 8; i += 8)
-            for (int k = 0; k < 8; k++)
-                p[k] += a[i + k];
-        *re = (p[0] + p[2]) + (p[4] + p[6]);
-        *im = (p[1] + p[3]) + (p[5] + p[7]);
-        for (; i < n; i += 2) {
-            *re += a[i];
-            *im += a[i + 1];
-        }
-        return;
-    }
-    double r1, i1, r2, i2;
-    long half = n / 2;
-    half -= half % 8;
-    cpairwise(a, half, &r1, &i1);
-    cpairwise(a + half, n - half, &r2, &i2);
-    *re = r1 + r2;
-    *im = i1 + i2;
+    pairwise(a, n, s, out);
+    for (int c = 0; c < s; c++)
+        out[c] = 0.0 + out[c];
 }
 
 /* q = a / b by numpy's complex128 rule (Smith's algorithm) */
@@ -535,13 +518,8 @@ static void cdiv(double ar, double ai, double br, double bi, double *qr,
 
 void lanczos_sum(long n, int complex_, const double *a, double *out)
 {
-    if (complex_) {
-        cpairwise(a, 2 * n, out, out + 1);
-        out[0] = 0.0 + out[0];
-        out[1] = 0.0 + out[1];
-    } else {
-        out[0] = 0.0 + pairwise(a, n);
-    }
+    int s = complex_ ? 2 : 1;
+    np_sum(a, s * n, s, out);
 }
 
 void lanczos_div(long n, const double *a, const double *b, double *q)
@@ -575,18 +553,16 @@ int lanczos_run(int nt, int last, int simd, int wx, int wy, double *r0,
             row_a(&g, simd, ix, r, st[SCALE], aw, dots);
 #pragma omp single
         {
-            cpairwise(dots, 2 * wx, d, d + 1);
-            d[0] = 0.0 + d[0];
-            d[1] = 0.0 + d[1];
+            np_sum(dots, 2 * wx, 2, d);
             if (hypot(d[0], d[1]) < st[BREAKDOWN]) {
                 st[DELTA_RE] = d[0];
                 st[DELTA_IM] = d[1];
                 st[STEPS] = k;
                 status = RUN_BREAKDOWN;
             } else {
-                double ar, ai;
-                cpairwise(dots + 2 * wx, 2 * wx, &ar, &ai);
-                cdiv(0.0 + ar, 0.0 + ai, d[0], d[1], coef, coef + 1);
+                double num[2];  /* w^T M aw */
+                np_sum(dots + 2 * wx, 2 * wx, 2, num);
+                cdiv(num[0], num[1], d[0], d[1], coef, coef + 1);
                 coef[2] = coef[3] = 0.0;
                 if (k > 1) {
                     /* (d_k / delta_{k-1}) zeta_k, the product as numpy's
@@ -607,7 +583,9 @@ int lanczos_run(int nt, int last, int simd, int wx, int wy, double *r0,
             norms[ix] = row_b(simd, ix, wy, n, aw, r, coef, k > 1, r_prev);
 #pragma omp single
         {
-            double z = sqrt(0.0 + pairwise(norms, wx));
+            double z;
+            np_sum(norms, wx, 1, &z);
+            z = sqrt(z);
             double *rows = probe_rows + 2L * np * (k - 1);
             alpha[2 * (k - 1)] = coef[0];
             alpha[2 * (k - 1) + 1] = coef[1];

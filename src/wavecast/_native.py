@@ -1,13 +1,14 @@
 """Build and load the package's C kernels.
 
-Each C source in this package is compiled with gcc on first use (never
-at import) into the package's __pycache__, under a name keyed by the
-SHA-256 of the source and the compiler command.  The library is written
-to a temporary name and renamed into place, so no process loads a
-half-written file; the builds of the same source under other keys are
-then removed.  gcc is required: a kernel that cannot be built or
-loaded is a ConfigurationError, which run_study meets before either
-route starts.  ctypes releases the GIL for every call into a kernel.
+Every C source in this package is compiled with gcc on first use (never
+at import), by one command for all of them (_CC), into the package's
+__pycache__, under a name keyed by the SHA-256 of the source and that
+command.  The library is written to a temporary name and renamed into
+place, so no process loads a half-written file; the builds of the same
+source under other keys are then removed.  gcc is required: a kernel
+that cannot be built or loaded is a ConfigurationError, which run_study
+meets before either route starts.  ctypes releases the GIL for every
+call into a kernel.
 
 Every kernel is called one way.  An array goes across as a typed
 argument (REAL, CPLX, INTS, LONGS: C-contiguous float64, complex128,
@@ -34,26 +35,13 @@ REAL, CPLX, INTS, LONGS = (
     np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
     for dtype in (np.float64, np.complex128, np.intc, ctypes.c_long))
 
-# the compiler command shared by every source; the source's own flags,
-# then the output path and the source, are appended
-_CC = ("gcc", "-O2", "-shared", "-fPIC")
-# per-source flags (every C source of the package has an entry)
-FLAGS = {
-    # OpenMP over the values of the polish and of the inverse iteration,
-    # and over the impulse's blocks of samples; no product and sum fused,
-    # so each lockstep lane, on the AVX2 path or the baseline path of one
-    # lane source (chosen at run time, see the source), is its value's
-    # operations alone
-    "_ritz.c": ("-fopenmp", "-ffp-contract=off"),
-    # OpenMP row blocks, and FMA only where the source asks for it (see
-    # the source's comment)
-    "_lanczos.c": ("-fopenmp", "-ffp-contract=off"),
-    # OpenMP row blocks, and the numpy oracle's operations, with no
-    # product and sum fused; -O3 vectorizes the row loops (twice the
-    # speed of -O2), two values wide, or four in the AVX2 step chosen at
-    # run time
-    "_fdtd.c": ("-O3", "-fopenmp", "-ffp-contract=off"),
-}
+# the one compiler command of every source, to which the output path and
+# the source are appended: -O3 vectorizes the FDTD march's row loops
+# (twice the speed of -O2), OpenMP runs each kernel's threads, and no
+# product and sum is fused, so FMA comes only where a source asks for
+# it (fma() or an intrinsic) and each lockstep Ritz lane is its value's
+# operations alone
+_CC = ("gcc", "-O3", "-shared", "-fPIC", "-fopenmp", "-ffp-contract=off")
 
 
 def _usable_cpus():
@@ -68,18 +56,17 @@ def load(name, signatures):
     function of signatures ({function: (restype, argtypes)}) set up and
     `simd` set to its kernel_simd()."""
     source_path = Path(__file__).with_name(name)
-    command = (*_CC, *FLAGS[name])
     cache = source_path.with_name("__pycache__")
     try:
         source = source_path.read_bytes()
-        key = hashlib.sha256(source + repr(command).encode()).hexdigest()[:16]
+        key = hashlib.sha256(source + repr(_CC).encode()).hexdigest()[:16]
         lib_path = cache / f"{source_path.stem}-{key}.so"
         if not lib_path.exists():
             cache.mkdir(exist_ok=True)
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
             os.close(fd)
             try:
-                subprocess.run([*command, "-o", tmp, str(source_path)],
+                subprocess.run([*_CC, "-o", tmp, str(source_path)],
                                check=True, capture_output=True, timeout=60)
                 os.replace(tmp, lib_path)
             finally:
@@ -101,6 +88,6 @@ def load(name, signatures):
         detail = detail.partition("\n")[0]
         raise ConfigurationError(
             f"cannot build or load the {name} kernel with "
-            f"'{' '.join(command)}' in {cache}: {detail}"
+            f"'{' '.join(_CC)}' in {cache}: {detail}"
         ) from None
     return lib

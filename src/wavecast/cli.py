@@ -27,7 +27,7 @@ from .errors import (
     WavecastError,
 )
 from .harness import build_scenario_grid, run_study
-from .scenarios import PRESETS, get_scenario, load_config
+from .scenarios import PRESETS, _ints, get_scenario, load_config
 from .signals import Waveform, compare_traces
 from .zolotarev import (
     SpectralInterval,
@@ -86,7 +86,7 @@ def _cmd_converge(args):
     m_list = sc.m_list
     if args.m is not None:
         try:
-            m_list = tuple(int(p) for p in args.m.replace(",", " ").split())
+            m_list = _ints(args.m)  # as [solvers] m_list is read
         except ValueError:
             raise ConfigurationError(
                 f"--m wants comma-separated integers, got {args.m!r}"

@@ -38,7 +38,6 @@ from .fdtd import _fdtd_kernel, run_fdtd, time_step
 from .grid import build_grid2d
 from .krylov import (
     _lanczos_kernel,
-    _real_rectangle,
     _ritz_kernel,
     bilanczos,
     convolve_source,
@@ -270,7 +269,6 @@ def _metadata(sc, asm, decomp, m_requested, m, modes, ref_threads):
     """Run metadata; modes is the eigensolve of the written trace (at m),
     ref_threads the FDTD march's row blocks in its last chunk (None
     without a march)."""
-    ix0, ix1, iy0, iy1 = _real_rectangle(asm.op)
     return {
         "git": _git_hash(),
         "config": _clean(sc),
@@ -283,7 +281,7 @@ def _metadata(sc, asm, decomp, m_requested, m, modes, ref_threads):
         "lanczos_stop": decomp.stop,
         "lanczos_threads": decomp.threads,
         "lanczos_drift": decomp.drift,
-        "lanczos_real_share": (ix1 - ix0) * (iy1 - iy0) / asm.op.n,
+        "lanczos_real_share": decomp.real_share,
         "eig_threads": _native._usable_cpus(),
         "reference_threads": ref_threads,
         "recon_error": modes.recon_error,

@@ -139,7 +139,9 @@ def _sqrt_from_above(z, tol=0.0):
 class LanczosDecomposition:
     """Coefficients and probe rows of a recursion run, or of its leading
     iterations (truncate); arrays are sized by the iteration count m.
-    threads is the row-block count of the run's last step."""
+    threads is the row-block count of the run's last step, real_share
+    the share of the unknowns in _real_rectangle (the SIMD path's real
+    form)."""
 
     m: int
     alpha: np.ndarray
@@ -149,6 +151,7 @@ class LanczosDecomposition:
     stop: str                 # why it ended: "m", "invariant", "breakdown"
     drift: float              # max |w_j^T M w_1| / max |M| observed
     threads: int
+    real_share: float
 
     def truncate(self, m_new):
         """Decomposition of the leading m_new iterations."""
@@ -292,7 +295,7 @@ def bilanczos(op, b, m, probe_indices):
     bitwise the same result for any thread count.  The steps run in the
     kernel's chunks (lanczos_run), up to each drift sample; an interrupt
     is seen when a chunk returns.  The decomposition records the thread
-    count.
+    count and the real form's share of the unknowns.
     """
     if m < 1:
         raise InvalidParameterError(f"need m >= 1, got {m}")
@@ -310,6 +313,8 @@ def bilanczos(op, b, m, probe_indices):
     m_diag = np.asarray(op.m_diag, dtype=complex)
     m_scale = float(np.abs(m_diag).max())
     kernel = _lanczos_kernel()
+    operands = _step_operands(op)
+    ix0, ix1, iy0, iy1 = operands[-1].tolist()  # the real rectangle
     n_blocks = max(1, min(_native._usable_cpus(), n // _ROWS_PER_WORKER))
 
     alpha = np.empty(m, dtype=complex)
@@ -345,8 +350,8 @@ def bilanczos(op, b, m, probe_indices):
                       1.0, 0.0, 0.0, _BREAKDOWN_TOL * m_scale, _HAPPY_TOL])
     # lanczos_run's arguments after the thread count and the chunk's last
     # step; step i reads r_i from buffer (i - 1) % 2 (r, then r_prev)
-    args = (kernel.simd, wx, wy, r, r_prev, *_step_operands(op), aw, dots,
-            norms, state, probes.size, probes, alpha, zeta, delta, probe_rows)
+    args = (kernel.simd, wx, wy, r, r_prev, *operands, aw, dots, norms,
+            state, probes.size, probes, alpha, zeta, delta, probe_rows)
 
     # w_1 = r * s_1, component by component as the kernel forms it
     m_w_first = m_diag * _complex(r * state[0])  # for the drift samples
@@ -393,6 +398,7 @@ def bilanczos(op, b, m, probe_indices):
         stop=stop,
         drift=drift,
         threads=n_blocks,
+        real_share=(ix1 - ix0) * (iy1 - iy0) / n,
     )
     # keep one iteration of margin before the collapse
     return decomp.truncate(i - 2) if stop == "breakdown" else decomp
@@ -469,16 +475,15 @@ def _close_groups(theta, tol):
 
 @functools.cache
 def _ritz_kernel():
-    """The compiled Ritz kernels (_ritz.c): the library, with ritz_ql,
-    ritz_polish, ritz_vectors and impulse set up, and `simd` set on it:
+    """The compiled Ritz kernels (_ritz.c): the library, with
+    ritz_values, ritz_vectors and impulse set up, and `simd` set on it:
     1 when the CPU runs the AVX2 path of the lanes' one source, 0 for
     its baseline path."""
     cplx, real, ints = _native.CPLX, _native.REAL, _native.INTS
     c_int, c_double = ctypes.c_int, ctypes.c_double
     return _native.load("_ritz.c", {
-        "ritz_ql": (c_int, [c_int, cplx, cplx, cplx, cplx]),
-        "ritz_polish": (c_int, [c_int, c_int, c_int, cplx, cplx, cplx, cplx,
-                                ints]),
+        "ritz_values": (c_int, [c_int, c_int, c_int, cplx, cplx, c_double,
+                                cplx, cplx, ints]),
         "ritz_vectors": (c_int, [c_int, c_int, c_int, cplx, cplx, cplx, ints,
                                  ints, c_double, c_int, c_double, c_int, cplx,
                                  cplx, cplx, cplx, cplx]),
@@ -526,18 +531,16 @@ def _norm(x):
 def _ritz_values(h):
     """Eigenvalues of the scaled H (a _ScaledH), in its units, sorted by
     real, then imaginary part, from the compiled kernel: the serial QL,
-    then the polish on every usable CPU.  Values that do not converge
-    raise NearDefectiveError: with the QL's exceptional shift, only a
-    numerically defective H has been seen to stop it."""
+    then the polish on every usable CPU, its tolerances set by h.h_max.
+    Values that do not converge raise NearDefectiveError: with the QL's
+    exceptional shift, only a numerically defective H has been seen to
+    stop it."""
     theta = np.empty_like(h.alpha)
-    work = np.empty_like(theta)
     kernel = _ritz_kernel()
-    code = kernel.ritz_ql(theta.size, h.alpha, h.off, theta, work)
-    if not code:
-        code = kernel.ritz_polish(_native._usable_cpus(), kernel.simd,
-                                  theta.size, h.alpha, h.off, theta, work,
-                                  np.empty(theta.size, dtype=np.intc))
-    if code:
+    if kernel.ritz_values(_native._usable_cpus(), kernel.simd, theta.size,
+                          h.alpha, h.off, h.h_max, theta,
+                          np.empty_like(theta),
+                          np.empty(theta.size, dtype=np.intc)):
         raise NearDefectiveError(
             "eigenvalues of the projected matrix did not converge: it is "
             "numerically defective")

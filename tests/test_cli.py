@@ -3,9 +3,11 @@
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -133,9 +135,12 @@ def test_converge_m_override(mini_cfg, tmp_path):
     assert [e["m"] for e in report["convergence"]] == [50, 100]
 
 
-def test_converge_bad_m_list(mini_cfg, tmp_path):
+def test_converge_bad_m_list(mini_cfg, tmp_path, capsys):
     assert main(["converge", str(mini_cfg), "--m", "ten,20",
                  "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "--m wants comma-separated integers, got 'ten,20'" in err
 
 
 def test_converge_needs_reference(tmp_path, capsys):
@@ -571,19 +576,25 @@ def test_compare_is_scale_invariant(tmp_path, capsys):
 def test_kernel_build_failure_exits_2(tmp_path, monkeypatch, capsys):
     # a kernel that cannot be built stops the run before either route
     # starts: one line on stderr and no trace written.  Without a
-    # compiler the eigensolve kernel fails first; a bad flag of the
-    # Lanczos kernel, or of the FDTD march, fails that one alone.
+    # compiler the eigensolve kernel fails first; a corrupted source of
+    # the Lanczos kernel, or of the FDTD march, fails that one alone
+    # (the kernels built from copies of the sources under tmp_path)
     kernels = (wavecast.krylov._ritz_kernel, wavecast.krylov._lanczos_kernel,
                wavecast.fdtd._fdtd_kernel)
-    for broken, want in (("_CC", "/nonexistent/cc"), ("FLAGS", "_lanczos.c"),
-                         ("FLAGS", "_fdtd.c")):
+    package = Path(wavecast._native.__file__).parent
+    for source in package.glob("*.c"):
+        shutil.copy(source, tmp_path / source.name)
+    for broken, want in (("_CC", "/nonexistent/cc"),
+                         ("source", "_lanczos.c"), ("source", "_fdtd.c")):
         with monkeypatch.context() as patch:
             if broken == "_CC":
                 patch.setattr(wavecast._native, "_CC",
                               ("/nonexistent/cc", "-shared"))
             else:
-                patch.setitem(wavecast._native.FLAGS, want,
-                              ("-fno-such-flag",))
+                patch.setattr(wavecast._native, "__file__",
+                              str(tmp_path / "_native.py"))
+                good = (package / want).read_bytes()
+                (tmp_path / want).write_bytes(good[:len(good) // 2])
             for kernel in kernels:
                 kernel.cache_clear()
             try:
@@ -591,6 +602,8 @@ def test_kernel_build_failure_exits_2(tmp_path, monkeypatch, capsys):
             finally:
                 for kernel in kernels:
                     kernel.cache_clear()
+        if broken == "source":  # the copy mended for the next case
+            shutil.copy(package / want, tmp_path)
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1

@@ -227,7 +227,7 @@ def test_fdtd_reference_holds_a_cpu(monkeypatch, reference, ends, threads):
     monkeypatch.setattr(krylov, "_ROWS_PER_WORKER", 1)
     jobs, release = [], threading.Event()
     stages, ritz = [], krylov._ritz_kernel()
-    for name in ("ritz_polish", "ritz_vectors", "impulse"):
+    for name in ("ritz_values", "ritz_vectors", "impulse"):
         def spy(nt, *args, run=getattr(ritz, name)):
             stages.append(nt)
             return run(nt, *args)

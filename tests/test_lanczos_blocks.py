@@ -135,6 +135,7 @@ def reference_recursion(op, b, m, probes,
         stop=stop,
         drift=drift,
         threads=1,
+        real_share=0.0,
     )
 
 
@@ -782,7 +783,7 @@ def test_block_count_rule(monkeypatch):
     used = {}
     for kernel, names in ((krylov._lanczos_kernel(), ("lanczos_run",)),
                           (krylov._ritz_kernel(),
-                           ("ritz_polish", "ritz_vectors", "impulse"))):
+                           ("ritz_values", "ritz_vectors", "impulse"))):
         for name in names:
             def spy(nt, *args, name=name, run=getattr(kernel, name)):
                 used.setdefault(name, set()).add(nt)
@@ -799,7 +800,7 @@ def test_block_count_rule(monkeypatch):
         used.clear()
         modes = eigen_tridiag(bilanczos(op, b, 12, [0, half]))
         evaluate_impulse(modes, np.linspace(0.0, 1.0, 20))
-        assert used == {"lanczos_run": {steps}, "ritz_polish": {cpus},
+        assert used == {"lanczos_run": {steps}, "ritz_values": {cpus},
                         "ritz_vectors": {cpus}, "impulse": {cpus}}
         march = fdtd._march_blocks
         assert (march(beside), march(alone), march(None)) == (1, cpus, cpus)
